@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-manifest bench-check lint lint-baseline lint-sarif lint-fixtures lint-inject-smoke smoke fleet-smoke fleet-sync-smoke crowd-smoke serve-smoke ci
+.PHONY: build test race vet bench bench-test lint lint-baseline lint-sarif lint-fixtures lint-inject-smoke smoke fleet-smoke crowd-smoke serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -19,19 +19,11 @@ vet:
 bench:
 	$(GO) test -run=NONE -bench=BenchmarkCampaignRun -benchtime=1x .
 
-# bench-manifest runs the headline benchmarks (campaign, fleet, crowd
-# step, report, logsync merge) and writes their ns/op and allocs/op to
-# BENCH_0007.json — the machine-readable record CI uploads as an
-# artifact and bench-check ratchets against.
-bench-manifest:
-	$(GO) run ./cmd/benchmanifest -o BENCH_0007.json
-
-# bench-check is the perf half of the repo's ratchet: rerun the headline
-# benchmarks and fail on a >15% ns/op regression or any allocs/op
-# increase against the checked-in manifest. Intentional changes move the
-# manifest via `make bench-manifest` and commit the result.
-bench-check:
-	$(GO) run ./cmd/benchmanifest -check BENCH_0007.json
+# bench-test vets and tests the repo benchmark (bench/, a module of its
+# own that the root `go test ./...` does not reach): its golden digests,
+# workload checks and compare logic.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # lint runs the in-repo determinism & correctness linter (internal/lint)
 # over every package; findings fail the build. Suppress intentional uses
@@ -80,14 +72,6 @@ smoke:
 fleet-smoke:
 	$(GO) run ./cmd/fleetrun -scenario testdata/fleet-smoke.json -workers 2 -out fleet-out
 
-# fleet-sync-smoke runs a distributed fleet over loopback through the
-# real fleetrun binary: a -serve collector fed by two -push workers, the
-# merged report and manifest diffed byte-for-byte against a
-# single-process run of the same scenario.
-# fleet-sync-out/collector/fleet-manifest.json is the CI artifact.
-fleet-sync-smoke:
-	./scripts/fleet_sync_smoke.sh
-
 # crowd-smoke drives a 10⁴-UE metro-scale crowd through the real
 # drivetest CLI path — registry construction, event wheel, demand-driven
 # load, and in-run crowd measurements — over a short route.
@@ -106,4 +90,4 @@ serve-smoke:
 
 # lint-sarif runs before the lint gates so the artifact exists for CI
 # upload even when lint fails the build.
-ci: vet build lint-sarif lint lint-baseline lint-inject-smoke race smoke fleet-smoke fleet-sync-smoke crowd-smoke serve-smoke bench-check
+ci: vet build lint-sarif lint lint-baseline lint-inject-smoke race bench-test smoke fleet-smoke crowd-smoke serve-smoke

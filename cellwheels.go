@@ -277,7 +277,7 @@ func (s *Study) WriteCoverageGeoJSON(dir string) error {
 	if err != nil {
 		return fmt.Errorf("cellwheels: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "route.geojson"), routeJSON, 0o644); err != nil {
+	if err := atomicio.WriteFileBytes(filepath.Join(dir, "route.geojson"), 0o644, routeJSON); err != nil {
 		return fmt.Errorf("cellwheels: %w", err)
 	}
 	// Iterate operators in their canonical order, not map order, so the
@@ -304,7 +304,7 @@ func (s *Study) WriteCoverageGeoJSON(dir string) error {
 				return fmt.Errorf("cellwheels: %w", err)
 			}
 			name := op.Short() + "-" + tech.String() + ".geojson"
-			if err := os.WriteFile(filepath.Join(dir, name), out, 0o644); err != nil {
+			if err := atomicio.WriteFileBytes(filepath.Join(dir, name), 0o644, out); err != nil {
 				return fmt.Errorf("cellwheels: %w", err)
 			}
 		}
@@ -331,29 +331,23 @@ func (s *Study) WriteJSONFile(path string) error {
 	return atomicio.WriteFile(path, 0o644, s.WriteJSON)
 }
 
-// WriteCSV writes the per-table CSV files into dir.
+// WriteCSV writes the per-table CSV files into dir, each atomically via
+// the shared writer.
 func (s *Study) WriteCSV(dir string) error {
-	write := func(name string, fn func(io.Writer) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
+	for _, t := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"throughput.csv", s.db.WriteThroughputCSV},
+		{"rtt.csv", s.db.WriteRTTCSV},
+		{"handovers.csv", s.db.WriteHandoverCSV},
+		{"appruns.csv", s.db.WriteAppRunCSV},
+	} {
+		if err := atomicio.WriteFile(filepath.Join(dir, t.name), 0o644, t.write); err != nil {
 			return err
 		}
-		werr := fn(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		return werr
 	}
-	if err := write("throughput.csv", s.db.WriteThroughputCSV); err != nil {
-		return err
-	}
-	if err := write("rtt.csv", s.db.WriteRTTCSV); err != nil {
-		return err
-	}
-	if err := write("handovers.csv", s.db.WriteHandoverCSV); err != nil {
-		return err
-	}
-	return write("appruns.csv", s.db.WriteAppRunCSV)
+	return nil
 }
 
 // MeasuredOokla renders the measured variant of Table 3: the crowd

@@ -23,12 +23,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime/pprof"
 	"time"
 
 	"github.com/nuwins/cellwheels"
-	"github.com/nuwins/cellwheels/internal/atomicio"
 	"github.com/nuwins/cellwheels/internal/obs"
 )
 
@@ -137,7 +135,7 @@ func main() {
 
 	if *metricsPath != "" {
 		rec.SetLabel("dataset", *out)
-		if err := writeManifest(*metricsPath, rec); err != nil {
+		if err := rec.WriteManifestFile(*metricsPath); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "run manifest written to %s\n", *metricsPath)
@@ -148,19 +146,6 @@ func main() {
 // a failed write never leaves a truncated dataset behind.
 func writeDataset(path string, study *cellwheels.Study) error {
 	return study.WriteJSONFile(path)
-}
-
-// writeManifest writes the run manifest through the shared atomic
-// writer, matching every other artifact in the repo. The parent
-// directory is created — a -metrics path in a fresh results tree
-// should not fail a campaign that already ran.
-func writeManifest(path string, rec *obs.Recorder) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("create metrics directory %s: %w", dir, err)
-		}
-	}
-	return atomicio.WriteFile(path, 0o644, rec.WriteManifest)
 }
 
 func fatal(err error) {

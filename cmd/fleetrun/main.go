@@ -7,7 +7,6 @@
 //
 //	fleetrun -scenario fleet.json [-workers N] [-out dir]
 //	         [-archive] [-metrics manifest.json]
-//	fleetrun -scenario fleet.json -serve 127.0.0.1:8080 [-out dir]
 //	fleetrun -scenario fleet.json -push http://host:8080 [-cells 0-1,3]
 //
 // The fleet report is printed to stdout and written, together with the
@@ -19,19 +18,19 @@
 // memory. A scenario's own archive_dir, when relative, resolves against
 // the scenario file's directory.
 //
-// Distributed fleets split the same scenario across machines. -serve
-// runs the collector: an HTTP endpoint (internal/fleetsync) that
-// receives content-addressed run artifacts from workers, validates each
-// against the scenario's positional run matrix, and reduces them
-// streamingly; once every expected run has arrived it writes the same
-// report and manifest — byte-identical — that a single-process run
-// would. The bound address is written to <out>/fleetsync-addr.txt (so
-// ":0" works in scripts). -push runs a worker: it executes its -cells
+// Distributed fleets split the same scenario across machines. The
+// collector is a wheelsd collect job (internal/serve): it receives
+// content-addressed run artifacts from workers at /fleetsync/v1,
+// validates each against the scenario's positional run matrix, and
+// reduces them streamingly; once every expected run has arrived it
+// writes the same report and manifest — byte-identical — that a
+// single-process run would. -push runs a worker: it executes its -cells
 // subset of the sweep (comma-separated cell indexes and ranges; default
 // all) and pushes each finished run to the collector, resumably and
-// idempotently — a worker can crash mid-push and simply be rerun. Both
-// sides fingerprint the scenario file (sha256), so a worker pushing a
-// different scenario is rejected before any run is folded.
+// idempotently — a worker can crash mid-push and simply be rerun. A
+// worker fingerprints the scenario file (sha256) and the collect job
+// pins the same hash, so a worker pushing a different scenario is
+// rejected before any run is folded.
 //
 // A run that fails — including one that panics — is contained: it is
 // recorded in the fleet manifest with its error, its sibling runs
@@ -40,19 +39,14 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/nuwins/cellwheels"
@@ -76,7 +70,6 @@ func realMain(args []string) int {
 		out         = fs.String("out", "fleet-out", "output directory for fleet-report.txt and fleet-manifest.json")
 		archive     = fs.Bool("archive", false, "keep every run's full dataset under <out>/runs/ instead of discarding after reduction")
 		metricsPath = fs.String("metrics", "", "write the merged observability manifest (JSON) to this path")
-		serveAddr   = fs.String("serve", "", "run as a fleetsync collector on this address (e.g. 127.0.0.1:8080, or :0 to pick a port); the bound address is written to <out>/fleetsync-addr.txt")
 		pushURL     = fs.String("push", "", "run as a fleetsync worker: execute this scenario (or its -cells subset) and push finished runs to the collector at this URL")
 		cellsSpec   = fs.String("cells", "", "with -push: the sweep-cell indexes this worker runs, as comma-separated indexes and ranges (e.g. \"0-1,3\"); empty means every cell")
 	)
@@ -88,10 +81,6 @@ func realMain(args []string) int {
 		fs.Usage()
 		return 2
 	}
-	if *serveAddr != "" && *pushURL != "" {
-		fmt.Fprintln(os.Stderr, "fleetrun: -serve and -push are mutually exclusive")
-		return 2
-	}
 	if *cellsSpec != "" && *pushURL == "" {
 		fmt.Fprintln(os.Stderr, "fleetrun: -cells only makes sense with -push")
 		return 2
@@ -100,7 +89,7 @@ func realMain(args []string) int {
 	// The recorder is the only wall clock this command touches.
 	rec := obs.New()
 
-	// The scenario is read whole so collector and workers can agree on a
+	// The scenario is read whole so a worker can present the collector a
 	// fingerprint of its exact bytes — not its parsed meaning.
 	raw, err := os.ReadFile(*scenario)
 	if err != nil {
@@ -133,10 +122,6 @@ func realMain(args []string) int {
 		cfg.ArchiveDir = filepath.Join(*out, "runs")
 	}
 
-	if *serveAddr != "" {
-		return runCollector(cfg, rec, *serveAddr, *out, *metricsPath, fingerprint)
-	}
-
 	res, err := cellwheels.RunFleet(cfg)
 	if err != nil {
 		return fail(err)
@@ -144,87 +129,32 @@ func realMain(args []string) int {
 	fmt.Fprintf(os.Stderr, "fleet finished in %v: %d runs, %d failed\n",
 		//lint:allow timetaint — stderr banner timing only; never reaches the report or manifest
 		rec.Elapsed().Round(time.Millisecond), res.Runs(), res.Failed())
-	return writeOutputs(*out, *metricsPath, rec, res.Report(), res.WriteManifest, res.Runs(), res.Failed())
-}
-
-// runCollector is -serve: an HTTP collector that reduces runs pushed by
-// workers, then writes the same outputs a single-process fleet would.
-// SIGINT/SIGTERM finalizes early: the partial fold — the report over
-// received runs plus the manifest — is still written before exiting
-// nonzero, so an interrupted collection never loses what arrived.
-func runCollector(cfg cellwheels.FleetConfig, rec *obs.Recorder, addr, out, metricsPath, fingerprint string) int {
-	red, err := cellwheels.FleetReducer(cfg)
-	if err != nil {
-		return fail(err)
-	}
-	store, err := fleetsync.OpenStore(filepath.Join(out, "sync"))
-	if err != nil {
-		return fail(err)
-	}
-	col, err := fleetsync.NewCollector(fingerprint, red, store, rec)
-	if err != nil {
-		return fail(err)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fail(err)
-	}
-	// Publish the bound address only after the listener is live, so a
-	// script that waits for this file can connect as soon as it appears.
-	if err := writeFileAtomic(filepath.Join(out, "fleetsync-addr.txt"), func(w io.Writer) error {
-		_, werr := fmt.Fprintln(w, ln.Addr().String())
+	report := res.Report()
+	fmt.Print(report)
+	if err := atomicio.WriteFile(filepath.Join(*out, "fleet-report.txt"), 0o644, func(w io.Writer) error {
+		_, werr := io.WriteString(w, report)
 		return werr
 	}); err != nil {
 		return fail(err)
 	}
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	srv := &http.Server{
-		Handler: col.Handler(),
-		// A worker that stalls mid-header must not wedge the collector's
-		// shutdown drain.
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "fleetsync collector for scenario %s listening on %s (%d runs expected)\n",
-		fingerprint[:12], ln.Addr(), red.Total())
-
-	interrupted := false
-	select {
-	case <-col.Done():
-	case <-sigCtx.Done():
-		interrupted = true
-		fmt.Fprintln(os.Stderr, "fleetrun: signal received; writing partial fleet outputs")
-	case err := <-serveErr:
+	manifestPath := filepath.Join(*out, "fleet-manifest.json")
+	if err := atomicio.WriteFile(manifestPath, 0o644, res.WriteManifest); err != nil {
 		return fail(err)
 	}
-	stop() // a second signal kills immediately instead of waiting the drain out
-	// Graceful stop: the announce that completed the fleet — or was
-	// in flight when the signal landed — still needs its response
-	// written before the fold is read out.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		_ = srv.Close()
-	}
+	fmt.Fprintf(os.Stderr, "fleet report and manifest written to %s/\n", *out)
 
-	res := col.Result()
-	fmt.Fprintf(os.Stderr, "fleet collected in %v: %d runs, %d failed\n",
-		//lint:allow timetaint — stderr banner timing only; never reaches the report or manifest
-		rec.Elapsed().Round(time.Millisecond), len(res.Manifest.Runs), res.Manifest.Failed)
-	code := writeOutputs(out, metricsPath, rec, res.Report(), res.Manifest.WriteJSON,
-		len(res.Manifest.Runs), res.Manifest.Failed)
-	if interrupted && !col.Complete() {
-		man := col.Manifest()
-		fmt.Fprintf(os.Stderr, "fleetrun: interrupted with %d of %d runs collected (partial outputs in %s/)\n",
-			man.Received, man.Total, out)
-		if code == 0 {
-			code = 1
+	if *metricsPath != "" {
+		rec.SetLabel("fleet_manifest", manifestPath)
+		if err := rec.WriteManifestFile(*metricsPath); err != nil {
+			return fail(err)
 		}
+		fmt.Fprintf(os.Stderr, "obs manifest written to %s\n", *metricsPath)
 	}
-	return code
+	if res.Failed() > 0 {
+		fmt.Fprintf(os.Stderr, "fleetrun: %d of %d runs failed (see %s)\n", res.Failed(), res.Runs(), manifestPath)
+		return 1
+	}
+	return 0
 }
 
 // runWorker is -push: execute the worker's cell subset and sync every
@@ -275,9 +205,10 @@ func runWorker(cfg cellwheels.FleetConfig, rec *obs.Recorder, pushURL, cellsSpec
 		rec.Counter("fleetsync/retries").Value(), rec.Counter("fleetsync/resumes").Value())
 
 	if metricsPath != "" {
-		if err := writeMetrics(metricsPath, rec); err != nil {
+		if err := rec.WriteManifestFile(metricsPath); err != nil {
 			return fail(err)
 		}
+		fmt.Fprintf(os.Stderr, "obs manifest written to %s\n", metricsPath)
 	}
 	if res.Failed() > 0 {
 		fmt.Fprintf(os.Stderr, "fleetrun: %d of %d runs failed (recorded in the collector's manifest)\n",
@@ -313,58 +244,6 @@ func parseCells(spec string, n int) (map[int]bool, error) {
 		}
 	}
 	return keep, nil
-}
-
-// writeOutputs installs the fleet report, manifest, and (optionally) obs
-// manifest, and converts failed runs into the exit code.
-func writeOutputs(out, metricsPath string, rec *obs.Recorder, report string, writeManifest func(io.Writer) error, runs, failed int) int {
-	fmt.Print(report)
-	if err := writeFileAtomic(filepath.Join(out, "fleet-report.txt"), func(w io.Writer) error {
-		_, werr := io.WriteString(w, report)
-		return werr
-	}); err != nil {
-		return fail(err)
-	}
-	manifestPath := filepath.Join(out, "fleet-manifest.json")
-	if err := writeFileAtomic(manifestPath, writeManifest); err != nil {
-		return fail(err)
-	}
-	fmt.Fprintf(os.Stderr, "fleet report and manifest written to %s/\n", out)
-
-	if metricsPath != "" {
-		rec.SetLabel("fleet_manifest", manifestPath)
-		if err := writeMetrics(metricsPath, rec); err != nil {
-			return fail(err)
-		}
-	}
-
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "fleetrun: %d of %d runs failed (see %s)\n", failed, runs, manifestPath)
-		return 1
-	}
-	return 0
-}
-
-// writeMetrics writes the obs manifest, creating the parent directory —
-// a -metrics path in a fresh results tree should not need a manual
-// mkdir first.
-func writeMetrics(path string, rec *obs.Recorder) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("create metrics directory %s: %w", dir, err)
-		}
-	}
-	if err := writeFileAtomic(path, rec.WriteManifest); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "obs manifest written to %s\n", path)
-	return nil
-}
-
-// writeFileAtomic installs one fleet artifact via the shared atomic
-// writer — staged temp, chmod, rename; never a truncated file.
-func writeFileAtomic(path string, write func(io.Writer) error) error {
-	return atomicio.WriteFile(path, 0o644, write)
 }
 
 func fail(err error) int {

@@ -2,7 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +16,7 @@ import (
 	"time"
 
 	"github.com/nuwins/cellwheels/internal/fleet"
+	"github.com/nuwins/cellwheels/internal/serve"
 )
 
 // smallScenario is a 3-run (1 cell × 3 replicates) fleet small enough
@@ -127,9 +134,6 @@ func TestFleetrunUsageErrors(t *testing.T) {
 	}
 	dir := t.TempDir()
 	scenario := writeScenario(t, dir)
-	if code := realMain([]string{"-scenario", scenario, "-serve", ":0", "-push", "http://x"}); code != 2 {
-		t.Errorf("-serve with -push: exit %d, want 2", code)
-	}
 	if code := realMain([]string{"-scenario", scenario, "-cells", "0"}); code != 2 {
 		t.Errorf("-cells without -push: exit %d, want 2", code)
 	}
@@ -175,23 +179,10 @@ const sweepScenario = `{
   "sweep": [{"field": "disable_edge", "values": [false, true]}]
 }`
 
-func waitForAddr(t *testing.T, path string) string {
-	t.Helper()
-	for i := 0; i < 1000; i++ {
-		data, err := os.ReadFile(path)
-		if err == nil && len(bytes.TrimSpace(data)) > 0 {
-			return string(bytes.TrimSpace(data))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatal("collector never published fleetsync-addr.txt")
-	return ""
-}
-
 // TestFleetrunDistributedMatchesSingleProcess is the CLI-level pin of
-// the fleetsync contract: a -serve collector fed by two -push workers
-// over loopback writes the same report and manifest, byte for byte, as
-// one local fleetrun of the same scenario.
+// the fleetsync contract: a wheelsd collect job fed by two -push workers
+// writes the same report and manifest, byte for byte, as one local
+// fleetrun of the same scenario.
 func TestFleetrunDistributedMatchesSingleProcess(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fleet.json")
@@ -204,20 +195,41 @@ func TestFleetrunDistributedMatchesSingleProcess(t *testing.T) {
 		t.Fatalf("single-process run: exit %d", code)
 	}
 
-	collected := filepath.Join(dir, "collected")
-	serveDone := make(chan int, 1)
-	go func() {
-		serveDone <- realMain([]string{"-scenario", path, "-serve", "127.0.0.1:0", "-out", collected})
-	}()
-	url := "http://" + waitForAddr(t, filepath.Join(collected, "fleetsync-addr.txt"))
-	if code := realMain([]string{"-scenario", path, "-push", url, "-cells", "0"}); code != 0 {
-		t.Fatalf("worker for cell 0: exit %d", code)
+	data := filepath.Join(dir, "daemon")
+	srv, err := serve.New(serve.Config{DataDir: data, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := realMain([]string{"-scenario", path, "-push", url, "-cells", "1"}); code != 0 {
-		t.Fatalf("worker for cell 1: exit %d", code)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	// A -push worker fingerprints the scenario file's exact bytes, so the
+	// collect job pins the same hash.
+	fp := fmt.Sprintf("%x", sha256.Sum256([]byte(sweepScenario)))
+	spec := `{"kind":"collect","fingerprint":"` + fp + `","scenario":` + sweepScenario + `}`
+	st, err := jobStatus(http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := <-serveDone; code != 0 {
-		t.Fatalf("collector: exit %d", code)
+	if st.State != serve.StateRunning {
+		t.Fatalf("collect job submitted as %q, want %q", st.State, serve.StateRunning)
+	}
+	for _, cell := range []string{"0", "1"} {
+		if code := realMain([]string{"-scenario", path, "-push", ts.URL, "-cells", cell}); code != 0 {
+			t.Fatalf("worker for cell %s: exit %d", cell, code)
+		}
+	}
+	for deadline := time.Now().Add(time.Minute); st.State == serve.StateRunning; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("collect job never finished")
+		}
+		if st, err = jobStatus(http.Get(ts.URL + "/v1/jobs/" + st.ID)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.State != serve.StateDone {
+		t.Fatalf("collect job ended %q: %s", st.State, st.Error)
 	}
 
 	for _, name := range []string{"fleet-report.txt", "fleet-manifest.json"} {
@@ -225,7 +237,7 @@ func TestFleetrunDistributedMatchesSingleProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(filepath.Join(collected, name))
+		got, err := os.ReadFile(filepath.Join(data, "jobs", st.ID, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,6 +245,19 @@ func TestFleetrunDistributedMatchesSingleProcess(t *testing.T) {
 			t.Errorf("distributed %s differs from single-process run:\n--- got ---\n%s--- want ---\n%s", name, got, want)
 		}
 	}
+}
+
+// jobStatus decodes one daemon job-status response.
+func jobStatus(resp *http.Response, err error) (serve.JobStatus, error) {
+	if err != nil {
+		return serve.JobStatus{}, err
+	}
+	defer resp.Body.Close()
+	var st serve.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		return st, fmt.Errorf("job status (HTTP %d): %w", resp.StatusCode, err)
+	}
+	return st, nil
 }
 
 // archiveScenario sets a relative archive_dir, which must resolve

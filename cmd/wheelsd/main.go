@@ -122,7 +122,7 @@ func realMain(args []string) int {
 
 	if *metricsPath != "" {
 		s.Snapshot() // folds queue gauges into the recorder
-		if err := atomicio.WriteFile(*metricsPath, 0o644, rec.WriteManifest); err != nil {
+		if err := rec.WriteManifestFile(*metricsPath); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "obs manifest written to %s\n", *metricsPath)

@@ -18,10 +18,11 @@ import (
 // SIGTERM received while a job is queued and a keep-alive client
 // connection sits idle must still drain — the job runs to completion
 // and writes its artifacts, the idle connection is torn down rather
-// than waited on, the obs manifest lands, and realMain returns 0.
+// than waited on, the obs manifest lands — its -metrics path in
+// directories that do not exist yet — and realMain returns 0.
 func TestSigtermDrainWithIdleConnection(t *testing.T) {
 	data := t.TempDir()
-	metrics := filepath.Join(data, "metrics.json")
+	metrics := filepath.Join(t.TempDir(), "fresh", "dir", "metrics.json")
 	exit := make(chan int, 1)
 	go func() {
 		exit <- realMain([]string{"-addr", "127.0.0.1:0", "-data", data, "-workers", "2", "-metrics", metrics})

@@ -5,12 +5,9 @@
 //
 //	wheelsreport -seed 1                 # full 5,711 km campaign
 //	wheelsreport -seed 1 -limit-km 800   # quicker partial run
-//	wheelsreport -seed 1 -replicates 5   # headline tables with variance
 //
-// With -replicates N (N > 1) the fleet engine runs N seeds forked from
-// -seed and the headline tables print as "median [p25–p75]" across the
-// replicates instead of single-seed point values; the full per-figure
-// report remains a single-seed view and is skipped in this mode.
+// Headline tables with variance across replicate seeds come from
+// fleetrun with a scenario's "replicates" count.
 package main
 
 import (
@@ -25,41 +22,17 @@ import (
 
 func main() {
 	var (
-		seed       = flag.Int64("seed", 1, "campaign seed (fleet master seed with -replicates)")
-		limitKm    = flag.Float64("limit-km", 0, "truncate the drive (0 = full route)")
-		crowd      = flag.Int("crowd", 0, "also simulate this many Ookla-style static crowd samples per carrier (measured Table 3)")
-		crowdSize  = flag.Int("crowd-size", 0, "attach this many background UEs per carrier; the measured Table 3 then comes from in-run crowd flows")
-		loadModel  = flag.String("load-model", "", "sector-load backend the handsets see: standin (default) or demand (crowd-driven)")
-		replicates = flag.Int("replicates", 1, "run this many fleet replicates and print headline tables as median [p25–p75]")
-		workers    = flag.Int("workers", 0, "concurrent replicate runs with -replicates (0 = GOMAXPROCS); output is identical for any value")
+		seed      = flag.Int64("seed", 1, "campaign seed")
+		limitKm   = flag.Float64("limit-km", 0, "truncate the drive (0 = full route)")
+		crowd     = flag.Int("crowd", 0, "also simulate this many Ookla-style static crowd samples per carrier (measured Table 3)")
+		crowdSize = flag.Int("crowd-size", 0, "attach this many background UEs per carrier; the measured Table 3 then comes from in-run crowd flows")
+		loadModel = flag.String("load-model", "", "sector-load backend the handsets see: standin (default) or demand (crowd-driven)")
 	)
 	flag.Parse()
 
 	// The recorder is the only wall clock this command touches; it times
 	// the run for the stderr banner and never feeds the simulation.
 	rec := obs.New()
-
-	if *replicates > 1 {
-		res, err := cellwheels.RunFleet(cellwheels.FleetConfig{
-			MasterSeed: *seed,
-			Replicates: *replicates,
-			Base:       cellwheels.Config{LimitKm: *limitKm},
-			Workers:    *workers,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wheelsreport:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "fleet of %d replicates finished in %v\n\n",
-			//lint:allow timetaint — stderr banner timing only; never reaches the report
-			res.Runs(), rec.Elapsed().Round(time.Millisecond))
-		fmt.Print(res.Report())
-		if res.Failed() > 0 {
-			fmt.Fprintf(os.Stderr, "wheelsreport: %d of %d replicates failed\n", res.Failed(), res.Runs())
-			os.Exit(1)
-		}
-		return
-	}
 
 	study, err := cellwheels.Run(cellwheels.Config{
 		Seed:         *seed,

@@ -132,12 +132,8 @@ func FigureCoverageMaps(db *dataset.DB, route *geo.Route, bins int) CoverageMaps
 		return b
 	}
 	for _, op := range radio.Operators() {
-		passive := make([]map[radio.Technology]int, bins)
-		active := make([]map[radio.Technology]int, bins)
-		for i := range passive {
-			passive[i] = map[radio.Technology]int{}
-			active[i] = map[radio.Technology]int{}
-		}
+		passive := make([][radio.NumTechnologies]int, bins)
+		active := make([][radio.NumTechnologies]int, bins)
 		for _, p := range db.Passive {
 			if p.Op == op {
 				passive[binOf(p.Odometer)][p.Tech]++
@@ -148,14 +144,17 @@ func FigureCoverageMaps(db *dataset.DB, route *geo.Route, bins int) CoverageMaps
 				active[binOf(s.Odometer)][s.Tech]++
 			}
 		}
-		render := func(counts []map[radio.Technology]int) (string, float64) {
+		render := func(counts [][radio.NumTechnologies]int) (string, float64) {
 			strip := make([]byte, bins)
 			fiveG, withData := 0, 0
 			for i, c := range counts {
+				// Scanning in canonical order with a strict > breaks a
+				// tie toward the older technology, the same way on every
+				// call.
 				best, bestN := radio.LTE, 0
-				for tech, n := range c {
-					if n > bestN {
-						best, bestN = tech, n
+				for _, tech := range radio.Technologies() {
+					if c[tech] > bestN {
+						best, bestN = tech, c[tech]
 					}
 				}
 				if bestN == 0 {

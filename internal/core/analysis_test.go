@@ -8,6 +8,7 @@ import (
 	"github.com/nuwins/cellwheels/internal/dataset"
 	"github.com/nuwins/cellwheels/internal/geo"
 	"github.com/nuwins/cellwheels/internal/radio"
+	"github.com/nuwins/cellwheels/internal/unit"
 )
 
 func TestTableDatasetStats(t *testing.T) {
@@ -55,6 +56,40 @@ func TestFigureCoverageMaps(t *testing.T) {
 	}
 	if !strings.Contains(m.Render(), "Figure 1") {
 		t.Error("render missing title")
+	}
+}
+
+// TestFigureCoverageMapsTieIsDeterministic pins how a bin whose top two
+// technologies have equal sample counts is drawn: the older technology
+// in radio.Technologies() order wins, on every call. Bin 0 ties LTE with
+// 5G-mid (passive) and LTE-A with 5G-mmWave (active); bin 2 has a clear
+// 5G-mid majority.
+func TestFigureCoverageMapsTieIsDeterministic(t *testing.T) {
+	route := geo.DefaultRoute()
+	const bins = 4
+	mid := func(bin int) unit.Meters {
+		return unit.Meters(float64(route.Total()) * (float64(bin) + 0.5) / bins)
+	}
+	db := &dataset.DB{}
+	for _, p := range []struct {
+		bin  int
+		tech radio.Technology
+	}{{0, radio.NRMid}, {0, radio.LTE}, {2, radio.NRMid}, {2, radio.LTE}, {2, radio.NRMid}} {
+		db.Passive = append(db.Passive, dataset.CoverageSample{Op: radio.Verizon, Tech: p.tech, Odometer: mid(p.bin)})
+	}
+	for _, tech := range []radio.Technology{radio.NRMmWave, radio.LTEA} {
+		db.Throughput = append(db.Throughput, dataset.ThroughputSample{Op: radio.Verizon, Tech: tech, Odometer: mid(0)})
+	}
+
+	for i := 0; i < 100; i++ {
+		m := FigureCoverageMaps(db, route, bins)
+		if got := m.Strip[radio.Verizon]; got != [2]string{"L.m.", "A..."} {
+			t.Fatalf("call %d: strips = %q, want [\"L.m.\" \"A...\"]", i, got)
+		}
+		if m.Passive5G[radio.Verizon] != 0.5 || m.Active5G[radio.Verizon] != 0 {
+			t.Fatalf("call %d: 5G shares passive %v active %v, want 0.5 and 0",
+				i, m.Passive5G[radio.Verizon], m.Active5G[radio.Verizon])
+		}
 	}
 }
 

@@ -6,8 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"time"
+
+	"github.com/nuwins/cellwheels/internal/atomicio"
 )
 
 // ManifestSchema identifies the manifest layout; bump on breaking change.
@@ -66,6 +70,16 @@ func (r *Recorder) WriteManifest(w io.Writer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
+}
+
+// WriteManifestFile writes the manifest to path through the shared
+// atomic writer, creating path's parent directory first: a -metrics path
+// in a fresh results tree must not fail a run that already finished.
+func (r *Recorder) WriteManifestFile(path string) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("obs: create manifest directory: %w", err)
+	}
+	return atomicio.WriteFile(path, 0o644, r.WriteManifest)
 }
 
 // ReadManifest parses a manifest written by WriteManifest.

@@ -428,8 +428,8 @@ func (s *Server) startCollectLocked(j *Job) (int, error) {
 // collectLoop waits for the collector to complete — or for Shutdown —
 // then unmounts it and finalizes the job with the reduction as it
 // stands. An interrupted collection still writes its partial fold (the
-// report over received runs plus the manifest) and fails the job with
-// the receive count, mirroring fleetrun -serve killed mid-fleet.
+// report over received runs plus the manifest), so it never loses what
+// arrived, and fails the job with the receive count.
 func (s *Server) collectLoop(j *Job, col *fleetsync.Collector) {
 	defer s.collectWG.Done()
 	select {
@@ -481,7 +481,7 @@ func (s *Server) writeFleetArtifacts(j *Job, report string, writeManifest func(i
 func (s *Server) writeObsManifest(j *Job) error {
 	j.rec.SetLabel("job_id", j.ID)
 	j.rec.SetLabel("job_kind", j.Spec.Kind)
-	if err := atomicio.WriteFile(filepath.Join(j.dir, "manifest.json"), 0o644, j.rec.WriteManifest); err != nil {
+	if err := j.rec.WriteManifestFile(filepath.Join(j.dir, "manifest.json")); err != nil {
 		return err
 	}
 	j.addArtifact("manifest.json")

@@ -16,8 +16,8 @@ import (
 // crowd 1000 ticks (50 simulated seconds). The dwell means are set far
 // past the measured window, so attached UEs generate no events at all:
 // ns/op should be nearly flat across the 10× difference in UE count —
-// idle UEs cost nothing per tick, only events cost — which is the figure
-// BENCH_0006.json tracks.
+// idle UEs cost nothing per tick, only events cost. The repo benchmark's
+// ue.crowd_overhead_s metric tracks the crowd's cost inside a fleet.
 func BenchmarkCrowdStep(b *testing.B) {
 	route := geo.DefaultRoute()
 	m := deploy.NewMap(radio.Verizon, route, simrand.New(7))
