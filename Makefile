@@ -14,10 +14,13 @@ race:
 vet:
 	$(GO) vet ./...
 
-# bench runs the lane-engine scaling benchmark; the full figure/table
-# benches live in bench_test.go and run with `go test -bench=.`.
+# bench runs the lane-engine scaling benchmark and the per-tick layer
+# benches (geo route lookup and full-route timeline scan, the moving-UE
+# RAN tick) once each, so CI keeps them compiling and running. For real
+# numbers drop -benchtime=1x; the full figure/table benches live in
+# bench_test.go and run with `go test -bench=.`.
 bench:
-	$(GO) test -run=NONE -bench=BenchmarkCampaignRun -benchtime=1x .
+	$(GO) test -run=NONE -bench='^(BenchmarkCampaignRun|BenchmarkRouteAt|BenchmarkTimelineScan|BenchmarkUEStep)$$' -benchtime=1x . ./internal/geo ./internal/ran
 
 # bench-test vets and tests the repo benchmark (bench/, a module of its
 # own that the root `go test ./...` does not reach): its golden digests,
@@ -90,4 +93,4 @@ serve-smoke:
 
 # lint-sarif runs before the lint gates so the artifact exists for CI
 # upload even when lint fails the build.
-ci: vet build lint-sarif lint lint-baseline lint-inject-smoke race bench-test smoke fleet-smoke crowd-smoke serve-smoke
+ci: vet build lint-sarif lint lint-baseline lint-inject-smoke race bench bench-test smoke fleet-smoke crowd-smoke serve-smoke

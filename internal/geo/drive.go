@@ -152,10 +152,10 @@ func (d *Drive) Step(dt time.Duration) DriveState {
 
 	d.state.Time = d.state.Time.Add(dt)
 
-	// Urban stop lights: while stopped, speed is zero.
+	// Urban stop lights: while stopped, speed is zero. The odometer has
+	// not moved since the waypoint was last set, so the waypoint stands.
 	if d.state.Time.Before(d.stopUntil) {
 		d.state.Speed = 0
-		d.state.Waypoint = d.route.At(d.state.Odometer)
 		return d.state
 	}
 	region := d.state.Waypoint.Region

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"github.com/nuwins/cellwheels/internal/simrand"
@@ -84,8 +85,20 @@ func (z Timezone) UTCOffset() time.Duration {
 	}
 }
 
+// zoneLocations holds each zone's fixed-offset *time.Location, built
+// once: Location sits on the per-row logger and log-sync paths.
+var zoneLocations = [NumTimezones]*time.Location{
+	Pacific:  time.FixedZone(Pacific.String(), int(Pacific.UTCOffset().Seconds())),
+	Mountain: time.FixedZone(Mountain.String(), int(Mountain.UTCOffset().Seconds())),
+	Central:  time.FixedZone(Central.String(), int(Central.UTCOffset().Seconds())),
+	Eastern:  time.FixedZone(Eastern.String(), int(Eastern.UTCOffset().Seconds())),
+}
+
 // Location returns a fixed-offset *time.Location for the zone.
 func (z Timezone) Location() *time.Location {
+	if z >= 0 && z < numTimezones {
+		return zoneLocations[z]
+	}
 	return time.FixedZone(z.String(), int(z.UTCOffset().Seconds()))
 }
 
@@ -166,14 +179,31 @@ const (
 
 // Route is the fixed LA→Boston drive path. It maps an odometer reading
 // to a position, region class, timezone, and nearest city.
+//
+// A Route is immutable once built, so one value is safely shared by any
+// number of goroutines.
 type Route struct {
 	cities   []City
 	cumGC    []unit.Meters // cumulative great-circle distance at each city
 	factor   float64       // road distance / great-circle distance
 	total    unit.Meters   // road distance
-	towns    []unit.Meters // odometer positions of small towns
+	towns    []unit.Meters // odometer positions of small towns, ascending
 	townLocs []LatLon
+
+	// The candidate-city table: candidates[candStart[b]:candStart[b+1]]
+	// are, in ascending index order, the cities that can be nearest to
+	// any point of great-circle bin b (see buildCandidates).
+	candStart  []int32
+	candidates []int32
 }
+
+// candBin is the great-circle length of one candidate-table bin.
+const candBin = unit.Kilometer
+
+// candSlack widens the candidate bound beyond the triangle inequality to
+// absorb float rounding in Haversine and pointAt, which is orders of
+// magnitude below a metre at continental distances.
+const candSlack = 5 * unit.Meter
 
 // NewRoute builds a route through the given cities with the given total
 // road length. At least two cities are required and the road length must
@@ -200,18 +230,22 @@ func NewRoute(cities []City, roadLength unit.Meters) (*Route, error) {
 		total:  roadLength,
 	}
 	r.placeTowns()
+	r.buildCandidates()
 	return r, nil
 }
 
 // DefaultRoute returns the paper's LA→Boston route at its 5,711 km road
-// length.
-func DefaultRoute() *Route {
+// length. The route is built once per process and shared: it is
+// immutable, and building its candidate table costs milliseconds.
+func DefaultRoute() *Route { return defaultRoute() }
+
+var defaultRoute = sync.OnceValue(func() *Route {
 	r, err := NewRoute(MajorCities(), PaperRouteLength)
 	if err != nil {
 		panic(err) // static construction cannot fail
 	}
 	return r
-}
+})
 
 // placeTowns drops small towns at quasi-regular intervals. Towns are part
 // of the fixed geography, so they use a route-local deterministic stream
@@ -224,7 +258,7 @@ func (r *Route) placeTowns() {
 		if pos <= 0 || pos >= r.total {
 			continue
 		}
-		loc, _ := r.interpolate(pos)
+		loc := r.pointAt(r.greatCircle(pos))
 		// Skip towns that fall inside a major city's suburban ring; they
 		// would not change classification there.
 		if d, _ := r.nearestCity(loc); d < suburbanRadius {
@@ -241,16 +275,21 @@ func (r *Route) Total() unit.Meters { return r.total }
 // Cities returns the route's major cities, west to east.
 func (r *Route) Cities() []City { return append([]City(nil), r.cities...) }
 
-// interpolate maps an odometer reading to a coordinate and the index of
-// the preceding city.
-func (r *Route) interpolate(odo unit.Meters) (LatLon, int) {
-	gc := unit.Meters(float64(odo) / r.factor)
+// greatCircle maps an odometer reading to great-circle distance from the
+// origin.
+func (r *Route) greatCircle(odo unit.Meters) unit.Meters {
+	return unit.Meters(float64(odo) / r.factor)
+}
+
+// pointAt maps a great-circle distance from the origin to a coordinate
+// by linear interpolation between the surrounding cities.
+func (r *Route) pointAt(gc unit.Meters) LatLon {
 	last := len(r.cumGC) - 1
 	if gc <= 0 {
-		return r.cities[0].Loc, 0
+		return r.cities[0].Loc
 	}
 	if gc >= r.cumGC[last] {
-		return r.cities[last].Loc, last - 1
+		return r.cities[last].Loc
 	}
 	seg := 0
 	for i := 1; i <= last; i++ {
@@ -265,10 +304,12 @@ func (r *Route) interpolate(odo unit.Meters) (LatLon, int) {
 	return LatLon{
 		Lat: a.Lat + f*(b.Lat-a.Lat),
 		Lon: a.Lon + f*(b.Lon-a.Lon),
-	}, seg
+	}
 }
 
-// nearestCity reports the distance to and index of the closest major city.
+// nearestCity reports the distance to and index of the closest major
+// city by scanning every city. Only route construction uses it; At asks
+// nearestCityNear, which returns the same result.
 func (r *Route) nearestCity(loc LatLon) (unit.Meters, int) {
 	best := unit.Meters(math.Inf(1))
 	bestIdx := 0
@@ -280,15 +321,99 @@ func (r *Route) nearestCity(loc LatLon) (unit.Meters, int) {
 	return best, bestIdx
 }
 
-// nearestTown reports the distance to the closest town along the route.
-func (r *Route) nearestTown(odo unit.Meters) unit.Meters {
+// candidateBin reports the candidate-table bin of a non-negative
+// great-circle distance; distances at or past the route's end fall in
+// the last bin.
+func (r *Route) candidateBin(gc unit.Meters) int {
+	b := int(gc / candBin)
+	if last := len(r.candStart) - 2; b > last {
+		return last
+	}
+	return b
+}
+
+// nearestCityNear is nearestCity for a point of the route at great-circle
+// distance gc. It scans only the bin's candidates, which include every
+// city that can be nearest there, in ascending index order with the same
+// strict comparison, so distance, index and tie-breaking all match the
+// full scan bit for bit.
+func (r *Route) nearestCityNear(loc LatLon, gc unit.Meters) (unit.Meters, int) {
+	b := r.candidateBin(gc)
 	best := unit.Meters(math.Inf(1))
-	for _, t := range r.towns {
-		d := odo - t
-		if d < 0 {
-			d = -d
+	bestIdx := 0
+	for _, i := range r.candidates[r.candStart[b]:r.candStart[b+1]] {
+		if d := Haversine(loc, r.cities[i].Loc); d < best {
+			best, bestIdx = d, int(i)
 		}
-		if d < best {
+	}
+	return best, bestIdx
+}
+
+// buildCandidates fills the candidate-city table. For bin b, let p0 be
+// the bin's first point and ρ the length of the path through the bin, so
+// every point p of the bin lies within ρ of p0. By the triangle
+// inequality |d(p,c) − d(p0,c)| ≤ ρ for every city c, so a city with
+// d(p0,c) > min_c′ d(p0,c′) + 2ρ is farther from p than some other city
+// and can never be nearest. Every other city — plus a few metres of
+// slack — is kept, a superset of the argmin at every point of the bin.
+func (r *Route) buildCandidates() {
+	gcTotal := r.cumGC[len(r.cumGC)-1]
+	bins := int(math.Ceil(float64(gcTotal / candBin)))
+	r.candStart = make([]int32, 0, bins+1)
+	dist := make([]unit.Meters, len(r.cities))
+	for b := 0; b < bins; b++ {
+		g0 := unit.Meters(b) * candBin
+		g1 := min(g0+candBin, gcTotal)
+		p0 := r.pointAt(g0)
+		// Path length through the bin: via every city vertex inside it.
+		rho, prev := unit.Meters(0), p0
+		for i, c := range r.cumGC {
+			if c > g0 && c < g1 {
+				rho += Haversine(prev, r.cities[i].Loc)
+				prev = r.cities[i].Loc
+			}
+		}
+		p1 := r.pointAt(g1)
+		rho += Haversine(prev, p1)
+
+		nearest := unit.Meters(math.Inf(1))
+		for i, c := range r.cities {
+			dist[i] = Haversine(p0, c.Loc)
+			nearest = min(nearest, dist[i])
+		}
+		r.candStart = append(r.candStart, int32(len(r.candidates)))
+		for i, d := range dist {
+			if d <= nearest+2*rho+candSlack {
+				r.candidates = append(r.candidates, int32(i))
+			}
+		}
+	}
+	r.candStart = append(r.candStart, int32(len(r.candidates)))
+}
+
+// nearestTown reports the distance to the closest town along the route.
+// The towns are sorted, so the closest is one of the two neighbours of
+// odo; float subtraction is monotone, so this matches a scan of every
+// town exactly.
+func (r *Route) nearestTown(odo unit.Meters) unit.Meters {
+	// Inlined sort.Search(len(towns), towns[i] >= odo): the closure would
+	// capture odo and heap-allocate on every per-tick call.
+	towns := r.towns
+	i, j := 0, len(towns)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if towns[h] >= odo {
+			j = h
+		} else {
+			i = h + 1
+		}
+	}
+	best := unit.Meters(math.Inf(1))
+	if i < len(towns) {
+		best = towns[i] - odo
+	}
+	if i > 0 {
+		if d := odo - towns[i-1]; d < best {
 			best = d
 		}
 	}
@@ -314,8 +439,9 @@ func (r *Route) At(odo unit.Meters) Waypoint {
 	if odo > r.total {
 		odo = r.total
 	}
-	loc, _ := r.interpolate(odo)
-	cityDist, cityIdx := r.nearestCity(loc)
+	gc := r.greatCircle(odo)
+	loc := r.pointAt(gc)
+	cityDist, cityIdx := r.nearestCityNear(loc, gc)
 	region := Highway
 	switch {
 	case cityDist < urbanRadius:

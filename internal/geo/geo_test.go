@@ -2,6 +2,8 @@ package geo
 
 import (
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -219,7 +221,11 @@ func TestRouteNearCityIsUrban(t *testing.T) {
 }
 
 func TestRouteDeterministic(t *testing.T) {
-	a, b := DefaultRoute(), DefaultRoute()
+	a := DefaultRoute()
+	b, err := NewRoute(MajorCities(), PaperRouteLength)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for odo := unit.Meters(0); odo <= a.Total(); odo += 100 * unit.Kilometer {
 		wa, wb := a.At(odo), b.At(odo)
 		if wa != wb {
@@ -255,5 +261,151 @@ func TestOdometerOfEndpoints(t *testing.T) {
 	}
 	if got := r.OdometerOf(MajorCities()[9].Loc); (r.Total() - got).Km() > 10 {
 		t.Errorf("Boston projects to %v of %v", got, r.Total())
+	}
+}
+
+func TestTimezoneLocationShared(t *testing.T) {
+	for z := Pacific; z <= Eastern; z++ {
+		loc := z.Location()
+		if loc != z.Location() {
+			t.Errorf("%v: Location returns a fresh value per call", z)
+		}
+		name, off := time.Date(2022, 8, 10, 12, 0, 0, 0, loc).Zone()
+		if name != z.String() || time.Duration(off)*time.Second != z.UTCOffset() {
+			t.Errorf("%v: zone %q %+ds, want %q %v", z, name, off, z.String(), z.UTCOffset())
+		}
+	}
+}
+
+// TestNearestCityCandidatesMatchScan pins the candidate-city table to the
+// full ten-city scan: at every probed point the distance must match bit
+// for bit and the index exactly, tie-breaking included.
+func TestNearestCityCandidatesMatchScan(t *testing.T) {
+	r := DefaultRoute()
+	gcTotal := r.cumGC[len(r.cumGC)-1]
+	probes := 0
+	check := func(gc unit.Meters) {
+		t.Helper()
+		probes++
+		loc := r.pointAt(gc)
+		wantD, wantI := r.nearestCity(loc)
+		gotD, gotI := r.nearestCityNear(loc, gc)
+		if math.Float64bits(float64(gotD)) != math.Float64bits(float64(wantD)) || gotI != wantI {
+			t.Fatalf("gc %v (%v): candidates give (%v, %d), full scan (%v, %d)", gc, loc, gotD, gotI, wantD, wantI)
+		}
+	}
+	checkOdo := func(odo unit.Meters) {
+		t.Helper()
+		check(r.greatCircle(odo))
+	}
+
+	// A sweep of the whole road, and every odometer at both route ends.
+	for odo := unit.Meters(0); odo <= r.Total(); odo += 20 * unit.Meter {
+		checkOdo(odo)
+	}
+	checkOdo(0)
+	checkOdo(r.Total())
+	checkOdo(unit.Meters(math.Nextafter(float64(r.Total()), 0)))
+	// Bin edges and city vertices, with their float neighbours.
+	var edges []unit.Meters
+	for b := 0; b < len(r.candStart); b++ {
+		edges = append(edges, unit.Meters(b)*candBin)
+	}
+	edges = append(edges, r.cumGC...)
+	for _, g := range edges {
+		check(g)
+		check(unit.Meters(math.Nextafter(float64(g), math.Inf(-1))))
+		check(unit.Meters(math.Nextafter(float64(g), math.Inf(1))))
+	}
+	// Bins with more than one candidate straddle a point equidistant from
+	// two cities, where the argmin flips; sweep those densely.
+	multi := 0
+	for b := 0; b+1 < len(r.candStart); b++ {
+		if r.candStart[b+1]-r.candStart[b] < 2 {
+			continue
+		}
+		multi++
+		g0 := unit.Meters(b) * candBin
+		for g := g0; g < g0+candBin && g <= gcTotal; g += 0.25 * unit.Meter {
+			check(g)
+		}
+	}
+	if multi == 0 {
+		t.Error("no bin has two candidates; the equidistant crossings are untested")
+	}
+	// Random odometers.
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		checkOdo(unit.Meters(rng.Float64()) * r.Total())
+	}
+
+	bins := len(r.candStart) - 1
+	avg := float64(len(r.candidates)) / float64(bins)
+	t.Logf("%d probes; %d bins, %.3f candidates per bin, %d bins with several", probes, bins, avg, multi)
+	if avg > 1.5 {
+		t.Errorf("%.2f candidates per bin, want the table to prune to about one", avg)
+	}
+}
+
+func TestRouteTownsAscending(t *testing.T) {
+	r := DefaultRoute()
+	if len(r.towns) == 0 {
+		t.Fatal("route has no towns")
+	}
+	for i := 1; i < len(r.towns); i++ {
+		if r.towns[i] <= r.towns[i-1] {
+			t.Fatalf("town %d at %v not after town %d at %v", i, r.towns[i], i-1, r.towns[i-1])
+		}
+	}
+}
+
+// TestNearestTownMatchesScan pins the binary search to a scan of every
+// town, around each town and over random odometers.
+func TestNearestTownMatchesScan(t *testing.T) {
+	r := DefaultRoute()
+	scan := func(odo unit.Meters) unit.Meters {
+		best := unit.Meters(math.Inf(1))
+		for _, town := range r.towns {
+			best = min(best, unit.Meters(math.Abs(float64(odo-town))))
+		}
+		return best
+	}
+	check := func(odo unit.Meters) {
+		t.Helper()
+		if got, want := r.nearestTown(odo), scan(odo); math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			t.Fatalf("nearestTown(%v) = %v, scan %v", odo, got, want)
+		}
+	}
+	for _, town := range r.towns {
+		for _, d := range []unit.Meters{-townRadius, -1, 0, 1, townRadius} {
+			check(town + d)
+		}
+		check(unit.Meters(math.Nextafter(float64(town), 0)))
+	}
+	check(0)
+	check(r.Total())
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 100000; i++ {
+		check(unit.Meters(rng.Float64()) * r.Total())
+	}
+}
+
+func TestDefaultRouteShared(t *testing.T) {
+	const n = 8
+	got := make([]*Route, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = DefaultRoute()
+			_ = got[i].At(unit.Meters(i) * 100 * unit.Kilometer)
+		}()
+	}
+	wg.Wait()
+	for i, r := range got {
+		if r != got[0] {
+			t.Fatalf("caller %d got route %p, caller 0 got %p", i, r, got[0])
+		}
 	}
 }

@@ -152,3 +152,21 @@ func TestTimelineRespectsLimit(t *testing.T) {
 		t.Fatalf("overshot limit by %v", over)
 	}
 }
+
+// TestCursorNextDrivingAllocs pins the per-tick drive path at zero
+// allocations: Route.At's candidate scan and town search, Drive.Step, and
+// the cursor's hold bookkeeping all run on every tick of every lane.
+func TestCursorNextDrivingAllocs(t *testing.T) {
+	cur := testTimeline(3, 30*unit.Kilometer, HoldRule{}).Cursor()
+	for i := 0; i < 2000; i++ {
+		cur.Next()
+	}
+	avg := testing.AllocsPerRun(2000, func() {
+		if _, ok := cur.Next(); !ok {
+			t.Fatal("timeline ended")
+		}
+	})
+	if avg != 0 {
+		t.Errorf("Cursor.Next allocates %.2f objects per driving tick, want 0", avg)
+	}
+}

@@ -13,8 +13,9 @@ import (
 // TestStepSteadyStateAllocs pins the hotalloc fixes on the per-tick RAN
 // path: once a stationary UE has seen its serving cell (cellsSeen, the
 // lazy OU load process, and the CA state are warm), Step must not
-// allocate — hashNormal's inlined FNV, drawCC's stack-array weights, and
-// the closure-free deploy searches are what this guards.
+// allocate — hashNormal's inlined FNV, the UE-owned shadowing memo,
+// drawCC's stack-array weights, and the closure-free deploy searches are
+// what this guards.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	route := geo.DefaultRoute()
 	rng := simrand.New(11)

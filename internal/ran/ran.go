@@ -143,6 +143,9 @@ const (
 	staticSearch = 12 * unit.Kilometer
 	// shadowBucket is the spatial granularity of the shadowing field.
 	shadowBucket = 75 * unit.Meter
+	// shadowSlotBits sizes the UE's shadowing memo at 2^shadowSlotBits
+	// slots, several times the cells a handover scan visits at once.
+	shadowSlotBits = 7
 	// caRedrawEvery is how often the network reconfigures carrier
 	// aggregation.
 	caRedrawEvery = 2 * time.Second
@@ -193,6 +196,9 @@ type UE struct {
 
 	// per-cell load processes, created lazily
 	loads map[string]*simrand.OU
+
+	// shadow memoizes shadowing draws (see shadowDraw)
+	shadow [1 << shadowSlotBits]shadowEntry
 
 	handovers  []HandoverEvent
 	cellsSeen  map[string]bool
@@ -327,8 +333,30 @@ func (u *UE) rsrpOf(c *deploy.Cell, odo unit.Meters) unit.DBm {
 		return radio.RSRP(c.Tech, d, 0, radio.BeamGain(u.cfg.Op, c.Tech))
 	}
 	bucket := int64(odo / shadowBucket)
-	shadow := unit.DB(hashNormal(c.ID, bucket) * b.ShadowSigma)
+	shadow := unit.DB(u.shadowDraw(c, bucket) * b.ShadowSigma)
 	return radio.RSRP(c.Tech, c.Distance(odo), shadow, radio.BeamGain(u.cfg.Op, c.Tech))
+}
+
+// shadowEntry is one slot of a UE's shadowing memo: the hashNormal draw
+// of a (cell, bucket) pair. A nil cell marks an empty slot.
+type shadowEntry struct {
+	cell   *deploy.Cell
+	bucket int64
+	draw   float64
+}
+
+// shadowDraw returns hashNormal(c.ID, bucket) through a direct-mapped
+// memo. The vehicle needs about fifty ticks to cross a bucket and every
+// tick's handover scan revisits the same neighbour cells, so nearly every
+// draw is a hit. A miss, or a slot taken by another key, recomputes the
+// draw: every value is exactly the one hashNormal returns.
+func (u *UE) shadowDraw(c *deploy.Cell, bucket int64) float64 {
+	key := uint64(bucket)<<20 ^ uint64(c.Index)<<3 ^ uint64(c.Tech)
+	e := &u.shadow[(key*0x9e3779b97f4a7c15)>>(64-shadowSlotBits)]
+	if e.cell != c || e.bucket != bucket {
+		*e = shadowEntry{cell: c, bucket: bucket, draw: hashNormal(c.ID, bucket)}
+	}
+	return e.draw
 }
 
 // FNV-1a constants, inlined below so the per-tick shadow-fading draw

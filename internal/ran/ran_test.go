@@ -315,3 +315,83 @@ func median(xs []float64) float64 {
 	}
 	return cp[len(cp)/2]
 }
+
+// TestShadowMemoMatchesHashNormal drives a UE across many shadowing
+// buckets and checks every memoized draw — for the serving cell and every
+// neighbour a handover scan visits — against a direct hashNormal.
+func TestShadowMemoMatchesHashNormal(t *testing.T) {
+	ue, drive := testUE(t, radio.TMobile, 21)
+	m := ue.cfg.Map
+	checks, buckets := 0, map[int64]bool{}
+	for i := 0; i < int(90*time.Minute/tick); i++ {
+		ds := drive.Step(tick)
+		ue.Step(ds.Time, ds.Waypoint, ds.Speed.MPH(), tick)
+		if i%4 != 0 {
+			continue
+		}
+		odo := ds.Waypoint.Odometer
+		bucket := int64(odo / shadowBucket)
+		buckets[bucket] = true
+		for _, tech := range radio.Technologies() {
+			lo, hi := m.CellRange(odo, tech, 3*radio.Band(tech).CellRadius)
+			for j := lo; j < hi; j++ {
+				c := m.CellAt(tech, j)
+				if got, want := ue.shadowDraw(c, bucket), hashNormal(c.ID, bucket); got != want {
+					t.Fatalf("tick %d: shadowDraw(%s, %d) = %v, hashNormal %v", i, c.ID, bucket, got, want)
+				}
+				checks++
+			}
+		}
+	}
+	if len(buckets) < 300 {
+		t.Fatalf("drive crossed only %d buckets", len(buckets))
+	}
+	t.Logf("%d draws checked over %d buckets", checks, len(buckets))
+}
+
+// TestShadowMemoCollisions alternates keys that share a memo slot, so
+// every lookup evicts the previous key, and checks each draw stays exact.
+func TestShadowMemoCollisions(t *testing.T) {
+	ue, _ := testUE(t, radio.Verizon, 4)
+	m := ue.cfg.Map
+	type key struct {
+		c      *deploy.Cell
+		bucket int64
+	}
+	// slot reports the memo slot a lookup of k leaves it in.
+	slot := func(k key) int {
+		ue.shadowDraw(k.c, k.bucket)
+		for i, e := range ue.shadow {
+			if e.cell == k.c && e.bucket == k.bucket {
+				return i
+			}
+		}
+		t.Fatalf("(%s, %d) not in the memo after a lookup", k.c.ID, k.bucket)
+		return -1
+	}
+	bySlot := make([][]key, len(ue.shadow))
+	for j := 0; j < 40 && j < m.CellCount(radio.LTE); j++ {
+		for b := int64(0); b < 40; b++ {
+			k := key{m.CellAt(radio.LTE, j), b}
+			s := slot(k)
+			bySlot[s] = append(bySlot[s], k)
+		}
+	}
+	shared := 0
+	for _, keys := range bySlot {
+		if len(keys) < 2 {
+			continue
+		}
+		shared++
+		for round := 0; round < 3; round++ {
+			for _, k := range keys {
+				if got, want := ue.shadowDraw(k.c, k.bucket), hashNormal(k.c.ID, k.bucket); got != want {
+					t.Fatalf("(%s, %d): memo %v, hashNormal %v", k.c.ID, k.bucket, got, want)
+				}
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no two keys shared a slot; collisions untested")
+	}
+}
