@@ -15,12 +15,13 @@ vet:
 	$(GO) vet ./...
 
 # bench runs the lane-engine scaling benchmark and the per-tick layer
-# benches (geo route lookup and full-route timeline scan, the moving-UE
-# RAN tick) once each, so CI keeps them compiling and running. For real
-# numbers drop -benchtime=1x; the full figure/table benches live in
-# bench_test.go and run with `go test -bench=.`.
+# benches (log reconciliation, geo route lookup and full-route timeline
+# scan, the moving and mmWave RAN ticks) once each, so CI keeps them
+# compiling and running. For real numbers drop -benchtime=1x; the full
+# figure/table benches live in bench_test.go and run with
+# `go test -bench=.`.
 bench:
-	$(GO) test -run=NONE -bench='^(BenchmarkCampaignRun|BenchmarkRouteAt|BenchmarkTimelineScan|BenchmarkUEStep)$$' -benchtime=1x . ./internal/geo ./internal/ran
+	$(GO) test -run=NONE -bench='^(BenchmarkCampaignRun|BenchmarkLogsyncMerge|BenchmarkRouteAt|BenchmarkTimelineScan|BenchmarkUEStep)$$' -benchtime=1x . ./internal/geo ./internal/ran
 
 # bench-test vets and tests the repo benchmark (bench/, a module of its
 # own that the root `go test ./...` does not reach): its golden digests,

@@ -488,9 +488,10 @@ func (c *Campaign) collect() Raw {
 			continue
 		}
 		raw.Logger[l.op.Short()] = l.logger.Rows()
-		raw.PassiveHandovers[l.op.String()] = len(l.logger.UE.Handovers())
-		raw.Meta.HandoverTotal[l.op.String()] = len(l.logger.UE.Handovers())
-		rec.Counter("lane/" + l.op.Short() + "/passive_handovers").Add(int64(len(l.logger.UE.Handovers())))
+		n := l.logger.UE.HandoverCount()
+		raw.PassiveHandovers[l.op.String()] = n
+		raw.Meta.HandoverTotal[l.op.String()] = n
+		rec.Counter("lane/" + l.op.Short() + "/passive_handovers").Add(int64(n))
 	}
 	return raw
 }

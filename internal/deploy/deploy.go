@@ -290,11 +290,26 @@ func loadMean(r geo.Region, src *simrand.Source) float64 {
 }
 
 // Available reports the technology set deployed at an odometer position.
-// LTE is always present. Binary search over the ordered fragments keeps
-// this O(log fragments) — it sits on the handsets' per-tick path and on
-// the crowd's attach path.
+// LTE is always present.
 func (m *Map) Available(odo unit.Meters) TechSet {
-	s := TechSet(0).With(radio.LTE)
+	s, _, _ := m.AvailableSpan(odo)
+	return s
+}
+
+// AvailableSpan reports Available(odo) together with a half-open odometer
+// interval [lo, hi) containing odo over which Available returns the same
+// set, so a caller stepping along the route can skip the fragment
+// searches until it leaves the interval. Unbounded sides are ±Inf.
+// Binary search over the ordered fragments keeps this O(log fragments):
+// it sits on the handsets' per-tick path and on the crowd's attach path.
+//
+// Per technology, the search index i (the first fragment with End > x)
+// is constant for x in [End[i-1], End[i]), and inside that stretch
+// membership flips only at Start[i]; the interval is the intersection of
+// those stretches.
+func (m *Map) AvailableSpan(odo unit.Meters) (s TechSet, lo, hi unit.Meters) {
+	s = TechSet(0).With(radio.LTE)
+	lo, hi = unit.Meters(math.Inf(-1)), unit.Meters(math.Inf(1))
 	for _, t := range []radio.Technology{radio.LTEA, radio.NRLow, radio.NRMid, radio.NRMmWave} {
 		frags := m.fragments[t]
 		// Inlined sort.Search(len(frags), End > odo): the closure would
@@ -308,11 +323,21 @@ func (m *Map) Available(odo unit.Meters) TechSet {
 				i = h + 1
 			}
 		}
-		if i < len(frags) && frags[i].Start <= odo {
+		if i > 0 {
+			lo = max(lo, frags[i-1].End)
+		}
+		switch {
+		case i == len(frags):
+			// Past the last fragment: out for good.
+		case frags[i].Start <= odo:
 			s = s.With(t)
+			lo = max(lo, frags[i].Start)
+			hi = min(hi, frags[i].End)
+		default:
+			hi = min(hi, frags[i].Start)
 		}
 	}
-	return s
+	return s, lo, hi
 }
 
 // AvailableWithin reports every technology deployed anywhere inside the

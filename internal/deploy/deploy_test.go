@@ -301,3 +301,74 @@ func TestAvailableConsistentWithFragments(t *testing.T) {
 		}
 	}
 }
+
+// availableRef is Available by definition: LTE plus every technology
+// with a fragment containing odo, by a linear scan.
+func availableRef(m *Map, odo unit.Meters) TechSet {
+	s := TechSet(0).With(radio.LTE)
+	for _, t := range radio.Technologies() {
+		for _, f := range m.fragments[t] {
+			if f.Start <= odo && odo < f.End {
+				s = s.With(t)
+			}
+		}
+	}
+	return s
+}
+
+// TestAvailableSpanMatchesAvailable checks that the set AvailableSpan
+// reports is the fragments' and that it holds over the whole reported
+// interval: a 1 m sweep of the route that re-queries only on leaving the
+// current interval (the way a UE caches it), and every fragment edge
+// ± 1 ulp of every technology.
+func TestAvailableSpanMatchesAvailable(t *testing.T) {
+	maps := testMaps(t)
+	for _, op := range radio.Operators() {
+		m := maps[op]
+		checkSpan := func(odo unit.Meters) (TechSet, unit.Meters, unit.Meters) {
+			t.Helper()
+			s, lo, hi := m.AvailableSpan(odo)
+			if !(lo <= odo && odo < hi) {
+				t.Fatalf("%v: AvailableSpan(%v) = [%v, %v), odometer outside", op, odo, lo, hi)
+			}
+			if want := availableRef(m, odo); s != want {
+				t.Fatalf("%v: AvailableSpan(%v) set %b, fragments say %b", op, odo, s, want)
+			}
+			ends := []unit.Meters{lo, unit.Meters(math.Nextafter(float64(hi), math.Inf(-1)))}
+			for _, e := range ends {
+				if !math.IsInf(float64(e), 0) && availableRef(m, e) != s {
+					t.Fatalf("%v: span [%v, %v) of %v: fragments at %v say %b, want %b", op, lo, hi, odo, e, availableRef(m, e), s)
+				}
+			}
+			return s, lo, hi
+		}
+
+		spans := 0
+		s, lo, hi := checkSpan(0)
+		for odo := unit.Meters(0); odo <= m.route.Total()+10; odo++ {
+			if odo < lo || odo >= hi {
+				s, lo, hi = checkSpan(odo)
+				spans++
+			}
+			if got := m.Available(odo); got != s {
+				t.Fatalf("%v: odometer %v inside cached span [%v, %v): Available %b, span set %b", op, odo, lo, hi, got, s)
+			}
+		}
+		edges := 0
+		for _, tech := range radio.Technologies() {
+			for _, f := range m.fragments[tech] {
+				for _, e := range []unit.Meters{f.Start, f.End} {
+					x := float64(e)
+					for _, odo := range []float64{math.Nextafter(x, math.Inf(-1)), x, math.Nextafter(x, math.Inf(1))} {
+						checkSpan(unit.Meters(odo))
+						edges++
+					}
+				}
+			}
+		}
+		if spans < 100 {
+			t.Errorf("%v: sweep crossed only %d spans", op, spans)
+		}
+		t.Logf("%v: %d spans swept, %d edge probes", op, spans, edges)
+	}
+}

@@ -213,6 +213,16 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 		appStarts[i] = t
 	}
 
+	// A file only ever matches an app log of its own operator and label,
+	// so the matcher scans that bucket of app indices (ascending, as a
+	// scan of all apps would visit them) rather than every app.
+	type appKey struct{ op, label string }
+	appsByKey := map[appKey][]int{}
+	for i, a := range in.Apps {
+		k := appKey{a.Op, a.Kind}
+		appsByKey[k] = append(appsByKey[k], i)
+	}
+
 	// Deterministic processing order: files sorted by name.
 	files := append([]xcal.File(nil), in.Files...)
 	sort.SliceStable(files, func(i, j int) bool { return files[i].Name < files[j].Name })
@@ -226,8 +236,8 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 		candidates := resolveFileStart(pn.naive)
 		bestApp, bestSkew := -1, matchTolerance+1
 		var bestStart time.Time
-		for i, a := range in.Apps {
-			if usedApps[i] || a.Op != pn.op.Short() || a.Kind != pn.label {
+		for _, i := range appsByKey[appKey{pn.op.Short(), pn.label}] {
+			if usedApps[i] {
 				continue
 			}
 			for _, c := range candidates {

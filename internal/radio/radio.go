@@ -244,14 +244,23 @@ func MCSFromSINR(sinr unit.DB) int {
 // achievable at the given SINR, via Shannon capacity normalized to the
 // band's SNR cap.
 func SpectralFactor(t Technology, sinr unit.DB) float64 {
-	b := Band(t)
-	if sinr >= b.SNRCap {
+	if sinr >= Band(t).SNRCap {
 		return 1
 	}
-	top := math.Log2(1 + b.SNRCap.Linear())
 	cur := math.Log2(1 + math.Max(0, sinr.Linear()))
-	return unit.Clamp(cur/top, 0, 1)
+	return unit.Clamp(cur/spectralTop[t], 0, 1)
 }
+
+// spectralTop holds each band's Shannon ceiling log2(1 + SNRCap), the
+// denominator of SpectralFactor. It is built once with the very
+// expression SpectralFactor used to evaluate per call, so every value is
+// bit-identical to the per-call one.
+var spectralTop = func() (top [NumTechnologies]float64) {
+	for t := range top {
+		top[t] = math.Log2(1 + Band(Technology(t)).SNRCap.Linear())
+	}
+	return top
+}()
 
 // BLER models the residual block error rate: a floor from imperfect link
 // adaptation, a Doppler term growing with vehicle speed, a burst term
@@ -290,12 +299,13 @@ func CAFactor(cc int) float64 {
 	return 1 + 0.75*float64(cc-1)
 }
 
-// linkTable holds per-(operator, technology, direction) envelopes.
+// linkTable holds per-(operator, technology, direction) envelopes, indexed
+// directly: Link sits on the per-tick path.
 // Values are calibrated to the paper's static medians and driving maxima
 // (DESIGN.md §5): e.g. Verizon mmWave DL up to ~2.9 Gbps aggregate,
 // T-Mobile's midband clearly superior to the other two carriers' midband,
 // AT&T's LTE-A the strongest 4G.
-var linkTable = map[Operator]map[Technology][2]LinkProfile{
+var linkTable = [NumOperators][NumTechnologies][NumDirections]LinkProfile{
 	Verizon: {
 		LTE:      {{70 * unit.Mbps, 1}, {22 * unit.Mbps, 1}},
 		LTEA:     {{120 * unit.Mbps, 3}, {42 * unit.Mbps, 1}},
@@ -332,11 +342,26 @@ func Link(op Operator, t Technology, d Direction) LinkProfile {
 //
 //lint:hotroot — evaluated per tick per active instrument (often twice, up/down)
 func Capacity(op Operator, t Technology, dir Direction, cc int, sinr unit.DB, bler, load float64) unit.BitRate {
-	p := Link(op, t, dir)
+	return capacity(Link(op, t, dir), cc, SpectralFactor(t, sinr), bler, load)
+}
+
+// Capacities is Capacity for both directions of one serving link at once:
+// the two differ only in their link envelope and carrier count, so the
+// spectral factor is evaluated once. Each result is bit-identical to the
+// corresponding Capacity call.
+func Capacities(op Operator, t Technology, ccDL, ccUL int, sinr unit.DB, bler, load float64) (dl, ul unit.BitRate) {
+	sf := SpectralFactor(t, sinr)
+	return capacity(Link(op, t, Downlink), ccDL, sf, bler, load),
+		capacity(Link(op, t, Uplink), ccUL, sf, bler, load)
+}
+
+// capacity scales a link envelope by aggregation, spectral factor sf,
+// residual BLER and background load.
+func capacity(p LinkProfile, cc int, sf, bler, load float64) unit.BitRate {
 	if cc > p.MaxCC {
 		cc = p.MaxCC
 	}
-	rate := float64(p.PeakPerCC) * CAFactor(cc) * SpectralFactor(t, sinr)
+	rate := float64(p.PeakPerCC) * CAFactor(cc) * sf
 	rate *= (1 - unit.Clamp(bler, 0, 1))
 	rate *= (1 - 0.85*unit.Clamp(load, 0, 1))
 	if rate < 0 {

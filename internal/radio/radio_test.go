@@ -364,3 +364,59 @@ func TestParseOperatorShort(t *testing.T) {
 		t.Error("unknown operator accepted")
 	}
 }
+
+// spectralFactorRef is SpectralFactor as it was before the band ceiling
+// was tabulated: log2(1 + SNRCap) evaluated on every call.
+func spectralFactorRef(t Technology, sinr unit.DB) float64 {
+	b := Band(t)
+	if sinr >= b.SNRCap {
+		return 1
+	}
+	top := math.Log2(1 + b.SNRCap.Linear())
+	cur := math.Log2(1 + math.Max(0, sinr.Linear()))
+	return unit.Clamp(cur/top, 0, 1)
+}
+
+// TestCapacitiesMatchCapacity checks bit for bit that the two-direction
+// Capacities equals two Capacity calls, and that the tabulated
+// SpectralFactor equals the per-call formula, over a SINR grid (plus
+// every band cap ± 1 ulp) × operator × technology × carrier counts.
+func TestCapacitiesMatchCapacity(t *testing.T) {
+	var sinrs []unit.DB
+	for s := -20.0; s <= 40; s += 0.25 {
+		sinrs = append(sinrs, unit.DB(s))
+	}
+	for _, tech := range Technologies() {
+		c := float64(Band(tech).SNRCap)
+		sinrs = append(sinrs, unit.DB(math.Nextafter(c, math.Inf(-1))), unit.DB(c), unit.DB(math.Nextafter(c, math.Inf(1))))
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	checks := 0
+	for _, tech := range Technologies() {
+		for _, s := range sinrs {
+			if got, want := SpectralFactor(tech, s), spectralFactorRef(tech, s); !same(got, want) {
+				t.Fatalf("SpectralFactor(%v, %v) = %v, formula %v", tech, s, got, want)
+			}
+		}
+		for _, op := range Operators() {
+			for ccDL := 0; ccDL <= 9; ccDL++ {
+				for ccUL := 0; ccUL <= 3; ccUL++ {
+					for _, s := range sinrs {
+						for _, bl := range []float64{0, 0.05, 0.6} {
+							load := 0.1 + bl
+							dl, ul := Capacities(op, tech, ccDL, ccUL, s, bl, load)
+							wantDL := Capacity(op, tech, Downlink, ccDL, s, bl, load)
+							wantUL := Capacity(op, tech, Uplink, ccUL, s, bl, load)
+							if !same(float64(dl), float64(wantDL)) || !same(float64(ul), float64(wantUL)) {
+								t.Fatalf("Capacities(%v, %v, cc %d/%d, %v dB, bler %v) = %v/%v, Capacity %v/%v",
+									op, tech, ccDL, ccUL, s, bl, dl, ul, wantDL, wantUL)
+							}
+							checks++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d capacity pairs checked", checks)
+}

@@ -37,3 +37,45 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state UE.Step allocates %.2f objects per tick, want 0", avg)
 	}
 }
+
+// TestMovingStepAllocs is the same guard for a UE on the move: over a
+// stretch of driving without a handover, Step (the bounded A3 scan, shadow
+// memo refills at bucket edges, the coverage span cache) must not
+// allocate either. A scouting UE finds the first such stretch after ten
+// minutes of driving; an identical UE replays the drive up to it.
+func TestMovingStepAllocs(t *testing.T) {
+	const runs = 300
+	warm := int(10 * time.Minute / tick)
+	scout, drive := testUE(t, radio.Verizon, 11)
+	var states []geo.DriveState
+	quiet, hos := 0, 0 // first tick of the current handover-free run; handovers before it
+	for i := 0; i-quiet < runs+1; i++ {
+		if i == int(3*time.Hour/tick) {
+			t.Fatalf("no stretch of %d moving ticks without a handover", runs+1)
+		}
+		ds := drive.Step(tick)
+		states = append(states, ds)
+		n := scout.HandoverCount()
+		scout.Step(ds.Time, ds.Waypoint, ds.Speed.MPH(), tick)
+		if i < warm || ds.Speed == 0 || scout.HandoverCount() != n {
+			quiet, hos = i+1, scout.HandoverCount()
+		}
+	}
+
+	ue, _ := testUE(t, radio.Verizon, 11)
+	step := func(ds geo.DriveState) { ue.Step(ds.Time, ds.Waypoint, ds.Speed.MPH(), tick) }
+	for _, ds := range states[:quiet] {
+		step(ds)
+	}
+	if ue.HandoverCount() != hos {
+		t.Fatalf("replay reached the stretch after %d handovers, scout after %d", ue.HandoverCount(), hos)
+	}
+	next := quiet
+	avg := testing.AllocsPerRun(runs, func() {
+		step(states[next])
+		next++
+	})
+	if avg != 0 {
+		t.Errorf("moving UE.Step allocates %.2f objects per tick, want 0", avg)
+	}
+}

@@ -2,33 +2,75 @@ package ran
 
 import (
 	"testing"
+	"time"
 
 	"github.com/nuwins/cellwheels/internal/deploy"
 	"github.com/nuwins/cellwheels/internal/geo"
 	"github.com/nuwins/cellwheels/internal/radio"
 	"github.com/nuwins/cellwheels/internal/simrand"
+	"github.com/nuwins/cellwheels/internal/unit"
 )
 
-// BenchmarkUEStep measures one RAN tick of a moving UE: coverage lookup,
-// the A3 handover scan over neighbouring cells, and the serving link's
-// capacity. The drive states are precomputed so only UE.Step is timed;
-// when they run out the UE restarts from the first state.
+// BenchmarkUEStep measures one RAN tick: coverage lookup, the A3 handover
+// scan over neighbouring cells, and the serving link's capacity. The
+// drive states are precomputed so only UE.Step is timed; when they run
+// out the UE restarts from the first state.
+//
+//   - moving: an idle Verizon UE on an hour of the paper's drive.
+//   - mmwave: a heavy-downlink Verizon UE crawling at 10 mph through the
+//     longest mmWave fragment, where cells are densest and the A3 scan
+//     sees the most neighbours.
 func BenchmarkUEStep(b *testing.B) {
 	route := geo.DefaultRoute()
 	rng := simrand.New(3)
 	m := deploy.NewMap(radio.Verizon, route, rng)
-	drive := geo.NewDrive(route, geo.DefaultDriveConfig(), rng)
-	states := make([]geo.DriveState, 40000) // about an hour of driving
-	for i := range states {
-		states[i] = drive.Step(tick)
+
+	b.Run("moving", func(b *testing.B) {
+		drive := geo.NewDrive(route, geo.DefaultDriveConfig(), rng)
+		states := make([]geo.DriveState, 40000) // about an hour of driving
+		for i := range states {
+			states[i] = drive.Step(tick)
+		}
+		benchSteps(b, m, rng, deploy.Idle, states)
+	})
+
+	b.Run("mmwave", func(b *testing.B) {
+		var frag deploy.Fragment
+		for _, f := range m.Fragments(radio.NRMmWave) {
+			if f.Len() > frag.Len() {
+				frag = f
+			}
+		}
+		speed := unit.SpeedFromMPH(10)
+		start := time.Date(2022, 8, 10, 12, 0, 0, 0, time.UTC)
+		var states []geo.DriveState
+		for odo := frag.Start; odo < frag.End; odo += unit.Meters(float64(speed) * tick.Seconds()) {
+			states = append(states, geo.DriveState{
+				Time:     start.Add(time.Duration(len(states)) * tick),
+				Odometer: odo,
+				Speed:    speed,
+				Waypoint: route.At(odo),
+			})
+		}
+		benchSteps(b, m, rng, deploy.HeavyDL, states)
+	})
+}
+
+// benchSteps times UE.Step over states on traffic tr, restarting with a
+// fresh UE whenever the states run out.
+func benchSteps(b *testing.B, m *deploy.Map, rng *simrand.Source, tr deploy.Traffic, states []geo.DriveState) {
+	fresh := func() *UE {
+		ue := NewUE(UEConfig{Op: m.Op, Map: m}, rng)
+		ue.SetTraffic(tr, states[0].Time, states[0].Waypoint)
+		return ue
 	}
-	ue := NewUE(UEConfig{Op: radio.Verizon, Map: m}, rng)
+	ue := fresh()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % len(states)
 		if j == 0 && i > 0 {
 			b.StopTimer()
-			ue = NewUE(UEConfig{Op: radio.Verizon, Map: m}, rng)
+			ue = fresh()
 			b.StartTimer()
 		}
 		ds := states[j]

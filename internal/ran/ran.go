@@ -146,6 +146,12 @@ const (
 	// shadowSlotBits sizes the UE's shadowing memo at 2^shadowSlotBits
 	// slots, several times the cells a handover scan visits at once.
 	shadowSlotBits = 7
+	// boundEdgeSlack widens a shadow bucket on both sides, and
+	// boundDistSlack pulls its closest approach to a cell in, when the
+	// memo bounds the cell's RSRP over the bucket (see bucketBound). Both
+	// are many orders of magnitude above the float rounding they absorb.
+	boundEdgeSlack = 1 * unit.Meter
+	boundDistSlack = 0.01 * unit.Meter
 	// caRedrawEvery is how often the network reconfigures carrier
 	// aggregation.
 	caRedrawEvery = 2 * time.Second
@@ -194,14 +200,27 @@ type UE struct {
 	fadeUntil time.Time
 	fadeDepth float64 // multiplier on capacity during fade
 
-	// per-cell load processes, created lazily
-	loads map[string]*simrand.OU
+	// availability cache: Map.Available is avail over [availLo, availHi)
+	// (see availAt); the empty zero interval forces the first lookup
+	avail            deploy.TechSet
+	availLo, availHi unit.Meters
 
-	// shadow memoizes shadowing draws (see shadowDraw)
+	// per-cell load processes, created lazily; loadProc is loadCell's,
+	// the serving cell's on nearly every tick
+	loads    map[string]*simrand.OU
+	loadCell *deploy.Cell
+	loadProc *simrand.OU
+
+	// shadow memoizes shadowing draws (see shadowSlot)
 	shadow [1 << shadowSlotBits]shadowEntry
+
+	// fullScan evaluates every A3 neighbour exactly, ignoring the memo's
+	// bounds: the reference the bounded scan is tested against.
+	fullScan bool
 
 	handovers  []HandoverEvent
 	cellsSeen  map[string]bool
+	seenCell   *deploy.Cell // the cell last added to cellsSeen
 	state      LinkState
 	everTicked bool
 	staticMode bool
@@ -281,12 +300,17 @@ func (u *UE) choose(avail deploy.TechSet, wp geo.Waypoint) radio.Technology {
 }
 
 // availAt reports deployed technologies, searching city-wide in static
-// mode.
+// mode. Outside it the set comes from Map.AvailableSpan, which also says
+// over which odometer interval the set holds, so a moving UE searches the
+// coverage fragments only when it leaves that interval.
 func (u *UE) availAt(odo unit.Meters) deploy.TechSet {
 	if u.staticMode {
 		return u.cfg.Map.AvailableWithin(odo, staticSearch)
 	}
-	return u.cfg.Map.Available(odo)
+	if odo < u.availLo || odo >= u.availHi {
+		u.avail, u.availLo, u.availHi = u.cfg.Map.AvailableSpan(odo)
+	}
+	return u.avail
 }
 
 // SetStaticMode marks the UE as parked for a baseline test battery: the
@@ -324,7 +348,6 @@ func (u *UE) bestCell(odo unit.Meters, t radio.Technology) int {
 // field that is deterministic in (cell, position bucket) so the same
 // stretch of road always fades the same way.
 func (u *UE) rsrpOf(c *deploy.Cell, odo unit.Meters) unit.DBm {
-	b := radio.Band(c.Tech)
 	if u.staticMode {
 		d := c.Distance(odo)
 		if d > 60*unit.Meter {
@@ -333,30 +356,62 @@ func (u *UE) rsrpOf(c *deploy.Cell, odo unit.Meters) unit.DBm {
 		return radio.RSRP(c.Tech, d, 0, radio.BeamGain(u.cfg.Op, c.Tech))
 	}
 	bucket := int64(odo / shadowBucket)
-	shadow := unit.DB(u.shadowDraw(c, bucket) * b.ShadowSigma)
-	return radio.RSRP(c.Tech, c.Distance(odo), shadow, radio.BeamGain(u.cfg.Op, c.Tech))
+	return u.shadowedRSRP(c, c.Distance(odo), u.shadowSlot(c, bucket).draw)
+}
+
+// shadowedRSRP is the non-static RSRP of a cell at distance d under a
+// shadowing draw.
+func (u *UE) shadowedRSRP(c *deploy.Cell, d unit.Meters, draw float64) unit.DBm {
+	shadow := unit.DB(draw * radio.Band(c.Tech).ShadowSigma)
+	return radio.RSRP(c.Tech, d, shadow, radio.BeamGain(u.cfg.Op, c.Tech))
 }
 
 // shadowEntry is one slot of a UE's shadowing memo: the hashNormal draw
-// of a (cell, bucket) pair. A nil cell marks an empty slot.
+// of a (cell, bucket) pair and the RSRP bound bucketBound derives from
+// it. A nil cell marks an empty slot.
 type shadowEntry struct {
 	cell   *deploy.Cell
 	bucket int64
 	draw   float64
+	bound  float64
 }
 
-// shadowDraw returns hashNormal(c.ID, bucket) through a direct-mapped
-// memo. The vehicle needs about fifty ticks to cross a bucket and every
-// tick's handover scan revisits the same neighbour cells, so nearly every
-// draw is a hit. A miss, or a slot taken by another key, recomputes the
-// draw: every value is exactly the one hashNormal returns.
-func (u *UE) shadowDraw(c *deploy.Cell, bucket int64) float64 {
+// shadowSlot returns the direct-mapped memo slot of (c, bucket), holding
+// hashNormal(c.ID, bucket) and its RSRP bound. The vehicle needs about
+// fifty ticks to cross a bucket and every tick's handover scan revisits
+// the same neighbour cells, so nearly every lookup is a hit. A miss, or a
+// slot taken by another key, recomputes both values: every draw is
+// exactly the one hashNormal returns.
+func (u *UE) shadowSlot(c *deploy.Cell, bucket int64) *shadowEntry {
 	key := uint64(bucket)<<20 ^ uint64(c.Index)<<3 ^ uint64(c.Tech)
 	e := &u.shadow[(key*0x9e3779b97f4a7c15)>>(64-shadowSlotBits)]
 	if e.cell != c || e.bucket != bucket {
-		*e = shadowEntry{cell: c, bucket: bucket, draw: hashNormal(c.ID, bucket)}
+		draw := hashNormal(c.ID, bucket)
+		*e = shadowEntry{cell: c, bucket: bucket, draw: draw, bound: u.bucketBound(c, bucket, draw)}
 	}
-	return e.draw
+	return e
+}
+
+// bucketBound is an upper bound on the non-static rsrpOf(c, odo) over
+// every odo of the shadow bucket. The shadowing draw is constant inside
+// the bucket and RSRP does not rise with distance, so the RSRP at the
+// bucket's closest approach to the cell bounds it. The bucket is widened
+// by boundEdgeSlack on each side, because int64(odo / shadowBucket) can
+// round an odometer just past an exact edge into it, and the distance is
+// pulled in by boundDistSlack, so no rounding in the odometer difference,
+// Hypot or Log10 can put an exact value above the bound.
+func (u *UE) bucketBound(c *deploy.Cell, bucket int64, draw float64) float64 {
+	lo := unit.Meters(bucket)*shadowBucket - boundEdgeSlack
+	hi := unit.Meters(bucket+1)*shadowBucket + boundEdgeSlack
+	var along unit.Meters
+	switch {
+	case c.Odometer < lo:
+		along = lo - c.Odometer
+	case c.Odometer > hi:
+		along = c.Odometer - hi
+	}
+	d := unit.Meters(math.Hypot(float64(along), float64(c.Lateral))) - boundDistSlack
+	return float64(u.shadowedRSRP(c, d, draw))
 }
 
 // FNV-1a constants, inlined below so the per-tick shadow-fading draw
@@ -468,12 +523,15 @@ func (u *UE) loadOf(c *deploy.Cell, now time.Time) float64 {
 	if u.cfg.Load != nil {
 		return u.cfg.Load.CellLoad(c, now)
 	}
-	p, ok := u.loads[c.ID]
-	if !ok {
-		p = &simrand.OU{Mean: c.LoadMean, Revert: 0.003, Sigma: 0.006, Min: 0, Max: 0.92}
-		u.loads[c.ID] = p
+	if c != u.loadCell {
+		p, ok := u.loads[c.ID]
+		if !ok {
+			p = &simrand.OU{Mean: c.LoadMean, Revert: 0.003, Sigma: 0.006, Min: 0, Max: 0.92}
+			u.loads[c.ID] = p
+		}
+		u.loadCell, u.loadProc = c, p
 	}
-	return p.Step(u.loadRNG)
+	return u.loadProc.Step(u.loadRNG)
 }
 
 // seedTargetLoad biases a handover target the UE has not visited yet
@@ -505,9 +563,12 @@ func (u *UE) Step(now time.Time, wp geo.Waypoint, speedMPH float64, dt time.Dura
 	}
 
 	// Horizontal handover: a neighbour beats the serving cell by the
-	// hysteresis margin.
+	// hysteresis margin. Without one, the scan's serving RSRP is this
+	// tick's.
+	var servingRSRP unit.DBm
+	haveRSRP := false
 	if u.cellIdx >= 0 && now.After(u.hoUntil) {
-		u.maybeHandover(now, wp)
+		servingRSRP, haveRSRP = u.maybeHandover(now, wp)
 	}
 
 	// Carrier aggregation reconfiguration.
@@ -530,8 +591,14 @@ func (u *UE) Step(now time.Time, wp geo.Waypoint, speedMPH float64, dt time.Dura
 	if u.cellIdx >= 0 {
 		c := u.cfg.Map.CellAt(u.tech, u.cellIdx)
 		st.CellID = c.ID
-		u.cellsSeen[c.ID] = true
-		st.RSRP = u.rsrpOf(c, wp.Odometer)
+		if c != u.seenCell {
+			u.cellsSeen[c.ID] = true
+			u.seenCell = c
+		}
+		st.RSRP = servingRSRP
+		if !haveRSRP {
+			st.RSRP = u.rsrpOf(c, wp.Odometer)
+		}
 		st.Load = u.loadOf(c, now)
 		st.SINR = radio.SINR(u.tech, st.RSRP, st.Load)
 		st.MCS = radio.MCSFromSINR(st.SINR)
@@ -543,8 +610,7 @@ func (u *UE) Step(now time.Time, wp geo.Waypoint, speedMPH float64, dt time.Dura
 			burst = 0.02
 		}
 		st.BLER = radio.BLER(speedMPH, burst, u.fadeRNG.Float64())
-		st.CapacityDL = radio.Capacity(u.cfg.Op, u.tech, radio.Downlink, u.ccDL, st.SINR, st.BLER, st.Load)
-		st.CapacityUL = radio.Capacity(u.cfg.Op, u.tech, radio.Uplink, u.ccUL, st.SINR, st.BLER, st.Load)
+		st.CapacityDL, st.CapacityUL = radio.Capacities(u.cfg.Op, u.tech, u.ccDL, u.ccUL, st.SINR, st.BLER, st.Load)
 		if now.Before(u.fadeUntil) {
 			st.CapacityDL = unit.BitRate(float64(st.CapacityDL) * u.fadeDepth)
 			st.CapacityUL = unit.BitRate(float64(st.CapacityUL) * u.fadeDepth)
@@ -587,28 +653,43 @@ func (u *UE) reselectTechOnCoverageChange(now time.Time, wp geo.Waypoint, avail 
 	u.redrawCA(now)
 }
 
-// maybeHandover checks the A3 condition against nearby cells.
-func (u *UE) maybeHandover(now time.Time, wp geo.Waypoint) {
+// maybeHandover checks the A3 condition against nearby cells. When no
+// handover fires it reports the serving cell's RSRP and ok, so Step need
+// not evaluate it again.
+//
+// Outside static mode a neighbour whose memo bound (see bucketBound) is
+// at or below the running best cannot pass the strict r > best anywhere
+// in the bucket, so its exact RSRP is skipped. Every other neighbour is
+// evaluated exactly, in the same index order, so the target is the one
+// the exhaustive scan picks.
+func (u *UE) maybeHandover(now time.Time, wp geo.Waypoint) (servingRSRP unit.DBm, ok bool) {
 	serving := u.cfg.Map.CellAt(u.tech, u.cellIdx)
-	servingRSRP := float64(u.rsrpOf(serving, wp.Odometer))
+	servingRSRP = u.rsrpOf(serving, wp.Odometer)
 	window := 3 * radio.Band(u.tech).CellRadius
-	best, bestIdx := servingRSRP+hysteresis, -1
+	best, bestIdx := float64(servingRSRP)+hysteresis, -1
+	bounded := !u.staticMode && !u.fullScan
+	bucket := int64(wp.Odometer / shadowBucket)
 	lo, hi := u.cfg.Map.CellRange(wp.Odometer, u.tech, window)
 	for i := lo; i < hi; i++ {
 		if i == u.cellIdx {
 			continue
 		}
 		c := u.cfg.Map.CellAt(u.tech, i)
+		if bounded && u.shadowSlot(c, bucket).bound <= best {
+			continue
+		}
 		if r := float64(u.rsrpOf(c, wp.Odometer)); r > best {
 			best, bestIdx = r, i
 		}
 	}
-	if bestIdx >= 0 {
-		fromCell := serving.ID
-		u.cellIdx = bestIdx
-		u.seedTargetLoad(u.cfg.Map.CellAt(u.tech, bestIdx))
-		u.recordHandover(now, u.tech, u.tech, fromCell, u.cellName(), wp.Odometer)
+	if bestIdx < 0 {
+		return servingRSRP, true
 	}
+	fromCell := serving.ID
+	u.cellIdx = bestIdx
+	u.seedTargetLoad(u.cfg.Map.CellAt(u.tech, bestIdx))
+	u.recordHandover(now, u.tech, u.tech, fromCell, u.cellName(), wp.Odometer)
+	return 0, false
 }
 
 // Handovers returns all handover events so far, in order.

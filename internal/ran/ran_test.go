@@ -336,8 +336,8 @@ func TestShadowMemoMatchesHashNormal(t *testing.T) {
 			lo, hi := m.CellRange(odo, tech, 3*radio.Band(tech).CellRadius)
 			for j := lo; j < hi; j++ {
 				c := m.CellAt(tech, j)
-				if got, want := ue.shadowDraw(c, bucket), hashNormal(c.ID, bucket); got != want {
-					t.Fatalf("tick %d: shadowDraw(%s, %d) = %v, hashNormal %v", i, c.ID, bucket, got, want)
+				if got, want := ue.shadowSlot(c, bucket).draw, hashNormal(c.ID, bucket); got != want {
+					t.Fatalf("tick %d: shadowSlot(%s, %d).draw = %v, hashNormal %v", i, c.ID, bucket, got, want)
 				}
 				checks++
 			}
@@ -360,7 +360,7 @@ func TestShadowMemoCollisions(t *testing.T) {
 	}
 	// slot reports the memo slot a lookup of k leaves it in.
 	slot := func(k key) int {
-		ue.shadowDraw(k.c, k.bucket)
+		ue.shadowSlot(k.c, k.bucket)
 		for i, e := range ue.shadow {
 			if e.cell == k.c && e.bucket == k.bucket {
 				return i
@@ -385,7 +385,7 @@ func TestShadowMemoCollisions(t *testing.T) {
 		shared++
 		for round := 0; round < 3; round++ {
 			for _, k := range keys {
-				if got, want := ue.shadowDraw(k.c, k.bucket), hashNormal(k.c.ID, k.bucket); got != want {
+				if got, want := ue.shadowSlot(k.c, k.bucket).draw, hashNormal(k.c.ID, k.bucket); got != want {
 					t.Fatalf("(%s, %d): memo %v, hashNormal %v", k.c.ID, k.bucket, got, want)
 				}
 			}
