@@ -89,11 +89,10 @@ type funcInfo struct {
 	blocksWhy      string
 	receivesCancel bool
 
-	// concSites and concCallees are the raw material for the two bits
-	// above: direct blocking sites and resolved callees outside nested
-	// closures and go statements, in source order.
-	concSites   []blockSite
-	concCallees []*types.Func
+	// concSites is the raw material for the two bits above and the
+	// ctxflow rule: the blocking walker's sites outside nested closures
+	// and go statements, resolved callees included, in source order.
+	concSites []blockSite
 }
 
 // goSpawn is one `go` statement: either a closure with its captured

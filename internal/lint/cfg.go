@@ -90,6 +90,57 @@ func (g *CFG) locate(n ast.Node) (*cfgBlock, int) {
 	return nil, 0
 }
 
+// pathStep is a path visitor's verdict on one node.
+type pathStep int
+
+const (
+	pathOn  pathStep = iota // keep walking this path
+	pathEnd                 // this path is settled; the others go on
+	walkEnd                 // the walk has its answer; stop everything
+)
+
+// walkForward is the forward path walk shared by the path-sensitive
+// rules (lockhold, resleak): depth-first from node idx of blk, each
+// block's nodes in order and its successors in construction order, so a
+// reported path is deterministic. Every block is entered at most once,
+// from its first node; the start block is not marked up front, so a back
+// edge re-enters it from index 0 — each rule's visitor ends the path
+// when it meets its own acquisition again. exit, when non-nil, is called
+// where a path falls off the end of the unit (an implicit return), with
+// the last node the walk visited in that block, or nil if none.
+func (g *CFG) walkForward(blk *cfgBlock, idx int, visit func(ast.Node) pathStep, exit func(last ast.Node) pathStep) {
+	entered := make([]bool, len(g.blocks))
+	done := false
+	var walk func(b *cfgBlock, start int)
+	walk = func(b *cfgBlock, start int) {
+		var last ast.Node
+		for _, n := range b.nodes[start:] {
+			last = n
+			switch visit(n) {
+			case pathEnd:
+				return
+			case walkEnd:
+				done = true
+				return
+			}
+		}
+		if len(b.succs) == 0 {
+			done = exit != nil && exit(last) == walkEnd
+			return
+		}
+		for _, s := range b.succs {
+			if done {
+				return
+			}
+			if !entered[s.id] {
+				entered[s.id] = true
+				walk(s, 0)
+			}
+		}
+	}
+	walk(blk, idx)
+}
+
 // maxLoopDepth reports the deepest nesting anywhere in the body (tests).
 func (g *CFG) maxLoopDepth() int {
 	max := 0

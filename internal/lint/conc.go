@@ -11,12 +11,19 @@ import (
 // per-function summary bits — "blocks" (executing this function can park
 // its goroutine indefinitely) and "receivesCancel" (the function observes
 // a cancellation or join signal) — plus the blocking lattice that defines
-// them. The four liveness rules are built on top:
+// them. One walker, walkBlocking, is the only code that decides which
+// node can park a goroutine; the summaries and all four liveness rules
+// read its sites, each filtering by kind:
 //
-//	goleak   — blocks && !receivesCancel at a `go` spawn
-//	ctxflow  — blocking sites in a ctx-bearing function that ignore the ctx
-//	lockhold — blocking sites on a CFG path holding a sync.(RW)Mutex
-//	resleak  — CFG paths from an acquisition to exit with no release
+//	goleak   — the summaries (scanConc, litConc): every site but module
+//	           callees, whose blocking arrives by propagation; a `go`
+//	           spawn leaks when it blocks && !receivesCancel
+//	ctxflow  — the declaration's stored sites, clean when the site's
+//	           channel, comm clause, or call arguments carry the context
+//	lockhold — walkBlocking per CFG node on a path holding a
+//	           sync.(RW)Mutex, minus Cond.Wait, which releases the lock
+//	resleak  — no blocking sites; it shares lockhold's forward path walk
+//	           (CFG.walkForward in cfg.go) from an acquisition to an exit
 //
 // The blocking lattice is deliberately small and deep-rooted: channel
 // operations (send, receive, range, select without default), HTTP round
@@ -36,39 +43,44 @@ import (
 
 // Blocking-site kinds. Cond.Wait is separated because it atomically
 // releases its mutex while parked: it still blocks (goleak, ctxflow) but
-// is not a lock-held hazard (lockhold skips it).
+// is not a lock-held hazard (lockhold skips it). A callee site is any
+// other resolved call: it blocks exactly when the callee's module summary
+// does, which only the finished analysis knows (siteBlocks).
 const (
 	blockKindChan = iota
 	blockKindCall
 	blockKindCondWait
+	blockKindCallee
 )
 
-// blockSite is one place a function can park its goroutine.
+// blockSite is one node that can park a goroutine: a select without
+// default, a send or receive outside a select's comm clause, a range over
+// a channel, or a call.
 type blockSite struct {
-	pos  token.Pos
-	desc string
-	kind int
+	node ast.Node
+	desc string      // empty for callee sites
+	kind int         // blockKind*
+	fn   *types.Func // the resolved callee of a call site
 }
 
-// concFacts are the concurrency-relevant facts of one function-like body.
-type concFacts struct {
-	sites   []blockSite
-	cancel  bool
-	callees []*types.Func // resolved callees, deduplicated, source order
-}
-
-// scanConc computes fi's direct blocking sites, cancel observation, and
-// the callee list used to propagate both, excluding nested closures and
-// go statements.
+// scanConc stores fi's sites and cancel observation, and seeds the blocks
+// bit from its first site that blocks by itself.
 func (a *Analysis) scanConc(fi *funcInfo) {
-	f := scanConcBody(fi.pkg.Info, fi.decl.Body, true)
-	fi.concSites = f.sites
-	fi.concCallees = f.callees
-	fi.receivesCancel = f.cancel
-	if len(f.sites) > 0 {
-		fi.blocks = true
-		fi.blocksWhy = f.sites[0].desc
+	fi.receivesCancel = walkBlocking(fi.pkg.Info, fi.decl.Body, true, func(s blockSite) {
+		fi.concSites = append(fi.concSites, s)
+	})
+	fi.blocksWhy, fi.blocks = directBlock(fi.concSites)
+}
+
+// directBlock reports the first site that blocks without consulting a
+// summary, i.e. the first that is not a callee site.
+func directBlock(sites []blockSite) (why string, ok bool) {
+	for _, s := range sites {
+		if s.kind != blockKindCallee {
+			return s.desc, true
+		}
 	}
+	return "", false
 }
 
 // propagateConc closes blocks/receivesCancel over the call graph.
@@ -78,14 +90,14 @@ func (a *Analysis) propagateConc() {
 	for changed := true; changed; {
 		changed = false
 		for _, fi := range a.funcs {
-			for _, callee := range fi.concCallees {
-				cf := a.byObj[callee]
+			for _, s := range fi.concSites {
+				cf := a.calleeOf(s)
 				if cf == nil {
 					continue
 				}
 				if cf.blocks && !fi.blocks {
 					fi.blocks = true
-					fi.blocksWhy = chain(shortFuncName(callee), cf.blocksWhy)
+					fi.blocksWhy = chain(shortFuncName(s.fn), cf.blocksWhy)
 					changed = true
 				}
 				if cf.receivesCancel && !fi.receivesCancel {
@@ -95,6 +107,29 @@ func (a *Analysis) propagateConc() {
 			}
 		}
 	}
+}
+
+// calleeOf returns the summary behind a callee site, or nil when the site
+// is not a call to an analyzed module function.
+func (a *Analysis) calleeOf(s blockSite) *funcInfo {
+	if s.kind != blockKindCallee {
+		return nil
+	}
+	return a.byObj[s.fn]
+}
+
+// siteBlocks resolves a site against the finished summaries: whether it
+// blocks, and its description. Callee sites block through their summary
+// and name it with its provenance chain.
+func (a *Analysis) siteBlocks(s blockSite) (desc string, ok bool) {
+	if s.kind != blockKindCallee {
+		return s.desc, true
+	}
+	cf := a.byObj[s.fn]
+	if cf == nil || !cf.blocks {
+		return "", false
+	}
+	return "call to " + shortFuncName(s.fn) + " (" + cf.blocksWhy + ")", true
 }
 
 // Blocking exposes the blocks summary bit and its provenance (tests).
@@ -116,49 +151,37 @@ func (a *Analysis) ReceivesCancel(fn *types.Func) bool {
 // (nested closures included — they usually run via defer — but nested
 // spawns excluded) plus its resolved callees' summaries.
 func (a *Analysis) litConc(info *types.Info, lit *ast.FuncLit) (blocks bool, why string, cancel bool) {
-	f := scanConcBody(info, lit.Body, false)
-	cancel = f.cancel
-	if len(f.sites) > 0 {
-		blocks, why = true, f.sites[0].desc
-	}
-	for _, callee := range f.callees {
-		cf := a.byObj[callee]
+	var sites []blockSite
+	cancel = walkBlocking(info, lit.Body, false, func(s blockSite) { sites = append(sites, s) })
+	why, blocks = directBlock(sites)
+	for _, s := range sites {
+		cf := a.calleeOf(s)
 		if cf == nil {
 			continue
 		}
 		if cf.blocks && !blocks {
-			blocks, why = true, chain(shortFuncName(callee), cf.blocksWhy)
+			blocks, why = true, chain(shortFuncName(s.fn), cf.blocksWhy)
 		}
 		cancel = cancel || cf.receivesCancel
 	}
 	return blocks, why, cancel
 }
 
-// scanConcBody walks one body collecting blocking sites, cancel
-// observations, and resolved callees. skipLits excludes nested closures
-// (always true for declared functions; false when the body IS a spawned
-// closure, whose nested non-spawned closures do run on its goroutine).
-// Go statements are always excluded: the spawned work does not block the
-// spawner. Channel operations that are a select's comm clause belong to
-// the select and are not double-counted as standalone sites.
-func scanConcBody(info *types.Info, body *ast.BlockStmt, skipLits bool) concFacts {
-	var f concFacts
-	seen := map[*types.Func]bool{}
-	var comm [][2]token.Pos
-	inComm := func(pos token.Pos) bool {
-		for _, r := range comm {
-			if r[0] <= pos && pos < r[1] {
-				return true
-			}
-		}
-		return false
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
+// walkBlocking is the blocking-site walker: it visits, in source order,
+// every site under root that can park a goroutine, and every resolved
+// call as a site of its own kind. It reports whether root observes a
+// cancellation or join signal. skipLits excludes nested closures (true
+// for declared functions and CFG nodes; false when root is a spawned
+// closure's body, whose nested non-spawned closures do run on its
+// goroutine). Go statements are always excluded: the spawned work does
+// not block the spawner. Channel operations that are a select's comm
+// clause belong to the select and are not reported on their own.
+func walkBlocking(info *types.Info, root ast.Node, skipLits bool, visit func(blockSite)) (cancel bool) {
+	var comm []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			if skipLits {
-				return false
-			}
+			return !skipLits
 		case *ast.GoStmt:
 			return false
 		case *ast.SelectStmt:
@@ -169,53 +192,60 @@ func scanConcBody(info *types.Info, body *ast.BlockStmt, skipLits bool) concFact
 					hasDefault = true
 					continue
 				}
-				f.cancel = true
-				comm = append(comm, [2]token.Pos{cc.Comm.Pos(), cc.Comm.End()})
+				cancel = true
+				comm = append(comm, cc.Comm)
 			}
 			if !hasDefault {
-				f.sites = append(f.sites, blockSite{n.Pos(), "select without default", blockKindChan})
+				visit(blockSite{node: n, desc: "select without default", kind: blockKindChan})
 			}
 		case *ast.SendStmt:
-			f.cancel = true
-			if !inComm(n.Pos()) {
-				f.sites = append(f.sites, blockSite{n.Pos(), "channel send", blockKindChan})
+			cancel = true
+			if !inComm(comm, n) {
+				visit(blockSite{node: n, desc: "channel send", kind: blockKindChan})
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				f.cancel = true
-				if !inComm(n.Pos()) {
-					f.sites = append(f.sites, blockSite{n.Pos(), "channel receive", blockKindChan})
+				cancel = true
+				if !inComm(comm, n) {
+					visit(blockSite{node: n, desc: "channel receive", kind: blockKindChan})
 				}
 			}
 		case *ast.RangeStmt:
 			if _, ok := typeUnder(info.TypeOf(n.X)).(*types.Chan); ok {
-				f.cancel = true
-				f.sites = append(f.sites, blockSite{n.Pos(), "range over channel", blockKindChan})
+				cancel = true
+				visit(blockSite{node: n, desc: "range over channel", kind: blockKindChan})
 			}
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
 				if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "close" {
-					f.cancel = true
+					cancel = true
 				}
 			}
 			fn := origin(calleeFunc(info, n))
 			if fn == nil {
 				break
 			}
-			if desc, kind, ok := blockingCall(fn); ok {
-				f.sites = append(f.sites, blockSite{n.Pos(), desc, kind})
+			cancel = cancel || cancelCall(fn)
+			desc, kind, ok := blockingCall(fn)
+			if !ok {
+				kind = blockKindCallee
 			}
-			if cancelCall(fn) {
-				f.cancel = true
-			}
-			if !seen[fn] {
-				seen[fn] = true
-				f.callees = append(f.callees, fn)
-			}
+			visit(blockSite{node: n, desc: desc, kind: kind, fn: fn})
 		}
 		return true
 	})
-	return f
+	return cancel
+}
+
+// inComm reports whether n lies inside one of the comm clauses seen so
+// far.
+func inComm(comm []ast.Node, n ast.Node) bool {
+	for _, c := range comm {
+		if c.Pos() <= n.Pos() && n.Pos() < c.End() {
+			return true
+		}
+	}
+	return false
 }
 
 // typeUnder is Underlying tolerant of nil.
@@ -335,71 +365,6 @@ func cancelCarrier(t types.Type) bool {
 		return n.Obj().Name() == "Context"
 	}
 	return false
-}
-
-// blockingSitesIn collects the blocking sites inside one statement or
-// expression, including calls to module functions whose summary blocks —
-// the node-granular query lockhold asks while walking a critical
-// section. Nested closures and go statements do not run here and are
-// skipped; Cond.Wait sites are skipped too (Wait releases the mutex).
-func blockingSitesIn(a *Analysis, info *types.Info, root ast.Node) []blockSite {
-	var out []blockSite
-	var comm [][2]token.Pos
-	inComm := func(pos token.Pos) bool {
-		for _, r := range comm {
-			if r[0] <= pos && pos < r[1] {
-				return true
-			}
-		}
-		return false
-	}
-	ast.Inspect(root, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit, *ast.GoStmt:
-			return false
-		case *ast.SelectStmt:
-			hasDefault := false
-			for _, c := range n.Body.List {
-				cc := c.(*ast.CommClause)
-				if cc.Comm == nil {
-					hasDefault = true
-					continue
-				}
-				comm = append(comm, [2]token.Pos{cc.Comm.Pos(), cc.Comm.End()})
-			}
-			if !hasDefault {
-				out = append(out, blockSite{n.Pos(), "select without default", blockKindChan})
-			}
-		case *ast.SendStmt:
-			if !inComm(n.Pos()) {
-				out = append(out, blockSite{n.Pos(), "channel send", blockKindChan})
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && !inComm(n.Pos()) {
-				out = append(out, blockSite{n.Pos(), "channel receive", blockKindChan})
-			}
-		case *ast.RangeStmt:
-			if _, ok := typeUnder(info.TypeOf(n.X)).(*types.Chan); ok {
-				out = append(out, blockSite{n.Pos(), "range over channel", blockKindChan})
-			}
-		case *ast.CallExpr:
-			fn := origin(calleeFunc(info, n))
-			if fn == nil {
-				break
-			}
-			if desc, kind, ok := blockingCall(fn); ok {
-				if kind != blockKindCondWait {
-					out = append(out, blockSite{n.Pos(), desc, kind})
-				}
-				break
-			}
-			if cf := a.byObj[fn]; cf != nil && cf.blocks {
-				out = append(out, blockSite{n.Pos(), "call to " + shortFuncName(fn) + " (" + cf.blocksWhy + ")", blockKindCall})
-			}
-		}
-		return true
-	})
-	return out
 }
 
 // funcUnits returns the function-like bodies declared in decl — the decl

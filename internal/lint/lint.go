@@ -302,6 +302,32 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
+// anyNode is the package's one subtree query: it reports whether match
+// holds for some node under root (root included), visiting in
+// ast.Inspect order and stopping at the first hit. A node that fails
+// match is descended into unless prune (nil prunes nothing) accepts it,
+// so one visit can both answer for a subtree and keep the search out.
+func anyNode(root ast.Node, prune, match func(ast.Node) bool) bool {
+	found := false
+	ast.Inspect(root, func(n ast.Node) bool {
+		if found || n == nil {
+			return false
+		}
+		found = match(n)
+		return !found && (prune == nil || !prune(n))
+	})
+	return found
+}
+
+// refersTo is the anyNode match for "mentions one of objs": an
+// identifier that resolves to an object in the set.
+func refersTo(info *types.Info, objs map[types.Object]bool) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		return ok && objs[info.ObjectOf(id)]
+	}
+}
+
 // funcPkgPath reports the defining package path of fn ("" for universe).
 func funcPkgPath(fn *types.Func) string {
 	if fn == nil || fn.Pkg() == nil {

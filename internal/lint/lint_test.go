@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -73,36 +74,31 @@ func render(dir string, diags []Diagnostic) string {
 }
 
 // TestRuleFixtures runs each rule over its fixture corpus and compares
-// the diagnostics against the expected.txt golden. Run with -update to
+// the diagnostics against the expected.txt golden. It also guards the
+// corpus itself: each rule's fixture must yield at least one finding of
+// that rule, or its golden would be vacuously green. Run with -update to
 // regenerate the goldens after changing a rule or fixture.
 func TestRuleFixtures(t *testing.T) {
-	cases := []struct {
+	type fixtureCase struct {
 		name  string
 		rules []Rule
-	}{
-		{"nondet", []Rule{NondetRule{}}},
-		{"seededrand", []Rule{SeededRandRule{}}},
-		{"maprange", []Rule{MapRangeRule{}}},
-		{"uncheckederr", []Rule{UncheckedErrRule{}}},
-		{"sortstable", []Rule{SortStableRule{}}},
-		{"timetaint", []Rule{TimeTaintRule{}}},
-		{"globalmut", []Rule{GlobalMutRule{}}},
-		{"gounsync", []Rule{GoUnsyncRule{}}},
-		{"units", []Rule{UnitsRule{}}},
-		{"hotalloc", []Rule{HotAllocRule{}}},
-		{"hotdefer", []Rule{HotDeferRule{}}},
-		{"hotbox", []Rule{HotBoxRule{}}},
-		{"goleak", []Rule{GoLeakRule{}}},
-		{"ctxflow", []Rule{CtxFlowRule{}}},
-		{"lockhold", []Rule{LockHoldRule{}}},
-		{"resleak", []Rule{ResLeakRule{}}},
-		{"directive", AllRules()},
-		{"directiveipa", AllRules()},
+		own   bool // the fixture belongs to its single rule
 	}
+	var cases []fixtureCase
+	for _, r := range AllRules() {
+		cases = append(cases, fixtureCase{r.Name(), []Rule{r}, true})
+	}
+	cases = append(cases,
+		fixtureCase{"directive", AllRules(), false},
+		fixtureCase{"directiveipa", AllRules(), false})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join("testdata", tc.name)
-			got := render(dir, Run(loadFixturePkgsT(t, tc.name), tc.rules))
+			diags := Run(loadFixturePkgsT(t, tc.name), tc.rules)
+			if tc.own && !slices.ContainsFunc(diags, func(d Diagnostic) bool { return d.Rule == tc.name }) {
+				t.Errorf("fixture %s produces no %s findings", dir, tc.name)
+			}
+			got := render(dir, diags)
 			golden := filepath.Join(dir, "expected.txt")
 			if *update {
 				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
@@ -121,21 +117,20 @@ func TestRuleFixtures(t *testing.T) {
 	}
 }
 
-// TestFixturesExerciseEveryRule guards the corpus itself: each rule must
-// have at least one finding in its fixture, or the golden test is
-// vacuously green.
+// TestFixturesExerciseEveryRule guards the checked-in corpus without
+// running it again: every rule must have a fixture whose golden holds at
+// least one finding of that rule. TestRuleFixtures pins each run to its
+// golden, so together they keep a rule from going vacuously green.
 func TestFixturesExerciseEveryRule(t *testing.T) {
 	for _, rule := range AllRules() {
-		diags := Run(loadFixturePkgsT(t, rule.Name()), []Rule{rule})
-		found := false
-		for _, d := range diags {
-			if d.Rule == rule.Name() {
-				found = true
-				break
-			}
+		golden := filepath.Join("testdata", rule.Name(), "expected.txt")
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Errorf("rule %s has no fixture golden: %v", rule.Name(), err)
+			continue
 		}
-		if !found {
-			t.Errorf("fixture testdata/%s produces no %s findings", rule.Name(), rule.Name())
+		if !strings.Contains(string(want), "["+rule.Name()+"] ") {
+			t.Errorf("golden %s holds no %s findings", golden, rule.Name())
 		}
 	}
 }

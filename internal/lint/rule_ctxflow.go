@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -38,10 +37,9 @@ func (CtxFlowRule) CheckModule(a *Analysis, report ReportFunc) {
 		if !underSim(fi.pkg.Rel) {
 			continue
 		}
-		tainted := ctxParams(fi.pkg, fi.decl)
-		if len(tainted) > 0 {
-			growTaint(fi.pkg.Info, fi.decl.Body, tainted)
-			checkCtxSites(a, fi, tainted, report)
+		if carriers := ctxParams(fi.pkg, fi.decl); len(carriers) > 0 {
+			growTaint(fi.pkg.Info, fi.decl.Body, carriers)
+			checkCtxSites(a, fi, refersTo(fi.pkg.Info, carriers), report)
 		}
 	}
 	for _, p := range a.Pkgs {
@@ -81,21 +79,22 @@ func ctxCarrierType(t types.Type) bool {
 	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "context" && n.Obj().Name() == "Context"
 }
 
-// growTaint extends the tainted set through assignments whose right side
-// mentions a tainted value, to a fixed point. Flow-insensitive and
+// growTaint extends the carriers set through assignments whose right
+// side mentions a carrier, to a fixed point. Flow-insensitive and
 // therefore over-approximate about WHAT is tainted — which makes the
 // rule under-approximate about what it flags.
-func growTaint(info *types.Info, body *ast.BlockStmt, tainted map[types.Object]bool) {
+func growTaint(info *types.Info, body *ast.BlockStmt, carriers map[types.Object]bool) {
+	tainted := refersTo(info, carriers)
 	mark := func(lhs ast.Expr) bool {
 		id, ok := ast.Unparen(lhs).(*ast.Ident)
 		if !ok {
 			return false
 		}
 		obj := info.ObjectOf(id)
-		if obj == nil || tainted[obj] {
+		if obj == nil || carriers[obj] {
 			return false
 		}
-		tainted[obj] = true
+		carriers[obj] = true
 		return true
 	}
 	for changed := true; changed; {
@@ -106,7 +105,7 @@ func growTaint(info *types.Info, body *ast.BlockStmt, tainted map[types.Object]b
 				return false
 			case *ast.AssignStmt:
 				if len(n.Lhs) > 1 && len(n.Rhs) == 1 {
-					if mentionsTainted(info, n.Rhs[0], tainted) {
+					if anyNode(n.Rhs[0], nil, tainted) {
 						for _, l := range n.Lhs {
 							changed = mark(l) || changed
 						}
@@ -114,13 +113,13 @@ func growTaint(info *types.Info, body *ast.BlockStmt, tainted map[types.Object]b
 					return true
 				}
 				for i, l := range n.Lhs {
-					if i < len(n.Rhs) && mentionsTainted(info, n.Rhs[i], tainted) {
+					if i < len(n.Rhs) && anyNode(n.Rhs[i], nil, tainted) {
 						changed = mark(l) || changed
 					}
 				}
 			case *ast.ValueSpec:
 				for i, name := range n.Names {
-					if i < len(n.Values) && mentionsTainted(info, n.Values[i], tainted) {
+					if i < len(n.Values) && anyNode(n.Values[i], nil, tainted) {
 						changed = mark(name) || changed
 					}
 				}
@@ -130,98 +129,59 @@ func growTaint(info *types.Info, body *ast.BlockStmt, tainted map[types.Object]b
 	}
 }
 
-// mentionsTainted reports whether the subtree uses any tainted object.
-func mentionsTainted(info *types.Info, n ast.Node, tainted map[types.Object]bool) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := m.(*ast.Ident); ok && tainted[info.ObjectOf(id)] {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// checkCtxSites walks the body and reports each blocking site the
-// context cannot reach.
-func checkCtxSites(a *Analysis, fi *funcInfo, tainted map[types.Object]bool, report ReportFunc) {
-	info := fi.pkg.Info
-	var comm [][2]token.Pos
-	inComm := func(pos token.Pos) bool {
-		for _, r := range comm {
-			if r[0] <= pos && pos < r[1] {
-				return true
-			}
-		}
-		return false
-	}
-	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit, *ast.GoStmt:
-			return false
+// checkCtxSites reports each blocking site of the declaration the
+// context cannot reach: a select with no tainted comm clause, a send,
+// receive, or range on an untainted channel, or a blocking call none of
+// whose arguments, receiver included, is tainted.
+func checkCtxSites(a *Analysis, fi *funcInfo, tainted func(ast.Node) bool, report ReportFunc) {
+	name := fi.obj.Name()
+	for _, s := range fi.concSites {
+		switch n := s.node.(type) {
 		case *ast.SelectStmt:
-			covered := false
-			for _, c := range n.Body.List {
-				cc := c.(*ast.CommClause)
-				if cc.Comm == nil {
-					covered = true // default: the select cannot block
-					continue
-				}
-				comm = append(comm, [2]token.Pos{cc.Comm.Pos(), cc.Comm.End()})
-				if mentionsTainted(info, cc.Comm, tainted) {
-					covered = true
-				}
-			}
-			if !covered {
-				report(fi.pkg, n.Pos(), "select can block forever in %s, which receives a context; add a <-ctx.Done() case", fi.obj.Name())
+			if !anyCommTainted(n, tainted) {
+				report(fi.pkg, n.Pos(), "select can block forever in %s, which receives a context; add a <-ctx.Done() case", name)
 			}
 		case *ast.SendStmt:
-			if !inComm(n.Pos()) && !mentionsTainted(info, n.Chan, tainted) {
-				report(fi.pkg, n.Pos(), "channel send can block forever in %s, which receives a context; select on it together with <-ctx.Done()", fi.obj.Name())
+			if !anyNode(n.Chan, nil, tainted) {
+				report(fi.pkg, n.Pos(), "channel send can block forever in %s, which receives a context; select on it together with <-ctx.Done()", name)
 			}
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW && !inComm(n.Pos()) && !mentionsTainted(info, n.X, tainted) {
-				report(fi.pkg, n.Pos(), "channel receive can block forever in %s, which receives a context; select on it together with <-ctx.Done()", fi.obj.Name())
+			if !anyNode(n.X, nil, tainted) {
+				report(fi.pkg, n.Pos(), "channel receive can block forever in %s, which receives a context; select on it together with <-ctx.Done()", name)
 			}
 		case *ast.RangeStmt:
-			if _, ok := typeUnder(info.TypeOf(n.X)).(*types.Chan); ok && !mentionsTainted(info, n.X, tainted) {
-				report(fi.pkg, n.Pos(), "range over a channel unrelated to the context in %s; the loop outlives a canceled caller", fi.obj.Name())
+			if !anyNode(n.X, nil, tainted) {
+				report(fi.pkg, n.Pos(), "range over a channel unrelated to the context in %s; the loop outlives a canceled caller", name)
 			}
 		case *ast.CallExpr:
-			fn := origin(calleeFunc(info, n))
-			if fn == nil {
-				break
+			if desc, blocks := a.siteBlocks(s); blocks && !ctxReaches(n, tainted) {
+				report(fi.pkg, n.Pos(), "blocking %s in %s does not receive the function's context", desc, name)
 			}
-			desc, _, isBlocking := blockingCall(fn)
-			if !isBlocking {
-				cf := a.byObj[fn]
-				if cf == nil || !cf.blocks {
-					break
-				}
-				desc = "call to " + shortFuncName(fn) + " (" + cf.blocksWhy + ")"
-			}
-			if ctxReaches(info, n, tainted) {
-				break
-			}
-			report(fi.pkg, n.Pos(), "blocking %s in %s does not receive the function's context", desc, fi.obj.Name())
 		}
-		return true
-	})
+	}
+}
+
+// anyCommTainted reports whether one of the select's comm clauses
+// mentions a tainted value, e.g. a <-ctx.Done() case.
+func anyCommTainted(sel *ast.SelectStmt, tainted func(ast.Node) bool) bool {
+	for _, c := range sel.Body.List {
+		if comm := c.(*ast.CommClause).Comm; comm != nil && anyNode(comm, nil, tainted) {
+			return true
+		}
+	}
+	return false
 }
 
 // ctxReaches reports whether a tainted value flows into the call via an
 // argument or the method receiver.
-func ctxReaches(info *types.Info, call *ast.CallExpr, tainted map[types.Object]bool) bool {
+func ctxReaches(call *ast.CallExpr, tainted func(ast.Node) bool) bool {
 	for _, arg := range call.Args {
-		if mentionsTainted(info, arg, tainted) {
+		if anyNode(arg, nil, tainted) {
 			return true
 		}
 	}
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		return mentionsTainted(info, sel.X, tainted)
+		return anyNode(sel.X, nil, tainted)
 	}
 	return false
 }

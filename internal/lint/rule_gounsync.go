@@ -65,7 +65,11 @@ func checkSpawn(a *Analysis, fi *funcInfo, sp goSpawn, report ReportFunc) {
 			report(p, sp.stmt.Pos(), "goroutine captures %s, which is also written outside the goroutine without sync/atomic/channel mediation", v.Name())
 			continue
 		}
-		if wInside && mentionedAfter(p.Info, fi.decl, v, sp.stmt.End(), sp.lit) {
+		usedAfter := func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			return ok && id.Pos() > sp.stmt.End() && p.Info.ObjectOf(id) == v
+		}
+		if wInside && anyNode(fi.decl, func(n ast.Node) bool { return n == sp.lit }, usedAfter) {
 			report(p, sp.stmt.Pos(), "goroutine writes captured %s, which is used after the spawn without sync/atomic/channel mediation", v.Name())
 		}
 	}
@@ -99,41 +103,37 @@ func mediatedType(t types.Type) bool {
 // Go ≥1.22 semantics), and slice element stores (the slot-addressed
 // pattern) do not count as mutation.
 func writesVar(info *types.Info, root ast.Node, v *types.Var, except ast.Node, after token.Pos) bool {
-	found := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if found || n == except {
-			return false
+	write := func(n ast.Node) bool { return isWriteOf(info, n, v) && nodeAfter(n, after) }
+	isExcept := func(n ast.Node) bool { return n == except }
+	// A loop whose clause owns v answers for its own subtree.
+	prune := func(n ast.Node) bool { return n == except || loopOwns(info, n, v) }
+	return anyNode(root, prune, func(n ast.Node) bool {
+		if !loopOwns(info, n, v) {
+			return write(n)
 		}
 		switch n := n.(type) {
 		case *ast.RangeStmt:
-			// Key/Value are per-iteration; inspect X and Body only.
-			if targetsVar(info, n.Key, v) || targetsVar(info, n.Value, v) {
-				ast.Inspect(n.Body, func(m ast.Node) bool {
-					if found || m == except {
-						return false
-					}
-					found = found || (isWriteOf(info, m, v) && nodeAfter(m, after))
-					return !found
-				})
-				if n.X != nil {
-					found = found || writesVar(info, n.X, v, except, after)
-				}
-				return false
-			}
+			// Key/Value are per-iteration; search X and Body only.
+			return anyNode(n.Body, isExcept, write) || n.X != nil && writesVar(info, n.X, v, except, after)
 		case *ast.ForStmt:
 			// Init/Post writes to v are the per-iteration loop clause.
-			if clauseWrites(info, n, v) {
-				if n.Cond != nil {
-					found = found || writesVar(info, n.Cond, v, except, after)
-				}
-				found = found || writesVar(info, n.Body, v, except, after)
-				return false
-			}
+			return n.Cond != nil && writesVar(info, n.Cond, v, except, after) || writesVar(info, n.Body, v, except, after)
 		}
-		found = found || (isWriteOf(info, n, v) && nodeAfter(n, after))
-		return !found
+		return false
 	})
-	return found
+}
+
+// loopOwns reports whether n is a for or range statement whose clause
+// declares or steps v: a range with v as key or value, or a for loop
+// whose init or post writes v.
+func loopOwns(info *types.Info, n ast.Node, v *types.Var) bool {
+	switch n := n.(type) {
+	case *ast.RangeStmt:
+		return targetsVar(info, n.Key, v) || targetsVar(info, n.Value, v)
+	case *ast.ForStmt:
+		return clauseWrites(info, n, v)
+	}
+	return false
 }
 
 // nodeAfter reports whether n starts after pos (always true for NoPos).
@@ -148,12 +148,7 @@ func clauseWrites(info *types.Info, f *ast.ForStmt, v *types.Var) bool {
 		if s == nil {
 			continue
 		}
-		w := false
-		ast.Inspect(s, func(n ast.Node) bool {
-			w = w || isWriteOf(info, n, v)
-			return !w
-		})
-		if w {
+		if anyNode(s, nil, func(n ast.Node) bool { return isWriteOf(info, n, v) }) {
 			return true
 		}
 	}
@@ -208,20 +203,4 @@ func targetsVar(info *types.Info, e ast.Expr, v *types.Var) bool {
 	}
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	return ok && info.ObjectOf(id) == v
-}
-
-// mentionedAfter reports whether v is used in root at a position after
-// pos, outside the subtree except.
-func mentionedAfter(info *types.Info, root ast.Node, v *types.Var, pos token.Pos, except ast.Node) bool {
-	found := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if found || n == except {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && id.Pos() > pos && info.ObjectOf(id) == v {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

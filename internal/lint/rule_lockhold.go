@@ -16,10 +16,12 @@ import (
 // from x.Lock() until a matching x.Unlock() (x.RUnlock() for RLock) on
 // that path. A deferred unlock keeps the lock held to the function's
 // exit, so everything after the defer is still a held region — the
-// classic lock-then-defer-then-block wedge. Blocking comes from the same
-// lattice as the summaries (conc.go) plus transitively-blocking module
-// callees; sync.Cond.Wait is exempt because Wait releases the mutex
-// while parked — the worker-pool idiom must pass clean.
+// classic lock-then-defer-then-block wedge. A loop carries the lock
+// around its back edge, so a receive above a Lock in the same loop body
+// runs held from the second iteration on. Blocking comes from the shared
+// walker (conc.go), transitively-blocking module callees included;
+// sync.Cond.Wait is exempt because Wait releases the mutex while parked
+// — the worker-pool idiom must pass clean.
 type LockHoldRule struct{}
 
 func (LockHoldRule) Name() string { return "lockhold" }
@@ -79,32 +81,22 @@ func checkLockPaths(a *Analysis, fi *funcInfo, unit ast.Node, report ReportFunc)
 		if blk == nil {
 			continue
 		}
+		line := fi.pkg.Fset.Position(acq.stmt.Pos()).Line
 		reported := map[token.Pos]bool{}
-		visited := map[int]bool{blk.id: true}
-		var walk func(b *cfgBlock, start int)
-		walk = func(b *cfgBlock, start int) {
-			for i := start; i < len(b.nodes); i++ {
-				n := b.nodes[i]
-				if n != acq.stmt && releasesLock(fi.pkg.Info, n, acq) {
+		g.walkForward(blk, idx+1, func(n ast.Node) pathStep {
+			if n == acq.stmt || releasesLock(fi.pkg.Info, n, acq) {
+				return pathEnd
+			}
+			walkBlocking(fi.pkg.Info, n, true, func(s blockSite) {
+				desc, blocks := a.siteBlocks(s)
+				if !blocks || s.kind == blockKindCondWait || reported[s.node.Pos()] {
 					return
 				}
-				for _, site := range blockingSitesIn(a, fi.pkg.Info, n) {
-					if reported[site.pos] {
-						continue
-					}
-					reported[site.pos] = true
-					line := fi.pkg.Fset.Position(acq.stmt.Pos()).Line
-					report(fi.pkg, site.pos, "%s (locked at line %d) is held across %s; release the lock before blocking", acq.key, line, site.desc)
-				}
-			}
-			for _, s := range b.succs {
-				if !visited[s.id] {
-					visited[s.id] = true
-					walk(s, 0)
-				}
-			}
-		}
-		walk(blk, idx+1)
+				reported[s.node.Pos()] = true
+				report(fi.pkg, s.node.Pos(), "%s (locked at line %d) is held across %s; release the lock before blocking", acq.key, line, desc)
+			})
+			return pathOn
+		}, nil)
 	}
 }
 
@@ -142,24 +134,23 @@ func releasesLock(info *types.Info, n ast.Node, acq lockAcq) bool {
 	if acq.rlock {
 		want = "RUnlock"
 	}
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		switch m := m.(type) {
+	prune := func(m ast.Node) bool {
+		switch m.(type) {
 		case *ast.FuncLit, *ast.DeferStmt, *ast.GoStmt:
-			return false
-		case *ast.CallExpr:
-			fn := origin(calleeFunc(info, m))
-			if fn == nil || funcPkgPath(fn) != "sync" || fn.Name() != want {
-				return true
-			}
-			if sel, ok := ast.Unparen(m.Fun).(*ast.SelectorExpr); ok && types.ExprString(sel.X) == acq.key {
-				found = true
-			}
+			return true
 		}
-		return !found
+		return false
+	}
+	return anyNode(n, prune, func(m ast.Node) bool {
+		call, ok := m.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		fn := origin(calleeFunc(info, call))
+		if fn == nil || funcPkgPath(fn) != "sync" || fn.Name() != want {
+			return false
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		return ok && types.ExprString(sel.X) == acq.key
 	})
-	return found
 }

@@ -136,31 +136,20 @@ func sortedLater(p *Package, fn ast.Node, obj types.Object) bool {
 	if fn == nil || obj == nil {
 		return false
 	}
-	found := false
-	ast.Inspect(fn, func(n ast.Node) bool {
-		if found {
-			return false
-		}
+	usesObj := refersTo(p.Info, map[types.Object]bool{obj: true})
+	return anyNode(fn, nil, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
-			return true
+			return false
 		}
-		cf := calleeFunc(p.Info, call)
-		if cf == nil {
-			return true
-		}
-		if pp := funcPkgPath(cf); pp != "sort" && pp != "slices" {
-			return true
+		if pp := funcPkgPath(calleeFunc(p.Info, call)); pp != "sort" && pp != "slices" {
+			return false
 		}
 		for _, arg := range call.Args {
-			ast.Inspect(arg, func(m ast.Node) bool {
-				if id, ok := m.(*ast.Ident); ok && p.Info.ObjectOf(id) == obj {
-					found = true
-				}
-				return !found
-			})
+			if anyNode(arg, nil, usesObj) {
+				return true
+			}
 		}
-		return !found
+		return false
 	})
-	return found
 }

@@ -128,74 +128,45 @@ const (
 
 // firstLeakPath walks forward from the acquisition and returns the first
 // path that reaches a return (or falls off the function's end) without
-// the resource being used. DFS in block-construction order, so the
-// reported path is deterministic.
+// the resource being used.
 func firstLeakPath(info *types.Info, g *CFG, blk *cfgBlock, idx int, acq resAcq) (token.Pos, int) {
-	visited := map[int]bool{blk.id: true}
-	var leakPos token.Pos
-	leakKind := leakNone
-	var walk func(b *cfgBlock, start int)
-	walk = func(b *cfgBlock, start int) {
-		if leakKind != leakNone {
-			return
+	leakPos, leakKind := token.NoPos, leakNone
+	usesV := refersTo(info, map[types.Object]bool{acq.v: true})
+	usesErr := refersTo(info, map[types.Object]bool{acq.errVar: true})
+	g.walkForward(blk, idx+1, func(n ast.Node) pathStep {
+		if n == acq.stmt {
+			return pathEnd // looped back: the variable is reacquired here
 		}
-		var last ast.Node
-		for i := start; i < len(b.nodes); i++ {
-			n := b.nodes[i]
-			last = n
-			if n == acq.stmt {
-				return // looped back: the variable is reacquired here
-			}
-			if usesResource(info, n, acq.v) {
-				return
-			}
-			// A STATEMENT touching the acquisition's error variable marks
-			// the error-handling path (return err, lastErr = err, a log) —
-			// the resource does not exist there. Condition EXPRESSIONS are
-			// excluded: `if err != nil` is anchored in the block both
-			// branches share, so counting it would exempt every path.
-			if acq.errVar != nil {
-				if _, isStmt := n.(ast.Stmt); isStmt && mentionsObj(info, n, acq.errVar) {
-					return
-				}
-			}
-			if ret, ok := n.(*ast.ReturnStmt); ok {
-				leakPos, leakKind = ret.Pos(), leakReturn
-				return
-			}
-			if terminatesProcess(info, n) {
-				return
-			}
+		// Any mention of v discharges ownership, except the blank `_ = v`
+		// assignment, which exists precisely to fake a use.
+		if as, ok := n.(*ast.AssignStmt); !(ok && blankAssign(as)) && anyNode(n, nil, usesV) {
+			return pathEnd
 		}
-		if len(b.succs) == 0 {
-			// Fell off the end of the unit: an implicit return.
-			pos := acq.stmt.End()
-			if last != nil {
-				pos = last.End()
-			}
-			leakPos, leakKind = pos, leakExit
-			return
+		// A STATEMENT touching the acquisition's error variable marks
+		// the error-handling path (return err, lastErr = err, a log) —
+		// the resource does not exist there. Condition EXPRESSIONS are
+		// excluded: `if err != nil` is anchored in the block both
+		// branches share, so counting it would exempt every path.
+		if _, isStmt := n.(ast.Stmt); isStmt && acq.errVar != nil && anyNode(n, nil, usesErr) {
+			return pathEnd
 		}
-		for _, s := range b.succs {
-			if !visited[s.id] {
-				visited[s.id] = true
-				walk(s, 0)
-			}
+		if ret, ok := n.(*ast.ReturnStmt); ok {
+			leakPos, leakKind = ret.Pos(), leakReturn
+			return walkEnd
 		}
-	}
-	walk(blk, idx+1)
+		if terminatesProcess(info, n) {
+			return pathEnd
+		}
+		return pathOn
+	}, func(last ast.Node) pathStep {
+		// Fell off the end of the unit: an implicit return.
+		leakPos, leakKind = acq.stmt.End(), leakExit
+		if last != nil {
+			leakPos = last.End()
+		}
+		return walkEnd
+	})
 	return leakPos, leakKind
-}
-
-// usesResource reports whether node n uses v in a way that transfers or
-// discharges ownership: any mention — a Close, an argument position, a
-// return, a store, a closure capture — except the blank `_ = v`
-// assignment, which exists precisely to fake a use.
-func usesResource(info *types.Info, n ast.Node, v types.Object) bool {
-	if as, ok := n.(*ast.AssignStmt); ok && blankAssign(as) {
-		return false
-	}
-	return mentionsObj(info, n, v)
 }
 
 // blankAssign matches `_ = x` (and `_, _ = x, y`): all-blank targets
@@ -218,56 +189,31 @@ func blankAssign(as *ast.AssignStmt) bool {
 	return true
 }
 
-// mentionsObj reports whether the subtree contains an identifier
-// resolving to obj.
-func mentionsObj(info *types.Info, n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := m.(*ast.Ident); ok && info.ObjectOf(id) == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // terminatesProcess reports whether n unconditionally ends the process
 // or goroutine: panic, os.Exit, log.Fatal*, runtime.Goexit. Paths into
 // them cannot leak into a live process.
 func terminatesProcess(info *types.Info, n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
+	return anyNode(n, nil, func(m ast.Node) bool {
 		call, ok := m.(*ast.CallExpr)
 		if !ok {
-			return true
+			return false
 		}
 		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 			if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "panic" {
-				found = true
-				return false
+				return true
 			}
 		}
 		fn := origin(calleeFunc(info, call))
-		if fn == nil {
-			return true
-		}
 		switch funcPkgPath(fn) {
 		case "os":
-			found = found || fn.Name() == "Exit"
+			return fn.Name() == "Exit"
 		case "log":
-			found = found || fn.Name() == "Fatal" || fn.Name() == "Fatalf" || fn.Name() == "Fatalln"
+			return fn.Name() == "Fatal" || fn.Name() == "Fatalf" || fn.Name() == "Fatalln"
 		case "runtime":
-			found = found || fn.Name() == "Goexit"
+			return fn.Name() == "Goexit"
 		}
-		return !found
+		return false
 	})
-	return found
 }
 
 // resourceCall classifies the stdlib acquisitions the rule tracks.

@@ -77,23 +77,11 @@ func isAssignTarget(stack []ast.Node, expr ast.Expr) bool {
 			continue
 		}
 		for _, lhs := range as.Lhs {
-			if containsNode(lhs, expr) {
+			if anyNode(lhs, nil, func(n ast.Node) bool { return n == expr }) {
 				return true
 			}
 		}
 		return false
 	}
 	return false
-}
-
-// containsNode reports whether needle appears within root.
-func containsNode(root ast.Node, needle ast.Node) bool {
-	found := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == needle {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

@@ -88,3 +88,14 @@ func (s *S) Drain() int {
 	s.mu.Unlock()
 	return v
 }
+
+// LoopBack takes the lock at the bottom of an endless loop and never
+// releases it, so from the second iteration on the receive runs with
+// s.mu held: the path reaches it around the loop's back edge.
+func (s *S) LoopBack() {
+	for {
+		<-s.q
+		s.mu.Lock()
+		s.v++
+	}
+}

@@ -3,8 +3,9 @@
 # build END TO END, not just in fixture tests. A file carrying one
 # violation per rule — a leaked goroutine, a ctx-less blocking call, a
 # lock held across an HTTP round-trip, a leaked file — is injected into
-# internal/serve, lintwheels must exit nonzero naming all four rules at
-# that file, and the injection is removed again on every exit path.
+# internal/serve, lintwheels must exit nonzero with exactly one finding
+# per rule at that file (a site reported twice fails too), and the
+# injection is removed again on every exit path.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -71,8 +72,9 @@ fi
 
 fail=0
 for rule in goleak ctxflow lockhold resleak; do
-	if ! printf '%s\n' "$out" | grep -q "zz_injected_violations\.go:[0-9]*:[0-9]*: \[$rule\]"; then
-		echo "lint-inject-smoke: FAIL — no $rule finding at the injected file" >&2
+	n=$(printf '%s\n' "$out" | grep -c "zz_injected_violations\.go:[0-9]*:[0-9]*: \[$rule\]" || true)
+	if [ "$n" -ne 1 ]; then
+		echo "lint-inject-smoke: FAIL — $n $rule findings at the injected file, want exactly 1" >&2
 		fail=1
 	fi
 done
@@ -82,4 +84,4 @@ if [ "$fail" -ne 0 ]; then
 fi
 
 printf '%s\n' "$out"
-echo "lint-inject-smoke: OK — all four injected violations detected and the gate failed as required"
+echo "lint-inject-smoke: OK — each injected violation detected exactly once and the gate failed as required"
