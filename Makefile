@@ -65,9 +65,16 @@ lint-inject-smoke:
 
 # smoke runs a short instrumented campaign end to end through the real
 # CLI: dataset + CSV export + run manifest (manifest.json is the CI
-# artifact). Fails on any CLI regression the unit tests sit below.
+# artifact). Fails on any CLI regression the unit tests sit below. It
+# then reruns the campaign with one and with two lane slots and requires
+# the same dataset bytes: two slots for three lanes is the path where
+# lanes wait on each other for a slot.
 smoke:
 	$(GO) run ./cmd/drivetest -seed 1 -limit-km 50 -metrics manifest.json -out smoke-dataset.json
+	$(GO) run ./cmd/drivetest -seed 1 -limit-km 50 -workers 1 -out smoke-dataset-w1.json
+	$(GO) run ./cmd/drivetest -seed 1 -limit-km 50 -workers 2 -out smoke-dataset-w2.json
+	cmp smoke-dataset-w1.json smoke-dataset-w2.json
+	cmp smoke-dataset.json smoke-dataset-w1.json
 
 # fleet-smoke runs a 3-replicate fleet through the real fleetrun binary:
 # scenario parsing, the worker pool, streaming reduction, and the report/

@@ -2,6 +2,9 @@ package cellwheels
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -153,8 +156,54 @@ func TestWorkersByteIdentical(t *testing.T) {
 	if again := jsonFor(1); !bytes.Equal(serial, again) {
 		t.Error("Workers:1 is not reproducible run-over-run")
 	}
-	if parallel := jsonFor(3); !bytes.Equal(serial, parallel) {
-		t.Error("Workers:3 output differs from Workers:1")
+	for _, workers := range []int{2, 3} {
+		if parallel := jsonFor(workers); !bytes.Equal(serial, parallel) {
+			t.Errorf("Workers:%d output differs from Workers:1", workers)
+		}
+	}
+}
+
+// TestDatasetGolden pins the engine's output to fixed digests, so a
+// change that is deterministic but different (same bytes on every run,
+// other bytes than before) still fails here and not only in the bench
+// module's goldens. Workers 2 runs three lanes on two slots.
+func TestDatasetGolden(t *testing.T) {
+	const (
+		quickDataset = "45f69419592d3b2add765a81243821ae189ae89643ea2b94bda02f0e2e8a2370"
+		quickReport  = "03d9dea4de20a39a4a9f8919ba1fc44cdd1244388d30248aa35b8c687b1b7a2d"
+		crowdDataset = "f065b6f91eb28876793d8d349fa66292c5f6ff75249e450d36ae42a7be0e3b01"
+		crowdReport  = "02e3e7b0331433399192042a2685d2f16b733356f50af6922d8f250175c59ded"
+	)
+	type golden struct {
+		cfg             Config
+		dataset, report string
+	}
+	cases := map[string]golden{"crowd": {crowdConfig(2), crowdDataset, crowdReport}}
+	for _, workers := range []int{1, 2, 3} {
+		cfg := Config{Seed: 21, LimitKm: 40, VideoSeconds: 20, GamingSeconds: 15, Workers: workers}
+		cases[fmt.Sprintf("workers=%d", workers)] = golden{cfg, quickDataset, quickReport}
+	}
+	digest := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			s, err := Run(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := s.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(buf.Bytes()); got != tc.dataset {
+				t.Errorf("dataset sha256 = %s, want %s", got, tc.dataset)
+			}
+			if got := digest([]byte(s.Report())); got != tc.report {
+				t.Errorf("report sha256 = %s, want %s", got, tc.report)
+			}
+		})
 	}
 }
 

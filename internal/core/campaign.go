@@ -10,15 +10,15 @@
 // a shared geo.Timeline — the deterministic drive schedule, including the
 // fixed-budget static hold windows — and one lane per operator, each
 // owning a phone, an XCAL recorder, a passive handover logger, and its
-// deployment map. Lanes replay the timeline independently, so they run
-// concurrently; outputs are merged in fixed operator order, which makes
-// the result byte-identical for every worker count.
+// deployment map. The drive is stepped once per campaign and every lane
+// replays it block by block, concurrently; outputs are merged in fixed
+// operator order, which makes the result byte-identical for every worker
+// count.
 package core
 
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"github.com/nuwins/cellwheels/internal/apps/offload"
@@ -60,7 +60,7 @@ type Config struct {
 	// the full route. Tests and benches use small limits.
 	Limit unit.Meters
 
-	// Workers caps how many operator lanes are simulated concurrently.
+	// Workers caps how many operator lanes step the drive concurrently.
 	// Zero means GOMAXPROCS; values above the operator count are clamped.
 	// Every value produces byte-identical output: lanes are individually
 	// deterministic and their logs are merged in fixed operator order.
@@ -398,10 +398,10 @@ func crowdMeasureTicks(cfg speedtest.Config) int64 {
 // session (4..28 units).
 const crowdMeasureUnits = 30
 
-// Run executes the campaign and returns the raw logs. Lanes replay the
-// shared timeline on up to Config.Workers goroutines; the raw logs are
-// collected in fixed operator order, so the output does not depend on
-// scheduling.
+// Run executes the campaign and returns the raw logs. The drive is
+// stepped once and every lane replays it, with at most Config.Workers
+// lanes stepping at a time (see runLanes); the raw logs are collected in
+// fixed operator order, so the output does not depend on scheduling.
 func (c *Campaign) Run() Raw {
 	workers := c.cfg.Workers
 	if workers <= 0 {
@@ -430,24 +430,7 @@ func (c *Campaign) Run() Raw {
 	})
 	defer stopProgress()
 
-	jobs := make(chan *lane)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for l := range jobs {
-				stopLane := rec.StartPhase("lane/" + l.op.Short())
-				l.run(c.timeline.Cursor())
-				stopLane()
-			}
-		}()
-	}
-	for _, l := range c.lanes {
-		jobs <- l
-	}
-	close(jobs)
-	wg.Wait()
+	runLanes(c.timeline, c.lanes, workers, rec)
 
 	return c.collect()
 }

@@ -29,68 +29,76 @@ type lane struct {
 	reg          *ue.Registry
 	crowdResults []speedtest.Result
 
+	// Replay state carried from one block to the next: whether a static
+	// battery is running, and the last tick's drive state.
+	inStatic bool
+	last     geo.DriveState
+
 	// Observability side channel (write-only; nil-safe when obs is off).
 	obsTicks *obs.Counter
 	obsOdoKm *obs.Gauge
 }
 
-// run replays the timeline through this lane's instruments. This loop
-// is Campaign.Run's per-tick body — every 50 ms simulated step of every
-// drive goes through it.
+// step replays one block of the shared timeline through this lane's
+// instruments, carrying its static-battery state across blocks. This
+// loop is Campaign.Run's per-tick body — every 50 ms simulated step of
+// every drive goes through it — so it reads each tick in place and
+// hands the drive state on by pointer.
 //
 //lint:hotroot — the campaign tick loop; everything it reaches runs per 50 ms step
-func (l *lane) run(cur *geo.Cursor) {
+func (l *lane) step(blk []geo.TickState) {
 	p := l.phone
-	inStatic := false
-	var last geo.DriveState
-	for {
-		ts, ok := cur.Next()
-		if !ok {
-			break
-		}
+	for i := range blk {
+		ts := &blk[i]
+		ds := &ts.DriveState
 		// The crowd moves first, so the phone and logger read this tick's
 		// demand aggregates. The lane owns the clock: tick→time is not
 		// linear (overnight jumps between trip days), so the registry is
 		// handed the timeline's instant rather than deriving its own.
 		if l.reg != nil {
-			l.reg.Advance(ts.Time)
+			l.reg.Advance(ds.Time)
 		}
 		if ts.HoldFirst {
 			// Static baseline battery: carriers without high-speed 5G
 			// near the stop are skipped, as the paper skipped
 			// operator-city combinations without mmWave/midband.
-			avail := l.m.AvailableWithin(ts.Odometer, staticSearchWindow)
+			avail := l.m.AvailableWithin(ds.Odometer, staticSearchWindow)
 			if avail.Has(radio.NRMmWave) || avail.Has(radio.NRMid) {
 				if p.rec.Recording() {
-					p.finishTest(l.cfg, ts.DriveState)
+					p.finishTest(l.cfg, ds)
 				}
 				p.static = true
 				p.ue.SetStaticMode(true)
 				p.specIdx = 0
 				p.gapLeft = l.cfg.TestGap
-				inStatic = true
+				l.inStatic = true
 			}
 		}
 
-		p.tick(l.cfg, ts.DriveState)
+		p.tick(l.cfg, ds)
 		if l.logger != nil {
-			l.logger.Step(ts.Time, ts.Waypoint, ts.Speed.MPH(), Tick)
+			l.logger.Step(ds.Time, ds.Waypoint, ds.Speed.MPH(), Tick)
 		}
 
-		if ts.HoldLast && inStatic {
+		if ts.HoldLast && l.inStatic {
 			if p.rec.Recording() {
-				p.finishTest(l.cfg, ts.DriveState)
+				p.finishTest(l.cfg, ds)
 			}
 			p.static = false
 			p.ue.SetStaticMode(false)
-			inStatic = false
+			l.inStatic = false
 		}
-		last = ts.DriveState
-		l.obsTicks.Add(1)
-		l.obsOdoKm.Set(ts.Odometer.Km())
 	}
-	// Close any file still open at trip end.
-	if p.rec.Recording() {
-		p.finishTest(l.cfg, last)
+	if n := len(blk); n > 0 {
+		l.last = blk[n-1].DriveState
+		l.obsTicks.Add(int64(n))
+		l.obsOdoKm.Set(l.last.Odometer.Km())
+	}
+}
+
+// finish closes any file still open at trip end.
+func (l *lane) finish() {
+	if l.phone.rec.Recording() {
+		l.phone.finishTest(l.cfg, &l.last)
 	}
 }

@@ -85,7 +85,7 @@ func stampFor(k dataset.TestKind) logsync.StampKind {
 }
 
 // tick advances the phone one simulation step.
-func (p *phone) tick(cfg *Config, ds geo.DriveState) {
+func (p *phone) tick(cfg *Config, ds *geo.DriveState) {
 	if p.inTest {
 		p.tickTest(cfg, ds)
 		return
@@ -101,7 +101,7 @@ func (p *phone) tick(cfg *Config, ds geo.DriveState) {
 // startTest opens the next rotation slot.
 //
 //lint:cold — runs once per test (every ~30 s simulated), not per tick; setup allocations are amortized
-func (p *phone) startTest(cfg *Config, ds geo.DriveState) {
+func (p *phone) startTest(cfg *Config, ds *geo.DriveState) {
 	p.spec = p.specs[p.specIdx]
 	p.specIdx = (p.specIdx + 1) % len(p.specs)
 
@@ -173,7 +173,7 @@ func (p *phone) startTest(cfg *Config, ds geo.DriveState) {
 }
 
 // tickTest advances the active test by one tick.
-func (p *phone) tickTest(cfg *Config, ds geo.DriveState) {
+func (p *phone) tickTest(cfg *Config, ds *geo.DriveState) {
 	st := p.ue.Step(ds.Time, ds.Waypoint, ds.Speed.MPH(), Tick)
 
 	// Forward any new signaling events to the recorder.
@@ -236,7 +236,7 @@ func (p *phone) tickTest(cfg *Config, ds geo.DriveState) {
 // finishTest closes the open test and queues its logs.
 //
 //lint:cold — runs once per test, not per tick; result assembly and log queuing are amortized
-func (p *phone) finishTest(cfg *Config, ds geo.DriveState) {
+func (p *phone) finishTest(cfg *Config, ds *geo.DriveState) {
 	switch p.spec.kind {
 	case dataset.AppAR, dataset.AppCAV:
 		if p.offRun != nil {

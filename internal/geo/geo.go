@@ -34,7 +34,8 @@ func Haversine(a, b LatLon) unit.Meters {
 	la1, lo1 := a.Lat*math.Pi/180, a.Lon*math.Pi/180
 	la2, lo2 := b.Lat*math.Pi/180, b.Lon*math.Pi/180
 	dla, dlo := la2-la1, lo2-lo1
-	h := math.Sin(dla/2)*math.Sin(dla/2) + math.Cos(la1)*math.Cos(la2)*math.Sin(dlo/2)*math.Sin(dlo/2)
+	sa, so := math.Sin(dla/2), math.Sin(dlo/2)
+	h := sa*sa + math.Cos(la1)*math.Cos(la2)*so*so
 	return unit.Meters(2 * earthRadius * math.Asin(math.Min(1, math.Sqrt(h))))
 }
 
@@ -195,6 +196,23 @@ type Route struct {
 	// any point of great-circle bin b (see buildCandidates).
 	candStart  []int32
 	candidates []int32
+
+	// segs holds OdometerOf's per-segment projection constants, one per
+	// pair of consecutive cities.
+	segs []odoSegment
+}
+
+// odoSegment is one route segment in OdometerOf's flat-earth projection:
+// longitude is scaled by cos(latitude of the segment's start) so the
+// axes are commensurate.
+type odoSegment struct {
+	a          LatLon
+	dLat, dLon float64 // b - a, in degrees
+	scale      float64
+	ax, ay     float64 // projected start
+	dx, dy     float64 // projected b - a
+	den        float64 // dx² + dy²
+	gc0, gcLen unit.Meters
 }
 
 // candBin is the great-circle length of one candidate-table bin.
@@ -231,6 +249,7 @@ func NewRoute(cities []City, roadLength unit.Meters) (*Route, error) {
 	}
 	r.placeTowns()
 	r.buildCandidates()
+	r.buildSegments()
 	return r, nil
 }
 
@@ -466,33 +485,49 @@ func (r *Route) At(odo unit.Meters) Waypoint {
 func (r *Route) OdometerOf(loc LatLon) unit.Meters {
 	best := math.Inf(1)
 	var bestOdo unit.Meters
-	for i := 0; i+1 < len(r.cities); i++ {
-		a, b := r.cities[i].Loc, r.cities[i+1].Loc
-		// Flat-earth projection within a segment, with longitude scaled
-		// by cos(latitude) so axes are commensurate.
-		scale := math.Cos(a.Lat * math.Pi / 180)
-		ax, ay := a.Lon*scale, a.Lat
-		bx, by := b.Lon*scale, b.Lat
-		px, py := loc.Lon*scale, loc.Lat
-		dx, dy := bx-ax, by-ay
-		den := dx*dx + dy*dy
+	for i := range r.segs {
+		s := &r.segs[i]
+		px, py := loc.Lon*s.scale, loc.Lat
 		t := 0.0
-		if den > 0 {
-			t = ((px-ax)*dx + (py-ay)*dy) / den
+		if s.den > 0 {
+			t = ((px-s.ax)*s.dx + (py-s.ay)*s.dy) / s.den
 		}
 		if t < 0 {
 			t = 0
 		} else if t > 1 {
 			t = 1
 		}
-		proj := LatLon{Lat: a.Lat + t*(b.Lat-a.Lat), Lon: a.Lon + t*(b.Lon-a.Lon)}
+		proj := LatLon{Lat: s.a.Lat + t*s.dLat, Lon: s.a.Lon + t*s.dLon}
 		if d := float64(Haversine(loc, proj)); d < best {
 			best = d
-			gc := r.cumGC[i] + unit.Meters(t*float64(r.cumGC[i+1]-r.cumGC[i]))
+			gc := s.gc0 + unit.Meters(t*float64(s.gcLen))
 			bestOdo = unit.Meters(float64(gc) * r.factor)
 		}
 	}
 	return bestOdo
+}
+
+// buildSegments precomputes OdometerOf's per-segment constants, which
+// depend only on the route.
+func (r *Route) buildSegments() {
+	for i := 0; i+1 < len(r.cities); i++ {
+		a, b := r.cities[i].Loc, r.cities[i+1].Loc
+		scale := math.Cos(a.Lat * math.Pi / 180)
+		ax, ay := a.Lon*scale, a.Lat
+		bx, by := b.Lon*scale, b.Lat
+		dx, dy := bx-ax, by-ay
+		r.segs = append(r.segs, odoSegment{
+			a:     a,
+			dLat:  b.Lat - a.Lat,
+			dLon:  b.Lon - a.Lon,
+			scale: scale,
+			ax:    ax, ay: ay,
+			dx: dx, dy: dy,
+			den:   dx*dx + dy*dy,
+			gc0:   r.cumGC[i],
+			gcLen: r.cumGC[i+1] - r.cumGC[i],
+		})
+	}
 }
 
 // RegionShares reports the fraction of route length in each region,

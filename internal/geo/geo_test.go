@@ -409,3 +409,89 @@ func TestDefaultRouteShared(t *testing.T) {
 		}
 	}
 }
+
+// haversineRef is Haversine as first written, with each half-angle sine
+// evaluated twice. Haversine must stay bit-identical to it.
+func haversineRef(a, b LatLon) unit.Meters {
+	la1, lo1 := a.Lat*math.Pi/180, a.Lon*math.Pi/180
+	la2, lo2 := b.Lat*math.Pi/180, b.Lon*math.Pi/180
+	dla, dlo := la2-la1, lo2-lo1
+	h := math.Sin(dla/2)*math.Sin(dla/2) + math.Cos(la1)*math.Cos(la2)*math.Sin(dlo/2)*math.Sin(dlo/2)
+	return unit.Meters(2 * earthRadius * math.Asin(math.Min(1, math.Sqrt(h))))
+}
+
+func TestHaversineMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 1_000_000; i++ {
+		a := LatLon{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180}
+		var b LatLon
+		if i%2 == 0 {
+			// Within about a kilometre, as the per-tick callers ask.
+			b = LatLon{Lat: a.Lat + (rng.Float64()-0.5)*0.02, Lon: a.Lon + (rng.Float64()-0.5)*0.02}
+		} else {
+			b = LatLon{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180}
+		}
+		got, want := Haversine(a, b), haversineRef(a, b)
+		if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			t.Fatalf("Haversine(%v, %v) = %v, reference %v", a, b, got, want)
+		}
+	}
+}
+
+// odometerOfRef is OdometerOf as first written, recomputing each
+// segment's projection constants on every call.
+func odometerOfRef(r *Route, loc LatLon) unit.Meters {
+	best := math.Inf(1)
+	var bestOdo unit.Meters
+	for i := 0; i+1 < len(r.cities); i++ {
+		a, b := r.cities[i].Loc, r.cities[i+1].Loc
+		scale := math.Cos(a.Lat * math.Pi / 180)
+		ax, ay := a.Lon*scale, a.Lat
+		bx, by := b.Lon*scale, b.Lat
+		px, py := loc.Lon*scale, loc.Lat
+		dx, dy := bx-ax, by-ay
+		den := dx*dx + dy*dy
+		t := 0.0
+		if den > 0 {
+			t = ((px-ax)*dx + (py-ay)*dy) / den
+		}
+		if t < 0 {
+			t = 0
+		} else if t > 1 {
+			t = 1
+		}
+		proj := LatLon{Lat: a.Lat + t*(b.Lat-a.Lat), Lon: a.Lon + t*(b.Lon-a.Lon)}
+		if d := float64(haversineRef(loc, proj)); d < best {
+			best = d
+			gc := r.cumGC[i] + unit.Meters(t*float64(r.cumGC[i+1]-r.cumGC[i]))
+			bestOdo = unit.Meters(float64(gc) * r.factor)
+		}
+	}
+	return bestOdo
+}
+
+func TestOdometerOfMatchesReference(t *testing.T) {
+	r := DefaultRoute()
+	var pts []LatLon
+	rng := rand.New(rand.NewSource(11))
+	minLat, maxLat, minLon, maxLon := 90.0, -90.0, 180.0, -180.0
+	for odo := unit.Meters(0); odo <= r.Total(); odo += 500 * unit.Meter {
+		p := r.At(odo).Loc
+		minLat, maxLat = math.Min(minLat, p.Lat), math.Max(maxLat, p.Lat)
+		minLon, maxLon = math.Min(minLon, p.Lon), math.Max(maxLon, p.Lon)
+		// On the route, and jittered a few km off it.
+		pts = append(pts, p, LatLon{Lat: p.Lat + (rng.Float64()-0.5)*0.08, Lon: p.Lon + (rng.Float64()-0.5)*0.08})
+	}
+	for _, c := range r.cities {
+		pts = append(pts, c.Loc)
+	}
+	for i := 0; i < 20_000; i++ {
+		pts = append(pts, LatLon{Lat: minLat + rng.Float64()*(maxLat-minLat), Lon: minLon + rng.Float64()*(maxLon-minLon)})
+	}
+	for _, p := range pts {
+		got, want := r.OdometerOf(p), odometerOfRef(r, p)
+		if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			t.Fatalf("OdometerOf(%v) = %v, reference %v", p, got, want)
+		}
+	}
+}

@@ -16,8 +16,10 @@ package logsync
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/nuwins/cellwheels/internal/dataset"
@@ -192,71 +194,220 @@ type Report struct {
 }
 
 // Merge reconciles the raw logs into the consolidated database.
+//
+// The work splits by operator: every file name starts with "<op>_", so
+// the name order of all files is the A, T, V concatenation of each
+// operator's name order, and a file only ever matches an app log of its
+// own operator. Each operator's files and each operator's passive rows
+// are therefore reconciled as separate parts, concurrently, with test
+// IDs numbered 1..n within a part. A final pass offsets the IDs by the
+// matched counts of the parts before and merges the parts' sorted tables
+// (see mergeParts). The result is the database a single pass over the
+// files in name order, followed by sortDB, would build.
 func Merge(in Input) (*dataset.DB, Report, error) {
 	if in.Route == nil {
 		return nil, Report{}, fmt.Errorf("logsync: nil route")
 	}
 	defer in.Obs.StartPhase("merge")()
-	// Skew between a file-name stamp (best zone interpretation) and the
-	// matched app log, in ms — the quantity matchTolerance bounds.
-	skew := in.Obs.Histogram("logsync/skew_ms", []float64{1, 10, 100, 1000, 3000})
-	db := &dataset.DB{Meta: in.Meta}
-	rep := Report{}
-
-	usedApps := make([]bool, len(in.Apps))
-	appStarts := make([]time.Time, len(in.Apps))
+	m := &merger{in: &in, appsByKey: map[appKey][]int{}}
+	m.appStarts = make([]time.Time, len(in.Apps))
+	m.usedApps = make([]bool, len(in.Apps))
 	for i, a := range in.Apps {
 		t, err := a.StartUTC()
 		if err != nil {
-			return nil, rep, err
+			return nil, Report{}, err
 		}
-		appStarts[i] = t
-	}
-
-	// A file only ever matches an app log of its own operator and label,
-	// so the matcher scans that bucket of app indices (ascending, as a
-	// scan of all apps would visit them) rather than every app.
-	type appKey struct{ op, label string }
-	appsByKey := map[appKey][]int{}
-	for i, a := range in.Apps {
+		m.appStarts[i] = t
+		// A file only ever matches an app log of its own operator and
+		// label, so the matcher scans that bucket of app indices
+		// (ascending, as a scan of all apps would visit them).
 		k := appKey{a.Op, a.Kind}
-		appsByKey[k] = append(appsByKey[k], i)
+		m.appsByKey[k] = append(m.appsByKey[k], i)
 	}
 
-	// Deterministic processing order: files sorted by name.
-	files := append([]xcal.File(nil), in.Files...)
+	// Deterministic processing order: files sorted by name, each name
+	// parsed once. A malformed name ends the list; the files before it
+	// are still reconciled, so an earlier file's content error wins.
+	files := make([]*xcal.File, len(in.Files))
+	for i := range in.Files {
+		files[i] = &in.Files[i]
+	}
 	sort.SliceStable(files, func(i, j int) bool { return files[i].Name < files[j].Name })
-
-	nextID := 1
+	var fileParts []*filePart
+	var nameErr error
 	for _, f := range files {
 		pn, err := parseFileName(f.Name)
 		if err != nil {
-			return nil, rep, err
+			nameErr = err
+			break
 		}
+		if n := len(fileParts); n == 0 || fileParts[n-1].op != pn.op {
+			fileParts = append(fileParts, &filePart{op: pn.op})
+		}
+		p := fileParts[len(fileParts)-1]
+		p.files = append(p.files, namedFile{f: f, pn: pn})
+	}
+
+	// Passive rows, one part per operator, in sorted-key order: map
+	// iteration order would otherwise leak into error precedence.
+	loggerOps := make([]string, 0, len(in.Logger))
+	for opShort := range in.Logger {
+		loggerOps = append(loggerOps, opShort)
+	}
+	sort.Strings(loggerOps)
+	passiveParts := make([]*passivePart, len(loggerOps))
+
+	var tasks []func()
+	for _, p := range fileParts {
+		tasks = append(tasks, func() { m.reconcileFiles(p) })
+	}
+	for i, opShort := range loggerOps {
+		if op, ok := radio.ParseOperatorShort(opShort); ok {
+			p := &passivePart{op: op, rows: in.Logger[opShort]}
+			passiveParts[i] = p
+			tasks = append(tasks, func() { m.convertPassive(p) })
+		}
+	}
+	runAll(tasks)
+
+	// Errors surface in the order a single pass would meet them: files
+	// in name order, then the malformed name, then logger operators.
+	for _, p := range fileParts {
+		if p.err != nil {
+			return nil, Report{}, p.err
+		}
+	}
+	if nameErr != nil {
+		return nil, Report{}, nameErr
+	}
+	for i, p := range passiveParts {
+		if p == nil {
+			return nil, Report{}, fmt.Errorf("logsync: unknown logger operator %q", loggerOps[i])
+		}
+		if p.err != nil {
+			return nil, Report{}, p.err
+		}
+	}
+
+	// Skew between a file-name stamp (best zone interpretation) and the
+	// matched app log, in ms — the quantity matchTolerance bounds.
+	skew := in.Obs.Histogram("logsync/skew_ms", []float64{1, 10, 100, 1000, 3000})
+	rep := Report{}
+	parts := make([]*dataset.DB, 0, len(fileParts)+len(passiveParts))
+	for _, p := range fileParts {
+		offsetTestIDs(&p.db, rep.Matched)
+		rep.Matched += p.matched
+		rep.UnmatchedFiles = append(rep.UnmatchedFiles, p.unmatched...)
+		for _, ms := range p.skewsMS {
+			skew.Observe(ms)
+		}
+		parts = append(parts, &p.db)
+	}
+	for _, p := range passiveParts {
+		parts = append(parts, &p.db)
+	}
+	for _, used := range m.usedApps {
+		if !used {
+			rep.UnmatchedApps++
+		}
+	}
+	db := mergeParts(parts)
+	db.Meta = in.Meta
+	recordMergeStats(in.Obs, db, rep)
+	return db, rep, nil
+}
+
+// appKey buckets app logs by what a file name can match: operator and
+// label.
+type appKey struct{ op, label string }
+
+// merger is the state Merge's parts share. Parts only read it, except
+// usedApps, whose entries each belong to the one operator part that
+// matches files of that app's operator.
+type merger struct {
+	in        *Input
+	appStarts []time.Time
+	appsByKey map[appKey][]int
+	usedApps  []bool
+}
+
+// namedFile is an XCAL file with its parsed name.
+type namedFile struct {
+	f  *xcal.File
+	pn parsedName
+}
+
+// filePart is one operator's files and what reconciling them produced:
+// tables sorted by sortDB, with test IDs 1..matched.
+type filePart struct {
+	op      radio.Operator
+	files   []namedFile // in name order
+	db      dataset.DB
+	matched int
+	// unmatched and skewsMS follow name order.
+	unmatched []string
+	skewsMS   []float64
+	err       error
+}
+
+// passivePart is one operator's passive-logger rows, converted and
+// sorted.
+type passivePart struct {
+	op   radio.Operator
+	rows []xcal.LoggerRow
+	db   dataset.DB
+	err  error
+}
+
+// runAll runs every task and waits for them, at most GOMAXPROCS at a
+// time.
+func runAll(tasks []func()) {
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	wg.Add(len(tasks))
+	for _, task := range tasks {
+		slots <- struct{}{}
+		go func(task func()) {
+			defer wg.Done()
+			task()
+			<-slots
+		}(task)
+	}
+	wg.Wait()
+}
+
+// reconcileFiles matches one operator's files to app logs in name order
+// and converts each matched file into tests and samples.
+func (m *merger) reconcileFiles(p *filePart) {
+	in := m.in
+	db := &p.db
+	nextID := 1
+	for _, nf := range p.files {
+		f, pn := nf.f, nf.pn
 		candidates := resolveFileStart(pn.naive)
 		bestApp, bestSkew := -1, matchTolerance+1
 		var bestStart time.Time
-		for _, i := range appsByKey[appKey{pn.op.Short(), pn.label}] {
-			if usedApps[i] {
+		for _, i := range m.appsByKey[appKey{pn.op.Short(), pn.label}] {
+			if m.usedApps[i] {
 				continue
 			}
 			for _, c := range candidates {
-				skew := appStarts[i].Sub(c)
+				skew := m.appStarts[i].Sub(c)
 				if skew < 0 {
 					skew = -skew
 				}
 				if skew < bestSkew {
-					bestSkew, bestApp, bestStart = skew, i, appStarts[i]
+					bestSkew, bestApp, bestStart = skew, i, m.appStarts[i]
 				}
 			}
 		}
 		if bestApp < 0 {
-			rep.UnmatchedFiles = append(rep.UnmatchedFiles, f.Name)
+			p.unmatched = append(p.unmatched, f.Name)
 			continue
 		}
-		usedApps[bestApp] = true
-		rep.Matched++
-		skew.Observe(float64(bestSkew) / float64(time.Millisecond))
+		m.usedApps[bestApp] = true
+		p.matched++
+		p.skewsMS = append(p.skewsMS, float64(bestSkew)/float64(time.Millisecond))
 		app := in.Apps[bestApp]
 
 		id := nextID
@@ -273,9 +424,10 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 			Static: app.Static,
 		}
 
-		rows, signals, err := normalizeFile(f)
+		rows, signals, err := normalizeFile(*f)
 		if err != nil {
-			return nil, rep, err
+			p.err = err
+			return
 		}
 		if len(rows) > 0 {
 			first, last := rows[0].raw, rows[len(rows)-1].raw
@@ -325,48 +477,33 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 			db.AppRuns = append(db.AppRuns, appRun(id, test, app, rows, signals))
 		}
 	}
-
-	for _, used := range usedApps {
-		if !used {
-			rep.UnmatchedApps++
-		}
-	}
-
-	// Passive coverage rows. Iterate operators in sorted-key order — map
-	// iteration order would otherwise leak into tie-breaks between rows
-	// with identical timestamps across operators.
-	loggerOps := make([]string, 0, len(in.Logger))
-	for opShort := range in.Logger {
-		loggerOps = append(loggerOps, opShort)
-	}
-	sort.Strings(loggerOps)
-	for _, opShort := range loggerOps {
-		rows := in.Logger[opShort]
-		op, ok := radio.ParseOperatorShort(opShort)
-		if !ok {
-			return nil, rep, fmt.Errorf("logsync: unknown logger operator %q", opShort)
-		}
-		for _, r := range rows {
-			z, ok := zoneByName(r.Zone)
-			if !ok {
-				return nil, rep, fmt.Errorf("logsync: logger zone %q", r.Zone)
-			}
-			at, err := time.ParseInLocation(xcal.LoggerFormat, r.TimeLocal, z.Location())
-			if err != nil {
-				return nil, rep, fmt.Errorf("logsync: logger time %q: %w", r.TimeLocal, err)
-			}
-			tech, _ := radio.ParseTechnology(r.Tech)
-			odo := in.Route.OdometerOf(geo.LatLon{Lat: r.Lat, Lon: r.Lon})
-			db.Passive = append(db.Passive, dataset.CoverageSample{
-				Time: at.UTC(), Op: op, Tech: tech, CellID: r.CellID,
-				Odometer: odo, Timezone: z, SpeedMPH: r.SpeedMPH,
-			})
-		}
-	}
-
 	sortDB(db)
-	recordMergeStats(in.Obs, db, rep)
-	return db, rep, nil
+}
+
+// convertPassive turns one operator's passive-logger rows into coverage
+// samples.
+func (m *merger) convertPassive(p *passivePart) {
+	route := m.in.Route
+	p.db.Passive = make([]dataset.CoverageSample, 0, len(p.rows))
+	for _, r := range p.rows {
+		z, ok := zoneByName(r.Zone)
+		if !ok {
+			p.err = fmt.Errorf("logsync: logger zone %q", r.Zone)
+			return
+		}
+		at, err := time.ParseInLocation(xcal.LoggerFormat, r.TimeLocal, z.Location())
+		if err != nil {
+			p.err = fmt.Errorf("logsync: logger time %q: %w", r.TimeLocal, err)
+			return
+		}
+		tech, _ := radio.ParseTechnology(r.Tech)
+		odo := route.OdometerOf(geo.LatLon{Lat: r.Lat, Lon: r.Lon})
+		p.db.Passive = append(p.db.Passive, dataset.CoverageSample{
+			Time: at.UTC(), Op: p.op, Tech: tech, CellID: r.CellID,
+			Odometer: odo, Timezone: z, SpeedMPH: r.SpeedMPH,
+		})
+	}
+	sortDB(&p.db)
 }
 
 // recordMergeStats publishes the merge outcome: how the matcher fared and
@@ -502,40 +639,124 @@ func nearestOdo(rows []normRow, at time.Time, route *geo.Route) unit.Meters {
 // passive rows, different operators) can share a timestamp, and a sort
 // keyed on time alone would leave their relative order input-dependent.
 func sortDB(db *dataset.DB) {
-	sort.SliceStable(db.Tests, func(i, j int) bool { return db.Tests[i].ID < db.Tests[j].ID })
-	sort.SliceStable(db.Throughput, func(i, j int) bool {
-		a, b := db.Throughput[i], db.Throughput[j]
-		if !a.Time.Equal(b.Time) {
-			return a.Time.Before(b.Time)
+	sortStable(db.Tests, testLess)
+	sortStable(db.Throughput, throughputLess)
+	sortStable(db.RTT, rttLess)
+	sortStable(db.Handovers, handoverLess)
+	sortStable(db.AppRuns, appRunLess)
+	sortStable(db.Passive, passiveLess)
+}
+
+func sortStable[T any](s []T, less func(a, b *T) bool) {
+	sort.SliceStable(s, func(i, j int) bool { return less(&s[i], &s[j]) })
+}
+
+// sortDB's orders, one per table.
+
+func testLess(a, b *dataset.Test) bool { return a.ID < b.ID }
+
+func throughputLess(a, b *dataset.ThroughputSample) bool {
+	if !a.Time.Equal(b.Time) {
+		return a.Time.Before(b.Time)
+	}
+	return a.TestID < b.TestID
+}
+
+func rttLess(a, b *dataset.RTTSample) bool {
+	if !a.Time.Equal(b.Time) {
+		return a.Time.Before(b.Time)
+	}
+	return a.TestID < b.TestID
+}
+
+func handoverLess(a, b *dataset.Handover) bool {
+	if !a.Time.Equal(b.Time) {
+		return a.Time.Before(b.Time)
+	}
+	return a.TestID < b.TestID
+}
+
+func appRunLess(a, b *dataset.AppRun) bool {
+	if !a.Start.Equal(b.Start) {
+		return a.Start.Before(b.Start)
+	}
+	return a.TestID < b.TestID
+}
+
+func passiveLess(a, b *dataset.CoverageSample) bool {
+	if !a.Time.Equal(b.Time) {
+		return a.Time.Before(b.Time)
+	}
+	return a.Op < b.Op
+}
+
+// offsetTestIDs renumbers a part's tests from 1..n to off+1..off+n.
+func offsetTestIDs(db *dataset.DB, off int) {
+	for i := range db.Tests {
+		db.Tests[i].ID += off
+	}
+	for i := range db.Throughput {
+		db.Throughput[i].TestID += off
+	}
+	for i := range db.RTT {
+		db.RTT[i].TestID += off
+	}
+	for i := range db.Handovers {
+		db.Handovers[i].TestID += off
+	}
+	for i := range db.AppRuns {
+		db.AppRuns[i].TestID += off
+	}
+}
+
+// mergeParts joins parts whose tables are each sorted by sortDB, with
+// test IDs already offset, into one database with every table in sortDB
+// order. It equals sortDB over the concatenation of the parts: no two
+// rows of different parts tie under sortDB's orders (their test IDs
+// differ, and passive rows of different parts differ in Op), so each
+// table's order is total across parts, and a part's own ties keep their
+// order.
+func mergeParts(parts []*dataset.DB) *dataset.DB {
+	db := &dataset.DB{}
+	db.Tests = mergeSorted(parts, func(p *dataset.DB) *[]dataset.Test { return &p.Tests }, testLess)
+	db.Throughput = mergeSorted(parts, func(p *dataset.DB) *[]dataset.ThroughputSample { return &p.Throughput }, throughputLess)
+	db.RTT = mergeSorted(parts, func(p *dataset.DB) *[]dataset.RTTSample { return &p.RTT }, rttLess)
+	db.Handovers = mergeSorted(parts, func(p *dataset.DB) *[]dataset.Handover { return &p.Handovers }, handoverLess)
+	db.AppRuns = mergeSorted(parts, func(p *dataset.DB) *[]dataset.AppRun { return &p.AppRuns }, appRunLess)
+	db.Passive = mergeSorted(parts, func(p *dataset.DB) *[]dataset.CoverageSample { return &p.Passive }, passiveLess)
+	return db
+}
+
+// mergeSorted is a k-way merge of one table across parts, each sorted by
+// less. On a tie the earlier part goes first. It drops the parts' copies
+// of the table, so they can be freed, and returns nil when every part is
+// empty, as appending to a nil table would.
+func mergeSorted[T any](parts []*dataset.DB, table func(*dataset.DB) *[]T, less func(a, b *T) bool) []T {
+	heads := make([][]T, 0, len(parts))
+	n := 0
+	for _, p := range parts {
+		t := table(p)
+		if len(*t) > 0 {
+			heads = append(heads, *t)
+			n += len(*t)
 		}
-		return a.TestID < b.TestID
-	})
-	sort.SliceStable(db.RTT, func(i, j int) bool {
-		a, b := db.RTT[i], db.RTT[j]
-		if !a.Time.Equal(b.Time) {
-			return a.Time.Before(b.Time)
+		*t = nil
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
+	for len(heads) > 1 {
+		best := 0
+		for i := 1; i < len(heads); i++ {
+			if less(&heads[i][0], &heads[best][0]) {
+				best = i
+			}
 		}
-		return a.TestID < b.TestID
-	})
-	sort.SliceStable(db.Handovers, func(i, j int) bool {
-		a, b := db.Handovers[i], db.Handovers[j]
-		if !a.Time.Equal(b.Time) {
-			return a.Time.Before(b.Time)
+		out = append(out, heads[best][0])
+		if heads[best] = heads[best][1:]; len(heads[best]) == 0 {
+			heads = append(heads[:best], heads[best+1:]...)
 		}
-		return a.TestID < b.TestID
-	})
-	sort.SliceStable(db.AppRuns, func(i, j int) bool {
-		a, b := db.AppRuns[i], db.AppRuns[j]
-		if !a.Start.Equal(b.Start) {
-			return a.Start.Before(b.Start)
-		}
-		return a.TestID < b.TestID
-	})
-	sort.SliceStable(db.Passive, func(i, j int) bool {
-		a, b := db.Passive[i], db.Passive[j]
-		if !a.Time.Equal(b.Time) {
-			return a.Time.Before(b.Time)
-		}
-		return a.Op < b.Op
-	})
+	}
+	return append(out, heads[0]...)
 }

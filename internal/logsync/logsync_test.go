@@ -415,3 +415,91 @@ func TestMergeZoneResolutionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMergeCrossOperatorTies pins the merge's output order where rows of
+// different operators tie on time, its error when a malformed name sits
+// between valid ones, and the order it reports unmatched files in.
+func TestMergeCrossOperatorTies(t *testing.T) {
+	route := geo.DefaultRoute()
+	start := time.Date(2022, 8, 9, 17, 0, 0, 0, time.UTC)
+	odo := 300 * unit.Kilometer
+	app := func(op radio.Operator, label string) AppLog {
+		return AppLog{Op: op.Short(), Kind: label, StartStamp: utcStamp(start), Stamp: StampUTC, DurationSec: 10}
+	}
+	// Four tests start at one instant, so their throughput rows share
+	// every timestamp. Name order is A_DL, A_UL, T_DL, V_DL: test IDs
+	// 1..4. The input order is scrambled on purpose.
+	files := []xcal.File{
+		makeFile(t, radio.Verizon, "DL", start, odo, radio.NRMid, 50),
+		makeFile(t, radio.ATT, "UL", start, odo, radio.LTE, 5),
+		makeFile(t, radio.TMobile, "DL", start, odo, radio.NRMid, 80),
+		makeFile(t, radio.ATT, "DL", start, odo, radio.LTEA, 30),
+	}
+	apps := []AppLog{app(radio.TMobile, "DL"), app(radio.Verizon, "DL"), app(radio.ATT, "DL"), app(radio.ATT, "UL")}
+
+	// Passive rows of all three operators at two shared instants; A has
+	// two rows at the first, which must keep their input order.
+	wp := route.At(odo)
+	row := func(at time.Time, cell string) xcal.LoggerRow {
+		return xcal.LoggerRow{
+			TimeLocal: at.In(wp.Timezone.Location()).Format(xcal.LoggerFormat),
+			Zone:      wp.Timezone.String(), Tech: "LTE", CellID: cell,
+			Lat: wp.Loc.Lat, Lon: wp.Loc.Lon,
+		}
+	}
+	t0, t1 := start, start.Add(time.Second)
+	logger := map[string][]xcal.LoggerRow{
+		"A": {row(t1, "A-2"), row(t0, "A-0"), row(t0, "A-1")},
+		"T": {row(t0, "T-0"), row(t1, "T-1")},
+		"V": {row(t1, "V-1"), row(t0, "V-0")},
+	}
+
+	db, rep, err := Merge(Input{Route: route, Files: files, Apps: apps, Logger: logger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Matched != 4 || rep.UnmatchedApps != 0 || len(rep.UnmatchedFiles) != 0 {
+		t.Fatalf("report = %+v", rep)
+	}
+	var tests []string
+	for _, test := range db.Tests {
+		tests = append(tests, fmt.Sprintf("%d:%s/%s", test.ID, test.Op.Short(), LabelOf(test.Kind)))
+	}
+	if got, want := fmt.Sprint(tests), "[1:A/DL 2:A/UL 3:T/DL 4:V/DL]"; got != want {
+		t.Errorf("tests = %s, want %s", got, want)
+	}
+	if len(db.Throughput) == 0 || len(db.Throughput)%4 != 0 {
+		t.Fatalf("throughput rows = %d, want a positive multiple of 4", len(db.Throughput))
+	}
+	for i, s := range db.Throughput {
+		if want := i%4 + 1; s.TestID != want || !s.Time.Equal(db.Throughput[i-i%4].Time) {
+			t.Fatalf("throughput[%d] = test %d at %v, want test %d at the time of row %d", i, s.TestID, s.Time, want, i-i%4)
+		}
+	}
+	var passive []string
+	for _, p := range db.Passive {
+		passive = append(passive, p.CellID)
+	}
+	if got, want := fmt.Sprint(passive), "[V-0 T-0 A-0 A-1 V-1 T-1 A-2]"; got != want {
+		t.Errorf("passive order = %s, want %s", got, want)
+	}
+
+	// The first malformed name in name order is the error, whatever the
+	// valid names around it.
+	bad := append([]xcal.File{{Name: "U_x_y_z.drm"}, {Name: "B_junk.drm"}}, files...)
+	_, _, err = Merge(Input{Route: route, Files: bad, Apps: apps, Logger: logger})
+	if got, want := fmt.Sprint(err), `logsync: malformed file name "B_junk.drm"`; got != want {
+		t.Errorf("error = %s, want %s", got, want)
+	}
+
+	// Unmatched files are reported in name order across operators.
+	_, rep, err = Merge(Input{Route: route, Files: files, Apps: apps[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp := start.In(wp.Timezone.Location()).Format(xcal.FileNameFormat)
+	want := []string{"A_DL_" + stamp + ".drm", "A_UL_" + stamp + ".drm", "V_DL_" + stamp + ".drm"}
+	if rep.Matched != 1 || fmt.Sprint(rep.UnmatchedFiles) != fmt.Sprint(want) {
+		t.Errorf("report = %+v, want 1 match and unmatched %v", rep, want)
+	}
+}
