@@ -15,8 +15,8 @@ vet:
 	$(GO) vet ./...
 
 # bench runs the lane-engine scaling benchmark and the per-tick layer
-# benches (log reconciliation, geo route lookup and full-route timeline
-# scan, the moving and mmWave RAN ticks) once each, so CI keeps them
+# benches (log reconciliation, geo route lookup and a full-route drive
+# pass, the moving and mmWave RAN ticks) once each, so CI keeps them
 # compiling and running. For real numbers drop -benchtime=1x; the full
 # figure/table benches live in bench_test.go and run with
 # `go test -bench=.`.
@@ -68,9 +68,12 @@ lint-inject-smoke:
 # artifact). Fails on any CLI regression the unit tests sit below. It
 # then reruns the campaign with one and with two lane slots and requires
 # the same dataset bytes: two slots for three lanes is the path where
-# lanes wait on each other for a slot.
+# lanes wait on each other for a slot. The first run also prints its
+# -progress lines to smoke-progress.log, and the last of them must
+# report the whole planned distance: 100.0% with eta 0s.
 smoke:
-	$(GO) run ./cmd/drivetest -seed 1 -limit-km 50 -metrics manifest.json -out smoke-dataset.json
+	$(GO) run ./cmd/drivetest -seed 1 -limit-km 50 -progress -metrics manifest.json -out smoke-dataset.json 2>smoke-progress.log || { cat smoke-progress.log >&2; exit 1; }
+	grep '^obs:' smoke-progress.log | tail -n 1 | grep -E ' 100\.0% .*\| eta 0s$$' || { echo "smoke: last progress line is not 100.0% with eta 0s" >&2; cat smoke-progress.log >&2; exit 1; }
 	$(GO) run ./cmd/drivetest -seed 1 -limit-km 50 -workers 1 -out smoke-dataset-w1.json
 	$(GO) run ./cmd/drivetest -seed 1 -limit-km 50 -workers 2 -out smoke-dataset-w2.json
 	cmp smoke-dataset-w1.json smoke-dataset-w2.json

@@ -83,58 +83,24 @@ type Config struct {
 	// enabling it never changes the dataset — the simulation is
 	// byte-identical with Obs set or nil (pinned by a regression test).
 	Obs *obs.Recorder `json:"-"`
-	// SharedTimeline, when non-nil, replays a drive schedule precomputed
-	// by PrecomputeTimeline instead of building one inside the run — the
-	// expensive route scan is paid once and shared across any number of
-	// concurrent runs. The timeline must have been precomputed for a
-	// config with the same Fingerprint; Run rejects mismatches. Output is
-	// byte-identical with or without it (pinned by a regression test).
-	SharedTimeline *Timeline `json:"-"`
 }
 
 // fingerprint hashes the deterministic inputs of the config — everything
-// except the observability and timeline-sharing side channels — for the
-// run manifest and the daemon's timeline cache key.
+// except the observability side channel — for the run manifest.
 func (c Config) fingerprint() string {
 	c.Obs = nil
-	c.SharedTimeline = nil
 	return obs.Fingerprint(c)
 }
 
 // Fingerprint is the config's Obs-free sha256 — the value stamped into
-// run manifests as config_sha256, and the key wheelsd caches precomputed
-// timelines under. Equal fingerprints mean byte-identical runs.
+// run manifests as config_sha256. Equal fingerprints mean byte-identical
+// runs.
 func (c Config) Fingerprint() string { return c.fingerprint() }
 
 // Validate rejects configs outside the supported envelope without
 // running anything — the check Run performs first. Services use it to
 // refuse a bad job at submission time rather than at execution time.
 func (c Config) Validate() error { return c.validate() }
-
-// Timeline is an opaque precomputed drive schedule: the deterministic
-// tick sequence (including static hold windows) every operator lane of a
-// campaign replays. Precomputing it once and passing it to many runs via
-// Config.SharedTimeline skips the per-run route scan; replay is
-// stateless, so one Timeline is safe to share between any number of
-// concurrent runs.
-type Timeline struct {
-	tl  *geo.Timeline
-	key string // fingerprint of the config it was precomputed for
-}
-
-// Ticks reports how many simulation steps the schedule contains.
-func (t *Timeline) Ticks() int { return t.tl.Ticks() }
-
-// PrecomputeTimeline builds the shared drive schedule for cfg. The
-// result is only valid for configs with cfg's exact Fingerprint — the
-// schedule depends on the seed, the route limit, and the hold budget
-// (itself derived from the test rotation) — and Run enforces that.
-func PrecomputeTimeline(cfg Config) (*Timeline, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return &Timeline{tl: core.PrecomputeTimeline(cfg.internal()), key: cfg.fingerprint()}, nil
-}
 
 // stamp records the config facts the manifest reports.
 func (c Config) stamp() {
@@ -163,10 +129,6 @@ func (c Config) validate() error {
 	if c.CrowdSamples < 0 {
 		return fmt.Errorf("cellwheels: crowd_samples must be >= 0, got %d", c.CrowdSamples)
 	}
-	if c.SharedTimeline != nil && c.SharedTimeline.key != c.fingerprint() {
-		return fmt.Errorf("cellwheels: shared timeline was precomputed for a different config (timeline %.12s…, config %.12s…)",
-			c.SharedTimeline.key, c.fingerprint())
-	}
 	return nil
 }
 
@@ -192,9 +154,6 @@ func (c Config) internal() core.Config {
 	}
 	if c.GamingSeconds > 0 {
 		cfg.GamingDuration = time.Duration(c.GamingSeconds) * time.Second
-	}
-	if c.SharedTimeline != nil {
-		cfg.SharedTimeline = c.SharedTimeline.tl
 	}
 	return cfg
 }

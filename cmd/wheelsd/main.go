@@ -5,7 +5,7 @@
 // Usage:
 //
 //	wheelsd [-addr 127.0.0.1:8080] [-data wheelsd-data]
-//	        [-workers N] [-cache N] [-metrics manifest.json]
+//	        [-workers N] [-metrics manifest.json]
 //
 // The API:
 //
@@ -54,7 +54,6 @@ func realMain(args []string) int {
 		addr        = fs.String("addr", "127.0.0.1:8080", "listen address (\":0\" picks a free port; the bound address is written to <data>/wheelsd-addr.txt)")
 		data        = fs.String("data", "wheelsd-data", "state directory; each job's artifacts live under <data>/jobs/<id>/")
 		workers     = fs.Int("workers", 0, "concurrent pooled jobs (0 = GOMAXPROCS); any value produces byte-identical artifacts")
-		cacheSize   = fs.Int("cache", 4, "precomputed-timeline cache capacity (entries)")
 		metricsPath = fs.String("metrics", "", "write the daemon's observability manifest (JSON) to this path on exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -64,10 +63,9 @@ func realMain(args []string) int {
 	// The recorder is the only wall clock this command touches.
 	rec := obs.New()
 	s, err := serve.New(serve.Config{
-		DataDir:   *data,
-		Workers:   *workers,
-		CacheSize: *cacheSize,
-		Obs:       rec,
+		DataDir: *data,
+		Workers: *workers,
+		Obs:     rec,
 	})
 	if err != nil {
 		return fail(err)

@@ -132,7 +132,6 @@ func (cfg FleetConfig) Validate() error {
 	base := cfg.Base
 	base.Seed = 0
 	base.Obs = nil
-	base.SharedTimeline = nil
 	if err := base.Validate(); err != nil {
 		return err
 	}
@@ -163,10 +162,6 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	base := cfg.Base
 	base.Seed = 0
 	base.Obs = nil
-	// A precomputed timeline is seed-specific and fleet runs fork their
-	// own seeds, so a base timeline could never match; drop it rather
-	// than fail every run on the fingerprint guard.
-	base.SharedTimeline = nil
 
 	axes := make([]fleet.Axis, len(cfg.Sweep))
 	for i, a := range cfg.Sweep {

@@ -116,14 +116,14 @@ type Config struct {
 	// default) and any non-nil value produce byte-identical datasets.
 	Obs *obs.Recorder
 
-	// SharedTimeline, when non-nil, is a drive schedule precomputed by
-	// PrecomputeTimeline for an identical config; NewCampaign replays it
-	// instead of building its own. Timeline replay is stateless — every
-	// cursor forks the same named stream — so any number of concurrent
-	// campaigns can share one, and because simrand forks are positional
-	// (path-named, never draw-ordered) the shared schedule is
-	// byte-identical to a freshly built one. Callers are responsible for
-	// matching configs; the cellwheels facade enforces it by fingerprint.
+	// SharedTimeline, when non-nil, is the drive schedule PrecomputeTimeline
+	// built for an identical config; NewCampaign uses it instead of
+	// building its own. The schedule is a cheap value that steps nothing,
+	// so sharing it saves no drive pass: it only lets a caller hold the
+	// schedule it replays. Timeline replay is stateless — every cursor
+	// forks the same named stream — so the result is byte-identical to a
+	// campaign that builds its own. Callers are responsible for matching
+	// configs.
 	SharedTimeline *geo.Timeline
 }
 
@@ -162,6 +162,14 @@ const (
 // (an empty registry still answers CellLoad with the base load).
 func (c Config) crowdEnabled() bool {
 	return c.CrowdSize > 0 || c.LoadModel == LoadModelDemand
+}
+
+// plannedDistance is how far the trip drives: the route, cut at Limit.
+func (c Config) plannedDistance(route *geo.Route) unit.Meters {
+	if c.Limit > 0 && c.Limit < route.Total() {
+		return c.Limit
+	}
+	return route.Total()
 }
 
 // testSpec is one rotation slot.
@@ -246,13 +254,12 @@ type Campaign struct {
 }
 
 // PrecomputeTimeline builds the drive schedule NewCampaign would build
-// for cfg, without building anything else. The timeline is a pure
-// function of (route, drive config, seed, tick, limit, hold rule): its
-// cursors fork the "drive" stream positionally off a fresh root, so a
-// timeline precomputed here and injected via Config.SharedTimeline
-// replays byte-identically to one built inside NewCampaign. This is the
-// cacheable half of campaign construction — wheelsd shares one across
-// every concurrent job with the same config hash.
+// for cfg, without building anything else. It steps no drive: the
+// timeline is a cheap value, a pure function of (route, drive config,
+// seed, tick, limit, hold rule) whose cursors fork the "drive" stream
+// positionally off a fresh root, so one built here and injected via
+// Config.SharedTimeline replays byte-identically to one built inside
+// NewCampaign. The campaign's one drive pass happens in Run.
 func PrecomputeTimeline(cfg Config) *geo.Timeline {
 	cfg.applyDefaults()
 	var hold geo.HoldRule
@@ -295,6 +302,13 @@ func NewCampaign(cfg Config) *Campaign {
 		fleet:    fleet,
 		timeline: timeline,
 	}
+	// A crowd's event wheel must know the trip's length before the lanes
+	// run, so a crowd campaign counts the timeline's ticks up front: the
+	// one drive pass it makes besides Run's.
+	var horizon int64
+	if cfg.crowdEnabled() {
+		horizon = int64(timeline.Ticks())
+	}
 	for _, op := range cfg.Operators {
 		m := deploy.NewMap(op, route, rng)
 		c.maps[op] = m
@@ -306,19 +320,15 @@ func NewCampaign(cfg Config) *Campaign {
 		var reg *ue.Registry
 		var backend ran.LoadBackend
 		if cfg.crowdEnabled() {
-			span := route.Total()
-			if cfg.Limit > 0 && cfg.Limit < span {
-				span = cfg.Limit
-			}
 			reg = ue.NewRegistry(ue.Config{
 				Op:           op,
 				Map:          m,
 				Route:        route,
 				Size:         cfg.CrowdSize,
-				Span:         span,
+				Span:         cfg.plannedDistance(route),
 				Seed:         crowdSeed(cfg.Seed, op),
 				Tick:         Tick,
-				HorizonTicks: int64(c.timeline.Ticks()),
+				HorizonTicks: horizon,
 				MeasureSlots: cfg.CrowdSamples,
 				MeasureTicks: crowdMeasureTicks(crowdSpeedtestConfig()),
 				MeasureUnits: crowdMeasureUnits,
@@ -416,29 +426,28 @@ func (c *Campaign) Run() Raw {
 
 	rec := c.cfg.Obs
 	defer rec.StartPhase("run")()
-	rec.Gauge("route/total_km").Set(c.timeline.Final().Odometer.Km())
-	rec.Counter("ticks/per_lane").Add(int64(c.timeline.Ticks()))
 	lanes := make([]string, len(c.lanes))
 	for i, l := range c.lanes {
 		lanes[i] = l.op.Short()
 	}
 	stopProgress := rec.StartProgress(obs.ProgressInfo{
-		TotalTicks: int64(c.timeline.Ticks()),
-		TotalKm:    c.timeline.Final().Odometer.Km(),
-		Lanes:      lanes,
-		Crowd:      c.cfg.crowdEnabled(),
+		TotalKm: c.cfg.plannedDistance(c.route).Km(),
+		Lanes:   lanes,
+		Crowd:   c.cfg.crowdEnabled(),
 	})
 	defer stopProgress()
 
-	runLanes(c.timeline, c.lanes, workers, rec)
+	ticks, final := runLanes(c.timeline, c.lanes, workers, rec)
+	rec.Counter("ticks/per_lane").Add(int64(ticks))
+	rec.Gauge("route/total_km").Set(final.Odometer.Km())
 
-	return c.collect()
+	return c.collect(final)
 }
 
 // collect gathers the raw outputs and meta accounting, iterating lanes in
-// their fixed construction (operator) order.
-func (c *Campaign) collect() Raw {
-	final := c.timeline.Final()
+// their fixed construction (operator) order. final is the drive's last
+// state, which sets the route length and day count.
+func (c *Campaign) collect(final geo.DriveState) Raw {
 	raw := Raw{
 		Logger:           map[string][]xcal.LoggerRow{},
 		PassiveHandovers: map[string]int{},
@@ -503,9 +512,6 @@ func (c *Campaign) RunAndMerge() (*dataset.DB, error) {
 	}
 	return db, nil
 }
-
-// Timeline exposes the campaign's precomputed drive schedule.
-func (c *Campaign) Timeline() *geo.Timeline { return c.timeline }
 
 // Maps exposes the generated deployments (for examples and coverage
 // analysis that needs ground truth).

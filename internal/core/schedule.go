@@ -37,10 +37,11 @@ func newBlockPool(n, size int) chan *tickBlock {
 
 // produceBlocks steps cur to the end of the trip, filling blocks of up
 // to size ticks taken from free and handing each one, in trip order, to
-// every channel of outs. It closes outs once the trip is over. Each out
-// must have room for every block of the pool, so handing a block on
-// never waits for a lane.
-func produceBlocks(cur *geo.Cursor, size int, free chan *tickBlock, outs []chan *tickBlock) {
+// every channel of outs. It closes outs once the trip is over and
+// returns the trip's tick count and its last drive state. Each out must
+// have room for every block of the pool, so handing a block on never
+// waits for a lane.
+func produceBlocks(cur *geo.Cursor, size int, free chan *tickBlock, outs []chan *tickBlock) (ticks int, last geo.DriveState) {
 	defer func() {
 		for _, out := range outs {
 			close(out)
@@ -59,29 +60,32 @@ func produceBlocks(cur *geo.Cursor, size int, free chan *tickBlock, outs []chan 
 		}
 		if n == 0 {
 			free <- blk
-			return
+			return ticks, last
 		}
 		blk.ticks = blk.buf[:n]
+		ticks += n
+		last = blk.ticks[n-1].DriveState
 		blk.readers.Store(int32(len(outs)))
 		for _, out := range outs {
 			out <- blk
 		}
 		if n < size {
-			return
+			return ticks, last
 		}
 	}
 }
 
-// runLanes replays the timeline through every lane with one drive pass.
-// A producer steps a single cursor into a small pool of blocks; every
-// lane reads every block in order on its own goroutine, and at most
-// workers lanes step a block at any moment. The unit of scheduling is
-// thus (lane, block): three lanes keep two cores busy to the end
-// instead of leaving one lane to run alone. Each lane still sees the
-// whole timeline in order, so its output does not depend on workers.
-func runLanes(tl *geo.Timeline, lanes []*lane, workers int, rec *obs.Recorder) {
-	size := min(blockTicks, max(tl.Ticks(), 1))
-	free := newBlockPool(blockPool, size)
+// runLanes replays the timeline through every lane with the campaign's
+// one drive pass. The calling goroutine steps a single cursor into a
+// small pool of blocks; every lane reads every block in order on its
+// own goroutine, and at most workers lanes step a block at any moment.
+// The unit of scheduling is thus (lane, block): three lanes keep two
+// cores busy to the end instead of leaving one lane to run alone. Each
+// lane still sees the whole timeline in order, so its output does not
+// depend on workers. It returns what the pass learned: the trip's tick
+// count and its last drive state.
+func runLanes(tl *geo.Timeline, lanes []*lane, workers int, rec *obs.Recorder) (ticks int, last geo.DriveState) {
+	free := newBlockPool(blockPool, blockTicks)
 	// A lane's channel holds every block of the pool, so the producer
 	// never waits on a lane, only on the pool.
 	outs := make([]chan *tickBlock, len(lanes))
@@ -91,11 +95,7 @@ func runLanes(tl *geo.Timeline, lanes []*lane, workers int, rec *obs.Recorder) {
 	slots := make(chan struct{}, workers)
 
 	var wg sync.WaitGroup
-	wg.Add(1 + len(lanes))
-	go func() {
-		defer wg.Done()
-		produceBlocks(tl.Cursor(), size, free, outs)
-	}()
+	wg.Add(len(lanes))
 	for i, l := range lanes {
 		go func(l *lane, in <-chan *tickBlock) {
 			defer wg.Done()
@@ -113,5 +113,7 @@ func runLanes(tl *geo.Timeline, lanes []*lane, workers int, rec *obs.Recorder) {
 			<-slots
 		}(l, outs[i])
 	}
+	ticks, last = produceBlocks(tl.Cursor(), blockTicks, free, outs)
 	wg.Wait()
+	return ticks, last
 }

@@ -12,9 +12,10 @@ import (
 )
 
 // TestProduceBlocksMatchesCursor checks that every reader of the block
-// producer sees exactly a fresh cursor's Next sequence, for trips that
-// fill a whole number of blocks, one tick more, and one tick less, with
-// static holds that straddle block boundaries.
+// producer sees exactly a fresh cursor's Next sequence, and that the
+// producer reports that sequence's length and last drive state, for trips
+// that fill a whole number of blocks, one tick more, and one tick less,
+// with static holds that straddle block boundaries.
 func TestProduceBlocksMatchesCursor(t *testing.T) {
 	// Search trip lengths for one whose tick count n admits all three
 	// cases with a block size in [50, hold length), so every block size
@@ -50,23 +51,16 @@ func TestProduceBlocksMatchesCursor(t *testing.T) {
 			tl, cases = cand, c
 		}
 	}
-	var want []geo.TickState
-	for cur := tl.Cursor(); ; {
-		ts, ok := cur.Next()
-		if !ok {
-			break
-		}
-		want = append(want, ts)
-	}
+	want, holds := replayHolds(tl)
 	n := len(want)
-	if n != tl.Ticks() || len(tl.Holds()) == 0 {
-		t.Fatalf("timeline: %d ticks (Ticks %d), %d holds; want holds", n, tl.Ticks(), len(tl.Holds()))
+	if got := tl.Ticks(); n != got || len(holds) == 0 {
+		t.Fatalf("timeline: %d ticks (Ticks %d), %d holds; want holds", n, got, len(holds))
 	}
 	for name, size := range cases {
 		t.Run(name, func(t *testing.T) {
-			for _, h := range tl.Holds() {
-				if h.StartTick/size == (h.StartTick+h.Ticks-1)/size {
-					t.Fatalf("block size %d: hold at tick %d fits in one block", size, h.StartTick)
+			for _, h := range holds {
+				if h.start/size == (h.start+h.ticks-1)/size {
+					t.Fatalf("block size %d: hold at tick %d fits in one block", size, h.start)
 				}
 			}
 			const readers = 2
@@ -92,13 +86,44 @@ func TestProduceBlocksMatchesCursor(t *testing.T) {
 					}
 				}(i)
 			}
-			produceBlocks(tl.Cursor(), size, free, outs)
+			ticks, last := produceBlocks(tl.Cursor(), size, free, outs)
 			wg.Wait()
+			if ticks != n || last != want[n-1].DriveState {
+				t.Errorf("block size %d: producer reported %d ticks ending at %+v, want %d ending at %+v",
+					size, ticks, last, n, want[n-1].DriveState)
+			}
 			for i := range got {
 				if !reflect.DeepEqual(got[i], want) {
 					t.Errorf("block size %d: reader %d saw %d ticks, not the cursor's %d-tick sequence", size, i, len(got[i]), n)
 				}
 			}
 		})
+	}
+}
+
+// holdSpan is one static hold window of a replayed timeline.
+type holdSpan struct {
+	start int // index of the window's first tick
+	ticks int
+}
+
+// replayHolds steps one cursor of tl to the end and returns every tick
+// state plus the hold windows, each from its HoldFirst to its HoldLast
+// tick.
+func replayHolds(tl *geo.Timeline) ([]geo.TickState, []holdSpan) {
+	var all []geo.TickState
+	var holds []holdSpan
+	for cur := tl.Cursor(); ; {
+		ts, ok := cur.Next()
+		if !ok {
+			return all, holds
+		}
+		if ts.HoldFirst {
+			holds = append(holds, holdSpan{start: len(all)})
+		}
+		if ts.Hold && len(holds) > 0 {
+			holds[len(holds)-1].ticks++
+		}
+		all = append(all, ts)
 	}
 }

@@ -28,9 +28,10 @@ func BenchmarkRouteAt(b *testing.B) {
 	}
 }
 
-// BenchmarkTimelineScan measures precomputing the full 5,711 km drive
-// timeline at the campaign's 50 ms tick: one Drive stepped end to end,
-// as NewTimeline's scan and every lane's cursor replay do.
+// BenchmarkTimelineScan measures counting the full 5,711 km drive
+// timeline at the campaign's 50 ms tick: one Drive stepped end to end by
+// Timeline.Ticks, the horizon count a crowd campaign makes before its
+// lanes run. The campaign's block producer steps the drive the same way.
 func BenchmarkTimelineScan(b *testing.B) {
 	r := DefaultRoute()
 	ticks := 0

@@ -49,32 +49,23 @@ type TimelineConfig struct {
 	Hold HoldRule
 }
 
-// HoldWindow describes one static hold of the precomputed timeline.
-type HoldWindow struct {
-	City      string
-	StartTick int // index of the window's first tick
-	Ticks     int
-}
-
-// Timeline is the precomputed, shared drive schedule of a campaign: the
-// deterministic sequence of tick states every phone lane replays. The
-// sequence itself is not materialized — a Cursor regenerates it on demand
-// from the same forked random stream, so any number of lanes can replay it
-// concurrently in O(1) memory while observing byte-identical states.
+// Timeline is the drive schedule of a campaign: the deterministic
+// sequence of tick states every phone lane replays. It is a cheap value —
+// the route, drive config, root stream and timeline config — and the
+// sequence itself is never materialized: a Cursor regenerates it on
+// demand from the same forked random stream, so any number of replays
+// observe byte-identical states in O(1) memory each.
 type Timeline struct {
 	route *Route
 	dcfg  DriveConfig
 	rng   *simrand.Source // parent stream; every cursor forks "drive" off it
 	cfg   TimelineConfig
-
-	ticks int
-	holds []HoldWindow
-	final DriveState
 }
 
-// NewTimeline precomputes the drive schedule. The rng is the campaign's
-// root stream: cursors fork the same "drive" child the serial engine used,
-// so the mobility trace is a pure function of (route, config, seed).
+// NewTimeline describes the drive schedule without stepping it. The rng
+// is the campaign's root stream: cursors fork the same "drive" child the
+// serial engine used, so the mobility trace is a pure function of
+// (route, config, seed).
 func NewTimeline(route *Route, dcfg DriveConfig, rng *simrand.Source, cfg TimelineConfig) *Timeline {
 	if cfg.Tick <= 0 {
 		cfg.Tick = 50 * time.Millisecond
@@ -82,28 +73,7 @@ func NewTimeline(route *Route, dcfg DriveConfig, rng *simrand.Source, cfg Timeli
 	if cfg.Limit <= 0 || cfg.Limit > route.Total() {
 		cfg.Limit = route.Total()
 	}
-	t := &Timeline{route: route, dcfg: dcfg, rng: rng, cfg: cfg}
-	t.scan()
-	return t
-}
-
-// scan replays one cursor to the end, recording the hold windows, total
-// tick count, and final vehicle state.
-func (t *Timeline) scan() {
-	cur := t.Cursor()
-	i := 0
-	for {
-		ts, ok := cur.Next()
-		if !ok {
-			break
-		}
-		if ts.HoldFirst {
-			t.holds = append(t.holds, HoldWindow{City: ts.HoldCity, StartTick: i, Ticks: t.holdTicks()})
-		}
-		t.final = ts.DriveState
-		i++
-	}
-	t.ticks = i
+	return &Timeline{route: route, dcfg: dcfg, rng: rng, cfg: cfg}
 }
 
 // holdTicks is the hold budget in whole ticks, rounded up.
@@ -114,17 +84,19 @@ func (t *Timeline) holdTicks() int {
 	return int((t.cfg.Hold.Budget + t.cfg.Tick - 1) / t.cfg.Tick)
 }
 
-// Ticks reports the total number of tick states a cursor produces.
-func (t *Timeline) Ticks() int { return t.ticks }
-
-// Holds returns the precomputed static hold windows, in trip order.
-func (t *Timeline) Holds() []HoldWindow { return append([]HoldWindow(nil), t.holds...) }
-
-// Final reports the vehicle state at the end of the timeline.
-func (t *Timeline) Final() DriveState { return t.final }
-
-// Tick reports the simulation step.
-func (t *Timeline) Tick() time.Duration { return t.cfg.Tick }
+// Ticks counts the tick states a cursor produces by replaying one to the
+// end: a whole drive pass, for callers that must know the length before
+// the trip runs.
+func (t *Timeline) Ticks() int {
+	cur := t.Cursor()
+	n := 0
+	for {
+		if _, ok := cur.Next(); !ok {
+			return n
+		}
+		n++
+	}
+}
 
 // Cursor returns a fresh replay of the timeline from its first tick.
 // Cursors are independent: each owns a private Drive seeded from the same

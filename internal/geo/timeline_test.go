@@ -16,6 +16,32 @@ func testTimeline(seed int64, limit unit.Meters, hold HoldRule) *Timeline {
 	})
 }
 
+// holdWindow is one static hold as a cursor replay shows it.
+type holdWindow struct {
+	city  string
+	ticks int
+}
+
+// replay steps one cursor of tl to the end and returns its hold windows
+// in trip order (each from its HoldFirst to its HoldLast tick) and the
+// final vehicle state.
+func replay(tl *Timeline) (holds []holdWindow, final DriveState) {
+	cur := tl.Cursor()
+	for {
+		ts, ok := cur.Next()
+		if !ok {
+			return holds, final
+		}
+		if ts.HoldFirst {
+			holds = append(holds, holdWindow{city: ts.HoldCity})
+		}
+		if ts.Hold && len(holds) > 0 {
+			holds[len(holds)-1].ticks++
+		}
+		final = ts.DriveState
+	}
+}
+
 func TestTimelineCursorsIdentical(t *testing.T) {
 	tl := testTimeline(11, 150*unit.Kilometer, HoldRule{MaxCityDistance: 8 * unit.Kilometer, Budget: 2 * time.Minute})
 	a, b := tl.Cursor(), tl.Cursor()
@@ -34,8 +60,8 @@ func TestTimelineCursorsIdentical(t *testing.T) {
 		}
 		n++
 	}
-	if n != tl.Ticks() {
-		t.Fatalf("cursor produced %d ticks, Ticks() = %d", n, tl.Ticks())
+	if got := tl.Ticks(); n != got {
+		t.Fatalf("cursor produced %d ticks, Ticks() = %d", n, got)
 	}
 }
 
@@ -68,23 +94,23 @@ func TestTimelineHoldWindows(t *testing.T) {
 	const budget = 90 * time.Second
 	tick := 50 * time.Millisecond
 	tl := testTimeline(3, 700*unit.Kilometer, HoldRule{MaxCityDistance: 8 * unit.Kilometer, Budget: budget})
-	holds := tl.Holds()
+	holds, _ := replay(tl)
 	if len(holds) == 0 {
 		t.Fatal("no hold windows over 700 km (expected at least Los Angeles)")
 	}
 	wantTicks := int((budget + tick - 1) / tick)
 	for _, h := range holds {
-		if h.Ticks != wantTicks {
-			t.Errorf("city %s: %d hold ticks, want %d", h.City, h.Ticks, wantTicks)
+		if h.ticks != wantTicks {
+			t.Errorf("city %s: %d hold ticks, want %d", h.city, h.ticks, wantTicks)
 		}
-		if h.City == "" {
+		if h.city == "" {
 			t.Error("hold window without a city")
 		}
 	}
 
-	// Replay and check the annotations: odometer frozen, speed zero,
-	// first/last flags bracketing exactly the advertised windows, and at
-	// most one hold per city.
+	// Replay again and check the annotations: odometer frozen, speed
+	// zero, first/last flags bracketing exactly the windows above, and
+	// at most one hold per city.
 	cur := tl.Cursor()
 	seen := map[string]int{}
 	var inHold bool
@@ -131,7 +157,7 @@ func TestTimelineHoldWindows(t *testing.T) {
 		t.Fatal("timeline ended mid-hold")
 	}
 	if len(seen) != len(holds) {
-		t.Fatalf("replay visited %d cities, scan advertised %d", len(seen), len(holds))
+		t.Fatalf("second replay visited %d cities, first saw %d", len(seen), len(holds))
 	}
 	for city, n := range seen {
 		if n != 1 {
@@ -143,7 +169,7 @@ func TestTimelineHoldWindows(t *testing.T) {
 func TestTimelineRespectsLimit(t *testing.T) {
 	limit := 40 * unit.Kilometer
 	tl := testTimeline(7, limit, HoldRule{})
-	final := tl.Final()
+	_, final := replay(tl)
 	if final.Odometer < limit {
 		t.Fatalf("final odometer %v below limit %v", final.Odometer, limit)
 	}

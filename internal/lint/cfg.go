@@ -43,11 +43,14 @@ func (b *cfgBlock) add(n ast.Node) {
 type CFG struct {
 	entry  *cfgBlock
 	blocks []*cfgBlock
+	// headers maps the nodes anchored on behalf of a compound statement
+	// — a select's comm clauses, a range's operand — to that statement.
+	headers map[ast.Node]ast.Stmt
 }
 
 // buildCFG constructs the graph for one function or closure body.
 func buildCFG(body *ast.BlockStmt) *CFG {
-	g := &CFG{}
+	g := &CFG{headers: map[ast.Node]ast.Stmt{}}
 	b := &cfgBuilder{g: g, labels: map[string]*cfgBlock{}}
 	g.entry = b.newBlock()
 	b.stmtList(g.entry, body.List)
@@ -264,6 +267,7 @@ func (b *cfgBuilder) stmt(cur *cfgBlock, s ast.Stmt) *cfgBlock {
 	case *ast.RangeStmt:
 		label := b.takeLabel()
 		cur.add(s.X) // the ranged expression is evaluated once, up front
+		b.g.headers[s.X] = s
 		header := b.newBlock()
 		edge(cur, header)
 		exit := b.newBlock()
@@ -291,6 +295,7 @@ func (b *cfgBuilder) stmt(cur *cfgBlock, s ast.Stmt) *cfgBlock {
 			edge(cur, blk)
 			if cc.Comm != nil {
 				blk.add(cc.Comm)
+				b.g.headers[cc.Comm] = s
 			}
 			edge(b.stmtList(blk, cc.Body), join)
 		}

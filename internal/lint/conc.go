@@ -185,18 +185,14 @@ func walkBlocking(info *types.Info, root ast.Node, skipLits bool, visit func(blo
 		case *ast.GoStmt:
 			return false
 		case *ast.SelectStmt:
-			hasDefault := false
 			for _, c := range n.Body.List {
-				cc := c.(*ast.CommClause)
-				if cc.Comm == nil {
-					hasDefault = true
-					continue
+				if cc := c.(*ast.CommClause); cc.Comm != nil {
+					cancel = true
+					comm = append(comm, cc.Comm)
 				}
-				cancel = true
-				comm = append(comm, cc.Comm)
 			}
-			if !hasDefault {
-				visit(blockSite{node: n, desc: "select without default", kind: blockKindChan})
+			if s, ok := selectSite(n); ok {
+				visit(s)
 			}
 		case *ast.SendStmt:
 			cancel = true
@@ -211,9 +207,9 @@ func walkBlocking(info *types.Info, root ast.Node, skipLits bool, visit func(blo
 				}
 			}
 		case *ast.RangeStmt:
-			if _, ok := typeUnder(info.TypeOf(n.X)).(*types.Chan); ok {
+			if s, ok := rangeSite(info, n); ok {
 				cancel = true
-				visit(blockSite{node: n, desc: "range over channel", kind: blockKindChan})
+				visit(s)
 			}
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
@@ -235,6 +231,26 @@ func walkBlocking(info *types.Info, root ast.Node, skipLits bool, visit func(blo
 		return true
 	})
 	return cancel
+}
+
+// selectSite is a select's own blocking site: it parks only when it has
+// no default.
+func selectSite(n *ast.SelectStmt) (blockSite, bool) {
+	for _, c := range n.Body.List {
+		if c.(*ast.CommClause).Comm == nil {
+			return blockSite{}, false
+		}
+	}
+	return blockSite{node: n, desc: "select without default", kind: blockKindChan}, true
+}
+
+// rangeSite is a range statement's own blocking site: a range over a
+// channel parks on every iteration.
+func rangeSite(info *types.Info, n *ast.RangeStmt) (blockSite, bool) {
+	if _, ok := typeUnder(info.TypeOf(n.X)).(*types.Chan); !ok {
+		return blockSite{}, false
+	}
+	return blockSite{node: n, desc: "range over channel", kind: blockKindChan}, true
 }
 
 // inComm reports whether n lies inside one of the comm clauses seen so

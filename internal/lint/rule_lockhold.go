@@ -87,7 +87,7 @@ func checkLockPaths(a *Analysis, fi *funcInfo, unit ast.Node, report ReportFunc)
 			if n == acq.stmt || releasesLock(fi.pkg.Info, n, acq) {
 				return pathEnd
 			}
-			walkBlocking(fi.pkg.Info, n, true, func(s blockSite) {
+			nodeSites(fi.pkg.Info, g, n, func(s blockSite) {
 				desc, blocks := a.siteBlocks(s)
 				if !blocks || s.kind == blockKindCondWait || reported[s.node.Pos()] {
 					return
@@ -98,6 +98,32 @@ func checkLockPaths(a *Analysis, fi *funcInfo, unit ast.Node, report ReportFunc)
 			return pathOn
 		}, nil)
 	}
+}
+
+// nodeSites visits the blocking sites of one CFG node. A select's comm
+// clauses and a range's operand are anchored on their own, but they
+// block as their statement, so the sites are reported there: a comm's
+// channel operation is the select's, which parks only without a
+// default, and a range over a channel parks on every iteration. Calls
+// inside the anchored node are still sites of their own.
+func nodeSites(info *types.Info, g *CFG, n ast.Node, visit func(blockSite)) {
+	switch st := g.headers[n].(type) {
+	case *ast.SelectStmt:
+		if s, ok := selectSite(st); ok {
+			visit(s)
+		}
+		walkBlocking(info, n, true, func(s blockSite) {
+			if s.kind != blockKindChan {
+				visit(s)
+			}
+		})
+		return
+	case *ast.RangeStmt:
+		if s, ok := rangeSite(info, st); ok {
+			visit(s)
+		}
+	}
+	walkBlocking(info, n, true, visit)
 }
 
 // lockCall matches x.Lock() / x.RLock() on a sync.Mutex or sync.RWMutex

@@ -99,3 +99,39 @@ func (s *S) LoopBack() {
 		s.v++
 	}
 }
+
+// TryRecv polls under the lock: a select with a default never parks,
+// so its receive case is not a hold.
+func (s *S) TryRecv() (int, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case v := <-s.ch:
+		return v, true
+	default:
+		return 0, false
+	}
+}
+
+// WaitEither parks in a select without default while holding the lock;
+// the hold is the select statement, not either of its cases.
+func (s *S) WaitEither() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case v := <-s.ch:
+		return v
+	case s.q <- 1:
+		return 0
+	}
+}
+
+// DrainAll ranges over a channel while holding the lock: every
+// iteration parks on a receive.
+func (s *S) DrainAll() {
+	s.mu.Lock()
+	for v := range s.q {
+		s.v += v
+	}
+	s.mu.Unlock()
+}

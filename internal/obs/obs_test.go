@@ -114,22 +114,35 @@ func TestManifestRoundTrip(t *testing.T) {
 }
 
 // TestProgressReports drives the reporter against synthetic lane metrics
-// and checks the line shape.
+// and checks the line shape: the fraction is the slowest lane's odometer
+// over the planned distance, and a lane a step past it reads as done.
 func TestProgressReports(t *testing.T) {
 	r := New()
 	var buf bytes.Buffer
 	r.EnableProgress(&buf, time.Millisecond)
 	r.Counter("lane/V/ticks").Add(50)
 	r.Gauge("lane/V/odometer_km").Set(12.5)
-	stop := r.StartProgress(ProgressInfo{TotalTicks: 100, TotalKm: 25, Lanes: []string{"V"}})
-	time.Sleep(5 * time.Millisecond)
-	stop()
-	out := buf.String()
-	if !strings.Contains(out, "obs: 12.5/25.0 km 50.0%") {
-		t.Errorf("progress output %q lacks expected line", out)
+	r.Counter("lane/T/ticks").Add(80)
+	r.Gauge("lane/T/odometer_km").Set(20)
+	info := ProgressInfo{TotalKm: 25, Lanes: []string{"V", "T"}}
+	lastLine := func() string {
+		stop := r.StartProgress(info)
+		time.Sleep(5 * time.Millisecond)
+		stop()
+		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+		return lines[len(lines)-1]
 	}
-	if !strings.Contains(out, "ticks 50/100") {
-		t.Errorf("progress output %q lacks tick fraction", out)
+	if line := lastLine(); !strings.HasPrefix(line, "obs: 12.5/25.0 km 50.0% | ticks 50 |") {
+		t.Errorf("progress line %q does not report the slowest lane", line)
+	}
+
+	// The drive's last tick carries both lanes a step past the plan.
+	r.Counter("lane/V/ticks").Add(51)
+	r.Gauge("lane/V/odometer_km").Set(25.01)
+	r.Counter("lane/T/ticks").Add(21)
+	r.Gauge("lane/T/odometer_km").Set(25.01)
+	if line := lastLine(); !strings.HasPrefix(line, "obs: 25.0/25.0 km 100.0% | ticks 101 |") || !strings.HasSuffix(line, "| eta 0s") {
+		t.Errorf("final progress line %q, want 100.0%% at 101 ticks with eta 0s", line)
 	}
 }
 
@@ -145,7 +158,7 @@ func TestProgressReportsCrowd(t *testing.T) {
 	r.Gauge("lane/V/odometer_km").Set(12.5)
 	r.Counter("crowd/V/events").Add(4000)
 	r.Gauge("crowd/V/attached").Set(95000)
-	stop := r.StartProgress(ProgressInfo{TotalTicks: 100, TotalKm: 25, Lanes: []string{"V"}, Crowd: true})
+	stop := r.StartProgress(ProgressInfo{TotalKm: 25, Lanes: []string{"V"}, Crowd: true})
 	time.Sleep(5 * time.Millisecond)
 	stop()
 	out := buf.String()
@@ -159,7 +172,7 @@ func TestProgressReportsCrowd(t *testing.T) {
 	buf.Reset()
 	r2 := New()
 	r2.EnableProgress(&buf, time.Millisecond)
-	stop = r2.StartProgress(ProgressInfo{TotalTicks: 100, TotalKm: 25, Lanes: []string{"V"}})
+	stop = r2.StartProgress(ProgressInfo{TotalKm: 25, Lanes: []string{"V"}})
 	time.Sleep(3 * time.Millisecond)
 	stop()
 	if strings.Contains(buf.String(), "crowd") {
@@ -171,7 +184,7 @@ func TestProgressReportsCrowd(t *testing.T) {
 // EnableProgress (the -metrics-only path) spawns nothing.
 func TestProgressDisabledWithoutEnable(t *testing.T) {
 	r := New()
-	stop := r.StartProgress(ProgressInfo{TotalTicks: 1, Lanes: []string{"V"}})
+	stop := r.StartProgress(ProgressInfo{TotalKm: 1, Lanes: []string{"V"}})
 	stop() // must not hang or panic
 }
 

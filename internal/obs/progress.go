@@ -11,9 +11,8 @@ import (
 // maintain the counter "lane/<code>/ticks" and the gauge
 // "lane/<code>/odometer_km".
 type ProgressInfo struct {
-	// TotalTicks is the tick count each lane will replay.
-	TotalTicks int64
-	// TotalKm is the planned driven distance.
+	// TotalKm is the planned driven distance. The line's fraction and ETA
+	// are the slowest lane's odometer over it.
 	TotalKm float64
 	// Lanes are the operator short codes being simulated.
 	Lanes []string
@@ -97,7 +96,7 @@ func (p *progressLoop) run(r *Recorder, info ProgressInfo) {
 
 // report prints one status line:
 //
-//	obs: 123.4/500.0 km 24.7% | ticks 250000/1012345 | 310k ticks/s | eta 12s
+//	obs: 123.4/500.0 km 24.7% | ticks 250000 | 310k ticks/s | eta 12s
 //
 // With info.Crowd set the line also carries the background-UE registry's
 // attached population and event throughput:
@@ -139,9 +138,11 @@ func (p *progressLoop) report(r *Recorder, info ProgressInfo, begin time.Time, l
 	}
 	*lastTicks, *lastEvents, *lastAt = sumTicks, sumEvents, now
 
+	// The last tick can carry the odometer a step past the planned
+	// distance, so the fraction is capped at done.
 	frac := 0.0
-	if info.TotalTicks > 0 {
-		frac = float64(minTicks) / float64(info.TotalTicks)
+	if info.TotalKm > 0 {
+		frac = min(minOdo/info.TotalKm, 1)
 	}
 	eta := "?"
 	if frac > 0 && frac < 1 {
@@ -155,8 +156,8 @@ func (p *progressLoop) report(r *Recorder, info ProgressInfo, begin time.Time, l
 	if info.Crowd {
 		crowd = fmt.Sprintf(" | crowd %s att %s ev/s", fmtRate(attached), fmtRate(evRate))
 	}
-	fmt.Fprintf(p.w, "obs: %.1f/%.1f km %.1f%% | ticks %d/%d | %s ticks/s | eta %s%s\n",
-		minOdo, info.TotalKm, 100*frac, minTicks, info.TotalTicks, fmtRate(rate), eta, crowd)
+	fmt.Fprintf(p.w, "obs: %.1f/%.1f km %.1f%% | ticks %d | %s ticks/s | eta %s%s\n",
+		minOdo, info.TotalKm, 100*frac, minTicks, fmtRate(rate), eta, crowd)
 }
 
 // fmtRate renders a per-second rate compactly (312, 4.1k, 2.3M).

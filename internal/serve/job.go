@@ -1,6 +1,6 @@
 // Package serve is the service mode of cellwheels: a long-lived daemon
 // (cmd/wheelsd) that runs campaigns, fleets, and fleetsync collections
-// as jobs behind an HTTP/JSON API. The daemon adds scheduling, caching,
+// as jobs behind an HTTP/JSON API. The daemon adds scheduling, dedup,
 // and transport around the library — never simulation semantics: every
 // artifact a job produces is byte-identical to the equivalent
 // drivetest/fleetrun invocation, pinned by tests under -race.
@@ -60,7 +60,9 @@ type JobSpec struct {
 // sha256 of the spec's canonical re-marshalled form (fixed field order,
 // parsed values). Two submissions that parse to the same spec — however
 // their JSON was formatted — get the same ID, which is what makes
-// re-submission idempotent.
+// re-submission idempotent. The spec returned is the canonical form
+// decoded again, so equal IDs also mean equal specs: an empty sweep and
+// a missing one, or two spellings of a sweep value, come back the same.
 func ParseJobSpec(r io.Reader) (JobSpec, string, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -75,7 +77,11 @@ func ParseJobSpec(r io.Reader) (JobSpec, string, error) {
 	if err != nil {
 		return JobSpec{}, "", fmt.Errorf("bad job spec: %w", err)
 	}
-	return spec, fmt.Sprintf("%x", sha256.Sum256(canonical)), nil
+	var out JobSpec
+	if err := json.Unmarshal(canonical, &out); err != nil {
+		return JobSpec{}, "", fmt.Errorf("bad job spec: %w", err)
+	}
+	return out, fmt.Sprintf("%x", sha256.Sum256(canonical)), nil
 }
 
 // validateSpec rejects malformed submissions and fills derivable

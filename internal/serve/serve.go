@@ -31,10 +31,8 @@ type Config struct {
 	// (0 = GOMAXPROCS). Collect jobs run outside this pool — they are
 	// servers, not computations.
 	Workers int
-	// CacheSize bounds the precomputed-timeline cache (0 = 4 entries).
-	CacheSize int
-	// Obs receives daemon-level counters (submissions, dedups, cache
-	// traffic). Per-job metrics go to each job's own recorder. May be
+	// Obs receives daemon-level counters (submissions, dedups, job
+	// outcomes). Per-job metrics go to each job's own recorder. May be
 	// nil.
 	Obs *obs.Recorder
 	// TestHookRun, when non-nil, runs at the start of every pooled job
@@ -45,7 +43,7 @@ type Config struct {
 }
 
 // Server is the daemon: a FIFO job queue drained by a bounded worker
-// pool, a shared timeline cache, at most one live fleetsync collector,
+// pool, at most one live fleetsync collector,
 // and the HTTP API over all of it. Jobs are in-memory state; artifacts
 // are files. A Server survives any job outcome — panics included — and
 // drains cleanly on Shutdown.
@@ -53,7 +51,6 @@ type Server struct {
 	cfg     Config
 	jobsDir string
 	rec     *obs.Recorder
-	cache   *timelineCache
 
 	mu       sync.Mutex
 	cond     *sync.Cond // signals queue growth and drain start
@@ -86,15 +83,10 @@ func New(cfg Config) (*Server, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cacheSize := cfg.CacheSize
-	if cacheSize <= 0 {
-		cacheSize = 4
-	}
 	s := &Server{
 		cfg:     cfg,
 		jobsDir: jobsDir,
 		rec:     cfg.Obs,
-		cache:   newTimelineCache(cacheSize, cfg.Obs, nil),
 		jobs:    map[string]*Job{},
 		stop:    make(chan struct{}),
 	}
@@ -336,22 +328,15 @@ func (s *Server) runJob(j *Job) {
 	}
 }
 
-// runCampaign executes a campaign job: timeline from the shared cache,
-// then exactly the drivetest artifact set — dataset.json (the bytes of
-// Study.WriteJSON), report.txt, optional CSV tables, and the job's obs
-// manifest last so it carries every phase.
+// runCampaign executes a campaign job and writes exactly the drivetest
+// artifact set — dataset.json (the bytes of Study.WriteJSON),
+// report.txt, optional CSV tables, and the job's obs manifest last so it
+// carries every phase.
 //
 //lint:cold — once per job; per-tick work lives in the campaign, not the daemon
 func (s *Server) runCampaign(j *Job) error {
 	cfg := *j.Spec.Config
-	cfg.Obs = nil
-	cfg.SharedTimeline = nil
-	tl, err := s.cache.get(cfg.Fingerprint(), cfg)
-	if err != nil {
-		return err
-	}
 	cfg.Obs = j.rec
-	cfg.SharedTimeline = tl
 	study, err := cellwheels.Run(cfg)
 	if err != nil {
 		return err

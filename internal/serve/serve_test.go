@@ -217,46 +217,6 @@ func TestIdempotentResubmit(t *testing.T) {
 	}
 }
 
-// TestTimelineSharedAcrossJobs: two jobs with the same config
-// fingerprint (differing only in CSV export) build the drive timeline
-// once, concurrently, through the cache's single flight.
-func TestTimelineSharedAcrossJobs(t *testing.T) {
-	var builds atomic.Int64
-	s, ts := startServer(t, Config{Workers: 2})
-	s.cache.build = func(cfg cellwheels.Config) (*cellwheels.Timeline, error) {
-		builds.Add(1)
-		return cellwheels.PrecomputeTimeline(cfg)
-	}
-
-	specPlain := quickSpec(41)
-	specCSV := `{"kind":"campaign","csv":true,"config":{"seed":41,"limit_km":6,"skip_apps":true,"skip_static":true,"skip_passive":true}}`
-	var wg sync.WaitGroup
-	var idPlain, idCSV string
-	wg.Add(2)
-	go func() { defer wg.Done(); st, _ := submit(t, ts, specPlain); idPlain = st.ID }()
-	go func() { defer wg.Done(); st, _ := submit(t, ts, specCSV); idCSV = st.ID }()
-	wg.Wait()
-	if idPlain == idCSV {
-		t.Fatal("csv flag should change the job ID")
-	}
-	p := waitJob(t, ts, idPlain)
-	c := waitJob(t, ts, idCSV)
-	if p.State != StateDone || c.State != StateDone {
-		t.Fatalf("jobs failed: %s / %s", p.Error, c.Error)
-	}
-	if builds.Load() != 1 {
-		t.Fatalf("same-fingerprint jobs built the timeline %d times, want 1", builds.Load())
-	}
-	if !bytes.Equal(fetch(t, ts, idPlain, "dataset.json"), fetch(t, ts, idCSV, "dataset.json")) {
-		t.Error("same config produced different datasets")
-	}
-	for _, name := range []string{"throughput.csv", "rtt.csv", "handovers.csv", "appruns.csv"} {
-		if len(fetch(t, ts, idCSV, name)) == 0 {
-			t.Errorf("csv artifact %s is empty", name)
-		}
-	}
-}
-
 func fleetScenario() cellwheels.FleetConfig {
 	return cellwheels.FleetConfig{
 		MasterSeed: 9,
@@ -571,7 +531,7 @@ func TestBadRequests(t *testing.T) {
 		{"campaign without config", `{"kind":"campaign"}`},
 		{"fleet without scenario", `{"kind":"fleet"}`},
 		{"bad load model", `{"kind":"campaign","config":{"seed":1,"load_model":"psychic"}}`},
-		{"bad sweep field", `{"kind":"fleet","scenario":{"master_seed":1,"base":{"seed":0},"sweep":[{"field":"nope","values":[1]}]}}`,},
+		{"bad sweep field", `{"kind":"fleet","scenario":{"master_seed":1,"base":{"seed":0},"sweep":[{"field":"nope","values":[1]}]}}`},
 		{"archive_dir rejected", `{"kind":"fleet","scenario":{"master_seed":1,"archive_dir":"/tmp/x","base":{"seed":0}}}`},
 	} {
 		if _, code := submit(t, ts, tc.body); code != http.StatusBadRequest {

@@ -51,7 +51,8 @@ func TestObsManifestCountsMatchDataset(t *testing.T) {
 	}
 	man := rec.Manifest()
 
-	if got, want := man.Counters["table/tests"], int64(s.Summary().Tests); got != want {
+	sum := s.Summary()
+	if got, want := man.Counters["table/tests"], int64(sum.Tests); got != want {
 		t.Errorf("table/tests = %d, dataset has %d", got, want)
 	}
 
@@ -94,10 +95,40 @@ func TestObsManifestCountsMatchDataset(t *testing.T) {
 		t.Errorf("config_sha256 = %q, fingerprint of Obs-free config = %q", got, want)
 	}
 
+	// The drive pass's facts come from the block producer: every lane
+	// replayed the whole trip, and the route length is the dataset's.
+	perLane := man.Counters["ticks/per_lane"]
+	if perLane == 0 {
+		t.Error("ticks/per_lane not set")
+	}
+	for _, op := range []string{"A", "T", "V"} {
+		if got := man.Counters["lane/"+op+"/ticks"]; got != perLane {
+			t.Errorf("lane/%s/ticks = %d, ticks/per_lane = %d", op, got, perLane)
+		}
+	}
+	if got, want := man.Gauges["route/total_km"], sum.RouteKm; got != want {
+		t.Errorf("route/total_km = %v, dataset Meta.RouteKm = %v", got, want)
+	}
+
 	// Phases cover every lane plus merge and the run itself.
 	for _, phase := range []string{"run", "merge", "lane/V", "lane/T", "lane/A"} {
 		if _, ok := man.PhaseMS[phase]; !ok {
 			t.Errorf("manifest missing phase %q (have %v)", phase, man.PhaseMS)
 		}
+	}
+}
+
+// TestFingerprintIgnoresSideChannels: the exported Fingerprint — the
+// manifest's config_sha256 — must not change when the Obs side channel
+// is attached, and must tell different seeds apart.
+func TestFingerprintIgnoresSideChannels(t *testing.T) {
+	cfg := Config{Seed: 4, LimitKm: 10}
+	base := cfg.Fingerprint()
+	cfg.Obs = obs.New()
+	if got := cfg.Fingerprint(); got != base {
+		t.Errorf("fingerprint changed with Obs attached: %s != %s", got, base)
+	}
+	if other := (Config{Seed: 5, LimitKm: 10}).Fingerprint(); other == base {
+		t.Error("different seeds share a fingerprint")
 	}
 }
