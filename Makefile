@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-test lint lint-baseline lint-sarif lint-fixtures lint-inject-smoke smoke fleet-smoke crowd-smoke serve-smoke ci
+.PHONY: build test race vet bench bench-test fuzz-smoke lint lint-baseline lint-sarif lint-fixtures lint-inject-smoke smoke fleet-smoke crowd-smoke serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -14,20 +14,29 @@ race:
 vet:
 	$(GO) vet ./...
 
-# bench runs the lane-engine scaling benchmark and the per-tick layer
+# bench runs the lane-engine scaling benchmark, dataset decoding
+# (Load of the 700 km benchmark dataset) and the per-tick layer
 # benches (log reconciliation, geo route lookup and a full-route drive
 # pass, the moving and mmWave RAN ticks) once each, so CI keeps them
 # compiling and running. For real numbers drop -benchtime=1x; the full
 # figure/table benches live in bench_test.go and run with
 # `go test -bench=.`.
 bench:
-	$(GO) test -run=NONE -bench='^(BenchmarkCampaignRun|BenchmarkLogsyncMerge|BenchmarkRouteAt|BenchmarkTimelineScan|BenchmarkUEStep)$$' -benchtime=1x . ./internal/geo ./internal/ran
+	$(GO) test -run=NONE -bench='^(BenchmarkCampaignRun|BenchmarkLoad|BenchmarkLogsyncMerge|BenchmarkRouteAt|BenchmarkTimelineScan|BenchmarkUEStep)$$' -benchtime=1x . ./internal/geo ./internal/ran
 
 # bench-test vets and tests the repo benchmark (bench/, a module of its
 # own that the root `go test ./...` does not reach): its golden digests,
 # workload checks and compare logic.
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# fuzz-smoke gives each native fuzz target a few seconds, so CI keeps
+# them running: dataset.ReadJSON against the encoding/json reference,
+# and the wheelsd job-spec parser. Crashers are kept under the
+# package's testdata/fuzz/ as regression inputs.
+fuzz-smoke:
+	$(GO) test -run=NONE -fuzz='^FuzzReadJSON$$' -fuzztime=5s ./internal/dataset
+	$(GO) test -run=NONE -fuzz='^FuzzParseJobSpec$$' -fuzztime=5s ./internal/serve
 
 # lint runs the in-repo determinism & correctness linter (internal/lint)
 # over every package; findings fail the build. Suppress intentional uses
@@ -104,4 +113,4 @@ serve-smoke:
 
 # lint-sarif runs before the lint gates so the artifact exists for CI
 # upload even when lint fails the build.
-ci: vet build lint-sarif lint lint-baseline lint-inject-smoke race bench bench-test smoke fleet-smoke crowd-smoke serve-smoke
+ci: vet build lint-sarif lint lint-baseline lint-inject-smoke race bench bench-test fuzz-smoke smoke fleet-smoke crowd-smoke serve-smoke

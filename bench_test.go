@@ -14,6 +14,7 @@ package cellwheels
 // in EXPERIMENTS.md.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -531,6 +532,23 @@ func BenchmarkReport(b *testing.B) {
 	}
 	if len(out) == 0 {
 		b.Fatal("empty report")
+	}
+}
+
+// BenchmarkLoad times dataset decoding: Load of the 700 km benchmark
+// dataset's JSON, as analyze does before it renders a report.
+func BenchmarkLoad(b *testing.B) {
+	var buf bytes.Buffer
+	if err := benchDB(b).WriteJSON(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -105,12 +105,23 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := s.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	orig := append([]byte(nil), buf.Bytes()...)
 	back, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Summary().Tests != s.Summary().Tests {
 		t.Error("round trip changed test count")
+	}
+	var again bytes.Buffer
+	if err := back.WriteJSON(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), orig) {
+		t.Error("Load then WriteJSON changed the dataset bytes")
+	}
+	if back.Report() != s.Report() {
+		t.Error("loaded study renders a different report")
 	}
 	if _, err := Load(strings.NewReader("{")); err == nil {
 		t.Error("bad JSON accepted")

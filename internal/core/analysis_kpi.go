@@ -153,36 +153,44 @@ func TableKPICorrelation(db *dataset.DB) KPICorrelation {
 	for _, op := range radio.Operators() {
 		out.R[op] = map[radio.Direction]map[KPIName]float64{}
 		for _, dir := range radio.Directions() {
-			sel := db.ThroughputWhere(func(s dataset.ThroughputSample) bool {
-				return s.Op == op && s.Dir == dir && !s.Static
-			})
-			tput := make([]float64, len(sel))
-			cols := map[KPIName][]float64{}
-			for _, k := range KPINames() {
-				cols[k] = make([]float64, len(sel))
-			}
-			for i, s := range sel {
-				tput[i] = s.Mbps
-				cols[KPIRSRP][i] = s.RSRP
-				cols[KPIMCS][i] = float64(s.MCS)
-				cols[KPICA][i] = float64(s.CC)
-				cols[KPIBLER][i] = s.BLER
-				cols[KPISpeed][i] = s.SpeedMPH
-				cols[KPIHO][i] = float64(s.Handovers)
-			}
+			tput, cols := drivingKPIs(db, op, dir)
 			rs := map[KPIName]float64{}
 			for _, k := range KPINames() {
-				r, err := stats.Pearson(cols[k], tput)
+				r, err := stats.Pearson(cols[string(k)], tput)
 				if err != nil {
 					r = 0
 				}
 				rs[k] = r
 			}
 			out.R[op][dir] = rs
-			out.N[opDir{op, dir}] = len(sel)
+			out.N[opDir{op, dir}] = len(tput)
 		}
 	}
 	return out
+}
+
+// drivingKPIs returns the throughput of op's driving samples in dir
+// and, aligned with it, each Table 2 KPI's values keyed by name. It
+// ranges the table by index, so no sample is copied.
+func drivingKPIs(db *dataset.DB, op radio.Operator, dir radio.Direction) (tput []float64, kpis map[string][]float64) {
+	var rsrp, mcs, ca, bler, speed, ho []float64
+	for i := range db.Throughput {
+		s := &db.Throughput[i]
+		if s.Op != op || s.Dir != dir || s.Static {
+			continue
+		}
+		tput = append(tput, s.Mbps)
+		rsrp = append(rsrp, s.RSRP)
+		mcs = append(mcs, float64(s.MCS))
+		ca = append(ca, float64(s.CC))
+		bler = append(bler, s.BLER)
+		speed = append(speed, s.SpeedMPH)
+		ho = append(ho, float64(s.Handovers))
+	}
+	return tput, map[string][]float64{
+		string(KPIRSRP): rsrp, string(KPIMCS): mcs, string(KPICA): ca,
+		string(KPIBLER): bler, string(KPISpeed): speed, string(KPIHO): ho,
+	}
 }
 
 // Render formats Table 2.

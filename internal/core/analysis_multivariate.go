@@ -30,27 +30,11 @@ func AnalyzeMultivariate(db *dataset.DB) Multivariate {
 	names := []string{"RSRP", "MCS", "CA", "BLER", "Speed", "HO"}
 	for _, op := range radio.Operators() {
 		for _, dir := range radio.Directions() {
-			sel := db.ThroughputWhere(func(s dataset.ThroughputSample) bool {
-				return s.Op == op && s.Dir == dir && !s.Static
-			})
+			y, cols := drivingKPIs(db, op, dir)
 			k := opDir{op, dir}
-			if len(sel) < 20 {
+			if len(y) < 20 {
 				out.Errors[k] = "too few samples"
 				continue
-			}
-			y := make([]float64, len(sel))
-			cols := map[string][]float64{}
-			for _, n := range names {
-				cols[n] = make([]float64, len(sel))
-			}
-			for i, s := range sel {
-				y[i] = s.Mbps
-				cols["RSRP"][i] = s.RSRP
-				cols["MCS"][i] = float64(s.MCS)
-				cols["CA"][i] = float64(s.CC)
-				cols["BLER"][i] = s.BLER
-				cols["Speed"][i] = s.SpeedMPH
-				cols["HO"][i] = float64(s.Handovers)
 			}
 			fit, err := stats.OLS(y, names, cols)
 			if err != nil {

@@ -31,9 +31,9 @@ func FigureStaticVsDriving(db *dataset.DB) StaticVsDriving {
 	for _, op := range radio.Operators() {
 		for _, dir := range radio.Directions() {
 			sel := func(static bool) []float64 {
-				return dataset.Mbps(db.ThroughputWhere(func(s dataset.ThroughputSample) bool {
+				return db.MbpsWhere(func(s *dataset.ThroughputSample) bool {
 					return s.Op == op && s.Dir == dir && s.Static == static
-				}))
+				})
 			}
 			out.Throughput[opDir{op, dir}] = [2]stats.Summary{
 				summarizeOrZero(sel(true)),
@@ -41,16 +41,16 @@ func FigureStaticVsDriving(db *dataset.DB) StaticVsDriving {
 			}
 		}
 		rtt := func(static bool) []float64 {
-			return dataset.RTTValues(db.RTTWhere(func(s dataset.RTTSample) bool {
+			return db.RTTValuesWhere(func(s *dataset.RTTSample) bool {
 				return s.Op == op && s.Static == static
-			}))
+			})
 		}
 		out.RTT[op] = [2]stats.Summary{summarizeOrZero(rtt(true)), summarizeOrZero(rtt(false))}
 	}
 	for _, dir := range radio.Directions() {
-		xs := dataset.Mbps(db.ThroughputWhere(func(s dataset.ThroughputSample) bool {
+		xs := db.MbpsWhere(func(s *dataset.ThroughputSample) bool {
 			return s.Dir == dir && !s.Static
-		}))
+		})
 		out.FracBelow5[dir] = stats.NewCDF(xs).FracBelow(5)
 	}
 	return out
@@ -138,14 +138,14 @@ func FigurePerTechnology(db *dataset.DB) PerTechnology {
 		for _, tech := range radio.Technologies() {
 			out.Throughput[op][tech] = map[radio.Direction]stats.Summary{}
 			for _, dir := range radio.Directions() {
-				xs := dataset.Mbps(db.ThroughputWhere(func(s dataset.ThroughputSample) bool {
+				xs := db.MbpsWhere(func(s *dataset.ThroughputSample) bool {
 					return s.Op == op && s.Dir == dir && s.Tech == tech && !s.Static
-				}))
+				})
 				out.Throughput[op][tech][dir] = summarizeOrZero(xs)
 			}
-			rt := dataset.RTTValues(db.RTTWhere(func(s dataset.RTTSample) bool {
+			rt := db.RTTValuesWhere(func(s *dataset.RTTSample) bool {
 				return s.Op == op && s.Tech == tech && !s.Static
-			}))
+			})
 			out.RTT[op][tech] = summarizeOrZero(rt)
 		}
 	}
@@ -153,16 +153,16 @@ func FigurePerTechnology(db *dataset.DB) PerTechnology {
 		out.VerizonEdge[tech] = map[radio.Direction][2]stats.Summary{}
 		for _, dir := range radio.Directions() {
 			sel := func(edge bool) []float64 {
-				return dataset.Mbps(db.ThroughputWhere(func(s dataset.ThroughputSample) bool {
+				return db.MbpsWhere(func(s *dataset.ThroughputSample) bool {
 					return s.Op == radio.Verizon && s.Dir == dir && s.Tech == tech && !s.Static && s.Edge == edge
-				}))
+				})
 			}
 			out.VerizonEdge[tech][dir] = [2]stats.Summary{summarizeOrZero(sel(true)), summarizeOrZero(sel(false))}
 		}
 		rsel := func(edge bool) []float64 {
-			return dataset.RTTValues(db.RTTWhere(func(s dataset.RTTSample) bool {
+			return db.RTTValuesWhere(func(s *dataset.RTTSample) bool {
 				return s.Op == radio.Verizon && s.Tech == tech && !s.Static && s.Edge == edge
-			}))
+			})
 		}
 		out.VerizonEdgeRTT[tech] = [2]stats.Summary{summarizeOrZero(rsel(true)), summarizeOrZero(rsel(false))}
 	}
@@ -225,9 +225,9 @@ func FigureTimezone(db *dataset.DB) TimezonePerf {
 			k := opDir{op, dir}
 			out.Summary[k] = map[geo.Timezone]stats.Summary{}
 			for tz := geo.Pacific; tz <= geo.Eastern; tz++ {
-				xs := dataset.Mbps(db.ThroughputWhere(func(s dataset.ThroughputSample) bool {
+				xs := db.MbpsWhere(func(s *dataset.ThroughputSample) bool {
 					return s.Op == op && s.Dir == dir && s.Timezone == tz && !s.Static
-				}))
+				})
 				out.Summary[k][tz] = summarizeOrZero(xs)
 			}
 		}

@@ -224,17 +224,6 @@ func (db *DB) ThroughputWhere(keep func(ThroughputSample) bool) []ThroughputSamp
 	return out
 }
 
-// RTTWhere returns samples matching the predicate.
-func (db *DB) RTTWhere(keep func(RTTSample) bool) []RTTSample {
-	var out []RTTSample
-	for _, s := range db.RTT {
-		if keep(s) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // HandoversWhere returns events matching the predicate.
 func (db *DB) HandoversWhere(keep func(Handover) bool) []Handover {
 	var out []Handover
@@ -268,15 +257,6 @@ func (db *DB) TestsWhere(keep func(Test) bool) []Test {
 	return out
 }
 
-// Mbps extracts the throughput values of samples.
-func Mbps(samples []ThroughputSample) []float64 {
-	out := make([]float64, len(samples))
-	for i, s := range samples {
-		out[i] = s.Mbps
-	}
-	return out
-}
-
 // RTTValues extracts the RTT values (ms) of non-lost samples.
 func RTTValues(samples []RTTSample) []float64 {
 	var out []float64
@@ -288,17 +268,32 @@ func RTTValues(samples []RTTSample) []float64 {
 	return out
 }
 
+// MbpsWhere returns the throughput of the samples matching the
+// predicate, in table order, without copying the samples.
+func (db *DB) MbpsWhere(keep func(*ThroughputSample) bool) []float64 {
+	var out []float64
+	for i := range db.Throughput {
+		if s := &db.Throughput[i]; keep(s) {
+			out = append(out, s.Mbps)
+		}
+	}
+	return out
+}
+
+// RTTValuesWhere returns the RTT values (ms) of the non-lost samples
+// matching the predicate, in table order, without copying the samples.
+func (db *DB) RTTValuesWhere(keep func(*RTTSample) bool) []float64 {
+	var out []float64
+	for i := range db.RTT {
+		if s := &db.RTT[i]; !s.Lost && keep(s) {
+			out = append(out, s.RTTMS)
+		}
+	}
+	return out
+}
+
 // WriteJSON serializes the whole database.
 func (db *DB) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(db)
-}
-
-// ReadJSON loads a database written by WriteJSON.
-func ReadJSON(r io.Reader) (*DB, error) {
-	var db DB
-	if err := json.NewDecoder(r).Decode(&db); err != nil {
-		return nil, fmt.Errorf("dataset: decode: %w", err)
-	}
-	return &db, nil
 }

@@ -107,10 +107,6 @@ func TestFilters(t *testing.T) {
 	if len(tests) != 1 || tests[0].ID != 2 {
 		t.Errorf("static tests = %v", tests)
 	}
-	rtts := db.RTTWhere(func(s RTTSample) bool { return !s.Lost })
-	if len(rtts) != 1 {
-		t.Errorf("rtt filter = %v", rtts)
-	}
 	hos := db.HandoversWhere(func(h Handover) bool { return h.Vertical() })
 	if len(hos) != 1 {
 		t.Errorf("ho filter = %v", hos)
@@ -123,13 +119,22 @@ func TestFilters(t *testing.T) {
 
 func TestValueExtraction(t *testing.T) {
 	db := sampleDB()
-	ms := Mbps(db.Throughput)
-	if len(ms) != 2 || ms[0] != 42.5 {
-		t.Errorf("Mbps = %v", ms)
+	ms := db.MbpsWhere(func(*ThroughputSample) bool { return true })
+	if len(ms) != 2 || ms[0] != 42.5 || ms[1] != 3.1 {
+		t.Errorf("MbpsWhere(all) = %v", ms)
+	}
+	if ms := db.MbpsWhere(func(s *ThroughputSample) bool { return s.Static }); len(ms) != 1 || ms[0] != 3.1 {
+		t.Errorf("MbpsWhere(static) = %v", ms)
 	}
 	rs := RTTValues(db.RTT)
 	if len(rs) != 1 || rs[0] != 63.5 {
 		t.Errorf("RTTValues = %v (lost samples must be excluded)", rs)
+	}
+	if rs := db.RTTValuesWhere(func(*RTTSample) bool { return true }); len(rs) != 1 || rs[0] != 63.5 {
+		t.Errorf("RTTValuesWhere = %v (lost samples must be excluded)", rs)
+	}
+	if rs := db.RTTValuesWhere(func(s *RTTSample) bool { return !s.Static }); len(rs) != 0 {
+		t.Errorf("RTTValuesWhere(driving) = %v, want none", rs)
 	}
 }
 
