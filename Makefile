@@ -17,10 +17,10 @@ vet:
 # bench runs the lane-engine scaling benchmark, dataset decoding
 # (Load of the 700 km benchmark dataset) and the per-tick layer
 # benches (log reconciliation, geo route lookup and a full-route drive
-# pass, the moving and mmWave RAN ticks) once each, so CI keeps them
-# compiling and running. For real numbers drop -benchtime=1x; the full
-# figure/table benches live in bench_test.go and run with
-# `go test -bench=.`.
+# pass, the moving, mobility-only and mmWave RAN ticks) once each, so
+# CI keeps them compiling and running. For real numbers drop
+# -benchtime=1x; the full figure/table benches live in bench_test.go
+# and run with `go test -bench=.`.
 bench:
 	$(GO) test -run=NONE -bench='^(BenchmarkCampaignRun|BenchmarkLoad|BenchmarkLogsyncMerge|BenchmarkRouteAt|BenchmarkTimelineScan|BenchmarkUEStep)$$' -benchtime=1x . ./internal/geo ./internal/ran
 

@@ -39,10 +39,11 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 }
 
 // TestMovingStepAllocs is the same guard for a UE on the move: over a
-// stretch of driving without a handover, Step (the bounded A3 scan, shadow
-// memo refills at bucket edges, the coverage span cache) must not
-// allocate either. A scouting UE finds the first such stretch after ten
-// minutes of driving; an identical UE replays the drive up to it.
+// stretch of driving without a handover, Step (the bounded A3 scan and
+// its quiet-bucket certificate, shadow memo refills at bucket edges, the
+// coverage span cache) must not allocate either, and neither may Move,
+// the mobility half alone. A scouting UE finds the first such stretch
+// after ten minutes of driving; identical UEs replay the drive up to it.
 func TestMovingStepAllocs(t *testing.T) {
 	const runs = 300
 	warm := int(10 * time.Minute / tick)
@@ -62,20 +63,27 @@ func TestMovingStepAllocs(t *testing.T) {
 		}
 	}
 
-	ue, _ := testUE(t, radio.Verizon, 11)
-	step := func(ds geo.DriveState) { ue.Step(ds.Time, ds.Waypoint, ds.Speed.MPH(), tick) }
-	for _, ds := range states[:quiet] {
-		step(ds)
-	}
-	if ue.HandoverCount() != hos {
-		t.Fatalf("replay reached the stretch after %d handovers, scout after %d", ue.HandoverCount(), hos)
-	}
-	next := quiet
-	avg := testing.AllocsPerRun(runs, func() {
-		step(states[next])
-		next++
-	})
-	if avg != 0 {
-		t.Errorf("moving UE.Step allocates %.2f objects per tick, want 0", avg)
+	for _, c := range []struct {
+		name string
+		step func(*UE, geo.DriveState)
+	}{
+		{"Step", step},
+		{"Move", move},
+	} {
+		ue, _ := testUE(t, radio.Verizon, 11)
+		for _, ds := range states[:quiet] {
+			c.step(ue, ds)
+		}
+		if ue.HandoverCount() != hos {
+			t.Fatalf("%s replay reached the stretch after %d handovers, scout after %d", c.name, ue.HandoverCount(), hos)
+		}
+		next := quiet
+		avg := testing.AllocsPerRun(runs, func() {
+			c.step(ue, states[next])
+			next++
+		})
+		if avg != 0 {
+			t.Errorf("moving UE.%s allocates %.2f objects per tick, want 0", c.name, avg)
+		}
 	}
 }

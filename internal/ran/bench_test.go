@@ -13,10 +13,12 @@ import (
 
 // BenchmarkUEStep measures one RAN tick: coverage lookup, the A3 handover
 // scan over neighbouring cells, and the serving link's capacity. The
-// drive states are precomputed so only UE.Step is timed; when they run
+// drive states are precomputed so only the UE is timed; when they run
 // out the UE restarts from the first state.
 //
 //   - moving: an idle Verizon UE on an hour of the paper's drive.
+//   - track: the same UE and hour under Move, the mobility half alone,
+//     as the passive handover logger steps it.
 //   - mmwave: a heavy-downlink Verizon UE crawling at 10 mph through the
 //     longest mmWave fragment, where cells are densest and the A3 scan
 //     sees the most neighbours.
@@ -25,13 +27,16 @@ func BenchmarkUEStep(b *testing.B) {
 	rng := simrand.New(3)
 	m := deploy.NewMap(radio.Verizon, route, rng)
 
+	drive := geo.NewDrive(route, geo.DefaultDriveConfig(), rng)
+	hour := make([]geo.DriveState, 40000) // about an hour of driving
+	for i := range hour {
+		hour[i] = drive.Step(tick)
+	}
 	b.Run("moving", func(b *testing.B) {
-		drive := geo.NewDrive(route, geo.DefaultDriveConfig(), rng)
-		states := make([]geo.DriveState, 40000) // about an hour of driving
-		for i := range states {
-			states[i] = drive.Step(tick)
-		}
-		benchSteps(b, m, rng, deploy.Idle, states)
+		benchSteps(b, m, rng, deploy.Idle, hour, step)
+	})
+	b.Run("track", func(b *testing.B) {
+		benchSteps(b, m, rng, deploy.Idle, hour, move)
 	})
 
 	b.Run("mmwave", func(b *testing.B) {
@@ -52,13 +57,17 @@ func BenchmarkUEStep(b *testing.B) {
 				Waypoint: route.At(odo),
 			})
 		}
-		benchSteps(b, m, rng, deploy.HeavyDL, states)
+		benchSteps(b, m, rng, deploy.HeavyDL, states, step)
 	})
 }
 
-// benchSteps times UE.Step over states on traffic tr, restarting with a
+// step is one full UE.Step tick, and move one mobility-only UE.Move tick.
+func step(ue *UE, ds geo.DriveState) { ue.Step(ds.Time, ds.Waypoint, ds.Speed.MPH(), tick) }
+func move(ue *UE, ds geo.DriveState) { ue.Move(ds.Time, ds.Waypoint) }
+
+// benchSteps times advance over states on traffic tr, restarting with a
 // fresh UE whenever the states run out.
-func benchSteps(b *testing.B, m *deploy.Map, rng *simrand.Source, tr deploy.Traffic, states []geo.DriveState) {
+func benchSteps(b *testing.B, m *deploy.Map, rng *simrand.Source, tr deploy.Traffic, states []geo.DriveState, advance func(*UE, geo.DriveState)) {
 	fresh := func() *UE {
 		ue := NewUE(UEConfig{Op: m.Op, Map: m}, rng)
 		ue.SetTraffic(tr, states[0].Time, states[0].Waypoint)
@@ -73,7 +82,6 @@ func benchSteps(b *testing.B, m *deploy.Map, rng *simrand.Source, tr deploy.Traf
 			ue = fresh()
 			b.StartTimer()
 		}
-		ds := states[j]
-		ue.Step(ds.Time, ds.Waypoint, ds.Speed.MPH(), tick)
+		advance(ue, states[j])
 	}
 }

@@ -214,8 +214,19 @@ type UE struct {
 	// shadow memoizes shadowing draws (see shadowSlot)
 	shadow [1 << shadowSlotBits]shadowEntry
 
+	// quiet certifies that no A3 neighbour of quietCell can fire anywhere
+	// in shadow bucket quietBucket (see bucketQuiet); it is recomputed
+	// only when the (serving cell, bucket) key changes
+	quietCell   *deploy.Cell
+	quietBucket int64
+	quiet       bool
+	// a3Checks counts the moving A3 checks and a3Quiet those the
+	// certificate answered, for the coverage test
+	a3Checks, a3Quiet int
+
 	// fullScan evaluates every A3 neighbour exactly, ignoring the memo's
-	// bounds: the reference the bounded scan is tested against.
+	// bounds and the quiet-bucket certificate: the reference the bounded
+	// scan is tested against.
 	fullScan bool
 
 	handovers  []HandoverEvent
@@ -328,7 +339,7 @@ func (u *UE) SetStaticMode(on bool) {
 // bestCell picks the strongest cell of a technology near the position.
 // Returns -1 if none is in range (possible for thinly covered techs).
 func (u *UE) bestCell(odo unit.Meters, t radio.Technology) int {
-	window := 3 * radio.Band(t).CellRadius
+	window := searchWindow(t)
 	if u.staticMode && window < staticSearch {
 		window = staticSearch
 	}
@@ -552,10 +563,39 @@ func (u *UE) seedTargetLoad(c *deploy.Cell) {
 }
 
 // Step advances the UE by dt at the given vehicle state and returns the
-// new link state.
+// new link state. It runs the mobility half of the tick (see Move), then
+// the link half, so every random stream is drawn in one fixed order.
 //
 //lint:hotroot — the RAN model's per-tick entry point
 func (u *UE) Step(now time.Time, wp geo.Waypoint, speedMPH float64, dt time.Duration) LinkState {
+	servingRSRP, haveRSRP, target := u.move(now, wp)
+	if target != nil {
+		// Seeded here, not in the A3 check, so Move draws no load.
+		u.seedTargetLoad(target)
+	}
+	return u.link(now, wp, speedMPH, dt, servingRSRP, haveRSRP)
+}
+
+// Move advances only the mobility half of a tick: coverage reselection,
+// the A3 handover check and the handover window. It reports the serving
+// technology and cell ID ("" when unattached). A UE that only ever Moves
+// draws the same handovers as one that Steps, and skips carrier
+// aggregation, fades, load, SINR and capacity. Move updates only the
+// Time, Tech, CellID and InHandover of State; the link fields keep their
+// last Step's values, zero for a UE that only Moves.
+//
+//lint:hotroot — the passive logger's per-tick entry point
+func (u *UE) Move(now time.Time, wp geo.Waypoint) (radio.Technology, string) {
+	u.move(now, wp)
+	st := &u.state
+	st.Time, st.Tech, st.CellID, st.InHandover = now, u.tech, u.cellName(), now.Before(u.hoUntil)
+	return st.Tech, st.CellID
+}
+
+// move is the mobility half of a tick. When the A3 check computed the
+// serving cell's RSRP for this tick it reports it with haveRSRP; when a
+// horizontal handover fired it reports the target cell.
+func (u *UE) move(now time.Time, wp geo.Waypoint) (servingRSRP unit.DBm, haveRSRP bool, target *deploy.Cell) {
 	avail := u.availAt(wp.Odometer)
 	if !u.attached || avail != u.lastAvail || (u.cellIdx >= 0 && !avail.Has(u.tech)) {
 		u.lastAvail = avail
@@ -563,14 +603,24 @@ func (u *UE) Step(now time.Time, wp geo.Waypoint, speedMPH float64, dt time.Dura
 	}
 
 	// Horizontal handover: a neighbour beats the serving cell by the
-	// hysteresis margin. Without one, the scan's serving RSRP is this
-	// tick's.
-	var servingRSRP unit.DBm
-	haveRSRP := false
+	// hysteresis margin.
 	if u.cellIdx >= 0 && now.After(u.hoUntil) {
-		servingRSRP, haveRSRP = u.maybeHandover(now, wp)
+		servingRSRP, haveRSRP, target = u.maybeHandover(now, wp)
 	}
+	if u.cellIdx >= 0 {
+		if c := u.cfg.Map.CellAt(u.tech, u.cellIdx); c != u.seenCell {
+			u.cellsSeen[c.ID] = true
+			u.seenCell = c
+		}
+	}
+	u.everTicked = true
+	return servingRSRP, haveRSRP, target
+}
 
+// link is the link half of a tick: carrier aggregation, deep fades, and
+// the serving cell's load, SINR, MCS, BLER and capacities. servingRSRP is
+// this tick's serving RSRP when haveRSRP is set.
+func (u *UE) link(now time.Time, wp geo.Waypoint, speedMPH float64, dt time.Duration, servingRSRP unit.DBm, haveRSRP bool) LinkState {
 	// Carrier aggregation reconfiguration.
 	if now.After(u.caNext) {
 		u.redrawCA(now)
@@ -591,10 +641,6 @@ func (u *UE) Step(now time.Time, wp geo.Waypoint, speedMPH float64, dt time.Dura
 	if u.cellIdx >= 0 {
 		c := u.cfg.Map.CellAt(u.tech, u.cellIdx)
 		st.CellID = c.ID
-		if c != u.seenCell {
-			u.cellsSeen[c.ID] = true
-			u.seenCell = c
-		}
 		st.RSRP = servingRSRP
 		if !haveRSRP {
 			st.RSRP = u.rsrpOf(c, wp.Odometer)
@@ -628,7 +674,6 @@ func (u *UE) Step(now time.Time, wp geo.Waypoint, speedMPH float64, dt time.Dura
 		st.CapacityDL, st.CapacityUL = 0, 0
 	}
 	u.state = st
-	u.everTicked = true
 	return st
 }
 
@@ -654,21 +699,35 @@ func (u *UE) reselectTechOnCoverageChange(now time.Time, wp geo.Waypoint, avail 
 }
 
 // maybeHandover checks the A3 condition against nearby cells. When no
-// handover fires it reports the serving cell's RSRP and ok, so Step need
-// not evaluate it again.
+// handover fires and the serving cell's RSRP was computed it reports it
+// with haveRSRP, so Step need not evaluate it again. When a handover
+// fires it reports the target cell.
 //
-// Outside static mode a neighbour whose memo bound (see bucketBound) is
-// at or below the running best cannot pass the strict r > best anywhere
-// in the bucket, so its exact RSRP is skipped. Every other neighbour is
-// evaluated exactly, in the same index order, so the target is the one
-// the exhaustive scan picks.
-func (u *UE) maybeHandover(now time.Time, wp geo.Waypoint) (servingRSRP unit.DBm, ok bool) {
+// Outside static mode a bucket the quiet-bucket certificate accepts (see
+// bucketQuiet) cannot fire for the serving cell, so the check ends before
+// any RSRP is computed. Otherwise a neighbour whose memo bound (see
+// bucketBound) is at or below the running best cannot pass the strict
+// r > best anywhere in the bucket, so its exact RSRP is skipped. Every
+// other neighbour is evaluated exactly, in the same index order, so the
+// target is the one the exhaustive scan picks.
+func (u *UE) maybeHandover(now time.Time, wp geo.Waypoint) (servingRSRP unit.DBm, haveRSRP bool, target *deploy.Cell) {
 	serving := u.cfg.Map.CellAt(u.tech, u.cellIdx)
-	servingRSRP = u.rsrpOf(serving, wp.Odometer)
-	window := 3 * radio.Band(u.tech).CellRadius
-	best, bestIdx := float64(servingRSRP)+hysteresis, -1
 	bounded := !u.staticMode && !u.fullScan
 	bucket := int64(wp.Odometer / shadowBucket)
+	if bounded {
+		if serving != u.quietCell || bucket != u.quietBucket {
+			u.quietCell, u.quietBucket = serving, bucket
+			u.quiet = u.bucketQuiet(serving, bucket)
+		}
+		u.a3Checks++
+		if u.quiet {
+			u.a3Quiet++
+			return 0, false, nil
+		}
+	}
+	servingRSRP = u.rsrpOf(serving, wp.Odometer)
+	window := searchWindow(u.tech)
+	best, bestIdx := float64(servingRSRP)+hysteresis, -1
 	lo, hi := u.cfg.Map.CellRange(wp.Odometer, u.tech, window)
 	for i := lo; i < hi; i++ {
 		if i == u.cellIdx {
@@ -683,13 +742,47 @@ func (u *UE) maybeHandover(now time.Time, wp geo.Waypoint) (servingRSRP unit.DBm
 		}
 	}
 	if bestIdx < 0 {
-		return servingRSRP, true
+		return servingRSRP, true, nil
 	}
 	fromCell := serving.ID
 	u.cellIdx = bestIdx
-	u.seedTargetLoad(u.cfg.Map.CellAt(u.tech, bestIdx))
-	u.recordHandover(now, u.tech, u.tech, fromCell, u.cellName(), wp.Odometer)
-	return 0, false
+	target = u.cfg.Map.CellAt(u.tech, bestIdx)
+	u.recordHandover(now, u.tech, u.tech, fromCell, target.ID, wp.Odometer)
+	return 0, false, target
+}
+
+// searchWindow is how far along the route, on either side of the UE,
+// cell selection and the A3 check look for cells of technology t.
+func searchWindow(t radio.Technology) unit.Meters { return 3 * radio.Band(t).CellRadius }
+
+// bucketQuiet is the quiet-bucket certificate: it reports whether no A3
+// neighbour of serving can fire at any non-static odometer of the shadow
+// bucket. Its lower bound on the serving cell's RSRP mirrors bucketBound:
+// the draw is constant in the bucket and RSRP does not rise with
+// distance, so the RSRP at the bucket's farthest approach, widened by
+// boundEdgeSlack per side and with the distance pushed out by
+// boundDistSlack, is at or below every exact serving RSRP in the bucket.
+// The neighbours are every cell of any scan window over the widened
+// bucket: CellRange's bounds do not fall as the odometer grows, so they
+// are [lo(bucket start), hi(bucket end)). A neighbour's exact RSRP is at
+// most its bucketBound; if no bound exceeds the serving floor plus
+// hysteresis, no r > best can hold.
+func (u *UE) bucketQuiet(serving *deploy.Cell, bucket int64) bool {
+	window := searchWindow(serving.Tech)
+	lo := unit.Meters(bucket)*shadowBucket - boundEdgeSlack
+	hi := unit.Meters(bucket+1)*shadowBucket + boundEdgeSlack
+	far := math.Max(math.Abs(float64(lo-serving.Odometer)), math.Abs(float64(hi-serving.Odometer)))
+	d := unit.Meters(math.Hypot(far, float64(serving.Lateral))) + boundDistSlack
+	floor := float64(u.shadowedRSRP(serving, d, u.shadowSlot(serving, bucket).draw)) + hysteresis
+	first, _ := u.cfg.Map.CellRange(lo, serving.Tech, window)
+	_, last := u.cfg.Map.CellRange(hi, serving.Tech, window)
+	for i := first; i < last; i++ {
+		c := u.cfg.Map.CellAt(serving.Tech, i)
+		if c != serving && u.shadowSlot(c, bucket).bound > floor {
+			return false
+		}
+	}
+	return true
 }
 
 // Handovers returns all handover events so far, in order.

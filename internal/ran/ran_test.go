@@ -333,7 +333,7 @@ func TestShadowMemoMatchesHashNormal(t *testing.T) {
 		bucket := int64(odo / shadowBucket)
 		buckets[bucket] = true
 		for _, tech := range radio.Technologies() {
-			lo, hi := m.CellRange(odo, tech, 3*radio.Band(tech).CellRadius)
+			lo, hi := m.CellRange(odo, tech, searchWindow(tech))
 			for j := lo; j < hi; j++ {
 				c := m.CellAt(tech, j)
 				if got, want := ue.shadowSlot(c, bucket).draw, hashNormal(c.ID, bucket); got != want {

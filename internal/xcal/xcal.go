@@ -8,8 +8,10 @@
 //
 // The HandoverLogger stands in for the three extra unrooted phones that
 // passively logged coverage for the whole trip over idle ICMP traffic
-// (§3). Its rows use a third format: naive local-time strings plus a
-// separate zone-name column.
+// (§3). The pings only kept the radio awake and their results were never
+// logged, so they are modeled by the UE's idle traffic profile, not
+// simulated. Its rows use a third format: naive local-time strings plus
+// a separate zone-name column.
 package xcal
 
 import (
@@ -20,7 +22,6 @@ import (
 	"github.com/nuwins/cellwheels/internal/radio"
 	"github.com/nuwins/cellwheels/internal/ran"
 	"github.com/nuwins/cellwheels/internal/simrand"
-	"github.com/nuwins/cellwheels/internal/transport"
 	"github.com/nuwins/cellwheels/internal/unit"
 )
 
@@ -203,31 +204,26 @@ type LoggerRow struct {
 	SpeedMPH  float64
 }
 
-// HandoverLogger is one passive phone: it keeps the radio awake with
-// 200 ms ICMP pings and records technology/cell/GPS once per second.
+// HandoverLogger is one passive phone: it records technology/cell/GPS
+// once per second, so it steps only its UE's mobility (ran.UE.Move). The
+// UE's idle traffic profile stands for the ICMP pings that kept the
+// phone's radio awake.
 type HandoverLogger struct {
-	UE     *ran.UE
-	pinger *transport.Pinger
-	rows   []LoggerRow
-	since  time.Duration
+	UE    *ran.UE
+	rows  []LoggerRow
+	since time.Duration
 }
 
 // NewHandoverLogger attaches a passive phone to a network. The full UE
 // config is taken so ablations (e.g. ForceBest) reach the passive phones
 // as well as the active ones.
 func NewHandoverLogger(cfg ran.UEConfig, rng *simrand.Source) *HandoverLogger {
-	src := rng.Fork("hologger/" + cfg.Op.Short())
-	return &HandoverLogger{
-		UE:     ran.NewUE(cfg, src),
-		pinger: transport.NewPinger(src),
-	}
+	return &HandoverLogger{UE: ran.NewUE(cfg, rng.Fork("hologger/"+cfg.Op.Short()))}
 }
 
 // Step advances the logger one simulation tick.
 func (l *HandoverLogger) Step(now time.Time, wp geo.Waypoint, speedMPH float64, dt time.Duration) {
-	st := l.UE.Step(now, wp, speedMPH, dt)
-	// The pings exist only to keep the radio out of sleep; results unused.
-	l.pinger.Step(dt, st.CapacityDL, 40*time.Millisecond, st.Load, st.InHandover)
+	tech, cell := l.UE.Move(now, wp)
 	l.since += dt
 	if l.since >= time.Second {
 		l.since -= time.Second
@@ -235,8 +231,8 @@ func (l *HandoverLogger) Step(now time.Time, wp geo.Waypoint, speedMPH float64, 
 		l.rows = append(l.rows, LoggerRow{
 			TimeLocal: local.Format(LoggerFormat),
 			Zone:      wp.Timezone.String(),
-			Tech:      st.Tech.String(),
-			CellID:    st.CellID,
+			Tech:      tech.String(),
+			CellID:    cell,
 			Lat:       wp.Loc.Lat,
 			Lon:       wp.Loc.Lon,
 			SpeedMPH:  speedMPH,
@@ -244,5 +240,8 @@ func (l *HandoverLogger) Step(now time.Time, wp geo.Waypoint, speedMPH float64, 
 	}
 }
 
-// Rows returns the passive coverage log.
-func (l *HandoverLogger) Rows() []LoggerRow { return append([]LoggerRow(nil), l.rows...) }
+// Rows returns the passive coverage log. It hands over the logger's own
+// slice rather than a copy, which on the full route is a quarter-million
+// rows per operator: call it once the logger is done, and step the
+// logger no further.
+func (l *HandoverLogger) Rows() []LoggerRow { return l.rows }

@@ -148,6 +148,10 @@ func TestHandoverLoggerProducesRows(t *testing.T) {
 			t.Errorf("passive AT&T row on %q", row.Tech)
 		}
 	}
+	// The logger steps only the UE's mobility: no load, SINR or capacity.
+	if st := l.UE.State(); st.CellID == "" || st.Load != 0 || st.SINR != 0 || st.CapacityDL != 0 || st.CapacityUL != 0 {
+		t.Errorf("passive UE state %+v, want a serving cell and no link KPIs", st)
+	}
 }
 
 func TestHandoverLoggerSeesFewer5GThanActive(t *testing.T) {
