@@ -15,14 +15,16 @@ vet:
 	$(GO) vet ./...
 
 # bench runs the lane-engine scaling benchmark, dataset decoding
-# (Load of the 700 km benchmark dataset) and the per-tick layer
-# benches (log reconciliation, geo route lookup and a full-route drive
-# pass, the moving, mobility-only and mmWave RAN ticks) once each, so
-# CI keeps them compiling and running. For real numbers drop
+# (Load of the 700 km benchmark dataset), the per-tick layer benches
+# (log reconciliation, geo route lookup and a full-route drive pass,
+# the moving, mobility-only and mmWave RAN ticks) and the testbed
+# construction benches (one operator's full-route deployment, a 20 km
+# campaign's NewCampaign) once each, so CI keeps them compiling and
+# running. For real numbers drop
 # -benchtime=1x; the full figure/table benches live in bench_test.go
 # and run with `go test -bench=.`.
 bench:
-	$(GO) test -run=NONE -bench='^(BenchmarkCampaignRun|BenchmarkLoad|BenchmarkLogsyncMerge|BenchmarkRouteAt|BenchmarkTimelineScan|BenchmarkUEStep)$$' -benchtime=1x . ./internal/geo ./internal/ran
+	$(GO) test -run=NONE -bench='^(BenchmarkCampaignRun|BenchmarkLoad|BenchmarkLogsyncMerge|BenchmarkRouteAt|BenchmarkTimelineScan|BenchmarkUEStep|BenchmarkNewMap|BenchmarkNewCampaign)$$' -benchtime=1x . ./internal/geo ./internal/ran ./internal/deploy ./internal/core
 
 # bench-test vets and tests the repo benchmark (bench/, a module of its
 # own that the root `go test ./...` does not reach): its golden digests,

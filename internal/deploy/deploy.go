@@ -18,9 +18,9 @@
 package deploy
 
 import (
-	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"github.com/nuwins/cellwheels/internal/geo"
 	"github.com/nuwins/cellwheels/internal/radio"
@@ -114,35 +114,29 @@ func meanFragment(t radio.Technology) unit.Meters {
 	}
 }
 
-// regionBase is the availability probability of a technology by region,
-// before timezone scaling. Calibrated to Fig 2a/2d (see DESIGN.md §5).
-func regionBase(op radio.Operator, t radio.Technology, r geo.Region) float64 {
-	type key struct {
-		op radio.Operator
-		t  radio.Technology
-	}
-	// [urban, suburban, highway]
-	table := map[key][3]float64{
-		{radio.Verizon, radio.NRMmWave}: {0.55, 0.02, 0.002},
-		{radio.Verizon, radio.NRMid}:    {0.35, 0.15, 0.08},
-		{radio.Verizon, radio.NRLow}:    {0.30, 0.15, 0.06},
-		{radio.Verizon, radio.LTEA}:     {0.75, 0.60, 0.55},
-
-		{radio.TMobile, radio.NRMmWave}: {0.06, 0.005, 0},
-		{radio.TMobile, radio.NRMid}:    {0.60, 0.45, 0.38},
-		{radio.TMobile, radio.NRLow}:    {0.70, 0.60, 0.50},
-		{radio.TMobile, radio.LTEA}:     {0.60, 0.60, 0.60},
-
-		{radio.ATT, radio.NRMmWave}: {0.12, 0, 0},
-		{radio.ATT, radio.NRMid}:    {0.15, 0.04, 0.01},
-		{radio.ATT, radio.NRLow}:    {0.35, 0.25, 0.15},
-		{radio.ATT, radio.LTEA}:     {0.80, 0.75, 0.72},
-	}
-	v, ok := table[key{op, t}]
-	if !ok {
-		return 0
-	}
-	return v[r]
+// regionBase is the availability probability of each (operator,
+// technology) pair by region, [urban, suburban, highway], before
+// timezone scaling. Calibrated to Fig 2a/2d (see DESIGN.md §5). LTE
+// blankets the route and has no row: its entries stay zero.
+var regionBase = [radio.NumOperators][radio.NumTechnologies][3]float64{
+	radio.Verizon: {
+		radio.NRMmWave: {0.55, 0.02, 0.002},
+		radio.NRMid:    {0.35, 0.15, 0.08},
+		radio.NRLow:    {0.30, 0.15, 0.06},
+		radio.LTEA:     {0.75, 0.60, 0.55},
+	},
+	radio.TMobile: {
+		radio.NRMmWave: {0.06, 0.005, 0},
+		radio.NRMid:    {0.60, 0.45, 0.38},
+		radio.NRLow:    {0.70, 0.60, 0.50},
+		radio.LTEA:     {0.60, 0.60, 0.60},
+	},
+	radio.ATT: {
+		radio.NRMmWave: {0.12, 0, 0},
+		radio.NRMid:    {0.15, 0.04, 0.01},
+		radio.NRLow:    {0.35, 0.25, 0.15},
+		radio.LTEA:     {0.80, 0.75, 0.72},
+	},
 }
 
 // tzFactor scales availability by timezone, reproducing Fig 2c's regional
@@ -166,9 +160,12 @@ func tzFactor(op radio.Operator, t radio.Technology, z geo.Timezone) float64 {
 	}
 }
 
-// availProb is the stationary coverage probability at a waypoint.
-func availProb(op radio.Operator, t radio.Technology, wp geo.Waypoint) float64 {
-	p := regionBase(op, t, wp.Region) * tzFactor(op, t, wp.Timezone)
+// availProb is the stationary coverage probability at a point of the
+// given region and timezone.
+//
+//lint:hotroot — the coverage walk's per-step body: 4 technologies × ~11k steps per operator map, 3 maps per campaign
+func availProb(op radio.Operator, t radio.Technology, r geo.Region, z geo.Timezone) float64 {
+	p := regionBase[op][t][r] * tzFactor(op, t, z)
 	return unit.Clamp(p, 0, 0.98)
 }
 
@@ -189,6 +186,12 @@ func NewMap(op radio.Operator, route *geo.Route, rng *simrand.Source) *Map {
 	return m
 }
 
+// gridStride is how many route-grid entries one walk step spans: step k
+// sits at odometer k·stepSize = (gridStride·k)·GridStep. The walk's
+// odometer sums are exact integers, so that grid entry holds exactly the
+// region and timezone Route.At reports there.
+const gridStride = int(stepSize / geo.GridStep)
+
 // walkCoverage runs the two-state Markov chain along the route.
 func (m *Map) walkCoverage(t radio.Technology, src *simrand.Source) []Fragment {
 	var frags []Fragment
@@ -196,9 +199,10 @@ func (m *Map) walkCoverage(t radio.Technology, src *simrand.Source) []Fragment {
 	var start unit.Meters
 	meanCov := float64(meanFragment(t))
 	step := float64(stepSize)
+	grid := m.route.Grid()
 
-	for odo := unit.Meters(0); odo <= m.route.Total(); odo += stepSize {
-		p := availProb(m.Op, t, m.route.At(odo))
+	for i, odo := 0, unit.Meters(0); odo <= m.route.Total(); i, odo = i+gridStride, odo+stepSize {
+		p := availProb(m.Op, t, grid.Region(i), grid.Timezone(i))
 		var next bool
 		if covered {
 			// Leave with rate 1/meanCov per meter.
@@ -235,6 +239,10 @@ const cellSpacing = 1.35
 func (m *Map) placeCells(t radio.Technology, src *simrand.Source) []Cell {
 	radius := float64(radio.Band(t).CellRadius)
 	var cells []Cell
+	// IDs are "<op>-<tech>-<n>", n zero-padded as by %04d, appended with
+	// strconv: a fmt.Sprintf per cell was placement's largest cost.
+	prefix := m.Op.Short() + "-" + t.String() + "-"
+	var id []byte
 	n := 0
 	for _, f := range m.fragments[t] {
 		for pos := float64(f.Start); pos < float64(f.End)+radius; pos += radius * src.Uniform(cellSpacing*0.8, cellSpacing*1.2) {
@@ -243,8 +251,9 @@ func (m *Map) placeCells(t radio.Technology, src *simrand.Source) []Cell {
 				lateral = src.Uniform(20, 120)
 			}
 			wp := m.route.At(unit.Meters(pos))
+			id = appendCellNum(append(id[:0], prefix...), n)
 			cells = append(cells, Cell{
-				ID:       fmt.Sprintf("%s-%s-%04d", m.Op.Short(), t, n),
+				ID:       string(id),
 				Op:       m.Op,
 				Tech:     t,
 				Odometer: unit.Meters(pos),
@@ -271,6 +280,14 @@ func (m *Map) placeCells(t radio.Technology, src *simrand.Source) []Cell {
 		cells[i].Index = i
 	}
 	return cells
+}
+
+// appendCellNum appends a non-negative n zero-padded to four digits.
+func appendCellNum(b []byte, n int) []byte {
+	for d := 1000; d > 1 && n < d; d /= 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(n), 10)
 }
 
 // loadMean draws a sector's long-run background load by region. Urban

@@ -200,6 +200,10 @@ type Route struct {
 	// segs holds OdometerOf's per-segment projection constants, one per
 	// pair of consecutive cities.
 	segs []odoSegment
+
+	// grid holds At(i·GridStep)'s region and timezone for every i up to
+	// one step past the end (see Grid).
+	grid []gridPoint
 }
 
 // odoSegment is one route segment in OdometerOf's flat-earth projection:
@@ -250,6 +254,7 @@ func NewRoute(cities []City, roadLength unit.Meters) (*Route, error) {
 	r.placeTowns()
 	r.buildCandidates()
 	r.buildSegments()
+	r.buildGrid()
 	return r, nil
 }
 
@@ -530,21 +535,45 @@ func (r *Route) buildSegments() {
 	}
 }
 
-// RegionShares reports the fraction of route length in each region,
-// sampled at the given step.
-func (r *Route) RegionShares(step unit.Meters) map[Region]float64 {
-	if step <= 0 {
-		step = unit.Kilometer
+// GridStep is the spacing of the route grid.
+const GridStep = 250 * unit.Meter
+
+// gridPoint is one route-grid entry: a Region and a Timezone, a byte each.
+type gridPoint struct {
+	region, timezone uint8
+}
+
+// Grid is a read-only view of a route's region/timezone grid: entry i
+// holds At(i·GridStep)'s Region and Timezone. Region and timezone change
+// on multi-kilometre scales, so deployment generation and the crowd's
+// position draws read them here instead of interpolating the route and
+// scanning for the nearest city per lookup.
+type Grid struct {
+	points []gridPoint
+}
+
+// Grid returns the route's grid. It covers every i up to one step past
+// the end, int(Total/GridStep)+2 entries; the last lies past Total and
+// repeats At(Total), as At clamps.
+func (r *Route) Grid() Grid { return Grid{r.grid} }
+
+// Len reports the number of grid entries.
+func (g Grid) Len() int { return len(g.points) }
+
+// Prefix returns the view of the first n entries.
+func (g Grid) Prefix(n int) Grid { return Grid{g.points[:n]} }
+
+// Region reports entry i's region class.
+func (g Grid) Region(i int) Region { return Region(g.points[i].region) }
+
+// Timezone reports entry i's timezone.
+func (g Grid) Timezone(i int) Timezone { return Timezone(g.points[i].timezone) }
+
+// buildGrid fills the route grid from At.
+func (r *Route) buildGrid() {
+	r.grid = make([]gridPoint, int(r.total/GridStep)+2)
+	for i := range r.grid {
+		wp := r.At(unit.Meters(i) * GridStep)
+		r.grid[i] = gridPoint{region: uint8(wp.Region), timezone: uint8(wp.Timezone)}
 	}
-	counts := map[Region]int{}
-	n := 0
-	for odo := unit.Meters(0); odo <= r.total; odo += step {
-		counts[r.At(odo).Region]++
-		n++
-	}
-	out := map[Region]float64{}
-	for k, c := range counts {
-		out[k] = float64(c) / float64(n)
-	}
-	return out
 }

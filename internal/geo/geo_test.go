@@ -181,8 +181,16 @@ func TestRouteVisitsAllTimezones(t *testing.T) {
 }
 
 func TestRouteRegionShares(t *testing.T) {
-	r := DefaultRoute()
-	shares := r.RegionShares(2 * unit.Kilometer)
+	// Shares of route length, counted over the route grid.
+	g := DefaultRoute().Grid()
+	counts := map[Region]int{}
+	for i := 0; i < g.Len(); i++ {
+		counts[g.Region(i)]++
+	}
+	shares := map[Region]float64{}
+	for k, c := range counts {
+		shares[k] = float64(c) / float64(g.Len())
+	}
 	// Most of the paper's data comes from highways (§5.5); cities are a
 	// small fraction.
 	if shares[Highway] < 0.55 {
@@ -197,6 +205,33 @@ func TestRouteRegionShares(t *testing.T) {
 	total := shares[Urban] + shares[Suburban] + shares[Highway]
 	if math.Abs(total-1) > 1e-9 {
 		t.Errorf("shares sum to %v", total)
+	}
+}
+
+// TestRouteGridMatchesAt checks every grid entry against At at its
+// odometer, on the paper's route and on a two-city route whose length is
+// not a multiple of the grid step, and that the grid reaches one step
+// past the end.
+func TestRouteGridMatchesAt(t *testing.T) {
+	short, err := NewRoute(MajorCities()[:2], 400*unit.Kilometer+137*unit.Meter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Route{DefaultRoute(), short} {
+		g := r.Grid()
+		if want := int(r.Total()/GridStep) + 2; g.Len() != want {
+			t.Fatalf("grid of a %v route has %d entries, want %d", r.Total(), g.Len(), want)
+		}
+		if last := unit.Meters(g.Len()-1) * GridStep; last <= r.Total() {
+			t.Errorf("last grid entry at %v, not past the end %v", last, r.Total())
+		}
+		for i := 0; i < g.Len(); i++ {
+			wp := r.At(unit.Meters(i) * GridStep)
+			if g.Region(i) != wp.Region || g.Timezone(i) != wp.Timezone {
+				t.Fatalf("grid entry %d = (%v, %v), At(%v) = (%v, %v)",
+					i, g.Region(i), g.Timezone(i), unit.Meters(i)*GridStep, wp.Region, wp.Timezone)
+			}
+		}
 	}
 }
 

@@ -5,48 +5,33 @@ import (
 	"github.com/nuwins/cellwheels/internal/unit"
 )
 
-// rasterStep is the along-route granularity of the region/timezone
-// raster. Region and timezone change on multi-kilometer scales, so 250 m
-// is comfortably finer than anything the crowd can observe.
-const rasterStep = 250 * unit.Meter
-
-// raster precomputes region and timezone along the crowd's span so that
+// raster is the route grid (geo.Grid) cut to the crowd's span, so that
 // drawing 10⁵–10⁶ positions costs array lookups instead of route
-// interpolation per attempt.
+// interpolation per attempt. The 250 m grid step is comfortably finer
+// than anything the crowd can observe.
 type raster struct {
-	regions   []uint8
-	timezones []uint8
+	grid geo.Grid
 }
 
 func newRaster(route *geo.Route, span unit.Meters) raster {
-	n := int(span/rasterStep) + 2
-	r := raster{
-		regions:   make([]uint8, n),
-		timezones: make([]uint8, n),
-	}
-	for i := 0; i < n; i++ {
-		wp := route.At(unit.Meters(i) * rasterStep)
-		r.regions[i] = uint8(wp.Region)
-		r.timezones[i] = uint8(wp.Timezone)
-	}
-	return r
+	return raster{route.Grid().Prefix(int(span/geo.GridStep) + 2)}
 }
 
 func (r raster) idx(odo unit.Meters) int {
-	i := int(odo / rasterStep)
+	i := int(odo / geo.GridStep)
 	if i < 0 {
 		return 0
 	}
-	if i >= len(r.regions) {
-		return len(r.regions) - 1
+	if i >= r.grid.Len() {
+		return r.grid.Len() - 1
 	}
 	return i
 }
 
 func (r raster) region(odo unit.Meters) geo.Region {
-	return geo.Region(r.regions[r.idx(odo)])
+	return r.grid.Region(r.idx(odo))
 }
 
 func (r raster) timezone(odo unit.Meters) geo.Timezone {
-	return geo.Timezone(r.timezones[r.idx(odo)])
+	return r.grid.Timezone(r.idx(odo))
 }
