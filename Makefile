@@ -1,6 +1,10 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-test fuzz-smoke lint lint-baseline lint-sarif lint-fixtures lint-inject-smoke smoke fleet-smoke crowd-smoke serve-smoke ci
+.PHONY: fmt build test race vet bench bench-test fuzz-smoke lint lint-baseline lint-sarif lint-fixtures lint-inject-smoke smoke fleet-smoke crowd-smoke serve-smoke ci
+
+# fmt fails when any Go file is not gofmt-formatted, and lists it.
+fmt:
+	@files="$$(gofmt -l .)"; test -z "$$files" || { echo "gofmt needed:" >&2; echo "$$files" >&2; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -17,14 +21,15 @@ vet:
 # bench runs the lane-engine scaling benchmark, dataset decoding
 # (Load of the 700 km benchmark dataset), the per-tick layer benches
 # (log reconciliation, geo route lookup and a full-route drive pass,
-# the moving, mobility-only and mmWave RAN ticks) and the testbed
-# construction benches (one operator's full-route deployment, a 20 km
-# campaign's NewCampaign) once each, so CI keeps them compiling and
-# running. For real numbers drop
+# the moving, mobility-only and mmWave RAN ticks), the per-row merge
+# benches (joining a GPS fix to the route on and off it, parsing a
+# content stamp) and the testbed construction benches (one operator's
+# full-route deployment, a 20 km campaign's NewCampaign) once each, so
+# CI keeps them compiling and running. For real numbers drop
 # -benchtime=1x; the full figure/table benches live in bench_test.go
 # and run with `go test -bench=.`.
 bench:
-	$(GO) test -run=NONE -bench='^(BenchmarkCampaignRun|BenchmarkLoad|BenchmarkLogsyncMerge|BenchmarkRouteAt|BenchmarkTimelineScan|BenchmarkUEStep|BenchmarkNewMap|BenchmarkNewCampaign)$$' -benchtime=1x . ./internal/geo ./internal/ran ./internal/deploy ./internal/core
+	$(GO) test -run=NONE -bench='^(BenchmarkCampaignRun|BenchmarkLoad|BenchmarkLogsyncMerge|BenchmarkRouteAt|BenchmarkTimelineScan|BenchmarkOdometerOf|BenchmarkParseContentTime|BenchmarkUEStep|BenchmarkNewMap|BenchmarkNewCampaign)$$' -benchtime=1x . ./internal/geo ./internal/logsync ./internal/ran ./internal/deploy ./internal/core
 
 # bench-test vets and tests the repo benchmark (bench/, a module of its
 # own that the root `go test ./...` does not reach): its golden digests,
@@ -34,11 +39,17 @@ bench-test:
 
 # fuzz-smoke gives each native fuzz target a few seconds, so CI keeps
 # them running: dataset.ReadJSON against the encoding/json reference,
-# and the wheelsd job-spec parser. Crashers are kept under the
-# package's testdata/fuzz/ as regression inputs.
+# the wheelsd job-spec parser, and the XCAL stamp codecs against
+# package time (the content- and logger-stamp parsers against
+# time.ParseInLocation, the formatters against time.Time.Format).
+# Crashers are kept under the package's testdata/fuzz/ as regression
+# inputs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReadJSON$$' -fuzztime=5s ./internal/dataset
 	$(GO) test -run=NONE -fuzz='^FuzzParseJobSpec$$' -fuzztime=5s ./internal/serve
+	$(GO) test -run=NONE -fuzz='^FuzzParseContentTime$$' -fuzztime=5s ./internal/logsync
+	$(GO) test -run=NONE -fuzz='^FuzzParseLoggerTime$$' -fuzztime=5s ./internal/logsync
+	$(GO) test -run=NONE -fuzz='^FuzzFormatStamps$$' -fuzztime=5s ./internal/xcal
 
 # lint runs the in-repo determinism & correctness linter (internal/lint)
 # over every package; findings fail the build. Suppress intentional uses
@@ -115,4 +126,4 @@ serve-smoke:
 
 # lint-sarif runs before the lint gates so the artifact exists for CI
 # upload even when lint fails the build.
-ci: vet build lint-sarif lint lint-baseline lint-inject-smoke race bench bench-test fuzz-smoke smoke fleet-smoke crowd-smoke serve-smoke
+ci: fmt vet build lint-sarif lint lint-baseline lint-inject-smoke race bench bench-test fuzz-smoke smoke fleet-smoke crowd-smoke serve-smoke

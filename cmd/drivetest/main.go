@@ -9,7 +9,7 @@
 //	          [-crowd N] [-crowd-samples M] [-load-model standin|demand]
 //	          [-progress] [-metrics manifest.json] [-pprof cpu.out]
 //
-// The full 5,711 km campaign takes about 16 s on a 2-vCPU host, writing
+// The full 5,711 km campaign takes about 13 s on a 2-vCPU host, writing
 // its ~215 MB dataset included; use -limit-km for quick runs. -crowd attaches N background UEs per operator
 // (the metro-scale crowd); -load-model demand makes the handsets see the
 // crowd's aggregate sector demand instead of the per-UE stand-in.

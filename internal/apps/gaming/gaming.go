@@ -171,4 +171,3 @@ func clamp(x, lo, hi float64) float64 {
 	}
 	return x
 }
-

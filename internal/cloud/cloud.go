@@ -60,6 +60,11 @@ type Server struct {
 	Role Role
 	City string // nearest city label, for reports
 	Loc  geo.LatLon
+
+	// point is Loc prepared for distance queries; Fleet prepares it once,
+	// and prepared says it has.
+	point    geo.PreparedPoint
+	prepared bool
 }
 
 // String implements fmt.Stringer.
@@ -87,6 +92,9 @@ func Fleet() []Server {
 			Server{Name: "wl-" + short(c.Name) + "-general", Kind: Edge, Role: General, City: c.Name, Loc: c.Loc},
 			Server{Name: "wl-" + short(c.Name) + "-gpu", Kind: Edge, Role: GPU, City: c.Name, Loc: c.Loc},
 		)
+	}
+	for i := range fleet {
+		fleet[i].point, fleet[i].prepared = geo.Prepare(fleet[i].Loc), true
 	}
 	return fleet
 }
@@ -147,12 +155,16 @@ const (
 	edgeOverhead   = 2 * time.Millisecond
 )
 
-// BaseRTT reports the wireline round-trip time between a UE position and
-// the server: two-way fiber propagation over an inflated path plus
-// peering/processing overhead. The radio access latency is added by the
-// transport layer, not here.
-func BaseRTT(s Server, loc geo.LatLon) time.Duration {
-	d := float64(geo.Haversine(loc, s.Loc)) * routeInflation
+// BaseRTT reports the wireline round-trip time between a UE position,
+// prepared by geo.Prepare, and the server: two-way fiber propagation over
+// an inflated path plus peering/processing overhead. The radio access
+// latency is added by the transport layer, not here.
+func BaseRTT(s Server, at geo.PreparedPoint) time.Duration {
+	to := s.point
+	if !s.prepared {
+		to = geo.Prepare(s.Loc) // a Server built by hand, not by Fleet
+	}
+	d := float64(at.Distance(to)) * routeInflation
 	prop := time.Duration(2 * d / fiberSpeed * float64(time.Second))
 	if s.Kind == Edge {
 		return prop + edgeOverhead

@@ -75,7 +75,7 @@ func (l *lane) step(blk []geo.TickState) {
 			}
 		}
 
-		p.tick(l.cfg, ds)
+		p.tick(l.cfg, ts)
 		if l.logger != nil {
 			l.logger.Step(ds.Time, ds.Waypoint, ds.Speed.MPH(), Tick)
 		}

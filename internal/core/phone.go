@@ -85,11 +85,12 @@ func stampFor(k dataset.TestKind) logsync.StampKind {
 }
 
 // tick advances the phone one simulation step.
-func (p *phone) tick(cfg *Config, ds *geo.DriveState) {
+func (p *phone) tick(cfg *Config, ts *geo.TickState) {
 	if p.inTest {
-		p.tickTest(cfg, ds)
+		p.tickTest(cfg, ts)
 		return
 	}
+	ds := &ts.DriveState
 	// Idle gap between tests: the UE stays attached under idle traffic.
 	p.ue.Step(ds.Time, ds.Waypoint, ds.Speed.MPH(), Tick)
 	p.gapLeft -= Tick
@@ -173,7 +174,8 @@ func (p *phone) startTest(cfg *Config, ds *geo.DriveState) {
 }
 
 // tickTest advances the active test by one tick.
-func (p *phone) tickTest(cfg *Config, ds *geo.DriveState) {
+func (p *phone) tickTest(cfg *Config, ts *geo.TickState) {
+	ds := &ts.DriveState
 	st := p.ue.Step(ds.Time, ds.Waypoint, ds.Speed.MPH(), Tick)
 
 	// Forward any new signaling events to the recorder.
@@ -182,7 +184,7 @@ func (p *phone) tickTest(cfg *Config, ds *geo.DriveState) {
 	}
 	p.hoSeen = p.ue.HandoverCount()
 
-	baseRTT := cloud.BaseRTT(p.server, ds.Waypoint.Loc) +
+	baseRTT := cloud.BaseRTT(p.server, ts.Point) +
 		unit.DurationFromMS(radio.BaseRadioRTT(st.Tech))
 
 	var delivered unit.Bytes

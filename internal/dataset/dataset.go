@@ -224,28 +224,6 @@ func (db *DB) ThroughputWhere(keep func(ThroughputSample) bool) []ThroughputSamp
 	return out
 }
 
-// HandoversWhere returns events matching the predicate.
-func (db *DB) HandoversWhere(keep func(Handover) bool) []Handover {
-	var out []Handover
-	for _, h := range db.Handovers {
-		if keep(h) {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-// AppRunsWhere returns runs matching the predicate.
-func (db *DB) AppRunsWhere(keep func(AppRun) bool) []AppRun {
-	var out []AppRun
-	for _, r := range db.AppRuns {
-		if keep(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // TestsWhere returns tests matching the predicate.
 func (db *DB) TestsWhere(keep func(Test) bool) []Test {
 	var out []Test

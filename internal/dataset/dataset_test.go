@@ -107,13 +107,23 @@ func TestFilters(t *testing.T) {
 	if len(tests) != 1 || tests[0].ID != 2 {
 		t.Errorf("static tests = %v", tests)
 	}
-	hos := db.HandoversWhere(func(h Handover) bool { return h.Vertical() })
-	if len(hos) != 1 {
-		t.Errorf("ho filter = %v", hos)
+	vertical := 0
+	for _, h := range db.Handovers {
+		if h.Vertical() {
+			vertical++
+		}
 	}
-	runs := db.AppRunsWhere(func(r AppRun) bool { return r.Kind == AppAR })
-	if len(runs) != 1 {
-		t.Errorf("app filter = %v", runs)
+	if vertical != 1 {
+		t.Errorf("%d vertical handovers, want 1", vertical)
+	}
+	ar := 0
+	for _, r := range db.AppRuns {
+		if r.Kind == AppAR {
+			ar++
+		}
+	}
+	if ar != 1 {
+		t.Errorf("%d AR runs, want 1", ar)
 	}
 }
 

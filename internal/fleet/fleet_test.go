@@ -130,10 +130,10 @@ func fleetOutputs(t *testing.T, cfg Config) (string, []byte) {
 // 1, 2, and 4 (run under -race in CI).
 func TestRunWorkerInvariant(t *testing.T) {
 	base := Config{
-		MasterSeed: 3,
-		Replicates: 3,
-		Sweep:      []Axis{{Field: "edge", Values: rawVals("false", "true")}},
-		Run:        stubRun,
+		MasterSeed:  3,
+		Replicates:  3,
+		Sweep:       []Axis{{Field: "edge", Values: rawVals("false", "true")}},
+		Run:         stubRun,
 		MetricOrder: []string{"m"},
 	}
 	cfg1 := base

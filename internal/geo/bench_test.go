@@ -28,6 +28,33 @@ func BenchmarkRouteAt(b *testing.B) {
 	}
 }
 
+// BenchmarkOdometerOf measures joining one GPS fix to the route, the
+// per-row geo work of the log merge: points on the route, as the XCAL
+// rows carry, and points jittered a few km off it.
+func BenchmarkOdometerOf(b *testing.B) {
+	r := DefaultRoute()
+	rng := simrand.New(3).Fork("bench/odometer")
+	on := make([]LatLon, 4096)
+	off := make([]LatLon, len(on))
+	for i := range on {
+		on[i] = r.At(unit.Meters(rng.Uniform(0, float64(r.Total())))).Loc
+		off[i] = LatLon{Lat: on[i].Lat + rng.Uniform(-0.04, 0.04), Lon: on[i].Lon + rng.Uniform(-0.04, 0.04)}
+	}
+	for _, c := range []struct {
+		name string
+		pts  []LatLon
+	}{{"on", on}, {"off", off}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				odometerSink = r.OdometerOf(c.pts[i%len(c.pts)])
+			}
+		})
+	}
+}
+
+// odometerSink keeps the compiler from discarding the benchmarked calls.
+var odometerSink unit.Meters
+
 // BenchmarkTimelineScan measures counting the full 5,711 km drive
 // timeline at the campaign's 50 ms tick: one Drive stepped end to end by
 // Timeline.Ticks, the horizon count a crowd campaign makes before its

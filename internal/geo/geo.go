@@ -31,12 +31,38 @@ const earthRadius = 6371e3 // meters
 
 // Haversine reports the great-circle distance between two coordinates.
 func Haversine(a, b LatLon) unit.Meters {
-	la1, lo1 := a.Lat*math.Pi/180, a.Lon*math.Pi/180
-	la2, lo2 := b.Lat*math.Pi/180, b.Lon*math.Pi/180
-	dla, dlo := la2-la1, lo2-lo1
+	return Prepare(a).Distance(Prepare(b))
+}
+
+// PreparedPoint is a coordinate with the part of Haversine that depends
+// on it alone computed once: latitude and longitude in radians and the
+// cosine of the latitude. A point that is measured against many others,
+// such as a server or one tick's position, is prepared once.
+type PreparedPoint struct {
+	lat, lon float64 // radians
+	cosLat   float64
+}
+
+// Prepare computes p's PreparedPoint.
+func Prepare(p LatLon) PreparedPoint {
+	la := p.Lat * math.Pi / 180
+	return PreparedPoint{lat: la, lon: p.Lon * math.Pi / 180, cosLat: math.Cos(la)}
+}
+
+// Distance reports the great-circle distance between two prepared
+// points. It is the one haversine formula: Haversine(a, b) is
+// Prepare(a).Distance(Prepare(b)), bit for bit.
+func (a PreparedPoint) Distance(b PreparedPoint) unit.Meters {
+	dla, dlo := b.lat-a.lat, b.lon-a.lon
 	sa, so := math.Sin(dla/2), math.Sin(dlo/2)
-	h := sa*sa + math.Cos(la1)*math.Cos(la2)*so*so
-	return unit.Meters(2 * earthRadius * math.Asin(math.Min(1, math.Sqrt(h))))
+	h := sa*sa + a.cosLat*b.cosLat*so*so
+	// min(1, √h) without math.Min, which is an assembly call on amd64;
+	// NaN and −0 pass through unchanged, as they do through math.Min.
+	s := math.Sqrt(h)
+	if s > 1 {
+		s = 1
+	}
+	return unit.Meters(2 * earthRadius * math.Asin(s))
 }
 
 // Timezone is one of the four US timezones the route crosses.
@@ -200,6 +226,9 @@ type Route struct {
 	// segs holds OdometerOf's per-segment projection constants, one per
 	// pair of consecutive cities.
 	segs []odoSegment
+	// odoLonLo and odoLonHi bound the longitudes at which OdometerOf
+	// prunes segments (see buildSegments).
+	odoLonLo, odoLonHi float64
 
 	// grid holds At(i·GridStep)'s region and timezone for every i up to
 	// one step past the end (see Grid).
@@ -216,7 +245,12 @@ type odoSegment struct {
 	ax, ay     float64 // projected start
 	dx, dy     float64 // projected b - a
 	den        float64 // dx² + dy²
-	gc0, gcLen unit.Meters
+	// OdometerOf's lower bound: the segment's latitude/longitude box in
+	// degrees, as centre and half-width, and the cosine of the box's
+	// largest |latitude|.
+	latMid, latHalf, lonMid, lonHalf float64
+	cosMin                           float64
+	gc0, gcLen                       unit.Meters
 }
 
 // candBin is the great-circle length of one candidate-table bin.
@@ -487,29 +521,112 @@ func (r *Route) At(odo unit.Meters) Waypoint {
 // OdometerOf maps a coordinate back to the closest odometer position on
 // the route — the post-processing step that joins GPS rows from the logs
 // to route positions. The inverse of At up to projection error.
+//
+// The result is that of a scan of every segment in ascending order that
+// keeps the first strictly smaller Haversine distance to loc's projection
+// onto the segment: the (distance, segment index) minimum. A cheap lower
+// bound on that distance (lowerBoundSq) is taken for every segment
+// first. The segment with the smallest bound is projected and measured
+// exactly, and every other segment is measured only if its bound does
+// not already exceed the best distance.
 func (r *Route) OdometerOf(loc LatLon) unit.Meters {
-	best := math.Inf(1)
-	var bestOdo unit.Meters
+	var stack [16]float64
+	lbs := stack[:0]
+	if len(r.segs) > len(stack) {
+		lbs = make([]float64, 0, len(r.segs))
+	}
+	// The bound needs loc within 80° of the equator, where cos x ≥
+	// 1 − x²/2 is a positive lower bound on cos(loc.Lat), and within 180°
+	// of longitude of every segment's box. Elsewhere every bound is 0 and
+	// every segment is measured.
+	bounded := math.Abs(loc.Lat) <= 80 && loc.Lon >= r.odoLonLo && loc.Lon <= r.odoLonHi
+	cosLB := 0.0
+	if bounded {
+		la := loc.Lat * math.Pi / 180
+		cosLB = 1 - la*la/2
+	}
+	first := -1
 	for i := range r.segs {
-		s := &r.segs[i]
-		px, py := loc.Lon*s.scale, loc.Lat
-		t := 0.0
-		if s.den > 0 {
-			t = ((px-s.ax)*s.dx + (py-s.ay)*s.dy) / s.den
+		lb := 0.0
+		if bounded {
+			lb = r.segs[i].lowerBoundSq(loc, cosLB)
 		}
-		if t < 0 {
-			t = 0
-		} else if t > 1 {
-			t = 1
-		}
-		proj := LatLon{Lat: s.a.Lat + t*s.dLat, Lon: s.a.Lon + t*s.dLon}
-		if d := float64(Haversine(loc, proj)); d < best {
-			best = d
-			gc := s.gc0 + unit.Meters(t*float64(s.gcLen))
-			bestOdo = unit.Meters(float64(gc) * r.factor)
+		lbs = append(lbs, lb)
+		if first < 0 || lb < lbs[first] {
+			first = i
 		}
 	}
-	return bestOdo
+	if first < 0 {
+		return 0
+	}
+	from := Prepare(loc)
+	best, bestIdx, bestT := math.Inf(1), -1, 0.0
+	// Visit first, then every other segment in ascending order.
+	for k := -1; k < len(r.segs); k++ {
+		i := k
+		if k < 0 {
+			i = first
+		} else if k == first {
+			continue
+		}
+		if lim := best + float64(odoSlack); bestIdx >= 0 && lbs[i] > lim*lim {
+			continue
+		}
+		t, proj := r.segs[i].project(loc)
+		d := float64(from.Distance(Prepare(proj)))
+		if d < best || d == best && i < bestIdx {
+			best, bestIdx, bestT = d, i, t
+		}
+	}
+	if bestIdx < 0 {
+		return 0
+	}
+	s := &r.segs[bestIdx]
+	gc := s.gc0 + unit.Meters(bestT*float64(s.gcLen))
+	return unit.Meters(float64(gc) * r.factor)
+}
+
+// odoSlack widens OdometerOf's pruning test to absorb float rounding in
+// the bound and in Haversine, which is orders of magnitude below a metre
+// at continental distances.
+const odoSlack = 1 * unit.Meter
+
+// project reports the clamped projection parameter of loc onto the
+// segment and the projected coordinate.
+func (s *odoSegment) project(loc LatLon) (float64, LatLon) {
+	px, py := loc.Lon*s.scale, loc.Lat
+	t := 0.0
+	if s.den > 0 {
+		t = ((px-s.ax)*s.dx + (py-s.ay)*s.dy) / s.den
+	}
+	if t < 0 {
+		t = 0
+	} else if t > 1 {
+		t = 1
+	}
+	return t, LatLon{Lat: s.a.Lat + t*s.dLat, Lon: s.a.Lon + t*s.dLon}
+}
+
+// lowerBoundSq is the square of a lower bound on the Haversine distance
+// from loc to any point of the segment's latitude/longitude box, which
+// holds every projection onto the segment. Let Δφ and Δλ be the box's
+// least latitude and longitude offsets from loc, both at most π. Then
+// h = sin²(Δφ/2) + cos φ₁·cos φ₂·sin²(Δλ/2) is at least
+// (Δφ² + cos φ₁·cos φ₂·Δλ²)/π², by sin x ≥ 2x/π on [0, π/2]; and
+// d = 2R·asin(min(1, √h)) ≥ 2R·√that, by asin y ≥ y (the bound never
+// exceeds 2√2·R, below the πR of a clamped √h). cosLB bounds cos φ₁
+// from below, and s.cosMin bounds cos φ₂ over the box.
+//
+// The bound holds up to rounding, which OdometerOf's slack covers. It
+// takes no branch: the box offsets are (v + |v|)/2, which is exactly
+// max(v, 0).
+func (s *odoSegment) lowerBoundSq(loc LatLon, cosLB float64) float64 {
+	dLat := math.Abs(loc.Lat-s.latMid) - s.latHalf
+	dLon := math.Abs(loc.Lon-s.lonMid) - s.lonHalf
+	dLat = (dLat + math.Abs(dLat)) * 0.5
+	dLon = (dLon + math.Abs(dLon)) * 0.5
+	const k = (earthRadius / 90) * (earthRadius / 90) // (2R/π · π/180)²
+	return k * (dLat*dLat + cosLB*s.cosMin*dLon*dLon)
 }
 
 // buildSegments precomputes OdometerOf's per-segment constants, which
@@ -528,10 +645,24 @@ func (r *Route) buildSegments() {
 			scale: scale,
 			ax:    ax, ay: ay,
 			dx: dx, dy: dy,
-			den:   dx*dx + dy*dy,
-			gc0:   r.cumGC[i],
-			gcLen: r.cumGC[i+1] - r.cumGC[i],
+			den:    dx*dx + dy*dy,
+			latMid: (a.Lat + b.Lat) / 2, latHalf: math.Abs(b.Lat-a.Lat) / 2,
+			lonMid: (a.Lon + b.Lon) / 2, lonHalf: math.Abs(b.Lon-a.Lon) / 2,
+			cosMin: math.Cos(max(math.Abs(a.Lat), math.Abs(b.Lat)) * math.Pi / 180),
+			gc0:    r.cumGC[i],
+			gcLen:  r.cumGC[i+1] - r.cumGC[i],
 		})
+	}
+	// A longitude within 180° of every segment's box; an empty range if
+	// a city lies off the globe, so that OdometerOf never prunes there.
+	r.odoLonLo, r.odoLonHi = math.Inf(-1), math.Inf(1)
+	for _, c := range r.cities {
+		if math.Abs(c.Loc.Lat) > 90 || math.Abs(c.Loc.Lon) > 180 {
+			r.odoLonLo, r.odoLonHi = math.Inf(1), math.Inf(-1)
+			return
+		}
+		r.odoLonLo = max(r.odoLonLo, c.Loc.Lon-180)
+		r.odoLonHi = min(r.odoLonHi, c.Loc.Lon+180)
 	}
 }
 

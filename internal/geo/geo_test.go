@@ -473,6 +473,31 @@ func TestHaversineMatchesReference(t *testing.T) {
 	}
 }
 
+func TestPreparedDistanceMatchesHaversine(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	special := []float64{0, math.Copysign(0, -1), 90, -90, 180, -180, 1e-300, math.NaN(), math.Inf(1)}
+	for i := 0; i < 1_000_000; i++ {
+		a := LatLon{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180}
+		b := LatLon{Lat: a.Lat + (rng.Float64()-0.5)*0.02, Lon: a.Lon + (rng.Float64()-0.5)*0.02}
+		switch i % 4 {
+		case 1:
+			b = LatLon{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180}
+		case 2:
+			// Antipodal, where √h rounds past 1 and is clamped.
+			b = LatLon{Lat: -a.Lat, Lon: a.Lon + 180}
+		case 3:
+			b = LatLon{Lat: special[rng.Intn(len(special))], Lon: special[rng.Intn(len(special))]}
+		}
+		got, want := Prepare(a).Distance(Prepare(b)), haversineRef(a, b)
+		if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			t.Fatalf("Prepare(%v).Distance(Prepare(%v)) = %v, reference %v", a, b, got, want)
+		}
+		if got := Haversine(a, b); math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			t.Fatalf("Haversine(%v, %v) = %v, reference %v", a, b, got, want)
+		}
+	}
+}
+
 // odometerOfRef is OdometerOf as first written, recomputing each
 // segment's projection constants on every call.
 func odometerOfRef(r *Route, loc LatLon) unit.Meters {
@@ -505,28 +530,73 @@ func odometerOfRef(r *Route, loc LatLon) unit.Meters {
 	return bestOdo
 }
 
-func TestOdometerOfMatchesReference(t *testing.T) {
-	r := DefaultRoute()
+// odometerOfPoints returns over a million points for the OdometerOf
+// reference test: the route every 10 m, each with a twin jittered a few
+// km off it, every city vertex with a ring of near points (where two
+// segments' projections clamp to the same vertex and tie), and uniform
+// points over the route's bounding box.
+func odometerOfPoints(r *Route) []LatLon {
 	var pts []LatLon
 	rng := rand.New(rand.NewSource(11))
 	minLat, maxLat, minLon, maxLon := 90.0, -90.0, 180.0, -180.0
-	for odo := unit.Meters(0); odo <= r.Total(); odo += 500 * unit.Meter {
+	for odo := unit.Meters(0); odo <= r.Total(); odo += 10 * unit.Meter {
 		p := r.At(odo).Loc
 		minLat, maxLat = math.Min(minLat, p.Lat), math.Max(maxLat, p.Lat)
 		minLon, maxLon = math.Min(minLon, p.Lon), math.Max(maxLon, p.Lon)
-		// On the route, and jittered a few km off it.
 		pts = append(pts, p, LatLon{Lat: p.Lat + (rng.Float64()-0.5)*0.08, Lon: p.Lon + (rng.Float64()-0.5)*0.08})
 	}
 	for _, c := range r.cities {
 		pts = append(pts, c.Loc)
+		for _, rad := range []float64{1e-9, 1e-6, 1e-3, 0.05, 0.5} {
+			for k := 0; k < 64; k++ {
+				a := 2 * math.Pi * float64(k) / 64
+				pts = append(pts, LatLon{Lat: c.Loc.Lat + rad*math.Sin(a), Lon: c.Loc.Lon + rad*math.Cos(a)})
+			}
+		}
 	}
-	for i := 0; i < 20_000; i++ {
+	for i := 0; i < 100_000; i++ {
 		pts = append(pts, LatLon{Lat: minLat + rng.Float64()*(maxLat-minLat), Lon: minLon + rng.Float64()*(maxLon-minLon)})
 	}
+	return pts
+}
+
+func TestOdometerOfMatchesReference(t *testing.T) {
+	r := DefaultRoute()
+	pts := odometerOfPoints(r)
+	rng := rand.New(rand.NewSource(12))
+	if len(pts) < 1_000_000 {
+		t.Fatalf("%d points, want at least 1M", len(pts))
+	}
+	// Far off the route and outside the valid ranges the bound guards.
+	pts = append(pts, LatLon{Lat: 89.9, Lon: 0}, LatLon{Lat: -45, Lon: 60}, LatLon{Lat: 200, Lon: -100},
+		LatLon{Lat: 40, Lon: 400}, LatLon{Lat: math.NaN(), Lon: -100}, LatLon{Lat: 40, Lon: math.Inf(1)})
 	for _, p := range pts {
 		got, want := r.OdometerOf(p), odometerOfRef(r, p)
 		if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
 			t.Fatalf("OdometerOf(%v) = %v, reference %v", p, got, want)
 		}
+	}
+
+	// A route that doubles back to its start: around the start, both
+	// segments project onto the same point, so their distances tie
+	// exactly and only the tie rule (lowest segment wins) separates
+	// odometer 0 from the route's end.
+	back, err := NewRoute([]City{{Loc: LatLon{40, -100}}, {Loc: LatLon{41, -90}}, {Loc: LatLon{40, -100}}}, 2000*unit.Kilometer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ties := 0
+	for i := 0; i < 10_000; i++ {
+		p := LatLon{Lat: 40 + (rng.Float64()-0.5)*2, Lon: -100 + (rng.Float64()-0.5)*2}
+		got, want := back.OdometerOf(p), odometerOfRef(back, p)
+		if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			t.Fatalf("doubled-back route: OdometerOf(%v) = %v, reference %v", p, got, want)
+		}
+		if want == 0 {
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no tied point on the doubled-back route")
 	}
 }

@@ -23,6 +23,9 @@ type TickState struct {
 	HoldLast  bool
 	// HoldCity names the city that triggered the window.
 	HoldCity string
+	// Point is Waypoint.Loc prepared for distance queries, once per tick
+	// for every consumer of the timeline.
+	Point PreparedPoint
 }
 
 // HoldRule decides where the timeline inserts static-battery hold windows
@@ -133,6 +136,7 @@ func (c *Cursor) Next() (TickState, bool) {
 		c.holdLeft--
 		ts := TickState{
 			DriveState: ds,
+			Point:      Prepare(ds.Waypoint.Loc),
 			Hold:       true,
 			HoldFirst:  c.holdLeft == c.holdTotal-1,
 			HoldLast:   c.holdLeft == 0,
@@ -148,7 +152,7 @@ func (c *Cursor) Next() (TickState, bool) {
 	}
 
 	ds := c.drive.Step(c.t.cfg.Tick)
-	ts := TickState{DriveState: ds}
+	ts := TickState{DriveState: ds, Point: Prepare(ds.Waypoint.Loc)}
 
 	// First arrival at a major city's core schedules a hold window that
 	// begins on the next tick, mirroring the serial engine's "tick, then

@@ -17,6 +17,7 @@ package logsync
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -82,7 +83,7 @@ func (l AppLog) StartUTC() (time.Time, error) {
 		if !ok {
 			return time.Time{}, fmt.Errorf("logsync: unknown zone %q", l.Zone)
 		}
-		t, err := time.ParseInLocation(xcal.LoggerFormat, l.StartStamp, z.Location())
+		t, err := parseLoggerTime(l.StartStamp, z.Location())
 		if err != nil {
 			return time.Time{}, fmt.Errorf("logsync: local stamp %q: %w", l.StartStamp, err)
 		}
@@ -118,15 +119,6 @@ func LabelOf(k dataset.TestKind) string {
 		}
 	}
 	return "?"
-}
-
-// ParseContentTime parses an XCAL content timestamp (fixed EDT) to UTC.
-func ParseContentTime(s string) (time.Time, error) {
-	t, err := time.ParseInLocation(xcal.ContentFormat, s, xcal.EDT)
-	if err != nil {
-		return time.Time{}, fmt.Errorf("logsync: content time %q: %w", s, err)
-	}
-	return t.UTC(), nil
 }
 
 // parsedName is the decomposition of an XCAL file name.
@@ -219,10 +211,15 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 		}
 		m.appStarts[i] = t
 		// A file only ever matches an app log of its own operator and
-		// label, so the matcher scans that bucket of app indices
-		// (ascending, as a scan of all apps would visit them).
+		// label, so the matcher searches that bucket of app indices.
 		k := appKey{a.Op, a.Kind}
 		m.appsByKey[k] = append(m.appsByKey[k], i)
+	}
+	// Each bucket is ordered by start, ties by index (the buckets are
+	// built in ascending index order, and the sort is stable), so
+	// matchApp can search a window of it.
+	for _, bucket := range m.appsByKey {
+		slices.SortStableFunc(bucket, func(a, b int) int { return m.appStarts[a].Compare(m.appStarts[b]) })
 	}
 
 	// Deterministic processing order: files sorted by name, each name
@@ -321,6 +318,44 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 // label.
 type appKey struct{ op, label string }
 
+// matchApp picks the app log a file name matches: among the unused apps
+// of bucket within matchTolerance of one of the name's zone readings,
+// the one with the least skew, ties to the lowest index. It reports -1
+// when there is none. That is the app a scan of the whole bucket in
+// ascending index order picks, keeping the first strictly smaller skew;
+// the bucket, ordered by (start, index), lets each reading c visit only
+// the window [c − matchTolerance, c + matchTolerance] of it.
+func matchApp(bucket []int, starts []time.Time, used []bool, readings [4]time.Time) (int, time.Duration) {
+	bestApp, bestSkew := -1, matchTolerance+1
+	for _, c := range readings {
+		lo, hi := c.Add(-matchTolerance), c.Add(matchTolerance)
+		// The first bucket position starting at or after lo.
+		i, j := 0, len(bucket)
+		for i < j {
+			h := int(uint(i+j) >> 1)
+			if starts[bucket[h]].Before(lo) {
+				i = h + 1
+			} else {
+				j = h
+			}
+		}
+		for ; i < len(bucket) && !starts[bucket[i]].After(hi); i++ {
+			a := bucket[i]
+			if used[a] {
+				continue
+			}
+			skew := starts[a].Sub(c)
+			if skew < 0 {
+				skew = -skew
+			}
+			if skew < bestSkew || skew == bestSkew && a < bestApp {
+				bestSkew, bestApp = skew, a
+			}
+		}
+	}
+	return bestApp, bestSkew
+}
+
 // merger is the state Merge's parts share. Parts only read it, except
 // usedApps, whose entries each belong to the one operator part that
 // matches files of that app's operator.
@@ -348,6 +383,11 @@ type filePart struct {
 	unmatched []string
 	skewsMS   []float64
 	err       error
+
+	// The normalized rows and signals of the file being converted,
+	// reused from one file to the next.
+	rows    []normRow
+	signals []normSignal
 }
 
 // passivePart is one operator's passive-logger rows, converted and
@@ -381,30 +421,17 @@ func runAll(tasks []func()) {
 func (m *merger) reconcileFiles(p *filePart) {
 	in := m.in
 	db := &p.db
+	presize(db, p.files)
 	nextID := 1
 	for _, nf := range p.files {
 		f, pn := nf.f, nf.pn
-		candidates := resolveFileStart(pn.naive)
-		bestApp, bestSkew := -1, matchTolerance+1
-		var bestStart time.Time
-		for _, i := range m.appsByKey[appKey{pn.op.Short(), pn.label}] {
-			if m.usedApps[i] {
-				continue
-			}
-			for _, c := range candidates {
-				skew := m.appStarts[i].Sub(c)
-				if skew < 0 {
-					skew = -skew
-				}
-				if skew < bestSkew {
-					bestSkew, bestApp, bestStart = skew, i, m.appStarts[i]
-				}
-			}
-		}
+		bucket := m.appsByKey[appKey{pn.op.Short(), pn.label}]
+		bestApp, bestSkew := matchApp(bucket, m.appStarts, m.usedApps, resolveFileStart(pn.naive))
 		if bestApp < 0 {
 			p.unmatched = append(p.unmatched, f.Name)
 			continue
 		}
+		bestStart := m.appStarts[bestApp]
 		m.usedApps[bestApp] = true
 		p.matched++
 		p.skewsMS = append(p.skewsMS, float64(bestSkew)/float64(time.Millisecond))
@@ -424,11 +451,12 @@ func (m *merger) reconcileFiles(p *filePart) {
 			Static: app.Static,
 		}
 
-		rows, signals, err := normalizeFile(*f)
+		rows, signals, err := normalizeFile(f, p.rows[:0], p.signals[:0])
 		if err != nil {
 			p.err = err
 			return
 		}
+		p.rows, p.signals = rows, signals
 		if len(rows) > 0 {
 			first, last := rows[0].raw, rows[len(rows)-1].raw
 			test.StartOdo = in.Route.OdometerOf(geo.LatLon{Lat: first.Lat, Lon: first.Lon})
@@ -453,8 +481,8 @@ func (m *merger) reconcileFiles(p *filePart) {
 			if test.Kind == dataset.ThroughputUL {
 				dir = radio.Uplink
 			}
-			for _, r := range rows {
-				db.Throughput = append(db.Throughput, throughputSample(id, dir, r, signals, in.Route, test))
+			for i := range rows {
+				db.Throughput = append(db.Throughput, throughputSample(id, dir, &rows[i], signals, in.Route, test))
 			}
 		case dataset.RTTTest:
 			for _, e := range app.RTTs {
@@ -480,6 +508,28 @@ func (m *merger) reconcileFiles(p *filePart) {
 	sortDB(db)
 }
 
+// presize sizes a file part's tables for its files: a test and an app
+// run per file, a handover per signal, and a throughput sample per row
+// of a throughput file. Unmatched files make these upper bounds; RTT
+// samples come from the app logs and grow as they are met.
+func presize(db *dataset.DB, files []namedFile) {
+	var apps, signals, rows int
+	for _, nf := range files {
+		signals += len(nf.f.Signals)
+		switch kindByLabel[nf.pn.label] {
+		case dataset.ThroughputDL, dataset.ThroughputUL:
+			rows += len(nf.f.Rows)
+		case dataset.RTTTest:
+		default:
+			apps++
+		}
+	}
+	db.Tests = make([]dataset.Test, 0, len(files))
+	db.Handovers = make([]dataset.Handover, 0, signals)
+	db.Throughput = make([]dataset.ThroughputSample, 0, rows)
+	db.AppRuns = make([]dataset.AppRun, 0, apps)
+}
+
 // convertPassive turns one operator's passive-logger rows into coverage
 // samples.
 func (m *merger) convertPassive(p *passivePart) {
@@ -491,7 +541,7 @@ func (m *merger) convertPassive(p *passivePart) {
 			p.err = fmt.Errorf("logsync: logger zone %q", r.Zone)
 			return
 		}
-		at, err := time.ParseInLocation(xcal.LoggerFormat, r.TimeLocal, z.Location())
+		at, err := parseLoggerTime(r.TimeLocal, z.Location())
 		if err != nil {
 			p.err = fmt.Errorf("logsync: logger time %q: %w", r.TimeLocal, err)
 			return
@@ -521,11 +571,12 @@ func recordMergeStats(rec *obs.Recorder, db *dataset.DB, rep Report) {
 	rec.Counter("table/passive").Add(int64(len(db.Passive)))
 }
 
-// normRow is a parsed XCAL row with UTC time.
+// normRow is a parsed XCAL row with UTC time. It refers to the file's
+// row rather than copying it.
 type normRow struct {
 	at   time.Time
 	tech radio.Technology
-	raw  xcal.Row
+	raw  *xcal.Row
 }
 
 // normSignal is a parsed signaling event.
@@ -533,12 +584,14 @@ type normSignal struct {
 	at       time.Time
 	fromTech radio.Technology
 	toTech   radio.Technology
-	raw      xcal.Signal
+	raw      *xcal.Signal
 }
 
-func normalizeFile(f xcal.File) ([]normRow, []normSignal, error) {
-	rows := make([]normRow, 0, len(f.Rows))
-	for _, r := range f.Rows {
+// normalizeFile parses f's rows and signals, appending them to rows and
+// signals.
+func normalizeFile(f *xcal.File, rows []normRow, signals []normSignal) ([]normRow, []normSignal, error) {
+	for i := range f.Rows {
+		r := &f.Rows[i]
 		at, err := ParseContentTime(r.TimeEDT)
 		if err != nil {
 			return nil, nil, err
@@ -546,8 +599,8 @@ func normalizeFile(f xcal.File) ([]normRow, []normSignal, error) {
 		tech, _ := radio.ParseTechnology(r.Tech)
 		rows = append(rows, normRow{at: at, tech: tech, raw: r})
 	}
-	signals := make([]normSignal, 0, len(f.Signals))
-	for _, s := range f.Signals {
+	for i := range f.Signals {
+		s := &f.Signals[i]
 		at, err := ParseContentTime(s.TimeEDT)
 		if err != nil {
 			return nil, nil, err
@@ -559,7 +612,7 @@ func normalizeFile(f xcal.File) ([]normRow, []normSignal, error) {
 	return rows, signals, nil
 }
 
-func throughputSample(id int, dir radio.Direction, r normRow, signals []normSignal, route *geo.Route, test dataset.Test) dataset.ThroughputSample {
+func throughputSample(id int, dir radio.Direction, r *normRow, signals []normSignal, route *geo.Route, test dataset.Test) dataset.ThroughputSample {
 	odo := route.OdometerOf(geo.LatLon{Lat: r.raw.Lat, Lon: r.raw.Lon})
 	wp := route.At(odo)
 	cc := r.raw.CCDL
@@ -639,16 +692,24 @@ func nearestOdo(rows []normRow, at time.Time, route *geo.Route) unit.Meters {
 // passive rows, different operators) can share a timestamp, and a sort
 // keyed on time alone would leave their relative order input-dependent.
 func sortDB(db *dataset.DB) {
-	sortStable(db.Tests, testLess)
-	sortStable(db.Throughput, throughputLess)
-	sortStable(db.RTT, rttLess)
-	sortStable(db.Handovers, handoverLess)
-	sortStable(db.AppRuns, appRunLess)
-	sortStable(db.Passive, passiveLess)
+	slices.SortStableFunc(db.Tests, func(a, b dataset.Test) int { return cmpBy(testLess, &a, &b) })
+	slices.SortStableFunc(db.Throughput, func(a, b dataset.ThroughputSample) int { return cmpBy(throughputLess, &a, &b) })
+	slices.SortStableFunc(db.RTT, func(a, b dataset.RTTSample) int { return cmpBy(rttLess, &a, &b) })
+	slices.SortStableFunc(db.Handovers, func(a, b dataset.Handover) int { return cmpBy(handoverLess, &a, &b) })
+	slices.SortStableFunc(db.AppRuns, func(a, b dataset.AppRun) int { return cmpBy(appRunLess, &a, &b) })
+	slices.SortStableFunc(db.Passive, func(a, b dataset.CoverageSample) int { return cmpBy(passiveLess, &a, &b) })
 }
 
-func sortStable[T any](s []T, less func(a, b *T) bool) {
-	sort.SliceStable(s, func(i, j int) bool { return less(&s[i], &s[j]) })
+// cmpBy turns a strict order into the three-way comparison
+// slices.SortStableFunc takes.
+func cmpBy[T any](less func(a, b *T) bool, a, b *T) int {
+	switch {
+	case less(a, b):
+		return -1
+	case less(b, a):
+		return 1
+	}
+	return 0
 }
 
 // sortDB's orders, one per table.

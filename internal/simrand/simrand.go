@@ -19,15 +19,22 @@ import (
 // Source is a named deterministic random stream.
 //
 // The zero value is not usable; construct with New or Fork.
+//
+// A stream is seeded on its first draw, not when it is made: seeding a
+// math/rand source costs a ~4.9 KB state table, and many streams (a
+// test's parent stream, for one) are only ever forked from. The seed
+// the stream will draw from is fixed at construction, and Fork never
+// draws, so when the seeding happens cannot change any sequence.
 type Source struct {
-	rng  *rand.Rand
-	seed int64
-	name string
+	rng        *rand.Rand // nil until the first draw
+	streamSeed int64      // what rng is seeded with
+	seed       int64      // the root seed, which children derive from
+	name       string
 }
 
 // New returns the root stream for a campaign seed.
 func New(seed int64) *Source {
-	return &Source{rng: rand.New(rand.NewSource(seed)), seed: seed, name: ""}
+	return &Source{streamSeed: seed, seed: seed, name: ""}
 }
 
 // Fork derives an independent child stream. The child's sequence depends
@@ -37,25 +44,39 @@ func (s *Source) Fork(name string) *Source {
 	full := s.name + "/" + name
 	h := fnv.New64a()
 	h.Write([]byte(full))
-	child := s.seed ^ int64(h.Sum64())
-	return &Source{rng: rand.New(rand.NewSource(child)), seed: s.seed, name: full}
+	return &Source{streamSeed: s.seed ^ int64(h.Sum64()), seed: s.seed, name: full}
+}
+
+// r returns the stream's generator, seeding it on first use.
+func (s *Source) r() *rand.Rand {
+	if s.rng == nil {
+		s.seedStream()
+	}
+	return s.rng
+}
+
+// seedStream builds the generator the first draw needs.
+//
+//lint:cold — runs once per stream, at its first draw; the draws themselves reuse the generator
+func (s *Source) seedStream() {
+	s.rng = rand.New(rand.NewSource(s.streamSeed))
 }
 
 // Name reports the stream's path from the root, for diagnostics.
 func (s *Source) Name() string { return s.name }
 
 // Float64 draws from [0, 1).
-func (s *Source) Float64() float64 { return s.rng.Float64() }
+func (s *Source) Float64() float64 { return s.r().Float64() }
 
 // Intn draws a uniform integer from [0, n). n must be positive.
-func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
+func (s *Source) Intn(n int) int { return s.r().Intn(n) }
 
 // Int63 draws a non-negative 63-bit integer.
-func (s *Source) Int63() int64 { return s.rng.Int63() }
+func (s *Source) Int63() int64 { return s.r().Int63() }
 
 // Normal draws from a Gaussian with the given mean and standard deviation.
 func (s *Source) Normal(mean, stddev float64) float64 {
-	return mean + stddev*s.rng.NormFloat64()
+	return mean + stddev*s.r().NormFloat64()
 }
 
 // LogNormal draws a value whose logarithm is Normal(mu, sigma).
@@ -73,15 +94,15 @@ func (s *Source) LogNormalMedian(median, sigma float64) float64 {
 
 // Exp draws from an exponential distribution with the given mean.
 func (s *Source) Exp(mean float64) float64 {
-	return s.rng.ExpFloat64() * mean
+	return s.r().ExpFloat64() * mean
 }
 
 // Bool reports true with probability p.
-func (s *Source) Bool(p float64) bool { return s.rng.Float64() < p }
+func (s *Source) Bool(p float64) bool { return s.r().Float64() < p }
 
 // Uniform draws from [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.rng.Float64()
+	return lo + (hi-lo)*s.r().Float64()
 }
 
 // Pick returns an index in [0, len(weights)) with probability proportional
@@ -97,7 +118,7 @@ func (s *Source) Pick(weights []float64) int {
 	if total <= 0 {
 		return 0
 	}
-	x := s.rng.Float64() * total
+	x := s.r().Float64() * total
 	for i, w := range weights {
 		if w <= 0 {
 			continue

@@ -1,7 +1,10 @@
 package simrand
 
 import (
+	"hash/fnv"
 	"math"
+	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -211,4 +214,83 @@ func quickMedian(xs []float64) float64 {
 	cp := append([]float64(nil), xs...)
 	sort.Float64s(cp)
 	return cp[len(cp)/2]
+}
+
+// eagerFork is Fork as first written, with a generator seeded at once.
+func eagerFork(seed int64, full string) *rand.Rand {
+	h := fnv.New64a()
+	h.Write([]byte(full))
+	return rand.New(rand.NewSource(seed ^ int64(h.Sum64())))
+}
+
+func TestLazyForkMatchesEager(t *testing.T) {
+	for _, seed := range []int64{0, 1, -7, 1 << 40} {
+		root := New(seed)
+		eagerRoot := rand.New(rand.NewSource(seed))
+		test := root.Fork("test/12")
+		// Forking from a stream that has drawn, or not, changes nothing.
+		_ = root.Float64()
+		_ = eagerRoot.Float64()
+		for _, c := range []struct {
+			s    *Source
+			full string
+		}{
+			{test.Fork("flow"), "/test/12/flow"},
+			{root.Fork("ran/cell42/load"), "/ran/cell42/load"},
+			{root.Fork(""), "/"},
+		} {
+			eager := eagerFork(seed, c.full)
+			if c.s.Name() != c.full {
+				t.Fatalf("Name() = %q, want %q", c.s.Name(), c.full)
+			}
+			for i := 0; i < 200; i++ {
+				switch i % 5 {
+				case 0:
+					if got, want := c.s.Float64(), eager.Float64(); got != want {
+						t.Fatalf("seed %d %s draw %d: %v, eager %v", seed, c.full, i, got, want)
+					}
+				case 1:
+					if got, want := c.s.Intn(1000), eager.Intn(1000); got != want {
+						t.Fatalf("seed %d %s draw %d: %v, eager %v", seed, c.full, i, got, want)
+					}
+				case 2:
+					if got, want := c.s.Normal(0, 1), eager.NormFloat64(); got != want {
+						t.Fatalf("seed %d %s draw %d: %v, eager %v", seed, c.full, i, got, want)
+					}
+				case 3:
+					if got, want := c.s.Exp(1), eager.ExpFloat64(); got != want {
+						t.Fatalf("seed %d %s draw %d: %v, eager %v", seed, c.full, i, got, want)
+					}
+				default:
+					if got, want := c.s.Int63(), eager.Int63(); got != want {
+						t.Fatalf("seed %d %s draw %d: %v, eager %v", seed, c.full, i, got, want)
+					}
+				}
+			}
+		}
+		// The root stream itself is seeded with the seed.
+		for i := 0; i < 50; i++ {
+			if got, want := root.Float64(), eagerRoot.Float64(); got != want {
+				t.Fatalf("seed %d root draw %d: %v, eager %v", seed, i, got, want)
+			}
+		}
+	}
+}
+
+var forkSink *Source
+
+func TestForkWithoutDrawIsSmall(t *testing.T) {
+	parent := New(3).Fork("phone/V")
+	var stats runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&stats)
+	before := stats.TotalAlloc
+	const n = 1000
+	for i := 0; i < n; i++ {
+		forkSink = parent.Fork("test/12345")
+	}
+	runtime.ReadMemStats(&stats)
+	if per := (stats.TotalAlloc - before) / n; per >= 1024 {
+		t.Errorf("a Fork never drawn from allocates %d B, want < 1 KB", per)
+	}
 }

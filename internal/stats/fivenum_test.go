@@ -131,8 +131,8 @@ func TestIQROverlap(t *testing.T) {
 		{0, 1, 2, 3, false},
 		{2, 3, 0, 1, false},
 		{0, 2, 1, 3, true},
-		{0, 1, 1, 2, true}, // touching bounds overlap
-		{1, 1, 1, 1, true}, // degenerate equal points
+		{0, 1, 1, 2, true},          // touching bounds overlap
+		{1, 1, 1, 1, true},          // degenerate equal points
 		{0, 1, math.NaN(), 2, true}, // NaN cannot rule out overlap
 		{math.NaN(), math.NaN(), math.NaN(), math.NaN(), true},
 	}

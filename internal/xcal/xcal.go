@@ -93,6 +93,11 @@ type Recorder struct {
 	pendingWP   geo.Waypoint
 	pendingMPH  float64
 	havePending bool
+
+	// rowHint is, per label, the row count of the last file closed: a
+	// label's tests run for the same time, so a new file reserves that
+	// many rows instead of growing its table row by row.
+	rowHint map[string]int
 }
 
 // NewRecorder returns a recorder for one operator's phone.
@@ -109,6 +114,9 @@ func (r *Recorder) StartFile(label string, nowUTC time.Time, zone geo.Timezone) 
 		Name:  fmt.Sprintf("%s_%s_%s.drm", r.op.Short(), label, local.Format(FileNameFormat)),
 		Op:    r.op.Short(),
 		Label: label,
+	}
+	if n := r.rowHint[label]; n > 0 {
+		r.cur.Rows = make([]Row, 0, n)
 	}
 	r.sinceSample = 0
 	r.winBytes = 0
@@ -146,7 +154,7 @@ func (r *Recorder) flushRow() {
 	}
 	s := r.pending
 	r.cur.Rows = append(r.cur.Rows, Row{
-		TimeEDT:    r.winStart.In(EDT).Format(ContentFormat),
+		TimeEDT:    contentTime(r.winStart),
 		Tech:       s.Tech.String(),
 		CellID:     s.CellID,
 		RSRP:       float64(s.RSRP),
@@ -170,7 +178,7 @@ func (r *Recorder) LogHandover(ev ran.HandoverEvent) {
 		return
 	}
 	r.cur.Signals = append(r.cur.Signals, Signal{
-		TimeEDT:    ev.Start.In(EDT).Format(ContentFormat),
+		TimeEDT:    contentTime(ev.Start),
 		Event:      "HO",
 		FromTech:   ev.FromTech.String(),
 		ToTech:     ev.ToTech.String(),
@@ -190,6 +198,10 @@ func (r *Recorder) CloseFile() File {
 	}
 	f := *r.cur
 	r.cur = nil
+	if r.rowHint == nil {
+		r.rowHint = map[string]int{}
+	}
+	r.rowHint[f.Label] = len(f.Rows)
 	return f
 }
 
@@ -227,9 +239,8 @@ func (l *HandoverLogger) Step(now time.Time, wp geo.Waypoint, speedMPH float64, 
 	l.since += dt
 	if l.since >= time.Second {
 		l.since -= time.Second
-		local := now.In(wp.Timezone.Location())
 		l.rows = append(l.rows, LoggerRow{
-			TimeLocal: local.Format(LoggerFormat),
+			TimeLocal: loggerTime(now, wp.Timezone.Location()),
 			Zone:      wp.Timezone.String(),
 			Tech:      tech.String(),
 			CellID:    cell,
