@@ -39,14 +39,17 @@ bench-test:
 
 # fuzz-smoke gives each native fuzz target a few seconds, so CI keeps
 # them running: dataset.ReadJSON against the encoding/json reference,
-# the wheelsd job-spec parser, and the XCAL stamp codecs against
-# package time (the content- and logger-stamp parsers against
-# time.ParseInLocation, the formatters against time.Time.Format).
+# the wheelsd job-spec parser, the fleetsync artifact decoder (no panic,
+# linear allocation, a canonical re-encode fixpoint), and the XCAL stamp
+# codecs against package time (the content- and logger-stamp parsers
+# against time.ParseInLocation, the formatters against
+# time.Time.Format).
 # Crashers are kept under the package's testdata/fuzz/ as regression
 # inputs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReadJSON$$' -fuzztime=5s ./internal/dataset
 	$(GO) test -run=NONE -fuzz='^FuzzParseJobSpec$$' -fuzztime=5s ./internal/serve
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeArtifact$$' -fuzztime=5s ./internal/fleetsync
 	$(GO) test -run=NONE -fuzz='^FuzzParseContentTime$$' -fuzztime=5s ./internal/logsync
 	$(GO) test -run=NONE -fuzz='^FuzzParseLoggerTime$$' -fuzztime=5s ./internal/logsync
 	$(GO) test -run=NONE -fuzz='^FuzzFormatStamps$$' -fuzztime=5s ./internal/xcal

@@ -26,8 +26,8 @@
 // writes the same report and manifest — byte-identical — that a
 // single-process run would. -push runs a worker: it executes its -cells
 // subset of the sweep (comma-separated cell indexes and ranges; default
-// all) and pushes each finished run to the collector, resumably and
-// idempotently — a worker can crash mid-push and simply be rerun. A
+// all) and pushes each finished run to the collector in one idempotent
+// request — a worker can crash mid-push and simply be rerun. A
 // worker fingerprints the scenario file (sha256) and the collect job
 // pins the same hash, so a worker pushing a different scenario is
 // rejected before any run is folded.
@@ -199,10 +199,10 @@ func runWorker(cfg cellwheels.FleetConfig, rec *obs.Recorder, pushURL, cellsSpec
 	if err != nil {
 		return fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "worker finished in %v: %d runs (%d failed) pushed to %s, %d retries, %d resumed uploads\n",
+	fmt.Fprintf(os.Stderr, "worker finished in %v: %d runs (%d failed) pushed to %s, %d retries\n",
 		//lint:allow timetaint — stderr banner timing only; never reaches the report or manifest
 		rec.Elapsed().Round(time.Millisecond), res.Runs(), res.Failed(), pushURL,
-		rec.Counter("fleetsync/retries").Value(), rec.Counter("fleetsync/resumes").Value())
+		rec.Counter("fleetsync/retries").Value())
 
 	if metricsPath != "" {
 		if err := rec.WriteManifestFile(metricsPath); err != nil {

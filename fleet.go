@@ -135,20 +135,8 @@ func (cfg FleetConfig) Validate() error {
 	if err := base.Validate(); err != nil {
 		return err
 	}
-	axes := make([]fleet.Axis, len(cfg.Sweep))
-	for i, a := range cfg.Sweep {
-		axes[i] = fleet.Axis{Field: a.Field, Values: a.Values}
-	}
-	cells, err := fleet.Expand(axes)
-	if err != nil {
-		return fmt.Errorf("cellwheels: fleet: %w", err)
-	}
-	for _, cell := range cells {
-		if _, err := applyFleetOverrides(base, cell.Overrides); err != nil {
-			return fmt.Errorf("cellwheels: fleet: cell %s: %w", cell.Label(), err)
-		}
-	}
-	return nil
+	_, _, err := fleetSweep(cfg.Sweep, &base)
+	return err
 }
 
 // RunFleet executes many campaigns as one deterministic job: the sweep
@@ -163,21 +151,12 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	base.Seed = 0
 	base.Obs = nil
 
-	axes := make([]fleet.Axis, len(cfg.Sweep))
-	for i, a := range cfg.Sweep {
-		axes[i] = fleet.Axis{Field: a.Field, Values: a.Values}
-	}
 	// Validate every cell's overrides before any campaign runs: a
 	// typo'd field name should fail the fleet fast, not produce a
 	// manifest full of identical failures.
-	cells, err := fleet.Expand(axes)
+	axes, _, err := fleetSweep(cfg.Sweep, &base)
 	if err != nil {
-		return nil, fmt.Errorf("cellwheels: fleet: %w", err)
-	}
-	for _, cell := range cells {
-		if _, err := applyFleetOverrides(base, cell.Overrides); err != nil {
-			return nil, fmt.Errorf("cellwheels: fleet: cell %s: %w", cell.Label(), err)
-		}
+		return nil, err
 	}
 	if cfg.ArchiveDir != "" {
 		if err := os.MkdirAll(cfg.ArchiveDir, 0o755); err != nil {
@@ -256,9 +235,9 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 // seeds and the campaign metric order, so runs executed by remote workers
 // fold into a Result byte-identical to RunFleet's over the same scenario.
 func FleetReducer(cfg FleetConfig) (*fleet.Reducer, error) {
-	axes := make([]fleet.Axis, len(cfg.Sweep))
-	for i, a := range cfg.Sweep {
-		axes[i] = fleet.Axis{Field: a.Field, Values: a.Values}
+	axes, _, err := fleetSweep(cfg.Sweep, nil)
+	if err != nil {
+		return nil, err
 	}
 	red, err := fleet.NewReducer(cfg.MasterSeed, cfg.Replicates, axes, nil, fleetMetricOrder())
 	if err != nil {
@@ -271,19 +250,38 @@ func FleetReducer(cfg FleetConfig) (*fleet.Reducer, error) {
 // sweep order — without running anything. Worker cell subsets (fleetrun
 // -cells) are validated and reported against this list.
 func FleetCells(cfg FleetConfig) ([]string, error) {
-	axes := make([]fleet.Axis, len(cfg.Sweep))
-	for i, a := range cfg.Sweep {
-		axes[i] = fleet.Axis{Field: a.Field, Values: a.Values}
-	}
-	cells, err := fleet.Expand(axes)
+	_, cells, err := fleetSweep(cfg.Sweep, nil)
 	if err != nil {
-		return nil, fmt.Errorf("cellwheels: fleet: %w", err)
+		return nil, err
 	}
 	keys := make([]string, len(cells))
 	for i, c := range cells {
 		keys[i] = c.Key
 	}
 	return keys, nil
+}
+
+// fleetSweep converts a scenario's sweep to fleet axes and expands them
+// into cells, in sweep order. With a non-nil base it also applies every
+// cell's overrides to base, so an unknown field or mistyped value is an
+// error before anything runs.
+func fleetSweep(sweep []SweepAxis, base *Config) ([]fleet.Axis, []fleet.Cell, error) {
+	axes := make([]fleet.Axis, len(sweep))
+	for i, a := range sweep {
+		axes[i] = fleet.Axis{Field: a.Field, Values: a.Values}
+	}
+	cells, err := fleet.Expand(axes)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cellwheels: fleet: %w", err)
+	}
+	if base != nil {
+		for _, cell := range cells {
+			if _, err := applyFleetOverrides(*base, cell.Overrides); err != nil {
+				return nil, nil, fmt.Errorf("cellwheels: fleet: cell %s: %w", cell.Label(), err)
+			}
+		}
+	}
+	return axes, cells, nil
 }
 
 // applyFleetOverrides returns base with a sweep cell's field overrides

@@ -41,6 +41,13 @@ import (
 // Tick is the simulation step.
 const Tick = 50 * time.Millisecond
 
+// The paper's fixed test lengths (§5) and the idle gap before each test.
+const (
+	throughputDuration = 30 * time.Second
+	rttDuration        = 20 * time.Second
+	testGap            = 5 * time.Second
+)
+
 // staticCityRadius is how close to a city center the vehicle must be to
 // trigger that city's static baseline battery.
 const staticCityRadius = 8 * unit.Kilometer
@@ -66,12 +73,9 @@ type Config struct {
 	// deterministic and their logs are merged in fixed operator order.
 	Workers int
 
-	// Durations of the individual tests; zero values take the paper's.
-	ThroughputDuration time.Duration // 30 s (§5)
-	RTTDuration        time.Duration // 20 s (§5)
-	VideoDuration      time.Duration // 3 min (§D.1)
-	GamingDuration     time.Duration // 90 s
-	TestGap            time.Duration // idle gap between tests
+	// Durations of the app tests; zero values take the paper's.
+	VideoDuration  time.Duration // 3 min (§D.1)
+	GamingDuration time.Duration // 90 s
 
 	// Apps disables the four application workloads when false is
 	// requested via SkipApps (kept inverted so the zero value runs all).
@@ -128,20 +132,11 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.ThroughputDuration <= 0 {
-		c.ThroughputDuration = 30 * time.Second
-	}
-	if c.RTTDuration <= 0 {
-		c.RTTDuration = 20 * time.Second
-	}
 	if c.VideoDuration <= 0 {
 		c.VideoDuration = 3 * time.Minute
 	}
 	if c.GamingDuration <= 0 {
 		c.GamingDuration = 90 * time.Second
-	}
-	if c.TestGap <= 0 {
-		c.TestGap = 5 * time.Second
 	}
 	if len(c.Operators) == 0 {
 		c.Operators = radio.Operators()
@@ -201,9 +196,9 @@ func (c Config) rotation() []testSpec {
 func (c Config) testDuration(k dataset.TestKind) time.Duration {
 	switch k {
 	case dataset.ThroughputDL, dataset.ThroughputUL:
-		return c.ThroughputDuration
+		return throughputDuration
 	case dataset.RTTTest:
-		return c.RTTDuration
+		return rttDuration
 	case dataset.AppVideo:
 		return c.VideoDuration
 	case dataset.AppGaming:
@@ -221,7 +216,7 @@ func (c Config) testDuration(k dataset.TestKind) time.Duration {
 func (c Config) staticHoldBudget() time.Duration {
 	var ticks int64
 	for _, s := range c.rotation() {
-		ticks += ceilTicks(c.TestGap) + ceilTicks(c.testDuration(s.kind))
+		ticks += ceilTicks(testGap) + ceilTicks(c.testDuration(s.kind))
 	}
 	return time.Duration(ticks) * Tick
 }
@@ -347,7 +342,7 @@ func NewCampaign(cfg Config) *Campaign {
 			fleet: fleet,
 			specs: cfg.rotation(),
 		}
-		p.gapLeft = cfg.TestGap
+		p.gapLeft = testGap
 		var logger *xcal.HandoverLogger
 		if !cfg.SkipPassive {
 			logger = xcal.NewHandoverLogger(ran.UEConfig{Op: op, Map: m, ForceBest: cfg.DisablePolicy, Load: backend}, rng)

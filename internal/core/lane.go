@@ -65,12 +65,12 @@ func (l *lane) step(blk []geo.TickState) {
 			avail := l.m.AvailableWithin(ds.Odometer, staticSearchWindow)
 			if avail.Has(radio.NRMmWave) || avail.Has(radio.NRMid) {
 				if p.rec.Recording() {
-					p.finishTest(l.cfg, ds)
+					p.finishTest(ds)
 				}
 				p.static = true
 				p.ue.SetStaticMode(true)
 				p.specIdx = 0
-				p.gapLeft = l.cfg.TestGap
+				p.gapLeft = testGap
 				l.inStatic = true
 			}
 		}
@@ -82,7 +82,7 @@ func (l *lane) step(blk []geo.TickState) {
 
 		if ts.HoldLast && l.inStatic {
 			if p.rec.Recording() {
-				p.finishTest(l.cfg, ds)
+				p.finishTest(ds)
 			}
 			p.static = false
 			p.ue.SetStaticMode(false)
@@ -99,6 +99,6 @@ func (l *lane) step(blk []geo.TickState) {
 // finish closes any file still open at trip end.
 func (l *lane) finish() {
 	if l.phone.rec.Recording() {
-		l.phone.finishTest(l.cfg, &l.last)
+		l.phone.finishTest(&l.last)
 	}
 }

@@ -87,7 +87,7 @@ func stampFor(k dataset.TestKind) logsync.StampKind {
 // tick advances the phone one simulation step.
 func (p *phone) tick(cfg *Config, ts *geo.TickState) {
 	if p.inTest {
-		p.tickTest(cfg, ts)
+		p.tickTest(ts)
 		return
 	}
 	ds := &ts.DriveState
@@ -174,7 +174,7 @@ func (p *phone) startTest(cfg *Config, ds *geo.DriveState) {
 }
 
 // tickTest advances the active test by one tick.
-func (p *phone) tickTest(cfg *Config, ts *geo.TickState) {
+func (p *phone) tickTest(ts *geo.TickState) {
 	ds := &ts.DriveState
 	st := p.ue.Step(ds.Time, ds.Waypoint, ds.Speed.MPH(), Tick)
 
@@ -231,14 +231,14 @@ func (p *phone) tickTest(cfg *Config, ts *geo.TickState) {
 	p.testLeft -= Tick
 	p.testTime += Tick
 	if p.testLeft <= 0 {
-		p.finishTest(cfg, ds)
+		p.finishTest(ds)
 	}
 }
 
 // finishTest closes the open test and queues its logs.
 //
 //lint:cold — runs once per test, not per tick; result assembly and log queuing are amortized
-func (p *phone) finishTest(cfg *Config, ds *geo.DriveState) {
+func (p *phone) finishTest(ds *geo.DriveState) {
 	switch p.spec.kind {
 	case dataset.AppAR, dataset.AppCAV:
 		if p.offRun != nil {
@@ -272,7 +272,7 @@ func (p *phone) finishTest(cfg *Config, ds *geo.DriveState) {
 	p.apps = append(p.apps, p.appLog)
 	p.inTest = false
 	p.testsDone++
-	p.gapLeft = cfg.TestGap
+	p.gapLeft = testGap
 	// Between tests the phone goes idle; stickiness may retain the tech.
 	p.ue.SetTraffic(deploy.Idle, ds.Time, ds.Waypoint)
 }

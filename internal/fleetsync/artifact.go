@@ -77,7 +77,9 @@ func DecodeArtifact(data []byte) (Artifact, error) {
 	}
 	a := Artifact{Record: w.Record}
 	if len(w.Metrics) > 0 {
-		a.Metrics = make(fleet.Metrics, len(w.Metrics))
+		// No size hint: the map grows only with values that parse, so a
+		// long list of junk entries costs no more than its slice.
+		a.Metrics = make(fleet.Metrics)
 		for _, m := range w.Metrics {
 			v, err := strconv.ParseFloat(m.Value, 64)
 			if err != nil {

@@ -2,12 +2,10 @@ package fleetsync
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -15,10 +13,10 @@ import (
 	"github.com/nuwins/cellwheels/internal/obs"
 )
 
-// Client-side defaults. A whole push is bounded by MaxAttempts requests
-// per protocol step, each with its own timeout, with exponential backoff
-// plus jitter between attempts — a worker never hangs forever on a dead
-// collector and never hammers a briefly hiccuping one.
+// Client-side defaults. A whole push is bounded by MaxAttempts requests,
+// each with its own timeout, with exponential backoff plus jitter
+// between attempts — a worker never hangs forever on a dead collector
+// and never hammers a briefly hiccuping one.
 const (
 	DefaultRequestTimeout = 30 * time.Second
 	DefaultMaxAttempts    = 8
@@ -31,34 +29,27 @@ type PusherConfig struct {
 	// BaseURL locates the collector, e.g. "http://10.0.0.7:8080".
 	BaseURL string
 	// Scenario is the scenario fingerprint the collector was started
-	// with; mismatched pushes are rejected before any bytes move.
+	// with; mismatched pushes are rejected.
 	Scenario string
 	// Transport, when non-nil, replaces the default HTTP transport — the
 	// fault-injection seam the flaky-network tests use.
 	Transport http.RoundTripper
-	// RequestTimeout bounds each individual HTTP request (0 = default).
-	RequestTimeout time.Duration
-	// MaxAttempts bounds the retries of each protocol step (0 = default).
+	// MaxAttempts bounds the requests of one push or status query
+	// (0 = default).
 	MaxAttempts int
-	// BackoffBase and BackoffMax shape the exponential backoff between
-	// retries (0 = defaults). The jitter on top is deterministic — a
-	// splitmix64 hash of (blob, attempt) — so retry schedules need no
-	// global randomness.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// Obs counts pushes, retries, and resumes. Nil is a no-op.
+	// Obs counts pushes and retries. Nil is a no-op.
 	Obs *obs.Recorder
 	// Sleep replaces time.Sleep between retries in tests. Nil means
 	// time.Sleep.
 	Sleep func(time.Duration)
 }
 
-// Pusher uploads run artifacts to a collector, resumably and
-// idempotently: it can be killed at any byte of any request and a fresh
-// PushRun of the same run converges without duplicating or corrupting
-// anything on the collector.
+// Pusher pushes run artifacts to a collector idempotently: it can be
+// killed at any byte of any request and a fresh PushRun of the same run
+// converges without duplicating or corrupting anything on the collector.
 type Pusher struct {
 	cfg    PusherConfig
+	base   string
 	client *http.Client
 	sleep  func(time.Duration)
 }
@@ -71,21 +62,13 @@ func NewPusher(cfg PusherConfig) (*Pusher, error) {
 	if cfg.Scenario == "" {
 		return nil, fmt.Errorf("fleetsync: pusher needs a scenario fingerprint")
 	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = DefaultRequestTimeout
-	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = DefaultMaxAttempts
 	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = DefaultBackoffBase
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = DefaultBackoffMax
-	}
 	p := &Pusher{
 		cfg:    cfg,
-		client: &http.Client{Transport: cfg.Transport, Timeout: cfg.RequestTimeout},
+		base:   strings.TrimSuffix(cfg.BaseURL, "/") + BasePath,
+		client: &http.Client{Transport: cfg.Transport, Timeout: DefaultRequestTimeout},
 		sleep:  cfg.Sleep,
 	}
 	if p.sleep == nil {
@@ -94,166 +77,45 @@ func NewPusher(cfg PusherConfig) (*Pusher, error) {
 	return p, nil
 }
 
-// PushRun syncs one finished run to the collector: encode the canonical
-// artifact, upload its bytes (resuming any partial previous attempt),
-// and announce it for reduction. Safe to call for a run the collector
-// already has — the announce lands as a duplicate no-op.
+// PushRun syncs one finished run to the collector: one PUT of the
+// canonical artifact under its digest, retried until the collector
+// accepts it or rejects it for good. Safe to call for a run the
+// collector already has — the push lands as a duplicate no-op.
 func (p *Pusher) PushRun(rec fleet.RunRecord, m fleet.Metrics) error {
 	data, err := EncodeArtifact(Artifact{Record: rec, Metrics: m})
 	if err != nil {
 		return err
 	}
 	digest := Digest(data)
-	if err := p.uploadBlob(digest, data); err != nil {
-		return fmt.Errorf("fleetsync: push run %d: %w", rec.Index, err)
-	}
-	if err := p.announceRun(rec.Index, digest); err != nil {
+	url := p.base + "/runs/" + digest
+	err = p.retry(digest, func() (bool, error) {
+		req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(data))
+		if err != nil {
+			return false, err
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(HeaderScenario, p.cfg.Scenario)
+		resp, err := p.client.Do(req)
+		if err != nil {
+			return true, err
+		}
+		defer drain(resp)
+		switch resp.StatusCode {
+		case http.StatusOK:
+			return false, nil
+		case http.StatusConflict, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
+			// Scenario mismatch, oversized or invalid run: retrying the
+			// same bytes cannot succeed.
+			return false, wireError("push", resp.StatusCode, readErrBody(resp))
+		default:
+			return true, wireError("push", resp.StatusCode, readErrBody(resp))
+		}
+	})
+	if err != nil {
 		return fmt.Errorf("fleetsync: push run %d: %w", rec.Index, err)
 	}
 	p.cfg.Obs.Counter("fleetsync/pushes").Add(1)
 	return nil
-}
-
-// uploadBlob drives the resumable upload loop: learn the collector's
-// offset, send the remainder, handle verification. Each failed attempt
-// backs off and retries from the freshly queried offset, so bytes that
-// made it through a broken connection are never re-sent.
-func (p *Pusher) uploadBlob(digest string, data []byte) error {
-	var lastErr error
-	for attempt := 0; attempt < p.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			p.cfg.Obs.Counter("fleetsync/retries").Add(1)
-			p.sleep(backoff(p.cfg.BackoffBase, p.cfg.BackoffMax, digest, attempt))
-		}
-		offset, complete, err := p.blobStatus(digest)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if complete {
-			return nil
-		}
-		if offset > 0 {
-			if offset > int64(len(data)) {
-				// A stale staging file from some other content under the
-				// same name cannot happen (names are digests); an
-				// over-long stage means a collector restart raced us.
-				// Start over.
-				offset = 0
-			} else {
-				p.cfg.Obs.Counter("fleetsync/resumes").Add(1)
-			}
-		}
-		done, err := p.putBlob(digest, data, offset)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if done {
-			return nil
-		}
-		// Partial accept (short read server-side): loop resumes from the
-		// collector's new offset without burning the backoff clock being
-		// wrong about where we are.
-		lastErr = fmt.Errorf("upload of %s incomplete", digest)
-	}
-	return fmt.Errorf("upload %s failed after %d attempts: %w", digest, p.cfg.MaxAttempts, lastErr)
-}
-
-// blobStatus HEADs the blob: (staged offset, committed, error).
-func (p *Pusher) blobStatus(digest string) (int64, bool, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead, p.blobURL(digest), nil)
-	if err != nil {
-		return 0, false, err
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return 0, false, err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusNoContent {
-		return 0, false, wireError("blob status", resp.StatusCode, readErrBody(resp))
-	}
-	offset, _ := strconv.ParseInt(resp.Header.Get(HeaderReceived), 10, 64)
-	return offset, resp.Header.Get(HeaderComplete) == "1", nil
-}
-
-// putBlob uploads data[offset:]; reports whether the blob is now
-// committed. A digest rejection (the collector hashed our bytes to
-// something else — corruption in transit) discards the staging file
-// server-side, so the retry restarts from byte 0.
-func (p *Pusher) putBlob(digest string, data []byte, offset int64) (bool, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, p.blobURL(digest), bytes.NewReader(data[offset:]))
-	if err != nil {
-		return false, err
-	}
-	req.Header.Set(HeaderOffset, strconv.FormatInt(offset, 10))
-	req.Header.Set(HeaderSize, strconv.Itoa(len(data)))
-	req.ContentLength = int64(len(data)) - offset
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer drain(resp)
-	switch resp.StatusCode {
-	case http.StatusCreated, http.StatusOK:
-		return true, nil
-	case http.StatusAccepted, http.StatusConflict:
-		// Accepted: more bytes wanted. Conflict: our offset was stale —
-		// both mean "re-query and continue", not failure.
-		return false, nil
-	default:
-		return false, wireError("blob upload", resp.StatusCode, readErrBody(resp))
-	}
-}
-
-// announceRun POSTs the run for reduction, retrying transient failures.
-// Announce is idempotent on the collector, so a retry after a lost
-// response cannot double-fold.
-func (p *Pusher) announceRun(index int, digest string) error {
-	body, err := json.Marshal(PushRun{Scenario: p.cfg.Scenario, Index: index, Digest: digest})
-	if err != nil {
-		return err
-	}
-	var lastErr error
-	for attempt := 0; attempt < p.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			p.cfg.Obs.Counter("fleetsync/retries").Add(1)
-			p.sleep(backoff(p.cfg.BackoffBase, p.cfg.BackoffMax, digest+"/announce", attempt))
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), p.cfg.RequestTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.cfg.BaseURL+BasePath+"/runs", bytes.NewReader(body))
-		if err != nil {
-			cancel()
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := p.client.Do(req)
-		if err != nil {
-			cancel()
-			lastErr = err
-			continue
-		}
-		var res PushResult
-		decErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&res)
-		drain(resp)
-		cancel()
-		switch {
-		case resp.StatusCode == http.StatusOK && decErr == nil:
-			return nil
-		case resp.StatusCode == http.StatusConflict, resp.StatusCode == http.StatusUnprocessableEntity:
-			// Scenario mismatch or validation failure: retrying the same
-			// bytes cannot succeed.
-			return wireError("announce", resp.StatusCode, "run rejected by collector")
-		default:
-			lastErr = wireError("announce", resp.StatusCode, "")
-		}
-	}
-	return fmt.Errorf("announce of run %d failed after %d attempts: %w", index, p.cfg.MaxAttempts, lastErr)
 }
 
 // Status pulls the collector's sync manifest — what it holds already —
@@ -261,92 +123,55 @@ func (p *Pusher) announceRun(index int, digest string) error {
 // crash.
 func (p *Pusher) Status() (SyncManifest, error) {
 	var man SyncManifest
-	var lastErr error
-	for attempt := 0; attempt < p.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			p.cfg.Obs.Counter("fleetsync/retries").Add(1)
-			p.sleep(backoff(p.cfg.BackoffBase, p.cfg.BackoffMax, "status", attempt))
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), p.cfg.RequestTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.cfg.BaseURL+BasePath+"/status", nil)
+	err := p.retry("status", func() (bool, error) {
+		resp, err := p.client.Get(p.base + "/status")
 		if err != nil {
-			cancel()
-			return man, err
+			return true, err
 		}
-		resp, err := p.client.Do(req)
-		if err != nil {
-			cancel()
-			lastErr = err
-			continue
+		defer drain(resp)
+		if resp.StatusCode != http.StatusOK {
+			return true, wireError("status", resp.StatusCode, readErrBody(resp))
 		}
-		decErr := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&man)
-		drain(resp)
-		cancel()
-		if resp.StatusCode == http.StatusOK && decErr == nil {
-			if man.Scenario != p.cfg.Scenario {
-				return man, fmt.Errorf("fleetsync: collector is reducing scenario %s, not ours", man.Scenario)
-			}
-			return man, nil
+		if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&man); err != nil {
+			return true, err
 		}
-		lastErr = wireError("status", resp.StatusCode, "")
+		if man.Scenario != p.cfg.Scenario {
+			return false, fmt.Errorf("collector is reducing scenario %s, not ours", man.Scenario)
+		}
+		return false, nil
+	})
+	if err != nil {
+		return man, fmt.Errorf("fleetsync: status: %w", err)
 	}
-	return man, fmt.Errorf("status failed after %d attempts: %w", p.cfg.MaxAttempts, lastErr)
+	return man, nil
 }
 
-// PullRun downloads and verifies one committed artifact by digest — the
-// pull half of the protocol.
-func (p *Pusher) PullRun(digest string) (Artifact, error) {
-	if !validDigest(digest) {
-		return Artifact{}, fmt.Errorf("fleetsync: bad digest %q", digest)
-	}
-	var lastErr error
-	for attempt := 0; attempt < p.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
+// retry makes up to MaxAttempts attempts, backing off between them,
+// until one succeeds or fails with again false (a failure no retry can
+// fix).
+func (p *Pusher) retry(key string, attempt func() (again bool, err error)) error {
+	var err error
+	for n := 0; n < p.cfg.MaxAttempts; n++ {
+		if n > 0 {
 			p.cfg.Obs.Counter("fleetsync/retries").Add(1)
-			p.sleep(backoff(p.cfg.BackoffBase, p.cfg.BackoffMax, digest+"/pull", attempt))
+			p.sleep(backoff(key, n))
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), p.cfg.RequestTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.blobURL(digest), nil)
-		if err != nil {
-			cancel()
-			return Artifact{}, err
+		var again bool
+		if again, err = attempt(); err == nil || !again {
+			return err
 		}
-		resp, err := p.client.Do(req)
-		if err != nil {
-			cancel()
-			lastErr = err
-			continue
-		}
-		data, readErr := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-		drain(resp)
-		cancel()
-		if resp.StatusCode != http.StatusOK || readErr != nil {
-			lastErr = wireError("pull", resp.StatusCode, "")
-			continue
-		}
-		if Digest(data) != digest {
-			// The wire mangled it; the collector's copy is verified, so
-			// retry.
-			lastErr = fmt.Errorf("%w (pulled blob %s)", ErrDigestMismatch, digest)
-			continue
-		}
-		return DecodeArtifact(data)
 	}
-	return Artifact{}, fmt.Errorf("pull %s failed after %d attempts: %w", digest, p.cfg.MaxAttempts, lastErr)
-}
-
-func (p *Pusher) blobURL(digest string) string {
-	return strings.TrimSuffix(p.cfg.BaseURL, "/") + BasePath + "/blobs/" + digest
+	return fmt.Errorf("failed after %d attempts: %w", p.cfg.MaxAttempts, err)
 }
 
 // backoff computes the wait before the given retry attempt: exponential
 // in the attempt number, capped, with ±25% deterministic jitter keyed by
 // (key, attempt) — workers retrying the same outage spread out without
 // any shared randomness, and a given retry schedule is reproducible.
-func backoff(base, max time.Duration, key string, attempt int) time.Duration {
-	d := base << (attempt - 1)
-	if d > max || d <= 0 {
-		d = max
+func backoff(key string, attempt int) time.Duration {
+	d := DefaultBackoffBase << (attempt - 1)
+	if d > DefaultBackoffMax || d <= 0 {
+		d = DefaultBackoffMax
 	}
 	h := splitmix64(uint64(attempt)*0x9e3779b97f4a7c15 + hashString(key))
 	// frac in [0.75, 1.25)

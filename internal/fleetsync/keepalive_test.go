@@ -10,13 +10,13 @@ import (
 	"github.com/nuwins/cellwheels/internal/fleet"
 )
 
-// TestPushReusesOneConnection pins the client's body-drain discipline:
-// every response body is drained before Close, so the transport can
-// return the connection to its idle pool and a whole worker's push —
-// announces, probes, uploads, dozens of requests — rides ONE TCP
-// connection. If a handler path stops being drained, the transport
-// opens a fresh connection for the next request and the count here
-// climbs past one.
+// TestPushReusesOneConnection pins the protocol's request budget and
+// the client's body-drain discipline: each pushed run costs exactly one
+// request, and every response body is drained before Close, so the
+// transport returns the connection to its idle pool and a whole
+// worker's push rides ONE TCP connection. If a response stops being
+// drained, the transport opens a fresh connection for the next request
+// and the count here climbs past one.
 func TestPushReusesOneConnection(t *testing.T) {
 	red, err := fleet.NewReducer(77, 3, testAxes(), nil, []string{"thr", "rtt"})
 	if err != nil {
@@ -53,12 +53,13 @@ func TestPushReusesOneConnection(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1 // sequential pushes: reuse failure would force conn #2
 	cfg.OnRun = p.PushRun
-	if _, err := fleet.Run(cfg); err != nil {
+	res, err := fleet.Run(cfg)
+	if err != nil {
 		t.Fatalf("worker fleet: %v", err)
 	}
 
-	if got := requests.Load(); got < 10 {
-		t.Fatalf("push made only %d requests; the reuse assertion below would be vacuous", got)
+	if got, want := requests.Load(), int64(len(res.Manifest.Runs)); got != want {
+		t.Fatalf("pushing %d runs made %d requests, want one per run", want, got)
 	}
 	if got := newConns.Load(); got != 1 {
 		t.Errorf("worker push opened %d TCP connections, want 1 (requests=%d); a response body is not being drained before Close",

@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/nuwins/cellwheels/internal/fleet"
@@ -23,9 +21,10 @@ import (
 // Result reads out statistics byte-identical to a single-process fleet.
 //
 // All mutable state is guarded by one mutex; handlers run on net/http's
-// goroutines. The reduction itself is slot-addressed, so whatever order
-// pushes arrive in — including interleaved workers and retried
-// duplicates — cannot show in the output.
+// goroutines and take it only once a push's bytes are in hand. The
+// reduction itself is slot-addressed, so whatever order pushes arrive
+// in — including interleaved workers and retried duplicates — cannot
+// show in the output.
 type Collector struct {
 	scenario string
 	store    *Store
@@ -36,8 +35,8 @@ type Collector struct {
 	have    []HaveRun // accepted runs in acceptance order; sorted on read
 	version int
 	// manifestDirty marks a fold whose sync-manifest archive failed; the
-	// next announce (usually the worker's retry, landing as a duplicate)
-	// retries the persist.
+	// next duplicate push (usually the worker's retry) retries the
+	// persist.
 	manifestDirty bool
 	done          chan struct{}
 }
@@ -113,152 +112,57 @@ func (c *Collector) manifestLocked() SyncManifest {
 // Handler returns the collector's HTTP interface, rooted at BasePath.
 func (c *Collector) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(BasePath+"/status", c.handleStatus)
-	mux.HandleFunc(BasePath+"/blobs/", c.handleBlob)
-	mux.HandleFunc(BasePath+"/runs", c.handleRuns)
+	mux.HandleFunc("GET "+BasePath+"/status", c.handleStatus)
+	mux.HandleFunc("PUT "+BasePath+"/runs/{digest}", c.handleRun)
 	return mux
 }
 
 func (c *Collector) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	writeJSON(w, http.StatusOK, c.Manifest())
 }
 
-func (c *Collector) handleBlob(w http.ResponseWriter, r *http.Request) {
-	digest := strings.TrimPrefix(r.URL.Path, BasePath+"/blobs/")
+// handleRun verifies one pushed artifact and folds it into the
+// reduction. The body is read, hashed and decoded before the lock is
+// taken, so a worker that stalls mid-body holds up only its own push.
+// Rejections a retry can fix — a body that does not hash to its name,
+// or one cut short — answer 400; a scenario mismatch (409), an
+// oversized body (413) and a record that does not decode or that the
+// reducer's positional validation refuses (422) are final. Pushing a
+// folded run again is a duplicate no-op, so workers can retry blindly.
+func (c *Collector) handleRun(w http.ResponseWriter, r *http.Request) {
+	digest := r.PathValue("digest")
 	if !validDigest(digest) {
-		http.Error(w, "bad blob digest", http.StatusBadRequest)
+		http.Error(w, "bad artifact digest", http.StatusBadRequest)
 		return
 	}
-	switch r.Method {
-	case http.MethodHead:
-		c.blobStatus(w, digest)
-	case http.MethodGet:
-		c.serveBlob(w, digest)
-	case http.MethodPut:
-		c.receiveBlob(w, r, digest)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
-}
-
-// blobStatus answers "how much of this blob do you have?" — the resume
-// query. Committed blobs report their full size and Complete: 1.
-func (c *Collector) blobStatus(w http.ResponseWriter, digest string) {
-	if data, err := c.store.Get(digest); err == nil {
-		w.Header().Set(HeaderReceived, strconv.Itoa(len(data)))
-		w.Header().Set(HeaderComplete, "1")
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	w.Header().Set(HeaderReceived, strconv.FormatInt(c.store.StagedSize(digest), 10))
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (c *Collector) serveBlob(w http.ResponseWriter, digest string) {
-	data, err := c.store.Get(digest)
-	if err != nil {
-		http.Error(w, "blob not found", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	if _, err := w.Write(data); err != nil {
-		return // client went away; nothing to clean up
-	}
-}
-
-// receiveBlob accepts one slice of an upload. The offset must match the
-// staged size (otherwise 409 with the real resume point); when the
-// staged file reaches the declared total it is digest-verified and
-// committed, or discarded with 422 — a corrupt upload never enters the
-// blobs directory.
-func (c *Collector) receiveBlob(w http.ResponseWriter, r *http.Request, digest string) {
-	if c.store.Has(digest) {
-		// Already committed: idempotent success, drop the body.
-		w.Header().Set(HeaderComplete, "1")
-		w.WriteHeader(http.StatusOK)
-		return
-	}
-	offset, err := strconv.ParseInt(r.Header.Get(HeaderOffset), 10, 64)
-	if err != nil || offset < 0 {
-		http.Error(w, "bad "+HeaderOffset, http.StatusBadRequest)
-		return
-	}
-	size, err := strconv.ParseInt(r.Header.Get(HeaderSize), 10, 64)
-	if err != nil || size <= 0 || offset > size {
-		http.Error(w, "bad "+HeaderSize, http.StatusBadRequest)
-		return
-	}
-	if size > MaxBlobBytes {
-		http.Error(w, "blob exceeds MaxBlobBytes", http.StatusRequestEntityTooLarge)
-		return
-	}
-	// The declared size is client-controlled; the hard cap must bind the
-	// actual body too, or a lying client streams unbounded bytes to disk.
-	body := http.MaxBytesReader(w, r.Body, size-offset)
-	// Serialize uploads of the same blob; concurrent distinct blobs only
-	// contend briefly. (Uploads are small; a per-digest lock would be
-	// overkill at fleet-artifact sizes.)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	staged, err := c.store.AppendStaged(digest, offset, body)
-	if err != nil {
-		// Offset mismatch (a racing or restarted worker): tell the
-		// client where to resume. Mid-body read errors keep what
-		// arrived; the client re-HEADs and resumes from there.
-		w.Header().Set(HeaderReceived, strconv.FormatInt(c.store.StagedSize(digest), 10))
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	if staged < size {
-		w.Header().Set(HeaderReceived, strconv.FormatInt(staged, 10))
-		w.WriteHeader(http.StatusAccepted)
-		return
-	}
-	if err := c.store.CommitStaged(digest); err != nil {
-		if errors.Is(err, ErrDigestMismatch) {
-			c.obs.Counter("fleetsync/digest_rejects").Add(1)
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set(HeaderComplete, "1")
-	w.WriteHeader(http.StatusCreated)
-}
-
-// handleRuns folds an announced, already-uploaded artifact into the
-// reduction. Every safety check happens here: scenario fingerprint,
-// stored-blob digest, artifact/announce agreement, and the reducer's own
-// positional validation (cell, replicate, seed). Announcing a folded run
-// again is a duplicate no-op, so workers can retry blindly.
-func (c *Collector) handleRuns(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	var req PushRun
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		http.Error(w, "bad announce body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if req.Scenario != c.scenario {
+	if r.Header.Get(HeaderScenario) != c.scenario {
 		http.Error(w, fmt.Sprintf("scenario mismatch: collector is reducing %s", c.scenario), http.StatusConflict)
 		return
 	}
-	if !validDigest(req.Digest) {
-		http.Error(w, "bad blob digest", http.StatusBadRequest)
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBlobBytes))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("artifact exceeds %d bytes", MaxBlobBytes), http.StatusRequestEntityTooLarge)
+			return
+		}
+		http.Error(w, "read artifact: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if Digest(data) != digest {
+		c.obs.Counter("fleetsync/digest_rejects").Add(1)
+		http.Error(w, ErrDigestMismatch.Error(), http.StatusBadRequest)
+		return
+	}
+	art, err := DecodeArtifact(data)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.reducer.Seen(req.Index) {
+	if c.reducer.Seen(art.Record.Index) {
 		if c.manifestDirty {
 			if err := c.persistManifestLocked(); err != nil {
 				http.Error(w, "persist sync manifest: "+err.Error(), http.StatusInternalServerError)
@@ -271,23 +175,10 @@ func (c *Collector) handleRuns(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	data, err := c.store.Get(req.Digest)
-	if err != nil {
-		if errors.Is(err, ErrDigestMismatch) {
-			c.obs.Counter("fleetsync/digest_rejects").Add(1)
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-		http.Error(w, "artifact not uploaded: "+req.Digest, http.StatusNotFound)
-		return
-	}
-	art, err := DecodeArtifact(data)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		return
-	}
-	if art.Record.Index != req.Index {
-		http.Error(w, fmt.Sprintf("artifact is run %d, announce says %d", art.Record.Index, req.Index), http.StatusUnprocessableEntity)
+	// The blob is stored before the fold: a failed write leaves nothing
+	// folded, and the worker's retry starts from a clean slate.
+	if err := c.store.Put(digest, data); err != nil {
+		http.Error(w, "store artifact: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
 	if err := c.reducer.Fold(art.Record, art.Metrics); err != nil {
@@ -295,15 +186,15 @@ func (c *Collector) handleRuns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.version++
-	c.have = append(c.have, HaveRun{Index: req.Index, Digest: req.Digest})
+	c.have = append(c.have, HaveRun{Index: art.Record.Index, Digest: digest})
 	c.obs.Counter("fleetsync/runs_received").Add(1)
 	if c.reducer.Complete() {
 		close(c.done)
 	}
 	if err := c.persistManifestLocked(); err != nil {
 		// The fold is kept — it cannot be undone — and the archive retry
-		// rides on the worker's announce retry, which lands as a
-		// duplicate and re-persists.
+		// rides on the worker's push retry, which lands as a duplicate
+		// and re-persists.
 		c.manifestDirty = true
 		http.Error(w, "persist sync manifest: "+err.Error(), http.StatusInternalServerError)
 		return

@@ -1,11 +1,8 @@
 package fleetsync
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -13,26 +10,26 @@ import (
 )
 
 // ErrDigestMismatch reports bytes that do not hash to the digest they
-// were sent under. The store never keeps such bytes: the staging file is
-// discarded and the blob stays absent.
+// were sent under. The store never keeps such bytes: the blob stays
+// absent.
 var ErrDigestMismatch = errors.New("fleetsync: content does not match its digest")
 
 // Store is a content-addressed artifact store on disk:
 //
-//	<root>/blobs/<sha256>      committed, immutable, digest-verified
-//	<root>/staging/<sha256>    partial uploads, resumable by byte offset
+//	<root>/blobs/<sha256>          immutable, digest-verified artifacts
 //	<root>/manifests/vNNNNNN.json  one sync manifest per accepted run
+//	<root>/sync-manifest.json      the latest of those
 //
-// A blob is committed only after its staged bytes hash to its name, and
-// the final install is an atomic rename — so the blobs directory never
-// holds a truncated or corrupt artifact, however uploads fail.
+// A blob is written only after its bytes hash to its name, and the
+// install is an atomic rename — so the blobs directory never holds a
+// truncated or corrupt artifact, however pushes fail.
 type Store struct {
 	root string
 }
 
 // OpenStore opens (creating if needed) a store rooted at dir.
 func OpenStore(dir string) (*Store, error) {
-	for _, sub := range []string{"blobs", "staging", "manifests"} {
+	for _, sub := range []string{"blobs", "manifests"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("fleetsync: open store: %w", err)
 		}
@@ -47,11 +44,7 @@ func (s *Store) blobPath(digest string) string {
 	return filepath.Join(s.root, "blobs", digest)
 }
 
-func (s *Store) stagingPath(digest string) string {
-	return filepath.Join(s.root, "staging", digest)
-}
-
-// Has reports whether the blob is committed.
+// Has reports whether the blob is stored.
 func (s *Store) Has(digest string) bool {
 	if !validDigest(digest) {
 		return false
@@ -60,7 +53,7 @@ func (s *Store) Has(digest string) bool {
 	return err == nil
 }
 
-// Get returns a committed blob's bytes, re-verifying them against the
+// Get returns a stored blob's bytes, re-verifying them against the
 // digest — disk corruption surfaces as ErrDigestMismatch, not as silent
 // bad data folded into a report.
 func (s *Store) Get(digest string) ([]byte, error) {
@@ -77,8 +70,8 @@ func (s *Store) Get(digest string) ([]byte, error) {
 	return data, nil
 }
 
-// Put commits a fully in-hand blob, verifying it first. Committing the
-// same blob twice is a no-op (content-addressed stores are idempotent).
+// Put stores a blob, verifying it first. Storing the same blob twice is
+// a no-op (content-addressed stores are idempotent).
 func (s *Store) Put(digest string, data []byte) error {
 	if !validDigest(digest) {
 		return fmt.Errorf("fleetsync: bad digest %q", digest)
@@ -90,85 +83,6 @@ func (s *Store) Put(digest string, data []byte) error {
 		return nil
 	}
 	return atomicio.WriteFileBytes(s.blobPath(digest), 0o644, data)
-}
-
-// StagedSize reports how many bytes of a not-yet-committed blob are
-// staged; 0 when nothing is.
-func (s *Store) StagedSize(digest string) int64 {
-	if !validDigest(digest) {
-		return 0
-	}
-	st, err := os.Stat(s.stagingPath(digest))
-	if err != nil {
-		return 0
-	}
-	return st.Size()
-}
-
-// AppendStaged writes upload bytes at offset, which must equal the
-// current staged size — the contract that makes a resumed upload land
-// exactly where the interrupted one stopped. It returns how many bytes
-// are staged afterwards; r failing mid-copy keeps what arrived (the next
-// resume point) and returns the read error.
-func (s *Store) AppendStaged(digest string, offset int64, r io.Reader) (int64, error) {
-	if !validDigest(digest) {
-		return 0, fmt.Errorf("fleetsync: bad digest %q", digest)
-	}
-	have := s.StagedSize(digest)
-	if offset != have {
-		return have, fmt.Errorf("fleetsync: staged upload %s is at byte %d, not %d", digest, have, offset)
-	}
-	f, err := os.OpenFile(s.stagingPath(digest), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
-	if err != nil {
-		return have, err
-	}
-	n, werr := io.Copy(f, r)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return have + n, werr
-}
-
-// CommitStaged verifies the staged bytes against the digest and installs
-// them as a committed blob. On mismatch the staging file is removed —
-// corrupt uploads never poison the store and the worker restarts from
-// byte 0 — and ErrDigestMismatch is returned.
-func (s *Store) CommitStaged(digest string) error {
-	if !validDigest(digest) {
-		return fmt.Errorf("fleetsync: bad digest %q", digest)
-	}
-	path := s.stagingPath(digest)
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	h := sha256.New()
-	_, herr := io.Copy(h, f)
-	if cerr := f.Close(); herr == nil {
-		herr = cerr
-	}
-	if herr != nil {
-		return herr
-	}
-	if hex.EncodeToString(h.Sum(nil)) != digest {
-		s.DiscardStaged(digest)
-		return ErrDigestMismatch
-	}
-	if err := os.Chmod(path, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(path, s.blobPath(digest)); err != nil {
-		s.DiscardStaged(digest)
-		return err
-	}
-	return nil
-}
-
-// DiscardStaged drops a partial upload.
-func (s *Store) DiscardStaged(digest string) {
-	if validDigest(digest) {
-		os.Remove(s.stagingPath(digest))
-	}
 }
 
 // WriteManifestVersion archives one sync-manifest version and refreshes

@@ -12,8 +12,10 @@ import (
 	"github.com/nuwins/cellwheels/internal/fleet"
 )
 
-func TestArtifactRoundTripIsBitExact(t *testing.T) {
-	a := Artifact{
+// bitExactArtifact carries the float values a lossy encoding would
+// mangle: non-terminating binary fractions, NaN, -Inf and -0.
+func bitExactArtifact() Artifact {
+	return Artifact{
 		Record: fleet.RunRecord{
 			Index: 3, Cell: `mode="b"`, Replicate: 1, Seed: 12345, Status: fleet.RunOK,
 		},
@@ -25,6 +27,10 @@ func TestArtifactRoundTripIsBitExact(t *testing.T) {
 			"negzero": math.Copysign(0, -1),
 		},
 	}
+}
+
+func TestArtifactRoundTripIsBitExact(t *testing.T) {
+	a := bitExactArtifact()
 	data, err := EncodeArtifact(a)
 	if err != nil {
 		t.Fatal(err)
@@ -84,62 +90,6 @@ func TestStorePutGetVerifies(t *testing.T) {
 	}
 	if _, err := s.Get(d); !errors.Is(err, ErrDigestMismatch) {
 		t.Errorf("Get of corrupted blob: %v, want ErrDigestMismatch", err)
-	}
-}
-
-func TestStoreResumableStaging(t *testing.T) {
-	s, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := []byte("0123456789abcdef")
-	d := Digest(data)
-
-	n, err := s.AppendStaged(d, 0, bytes.NewReader(data[:7]))
-	if err != nil || n != 7 {
-		t.Fatalf("first slice: n=%d err=%v", n, err)
-	}
-	if got := s.StagedSize(d); got != 7 {
-		t.Fatalf("StagedSize = %d", got)
-	}
-	// A resume at the wrong offset is refused and reports the real one.
-	if _, err := s.AppendStaged(d, 3, bytes.NewReader(data[3:])); err == nil {
-		t.Fatal("offset mismatch accepted")
-	}
-	n, err = s.AppendStaged(d, 7, bytes.NewReader(data[7:]))
-	if err != nil || n != int64(len(data)) {
-		t.Fatalf("second slice: n=%d err=%v", n, err)
-	}
-	if err := s.CommitStaged(d); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Get(d)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("Get after staged commit = %q, %v", got, err)
-	}
-	if s.StagedSize(d) != 0 {
-		t.Error("staging file survived its commit")
-	}
-}
-
-func TestStoreCommitRejectsCorruptStage(t *testing.T) {
-	s, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := []byte("the true content")
-	d := Digest(data)
-	if _, err := s.AppendStaged(d, 0, strings.NewReader("the fake content")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CommitStaged(d); !errors.Is(err, ErrDigestMismatch) {
-		t.Fatalf("commit of corrupt stage: %v, want ErrDigestMismatch", err)
-	}
-	if s.Has(d) {
-		t.Error("corrupt bytes were committed")
-	}
-	if s.StagedSize(d) != 0 {
-		t.Error("corrupt staging file kept; the retry would resume into garbage")
 	}
 }
 

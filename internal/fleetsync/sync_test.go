@@ -197,14 +197,18 @@ func TestWorkerSkipsRunsCollectorHas(t *testing.T) {
 	if man.Received != 3 || len(man.Have) != 3 {
 		t.Fatalf("status after one cell = %+v", man)
 	}
-	// The pull half: every synced run can be fetched back and verifies.
+	// Every synced run is stored under its digest and verifies.
 	for _, h := range man.Have {
-		art, err := p.PullRun(h.Digest)
+		data, err := col.store.Get(h.Digest)
 		if err != nil {
-			t.Fatalf("pull %s: %v", h.Digest, err)
+			t.Fatalf("stored run %s: %v", h.Digest, err)
+		}
+		art, err := DecodeArtifact(data)
+		if err != nil {
+			t.Fatalf("stored run %s: %v", h.Digest, err)
 		}
 		if art.Record.Index != h.Index {
-			t.Errorf("pulled run %d under index %d", art.Record.Index, h.Index)
+			t.Errorf("stored run %d under index %d", art.Record.Index, h.Index)
 		}
 	}
 	pushWorker(t, p, func(i int, _ fleet.Cell) bool { return i == 1 })

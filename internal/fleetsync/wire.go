@@ -7,56 +7,40 @@
 // the whole scenario in one process, whatever the workers, network
 // faults, or arrival order did.
 //
-// The wire protocol is a minimal content-addressed push/pull, in the
-// shape of qri's logbook/logsync exchange:
+// The wire protocol is one content-addressed request per run:
 //
-//	GET  {base}/status          → SyncManifest (what the collector has)
-//	HEAD {base}/blobs/{digest}  → staged/committed byte counts, for resume
-//	PUT  {base}/blobs/{digest}  → upload artifact bytes from an offset
-//	GET  {base}/blobs/{digest}  → download a committed artifact (pull)
-//	POST {base}/runs            → announce an uploaded run for reduction
+//	GET {base}/status         → SyncManifest (what the collector has)
+//	PUT {base}/runs/{digest}  → push one run's artifact bytes
 //
-// Artifacts are immutable and named by the sha256 of their canonical
-// bytes, so every transfer is verifiable at the receiver: a blob whose
-// bytes do not hash to its name is rejected and discarded, never stored.
-// Uploads are resumable — a worker that crashes (or loses the network)
-// mid-push re-queries the staged size and continues from there — and
-// every announced run is validated against the scenario's positional run
-// matrix before it is folded, so a confused worker cannot corrupt the
-// reduction. Pushes are idempotent: re-announcing a folded run is a
-// no-op, which is what makes blind worker retries safe.
+// A push carries the artifact's canonical bytes as its body and the
+// scenario fingerprint in HeaderScenario. Artifacts are immutable and
+// named by the sha256 of those bytes, so every push is verifiable at the
+// receiver: a body that does not hash to its name is rejected (and the
+// worker retries), never stored or folded. Every pushed run is validated
+// against the scenario's positional run matrix before it is folded, so a
+// confused worker cannot corrupt the reduction. Pushes are idempotent:
+// re-pushing a folded run is a no-op, which is what makes blind worker
+// retries safe.
 package fleetsync
 
 import "fmt"
 
 // SyncSchema versions the wire protocol and the sync manifest layout.
-const SyncSchema = 1
+const SyncSchema = 2
 
 // BasePath prefixes every fleetsync route.
 const BasePath = "/fleetsync/v1"
 
-// MaxBlobBytes caps a single uploaded artifact. Run archives are a few
-// hundred KiB of gzipped CSV; 256 MiB is two orders of magnitude of
-// headroom while still bounding what one lying or broken worker can
-// write to the collector's disk.
-const MaxBlobBytes = 256 << 20
+// MaxBlobBytes caps one pushed artifact. An artifact is a run record
+// plus a few dozen flat metrics — under 2 KiB — and the collector holds
+// a push's body in memory while it verifies it, so 1 MiB is ample
+// headroom that still bounds what one lying or broken worker can make
+// the collector buffer.
+const MaxBlobBytes = 1 << 20
 
-// Custom headers of the blob upload protocol. All values are decimal
-// byte counts.
-const (
-	// HeaderOffset is the position in the blob a PUT's body starts at;
-	// it must equal the collector's currently staged size.
-	HeaderOffset = "X-Fleetsync-Offset"
-	// HeaderSize is the blob's total size, declared on every PUT so the
-	// collector knows when the staging file is complete.
-	HeaderSize = "X-Fleetsync-Size"
-	// HeaderReceived reports how many bytes the collector holds for the
-	// blob (staged, or total when committed) on HEAD and conflict
-	// responses — the resume point.
-	HeaderReceived = "X-Fleetsync-Received"
-	// HeaderComplete is "1" when the blob is committed to the store.
-	HeaderComplete = "X-Fleetsync-Complete"
-)
+// HeaderScenario carries the pushing worker's scenario fingerprint; a
+// push for any other scenario than the collector's is rejected.
+const HeaderScenario = "X-Fleetsync-Scenario"
 
 // SyncManifest is the collector's versioned statement of what it holds:
 // which runs of the scenario's matrix have been received and folded. The
@@ -76,8 +60,8 @@ type SyncManifest struct {
 	Received int `json:"received"`
 	Failed   int `json:"failed"`
 	// Have lists the folded runs' full-matrix indexes, ascending, with
-	// the digest of each run's artifact — the content-addressed record a
-	// worker (or a re-synced collector) pulls runs back out by.
+	// the digest of each run's artifact — the name it is stored under in
+	// the collector's Store.
 	Have []HaveRun `json:"have"`
 }
 
@@ -87,23 +71,16 @@ type HaveRun struct {
 	Digest string `json:"digest"`
 }
 
-// PushRun announces one uploaded artifact for reduction.
-type PushRun struct {
-	Scenario string `json:"scenario"`
-	Index    int    `json:"index"`
-	Digest   string `json:"digest"`
-}
-
-// PushRun response statuses.
+// Push response statuses.
 const (
 	// PushAccepted: the run was verified and folded.
 	PushAccepted = "accepted"
-	// PushDuplicate: the run was already folded; the announce was a
-	// no-op. Idempotent retries land here.
+	// PushDuplicate: the run was already folded; the push was a no-op.
+	// Idempotent retries land here.
 	PushDuplicate = "duplicate"
 )
 
-// PushResult is the collector's answer to a PushRun.
+// PushResult is the collector's answer to a push.
 type PushResult struct {
 	Status   string `json:"status"`
 	Received int    `json:"received"`
