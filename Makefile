@@ -19,7 +19,8 @@ vet:
 	$(GO) vet ./...
 
 # bench runs the lane-engine scaling benchmark, dataset decoding
-# (Load of the 700 km benchmark dataset), the per-tick layer benches
+# (Load of the 700 km benchmark dataset, from memory and from a file)
+# and encoding (WriteJSON of it), the per-tick layer benches
 # (log reconciliation, geo route lookup and a full-route drive pass,
 # the moving, mobility-only and mmWave RAN ticks), the per-row merge
 # benches (joining a GPS fix to the route on and off it, parsing a
@@ -29,7 +30,7 @@ vet:
 # -benchtime=1x; the full figure/table benches live in bench_test.go
 # and run with `go test -bench=.`.
 bench:
-	$(GO) test -run=NONE -bench='^(BenchmarkCampaignRun|BenchmarkLoad|BenchmarkLogsyncMerge|BenchmarkRouteAt|BenchmarkTimelineScan|BenchmarkOdometerOf|BenchmarkParseContentTime|BenchmarkUEStep|BenchmarkNewMap|BenchmarkNewCampaign)$$' -benchtime=1x . ./internal/geo ./internal/logsync ./internal/ran ./internal/deploy ./internal/core
+	$(GO) test -run=NONE -bench='^(BenchmarkCampaignRun|BenchmarkLoad|BenchmarkWriteJSON|BenchmarkLogsyncMerge|BenchmarkRouteAt|BenchmarkTimelineScan|BenchmarkOdometerOf|BenchmarkParseContentTime|BenchmarkUEStep|BenchmarkNewMap|BenchmarkNewCampaign)$$' -benchtime=1x . ./internal/geo ./internal/logsync ./internal/ran ./internal/deploy ./internal/core
 
 # bench-test vets and tests the repo benchmark (bench/, a module of its
 # own that the root `go test ./...` does not reach): its golden digests,
@@ -38,7 +39,8 @@ bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke gives each native fuzz target a few seconds, so CI keeps
-# them running: dataset.ReadJSON against the encoding/json reference,
+# them running: dataset.ReadJSON and dataset.WriteJSON against the
+# encoding/json reference,
 # the wheelsd job-spec parser, the fleetsync artifact decoder (no panic,
 # linear allocation, a canonical re-encode fixpoint), and the XCAL stamp
 # codecs against package time (the content- and logger-stamp parsers
@@ -48,6 +50,7 @@ bench-test:
 # inputs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReadJSON$$' -fuzztime=5s ./internal/dataset
+	$(GO) test -run=NONE -fuzz='^FuzzWriteJSON$$' -fuzztime=5s ./internal/dataset
 	$(GO) test -run=NONE -fuzz='^FuzzParseJobSpec$$' -fuzztime=5s ./internal/serve
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeArtifact$$' -fuzztime=5s ./internal/fleetsync
 	$(GO) test -run=NONE -fuzz='^FuzzParseContentTime$$' -fuzztime=5s ./internal/logsync

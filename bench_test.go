@@ -17,6 +17,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -536,17 +539,57 @@ func BenchmarkReport(b *testing.B) {
 }
 
 // BenchmarkLoad times dataset decoding: Load of the 700 km benchmark
-// dataset's JSON, as analyze does before it renders a report.
+// dataset's JSON, as analyze does before it renders a report, from
+// memory and from a file, whose reported size lets ReadJSON size its
+// buffer once.
 func BenchmarkLoad(b *testing.B) {
 	var buf bytes.Buffer
 	if err := benchDB(b).WriteJSON(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("memory", func(b *testing.B) {
+		b.SetBytes(int64(buf.Len()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("file", func(b *testing.B) {
+		path := filepath.Join(b.TempDir(), "dataset.json")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(buf.Len()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f, err := os.Open(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, err = Load(f)
+			f.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkWriteJSON times dataset encoding: WriteJSON of the 700 km
+// benchmark dataset to io.Discard, as drivetest writes its output.
+func BenchmarkWriteJSON(b *testing.B) {
+	db := benchDB(b)
+	var buf bytes.Buffer
+	if err := db.WriteJSON(&buf); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(buf.Len()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+		if err := db.WriteJSON(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -125,6 +126,33 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := Load(strings.NewReader("{")); err == nil {
 		t.Error("bad JSON accepted")
+	}
+}
+
+// TestWriteJSONFileEncodeError pins that a dataset encoding/json cannot
+// encode, here a NaN in the last throughput sample, fails WriteJSONFile
+// and leaves neither the file nor its temp file behind, although the
+// streaming encoder has written a prefix by then.
+func TestWriteJSONFileEncodeError(t *testing.T) {
+	var buf bytes.Buffer
+	if err := quickStudy(t).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.db.Throughput[len(s.db.Throughput)-1].Mbps = math.NaN()
+	dir := t.TempDir()
+	if err := s.WriteJSONFile(filepath.Join(dir, "dataset.json")); err == nil {
+		t.Fatal("WriteJSONFile wrote a dataset with a NaN sample")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("WriteJSONFile left %s behind", e.Name())
 	}
 }
 

@@ -442,6 +442,11 @@ func (c *Campaign) Run() Raw {
 // collect gathers the raw outputs and meta accounting, iterating lanes in
 // their fixed construction (operator) order. final is the drive's last
 // state, which sets the route length and day count.
+//
+// The captures are handed over, not shared: each lane's files, app logs
+// and passive rows move into Raw and the lane forgets them, so the raw
+// archive dies with the Raw once it is merged, while the campaign lives
+// on for its maps and crowd results.
 func (c *Campaign) collect(final geo.DriveState) Raw {
 	raw := Raw{
 		Logger:           map[string][]xcal.LoggerRow{},
@@ -466,6 +471,7 @@ func (c *Campaign) collect(final geo.DriveState) Raw {
 		raw.Meta.RuntimeByOp[p.op.String()] = p.testTime
 		raw.Meta.UniqueCells[p.op.String()] = p.ue.UniqueCells()
 		rec.Counter("lane/" + l.op.Short() + "/files").Add(int64(len(p.files)))
+		p.files, p.apps = nil, nil
 		rec.Counter("lane/" + l.op.Short() + "/handovers").Add(int64(p.ue.HandoverCount()))
 		rec.Counter("bytes/rx").Add(int64(p.bytesRx))
 		rec.Counter("bytes/tx").Add(int64(p.bytesTx))

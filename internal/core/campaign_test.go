@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/nuwins/cellwheels/internal/dataset"
+	"github.com/nuwins/cellwheels/internal/obs"
 	"github.com/nuwins/cellwheels/internal/radio"
 	"github.com/nuwins/cellwheels/internal/unit"
 )
@@ -275,5 +276,52 @@ func TestCampaignTimesOrderedWithinTests(t *testing.T) {
 		if s.Time.Before(tt.Start.Add(-time.Second)) || s.Time.After(tt.End.Add(time.Second)) {
 			t.Errorf("sample at %v outside test %d window [%v, %v]", s.Time, tt.ID, tt.Start, tt.End)
 		}
+	}
+}
+
+// TestRunHandsOverCaptures pins that Run moves the raw captures into the
+// Raw it returns rather than sharing them with the lanes: a finished
+// campaign, which the facade keeps for its maps and crowd results, must
+// not pin the raw archive once the Raw is merged and dropped.
+func TestRunHandsOverCaptures(t *testing.T) {
+	cfg := quickConfig(3)
+	cfg.Limit = 20 * unit.Kilometer
+	cfg.Obs = obs.New()
+	c := NewCampaign(cfg)
+	raw := c.Run()
+
+	loggers := 0
+	for _, l := range c.lanes {
+		if l.phone.files != nil || l.phone.apps != nil {
+			t.Errorf("lane %s: phone still holds %d files and %d app logs after Run", l.op.Short(), len(l.phone.files), len(l.phone.apps))
+		}
+		if l.logger != nil {
+			loggers++
+			if rows := l.logger.Rows(); rows != nil {
+				t.Errorf("lane %s: logger still holds %d rows after Run", l.op.Short(), len(rows))
+			}
+		}
+	}
+	if loggers == 0 {
+		t.Fatal("no passive loggers in the campaign")
+	}
+
+	files := map[string]int{}
+	for _, f := range raw.Files {
+		files[f.Op]++
+	}
+	counters := cfg.Obs.Snapshot().Counters
+	for _, l := range c.lanes {
+		op := l.op.Short()
+		want := counters["lane/"+op+"/files"]
+		if want == 0 || int64(files[op]) != want {
+			t.Errorf("lane %s: Raw carries %d files, lane/%s/files counter = %d", op, files[op], op, want)
+		}
+		if l.logger != nil && len(raw.Logger[op]) == 0 {
+			t.Errorf("lane %s: Raw carries no passive rows", op)
+		}
+	}
+	if len(raw.Apps) != len(raw.Files) {
+		t.Errorf("Raw carries %d app logs for %d files", len(raw.Apps), len(raw.Files))
 	}
 }

@@ -10,9 +10,7 @@
 package dataset
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/nuwins/cellwheels/internal/geo"
@@ -268,10 +266,4 @@ func (db *DB) RTTValuesWhere(keep func(*RTTSample) bool) []float64 {
 		}
 	}
 	return out
-}
-
-// WriteJSON serializes the whole database.
-func (db *DB) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(db)
 }

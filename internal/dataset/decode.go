@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"strconv"
 	"time"
 
@@ -21,8 +22,14 @@ import (
 // json.Decoder, bytes after the top-level value are ignored.
 func ReadJSON(r io.Reader) (*DB, error) {
 	// io.Copy lets a bytes or strings reader hand over its bytes in one
-	// write, where io.ReadAll would regrow its buffer many times.
+	// write, where io.ReadAll would regrow its buffer many times. A file
+	// reports its size, so the buffer is grown once to hold it all.
 	var buf bytes.Buffer
+	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+			buf.Grow(int(fi.Size()) + bytes.MinRead)
+		}
+	}
 	if _, err := io.Copy(&buf, r); err != nil {
 		return nil, fmt.Errorf("dataset: read: %w", err)
 	}

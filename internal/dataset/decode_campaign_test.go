@@ -11,8 +11,9 @@ import (
 	"github.com/nuwins/cellwheels/internal/unit"
 )
 
-// TestDecodeCanonicalCampaigns checks that what campaigns write takes
-// the reflection-free path and decodes to the encoding/json result: a
+// TestDecodeCanonicalCampaigns checks that what campaigns write is
+// encoding/json's bytes and takes the reflection-free path back to the
+// encoding/json result: a
 // 40 km paper-methodology campaign, and the 10⁵-UE crowd campaign of
 // the root package's crowdConfig(2).
 func TestDecodeCanonicalCampaigns(t *testing.T) {
@@ -33,6 +34,13 @@ func TestDecodeCanonicalCampaigns(t *testing.T) {
 		var buf bytes.Buffer
 		if err := db.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
+		}
+		var ref bytes.Buffer
+		if err := json.NewEncoder(&ref).Encode(db); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), ref.Bytes()) {
+			t.Errorf("%s: WriteJSON differs from encoding/json", tc.name)
 		}
 		got, ok := dataset.DecodeCanonical(buf.Bytes())
 		if !ok {

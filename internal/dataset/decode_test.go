@@ -63,10 +63,12 @@ func decodeVariants() map[string]*DB {
 }
 
 // TestDecodeCanonical pins that WriteJSON output takes the fast path
-// with the reference result. A decoder that always fell back would
-// pass FuzzReadJSON; it fails here.
+// with the reference result, and that WriteJSON writes the reference
+// encoder's bytes. A decoder that always fell back would pass
+// FuzzReadJSON; it fails here.
 func TestDecodeCanonical(t *testing.T) {
 	for name, db := range decodeVariants() {
+		checkEncode(t, name, db)
 		b := encode(t, db)
 		got, ok := decodeCanonical(b)
 		if !ok {

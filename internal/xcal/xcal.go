@@ -251,8 +251,13 @@ func (l *HandoverLogger) Step(now time.Time, wp geo.Waypoint, speedMPH float64, 
 	}
 }
 
-// Rows returns the passive coverage log. It hands over the logger's own
+// Rows hands over the passive coverage log: it returns the logger's own
 // slice rather than a copy, which on the full route is a quarter-million
-// rows per operator: call it once the logger is done, and step the
-// logger no further.
-func (l *HandoverLogger) Rows() []LoggerRow { return l.rows }
+// rows per operator, and forgets it, so the caller holds the only
+// reference. A second call returns only the rows logged since the
+// first.
+func (l *HandoverLogger) Rows() []LoggerRow {
+	rows := l.rows
+	l.rows = nil
+	return rows
+}

@@ -136,6 +136,10 @@ func TestHandoverLoggerProducesRows(t *testing.T) {
 	if len(rows) < 110 || len(rows) > 130 {
 		t.Errorf("rows in 2 min = %d, want ≈120", len(rows))
 	}
+	// Rows hands the log over: the logger keeps no reference to it.
+	if again := l.Rows(); again != nil {
+		t.Errorf("second Rows() = %d rows, want nil after the hand-over", len(again))
+	}
 	for _, row := range rows {
 		if row.Zone != "Pacific" {
 			t.Errorf("zone = %q", row.Zone)
