@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: fmt build test race vet bench bench-test fuzz-smoke lint lint-baseline lint-sarif lint-fixtures lint-inject-smoke smoke fleet-smoke crowd-smoke serve-smoke ci
+.PHONY: fmt build test race vet bench bench-test fuzz-smoke lint lint-baseline lint-sarif lint-fixtures lint-inject-smoke smoke fleet-smoke crowd-smoke serve-smoke examples ci
 
 # fmt fails when any Go file is not gofmt-formatted, and lists it.
 fmt:
@@ -41,7 +41,7 @@ bench-test:
 # fuzz-smoke gives each native fuzz target a few seconds, so CI keeps
 # them running: dataset.ReadJSON and dataset.WriteJSON against the
 # encoding/json reference,
-# the wheelsd job-spec parser, the fleetsync artifact decoder (no panic,
+# the daemon job-spec parser, the fleetsync artifact decoder (no panic,
 # linear allocation, a canonical re-encode fixpoint), and the XCAL stamp
 # codecs against package time (the content- and logger-stamp parsers
 # against time.ParseInLocation, the formatters against
@@ -92,44 +92,55 @@ lint-inject-smoke:
 	./scripts/lint_inject_smoke.sh
 
 # smoke runs a short instrumented campaign end to end through the real
-# CLI: dataset + CSV export + run manifest (manifest.json is the CI
-# artifact). Fails on any CLI regression the unit tests sit below. It
+# CLI (`cellwheels run`): dataset + run manifest (manifest.json is the
+# CI artifact). Fails on any CLI regression the unit tests sit below. It
 # then reruns the campaign with one and with two lane slots and requires
 # the same dataset bytes: two slots for three lanes is the path where
 # lanes wait on each other for a slot. The first run also prints its
 # -progress lines to smoke-progress.log, and the last of them must
-# report the whole planned distance: 100.0% with eta 0s.
+# report the whole planned distance: 100.0% with eta 0s. Last, the
+# report front end renders Table 1 from the smoke dataset and lists the
+# section ids.
 smoke:
-	$(GO) run ./cmd/drivetest -seed 1 -limit-km 50 -progress -metrics manifest.json -out smoke-dataset.json 2>smoke-progress.log || { cat smoke-progress.log >&2; exit 1; }
+	$(GO) run ./cmd/cellwheels run -seed 1 -limit-km 50 -progress -metrics manifest.json -out smoke-dataset.json 2>smoke-progress.log || { cat smoke-progress.log >&2; exit 1; }
 	grep '^obs:' smoke-progress.log | tail -n 1 | grep -E ' 100\.0% .*\| eta 0s$$' || { echo "smoke: last progress line is not 100.0% with eta 0s" >&2; cat smoke-progress.log >&2; exit 1; }
-	$(GO) run ./cmd/drivetest -seed 1 -limit-km 50 -workers 1 -out smoke-dataset-w1.json
-	$(GO) run ./cmd/drivetest -seed 1 -limit-km 50 -workers 2 -out smoke-dataset-w2.json
+	$(GO) run ./cmd/cellwheels run -seed 1 -limit-km 50 -workers 1 -out smoke-dataset-w1.json
+	$(GO) run ./cmd/cellwheels run -seed 1 -limit-km 50 -workers 2 -out smoke-dataset-w2.json
 	cmp smoke-dataset-w1.json smoke-dataset-w2.json
 	cmp smoke-dataset.json smoke-dataset-w1.json
+	$(GO) run ./cmd/cellwheels report -in smoke-dataset.json -section table1
+	$(GO) run ./cmd/cellwheels report -list
 
-# fleet-smoke runs a 3-replicate fleet through the real fleetrun binary:
+# fleet-smoke runs a 3-replicate fleet through the real `cellwheels fleet`:
 # scenario parsing, the worker pool, streaming reduction, and the report/
 # manifest writers all on the real CLI path. fleet-out/fleet-manifest.json
 # is the CI artifact.
 fleet-smoke:
-	$(GO) run ./cmd/fleetrun -scenario testdata/fleet-smoke.json -workers 2 -out fleet-out
+	$(GO) run ./cmd/cellwheels fleet -scenario testdata/fleet-smoke.json -workers 2 -out fleet-out
 
 # crowd-smoke drives a 10⁴-UE metro-scale crowd through the real
-# drivetest CLI path — registry construction, event wheel, demand-driven
+# `cellwheels run` path — registry construction, event wheel, demand-driven
 # load, and in-run crowd measurements — over a short route.
 # crowd-manifest.json (events, attached, measurements) is the CI artifact.
 crowd-smoke:
-	$(GO) run ./cmd/drivetest -seed 1 -limit-km 10 -crowd 10000 -crowd-samples 4 -load-model demand -skip-apps -out crowd-dataset.json -metrics crowd-manifest.json
+	$(GO) run ./cmd/cellwheels run -seed 1 -limit-km 10 -crowd 10000 -crowd-samples 4 -load-model demand -skip-apps -out crowd-dataset.json -metrics crowd-manifest.json
 
-# serve-smoke runs the wheelsd daemon end to end over loopback: a
-# campaign job, a fleet job, and a collect job (fed by real fleetrun
-# -push workers through the daemon's /fleetsync/v1 mount) are submitted
-# via curl and their downloaded artifacts byte-diffed against direct
-# drivetest/fleetrun runs; a final SIGTERM mid-job pins the graceful
-# drain. serve-out/wheelsd-manifest.json is the CI artifact.
+# serve-smoke runs the `cellwheels serve` daemon end to end over
+# loopback: a campaign job, a fleet job, and a collect job (fed by real
+# `cellwheels fleet -push` workers through the daemon's /fleetsync/v1
+# mount) are submitted via curl and their downloaded artifacts
+# byte-diffed against direct `cellwheels run`/`fleet` runs, the report
+# against `cellwheels report -in` on the direct run's dataset; a final
+# SIGTERM mid-job pins the graceful drain.
+# serve-out/wheelsd-manifest.json is the CI artifact.
 serve-smoke:
 	./scripts/serve_smoke.sh
 
+# examples runs each program in examples/ once; any non-zero exit fails
+# the target, so the examples cannot rot into code that only compiles.
+examples:
+	@for d in examples/*/; do echo "examples: $$d" >&2; $(GO) run ./$$d >/dev/null || exit 1; done
+
 # lint-sarif runs before the lint gates so the artifact exists for CI
 # upload even when lint fails the build.
-ci: fmt vet build lint-sarif lint lint-baseline lint-inject-smoke race bench bench-test fuzz-smoke smoke fleet-smoke crowd-smoke serve-smoke
+ci: fmt vet build lint-sarif lint lint-baseline lint-inject-smoke race bench bench-test fuzz-smoke smoke fleet-smoke crowd-smoke serve-smoke examples

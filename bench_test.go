@@ -539,9 +539,9 @@ func BenchmarkReport(b *testing.B) {
 }
 
 // BenchmarkLoad times dataset decoding: Load of the 700 km benchmark
-// dataset's JSON, as analyze does before it renders a report, from
-// memory and from a file, whose reported size lets ReadJSON size its
-// buffer once.
+// dataset's JSON, as `cellwheels report -in` does before it renders a
+// report, from memory and from a file, whose reported size lets
+// ReadJSON size its buffer once.
 func BenchmarkLoad(b *testing.B) {
 	var buf bytes.Buffer
 	if err := benchDB(b).WriteJSON(&buf); err != nil {
@@ -578,7 +578,8 @@ func BenchmarkLoad(b *testing.B) {
 }
 
 // BenchmarkWriteJSON times dataset encoding: WriteJSON of the 700 km
-// benchmark dataset to io.Discard, as drivetest writes its output.
+// benchmark dataset to io.Discard, as `cellwheels run` writes its
+// output.
 func BenchmarkWriteJSON(b *testing.B) {
 	db := benchDB(b)
 	var buf bytes.Buffer

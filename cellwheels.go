@@ -168,47 +168,41 @@ type Study struct {
 }
 
 // Run executes a campaign and consolidates its logs.
-func Run(cfg Config) (*Study, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	cfg.stamp()
-	c := core.NewCampaign(cfg.internal())
-	db, err := c.RunAndMerge()
-	if err != nil {
-		return nil, fmt.Errorf("cellwheels: %w", err)
-	}
-	return &Study{db: db, route: c.Route(), campaign: c, obs: cfg.Obs}, nil
-}
+func Run(cfg Config) (*Study, error) { return run(cfg, "") }
 
 // RunArchivingRaw executes a campaign like Run, additionally writing
 // every raw XCAL capture as a binary .drm container into dir — the raw
 // 388 GB log archive of the real study, in miniature. The files are
 // written before log synchronization, so the archive is exactly what the
-// instruments produced.
-func RunArchivingRaw(cfg Config, dir string) (*Study, error) {
+// instruments produced. An empty dir archives nothing, as Run.
+func RunArchivingRaw(cfg Config, dir string) (*Study, error) { return run(cfg, dir) }
+
+// run is Run and RunArchivingRaw: it archives the raw captures into
+// rawDir before the merge when rawDir is not empty.
+func run(cfg Config, rawDir string) (*Study, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("cellwheels: %w", err)
+	if rawDir != "" {
+		if err := os.MkdirAll(rawDir, 0o755); err != nil {
+			return nil, fmt.Errorf("cellwheels: %w", err)
+		}
 	}
 	cfg.stamp()
 	c := core.NewCampaign(cfg.internal())
 	raw := c.Run()
-	stopArchive := cfg.Obs.StartPhase("archive")
-	for _, f := range raw.Files {
-		if err := writeDRMFile(filepath.Join(dir, f.Name), f); err != nil {
-			return nil, fmt.Errorf("cellwheels: %w", err)
+	if rawDir != "" {
+		stopArchive := cfg.Obs.StartPhase("archive")
+		for _, f := range raw.Files {
+			if err := writeDRMFile(filepath.Join(rawDir, f.Name), f); err != nil {
+				return nil, fmt.Errorf("cellwheels: %w", err)
+			}
 		}
+		stopArchive()
 	}
-	stopArchive()
-	db, rep, err := c.Merge(raw)
+	db, err := c.MergeMatched(raw)
 	if err != nil {
 		return nil, fmt.Errorf("cellwheels: %w", err)
-	}
-	if len(rep.UnmatchedFiles) > 0 {
-		return nil, fmt.Errorf("cellwheels: %d unmatched files after sync", len(rep.UnmatchedFiles))
 	}
 	return &Study{db: db, route: c.Route(), campaign: c, obs: cfg.Obs}, nil
 }
@@ -290,19 +284,32 @@ func (s *Study) WriteJSONFile(path string) error {
 	return atomicio.WriteFile(path, 0o644, s.WriteJSON)
 }
 
+// csvTables are the per-table CSV files WriteCSV writes, in order.
+var csvTables = []struct {
+	name  string
+	write func(*dataset.DB, io.Writer) error
+}{
+	{"throughput.csv", (*dataset.DB).WriteThroughputCSV},
+	{"rtt.csv", (*dataset.DB).WriteRTTCSV},
+	{"handovers.csv", (*dataset.DB).WriteHandoverCSV},
+	{"appruns.csv", (*dataset.DB).WriteAppRunCSV},
+}
+
+// CSVFiles lists the file names WriteCSV writes, in order.
+func CSVFiles() []string {
+	names := make([]string, len(csvTables))
+	for i, t := range csvTables {
+		names[i] = t.name
+	}
+	return names
+}
+
 // WriteCSV writes the per-table CSV files into dir, each atomically via
 // the shared writer.
 func (s *Study) WriteCSV(dir string) error {
-	for _, t := range []struct {
-		name  string
-		write func(io.Writer) error
-	}{
-		{"throughput.csv", s.db.WriteThroughputCSV},
-		{"rtt.csv", s.db.WriteRTTCSV},
-		{"handovers.csv", s.db.WriteHandoverCSV},
-		{"appruns.csv", s.db.WriteAppRunCSV},
-	} {
-		if err := atomicio.WriteFile(filepath.Join(dir, t.name), 0o644, t.write); err != nil {
+	for _, t := range csvTables {
+		write := func(w io.Writer) error { return t.write(s.db, w) }
+		if err := atomicio.WriteFile(filepath.Join(dir, t.name), 0o644, write); err != nil {
 			return err
 		}
 	}
@@ -330,66 +337,19 @@ func (s *Study) Report() string {
 }
 
 // Section renders one table or figure by its paper identifier: "table1",
-// "table2", "table3", "table4", "table5", or "fig1" .. "fig16".
-// Unknown identifiers return an error.
+// "table2", "table3", "table4", "table5", "fig1" .. "fig16", or
+// "multivariate". Unknown identifiers return an error.
 func (s *Study) Section(id string) (string, error) {
-	switch id {
-	case "table1":
-		return core.TableDatasetStats(s.db).Render(), nil
-	case "table2":
-		return core.TableKPICorrelation(s.db).Render(), nil
-	case "table3":
-		return core.TableOoklaComparison(s.db).Render(), nil
-	case "table4":
-		return core.TableAppConfigs(), nil
-	case "table5":
-		return core.TableMAP(), nil
-	case "fig1":
-		return core.FigureCoverageMaps(s.db, s.route, 100).Render(), nil
-	case "fig2":
-		return core.FigureCoverage(s.db).Render(), nil
-	case "fig3":
-		return core.FigureStaticVsDriving(s.db).Render(), nil
-	case "fig4":
-		return core.FigurePerTechnology(s.db).Render(), nil
-	case "fig5":
-		return core.FigureTimezone(s.db).Render(), nil
-	case "fig6":
-		return core.FigureOperatorDiversity(s.db).Render(), nil
-	case "fig7", "fig8":
-		return core.FigureSpeedScatter(s.db).Render(), nil
-	case "fig9":
-		return core.FigureLongTimescale(s.db).Render(), nil
-	case "fig10":
-		return core.FigureHighSpeed5GShare(s.db).Render(), nil
-	case "fig11":
-		return core.FigureHandoverStats(s.db).Render(), nil
-	case "fig12":
-		return core.FigureHandoverImpact(s.db).Render(), nil
-	case "fig13":
-		return core.FigureARApp(s.db).Render(), nil
-	case "fig14":
-		return core.FigureCAVApp(s.db).Render(), nil
-	case "fig15":
-		return core.FigureVideo(s.db).Render(), nil
-	case "fig16":
-		return core.FigureGaming(s.db).Render(), nil
-	case "multivariate":
-		return core.AnalyzeMultivariate(s.db).Render(), nil
-	default:
+	maps := func() core.CoverageMaps { return core.FigureCoverageMaps(s.db, s.route, 100) }
+	out, ok := core.Section(s.db, maps, id)
+	if !ok {
 		return "", fmt.Errorf("cellwheels: unknown section %q", id)
 	}
+	return out, nil
 }
 
 // SectionIDs lists the identifiers Section accepts, in paper order.
-func SectionIDs() []string {
-	return []string{
-		"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
-		"fig7", "fig8", "table2", "fig9", "fig10", "table3",
-		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-		"table4", "table5", "multivariate",
-	}
-}
+func SectionIDs() []string { return core.SectionIDs() }
 
 // CarrierSummary is one operator's headline numbers.
 type CarrierSummary struct {

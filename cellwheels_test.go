@@ -70,6 +70,28 @@ func TestSections(t *testing.T) {
 	}
 }
 
+// TestReportIsSectionsInOrder pins Report to the section list: the full
+// report is every section in SectionIDs order, each followed by a blank
+// line, with fig8 (an alias of fig7's scatter) rendered once.
+func TestReportIsSectionsInOrder(t *testing.T) {
+	s := quickStudy(t)
+	var want strings.Builder
+	for _, id := range SectionIDs() {
+		if id == "fig8" {
+			continue
+		}
+		out, err := s.Section(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.WriteString(out)
+		want.WriteString("\n")
+	}
+	if got := s.Report(); got != want.String() {
+		t.Errorf("Report differs from its sections in SectionIDs order:\n--- got ---\n%s--- want ---\n%s", got, want.String())
+	}
+}
+
 func TestReportContainsEverything(t *testing.T) {
 	s := quickStudy(t)
 	rep := s.Report()

@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -53,7 +52,7 @@ func readFleetManifest(t *testing.T, out string) fleet.Manifest {
 func TestFleetrunSuccess(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "out")
-	code := realMain([]string{
+	code := realMain([]string{"fleet",
 		"-scenario", writeScenario(t, dir),
 		"-workers", "2",
 		"-out", out,
@@ -102,7 +101,7 @@ func TestFleetrunPanicContainment(t *testing.T) {
 
 	dir := t.TempDir()
 	out := filepath.Join(dir, "out")
-	code := realMain([]string{
+	code := realMain([]string{"fleet",
 		"-scenario", writeScenario(t, dir),
 		"-workers", "2",
 		"-out", out,
@@ -126,22 +125,22 @@ func TestFleetrunPanicContainment(t *testing.T) {
 }
 
 func TestFleetrunUsageErrors(t *testing.T) {
-	if code := realMain(nil); code != 2 {
+	if code := realMain([]string{"fleet"}); code != 2 {
 		t.Errorf("missing -scenario: exit %d, want 2", code)
 	}
-	if code := realMain([]string{"-scenario", "/does/not/exist.json"}); code != 1 {
+	if code := realMain([]string{"fleet", "-scenario", "/does/not/exist.json"}); code != 1 {
 		t.Errorf("unreadable scenario: exit %d, want 1", code)
 	}
 	dir := t.TempDir()
 	scenario := writeScenario(t, dir)
-	if code := realMain([]string{"-scenario", scenario, "-cells", "0"}); code != 2 {
+	if code := realMain([]string{"fleet", "-scenario", scenario, "-cells", "0"}); code != 2 {
 		t.Errorf("-cells without -push: exit %d, want 2", code)
 	}
 	// -cells validation fails before any network or campaign work.
-	if code := realMain([]string{"-scenario", scenario, "-push", "http://127.0.0.1:1", "-cells", "5"}); code != 1 {
+	if code := realMain([]string{"fleet", "-scenario", scenario, "-push", "http://127.0.0.1:1", "-cells", "5"}); code != 1 {
 		t.Errorf("out-of-range -cells: exit %d, want 1", code)
 	}
-	if code := realMain([]string{"-scenario", scenario, "-push", "http://127.0.0.1:1", "-cells", "x-y"}); code != 1 {
+	if code := realMain([]string{"fleet", "-scenario", scenario, "-push", "http://127.0.0.1:1", "-cells", "x-y"}); code != 1 {
 		t.Errorf("malformed -cells: exit %d, want 1", code)
 	}
 }
@@ -180,9 +179,9 @@ const sweepScenario = `{
 }`
 
 // TestFleetrunDistributedMatchesSingleProcess is the CLI-level pin of
-// the fleetsync contract: a wheelsd collect job fed by two -push workers
+// the fleetsync contract: a serve collect job fed by two -push workers
 // writes the same report and manifest, byte for byte, as one local
-// fleetrun of the same scenario.
+// fleet run of the same scenario.
 func TestFleetrunDistributedMatchesSingleProcess(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fleet.json")
@@ -191,7 +190,7 @@ func TestFleetrunDistributedMatchesSingleProcess(t *testing.T) {
 	}
 
 	single := filepath.Join(dir, "single")
-	if code := realMain([]string{"-scenario", path, "-workers", "2", "-out", single}); code != 0 {
+	if code := realMain([]string{"fleet", "-scenario", path, "-workers", "2", "-out", single}); code != 0 {
 		t.Fatalf("single-process run: exit %d", code)
 	}
 
@@ -216,7 +215,7 @@ func TestFleetrunDistributedMatchesSingleProcess(t *testing.T) {
 		t.Fatalf("collect job submitted as %q, want %q", st.State, serve.StateRunning)
 	}
 	for _, cell := range []string{"0", "1"} {
-		if code := realMain([]string{"-scenario", path, "-push", ts.URL, "-cells", cell}); code != 0 {
+		if code := realMain([]string{"fleet", "-scenario", path, "-push", ts.URL, "-cells", cell}); code != 0 {
 			t.Fatalf("worker for cell %s: exit %d", cell, code)
 		}
 	}
@@ -261,7 +260,7 @@ func jobStatus(resp *http.Response, err error) (serve.JobStatus, error) {
 }
 
 // archiveScenario sets a relative archive_dir, which must resolve
-// against the scenario file's directory — not fleetrun's cwd.
+// against the scenario file's directory — not the cwd.
 const archiveScenario = `{
   "master_seed": 5,
   "replicates": 1,
@@ -275,7 +274,7 @@ func TestFleetrunScenarioRelativeArchiveDir(t *testing.T) {
 	if err := os.WriteFile(path, []byte(archiveScenario), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code := realMain([]string{"-scenario", path, "-out", filepath.Join(dir, "out")}); code != 0 {
+	if code := realMain([]string{"fleet", "-scenario", path, "-out", filepath.Join(dir, "out")}); code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
 	// The archive (and its parents) landed next to the scenario file.
@@ -287,26 +286,6 @@ func TestFleetrunScenarioRelativeArchiveDir(t *testing.T) {
 	}
 }
 
-func captureStderr(t *testing.T, fn func()) string {
-	t.Helper()
-	old := os.Stderr
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stderr = w
-	fn()
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	os.Stderr = old
-	data, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
-}
-
 func TestFleetrunUnwritableOutDirError(t *testing.T) {
 	dir := t.TempDir()
 	scenario := writeScenario(t, dir)
@@ -315,8 +294,8 @@ func TestFleetrunUnwritableOutDirError(t *testing.T) {
 		t.Fatal(err)
 	}
 	var code int
-	stderr := captureStderr(t, func() {
-		code = realMain([]string{"-scenario", scenario, "-out", filepath.Join(blocker, "out")})
+	stderr := capture(t, &os.Stderr, func() {
+		code = realMain([]string{"fleet", "-scenario", scenario, "-out", filepath.Join(blocker, "out")})
 	})
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)

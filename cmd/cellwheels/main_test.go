@@ -1,0 +1,135 @@
+package main
+
+import (
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"github.com/nuwins/cellwheels"
+)
+
+// capture redirects *f (os.Stdout or os.Stderr) into a pipe while fn
+// runs and returns what was written. The pipe is drained concurrently,
+// so output larger than the pipe buffer cannot block fn.
+func capture(t *testing.T, f **os.File, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan string)
+	go func() {
+		data, _ := io.ReadAll(r)
+		read <- string(data)
+	}()
+	old := *f
+	*f = w
+	fn()
+	*f = old
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out := <-read
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		nil,
+		{"drive"},
+		{"-seed", "1"},
+		{"report", "-in", "x", "-seed", "1"},
+		{"report", "-in", "x", "-crowd", "10"},
+		{"run", "-no-such-flag"},
+	} {
+		var code int
+		capture(t, &os.Stderr, func() { code = realMain(args) })
+		if code != 2 {
+			t.Errorf("cellwheels %q: exit %d, want 2", args, code)
+		}
+	}
+}
+
+// TestReportCampaignMode pins report without -in: the summary, a blank
+// line, the full report and, with a crowd, the measured Ookla table,
+// with -crowd setting CrowdSize and -crowd-samples CrowdSamples as in
+// run.
+func TestReportCampaignMode(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		cfg  cellwheels.Config
+	}{
+		{
+			[]string{"-seed", "3", "-limit-km", "8", "-skip-passive"},
+			cellwheels.Config{Seed: 3, LimitKm: 8, SkipPassive: true},
+		},
+		{
+			[]string{"-seed", "4", "-limit-km", "6", "-skip-apps", "-crowd", "200", "-crowd-samples", "3"},
+			cellwheels.Config{Seed: 4, LimitKm: 6, SkipApps: true, CrowdSize: 200, CrowdSamples: 3},
+		},
+	} {
+		study, err := cellwheels.Run(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := study.Summary().String() + "\n" + study.Report()
+		if tc.cfg.CrowdSize > 0 {
+			want += study.MeasuredOokla(tc.cfg.CrowdSamples) + "\n"
+		}
+		var code int
+		got := capture(t, &os.Stdout, func() {
+			capture(t, &os.Stderr, func() { code = realMain(append([]string{"report"}, tc.args...)) })
+		})
+		if code != 0 {
+			t.Fatalf("report %q: exit %d", tc.args, code)
+		}
+		if got != want {
+			t.Errorf("report %q stdout differs from Summary + Report:\n--- got ---\n%s--- want ---\n%s", tc.args, got, want)
+		}
+	}
+}
+
+// TestRunThenReport drives the pipeline through the command: run writes
+// a dataset, report -in renders it as Study.Report and Study.Section do,
+// and report -list prints SectionIDs.
+func TestRunThenReport(t *testing.T) {
+	dataset := filepath.Join(t.TempDir(), "d.json")
+	var code int
+	capture(t, &os.Stderr, func() {
+		code = realMain([]string{"run", "-seed", "2", "-limit-km", "8", "-skip-passive", "-out", dataset})
+	})
+	if code != 0 {
+		t.Fatalf("run: exit %d", code)
+	}
+	f, err := os.Open(dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	study, err := cellwheels.Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig8, err := study.Section("fig8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-in", dataset}, study.Report()},
+		{[]string{"-in", dataset, "-section", "fig8"}, fig8},
+		{[]string{"-list"}, strings.Join(cellwheels.SectionIDs(), "\n") + "\n"},
+	} {
+		got := capture(t, &os.Stdout, func() { code = realMain(append([]string{"report"}, tc.args...)) })
+		if code != 0 || got != tc.want {
+			t.Errorf("report %q: exit %d, stdout differs from the library's (%d bytes, want %d)", tc.args, code, len(got), len(tc.want))
+		}
+	}
+}

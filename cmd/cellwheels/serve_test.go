@@ -25,7 +25,7 @@ func TestSigtermDrainWithIdleConnection(t *testing.T) {
 	metrics := filepath.Join(t.TempDir(), "fresh", "dir", "metrics.json")
 	exit := make(chan int, 1)
 	go func() {
-		exit <- realMain([]string{"-addr", "127.0.0.1:0", "-data", data, "-workers", "2", "-metrics", metrics})
+		exit <- realMain([]string{"serve", "-addr", "127.0.0.1:0", "-data", data, "-workers", "2", "-metrics", metrics})
 	}()
 
 	// The daemon publishes its bound address once the listener is live.

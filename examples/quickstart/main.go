@@ -36,5 +36,5 @@ func main() {
 	}
 
 	fmt.Println("For the full paper-style report over the whole route, run:")
-	fmt.Println("  go run ./cmd/wheelsreport -seed 42")
+	fmt.Println("  go run ./cmd/cellwheels report -seed 42")
 }

@@ -124,6 +124,10 @@ func (r *FleetResult) WriteManifest(w io.Writer) error {
 	return r.res.Manifest.WriteJSON(w)
 }
 
+// WriteOutputs writes the fleet report and manifest into dir, as
+// fleet-report.txt and fleet-manifest.json, each atomically.
+func (r *FleetResult) WriteOutputs(dir string) error { return r.res.WriteOutputs(dir) }
+
 // Validate rejects malformed scenarios — bad sweeps, unknown override
 // fields, type-mismatched values, an unsupported base config — without
 // running anything: the same early checks RunFleet performs before any
@@ -247,8 +251,8 @@ func FleetReducer(cfg FleetConfig) (*fleet.Reducer, error) {
 }
 
 // FleetCells lists a scenario's sweep cells — their canonical keys, in
-// sweep order — without running anything. Worker cell subsets (fleetrun
-// -cells) are validated and reported against this list.
+// sweep order — without running anything. Worker cell subsets (cellwheels
+// fleet -cells) are validated and reported against this list.
 func FleetCells(cfg FleetConfig) ([]string, error) {
 	_, cells, err := fleetSweep(cfg.Sweep, nil)
 	if err != nil {

@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"strings"
-	"sync"
 
 	"github.com/nuwins/cellwheels/internal/apps/offload"
 	"github.com/nuwins/cellwheels/internal/dataset"
@@ -360,60 +357,4 @@ func TableMAP() string {
 	}
 	return renderTable("Table 5: mAP by E2E latency bin (frame times)",
 		[]string{"bin", "mAP w/o comp", "mAP w/ comp"}, rows)
-}
-
-// Report renders every table and figure in paper order. The sections are
-// independent reads of the database, so they render concurrently on a
-// bounded worker pool; the join order is fixed, so the output is
-// identical to a serial render.
-func Report(db *dataset.DB, maps CoverageMaps) string {
-	sections := []func() string{
-		func() string { return TableDatasetStats(db).Render() },
-		maps.Render,
-		func() string { return FigureCoverage(db).Render() },
-		func() string { return FigureStaticVsDriving(db).Render() },
-		func() string { return FigurePerTechnology(db).Render() },
-		func() string { return FigureTimezone(db).Render() },
-		func() string { return FigureOperatorDiversity(db).Render() },
-		func() string { return FigureSpeedScatter(db).Render() },
-		func() string { return TableKPICorrelation(db).Render() },
-		func() string { return FigureLongTimescale(db).Render() },
-		func() string { return FigureHighSpeed5GShare(db).Render() },
-		func() string { return TableOoklaComparison(db).Render() },
-		func() string { return FigureHandoverStats(db).Render() },
-		func() string { return FigureHandoverImpact(db).Render() },
-		func() string { return FigureARApp(db).Render() },
-		func() string { return FigureCAVApp(db).Render() },
-		func() string { return FigureVideo(db).Render() },
-		func() string { return FigureGaming(db).Render() },
-		TableAppConfigs,
-		TableMAP,
-		func() string { return AnalyzeMultivariate(db).Render() },
-	}
-
-	rendered := make([]string, len(sections))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	workers := min(runtime.GOMAXPROCS(0), len(sections))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				rendered[i] = sections[i]()
-			}
-		}()
-	}
-	for i := range sections {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	var b strings.Builder
-	for _, s := range rendered {
-		b.WriteString(s)
-		b.WriteString("\n")
-	}
-	return b.String()
 }

@@ -502,8 +502,12 @@ func (c *Campaign) Merge(raw Raw) (*dataset.DB, logsync.Report, error) {
 }
 
 // RunAndMerge is the common path: execute and consolidate.
-func (c *Campaign) RunAndMerge() (*dataset.DB, error) {
-	raw := c.Run()
+func (c *Campaign) RunAndMerge() (*dataset.DB, error) { return c.MergeMatched(c.Run()) }
+
+// MergeMatched is Merge that fails when any XCAL file matched no app
+// log, naming the first three: a dataset missing whole captures is not a
+// consolidation of the campaign.
+func (c *Campaign) MergeMatched(raw Raw) (*dataset.DB, error) {
 	db, rep, err := c.Merge(raw)
 	if err != nil {
 		return nil, err

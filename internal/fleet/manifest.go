@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"path/filepath"
+
+	"github.com/nuwins/cellwheels/internal/atomicio"
 )
 
 // ManifestSchema identifies the fleet manifest layout; bump on breaking
@@ -54,6 +57,22 @@ func (m Manifest) WriteJSON(w io.Writer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
+}
+
+// The files WriteOutputs writes into a fleet's output directory.
+const (
+	ReportFile   = "fleet-report.txt"
+	ManifestFile = "fleet-manifest.json"
+)
+
+// WriteOutputs writes the fleet's report and manifest into dir as
+// ReportFile and ManifestFile, each atomically, so a failed write never
+// leaves a truncated file behind.
+func (r *Result) WriteOutputs(dir string) error {
+	if err := atomicio.WriteFileBytes(filepath.Join(dir, ReportFile), 0o644, []byte(r.Report())); err != nil {
+		return err
+	}
+	return atomicio.WriteFile(filepath.Join(dir, ManifestFile), 0o644, r.Manifest.WriteJSON)
 }
 
 // ReadManifest parses a manifest written by WriteJSON.

@@ -42,10 +42,10 @@ type Collector struct {
 }
 
 // NewCollector builds a collector for one scenario. scenario is the
-// fingerprint both sides must present (cmd/fleetrun uses the sha256 of
-// the scenario file's bytes); reducer expects the scenario's full run
-// matrix; store persists artifacts and sync-manifest versions. rec may
-// be nil.
+// fingerprint both sides must present (`cellwheels fleet -push` uses
+// the sha256 of the scenario file's bytes); reducer expects the
+// scenario's full run matrix; store persists artifacts and
+// sync-manifest versions. rec may be nil.
 func NewCollector(scenario string, reducer *fleet.Reducer, store *Store, rec *obs.Recorder) (*Collector, error) {
 	if scenario == "" {
 		return nil, errors.New("fleetsync: collector needs a scenario fingerprint")

@@ -105,7 +105,7 @@ func (p *progressLoop) run(r *Recorder, info ProgressInfo) {
 func (p *progressLoop) report(r *Recorder, info ProgressInfo, begin time.Time, lastTicks, lastEvents *int64, lastAt *time.Time) {
 	now := time.Now()
 	// One consistent read of the registry per status line — the same
-	// read-only view the manifest and the wheelsd progress endpoint use.
+	// read-only view the manifest and the daemon progress endpoint use.
 	snap := r.Snapshot()
 	minTicks := int64(-1)
 	minOdo := 0.0

@@ -7,7 +7,7 @@ import "time"
 // the exact shape the run manifest serializes them. It is the single
 // snapshot primitive both consumers build on — the -metrics manifest
 // wraps it with run-level facts (schema, Go version, wall clock), and
-// live readers (the -progress reporter, the wheelsd progress endpoint)
+// live readers (the -progress reporter, the daemon progress endpoint)
 // serve it directly. Reading a name that was never written yields the
 // zero value without creating a registry entry, so snapshotting is
 // side-effect free.

@@ -1,9 +1,10 @@
 // Package serve is the service mode of cellwheels: a long-lived daemon
-// (cmd/wheelsd) that runs campaigns, fleets, and fleetsync collections
+// (`cellwheels serve`) that runs campaigns, fleets, and fleetsync collections
 // as jobs behind an HTTP/JSON API. The daemon adds scheduling, dedup,
 // and transport around the library — never simulation semantics: every
 // artifact a job produces is byte-identical to the equivalent
-// drivetest/fleetrun invocation, pinned by tests under -race.
+// `cellwheels run` or `cellwheels fleet` invocation, pinned by tests
+// under -race.
 package serve
 
 import (
@@ -47,11 +48,11 @@ type JobSpec struct {
 	// with the ParseFleetScenario layout.
 	Scenario *cellwheels.FleetConfig `json:"scenario,omitempty"`
 	// Fingerprint is the scenario fingerprint a collect job's workers
-	// must present (kind "collect" only). fleetrun -push fingerprints
-	// the scenario file's exact bytes (sha256), so submitters pushing
-	// from the CLI pass that hash here. Empty means the sha256 of the
+	// must present (kind "collect" only). `cellwheels fleet -push`
+	// fingerprints the scenario file's exact bytes (sha256), so
+	// submitters pushing from the CLI pass that hash here. Empty means the sha256 of the
 	// scenario's canonical parsed form — fine when every pusher is
-	// another wheelsd client, wrong for CLI workers.
+	// another daemon client, wrong for CLI workers.
 	Fingerprint string `json:"fingerprint,omitempty"`
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"github.com/nuwins/cellwheels"
 	"github.com/nuwins/cellwheels/internal/atomicio"
+	"github.com/nuwins/cellwheels/internal/fleet"
 	"github.com/nuwins/cellwheels/internal/fleetsync"
 	"github.com/nuwins/cellwheels/internal/obs"
 )
@@ -263,7 +264,8 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 
 // handleFleetsync routes the fleetsync protocol to the live collect
 // job's collector. Without one the push endpoints answer 503 — the
-// status a fleetrun worker treats as "collector not ready, retry".
+// status a `cellwheels fleet -push` worker treats as "collector not
+// ready, retry".
 func (s *Server) handleFleetsync(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	h := s.collectHandler
@@ -328,8 +330,8 @@ func (s *Server) runJob(j *Job) {
 	}
 }
 
-// runCampaign executes a campaign job and writes exactly the drivetest
-// artifact set — dataset.json (the bytes of Study.WriteJSON),
+// runCampaign executes a campaign job and writes exactly the artifact
+// set of `cellwheels run` — dataset.json (the bytes of Study.WriteJSON),
 // report.txt, optional CSV tables, and the job's obs manifest last so it
 // carries every phase.
 //
@@ -345,7 +347,7 @@ func (s *Server) runCampaign(j *Job) error {
 		return err
 	}
 	j.addArtifact("dataset.json")
-	if err := writeText(filepath.Join(j.dir, "report.txt"), study.Report()); err != nil {
+	if err := atomicio.WriteFileBytes(filepath.Join(j.dir, "report.txt"), 0o644, []byte(study.Report())); err != nil {
 		return err
 	}
 	j.addArtifact("report.txt")
@@ -353,16 +355,16 @@ func (s *Server) runCampaign(j *Job) error {
 		if err := study.WriteCSV(j.dir); err != nil {
 			return err
 		}
-		for _, name := range []string{"throughput.csv", "rtt.csv", "handovers.csv", "appruns.csv"} {
+		for _, name := range cellwheels.CSVFiles() {
 			j.addArtifact(name)
 		}
 	}
 	return s.writeObsManifest(j)
 }
 
-// runFleet executes a fleet job in-process, producing fleetrun's
-// artifact pair. Failed runs fail the job but keep its artifacts — the
-// manifest is exactly where the failures are recorded.
+// runFleet executes a fleet job in-process, producing the artifact pair
+// of `cellwheels fleet`. Failed runs fail the job but keep its
+// artifacts — the manifest is exactly where the failures are recorded.
 //
 //lint:cold — once per job; per-tick work lives in the fleet's campaigns, not the daemon
 func (s *Server) runFleet(j *Job) error {
@@ -372,7 +374,7 @@ func (s *Server) runFleet(j *Job) error {
 	if err != nil {
 		return err
 	}
-	if err := s.writeFleetArtifacts(j, res.Report(), res.WriteManifest); err != nil {
+	if err := s.writeFleetArtifacts(j, res.WriteOutputs); err != nil {
 		return err
 	}
 	if res.Failed() > 0 {
@@ -428,7 +430,7 @@ func (s *Server) collectLoop(j *Job, col *fleetsync.Collector) {
 	s.mu.Unlock()
 
 	res := col.Result()
-	err := s.writeFleetArtifacts(j, res.Report(), res.Manifest.WriteJSON)
+	err := s.writeFleetArtifacts(j, res.WriteOutputs)
 	if err == nil {
 		man := col.Manifest()
 		switch {
@@ -447,16 +449,14 @@ func (s *Server) collectLoop(j *Job, col *fleetsync.Collector) {
 }
 
 // writeFleetArtifacts installs the fleet artifact set shared by fleet
-// and collect jobs: report, fleet manifest, obs manifest.
-func (s *Server) writeFleetArtifacts(j *Job, report string, writeManifest func(io.Writer) error) error {
-	if err := writeText(filepath.Join(j.dir, "fleet-report.txt"), report); err != nil {
+// and collect jobs: the fleet outputs writeOutputs puts into the job
+// directory (report and fleet manifest), then the obs manifest.
+func (s *Server) writeFleetArtifacts(j *Job, writeOutputs func(dir string) error) error {
+	if err := writeOutputs(j.dir); err != nil {
 		return err
 	}
-	j.addArtifact("fleet-report.txt")
-	if err := atomicio.WriteFile(filepath.Join(j.dir, "fleet-manifest.json"), 0o644, writeManifest); err != nil {
-		return err
-	}
-	j.addArtifact("fleet-manifest.json")
+	j.addArtifact(fleet.ReportFile)
+	j.addArtifact(fleet.ManifestFile)
 	return s.writeObsManifest(j)
 }
 
@@ -474,7 +474,7 @@ func (s *Server) writeObsManifest(j *Job) error {
 }
 
 // Snapshot reports the daemon's own obs registry plus queue gauges —
-// what wheelsd -metrics serializes on exit.
+// what `cellwheels serve -metrics` serializes on exit.
 func (s *Server) Snapshot() obs.Snapshot {
 	s.mu.Lock()
 	queued := len(s.queue)
@@ -483,13 +483,6 @@ func (s *Server) Snapshot() obs.Snapshot {
 	s.rec.Gauge("serve/jobs_queued").Set(float64(queued))
 	s.rec.Gauge("serve/jobs_total").Set(float64(total))
 	return s.rec.Snapshot()
-}
-
-func writeText(path, text string) error {
-	return atomicio.WriteFile(path, 0o644, func(w io.Writer) error {
-		_, err := io.WriteString(w, text)
-		return err
-	})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# serve-smoke: the wheelsd daemon end to end over loopback through real
-# processes — submit a campaign job via curl, poll it, download its
-# artifacts, and byte-diff them against a direct drivetest run; then a
-# fleet job and a collect job (fed by real fleetrun -push workers
-# through the daemon's /fleetsync/v1 mount) diffed against a
-# single-process fleetrun; and finally a SIGTERM mid-job, pinning the
-# graceful-drain contract: the daemon exits 0 and the in-flight job's
-# artifacts are complete and byte-identical on disk.
+# serve-smoke: the `cellwheels serve` daemon end to end over loopback
+# through real processes — submit a campaign job via curl, poll it,
+# download its artifacts, and byte-diff them against a direct
+# `cellwheels run` (the report against `cellwheels report -in` on that
+# run's dataset); then a fleet job and a collect job (fed by real
+# `cellwheels fleet -push` workers through the daemon's /fleetsync/v1
+# mount) diffed against a single-process `cellwheels fleet`; and finally
+# a SIGTERM mid-job, pinning the graceful-drain contract: the daemon
+# exits 0 and the in-flight job's artifacts are complete and
+# byte-identical on disk.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,9 +17,7 @@ out=serve-out
 rm -rf "$out"
 mkdir -p "$out"
 
-go build -o "$out/wheelsd" ./cmd/wheelsd
-go build -o "$out/drivetest" ./cmd/drivetest
-go build -o "$out/fleetrun" ./cmd/fleetrun
+go build -o "$out/cellwheels" ./cmd/cellwheels
 
 # json_field NAME JSON: extract one string field without depending on jq.
 json_field() {
@@ -40,11 +40,12 @@ wait_state() {
 }
 
 echo "serve-smoke: CLI baselines" >&2
-"$out/drivetest" -seed 1 -limit-km 25 -skip-apps -out "$out/cli-dataset.json" -csv "$out/cli-csv" 2>/dev/null
-"$out/fleetrun" -scenario "$scenario" -workers 2 -out "$out/cli-fleet" >/dev/null
+"$out/cellwheels" run -seed 1 -limit-km 25 -skip-apps -out "$out/cli-dataset.json" -csv "$out/cli-csv" 2>/dev/null
+"$out/cellwheels" report -in "$out/cli-dataset.json" >"$out/cli-report.txt"
+"$out/cellwheels" fleet -scenario "$scenario" -workers 2 -out "$out/cli-fleet" >/dev/null
 
-echo "serve-smoke: starting wheelsd" >&2
-"$out/wheelsd" -addr 127.0.0.1:0 -data "$out/daemon" -workers 2 \
+echo "serve-smoke: starting cellwheels serve" >&2
+"$out/cellwheels" serve -addr 127.0.0.1:0 -data "$out/daemon" -workers 2 \
   -metrics "$out/wheelsd-manifest.json" 2>"$out/wheelsd.log" &
 daemon=$!
 trap 'kill "$daemon" 2>/dev/null || true' EXIT
@@ -54,7 +55,7 @@ for _ in $(seq 1 100); do
   [ -s "$addr_file" ] && break
   sleep 0.1
 done
-[ -s "$addr_file" ] || { echo "serve-smoke: wheelsd never published its address" >&2; exit 1; }
+[ -s "$addr_file" ] || { echo "serve-smoke: the daemon never published its address" >&2; exit 1; }
 url="http://$(cat "$addr_file")"
 
 echo "serve-smoke: campaign job" >&2
@@ -78,12 +79,12 @@ printf '%s' "$progress" | grep -q '"counters"' || {
 curl -sSf "$url/v1/jobs/$id/artifacts/dataset.json" -o "$out/daemon-dataset.json"
 curl -sSf "$url/v1/jobs/$id/artifacts/report.txt" -o "$out/daemon-report.txt"
 cmp "$out/cli-dataset.json" "$out/daemon-dataset.json"
-[ -s "$out/daemon-report.txt" ] || { echo "serve-smoke: empty report artifact" >&2; exit 1; }
+cmp "$out/cli-report.txt" "$out/daemon-report.txt"
 for csv in throughput rtt handovers appruns; do
   curl -sSf "$url/v1/jobs/$id/artifacts/$csv.csv" -o "$out/daemon-$csv.csv"
   cmp "$out/cli-csv/$csv.csv" "$out/daemon-$csv.csv"
 done
-echo "serve-smoke: campaign artifacts are byte-identical to drivetest" >&2
+echo "serve-smoke: campaign artifacts are byte-identical to cellwheels run and report" >&2
 
 echo "serve-smoke: fleet job" >&2
 fleet_spec='{"kind":"fleet","scenario":'$(cat "$scenario")'}'
@@ -93,16 +94,16 @@ curl -sSf "$url/v1/jobs/$fleet_id/artifacts/fleet-report.txt" -o "$out/daemon-fl
 curl -sSf "$url/v1/jobs/$fleet_id/artifacts/fleet-manifest.json" -o "$out/daemon-fleet-manifest.json"
 cmp "$out/cli-fleet/fleet-report.txt" "$out/daemon-fleet-report.txt"
 cmp "$out/cli-fleet/fleet-manifest.json" "$out/daemon-fleet-manifest.json"
-echo "serve-smoke: fleet artifacts are byte-identical to fleetrun" >&2
+echo "serve-smoke: fleet artifacts are byte-identical to cellwheels fleet" >&2
 
-echo "serve-smoke: collect job + fleetrun -push workers" >&2
+echo "serve-smoke: collect job + cellwheels fleet -push workers" >&2
 # CLI workers fingerprint the scenario file's exact bytes, so the
 # submission pins the same hash for the daemon's collector.
 fp=$(sha256sum "$scenario" | cut -d' ' -f1)
 collect_spec='{"kind":"collect","fingerprint":"'"$fp"'","scenario":'$(cat "$scenario")'}'
 collect_id=$(json_field id "$(curl -sS -X POST "$url/v1/jobs" -d "$collect_spec")")
-"$out/fleetrun" -scenario "$scenario" -push "$url" -cells 0
-"$out/fleetrun" -scenario "$scenario" -push "$url" -cells 1
+"$out/cellwheels" fleet -scenario "$scenario" -push "$url" -cells 0
+"$out/cellwheels" fleet -scenario "$scenario" -push "$url" -cells 1
 wait_state "$collect_id" done
 curl -sSf "$url/v1/jobs/$collect_id/artifacts/fleet-report.txt" -o "$out/collect-fleet-report.txt"
 curl -sSf "$url/v1/jobs/$collect_id/artifacts/fleet-manifest.json" -o "$out/collect-fleet-manifest.json"
@@ -111,11 +112,11 @@ cmp "$out/cli-fleet/fleet-manifest.json" "$out/collect-fleet-manifest.json"
 echo "serve-smoke: collected artifacts are byte-identical to the single-process fleet" >&2
 
 echo "serve-smoke: SIGTERM drain" >&2
-"$out/drivetest" -seed 2 -limit-km 25 -skip-apps -out "$out/cli-dataset2.json" 2>/dev/null
+"$out/cellwheels" run -seed 2 -limit-km 25 -skip-apps -out "$out/cli-dataset2.json" 2>/dev/null
 drain_spec='{"kind":"campaign","config":{"seed":2,"limit_km":25,"skip_apps":true}}'
 drain_id=$(json_field id "$(curl -sS -X POST "$url/v1/jobs" -d "$drain_spec")")
 kill -TERM "$daemon"
-wait "$daemon" || { echo "serve-smoke: wheelsd exited nonzero after SIGTERM" >&2; exit 1; }
+wait "$daemon" || { echo "serve-smoke: the daemon exited nonzero after SIGTERM" >&2; exit 1; }
 trap - EXIT
 grep -q "draining" "$out/wheelsd.log" || {
   echo "serve-smoke: no drain notice in wheelsd.log" >&2; exit 1; }
@@ -123,5 +124,5 @@ grep -q "draining" "$out/wheelsd.log" || {
 # be complete on disk and byte-identical to the direct run.
 cmp "$out/cli-dataset2.json" "$out/daemon/jobs/$drain_id/dataset.json"
 [ -s "$out/wheelsd-manifest.json" ] || {
-  echo "serve-smoke: wheelsd wrote no obs manifest on exit" >&2; exit 1; }
+  echo "serve-smoke: the daemon wrote no obs manifest on exit" >&2; exit 1; }
 echo "serve-smoke: drained job artifacts are byte-identical; daemon exited cleanly"
