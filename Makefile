@@ -41,11 +41,11 @@ bench-test:
 # fuzz-smoke gives each native fuzz target a few seconds, so CI keeps
 # them running: dataset.ReadJSON and dataset.WriteJSON against the
 # encoding/json reference,
-# the daemon job-spec parser, the fleetsync artifact decoder (no panic,
-# linear allocation, a canonical re-encode fixpoint), and the XCAL stamp
-# codecs against package time (the content- and logger-stamp parsers
-# against time.ParseInLocation, the formatters against
-# time.Time.Format).
+# the daemon job-spec parser, the fleetsync artifact decoder and the
+# .drm capture decoder (each: no panic, linear allocation, a re-encode
+# fixpoint), and the XCAL stamp codecs against package time (the
+# content- and logger-stamp parsers against time.ParseInLocation, the
+# formatters against time.Time.Format).
 # Crashers are kept under the package's testdata/fuzz/ as regression
 # inputs.
 fuzz-smoke:
@@ -56,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzParseContentTime$$' -fuzztime=5s ./internal/logsync
 	$(GO) test -run=NONE -fuzz='^FuzzParseLoggerTime$$' -fuzztime=5s ./internal/logsync
 	$(GO) test -run=NONE -fuzz='^FuzzFormatStamps$$' -fuzztime=5s ./internal/xcal
+	$(GO) test -run=NONE -fuzz='^FuzzReadDRM$$' -fuzztime=5s ./internal/xcal
 
 # lint runs the in-repo determinism & correctness linter (internal/lint)
 # over every package; findings fail the build. Suppress intentional uses
@@ -96,7 +97,9 @@ lint-inject-smoke:
 # CI artifact). Fails on any CLI regression the unit tests sit below. It
 # then reruns the campaign with one and with two lane slots and requires
 # the same dataset bytes: two slots for three lanes is the path where
-# lanes wait on each other for a slot. The first run also prints its
+# lanes wait on each other for a slot. A fourth run archives the raw
+# .drm captures into smoke-raw/ as the lanes go (-raw) and must write the
+# same dataset as the others. The first run also prints its
 # -progress lines to smoke-progress.log, and the last of them must
 # report the whole planned distance: 100.0% with eta 0s. Last, the
 # report front end renders Table 1 from the smoke dataset and lists the
@@ -108,6 +111,8 @@ smoke:
 	$(GO) run ./cmd/cellwheels run -seed 1 -limit-km 50 -workers 2 -out smoke-dataset-w2.json
 	cmp smoke-dataset-w1.json smoke-dataset-w2.json
 	cmp smoke-dataset.json smoke-dataset-w1.json
+	$(GO) run ./cmd/cellwheels run -seed 1 -limit-km 50 -raw smoke-raw -out smoke-dataset-raw.json
+	cmp smoke-dataset.json smoke-dataset-raw.json
 	$(GO) run ./cmd/cellwheels report -in smoke-dataset.json -section table1
 	$(GO) run ./cmd/cellwheels report -list
 

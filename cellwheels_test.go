@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/nuwins/cellwheels/internal/xcal"
 )
 
 // facadeStudy caches one quick study for the facade tests.
@@ -299,11 +301,30 @@ func TestConfigKnobs(t *testing.T) {
 	}
 }
 
+// TestRunArchivingRaw pins the -raw archive: one .drm per test, each
+// decoding and re-encoding to its own bytes, and a dataset equal to
+// Run's for the same config, since the lanes archive each capture
+// before normalising it.
 func TestRunArchivingRaw(t *testing.T) {
 	dir := t.TempDir()
-	s, err := RunArchivingRaw(Config{Seed: 6, LimitKm: 15, SkipApps: true, SkipStatic: true, SkipPassive: true}, dir)
+	cfg := Config{Seed: 6, LimitKm: 15, SkipStatic: true, VideoSeconds: 20, GamingSeconds: 15}
+	s, err := RunArchivingRaw(cfg, dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	plain, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := s.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("RunArchivingRaw's dataset differs from Run's")
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -320,6 +341,23 @@ func TestRunArchivingRaw(t *testing.T) {
 	}
 	if drm != len(entries) {
 		t.Errorf("%d of %d files are .drm", drm, len(entries))
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := xcal.ReadDRM(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		var enc bytes.Buffer
+		if err := f.WriteDRM(&enc); err != nil {
+			t.Fatal(err)
+		}
+		if f.Name != e.Name() || !bytes.Equal(enc.Bytes(), data) {
+			t.Errorf("%s: decodes as %q and re-encodes to different bytes", e.Name(), f.Name)
+		}
 	}
 	// The archived count matches the study's test count.
 	if got := s.Summary().Tests; got != drm {

@@ -113,6 +113,13 @@ type Config struct {
 	// Operators to measure; nil means all three.
 	Operators []radio.Operator
 
+	// Archive, when set, receives every raw XCAL capture as its test
+	// ends, before the lane normalises it and drops the raw rows; the
+	// file is valid only during the call. Lanes call it concurrently,
+	// each with its own captures in order. A lane stops calling it after
+	// its first error, which Run reports in Raw.ArchiveErr.
+	Archive func(*xcal.File) error
+
 	// Obs is the observability side channel: lanes count ticks into it,
 	// phases time themselves against it, and logsync records merge stats.
 	// It is strictly write-only from the engine's point of view — nothing
@@ -226,16 +233,28 @@ func ceilTicks(d time.Duration) int64 {
 	return int64((d + Tick - 1) / Tick)
 }
 
-// Raw is the campaign's unmerged output: exactly what the instruments
-// produced, before logsync reconstructs the database.
+// Raw is the campaign's unmerged output: what the instruments produced,
+// each XCAL capture and passive row already normalised by its lane,
+// before logsync matches the captures to the app logs and builds the
+// database.
 type Raw struct {
-	Files  []xcal.File
-	Apps   []logsync.AppLog
-	Logger map[string][]xcal.LoggerRow
-	Meta   dataset.Meta
+	// Files is always nil: a lane normalises each capture into Captures
+	// when its test ends and drops the raw rows, so the raw archive is
+	// never in memory (Config.Archive streams it out instead). The
+	// field stays so that callers that range over it still compile.
+	Files    []xcal.File
+	Captures []logsync.Capture
+	Apps     []logsync.AppLog
+	// Passive holds each passive logger's coverage samples, keyed by
+	// operator short code.
+	Passive map[string]logsync.Passive
+	Meta    dataset.Meta
 	// PassiveHandovers counts the handover-logger phones' events, which
 	// is what Table 1 reports.
 	PassiveHandovers map[string]int
+	// ArchiveErr is the first error Config.Archive returned, in
+	// operator order.
+	ArchiveErr error
 }
 
 // Campaign is a configured, runnable measurement campaign.
@@ -335,12 +354,14 @@ func NewCampaign(cfg Config) *Campaign {
 		}
 
 		p := &phone{
-			op:    op,
-			ue:    ran.NewUE(ran.UEConfig{Op: op, Map: m, ForceBest: cfg.DisablePolicy, Load: backend}, rng.Fork("active")),
-			rec:   xcal.NewRecorder(op),
-			rng:   rng.Fork("phone/" + op.Short()),
-			fleet: fleet,
-			specs: cfg.rotation(),
+			op:      op,
+			ue:      ran.NewUE(ran.UEConfig{Op: op, Map: m, ForceBest: cfg.DisablePolicy, Load: backend}, rng.Fork("active")),
+			rec:     xcal.NewRecorder(op),
+			rng:     rng.Fork("phone/" + op.Short()),
+			fleet:   fleet,
+			specs:   cfg.rotation(),
+			norm:    logsync.NewNormalizer(route),
+			archive: cfg.Archive,
 		}
 		p.gapLeft = testGap
 		var logger *xcal.HandoverLogger
@@ -443,13 +464,13 @@ func (c *Campaign) Run() Raw {
 // their fixed construction (operator) order. final is the drive's last
 // state, which sets the route length and day count.
 //
-// The captures are handed over, not shared: each lane's files, app logs
-// and passive rows move into Raw and the lane forgets them, so the raw
-// archive dies with the Raw once it is merged, while the campaign lives
-// on for its maps and crowd results.
+// The captures are handed over, not shared: each lane's normalised
+// captures, app logs and passive samples move into Raw and the lane
+// forgets them, so they die with the Raw once it is merged, while the
+// campaign lives on for its maps and crowd results.
 func (c *Campaign) collect(final geo.DriveState) Raw {
 	raw := Raw{
-		Logger:           map[string][]xcal.LoggerRow{},
+		Passive:          map[string]logsync.Passive{},
 		PassiveHandovers: map[string]int{},
 		Meta: dataset.Meta{
 			Seed:          c.cfg.Seed,
@@ -464,14 +485,17 @@ func (c *Campaign) collect(final geo.DriveState) Raw {
 	rec := c.cfg.Obs
 	for _, l := range c.lanes {
 		p := l.phone
-		raw.Files = append(raw.Files, p.files...)
+		raw.Captures = append(raw.Captures, p.captures...)
 		raw.Apps = append(raw.Apps, p.apps...)
+		if raw.ArchiveErr == nil {
+			raw.ArchiveErr = p.archiveErr
+		}
 		raw.Meta.BytesRx += p.bytesRx
 		raw.Meta.BytesTx += p.bytesTx
 		raw.Meta.RuntimeByOp[p.op.String()] = p.testTime
 		raw.Meta.UniqueCells[p.op.String()] = p.ue.UniqueCells()
-		rec.Counter("lane/" + l.op.Short() + "/files").Add(int64(len(p.files)))
-		p.files, p.apps = nil, nil
+		rec.Counter("lane/" + l.op.Short() + "/files").Add(int64(len(p.captures)))
+		p.captures, p.apps = nil, nil
 		rec.Counter("lane/" + l.op.Short() + "/handovers").Add(int64(p.ue.HandoverCount()))
 		rec.Counter("bytes/rx").Add(int64(p.bytesRx))
 		rec.Counter("bytes/tx").Add(int64(p.bytesTx))
@@ -480,7 +504,8 @@ func (c *Campaign) collect(final geo.DriveState) Raw {
 		if l.logger == nil {
 			continue
 		}
-		raw.Logger[l.op.Short()] = l.logger.Rows()
+		raw.Passive[l.op.Short()] = l.passive
+		l.passive = logsync.Passive{}
 		n := l.logger.UE.HandoverCount()
 		raw.PassiveHandovers[l.op.String()] = n
 		raw.Meta.HandoverTotal[l.op.String()] = n
@@ -489,15 +514,15 @@ func (c *Campaign) collect(final geo.DriveState) Raw {
 	return raw
 }
 
-// Merge reconstructs the consolidated database from raw logs.
+// Merge reconstructs the consolidated database from raw logs. It only
+// reads raw, so one Raw can be merged any number of times.
 func (c *Campaign) Merge(raw Raw) (*dataset.DB, logsync.Report, error) {
 	return logsync.Merge(logsync.Input{
-		Route:  c.route,
-		Files:  raw.Files,
-		Apps:   raw.Apps,
-		Logger: raw.Logger,
-		Meta:   raw.Meta,
-		Obs:    c.cfg.Obs,
+		Captures: raw.Captures,
+		Apps:     raw.Apps,
+		Passive:  raw.Passive,
+		Meta:     raw.Meta,
+		Obs:      c.cfg.Obs,
 	})
 }
 

@@ -1,6 +1,11 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -8,6 +13,7 @@ import (
 	"github.com/nuwins/cellwheels/internal/obs"
 	"github.com/nuwins/cellwheels/internal/radio"
 	"github.com/nuwins/cellwheels/internal/unit"
+	"github.com/nuwins/cellwheels/internal/xcal"
 )
 
 // quickConfig is a small campaign used across the core tests: ~120 km of
@@ -279,10 +285,12 @@ func TestCampaignTimesOrderedWithinTests(t *testing.T) {
 	}
 }
 
-// TestRunHandsOverCaptures pins that Run moves the raw captures into the
-// Raw it returns rather than sharing them with the lanes: a finished
-// campaign, which the facade keeps for its maps and crowd results, must
-// not pin the raw archive once the Raw is merged and dropped.
+// TestRunHandsOverCaptures pins that the lanes keep no raw capture: each
+// XCAL file is normalised when its test ends and each passive row at the
+// end of its block, so after Run no lane and no Raw holds an xcal.Row or
+// an xcal.LoggerRow, and the normalised captures move into the Raw
+// rather than being shared with the lanes — a finished campaign, which
+// the facade keeps for its maps and crowd results, must not pin them.
 func TestRunHandsOverCaptures(t *testing.T) {
 	cfg := quickConfig(3)
 	cfg.Limit = 20 * unit.Kilometer
@@ -290,38 +298,180 @@ func TestRunHandsOverCaptures(t *testing.T) {
 	c := NewCampaign(cfg)
 	raw := c.Run()
 
+	// The walk must see a raw row where there is one.
+	if path := rawRowPath(reflect.ValueOf(&xcal.File{Rows: make([]xcal.Row, 0, 1)})); path != ".Rows" {
+		t.Fatalf("rawRowPath finds a file's row buffer at %q, want .Rows", path)
+	}
+	if path := rawRowPath(reflect.ValueOf(c.lanes)); path != "" {
+		t.Errorf("a lane still holds raw rows after Run at lanes%s", path)
+	}
+	if path := rawRowPath(reflect.ValueOf(raw)); path != "" {
+		t.Errorf("Raw holds raw rows at Raw%s", path)
+	}
+
 	loggers := 0
 	for _, l := range c.lanes {
-		if l.phone.files != nil || l.phone.apps != nil {
-			t.Errorf("lane %s: phone still holds %d files and %d app logs after Run", l.op.Short(), len(l.phone.files), len(l.phone.apps))
+		if l.phone.captures != nil || l.phone.apps != nil || l.passive.Samples != nil {
+			t.Errorf("lane %s: still holds %d captures, %d app logs and %d passive samples after Run", l.op.Short(), len(l.phone.captures), len(l.phone.apps), len(l.passive.Samples))
 		}
 		if l.logger != nil {
 			loggers++
-			if rows := l.logger.Rows(); rows != nil {
-				t.Errorf("lane %s: logger still holds %d rows after Run", l.op.Short(), len(rows))
-			}
 		}
 	}
 	if loggers == 0 {
 		t.Fatal("no passive loggers in the campaign")
 	}
 
-	files := map[string]int{}
-	for _, f := range raw.Files {
-		files[f.Op]++
+	if raw.Files != nil {
+		t.Errorf("Raw.Files carries %d files", len(raw.Files))
+	}
+	captures := map[string]int{}
+	for _, c := range raw.Captures {
+		op, _, _ := strings.Cut(c.Name, "_")
+		captures[op]++
 	}
 	counters := cfg.Obs.Snapshot().Counters
 	for _, l := range c.lanes {
 		op := l.op.Short()
 		want := counters["lane/"+op+"/files"]
-		if want == 0 || int64(files[op]) != want {
-			t.Errorf("lane %s: Raw carries %d files, lane/%s/files counter = %d", op, files[op], op, want)
+		if want == 0 || int64(captures[op]) != want {
+			t.Errorf("lane %s: Raw carries %d captures, lane/%s/files counter = %d", op, captures[op], op, want)
 		}
-		if l.logger != nil && len(raw.Logger[op]) == 0 {
-			t.Errorf("lane %s: Raw carries no passive rows", op)
+		if l.logger != nil && len(raw.Passive[op].Samples) == 0 {
+			t.Errorf("lane %s: Raw carries no passive samples", op)
 		}
 	}
-	if len(raw.Apps) != len(raw.Files) {
-		t.Errorf("Raw carries %d app logs for %d files", len(raw.Apps), len(raw.Files))
+	if len(raw.Apps) != len(raw.Captures) {
+		t.Errorf("Raw carries %d app logs for %d captures", len(raw.Apps), len(raw.Captures))
+	}
+}
+
+// rawRowPath walks every value reachable from v and returns the path to
+// the first slice that holds or pins an xcal.Row or xcal.LoggerRow, or ""
+// when there is none. Types that cannot reach either are not entered.
+func rawRowPath(v reflect.Value) string {
+	rowTypes := map[reflect.Type]bool{reflect.TypeOf(xcal.Row{}): true, reflect.TypeOf(xcal.LoggerRow{}): true}
+	reach := map[reflect.Type]bool{}
+	var mayReach func(t reflect.Type) bool
+	mayReach = func(t reflect.Type) bool {
+		if r, ok := reach[t]; ok {
+			return r
+		}
+		reach[t] = true // a recursive type is assumed to reach a row: walking it costs only time
+		r := false
+		switch t.Kind() {
+		case reflect.Interface:
+			r = true
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			r = rowTypes[t.Elem()] || mayReach(t.Elem())
+		case reflect.Map:
+			r = mayReach(t.Key()) || mayReach(t.Elem())
+		case reflect.Struct:
+			for i := 0; i < t.NumField() && !r; i++ {
+				r = mayReach(t.Field(i).Type)
+			}
+		}
+		reach[t] = r
+		return r
+	}
+	seen := map[uintptr]bool{}
+	var walk func(v reflect.Value) (string, bool)
+	walk = func(v reflect.Value) (string, bool) {
+		if !v.IsValid() || !mayReach(v.Type()) {
+			return "", false
+		}
+		switch v.Kind() {
+		case reflect.Interface:
+			return walk(v.Elem())
+		case reflect.Pointer:
+			if v.IsNil() || seen[v.Pointer()] {
+				return "", false
+			}
+			seen[v.Pointer()] = true
+			return walk(v.Elem())
+		case reflect.Slice, reflect.Array:
+			if v.Kind() == reflect.Slice && rowTypes[v.Type().Elem()] && v.Cap() > 0 {
+				return "", true
+			}
+			for i := 0; i < v.Len(); i++ {
+				if p, ok := walk(v.Index(i)); ok {
+					return fmt.Sprintf("[%d]", i) + p, true
+				}
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				if p, ok := walk(it.Value()); ok {
+					return fmt.Sprintf("[%v]", it.Key()) + p, true
+				}
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if p, ok := walk(v.Field(i)); ok {
+					return "." + v.Type().Field(i).Name + p, true
+				}
+			}
+		}
+		return "", false
+	}
+	p, ok := walk(v)
+	if ok && p == "" {
+		p = "(itself)"
+	}
+	return p
+}
+
+// TestMergeLeavesRawIntact pins that Merge only reads its Raw: merging
+// one Raw twice gives the same dataset bytes.
+func TestMergeLeavesRawIntact(t *testing.T) {
+	cfg := quickConfig(4)
+	cfg.Limit = 20 * unit.Kilometer
+	c := NewCampaign(cfg)
+	raw := c.Run()
+	var sums [2][32]byte
+	for i := range sums {
+		db, err := c.MergeMatched(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if err := db.WriteJSON(h); err != nil {
+			t.Fatal(err)
+		}
+		copy(sums[i][:], h.Sum(nil))
+		if len(db.Passive) == 0 || len(db.Throughput) == 0 {
+			t.Fatalf("merge %d: %d passive and %d throughput samples", i, len(db.Passive), len(db.Throughput))
+		}
+	}
+	if sums[0] != sums[1] {
+		t.Errorf("merging one Raw twice gave different datasets: %x, %x", sums[0], sums[1])
+	}
+}
+
+// TestArchiveSinkFirstErrorInOperatorOrder pins the archive sink's
+// contract: every lane hands it its captures until the first error,
+// and Run reports the first lane's error in operator order.
+func TestArchiveSinkFirstErrorInOperatorOrder(t *testing.T) {
+	cfg := quickConfig(2)
+	cfg.Limit = 10 * unit.Kilometer
+	var mu sync.Mutex
+	calls := map[string]int{}
+	first := map[string]string{}
+	cfg.Archive = func(f *xcal.File) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if calls[f.Op]++; calls[f.Op] == 1 {
+			first[f.Op] = f.Name
+		}
+		return fmt.Errorf("archive %s", f.Name)
+	}
+	c := NewCampaign(cfg)
+	raw := c.Run()
+	for _, l := range c.lanes {
+		if n := calls[l.op.Short()]; n != 1 {
+			t.Errorf("lane %s called the sink %d times after its first error", l.op.Short(), n)
+		}
+	}
+	if want := "archive " + first[c.lanes[0].op.Short()]; fmt.Sprint(raw.ArchiveErr) != want {
+		t.Errorf("ArchiveErr = %v, want %s", raw.ArchiveErr, want)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"github.com/nuwins/cellwheels/internal/deploy"
 	"github.com/nuwins/cellwheels/internal/geo"
+	"github.com/nuwins/cellwheels/internal/logsync"
 	"github.com/nuwins/cellwheels/internal/obs"
 	"github.com/nuwins/cellwheels/internal/radio"
 	"github.com/nuwins/cellwheels/internal/speedtest"
@@ -23,6 +24,10 @@ type lane struct {
 	phone  *phone
 	logger *xcal.HandoverLogger
 	m      *deploy.Map
+
+	// passive is the logger's log as coverage samples, converted at the
+	// end of every block.
+	passive logsync.Passive
 
 	// reg is the lane's crowd; nil without one. crowdResults collects the
 	// measuring crowd UEs' speedtest results in deterministic event order.
@@ -94,6 +99,17 @@ func (l *lane) step(blk []geo.TickState) {
 		l.obsTicks.Add(int64(n))
 		l.obsOdoKm.Set(l.last.Odometer.Km())
 	}
+	l.convertPassive()
+}
+
+// convertPassive turns the rows the passive logger logged since the last
+// call into coverage samples, so the raw rows never outlive their block.
+//
+//lint:cold — runs once per 4,096-tick block, not per tick; the row conversion and sample growth are amortized over the block
+func (l *lane) convertPassive() {
+	if l.logger != nil {
+		l.phone.norm.Passive(&l.passive, l.op, l.logger.Rows())
+	}
 }
 
 // finish closes any file still open at trip end.
@@ -101,4 +117,5 @@ func (l *lane) finish() {
 	if l.phone.rec.Recording() {
 		l.phone.finishTest(&l.last)
 	}
+	l.convertPassive()
 }

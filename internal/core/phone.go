@@ -53,8 +53,15 @@ type phone struct {
 	testTime  time.Duration // cumulative test runtime (Table 1)
 	testsDone int
 
-	files []xcal.File
-	apps  []logsync.AppLog
+	// norm normalises each capture when its test ends, and archive, when
+	// set, receives the raw capture first (Config.Archive); archiveErr
+	// is the first error it returned, after which it is not called.
+	norm       *logsync.Normalizer
+	archive    func(*xcal.File) error
+	archiveErr error
+
+	captures []logsync.Capture
+	apps     []logsync.AppLog
 
 	bytesRx unit.Bytes
 	bytesTx unit.Bytes
@@ -235,9 +242,11 @@ func (p *phone) tickTest(ts *geo.TickState) {
 	}
 }
 
-// finishTest closes the open test and queues its logs.
+// finishTest closes the open test and queues its logs. The raw capture
+// goes to the archive sink, if any, and is normalised here, so it dies
+// with its test.
 //
-//lint:cold — runs once per test, not per tick; result assembly and log queuing are amortized
+//lint:cold — runs once per test, not per tick; result assembly, normalisation and log queuing are amortized
 func (p *phone) finishTest(ds *geo.DriveState) {
 	switch p.spec.kind {
 	case dataset.AppAR, dataset.AppCAV:
@@ -268,7 +277,11 @@ func (p *phone) finishTest(ds *geo.DriveState) {
 			}
 		}
 	}
-	p.files = append(p.files, p.rec.CloseFile())
+	f := p.rec.CloseFile()
+	if p.archive != nil && p.archiveErr == nil {
+		p.archiveErr = p.archive(&f)
+	}
+	p.captures = append(p.captures, p.norm.Capture(&f))
 	p.apps = append(p.apps, p.appLog)
 	p.inTest = false
 	p.testsDone++

@@ -7,6 +7,12 @@
 // log to its XCAL capture, and emits the consolidated database the
 // analysis runs on.
 //
+// The work comes in two steps. A Normalizer turns each XCAL capture,
+// and each batch of passive-logger rows, into records the moment they
+// are logged: the content stamps are fixed EDT, so nothing in that step
+// depends on the match. Merge then matches captures to application logs
+// and assembles the database.
+//
 // The matcher never sees test identifiers: like the real pipeline, it has
 // only operator, test label, and timestamps to go on. Matching a file
 // name means trying each of the four candidate timezones and accepting
@@ -167,11 +173,14 @@ func resolveFileStart(naive time.Time) [4]time.Time {
 
 // Input bundles everything Merge consumes.
 type Input struct {
-	Route  *geo.Route
-	Files  []xcal.File
-	Apps   []AppLog
-	Logger map[string][]xcal.LoggerRow // passive rows keyed by operator short code
-	Meta   dataset.Meta
+	// Captures are the XCAL files, each normalised when its test ended
+	// (Normalizer.Capture), in any order.
+	Captures []Capture
+	Apps     []AppLog
+	// Passive holds the passive-logger samples keyed by operator short
+	// code (Normalizer.Passive).
+	Passive map[string]Passive
+	Meta    dataset.Meta
 	// Obs receives merge statistics (match counts, name-stamp skew, final
 	// per-table row counts). Write-only and nil-safe: the merge's output
 	// is byte-identical with or without it.
@@ -185,21 +194,22 @@ type Report struct {
 	UnmatchedApps  int
 }
 
-// Merge reconciles the raw logs into the consolidated database.
+// Merge matches the normalised captures to their app logs and builds
+// the consolidated database. It only reads its Input, so one Input can
+// be merged any number of times.
 //
-// The work splits by operator: every file name starts with "<op>_", so
-// the name order of all files is the A, T, V concatenation of each
-// operator's name order, and a file only ever matches an app log of its
-// own operator. Each operator's files and each operator's passive rows
-// are therefore reconciled as separate parts, concurrently, with test
-// IDs numbered 1..n within a part. A final pass offsets the IDs by the
-// matched counts of the parts before and merges the parts' sorted tables
-// (see mergeParts). The result is the database a single pass over the
-// files in name order, followed by sortDB, would build.
+// What is left after normalisation is global work: the name matcher,
+// test IDs and the matched app's fields, and the sort. The work splits
+// by operator: every file name starts with "<op>_", so the name order of
+// all files is the A, T, V concatenation of each operator's name order,
+// and a file only ever matches an app log of its own operator. Each
+// operator's captures and each operator's passive samples are therefore
+// separate parts, built concurrently, with test IDs numbered 1..n within
+// a part. A final pass offsets the IDs by the matched counts of the
+// parts before and merges the parts' sorted tables (see mergeParts). The
+// result is the database a single pass over the files in name order,
+// followed by sortDB, would build.
 func Merge(in Input) (*dataset.DB, Report, error) {
-	if in.Route == nil {
-		return nil, Report{}, fmt.Errorf("logsync: nil route")
-	}
 	defer in.Obs.StartPhase("merge")()
 	m := &merger{in: &in, appsByKey: map[appKey][]int{}}
 	m.appStarts = make([]time.Time, len(in.Apps))
@@ -222,47 +232,46 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 		slices.SortStableFunc(bucket, func(a, b int) int { return m.appStarts[a].Compare(m.appStarts[b]) })
 	}
 
-	// Deterministic processing order: files sorted by name, each name
-	// parsed once. A malformed name ends the list; the files before it
-	// are still reconciled, so an earlier file's content error wins.
-	files := make([]*xcal.File, len(in.Files))
-	for i := range in.Files {
-		files[i] = &in.Files[i]
+	// Deterministic processing order: captures sorted by name. A
+	// malformed name ends the list; the captures before it are still
+	// reconciled, so an earlier file's content error wins.
+	caps := make([]*Capture, len(in.Captures))
+	for i := range in.Captures {
+		caps[i] = &in.Captures[i]
 	}
-	sort.SliceStable(files, func(i, j int) bool { return files[i].Name < files[j].Name })
+	sort.SliceStable(caps, func(i, j int) bool { return caps[i].Name < caps[j].Name })
 	var fileParts []*filePart
 	var nameErr error
-	for _, f := range files {
-		pn, err := parseFileName(f.Name)
-		if err != nil {
-			nameErr = err
+	for _, c := range caps {
+		if c.nameErr != nil {
+			nameErr = c.nameErr
 			break
 		}
-		if n := len(fileParts); n == 0 || fileParts[n-1].op != pn.op {
-			fileParts = append(fileParts, &filePart{op: pn.op})
+		if n := len(fileParts); n == 0 || fileParts[n-1].op != c.name.op {
+			fileParts = append(fileParts, &filePart{op: c.name.op})
 		}
 		p := fileParts[len(fileParts)-1]
-		p.files = append(p.files, namedFile{f: f, pn: pn})
+		p.caps = append(p.caps, c)
 	}
 
-	// Passive rows, one part per operator, in sorted-key order: map
+	// Passive samples, one part per operator, in sorted-key order: map
 	// iteration order would otherwise leak into error precedence.
-	loggerOps := make([]string, 0, len(in.Logger))
-	for opShort := range in.Logger {
+	loggerOps := make([]string, 0, len(in.Passive))
+	for opShort := range in.Passive {
 		loggerOps = append(loggerOps, opShort)
 	}
 	sort.Strings(loggerOps)
-	passiveParts := make([]*passivePart, len(loggerOps))
+	passiveParts := make([]*dataset.DB, len(loggerOps))
 
 	var tasks []func()
 	for _, p := range fileParts {
 		tasks = append(tasks, func() { m.reconcileFiles(p) })
 	}
 	for i, opShort := range loggerOps {
-		if op, ok := radio.ParseOperatorShort(opShort); ok {
-			p := &passivePart{op: op, rows: in.Logger[opShort]}
+		if _, ok := radio.ParseOperatorShort(opShort); ok {
+			p := &dataset.DB{Passive: in.Passive[opShort].Samples}
 			passiveParts[i] = p
-			tasks = append(tasks, func() { m.convertPassive(p) })
+			tasks = append(tasks, func() { p.Passive = sortedPassive(p.Passive) })
 		}
 	}
 	runAll(tasks)
@@ -281,8 +290,8 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 		if p == nil {
 			return nil, Report{}, fmt.Errorf("logsync: unknown logger operator %q", loggerOps[i])
 		}
-		if p.err != nil {
-			return nil, Report{}, p.err
+		if err := in.Passive[loggerOps[i]].Err; err != nil {
+			return nil, Report{}, err
 		}
 	}
 
@@ -300,9 +309,7 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 		}
 		parts = append(parts, &p.db)
 	}
-	for _, p := range passiveParts {
-		parts = append(parts, &p.db)
-	}
+	parts = append(parts, passiveParts...)
 	for _, used := range m.usedApps {
 		if !used {
 			rep.UnmatchedApps++
@@ -366,37 +373,30 @@ type merger struct {
 	usedApps  []bool
 }
 
-// namedFile is an XCAL file with its parsed name.
-type namedFile struct {
-	f  *xcal.File
-	pn parsedName
-}
-
-// filePart is one operator's files and what reconciling them produced:
-// tables sorted by sortDB, with test IDs 1..matched.
+// filePart is one operator's captures and what reconciling them
+// produced: tables sorted by sortDB, with test IDs 1..matched.
 type filePart struct {
 	op      radio.Operator
-	files   []namedFile // in name order
+	caps    []*Capture // in name order
 	db      dataset.DB
 	matched int
 	// unmatched and skewsMS follow name order.
 	unmatched []string
 	skewsMS   []float64
 	err       error
-
-	// The normalized rows and signals of the file being converted,
-	// reused from one file to the next.
-	rows    []normRow
-	signals []normSignal
 }
 
-// passivePart is one operator's passive-logger rows, converted and
-// sorted.
-type passivePart struct {
-	op   radio.Operator
-	rows []xcal.LoggerRow
-	db   dataset.DB
-	err  error
+// sortedPassive returns s in sortDB order: s itself when it already is,
+// as a lane logs its samples, and otherwise a sorted copy, so Merge
+// leaves its input as it was.
+func sortedPassive(s []dataset.CoverageSample) []dataset.CoverageSample {
+	cmp := func(a, b dataset.CoverageSample) int { return cmpBy(passiveLess, &a, &b) }
+	if slices.IsSortedFunc(s, cmp) {
+		return s
+	}
+	s = slices.Clone(s)
+	slices.SortStableFunc(s, cmp)
+	return s
 }
 
 // runAll runs every task and waits for them, at most GOMAXPROCS at a
@@ -416,144 +416,99 @@ func runAll(tasks []func()) {
 	wg.Wait()
 }
 
-// reconcileFiles matches one operator's files to app logs in name order
-// and converts each matched file into tests and samples.
+// reconcileFiles matches one operator's captures to app logs in name
+// order and turns each matched capture into a test and its samples.
 func (m *merger) reconcileFiles(p *filePart) {
 	in := m.in
 	db := &p.db
-	presize(db, p.files)
+	presize(db, p.caps)
 	nextID := 1
-	for _, nf := range p.files {
-		f, pn := nf.f, nf.pn
+	for _, c := range p.caps {
+		pn := c.name
 		bucket := m.appsByKey[appKey{pn.op.Short(), pn.label}]
 		bestApp, bestSkew := matchApp(bucket, m.appStarts, m.usedApps, resolveFileStart(pn.naive))
 		if bestApp < 0 {
-			p.unmatched = append(p.unmatched, f.Name)
+			p.unmatched = append(p.unmatched, c.Name)
 			continue
 		}
 		bestStart := m.appStarts[bestApp]
 		m.usedApps[bestApp] = true
 		p.matched++
 		p.skewsMS = append(p.skewsMS, float64(bestSkew)/float64(time.Millisecond))
-		app := in.Apps[bestApp]
+		app := &in.Apps[bestApp]
+		if c.err != nil {
+			p.err = c.err
+			return
+		}
 
 		id := nextID
 		nextID++
 		end := bestStart.Add(time.Duration(app.DurationSec * float64(time.Second)))
 		test := dataset.Test{
-			ID:     id,
-			Kind:   kindByLabel[pn.label],
-			Op:     pn.op,
-			Start:  bestStart,
-			End:    end,
-			Server: app.Server,
-			Edge:   app.Edge,
-			Static: app.Static,
-		}
-
-		rows, signals, err := normalizeFile(f, p.rows[:0], p.signals[:0])
-		if err != nil {
-			p.err = err
-			return
-		}
-		p.rows, p.signals = rows, signals
-		if len(rows) > 0 {
-			first, last := rows[0].raw, rows[len(rows)-1].raw
-			test.StartOdo = in.Route.OdometerOf(geo.LatLon{Lat: first.Lat, Lon: first.Lon})
-			test.EndOdo = in.Route.OdometerOf(geo.LatLon{Lat: last.Lat, Lon: last.Lon})
-			test.Timezone = in.Route.At(test.StartOdo).Timezone
+			ID:       id,
+			Kind:     kindByLabel[pn.label],
+			Op:       pn.op,
+			Start:    bestStart,
+			End:      end,
+			StartOdo: c.startOdo,
+			EndOdo:   c.endOdo,
+			Server:   app.Server,
+			Edge:     app.Edge,
+			Static:   app.Static,
+			Timezone: c.timezone,
 		}
 		db.Tests = append(db.Tests, test)
 
-		// Handover records.
-		for _, sig := range signals {
-			db.Handovers = append(db.Handovers, dataset.Handover{
-				TestID: id, Time: sig.at, Op: pn.op,
-				DurationMS: sig.raw.DurationMS,
-				FromTech:   sig.fromTech, ToTech: sig.toTech,
-				Odometer: nearestOdo(rows, sig.at, in.Route),
-			})
+		for _, h := range c.handovers {
+			h.TestID = id
+			db.Handovers = append(db.Handovers, h)
 		}
-
 		switch test.Kind {
 		case dataset.ThroughputDL, dataset.ThroughputUL:
-			dir := radio.Downlink
-			if test.Kind == dataset.ThroughputUL {
-				dir = radio.Uplink
-			}
-			for i := range rows {
-				db.Throughput = append(db.Throughput, throughputSample(id, dir, &rows[i], signals, in.Route, test))
+			for _, s := range c.throughput {
+				s.TestID, s.Edge, s.Static = id, test.Edge, test.Static
+				db.Throughput = append(db.Throughput, s)
 			}
 		case dataset.RTTTest:
 			for _, e := range app.RTTs {
 				at := bestStart.Add(unit.DurationFromMS(e.OffsetMS))
-				r := rowNear(rows, at)
 				s := dataset.RTTSample{
 					TestID: id, Time: at, Op: pn.op,
 					RTTMS: e.RTTMS, Lost: e.Lost,
 					Edge: app.Edge, Static: app.Static,
 				}
-				if r != nil {
-					s.Tech = r.tech
-					s.SpeedMPH = r.raw.SpeedMPH
-					s.Odometer = in.Route.OdometerOf(geo.LatLon{Lat: r.raw.Lat, Lon: r.raw.Lon})
-					s.Timezone = in.Route.At(s.Odometer).Timezone
+				if i := rowNear(len(c.rows), at, func(i int) time.Time { return c.rows[i].at }); i >= 0 {
+					r := &c.rows[i]
+					s.Tech, s.SpeedMPH, s.Odometer, s.Timezone = r.tech, r.speedMPH, r.odo, r.zone
 				}
 				db.RTT = append(db.RTT, s)
 			}
 		default:
-			db.AppRuns = append(db.AppRuns, appRun(id, test, app, rows, signals))
+			db.AppRuns = append(db.AppRuns, appRun(id, test, app, c))
 		}
 	}
 	sortDB(db)
 }
 
-// presize sizes a file part's tables for its files: a test and an app
-// run per file, a handover per signal, and a throughput sample per row
-// of a throughput file. Unmatched files make these upper bounds; RTT
+// presize sizes a file part's tables for its captures: a test and an app
+// run per capture, a handover per signal, and a throughput sample per row
+// of a throughput file. Unmatched captures make these upper bounds; RTT
 // samples come from the app logs and grow as they are met.
-func presize(db *dataset.DB, files []namedFile) {
-	var apps, signals, rows int
-	for _, nf := range files {
-		signals += len(nf.f.Signals)
-		switch kindByLabel[nf.pn.label] {
-		case dataset.ThroughputDL, dataset.ThroughputUL:
-			rows += len(nf.f.Rows)
-		case dataset.RTTTest:
+func presize(db *dataset.DB, caps []*Capture) {
+	var apps, handovers, rows int
+	for _, c := range caps {
+		handovers += len(c.handovers)
+		rows += len(c.throughput)
+		switch kindByLabel[c.name.label] {
+		case dataset.ThroughputDL, dataset.ThroughputUL, dataset.RTTTest:
 		default:
 			apps++
 		}
 	}
-	db.Tests = make([]dataset.Test, 0, len(files))
-	db.Handovers = make([]dataset.Handover, 0, signals)
+	db.Tests = make([]dataset.Test, 0, len(caps))
+	db.Handovers = make([]dataset.Handover, 0, handovers)
 	db.Throughput = make([]dataset.ThroughputSample, 0, rows)
 	db.AppRuns = make([]dataset.AppRun, 0, apps)
-}
-
-// convertPassive turns one operator's passive-logger rows into coverage
-// samples.
-func (m *merger) convertPassive(p *passivePart) {
-	route := m.in.Route
-	p.db.Passive = make([]dataset.CoverageSample, 0, len(p.rows))
-	for _, r := range p.rows {
-		z, ok := zoneByName(r.Zone)
-		if !ok {
-			p.err = fmt.Errorf("logsync: logger zone %q", r.Zone)
-			return
-		}
-		at, err := parseLoggerTime(r.TimeLocal, z.Location())
-		if err != nil {
-			p.err = fmt.Errorf("logsync: logger time %q: %w", r.TimeLocal, err)
-			return
-		}
-		tech, _ := radio.ParseTechnology(r.Tech)
-		odo := route.OdometerOf(geo.LatLon{Lat: r.Lat, Lon: r.Lon})
-		p.db.Passive = append(p.db.Passive, dataset.CoverageSample{
-			Time: at.UTC(), Op: p.op, Tech: tech, CellID: r.CellID,
-			Odometer: odo, Timezone: z, SpeedMPH: r.SpeedMPH,
-		})
-	}
-	sortDB(&p.db)
 }
 
 // recordMergeStats publishes the merge outcome: how the matcher fared and
@@ -571,83 +526,7 @@ func recordMergeStats(rec *obs.Recorder, db *dataset.DB, rep Report) {
 	rec.Counter("table/passive").Add(int64(len(db.Passive)))
 }
 
-// normRow is a parsed XCAL row with UTC time. It refers to the file's
-// row rather than copying it.
-type normRow struct {
-	at   time.Time
-	tech radio.Technology
-	raw  *xcal.Row
-}
-
-// normSignal is a parsed signaling event.
-type normSignal struct {
-	at       time.Time
-	fromTech radio.Technology
-	toTech   radio.Technology
-	raw      *xcal.Signal
-}
-
-// normalizeFile parses f's rows and signals, appending them to rows and
-// signals.
-func normalizeFile(f *xcal.File, rows []normRow, signals []normSignal) ([]normRow, []normSignal, error) {
-	for i := range f.Rows {
-		r := &f.Rows[i]
-		at, err := ParseContentTime(r.TimeEDT)
-		if err != nil {
-			return nil, nil, err
-		}
-		tech, _ := radio.ParseTechnology(r.Tech)
-		rows = append(rows, normRow{at: at, tech: tech, raw: r})
-	}
-	for i := range f.Signals {
-		s := &f.Signals[i]
-		at, err := ParseContentTime(s.TimeEDT)
-		if err != nil {
-			return nil, nil, err
-		}
-		ft, _ := radio.ParseTechnology(s.FromTech)
-		tt, _ := radio.ParseTechnology(s.ToTech)
-		signals = append(signals, normSignal{at: at, fromTech: ft, toTech: tt, raw: s})
-	}
-	return rows, signals, nil
-}
-
-func throughputSample(id int, dir radio.Direction, r *normRow, signals []normSignal, route *geo.Route, test dataset.Test) dataset.ThroughputSample {
-	odo := route.OdometerOf(geo.LatLon{Lat: r.raw.Lat, Lon: r.raw.Lon})
-	wp := route.At(odo)
-	cc := r.raw.CCDL
-	if dir == radio.Uplink {
-		cc = r.raw.CCUL
-	}
-	hos := 0
-	for _, s := range signals {
-		if !s.at.Before(r.at) && s.at.Before(r.at.Add(xcal.SampleInterval)) {
-			hos++
-		}
-	}
-	return dataset.ThroughputSample{
-		TestID: id, Time: r.at, Op: test.Op, Dir: dir,
-		Mbps: r.raw.AppMbps, Tech: r.tech,
-		RSRP: r.raw.RSRP, SINR: r.raw.SINR, MCS: r.raw.MCS, CC: cc,
-		BLER: r.raw.BLER, Load: r.raw.Load,
-		SpeedMPH: r.raw.SpeedMPH, Odometer: odo,
-		Timezone: wp.Timezone, Region: wp.Region,
-		Handovers: hos, CellID: r.raw.CellID,
-		Edge: test.Edge, Static: test.Static,
-	}
-}
-
-func appRun(id int, test dataset.Test, app AppLog, rows []normRow, signals []normSignal) dataset.AppRun {
-	hs := 0
-	for _, r := range rows {
-		if r.tech.IsHighSpeed() {
-			hs++
-		}
-	}
-	frac := 0.0
-	if len(rows) > 0 {
-		frac = float64(hs) / float64(len(rows))
-	}
+func appRun(id int, test dataset.Test, app *AppLog, c *Capture) dataset.AppRun {
 	m := app.Metrics
 	return dataset.AppRun{
 		TestID: id, Kind: test.Kind, Op: test.Op, Start: test.Start,
@@ -655,36 +534,9 @@ func appRun(id int, test dataset.Test, app AppLog, rows []normRow, signals []nor
 		E2EMS:      m["e2e_ms"], OffloadFPS: m["fps"], MAP: m["map"],
 		QoE: m["qoe"], AvgBitrate: m["bitrate"], RebufferFrac: m["rebuffer"],
 		SendBitrate: m["send_bitrate"], NetLatencyMS: m["net_latency_ms"], FrameDropFrac: m["frame_drop"],
-		HighSpeedFrac: frac, Edge: test.Edge,
-		Handovers: len(signals), Static: test.Static,
+		HighSpeedFrac: c.highSpeedFrac, Edge: test.Edge,
+		Handovers: len(c.handovers), Static: test.Static,
 	}
-}
-
-// rowNear finds the row whose window contains (or is closest to) at.
-func rowNear(rows []normRow, at time.Time) *normRow {
-	if len(rows) == 0 {
-		return nil
-	}
-	i := sort.Search(len(rows), func(i int) bool { return !rows[i].at.Before(at) })
-	if i == 0 {
-		return &rows[0]
-	}
-	if i >= len(rows) {
-		return &rows[len(rows)-1]
-	}
-	// Pick the neighbour with smaller skew.
-	if rows[i].at.Sub(at) < at.Sub(rows[i-1].at) {
-		return &rows[i]
-	}
-	return &rows[i-1]
-}
-
-func nearestOdo(rows []normRow, at time.Time, route *geo.Route) unit.Meters {
-	r := rowNear(rows, at)
-	if r == nil {
-		return 0
-	}
-	return route.OdometerOf(geo.LatLon{Lat: r.raw.Lat, Lon: r.raw.Lon})
 }
 
 // sortDB orders every table for reproducible output. Sorts are stable and

@@ -3,6 +3,7 @@ package logsync
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -31,6 +32,34 @@ func makeFile(t *testing.T, op radio.Operator, label string, startUTC time.Time,
 		rec.Observe(tick, st, wp, 42, perTick)
 	}
 	return rec.CloseFile()
+}
+
+// captures normalises files as a lane does when each test ends.
+func captures(files ...xcal.File) []Capture {
+	n := NewNormalizer(geo.DefaultRoute())
+	out := make([]Capture, len(files))
+	for i := range files {
+		out[i] = n.Capture(&files[i])
+	}
+	return out
+}
+
+// passiveLogs converts passive-logger rows keyed by operator short code as
+// the lanes do.
+func passiveLogs(t *testing.T, logger map[string][]xcal.LoggerRow) map[string]Passive {
+	t.Helper()
+	n := NewNormalizer(geo.DefaultRoute())
+	out := map[string]Passive{}
+	for short, rows := range logger {
+		op, ok := radio.ParseOperatorShort(short)
+		if !ok {
+			t.Fatalf("unknown operator %q", short)
+		}
+		var p Passive
+		n.Passive(&p, op, rows)
+		out[short] = p
+	}
+	return out
 }
 
 func utcStamp(t time.Time) string { return t.UTC().Format(time.RFC3339Nano) }
@@ -87,7 +116,6 @@ func TestLabelRoundTrip(t *testing.T) {
 }
 
 func TestMergeMatchesAcrossTimezones(t *testing.T) {
-	route := geo.DefaultRoute()
 	// Three tests at positions in three different timezones, same
 	// operator and kind, so matching must disambiguate via timestamps.
 	starts := []time.Time{
@@ -107,7 +135,7 @@ func TestMergeMatchesAcrossTimezones(t *testing.T) {
 			StartStamp: utcStamp(starts[i]), Stamp: StampUTC, DurationSec: 10,
 		})
 	}
-	db, rep, err := Merge(Input{Route: route, Files: files, Apps: apps})
+	db, rep, err := Merge(Input{Captures: captures(files...), Apps: apps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,12 +167,11 @@ func TestMergeMatchesAcrossTimezones(t *testing.T) {
 }
 
 func TestMergeThroughputSamplesCarryKPIs(t *testing.T) {
-	route := geo.DefaultRoute()
 	start := time.Date(2022, 8, 9, 16, 30, 0, 0, time.UTC)
 	f := makeFile(t, radio.TMobile, "DL", start, 300*unit.Kilometer, radio.NRMid, 80)
 	app := AppLog{Op: "T", Kind: "DL", Server: "ec2-ca-general",
 		StartStamp: utcStamp(start), Stamp: StampUTC, DurationSec: 10}
-	db, _, err := Merge(Input{Route: route, Files: []xcal.File{f}, Apps: []AppLog{app}})
+	db, _, err := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +197,10 @@ func TestMergeThroughputSamplesCarryKPIs(t *testing.T) {
 }
 
 func TestMergeUplinkUsesULCC(t *testing.T) {
-	route := geo.DefaultRoute()
 	start := time.Date(2022, 8, 9, 16, 30, 0, 0, time.UTC)
 	f := makeFile(t, radio.TMobile, "UL", start, 300*unit.Kilometer, radio.NRMid, 20)
 	app := AppLog{Op: "T", Kind: "UL", StartStamp: utcStamp(start), Stamp: StampUTC, DurationSec: 10}
-	db, _, err := Merge(Input{Route: route, Files: []xcal.File{f}, Apps: []AppLog{app}})
+	db, _, err := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +213,6 @@ func TestMergeUplinkUsesULCC(t *testing.T) {
 }
 
 func TestMergeRTTSamples(t *testing.T) {
-	route := geo.DefaultRoute()
 	start := time.Date(2022, 8, 11, 14, 0, 0, 0, time.UTC)
 	f := makeFile(t, radio.ATT, "RTT", start, 3000*unit.Kilometer, radio.LTEA, 0)
 	app := AppLog{
@@ -201,7 +226,7 @@ func TestMergeRTTSamples(t *testing.T) {
 			{OffsetMS: 600, Lost: true},
 		},
 	}
-	db, rep, err := Merge(Input{Route: route, Files: []xcal.File{f}, Apps: []AppLog{app}})
+	db, rep, err := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +254,6 @@ func TestMergeRTTSamples(t *testing.T) {
 }
 
 func TestMergeAppRun(t *testing.T) {
-	route := geo.DefaultRoute()
 	start := time.Date(2022, 8, 12, 15, 0, 0, 0, time.UTC)
 	f := makeFile(t, radio.Verizon, "AR", start, 4000*unit.Kilometer, radio.NRMid, 5)
 	app := AppLog{
@@ -237,7 +261,7 @@ func TestMergeAppRun(t *testing.T) {
 		StartStamp: utcStamp(start), Stamp: StampUTC, DurationSec: 10,
 		Metrics: map[string]float64{"e2e_ms": 214, "fps": 4.35, "map": 30.1},
 	}
-	db, _, err := Merge(Input{Route: route, Files: []xcal.File{f}, Apps: []AppLog{app}})
+	db, _, err := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +278,6 @@ func TestMergeAppRun(t *testing.T) {
 }
 
 func TestMergeHandoverSignals(t *testing.T) {
-	route := geo.DefaultRoute()
 	start := time.Date(2022, 8, 9, 16, 30, 0, 0, time.UTC)
 	f := makeFile(t, radio.Verizon, "DL", start, 300*unit.Kilometer, radio.NRMid, 50)
 	f.Signals = append(f.Signals, xcal.Signal{
@@ -265,7 +288,7 @@ func TestMergeHandoverSignals(t *testing.T) {
 		DurationMS: 53,
 	})
 	app := AppLog{Op: "V", Kind: "DL", StartStamp: utcStamp(start), Stamp: StampUTC, DurationSec: 10}
-	db, _, err := Merge(Input{Route: route, Files: []xcal.File{f}, Apps: []AppLog{app}})
+	db, _, err := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,12 +313,11 @@ func TestMergeHandoverSignals(t *testing.T) {
 }
 
 func TestMergeUnmatchedFileReported(t *testing.T) {
-	route := geo.DefaultRoute()
 	start := time.Date(2022, 8, 9, 16, 30, 0, 0, time.UTC)
 	f := makeFile(t, radio.Verizon, "DL", start, 300*unit.Kilometer, radio.NRMid, 50)
 	// App log two hours away: no match.
 	app := AppLog{Op: "V", Kind: "DL", StartStamp: utcStamp(start.Add(2 * time.Hour)), Stamp: StampUTC, DurationSec: 10}
-	db, rep, err := Merge(Input{Route: route, Files: []xcal.File{f}, Apps: []AppLog{app}})
+	db, rep, err := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +340,7 @@ func TestMergePassiveRows(t *testing.T) {
 		CellID:    "A-LTE-A-0042",
 		Lat:       wp.Loc.Lat, Lon: wp.Loc.Lon, SpeedMPH: 68,
 	}}
-	db, _, err := Merge(Input{Route: route, Logger: map[string][]xcal.LoggerRow{"A": rows}})
+	db, _, err := Merge(Input{Passive: passiveLogs(t, map[string][]xcal.LoggerRow{"A": rows})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,15 +360,11 @@ func TestMergePassiveRows(t *testing.T) {
 }
 
 func TestMergeBadInputs(t *testing.T) {
-	if _, _, err := Merge(Input{}); err == nil {
-		t.Error("nil route accepted")
-	}
-	route := geo.DefaultRoute()
-	if _, _, err := Merge(Input{Route: route, Files: []xcal.File{{Name: "nonsense"}}}); err == nil {
+	if _, _, err := Merge(Input{Captures: captures(xcal.File{Name: "nonsense"})}); err == nil {
 		t.Error("malformed file name accepted")
 	}
 	bad := AppLog{Op: "V", Kind: "DL", StartStamp: "not-a-time", Stamp: StampUTC}
-	if _, _, err := Merge(Input{Route: route, Apps: []AppLog{bad}}); err == nil {
+	if _, _, err := Merge(Input{Apps: []AppLog{bad}}); err == nil {
 		t.Error("malformed app stamp accepted")
 	}
 }
@@ -377,7 +395,7 @@ func TestMergeManyTestsAllMatchedProperty(t *testing.T) {
 			StartStamp: ss, Stamp: stamp, Zone: zone, DurationSec: 10,
 		})
 	}
-	db, rep, err := Merge(Input{Route: route, Files: files, Apps: apps})
+	db, rep, err := Merge(Input{Captures: captures(files...), Apps: apps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +423,7 @@ func TestMergeZoneResolutionProperty(t *testing.T) {
 		odo := unit.Meters(float64(posPermille%1000) / 1000 * float64(route.Total()))
 		file := makeFile(t, radio.TMobile, "UL", start, odo, radio.NRLow, 12)
 		app := AppLog{Op: "T", Kind: "UL", StartStamp: utcStamp(start), Stamp: StampUTC, DurationSec: 10}
-		db, rep, err := Merge(Input{Route: route, Files: []xcal.File{file}, Apps: []AppLog{app}})
+		db, rep, err := Merge(Input{Captures: captures(file), Apps: []AppLog{app}})
 		if err != nil || rep.Matched != 1 || len(db.Tests) != 1 {
 			return false
 		}
@@ -454,7 +472,7 @@ func TestMergeCrossOperatorTies(t *testing.T) {
 		"V": {row(t1, "V-1"), row(t0, "V-0")},
 	}
 
-	db, rep, err := Merge(Input{Route: route, Files: files, Apps: apps, Logger: logger})
+	db, rep, err := Merge(Input{Captures: captures(files...), Apps: apps, Passive: passiveLogs(t, logger)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,13 +505,13 @@ func TestMergeCrossOperatorTies(t *testing.T) {
 	// The first malformed name in name order is the error, whatever the
 	// valid names around it.
 	bad := append([]xcal.File{{Name: "U_x_y_z.drm"}, {Name: "B_junk.drm"}}, files...)
-	_, _, err = Merge(Input{Route: route, Files: bad, Apps: apps, Logger: logger})
+	_, _, err = Merge(Input{Captures: captures(bad...), Apps: apps, Passive: passiveLogs(t, logger)})
 	if got, want := fmt.Sprint(err), `logsync: malformed file name "B_junk.drm"`; got != want {
 		t.Errorf("error = %s, want %s", got, want)
 	}
 
 	// Unmatched files are reported in name order across operators.
-	_, rep, err = Merge(Input{Route: route, Files: files, Apps: apps[:1]})
+	_, rep, err = Merge(Input{Captures: captures(files...), Apps: apps[:1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,5 +519,72 @@ func TestMergeCrossOperatorTies(t *testing.T) {
 	want := []string{"A_DL_" + stamp + ".drm", "A_UL_" + stamp + ".drm", "V_DL_" + stamp + ".drm"}
 	if rep.Matched != 1 || fmt.Sprint(rep.UnmatchedFiles) != fmt.Sprint(want) {
 		t.Errorf("report = %+v, want 1 match and unmatched %v", rep, want)
+	}
+}
+
+// TestMergeContentErrorOnlyWhenMatched pins where the content error of
+// a capture, normalised before any match, surfaces: an unmatched
+// capture with a bad stamp stays silent, and the same capture, once an
+// app log matches it, fails the merge with its parse error.
+func TestMergeContentErrorOnlyWhenMatched(t *testing.T) {
+	start := time.Date(2022, 8, 9, 16, 30, 0, 0, time.UTC)
+	f := makeFile(t, radio.Verizon, "DL", start, 300*unit.Kilometer, radio.NRMid, 50)
+	f.Rows[3].TimeEDT = "08/09/2022 25:61:00.000"
+	c := captures(f)
+	app := AppLog{Op: "V", Kind: "DL", StartStamp: utcStamp(start), Stamp: StampUTC, DurationSec: 10}
+	away := app
+	away.StartStamp = utcStamp(start.Add(2 * time.Hour))
+
+	db, rep, err := Merge(Input{Captures: c, Apps: []AppLog{away}})
+	if err != nil {
+		t.Fatalf("unmatched capture with a bad stamp: %v", err)
+	}
+	if len(rep.UnmatchedFiles) != 1 || len(db.Tests) != 0 {
+		t.Errorf("report = %+v, tests = %d", rep, len(db.Tests))
+	}
+
+	_, _, err = Merge(Input{Captures: c, Apps: []AppLog{app}})
+	_, want := ParseContentTime(f.Rows[3].TimeEDT)
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("matched capture with a bad stamp: error %v, want %v", err, want)
+	}
+}
+
+// TestMergeLeavesInputIntact pins that Merge only reads its Input, on
+// the path that must sort a copy of out-of-order passive samples too:
+// two merges of one Input are equal, and the Input's samples keep their
+// order.
+func TestMergeLeavesInputIntact(t *testing.T) {
+	start := time.Date(2022, 8, 9, 17, 0, 0, 0, time.UTC)
+	odo := 300 * unit.Kilometer
+	wp := geo.DefaultRoute().At(odo)
+	row := func(at time.Time, cell string) xcal.LoggerRow {
+		return xcal.LoggerRow{
+			TimeLocal: at.In(wp.Timezone.Location()).Format(xcal.LoggerFormat),
+			Zone:      wp.Timezone.String(), Tech: "LTE", CellID: cell,
+			Lat: wp.Loc.Lat, Lon: wp.Loc.Lon,
+		}
+	}
+	in := Input{
+		Captures: captures(makeFile(t, radio.ATT, "DL", start, odo, radio.LTEA, 30)),
+		Apps:     []AppLog{{Op: "A", Kind: "DL", StartStamp: utcStamp(start), Stamp: StampUTC, DurationSec: 10}},
+		Passive:  passiveLogs(t, map[string][]xcal.LoggerRow{"A": {row(start.Add(time.Second), "A-1"), row(start, "A-0")}}),
+	}
+	first, _, err := Merge(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, _, err := Merge(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Error("two merges of one Input differ")
+	}
+	if got := in.Passive["A"].Samples; got[0].CellID != "A-1" || got[1].CellID != "A-0" {
+		t.Errorf("Merge reordered its input's passive samples: %s, %s", got[0].CellID, got[1].CellID)
+	}
+	if first.Passive[0].CellID != "A-0" || len(first.Throughput) != 20 {
+		t.Errorf("merged passive starts with %s and has %d throughput samples", first.Passive[0].CellID, len(first.Throughput))
 	}
 }

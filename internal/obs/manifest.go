@@ -23,7 +23,7 @@ const ManifestSchema = 1
 // histograms — including the per-table sample counts the dataset writers
 // must agree with). encoding/json sorts map keys, so a manifest is
 // deterministic up to the wall-clock fields (start_utc, wall_ms,
-// phase_wall_ms).
+// phase_wall_ms) and the heap gauges its phases set (mem/<phase>/heap_mb).
 type Manifest struct {
 	Schema     int                          `json:"schema"`
 	GoVersion  string                       `json:"go_version"`

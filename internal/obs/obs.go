@@ -26,6 +26,7 @@ package obs
 
 import (
 	"math"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -133,7 +134,9 @@ func (r *Recorder) Histogram(name string, bounds []float64) *Histogram {
 
 // StartPhase opens a named wall-clock span and returns the closure that
 // ends it. Re-entered phases accumulate. Safe from concurrent goroutines
-// (each lane times itself).
+// (each lane times itself). Ending a phase also sets the gauge
+// mem/<name>/heap_mb to the heap in use at that moment, so a manifest
+// says where a run's memory went, phase by phase, without a GC trace.
 func (r *Recorder) StartPhase(name string) func() {
 	if r == nil {
 		return func() {}
@@ -144,7 +147,23 @@ func (r *Recorder) StartPhase(name string) func() {
 		r.mu.Lock()
 		r.phases[name] += d
 		r.mu.Unlock()
+		r.Gauge("mem/" + name + "/heap_mb").Set(heapInUseMB())
 	}
+}
+
+// heapObjects is the runtime/metrics name of the bytes held by heap
+// objects, live or not yet swept: MemStats.HeapAlloc, read without
+// ReadMemStats's stop-the-world.
+const heapObjects = "/memory/classes/heap/objects:bytes"
+
+// heapInUseMB reads the heap in use, in MiB.
+func heapInUseMB() float64 {
+	s := [1]metrics.Sample{{Name: heapObjects}}
+	metrics.Read(s[:])
+	if s[0].Value.Kind() != metrics.KindUint64 {
+		return 0
+	}
+	return float64(s[0].Value.Uint64()) / (1 << 20)
 }
 
 // Counter is a monotonically increasing int64, safe for concurrent use.

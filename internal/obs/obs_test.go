@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -83,6 +84,21 @@ func TestPhasesAccumulate(t *testing.T) {
 	if m.PhaseMS["work"] <= 0 {
 		t.Errorf("phase wall = %v", m.PhaseMS["work"])
 	}
+}
+
+// TestPhaseRecordsHeap pins the heap gauge a phase sets when it ends:
+// present, positive, and no larger than the runtime's whole heap.
+func TestPhaseRecordsHeap(t *testing.T) {
+	r := New()
+	keep := make([]byte, 8<<20)
+	r.StartPhase("alloc")()
+	got := r.Snapshot().Gauges["mem/alloc/heap_mb"]
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if got < 8 || got > float64(ms.HeapSys)/(1<<20) {
+		t.Errorf("mem/alloc/heap_mb = %v, want at least the 8 MiB held and at most HeapSys %v MiB", got, float64(ms.HeapSys)/(1<<20))
+	}
+	runtime.KeepAlive(keep)
 }
 
 func TestManifestRoundTrip(t *testing.T) {

@@ -27,6 +27,12 @@ const drmMaxString = 1 << 16
 // drmMaxRecords bounds decoded record counts against corrupted inputs.
 const drmMaxRecords = 1 << 24
 
+// drmShortString is the longest string body readString allocates up
+// front. A longer one grows as its bytes arrive, so a corrupted length
+// costs memory in proportion to the bytes actually present, not to the
+// length it declares.
+const drmShortString = 512
+
 // WriteDRM encodes the file into its binary container form.
 func (f File) WriteDRM(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -212,8 +218,18 @@ func readString(r io.Reader) (string, error) {
 	if n > drmMaxString {
 		return "", fmt.Errorf("%w: string length %d", ErrBadDRM, n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if n <= drmShortString {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return "", fmt.Errorf("%w: string body: %v", ErrBadDRM, err)
+		}
+		return string(buf), nil
+	}
+	buf, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && len(buf) < int(n) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return "", fmt.Errorf("%w: string body: %v", ErrBadDRM, err)
 	}
 	return string(buf), nil
