@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: fmt build test race vet bench bench-test fuzz-smoke lint lint-baseline lint-sarif lint-fixtures lint-inject-smoke smoke fleet-smoke crowd-smoke serve-smoke examples ci
+.PHONY: fmt build test test-386 race vet bench bench-test fuzz-smoke lint lint-baseline lint-sarif lint-fixtures lint-inject-smoke smoke fleet-smoke crowd-smoke serve-smoke examples ci
 
 # fmt fails when any Go file is not gofmt-formatted, and lists it.
 fmt:
@@ -18,19 +18,26 @@ race:
 vet:
 	$(GO) vet ./...
 
-# bench runs the lane-engine scaling benchmark, dataset decoding
-# (Load of the 700 km benchmark dataset, from memory and from a file)
-# and encoding (WriteJSON of it), the per-tick layer benches
-# (log reconciliation, geo route lookup and a full-route drive pass,
-# the moving, mobility-only and mmWave RAN ticks), the per-row merge
-# benches (joining a GPS fix to the route on and off it, parsing a
-# content stamp) and the testbed construction benches (one operator's
+# test-386 runs the dataset codec tests on a 32-bit int, where the JSON
+# integers that overflow it must fail as they do in encoding/json.
+test-386:
+	GOARCH=386 $(GO) test ./internal/dataset
+
+# bench runs the lane-engine scaling benchmark, the per-tick layer
+# benches (log reconciliation, geo route lookup and a full-route drive
+# pass, the moving, mobility-only and mmWave RAN ticks), the per-row
+# merge benches (joining a GPS fix to the route on and off it, parsing
+# a content stamp) and the testbed construction benches (one operator's
 # full-route deployment, a 20 km campaign's NewCampaign) once each, so
-# CI keeps them compiling and running. For real numbers drop
+# CI keeps them compiling and running. Dataset decoding (Load of the
+# 700 km benchmark dataset, from memory and from a file) and encoding
+# (WriteJSON of it) run once at -cpu 1 and once at -cpu 2, so that the
+# codecs run both on one core and split. For real numbers drop
 # -benchtime=1x; the full figure/table benches live in bench_test.go
 # and run with `go test -bench=.`.
 bench:
-	$(GO) test -run=NONE -bench='^(BenchmarkCampaignRun|BenchmarkLoad|BenchmarkWriteJSON|BenchmarkLogsyncMerge|BenchmarkRouteAt|BenchmarkTimelineScan|BenchmarkOdometerOf|BenchmarkParseContentTime|BenchmarkUEStep|BenchmarkNewMap|BenchmarkNewCampaign)$$' -benchtime=1x . ./internal/geo ./internal/logsync ./internal/ran ./internal/deploy ./internal/core
+	$(GO) test -run=NONE -bench='^(BenchmarkCampaignRun|BenchmarkLogsyncMerge|BenchmarkRouteAt|BenchmarkTimelineScan|BenchmarkOdometerOf|BenchmarkParseContentTime|BenchmarkUEStep|BenchmarkNewMap|BenchmarkNewCampaign)$$' -benchtime=1x . ./internal/geo ./internal/logsync ./internal/ran ./internal/deploy ./internal/core
+	$(GO) test -run=NONE -bench='^(BenchmarkLoad|BenchmarkWriteJSON)$$' -benchtime=1x -cpu 1,2 .
 
 # bench-test vets and tests the repo benchmark (bench/, a module of its
 # own that the root `go test ./...` does not reach): its golden digests,
@@ -40,7 +47,8 @@ bench-test:
 
 # fuzz-smoke gives each native fuzz target a few seconds, so CI keeps
 # them running: dataset.ReadJSON and dataset.WriteJSON against the
-# encoding/json reference,
+# encoding/json reference, with tables split from single rows to one
+# range; the dataset's throughput, RTT and handover CSV readers,
 # the daemon job-spec parser, the fleetsync artifact decoder and the
 # .drm capture decoder (each: no panic, linear allocation, a re-encode
 # fixpoint), and the XCAL stamp codecs against package time (the
@@ -51,6 +59,9 @@ bench-test:
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReadJSON$$' -fuzztime=5s ./internal/dataset
 	$(GO) test -run=NONE -fuzz='^FuzzWriteJSON$$' -fuzztime=5s ./internal/dataset
+	$(GO) test -run=NONE -fuzz='^FuzzReadThroughputCSV$$' -fuzztime=5s ./internal/dataset
+	$(GO) test -run=NONE -fuzz='^FuzzReadRTTCSV$$' -fuzztime=5s ./internal/dataset
+	$(GO) test -run=NONE -fuzz='^FuzzReadHandoverCSV$$' -fuzztime=5s ./internal/dataset
 	$(GO) test -run=NONE -fuzz='^FuzzParseJobSpec$$' -fuzztime=5s ./internal/serve
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeArtifact$$' -fuzztime=5s ./internal/fleetsync
 	$(GO) test -run=NONE -fuzz='^FuzzParseContentTime$$' -fuzztime=5s ./internal/logsync
@@ -101,8 +112,11 @@ lint-inject-smoke:
 # .drm captures into smoke-raw/ as the lanes go (-raw) and must write the
 # same dataset as the others. The first run also prints its
 # -progress lines to smoke-progress.log, and the last of them must
-# report the whole planned distance: 100.0% with eta 0s. Last, the
-# report front end renders Table 1 from the smoke dataset and lists the
+# report the whole planned distance: 100.0% with eta 0s. A run on one
+# core (GOMAXPROCS=1), where one worker encodes every chunk, must write
+# the same bytes too, and the full report of the smoke dataset must be
+# the same decoded on one core and on all of them. Last, the report
+# front end renders Table 1 from the smoke dataset and lists the
 # section ids.
 smoke:
 	$(GO) run ./cmd/cellwheels run -seed 1 -limit-km 50 -progress -metrics manifest.json -out smoke-dataset.json 2>smoke-progress.log || { cat smoke-progress.log >&2; exit 1; }
@@ -113,6 +127,11 @@ smoke:
 	cmp smoke-dataset.json smoke-dataset-w1.json
 	$(GO) run ./cmd/cellwheels run -seed 1 -limit-km 50 -raw smoke-raw -out smoke-dataset-raw.json
 	cmp smoke-dataset.json smoke-dataset-raw.json
+	GOMAXPROCS=1 $(GO) run ./cmd/cellwheels run -seed 1 -limit-km 50 -out smoke-dataset-p1.json
+	cmp smoke-dataset.json smoke-dataset-p1.json
+	GOMAXPROCS=1 $(GO) run ./cmd/cellwheels report -in smoke-dataset.json >smoke-report-p1.txt
+	$(GO) run ./cmd/cellwheels report -in smoke-dataset.json >smoke-report.txt
+	cmp smoke-report.txt smoke-report-p1.txt
 	$(GO) run ./cmd/cellwheels report -in smoke-dataset.json -section table1
 	$(GO) run ./cmd/cellwheels report -list
 
@@ -148,4 +167,4 @@ examples:
 
 # lint-sarif runs before the lint gates so the artifact exists for CI
 # upload even when lint fails the build.
-ci: fmt vet build lint-sarif lint lint-baseline lint-inject-smoke race bench bench-test fuzz-smoke smoke fleet-smoke crowd-smoke serve-smoke examples
+ci: fmt vet build test-386 lint-sarif lint lint-baseline lint-inject-smoke race bench bench-test fuzz-smoke smoke fleet-smoke crowd-smoke serve-smoke examples

@@ -541,7 +541,9 @@ func BenchmarkReport(b *testing.B) {
 // BenchmarkLoad times dataset decoding: Load of the 700 km benchmark
 // dataset's JSON, as `cellwheels report -in` does before it renders a
 // report, from memory and from a file, whose reported size lets
-// ReadJSON size its buffer once.
+// ReadJSON size its buffer once. The decoder parses a table's ranges on
+// GOMAXPROCS goroutines, so the time scales with -cpu: at -cpu 1 each
+// table is one range.
 func BenchmarkLoad(b *testing.B) {
 	var buf bytes.Buffer
 	if err := benchDB(b).WriteJSON(&buf); err != nil {
@@ -579,7 +581,9 @@ func BenchmarkLoad(b *testing.B) {
 
 // BenchmarkWriteJSON times dataset encoding: WriteJSON of the 700 km
 // benchmark dataset to io.Discard, as `cellwheels run` writes its
-// output.
+// output. The encoder encodes a table's chunks on GOMAXPROCS
+// goroutines, so the time scales with -cpu: at -cpu 1 one worker
+// encodes them while the caller writes.
 func BenchmarkWriteJSON(b *testing.B) {
 	db := benchDB(b)
 	var buf bytes.Buffer

@@ -155,8 +155,10 @@ func TestJSONRoundTrip(t *testing.T) {
 
 // TestWriteJSONFileEncodeError pins that a dataset encoding/json cannot
 // encode, here a NaN in the last throughput sample, fails WriteJSONFile
-// and leaves neither the file nor its temp file behind, although the
-// streaming encoder has written a prefix by then.
+// with the encoder's error and leaves neither the file nor its temp file
+// behind, although the streaming encoder has written a prefix by then.
+// The table is long enough to be encoded in many chunks on several
+// goroutines, so the NaN is in the last chunk.
 func TestWriteJSONFileEncodeError(t *testing.T) {
 	var buf bytes.Buffer
 	if err := quickStudy(t).WriteJSON(&buf); err != nil {
@@ -166,10 +168,14 @@ func TestWriteJSONFileEncodeError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := len(s.db.Throughput); n < 4000 {
+		t.Fatalf("%d throughput samples, want a table of many chunks", n)
+	}
 	s.db.Throughput[len(s.db.Throughput)-1].Mbps = math.NaN()
 	dir := t.TempDir()
-	if err := s.WriteJSONFile(filepath.Join(dir, "dataset.json")); err == nil {
-		t.Fatal("WriteJSONFile wrote a dataset with a NaN sample")
+	const want = "dataset: encode: unsupported value: NaN"
+	if err := s.WriteJSONFile(filepath.Join(dir, "dataset.json")); err == nil || err.Error() != want {
+		t.Fatalf("WriteJSONFile with a NaN sample: error %v, want %q", err, want)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

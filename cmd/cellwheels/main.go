@@ -7,8 +7,8 @@
 //
 //	cellwheels run    [campaign flags] [-out dataset.json] [-csv dir] [-raw dir]
 //	                  [-geojson dir] [-progress] [-metrics manifest.json] [-pprof cpu.out]
-//	cellwheels report [campaign flags] [-section id]
-//	cellwheels report -in dataset.json [-section id]
+//	cellwheels report [campaign flags] [-section id] [-metrics manifest.json]
+//	cellwheels report -in dataset.json [-section id] [-metrics manifest.json]
 //	cellwheels report -list
 //	cellwheels fleet  -scenario fleet.json [-workers N] [-out dir] [-archive]
 //	                  [-metrics manifest.json] [-push URL [-cells 0-1,3]]
@@ -25,16 +25,19 @@
 // 9 s and peaks below 700 MB RSS on a 2-vCPU host, writing its ~215 MB
 // dataset included; use -limit-km for quick runs. -progress prints a
 // periodic status line to stderr, -metrics writes a machine-readable run
-// manifest, and -pprof captures a CPU profile of the whole run. All
-// three are side channels: the dataset is byte-identical with or without
-// them.
+// manifest, with a write phase for the dataset, and -pprof captures a
+// CPU profile of the whole run. All three are side channels: the dataset
+// is byte-identical with or without them.
 //
 // report prints the paper's tables and figures in paper order. With -in
 // it reads a dataset written by run; without it, it runs the campaign
 // the campaign flags describe and prints its summary first, and, with a
 // crowd, the measured Ookla table (Table 3 with a simulated crowd
 // column) last. -section prints one section instead; -list prints the
-// section ids. -in cannot be combined with campaign flags.
+// section ids. -in cannot be combined with campaign flags. -metrics
+// writes a manifest: with -in, its load and report phases; without, the
+// campaign's phases and the full report's. The report is the same with
+// or without it.
 //
 // fleet runs a fleet scenario: a sweep grid over config fields times a
 // replicate count, as one deterministic job reduced to cross-replicate
@@ -74,6 +77,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"github.com/nuwins/cellwheels"
 	"github.com/nuwins/cellwheels/internal/obs"
@@ -119,9 +123,15 @@ func campaignFlags(fs *flag.FlagSet) *cellwheels.Config {
 	return cfg
 }
 
-// fail reports a failure on stderr and returns exit code 1.
+// fail reports a failure on stderr and returns exit code 1. The line
+// starts "cellwheels: " once: the facade's errors carry that prefix
+// already, and any other error gets it here.
 func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "cellwheels:", err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "cellwheels: ") {
+		msg = "cellwheels: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	return 1
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/nuwins/cellwheels"
+	"github.com/nuwins/cellwheels/internal/obs"
 )
 
 // capture redirects *f (os.Stdout or os.Stderr) into a pipe while fn
@@ -130,6 +131,85 @@ func TestRunThenReport(t *testing.T) {
 		got := capture(t, &os.Stdout, func() { code = realMain(append([]string{"report"}, tc.args...)) })
 		if code != 0 || got != tc.want {
 			t.Errorf("report %q: exit %d, stdout differs from the library's (%d bytes, want %d)", tc.args, code, len(got), len(tc.want))
+		}
+	}
+}
+
+// TestErrorLines pins the exact stderr line of a failure and of a usage
+// error: "cellwheels: " once, although the facade's errors carry the
+// prefix already.
+func TestErrorLines(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args   []string
+		code   int
+		stderr string
+	}{
+		{[]string{"report", "-in", bad}, 1, "cellwheels: dataset: decode: unexpected EOF\n"},
+		{[]string{"report", "-in", bad, "-seed", "1"}, 2, "cellwheels: -seed is a campaign flag; -in reads a dataset instead of running one\n"},
+	} {
+		var code int
+		got := capture(t, &os.Stderr, func() { code = realMain(tc.args) })
+		if code != tc.code || got != tc.stderr {
+			t.Errorf("cellwheels %q: exit %d, stderr %q; want exit %d, stderr %q", tc.args, code, got, tc.code, tc.stderr)
+		}
+	}
+}
+
+// TestMetricsPhases checks the codec phases in the manifests: run
+// -metrics records a write phase, report -in -metrics a load and a
+// report phase, each with its heap gauge, and report prints the same
+// bytes with and without -metrics.
+func TestMetricsPhases(t *testing.T) {
+	dir := t.TempDir()
+	dataset := filepath.Join(dir, "d.json")
+	runMan, reportMan := filepath.Join(dir, "run.json"), filepath.Join(dir, "report.json")
+	var code int
+	capture(t, &os.Stderr, func() {
+		code = realMain([]string{"run", "-seed", "2", "-limit-km", "8", "-skip-passive", "-out", dataset, "-metrics", runMan})
+	})
+	if code != 0 {
+		t.Fatalf("run: exit %d", code)
+	}
+	report := func(args ...string) string {
+		var out string
+		capture(t, &os.Stderr, func() {
+			out = capture(t, &os.Stdout, func() { code = realMain(append([]string{"report", "-in", dataset}, args...)) })
+		})
+		if code != 0 {
+			t.Fatalf("report %q: exit %d", args, code)
+		}
+		return out
+	}
+	if plain, metered := report(), report("-metrics", reportMan); plain != metered {
+		t.Error("report -metrics prints a different report")
+	}
+	for _, tc := range []struct {
+		path   string
+		phases []string
+	}{
+		{runMan, []string{"run", "write"}},
+		{reportMan, []string{"load", "report"}},
+	} {
+		f, err := os.Open(tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		man, err := obs.ReadManifest(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range tc.phases {
+			if _, ok := man.PhaseMS[p]; !ok {
+				t.Errorf("%s: no %s phase in %v", filepath.Base(tc.path), p, man.PhaseMS)
+			}
+			if _, ok := man.Gauges["mem/"+p+"/heap_mb"]; !ok {
+				t.Errorf("%s: no mem/%s/heap_mb gauge", filepath.Base(tc.path), p)
+			}
 		}
 	}
 }

@@ -17,9 +17,10 @@ func reportCmd(args []string) int {
 	fs := flag.NewFlagSet("cellwheels report", flag.ContinueOnError)
 	cfg := campaignFlags(fs)
 	var (
-		in      = fs.String("in", "", "dataset path (from cellwheels run); empty runs the campaign the campaign flags describe")
-		section = fs.String("section", "", "one section id (default: full report)")
-		list    = fs.Bool("list", false, "list section ids and exit")
+		in          = fs.String("in", "", "dataset path (from cellwheels run); empty runs the campaign the campaign flags describe")
+		section     = fs.String("section", "", "one section id (default: full report)")
+		list        = fs.Bool("list", false, "list section ids and exit")
+		metricsPath = fs.String("metrics", "", "write a machine-readable manifest (JSON) to this path: the load and report phases with -in, the campaign's phases without")
 	)
 	if fs.Parse(args) != nil {
 		return 2
@@ -29,11 +30,14 @@ func reportCmd(args []string) int {
 		return 0
 	}
 
+	// The recorder times the campaign or the load, and the render, for
+	// the stderr banner and the manifest; it never feeds the report.
+	rec := obs.New()
 	var study *cellwheels.Study
 	if *in != "" {
 		campaignFlag := ""
 		fs.Visit(func(f *flag.Flag) {
-			if f.Name != "in" && f.Name != "section" {
+			if f.Name != "in" && f.Name != "section" && f.Name != "metrics" {
 				campaignFlag = f.Name
 			}
 		})
@@ -45,13 +49,15 @@ func reportCmd(args []string) int {
 			return fail(err)
 		}
 		defer f.Close() //lint:allow uncheckederr — the dataset is only read; a close failure cannot corrupt it
-		if study, err = cellwheels.Load(f); err != nil {
+		stop := rec.StartPhase("load")
+		study, err = cellwheels.Load(f)
+		stop()
+		if err != nil {
 			return fail(err)
 		}
+		rec.SetLabel("dataset", *in)
 	} else {
-		// The recorder times the run for the stderr banner and never
-		// feeds the simulation.
-		rec := obs.New()
+		cfg.Obs = rec
 		var err error
 		if study, err = cellwheels.Run(*cfg); err != nil {
 			return fail(err)
@@ -60,21 +66,31 @@ func reportCmd(args []string) int {
 		fmt.Fprintf(os.Stderr, "campaign finished in %v\n\n", rec.Elapsed().Round(time.Millisecond))
 	}
 
+	// A campaign's study times its own Report into rec; a loaded one has
+	// no recorder, so the render is timed here.
+	stop := func() {}
+	if *in != "" {
+		stop = rec.StartPhase("report")
+	}
 	if *section != "" {
 		out, err := study.Section(*section)
 		if err != nil {
 			return fail(err)
 		}
 		fmt.Print(out)
-		return 0
+	} else {
+		if *in == "" {
+			fmt.Print(study.Summary())
+			fmt.Println()
+		}
+		fmt.Print(study.Report())
+		if *in == "" && (cfg.CrowdSamples > 0 || cfg.CrowdSize > 0) {
+			fmt.Println(study.MeasuredOokla(cfg.CrowdSamples))
+		}
 	}
-	if *in == "" {
-		fmt.Print(study.Summary())
-		fmt.Println()
-	}
-	fmt.Print(study.Report())
-	if *in == "" && (cfg.CrowdSamples > 0 || cfg.CrowdSize > 0) {
-		fmt.Println(study.MeasuredOokla(cfg.CrowdSamples))
+	stop()
+	if err := writeMetrics(rec, *metricsPath); err != nil {
+		return fail(err)
 	}
 	return 0
 }

@@ -66,7 +66,10 @@ func runCmd(args []string) int {
 
 	// WriteJSONFile writes atomically: a failed write never leaves a
 	// truncated dataset behind.
-	if err := study.WriteJSONFile(*out); err != nil {
+	stop := rec.StartPhase("write")
+	err = study.WriteJSONFile(*out)
+	stop()
+	if err != nil {
 		return fail(err)
 	}
 	fmt.Fprintf(os.Stderr, "dataset written to %s\n", *out)

@@ -180,8 +180,13 @@ func (p *parser) boolf(col int) bool {
 	}
 }
 
+// timef parses an RFC 3339 time and returns it in UTC. A time whose UTC
+// year has no four-digit form fails: the writers could not write it back.
 func (p *parser) timef(col int) time.Time {
 	t, err := time.Parse(time.RFC3339Nano, p.rec[col])
+	if y := t.UTC().Year(); err == nil && (y < 0 || y > 9999) {
+		err = fmt.Errorf("UTC year %d outside 0000–9999", y)
+	}
 	if err != nil {
 		p.fail(col, "time", err)
 	}

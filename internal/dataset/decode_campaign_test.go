@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/nuwins/cellwheels/internal/core"
@@ -12,8 +13,8 @@ import (
 )
 
 // TestDecodeCanonicalCampaigns checks that what campaigns write is
-// encoding/json's bytes and takes the reflection-free path back to the
-// encoding/json result: a
+// encoding/json's bytes and takes the reflection-free path, with its
+// long tables split into ranges, back to the encoding/json result: a
 // 40 km paper-methodology campaign, and the 10⁵-UE crowd campaign of
 // the root package's crowdConfig(2).
 func TestDecodeCanonicalCampaigns(t *testing.T) {
@@ -46,6 +47,13 @@ func TestDecodeCanonicalCampaigns(t *testing.T) {
 		if !ok {
 			t.Errorf("%s: campaign output fell back to encoding/json", tc.name)
 			continue
+		}
+		// The throughput and passive tables are long enough to be cut
+		// into a range per GOMAXPROCS, and all of them parsed: the split
+		// fast path, wherever there is more than one core to split for.
+		split := min(runtime.GOMAXPROCS(0), 2)
+		if n := dataset.SplitRanges(buf.Bytes()); len(n) != 6 || n[1] < split || n[5] < split {
+			t.Errorf("%s: tables cut into %v ranges, want the throughput and passive tables in %d or more", tc.name, n, split)
 		}
 		var want dataset.DB
 		if err := json.Unmarshal(buf.Bytes(), &want); err != nil {

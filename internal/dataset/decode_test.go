@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/big"
+	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/nuwins/cellwheels/internal/unit"
 )
 
 // referenceDecode is what ReadJSON did before the canonical decoder,
@@ -119,7 +124,10 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		}
 		seeds = append(seeds, []byte(strings.Replace(string(canon), old, new, 1)))
 	}
-	for _, num := range []string{"1.e5", "01", "1e400", "-", "1E+2", "-0", "0.5e-3", "2.5"} {
+	// The integers at the edges of a 32- and a 64-bit int decode, or
+	// overflow, as encoding/json has them on the host's int.
+	for _, num := range []string{"1.e5", "01", "1e400", "-", "1E+2", "-0", "0.5e-3", "2.5",
+		"2147483648", "-2147483649", "9223372036854775807", "-9223372036854775808", "9223372036854775808"} {
 		edit(`"Mbps":42.5`, `"Mbps":`+num)
 		edit(`"MCS":15`, `"MCS":`+num)
 	}
@@ -134,28 +142,170 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	return seeds
 }
 
+// splitSizes are the range sizes, in bytes, and chunk sizes, in rows,
+// that the codec tests run the decoder and the encoder at: a range or
+// chunk per row, odd sizes, one range or chunk per table, and, as 0, the
+// defaults.
+var splitSizes = [][2]int{{1, 1}, {7, 2}, {333, 3}, {1 << 30, 1 << 30}, {0, 0}}
+
+// atSplit runs fn with tables cut into ranges of size[0] bytes and
+// chunks of size[1] rows, whatever GOMAXPROCS is; 0 keeps the default.
+func atSplit(size [2]int, fn func()) {
+	defer func(f func(int) int, r int) { rangeCount, chunkRows = f, r }(rangeCount, chunkRows)
+	if size[0] > 0 {
+		rangeCount = func(n int) int { return max(n/size[0], 1) }
+	}
+	if size[1] > 0 {
+		chunkRows = size[1]
+	}
+	fn()
+}
+
+// checkDecode requires ReadJSON, at every split size, to give the
+// encoding/json reference's DB for b, or to fail where it fails, and to
+// give no more rows than b has bytes.
+func checkDecode(t *testing.T, name string, b []byte) {
+	t.Helper()
+	want, wantErr := referenceDecode(b)
+	for _, size := range splitSizes {
+		atSplit(size, func() {
+			got, err := ReadJSON(bytes.NewReader(b))
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("%s at %v: ReadJSON error %v, encoding/json error %v", name, size, err, wantErr)
+			}
+			if err != nil {
+				return
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s at %v: ReadJSON differs from encoding/json:\n got %+v\nwant %+v", name, size, got, want)
+			}
+			rows := len(got.Tests) + len(got.Throughput) + len(got.RTT) +
+				len(got.Handovers) + len(got.AppRuns) + len(got.Passive)
+			if rows > len(b) {
+				t.Fatalf("%s at %v: %d rows from %d bytes", name, size, rows, len(b))
+			}
+		})
+	}
+}
+
 // FuzzReadJSON checks ReadJSON against the encoding/json reference: the
-// same DB or an error for every input, and no more rows than bytes.
+// same DB or an error for every input, and no more rows than bytes,
+// with tables split down to single rows and not split at all.
 func FuzzReadJSON(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		got, err := ReadJSON(bytes.NewReader(b))
-		want, wantErr := referenceDecode(b)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("ReadJSON error %v, encoding/json error %v", err, wantErr)
+	f.Fuzz(func(t *testing.T, b []byte) { checkDecode(t, "input", b) })
+}
+
+// longDB is sampleDB with twelve rows in every table but AppRuns, each
+// a little different, so that small ranges and chunks cut each table
+// many times.
+func longDB() *DB {
+	db := sampleDB()
+	for i := 1; len(db.Passive) < 12; i++ {
+		step := time.Duration(i) * time.Second
+		db.Tests = append(db.Tests, db.Tests[i%2])
+		db.Tests[len(db.Tests)-1].ID += i
+		db.Throughput = append(db.Throughput, db.Throughput[i%2])
+		db.Throughput[len(db.Throughput)-1].Time = db.Throughput[i%2].Time.Add(step)
+		db.RTT = append(db.RTT, db.RTT[i%2])
+		db.RTT[len(db.RTT)-1].RTTMS += float64(i) / 3
+		db.Handovers = append(db.Handovers, db.Handovers[0])
+		db.Handovers[len(db.Handovers)-1].Odometer += unit.Meters(i)
+		db.Passive = append(db.Passive, db.Passive[0])
+		db.Passive[len(db.Passive)-1].Time = db.Passive[0].Time.Add(step)
+	}
+	return db
+}
+
+// TestDecodeSplitBoundaries feeds the decoder tables whose strings hold
+// the text a range cut looks for (escaped, as JSON requires, or raw in
+// an invalid document), a ']' that ends a table's extent early, or
+// escapes, and tables whose row count is off by one from their
+// separators. At every split size each must give the reference result,
+// through the fallback where a range fails.
+func TestDecodeSplitBoundaries(t *testing.T) {
+	for name, edit := range map[string]func(*DB){
+		"separator in CellID":     func(db *DB) { db.Passive[5].CellID = `x},{"Time":"2022-08-08T16:00:00Z"` },
+		"separator in Server":     func(db *DB) { db.Tests[3].Server = `},{"ID":7,` },
+		"separator at CellID end": func(db *DB) { db.Throughput[6].CellID = `},{"TestID":` },
+		"bracket in CellID":       func(db *DB) { db.Throughput[3].CellID = "]" },
+		"brackets in Server":      func(db *DB) { db.Tests[1].Server = "[]]}" },
+		"escapes":                 func(db *DB) { db.Passive[7].CellID = "a\\\"},{\"Time\":\u00e9\t<&>" },
+	} {
+		db := longDB()
+		edit(db)
+		checkEncode(t, name, db)
+		checkDecode(t, name, encode(t, db))
+	}
+	canon := string(encode(t, longDB()))
+	for name, edit := range map[string][2]string{
+		"separator missing its comma": {`},{"Time":`, `}{"Time":`},
+		"separator doubled":           {`},{"TestID":`, `},{"TestID":1},{"TestID":`},
+		"empty row":                   {`},{"Time":`, `},{},{"Time":`},
+		"trailing comma":              {`}],"RTT":`, `},],"RTT":`},
+		"row cut short":               {`,"Static":true},{"TestID":`, `},{"TestID":`},
+		"raw separator in a string":   {`"CellID":"A-LTE-A-0001"`, `"CellID":"x},{"Time":"y"`},
+	} {
+		if !strings.Contains(canon, edit[0]) {
+			t.Fatalf("%s: %q not in the encoding", name, edit[0])
 		}
-		if err != nil {
-			return
+		checkDecode(t, name, []byte(strings.Replace(canon, edit[0], edit[1], 1)))
+		checkDecode(t, name+" everywhere", []byte(strings.ReplaceAll(canon, edit[0], edit[1])))
+	}
+}
+
+// TestDecimal checks the decoder's float fast path against
+// strconv.ParseFloat: random digit strings of every length it takes,
+// shortest forms of random floats, and exact halfway points between two
+// floats, where rounding ties to even.
+func TestDecimal(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var inputs []string
+	for range 20_000 {
+		nd := 1 + rng.Intn(19)
+		digits := strconv.FormatUint(1+rng.Uint64()%(pow10[nd]-1), 10)
+		if frac := rng.Intn(len(digits) + 1); frac > 0 {
+			digits = strings.TrimPrefix(digits[:len(digits)-frac], "0")
+			if digits == "" {
+				digits = "0"
+			}
+			digits += "." + strconv.FormatUint(rng.Uint64()%pow10[frac], 10)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("ReadJSON differs from encoding/json:\n got %+v\nwant %+v", got, want)
+		inputs = append(inputs, digits)
+		if x := math.Float64frombits(rng.Uint64() &^ (1 << 63)); !math.IsInf(x, 0) && !math.IsNaN(x) {
+			inputs = append(inputs, strconv.FormatFloat(x, 'f', -1, 64))
 		}
-		rows := len(got.Tests) + len(got.Throughput) + len(got.RTT) +
-			len(got.Handovers) + len(got.AppRuns) + len(got.Passive)
-		if rows > len(b) {
-			t.Fatalf("%d rows from %d bytes", rows, len(b))
+		// (2m+1)·2^(e-1) lies halfway between m·2^e and (m+1)·2^e.
+		m := big.NewInt(0).SetUint64(1<<52 | rng.Uint64()&(1<<52-1))
+		half := new(big.Rat).SetInt(m.Add(m.Lsh(m, 1), big.NewInt(1)))
+		if e := rng.Intn(14) - 12; e < 0 {
+			half.Quo(half, new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), uint(-e))))
+		} else {
+			half.Mul(half, new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), uint(e))))
 		}
-	})
+		inputs = append(inputs, strings.TrimSuffix(strings.TrimRight(half.FloatString(19), "0"), "."))
+	}
+	inputs = append(inputs, "0", "9007199254740993", "9007199254740995", "18446744073709551615",
+		"9999999999999999999", "0.000000000000000001", "1.7976931348623157", "2.2250738585072014")
+	plain := 0
+	for _, s := range inputs {
+		c := cursor{b: []byte(s), ok: true}
+		_, mant, frac, ok := c.number()
+		if !c.ok || c.i != len(s) {
+			t.Fatalf("%q is not a JSON number", s)
+		}
+		if !ok {
+			continue
+		}
+		plain++
+		want, err := strconv.ParseFloat(s, 64)
+		if got := decimal(mant, frac); err != nil || got != want {
+			t.Fatalf("decimal(%q) = %v, strconv.ParseFloat = %v (%v)", s, got, want, err)
+		}
+	}
+	if plain < len(inputs)/3 {
+		t.Errorf("only %d of %d inputs took the fast path", plain, len(inputs))
+	}
 }

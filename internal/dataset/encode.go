@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -14,19 +16,27 @@ import (
 // instead of being built whole first.
 const flushAt = 32 << 10
 
+// chunkRows is the number of rows a table is cut into chunks of, to be
+// encoded on GOMAXPROCS goroutines. Tests lower it to cut tables down
+// to single rows.
+var chunkRows = 512
+
 // WriteJSON serializes the whole database: exactly the bytes
 // json.NewEncoder(w).Encode(db) writes, trailing newline included, but
-// without reflection and without holding the document. Rows are
-// appended to one reused buffer of a few tens of KiB, which is written
-// to w each time it fills.
+// without reflection and without holding the document. Each table is
+// cut into chunks of chunkRows rows, encoded on GOMAXPROCS goroutines
+// with at most two chunks per goroutine in flight, and written in
+// order; w takes writes of at most flushAt bytes, from the calling
+// goroutine only.
 //
 // It fails where encoding/json fails: on a NaN or infinite float, and
-// on a time that RFC 3339 cannot hold. Unlike encoding/json, it may
-// have written a prefix of the document to w by then. A caller that
-// must not leave a partial dataset behind writes through atomicio, as
-// Study.WriteJSONFile does, or discards w on error.
+// on a time that RFC 3339 cannot hold, with the error of the first such
+// row in document order. Unlike encoding/json, it may have written a
+// prefix of the document to w by then, though nothing from that row
+// on. A caller that must not leave a partial dataset behind writes
+// through atomicio, as Study.WriteJSONFile does, or discards w on error.
 func (db *DB) WriteJSON(w io.Writer) error {
-	e := encoder{w: w, buf: make([]byte, 0, 2*flushAt)}
+	e := encoder{w: w}
 	meta, err := json.Marshal(db.Meta)
 	if err != nil {
 		return fmt.Errorf("dataset: encode: %w", err)
@@ -58,11 +68,11 @@ func (e *encoder) fail(err error) {
 	}
 }
 
-// flush writes the buffer to w, unless an error came first, and
-// empties it.
+// flush writes the buffer to w in writes of at most flushAt bytes,
+// unless an error came first, and empties it.
 func (e *encoder) flush() {
-	if e.err == nil {
-		if _, err := e.w.Write(e.buf); err != nil {
+	for p := e.buf; len(p) > 0 && e.err == nil; p = p[min(len(p), flushAt):] {
+		if _, err := e.w.Write(p[:min(len(p), flushAt)]); err != nil {
 			e.err = fmt.Errorf("dataset: write: %w", err)
 		}
 	}
@@ -79,18 +89,79 @@ func encodeTable[T any](e *encoder, key string, rows []T, row func(*encoder, *T)
 		return
 	}
 	e.buf = append(e.buf, '[')
-	for i := range rows {
-		if i > 0 {
-			e.buf = append(e.buf, ',')
-		}
-		row(e, &rows[i])
-		if len(e.buf) >= flushAt {
-			if e.flush(); e.err != nil {
-				return
-			}
-		}
+	if len(rows) > 0 {
+		encodeChunks(e, rows, row)
 	}
 	e.buf = append(e.buf, ']')
+}
+
+// A chunk is the encoding of rows i·chunkRows up to (i+1)·chunkRows, or
+// the error of its first row that has no JSON form.
+type chunk struct {
+	i   int
+	buf []byte
+	err error
+}
+
+// encodeChunks writes the non-empty rows, cut into chunks. Workers take
+// chunks from jobs and pass chunk i back through slot i mod 2×workers.
+// The caller writes the chunks in order while later ones are encoded,
+// and only once it has written chunk i does it queue chunk
+// i+2×workers, with chunk i's buffer to reuse. So at most two chunks
+// per worker are in flight, and writing stops at the first chunk that
+// failed: its error is that of the first failing row in document order.
+func encodeChunks[T any](e *encoder, rows []T, row func(*encoder, *T)) {
+	if e.flush(); e.err != nil {
+		return
+	}
+	chunks := (len(rows) + chunkRows - 1) / chunkRows
+	workers := min(chunks, runtime.GOMAXPROCS(0))
+	slots := make([]chan chunk, min(2*workers, chunks))
+	for k := range slots {
+		slots[k] = make(chan chunk, 1)
+	}
+	// At most one queued chunk per slot, so sends to jobs never block,
+	// and a chunk is queued only once its slot is empty, so neither do
+	// sends to a slot.
+	jobs := make(chan chunk, len(slots))
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := range jobs {
+				ce := encoder{buf: c.buf[:0]}
+				for r := c.i * chunkRows; r < min((c.i+1)*chunkRows, len(rows)); r++ {
+					if r > 0 {
+						ce.buf = append(ce.buf, ',')
+					}
+					row(&ce, &rows[r])
+				}
+				slots[c.i%len(slots)] <- chunk{c.i, ce.buf, ce.err}
+			}
+		}()
+	}
+	defer func() {
+		close(jobs)
+		wg.Wait()
+	}()
+	for i := range slots {
+		jobs <- chunk{i: i}
+	}
+	for i := range chunks {
+		c := <-slots[i%len(slots)]
+		if c.err != nil {
+			e.err = c.err
+			return
+		}
+		e.buf, c.buf = c.buf, e.buf
+		if e.flush(); e.err != nil {
+			return
+		}
+		if next := i + len(slots); next < chunks {
+			jobs <- chunk{i: next, buf: c.buf}
+		}
+	}
 }
 
 func (e *encoder) key(s string) { e.buf = append(e.buf, s...) }

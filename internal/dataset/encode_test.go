@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"testing"
 	"time"
@@ -96,14 +97,57 @@ func FuzzWriteJSON(f *testing.F) {
 		if err != nil {
 			return
 		}
-		checkEncode(t, "decoded", db)
 		at := time.Unix(sec, nsec).UTC()
 		if !utc {
 			at = at.In(time.FixedZone("Z", offset))
 		}
-		plant(db, x, at, s)
-		checkEncode(t, "planted", db)
+		planted, _ := ReadJSON(bytes.NewReader(b))
+		plant(planted, x, at, s)
+		for _, size := range splitSizes {
+			atSplit(size, func() {
+				checkEncode(t, "decoded", db)
+				checkEncode(t, "planted", planted)
+			})
+		}
 	})
+}
+
+// TestWriteJSONChunkError pins the parallel encoder's error: with a
+// table cut into many chunks, a NaN in one chunk and an infinity in a
+// later one, WriteJSON returns the error of the first failing row in
+// document order, the one a single chunk returns, and writes nothing
+// from that row on.
+func TestWriteJSONChunkError(t *testing.T) {
+	db := sampleDB()
+	for len(db.Throughput) < 4000 {
+		db.Throughput = append(db.Throughput, db.Throughput[len(db.Throughput)%2])
+	}
+	const bad = 2345
+	// The rows before the bad one end where a table of bad rows ends.
+	head := *db
+	head.Throughput = db.Throughput[:bad]
+	before := bytes.Index(encode(t, &head), []byte(`],"RTT":`))
+	good := encode(t, db)
+	db.Throughput[bad].Mbps = math.NaN()
+	db.Throughput[len(db.Throughput)-1].RSRP = math.Inf(1)
+
+	var whole error
+	atSplit([2]int{1 << 30, 1 << 30}, func() { whole = db.WriteJSON(io.Discard) })
+	if whole == nil {
+		t.Fatal("WriteJSON encoded a NaN")
+	}
+	for _, rows := range []int{1, 7, 100, chunkRows} {
+		atSplit([2]int{0, rows}, func() {
+			var w bytes.Buffer
+			err := db.WriteJSON(&w)
+			if err == nil || err.Error() != whole.Error() {
+				t.Errorf("%d-row chunks: error %v, want %v", rows, err, whole)
+			}
+			if !bytes.HasPrefix(good, w.Bytes()) || w.Len() > before+1 {
+				t.Errorf("%d-row chunks: wrote %d bytes, want a prefix of the document ending before byte %d, where the NaN row starts", rows, w.Len(), before+1)
+			}
+		})
+	}
 }
 
 // chunkWriter records the size of every write, and fails once it has
