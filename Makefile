@@ -51,23 +51,26 @@ bench-test:
 # range; the dataset's throughput, RTT and handover CSV readers,
 # the daemon job-spec parser, the fleetsync artifact decoder and the
 # .drm capture decoder (each: no panic, linear allocation, a re-encode
-# fixpoint), and the XCAL stamp codecs against package time (the
-# content- and logger-stamp parsers against time.ParseInLocation, the
-# formatters against time.Time.Format).
+# fixpoint), and the XCAL content stamp codec against package time (the
+# parser against time.ParseInLocation, the formatter against
+# time.Time.Format). Minimizing a new input is capped at 100 runs: the
+# default cap is 60 s, so a 5 s target would otherwise spend its budget
+# minimizing the first input it finds instead of fuzzing.
 # Crashers are kept under the package's testdata/fuzz/ as regression
 # inputs.
+FUZZ = $(GO) test -run=NONE -fuzztime=5s -fuzzminimizetime=100x
+
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz='^FuzzReadJSON$$' -fuzztime=5s ./internal/dataset
-	$(GO) test -run=NONE -fuzz='^FuzzWriteJSON$$' -fuzztime=5s ./internal/dataset
-	$(GO) test -run=NONE -fuzz='^FuzzReadThroughputCSV$$' -fuzztime=5s ./internal/dataset
-	$(GO) test -run=NONE -fuzz='^FuzzReadRTTCSV$$' -fuzztime=5s ./internal/dataset
-	$(GO) test -run=NONE -fuzz='^FuzzReadHandoverCSV$$' -fuzztime=5s ./internal/dataset
-	$(GO) test -run=NONE -fuzz='^FuzzParseJobSpec$$' -fuzztime=5s ./internal/serve
-	$(GO) test -run=NONE -fuzz='^FuzzDecodeArtifact$$' -fuzztime=5s ./internal/fleetsync
-	$(GO) test -run=NONE -fuzz='^FuzzParseContentTime$$' -fuzztime=5s ./internal/logsync
-	$(GO) test -run=NONE -fuzz='^FuzzParseLoggerTime$$' -fuzztime=5s ./internal/logsync
-	$(GO) test -run=NONE -fuzz='^FuzzFormatStamps$$' -fuzztime=5s ./internal/xcal
-	$(GO) test -run=NONE -fuzz='^FuzzReadDRM$$' -fuzztime=5s ./internal/xcal
+	$(FUZZ) -fuzz='^FuzzReadJSON$$' ./internal/dataset
+	$(FUZZ) -fuzz='^FuzzWriteJSON$$' ./internal/dataset
+	$(FUZZ) -fuzz='^FuzzReadThroughputCSV$$' ./internal/dataset
+	$(FUZZ) -fuzz='^FuzzReadRTTCSV$$' ./internal/dataset
+	$(FUZZ) -fuzz='^FuzzReadHandoverCSV$$' ./internal/dataset
+	$(FUZZ) -fuzz='^FuzzParseJobSpec$$' ./internal/serve
+	$(FUZZ) -fuzz='^FuzzDecodeArtifact$$' ./internal/fleetsync
+	$(FUZZ) -fuzz='^FuzzParseContentTime$$' ./internal/logsync
+	$(FUZZ) -fuzz='^FuzzFormatStamps$$' ./internal/xcal
+	$(FUZZ) -fuzz='^FuzzReadDRM$$' ./internal/xcal
 
 # lint runs the in-repo determinism & correctness linter (internal/lint)
 # over every package; findings fail the build. Suppress intentional uses

@@ -164,7 +164,6 @@ type Study struct {
 	db       *dataset.DB
 	route    *geo.Route
 	campaign *core.Campaign
-	obs      *obs.Recorder
 }
 
 // Run executes a campaign and consolidates its logs.
@@ -207,7 +206,7 @@ func run(cfg Config, rawDir string) (*Study, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cellwheels: %w", err)
 	}
-	return &Study{db: db, route: c.Route(), campaign: c, obs: cfg.Obs}, nil
+	return &Study{db: db, route: c.Route(), campaign: c}, nil
 }
 
 // writeDRMFile archives one capture atomically via the shared writer, so
@@ -332,7 +331,6 @@ func (s *Study) MeasuredOokla(samples int) string {
 
 // Report renders every table and figure of the paper, in paper order.
 func (s *Study) Report() string {
-	defer s.obs.StartPhase("report")()
 	maps := core.FigureCoverageMaps(s.db, s.route, 100)
 	return core.Report(s.db, maps)
 }

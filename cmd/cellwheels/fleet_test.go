@@ -37,13 +37,12 @@ func writeScenario(t *testing.T, dir string) string {
 
 func readFleetManifest(t *testing.T, out string) fleet.Manifest {
 	t.Helper()
-	f, err := os.Open(filepath.Join(out, "fleet-manifest.json"))
+	data, err := os.ReadFile(filepath.Join(out, "fleet-manifest.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	man, err := fleet.ReadManifest(f)
-	if err != nil {
+	var man fleet.Manifest
+	if err := json.Unmarshal(data, &man); err != nil {
 		t.Fatal(err)
 	}
 	return man

@@ -35,9 +35,9 @@
 // crowd, the measured Ookla table (Table 3 with a simulated crowd
 // column) last. -section prints one section instead; -list prints the
 // section ids. -in cannot be combined with campaign flags. -metrics
-// writes a manifest: with -in, its load and report phases; without, the
-// campaign's phases and the full report's. The report is the same with
-// or without it.
+// writes a manifest: the load phase with -in or the campaign's phases
+// without, and a report phase that times the render, of one section or
+// of the whole report. The report is the same with or without it.
 //
 // fleet runs a fleet scenario: a sweep grid over config fields times a
 // replicate count, as one deterministic job reduced to cross-replicate

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -159,14 +161,15 @@ func TestErrorLines(t *testing.T) {
 	}
 }
 
-// TestMetricsPhases checks the codec phases in the manifests: run
-// -metrics records a write phase, report -in -metrics a load and a
-// report phase, each with its heap gauge, and report prints the same
-// bytes with and without -metrics.
+// TestMetricsPhases checks the phases in the manifests: run -metrics
+// records a write phase; report -metrics a report phase, after a load
+// phase with -in and after the campaign's phases without it, for the
+// whole report and for one -section alike; each phase has its heap
+// gauge, and report prints the same bytes with and without -metrics.
 func TestMetricsPhases(t *testing.T) {
 	dir := t.TempDir()
 	dataset := filepath.Join(dir, "d.json")
-	runMan, reportMan := filepath.Join(dir, "run.json"), filepath.Join(dir, "report.json")
+	runMan := filepath.Join(dir, "run.json")
 	var code int
 	capture(t, &os.Stderr, func() {
 		code = realMain([]string{"run", "-seed", "2", "-limit-km", "8", "-skip-passive", "-out", dataset, "-metrics", runMan})
@@ -177,30 +180,40 @@ func TestMetricsPhases(t *testing.T) {
 	report := func(args ...string) string {
 		var out string
 		capture(t, &os.Stderr, func() {
-			out = capture(t, &os.Stdout, func() { code = realMain(append([]string{"report", "-in", dataset}, args...)) })
+			out = capture(t, &os.Stdout, func() { code = realMain(append([]string{"report"}, args...)) })
 		})
 		if code != 0 {
 			t.Fatalf("report %q: exit %d", args, code)
 		}
 		return out
 	}
-	if plain, metered := report(), report("-metrics", reportMan); plain != metered {
-		t.Error("report -metrics prints a different report")
-	}
-	for _, tc := range []struct {
+	type manifest struct {
 		path   string
 		phases []string
-	}{
-		{runMan, []string{"run", "write"}},
-		{reportMan, []string{"load", "report"}},
+	}
+	manifests := []manifest{{runMan, []string{"run", "write"}}}
+	for i, args := range [][]string{
+		{"-in", dataset},
+		{"-in", dataset, "-section", "table1"},
+		{"-seed", "2", "-limit-km", "8", "-skip-passive", "-section", "table1"},
 	} {
-		f, err := os.Open(tc.path)
+		man := filepath.Join(dir, fmt.Sprintf("report-%d.json", i))
+		if plain, metered := report(args...), report(append(args, "-metrics", man)...); plain != metered {
+			t.Errorf("report %q -metrics prints a different report", args)
+		}
+		phases := []string{"load", "report"}
+		if args[0] != "-in" {
+			phases = []string{"run", "merge", "report"}
+		}
+		manifests = append(manifests, manifest{man, phases})
+	}
+	for _, tc := range manifests {
+		data, err := os.ReadFile(tc.path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		man, err := obs.ReadManifest(f)
-		f.Close()
-		if err != nil {
+		var man obs.Manifest
+		if err := json.Unmarshal(data, &man); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range tc.phases {

@@ -20,7 +20,7 @@ func reportCmd(args []string) int {
 		in          = fs.String("in", "", "dataset path (from cellwheels run); empty runs the campaign the campaign flags describe")
 		section     = fs.String("section", "", "one section id (default: full report)")
 		list        = fs.Bool("list", false, "list section ids and exit")
-		metricsPath = fs.String("metrics", "", "write a machine-readable manifest (JSON) to this path: the load and report phases with -in, the campaign's phases without")
+		metricsPath = fs.String("metrics", "", "write a machine-readable manifest (JSON) to this path: the load phase with -in or the campaign's phases without, and the report phase")
 	)
 	if fs.Parse(args) != nil {
 		return 2
@@ -66,12 +66,7 @@ func reportCmd(args []string) int {
 		fmt.Fprintf(os.Stderr, "campaign finished in %v\n\n", rec.Elapsed().Round(time.Millisecond))
 	}
 
-	// A campaign's study times its own Report into rec; a loaded one has
-	// no recorder, so the render is timed here.
-	stop := func() {}
-	if *in != "" {
-		stop = rec.StartPhase("report")
-	}
+	stop := rec.StartPhase("report")
 	if *section != "" {
 		out, err := study.Section(*section)
 		if err != nil {

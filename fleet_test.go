@@ -136,8 +136,8 @@ func TestFleetPanicContainment(t *testing.T) {
 	if err := res.WriteManifest(&buf); err != nil {
 		t.Fatal(err)
 	}
-	man, err := fleet.ReadManifest(&buf)
-	if err != nil {
+	var man fleet.Manifest
+	if err := json.Unmarshal(buf.Bytes(), &man); err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range man.Runs {

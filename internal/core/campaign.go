@@ -246,12 +246,9 @@ type Raw struct {
 	Captures []logsync.Capture
 	Apps     []logsync.AppLog
 	// Passive holds each passive logger's coverage samples, keyed by
-	// operator short code.
-	Passive map[string]logsync.Passive
+	// operator.
+	Passive map[radio.Operator][]dataset.CoverageSample
 	Meta    dataset.Meta
-	// PassiveHandovers counts the handover-logger phones' events, which
-	// is what Table 1 reports.
-	PassiveHandovers map[string]int
 	// ArchiveErr is the first error Config.Archive returned, in
 	// operator order.
 	ArchiveErr error
@@ -470,8 +467,7 @@ func (c *Campaign) Run() Raw {
 // campaign lives on for its maps and crowd results.
 func (c *Campaign) collect(final geo.DriveState) Raw {
 	raw := Raw{
-		Passive:          map[string]logsync.Passive{},
-		PassiveHandovers: map[string]int{},
+		Passive: map[radio.Operator][]dataset.CoverageSample{},
 		Meta: dataset.Meta{
 			Seed:          c.cfg.Seed,
 			RouteKm:       final.Odometer.Km(),
@@ -504,10 +500,9 @@ func (c *Campaign) collect(final geo.DriveState) Raw {
 		if l.logger == nil {
 			continue
 		}
-		raw.Passive[l.op.Short()] = l.passive
-		l.passive = logsync.Passive{}
+		raw.Passive[l.op] = l.passive
+		l.passive = nil
 		n := l.logger.UE.HandoverCount()
-		raw.PassiveHandovers[l.op.String()] = n
 		raw.Meta.HandoverTotal[l.op.String()] = n
 		rec.Counter("lane/" + l.op.Short() + "/passive_handovers").Add(int64(n))
 	}

@@ -311,8 +311,8 @@ func TestRunHandsOverCaptures(t *testing.T) {
 
 	loggers := 0
 	for _, l := range c.lanes {
-		if l.phone.captures != nil || l.phone.apps != nil || l.passive.Samples != nil {
-			t.Errorf("lane %s: still holds %d captures, %d app logs and %d passive samples after Run", l.op.Short(), len(l.phone.captures), len(l.phone.apps), len(l.passive.Samples))
+		if l.phone.captures != nil || l.phone.apps != nil || l.passive != nil {
+			t.Errorf("lane %s: still holds %d captures, %d app logs and %d passive samples after Run", l.op.Short(), len(l.phone.captures), len(l.phone.apps), len(l.passive))
 		}
 		if l.logger != nil {
 			loggers++
@@ -337,7 +337,7 @@ func TestRunHandsOverCaptures(t *testing.T) {
 		if want == 0 || int64(captures[op]) != want {
 			t.Errorf("lane %s: Raw carries %d captures, lane/%s/files counter = %d", op, captures[op], op, want)
 		}
-		if l.logger != nil && len(raw.Passive[op].Samples) == 0 {
+		if l.logger != nil && len(raw.Passive[l.op]) == 0 {
 			t.Errorf("lane %s: Raw carries no passive samples", op)
 		}
 	}

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"github.com/nuwins/cellwheels/internal/dataset"
 	"github.com/nuwins/cellwheels/internal/deploy"
 	"github.com/nuwins/cellwheels/internal/geo"
-	"github.com/nuwins/cellwheels/internal/logsync"
 	"github.com/nuwins/cellwheels/internal/obs"
 	"github.com/nuwins/cellwheels/internal/radio"
 	"github.com/nuwins/cellwheels/internal/speedtest"
@@ -27,7 +27,7 @@ type lane struct {
 
 	// passive is the logger's log as coverage samples, converted at the
 	// end of every block.
-	passive logsync.Passive
+	passive []dataset.CoverageSample
 
 	// reg is the lane's crowd; nil without one. crowdResults collects the
 	// measuring crowd UEs' speedtest results in deterministic event order.
@@ -108,7 +108,7 @@ func (l *lane) step(blk []geo.TickState) {
 //lint:cold — runs once per 4,096-tick block, not per tick; the row conversion and sample growth are amortized over the block
 func (l *lane) convertPassive() {
 	if l.logger != nil {
-		l.phone.norm.Passive(&l.passive, l.op, l.logger.Rows())
+		l.passive = l.phone.norm.Passive(l.passive, l.op, l.logger.Rows())
 	}
 }
 

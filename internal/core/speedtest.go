@@ -47,18 +47,6 @@ func (c *Campaign) MeasureSpeedtestCrowd(samples int) map[radio.Operator]speedte
 	return out
 }
 
-// CrowdResults exposes the raw per-operator results the measuring crowd
-// collected during Run; empty maps mean no crowd (or Run not yet called).
-func (c *Campaign) CrowdResults() map[radio.Operator][]speedtest.Result {
-	out := map[radio.Operator][]speedtest.Result{}
-	for _, l := range c.lanes {
-		if len(l.crowdResults) > 0 {
-			out[l.op] = l.crowdResults
-		}
-	}
-	return out
-}
-
 // TableOoklaMeasured combines the campaign's driving medians with the
 // measured crowd.
 func TableOoklaMeasured(db *dataset.DB, crowd map[radio.Operator]speedtest.Summary) OoklaMeasured {

@@ -245,8 +245,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := res.Manifest.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadManifest(&buf)
-	if err != nil {
+	var got Manifest
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Schema != ManifestSchema || got.MasterSeed != 2 || len(got.Runs) != 2 {

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"path/filepath"
 
@@ -73,13 +72,4 @@ func (r *Result) WriteOutputs(dir string) error {
 		return err
 	}
 	return atomicio.WriteFile(filepath.Join(dir, ManifestFile), 0o644, r.Manifest.WriteJSON)
-}
-
-// ReadManifest parses a manifest written by WriteJSON.
-func ReadManifest(r io.Reader) (Manifest, error) {
-	var m Manifest
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return Manifest{}, fmt.Errorf("fleet: manifest: %w", err)
-	}
-	return m, nil
 }

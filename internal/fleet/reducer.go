@@ -1,9 +1,6 @@
 package fleet
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Reducer is the exported face of the slot-addressed streaming reduction:
 // finished runs — wherever they executed — are folded one at a time into
@@ -110,19 +107,6 @@ func (r *Reducer) Complete() bool { return r.received == len(r.expected) }
 func (r *Reducer) Seen(index int) bool {
 	p, ok := r.pos[index]
 	return ok && r.seen[p]
-}
-
-// Missing lists the full-matrix indexes of expected runs not yet folded,
-// ascending.
-func (r *Reducer) Missing() []int {
-	var idx []int
-	for p, s := range r.seen {
-		if !s {
-			idx = append(idx, r.expected[p].Index)
-		}
-	}
-	sort.Ints(idx)
-	return idx
 }
 
 // Fold validates one finished run against its expected spec and stores it

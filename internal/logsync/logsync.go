@@ -89,7 +89,7 @@ func (l AppLog) StartUTC() (time.Time, error) {
 		if !ok {
 			return time.Time{}, fmt.Errorf("logsync: unknown zone %q", l.Zone)
 		}
-		t, err := parseLoggerTime(l.StartStamp, z.Location())
+		t, err := time.ParseInLocation(xcal.LoggerFormat, l.StartStamp, z.Location())
 		if err != nil {
 			return time.Time{}, fmt.Errorf("logsync: local stamp %q: %w", l.StartStamp, err)
 		}
@@ -177,9 +177,9 @@ type Input struct {
 	// (Normalizer.Capture), in any order.
 	Captures []Capture
 	Apps     []AppLog
-	// Passive holds the passive-logger samples keyed by operator short
-	// code (Normalizer.Passive).
-	Passive map[string]Passive
+	// Passive holds each operator's passive-logger samples
+	// (Normalizer.Passive).
+	Passive map[radio.Operator][]dataset.CoverageSample
 	Meta    dataset.Meta
 	// Obs receives merge statistics (match counts, name-stamp skew, final
 	// per-table row counts). Write-only and nil-safe: the merge's output
@@ -254,30 +254,28 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 		p.caps = append(p.caps, c)
 	}
 
-	// Passive samples, one part per operator, in sorted-key order: map
-	// iteration order would otherwise leak into error precedence.
-	loggerOps := make([]string, 0, len(in.Passive))
-	for opShort := range in.Passive {
-		loggerOps = append(loggerOps, opShort)
+	// Passive samples, one part per operator, in operator order: map
+	// iteration order would otherwise leak into the merge's tie order.
+	ops := make([]radio.Operator, 0, len(in.Passive))
+	for op := range in.Passive {
+		ops = append(ops, op)
 	}
-	sort.Strings(loggerOps)
-	passiveParts := make([]*dataset.DB, len(loggerOps))
+	slices.Sort(ops)
+	passiveParts := make([]*dataset.DB, len(ops))
 
 	var tasks []func()
 	for _, p := range fileParts {
 		tasks = append(tasks, func() { m.reconcileFiles(p) })
 	}
-	for i, opShort := range loggerOps {
-		if _, ok := radio.ParseOperatorShort(opShort); ok {
-			p := &dataset.DB{Passive: in.Passive[opShort].Samples}
-			passiveParts[i] = p
-			tasks = append(tasks, func() { p.Passive = sortedPassive(p.Passive) })
-		}
+	for i, op := range ops {
+		p := &dataset.DB{Passive: in.Passive[op]}
+		passiveParts[i] = p
+		tasks = append(tasks, func() { p.Passive = sortedPassive(p.Passive) })
 	}
 	runAll(tasks)
 
 	// Errors surface in the order a single pass would meet them: files
-	// in name order, then the malformed name, then logger operators.
+	// in name order, then the malformed name.
 	for _, p := range fileParts {
 		if p.err != nil {
 			return nil, Report{}, p.err
@@ -285,14 +283,6 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 	}
 	if nameErr != nil {
 		return nil, Report{}, nameErr
-	}
-	for i, p := range passiveParts {
-		if p == nil {
-			return nil, Report{}, fmt.Errorf("logsync: unknown logger operator %q", loggerOps[i])
-		}
-		if err := in.Passive[loggerOps[i]].Err; err != nil {
-			return nil, Report{}, err
-		}
 	}
 
 	// Skew between a file-name stamp (best zone interpretation) and the

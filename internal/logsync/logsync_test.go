@@ -9,9 +9,11 @@ import (
 	"time"
 
 	"github.com/nuwins/cellwheels/internal/dataset"
+	"github.com/nuwins/cellwheels/internal/deploy"
 	"github.com/nuwins/cellwheels/internal/geo"
 	"github.com/nuwins/cellwheels/internal/radio"
 	"github.com/nuwins/cellwheels/internal/ran"
+	"github.com/nuwins/cellwheels/internal/simrand"
 	"github.com/nuwins/cellwheels/internal/unit"
 	"github.com/nuwins/cellwheels/internal/xcal"
 )
@@ -44,20 +46,13 @@ func captures(files ...xcal.File) []Capture {
 	return out
 }
 
-// passiveLogs converts passive-logger rows keyed by operator short code as
-// the lanes do.
-func passiveLogs(t *testing.T, logger map[string][]xcal.LoggerRow) map[string]Passive {
-	t.Helper()
+// passiveLogs converts passive-logger rows keyed by operator as the
+// lanes do.
+func passiveLogs(logger map[radio.Operator][]xcal.LoggerRow) map[radio.Operator][]dataset.CoverageSample {
 	n := NewNormalizer(geo.DefaultRoute())
-	out := map[string]Passive{}
-	for short, rows := range logger {
-		op, ok := radio.ParseOperatorShort(short)
-		if !ok {
-			t.Fatalf("unknown operator %q", short)
-		}
-		var p Passive
-		n.Passive(&p, op, rows)
-		out[short] = p
+	out := map[radio.Operator][]dataset.CoverageSample{}
+	for op, rows := range logger {
+		out[op] = n.Passive(nil, op, rows)
 	}
 	return out
 }
@@ -334,13 +329,14 @@ func TestMergePassiveRows(t *testing.T) {
 	at := time.Date(2022, 8, 10, 20, 0, 0, 0, time.UTC) // 14:00 Mountain
 	wp := route.At(1200 * unit.Kilometer)
 	rows := []xcal.LoggerRow{{
-		TimeLocal: at.In(wp.Timezone.Location()).Format(xcal.LoggerFormat),
-		Zone:      wp.Timezone.String(),
-		Tech:      "LTE-A",
-		CellID:    "A-LTE-A-0042",
-		Lat:       wp.Loc.Lat, Lon: wp.Loc.Lon, SpeedMPH: 68,
+		Time:     at,
+		Zone:     wp.Timezone,
+		Tech:     radio.LTEA,
+		CellID:   "A-LTE-A-0042",
+		Loc:      wp.Loc,
+		SpeedMPH: 68,
 	}}
-	db, _, err := Merge(Input{Passive: passiveLogs(t, map[string][]xcal.LoggerRow{"A": rows})})
+	db, _, err := Merge(Input{Passive: passiveLogs(map[radio.Operator][]xcal.LoggerRow{radio.ATT: rows})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,6 +430,90 @@ func TestMergeZoneResolutionProperty(t *testing.T) {
 	}
 }
 
+// textPassive is the passive log's former text round trip, kept here as
+// the reference the typed conversion must equal: each row stamped as the
+// logger app renders it (naive local time, a zone name, a technology
+// label) and parsed back.
+func textPassive(t *testing.T, route *geo.Route, op radio.Operator, rows []xcal.LoggerRow) []dataset.CoverageSample {
+	t.Helper()
+	var out []dataset.CoverageSample
+	for _, r := range rows {
+		z, ok := zoneByName(r.Zone.String())
+		if !ok {
+			t.Fatalf("zone %v does not parse back", r.Zone)
+		}
+		at, err := time.ParseInLocation(xcal.LoggerFormat, r.Time.In(z.Location()).Format(xcal.LoggerFormat), z.Location())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tech, ok := radio.ParseTechnology(r.Tech.String())
+		if !ok {
+			t.Fatalf("technology %v does not parse back", r.Tech)
+		}
+		out = append(out, dataset.CoverageSample{
+			Time: at.UTC(), Op: op, Tech: tech, CellID: r.CellID,
+			Odometer: route.OdometerOf(r.Loc), Timezone: z, SpeedMPH: r.SpeedMPH,
+		})
+	}
+	return out
+}
+
+// TestPassiveMatchesTextPath steps a passive logger over a 25 km
+// timeline, then for a second at fractional instants in each of the
+// route's zones, and requires the typed conversion to give exactly the
+// samples the text round trip gives.
+func TestPassiveMatchesTextPath(t *testing.T) {
+	route := geo.DefaultRoute()
+	rng := simrand.New(7)
+	m := deploy.NewMap(radio.Verizon, route, rng)
+	l := xcal.NewHandoverLogger(ran.UEConfig{Op: radio.Verizon, Map: m}, rng)
+	const tick = 50 * time.Millisecond
+	tl := geo.NewTimeline(route, geo.DefaultDriveConfig(), rng, geo.TimelineConfig{Tick: tick, Limit: 25 * unit.Kilometer})
+	cur := tl.Cursor()
+	var last geo.DriveState
+	for {
+		ts, ok := cur.Next()
+		if !ok {
+			break
+		}
+		last = ts.DriveState
+		l.Step(last.Time, last.Waypoint, last.Speed.MPH(), tick)
+	}
+	if last.Odometer < 25*unit.Kilometer {
+		t.Fatalf("timeline ends at %v", last.Odometer)
+	}
+	at := last.Time.Add(123 * time.Millisecond)
+	zones := 0
+	for odo := unit.Meters(0); odo < route.Total(); odo += 100 * unit.Kilometer {
+		wp := route.At(odo)
+		if wp.Timezone != geo.Timezone(zones) {
+			continue
+		}
+		for i := 0; i < int(time.Second/tick); i++ {
+			at = at.Add(tick + 7*time.Millisecond)
+			l.Step(at, wp, 61.5, tick)
+		}
+		zones++
+	}
+	if zones != geo.NumTimezones {
+		t.Fatalf("stepped in %d zones, want %d", zones, geo.NumTimezones)
+	}
+
+	rows := l.Rows()
+	if len(rows) < 1000 {
+		t.Fatalf("%d rows", len(rows))
+	}
+	got := NewNormalizer(route).Passive(nil, radio.Verizon, rows)
+	if want := textPassive(t, route, radio.Verizon, rows); !reflect.DeepEqual(got, want) {
+		for i := range got {
+			if i < len(want) && got[i] != want[i] {
+				t.Fatalf("sample %d = %+v, want %+v", i, got[i], want[i])
+			}
+		}
+		t.Fatalf("%d samples, want %d", len(got), len(want))
+	}
+}
+
 // TestMergeCrossOperatorTies pins the merge's output order where rows of
 // different operators tie on time, its error when a malformed name sits
 // between valid ones, and the order it reports unmatched files in.
@@ -459,20 +539,16 @@ func TestMergeCrossOperatorTies(t *testing.T) {
 	// two rows at the first, which must keep their input order.
 	wp := route.At(odo)
 	row := func(at time.Time, cell string) xcal.LoggerRow {
-		return xcal.LoggerRow{
-			TimeLocal: at.In(wp.Timezone.Location()).Format(xcal.LoggerFormat),
-			Zone:      wp.Timezone.String(), Tech: "LTE", CellID: cell,
-			Lat: wp.Loc.Lat, Lon: wp.Loc.Lon,
-		}
+		return xcal.LoggerRow{Time: at, Zone: wp.Timezone, Tech: radio.LTE, CellID: cell, Loc: wp.Loc}
 	}
 	t0, t1 := start, start.Add(time.Second)
-	logger := map[string][]xcal.LoggerRow{
-		"A": {row(t1, "A-2"), row(t0, "A-0"), row(t0, "A-1")},
-		"T": {row(t0, "T-0"), row(t1, "T-1")},
-		"V": {row(t1, "V-1"), row(t0, "V-0")},
+	logger := map[radio.Operator][]xcal.LoggerRow{
+		radio.ATT:     {row(t1, "A-2"), row(t0, "A-0"), row(t0, "A-1")},
+		radio.TMobile: {row(t0, "T-0"), row(t1, "T-1")},
+		radio.Verizon: {row(t1, "V-1"), row(t0, "V-0")},
 	}
 
-	db, rep, err := Merge(Input{Captures: captures(files...), Apps: apps, Passive: passiveLogs(t, logger)})
+	db, rep, err := Merge(Input{Captures: captures(files...), Apps: apps, Passive: passiveLogs(logger)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +581,7 @@ func TestMergeCrossOperatorTies(t *testing.T) {
 	// The first malformed name in name order is the error, whatever the
 	// valid names around it.
 	bad := append([]xcal.File{{Name: "U_x_y_z.drm"}, {Name: "B_junk.drm"}}, files...)
-	_, _, err = Merge(Input{Captures: captures(bad...), Apps: apps, Passive: passiveLogs(t, logger)})
+	_, _, err = Merge(Input{Captures: captures(bad...), Apps: apps, Passive: passiveLogs(logger)})
 	if got, want := fmt.Sprint(err), `logsync: malformed file name "B_junk.drm"`; got != want {
 		t.Errorf("error = %s, want %s", got, want)
 	}
@@ -559,16 +635,12 @@ func TestMergeLeavesInputIntact(t *testing.T) {
 	odo := 300 * unit.Kilometer
 	wp := geo.DefaultRoute().At(odo)
 	row := func(at time.Time, cell string) xcal.LoggerRow {
-		return xcal.LoggerRow{
-			TimeLocal: at.In(wp.Timezone.Location()).Format(xcal.LoggerFormat),
-			Zone:      wp.Timezone.String(), Tech: "LTE", CellID: cell,
-			Lat: wp.Loc.Lat, Lon: wp.Loc.Lon,
-		}
+		return xcal.LoggerRow{Time: at, Zone: wp.Timezone, Tech: radio.LTE, CellID: cell, Loc: wp.Loc}
 	}
 	in := Input{
 		Captures: captures(makeFile(t, radio.ATT, "DL", start, odo, radio.LTEA, 30)),
 		Apps:     []AppLog{{Op: "A", Kind: "DL", StartStamp: utcStamp(start), Stamp: StampUTC, DurationSec: 10}},
-		Passive:  passiveLogs(t, map[string][]xcal.LoggerRow{"A": {row(start.Add(time.Second), "A-1"), row(start, "A-0")}}),
+		Passive:  passiveLogs(map[radio.Operator][]xcal.LoggerRow{radio.ATT: {row(start.Add(time.Second), "A-1"), row(start, "A-0")}}),
 	}
 	first, _, err := Merge(in)
 	if err != nil {
@@ -581,7 +653,7 @@ func TestMergeLeavesInputIntact(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Error("two merges of one Input differ")
 	}
-	if got := in.Passive["A"].Samples; got[0].CellID != "A-1" || got[1].CellID != "A-0" {
+	if got := in.Passive[radio.ATT]; got[0].CellID != "A-1" || got[1].CellID != "A-0" {
 		t.Errorf("Merge reordered its input's passive samples: %s, %s", got[0].CellID, got[1].CellID)
 	}
 	if first.Passive[0].CellID != "A-0" || len(first.Throughput) != 20 {

@@ -1,7 +1,6 @@
 package logsync
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -125,39 +124,17 @@ func (n *Normalizer) Capture(f *xcal.File) Capture {
 	return c
 }
 
-// Passive is one operator's passive-logger log as coverage samples,
-// converted block by block while its lane runs.
-type Passive struct {
-	Samples []dataset.CoverageSample
-	// Err is the first row that failed to convert; the rows after it
-	// are dropped.
-	Err error
-}
-
-// Passive converts rows that op's passive phone logged and appends them
-// to p.
-func (n *Normalizer) Passive(p *Passive, op radio.Operator, rows []xcal.LoggerRow) {
-	if p.Err != nil {
-		return
-	}
+// Passive converts rows that op's passive phone logged to coverage
+// samples and appends them to dst: a copy, apart from the GPS fix's
+// join to the route.
+func (n *Normalizer) Passive(dst []dataset.CoverageSample, op radio.Operator, rows []xcal.LoggerRow) []dataset.CoverageSample {
 	for _, r := range rows {
-		z, ok := zoneByName(r.Zone)
-		if !ok {
-			p.Err = fmt.Errorf("logsync: logger zone %q", r.Zone)
-			return
-		}
-		at, err := parseLoggerTime(r.TimeLocal, z.Location())
-		if err != nil {
-			p.Err = fmt.Errorf("logsync: logger time %q: %w", r.TimeLocal, err)
-			return
-		}
-		tech, _ := radio.ParseTechnology(r.Tech)
-		odo := n.route.OdometerOf(geo.LatLon{Lat: r.Lat, Lon: r.Lon})
-		p.Samples = append(p.Samples, dataset.CoverageSample{
-			Time: at.UTC(), Op: op, Tech: tech, CellID: r.CellID,
-			Odometer: odo, Timezone: z, SpeedMPH: r.SpeedMPH,
+		dst = append(dst, dataset.CoverageSample{
+			Time: r.Time.UTC(), Op: op, Tech: r.Tech, CellID: r.CellID,
+			Odometer: n.route.OdometerOf(r.Loc), Timezone: r.Zone, SpeedMPH: r.SpeedMPH,
 		})
 	}
+	return dst
 }
 
 // normRow is a parsed XCAL row with UTC time. It refers to the file's

@@ -5,13 +5,12 @@ import (
 	"testing"
 	"time"
 
-	"github.com/nuwins/cellwheels/internal/geo"
 	"github.com/nuwins/cellwheels/internal/xcal"
 )
 
-// stampSeeds are inputs near the fast paths' edges: canonical stamps,
+// stampSeeds are inputs near the fast path's edges: canonical stamps,
 // the calendar's edges, out-of-range fields, stray signs and separators,
-// and lengths one off.
+// lengths one off, and stamps of other layouts.
 var stampSeeds = []string{
 	"08/08/2022 12:00:00.000", "02/29/2024 23:59:59.999", "02/29/2023 00:00:00.000",
 	"02/29/1900 00:00:00.000", "02/29/2000 00:00:00.000", "12/31/0000 00:00:00.000",
@@ -40,26 +39,6 @@ func FuzzParseContentTime(f *testing.F) {
 		}
 		if err != nil || got != want.UTC() || !got.Equal(want) {
 			t.Fatalf("ParseContentTime(%q) = %v, %v; want %v", s, got, err, want.UTC())
-		}
-	})
-}
-
-func FuzzParseLoggerTime(f *testing.F) {
-	for _, s := range stampSeeds {
-		f.Add(s, uint8(0))
-	}
-	f.Fuzz(func(t *testing.T, s string, zone uint8) {
-		loc := geo.Timezone(int(zone) % geo.NumTimezones).Location()
-		got, err := parseLoggerTime(s, loc)
-		want, wantErr := time.ParseInLocation(xcal.LoggerFormat, s, loc)
-		if wantErr != nil {
-			if err == nil || err.Error() != wantErr.Error() {
-				t.Fatalf("parseLoggerTime(%q) error %v, want %v", s, err, wantErr)
-			}
-			return
-		}
-		if err != nil || got != want {
-			t.Fatalf("parseLoggerTime(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	})
 }

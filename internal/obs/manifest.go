@@ -82,15 +82,6 @@ func (r *Recorder) WriteManifestFile(path string) error {
 	return atomicio.WriteFile(path, 0o644, r.WriteManifest)
 }
 
-// ReadManifest parses a manifest written by WriteManifest.
-func ReadManifest(rd io.Reader) (Manifest, error) {
-	var m Manifest
-	if err := json.NewDecoder(rd).Decode(&m); err != nil {
-		return Manifest{}, fmt.Errorf("obs: manifest: %w", err)
-	}
-	return m, nil
-}
-
 // Fingerprint hashes any value's verbose Go representation to a stable
 // hex digest — used to stamp the manifest with a config hash so two
 // manifests can be compared for "same run?" without diffing configs.

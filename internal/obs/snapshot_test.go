@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -26,9 +27,9 @@ func TestSnapshotMatchesManifest(t *testing.T) {
 	if err := r.WriteManifest(&buf); err != nil {
 		t.Fatalf("WriteManifest: %v", err)
 	}
-	man, err := ReadManifest(&buf)
-	if err != nil {
-		t.Fatalf("ReadManifest: %v", err)
+	var man Manifest
+	if err := json.Unmarshal(buf.Bytes(), &man); err != nil {
+		t.Fatal(err)
 	}
 
 	if !reflect.DeepEqual(snap.Labels, man.Labels) {

@@ -347,7 +347,10 @@ func (s *Server) runCampaign(j *Job) error {
 		return err
 	}
 	j.addArtifact("dataset.json")
-	if err := atomicio.WriteFileBytes(filepath.Join(j.dir, "report.txt"), 0o644, []byte(study.Report())); err != nil {
+	stop := j.rec.StartPhase("report")
+	report := study.Report()
+	stop()
+	if err := atomicio.WriteFileBytes(filepath.Join(j.dir, "report.txt"), 0o644, []byte(report)); err != nil {
 		return err
 	}
 	j.addArtifact("report.txt")

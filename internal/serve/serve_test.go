@@ -124,7 +124,8 @@ func fetch(t *testing.T, ts *httptest.Server, id, name string) []byte {
 // TestCampaignJobsByteIdenticalConcurrent is the service-mode
 // acceptance pin: concurrent submissions — including duplicate
 // re-submits racing the originals — produce artifacts byte-identical to
-// direct library runs, under -race.
+// direct library runs, under -race, and a manifest that times the
+// report.
 func TestCampaignJobsByteIdenticalConcurrent(t *testing.T) {
 	seeds := []int64{21, 22}
 	wantData := make(map[int64][]byte)
@@ -177,6 +178,13 @@ func TestCampaignJobsByteIdenticalConcurrent(t *testing.T) {
 		}
 		if got := fetch(t, ts, st.ID, "report.txt"); string(got) != wantReport[seed] {
 			t.Errorf("seed %d: daemon report differs from direct run", seed)
+		}
+		var man obs.Manifest
+		if err := json.Unmarshal(fetch(t, ts, st.ID, "manifest.json"), &man); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := man.PhaseMS["report"]; !ok {
+			t.Errorf("seed %d: no report phase in the job manifest %v", seed, man.PhaseMS)
 		}
 	}
 }

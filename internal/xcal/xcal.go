@@ -10,8 +10,7 @@
 // passively logged coverage for the whole trip over idle ICMP traffic
 // (§3). The pings only kept the radio awake and their results were never
 // logged, so they are modeled by the UE's idle traffic profile, not
-// simulated. Its rows use a third format: naive local-time strings plus
-// a separate zone-name column.
+// simulated. Nothing reads its log as text, so its rows stay typed.
 package xcal
 
 import (
@@ -35,7 +34,8 @@ const (
 	ContentFormat = "01/02/2006 15:04:05.000"
 	// FileNameFormat is the local-time stamp embedded in file names.
 	FileNameFormat = "20060102_150405"
-	// LoggerFormat is the handover-logger app's naive local-time layout.
+	// LoggerFormat is the naive local-time layout some application
+	// logs stamp their start in, beside a separate zone name.
 	LoggerFormat = "2006-01-02 15:04:05"
 )
 
@@ -207,13 +207,12 @@ func (r *Recorder) CloseFile() File {
 
 // LoggerRow is one 1 Hz observation from a passive handover-logger phone.
 type LoggerRow struct {
-	TimeLocal string // LoggerFormat, naive local time
-	Zone      string // zone name ("Pacific", ...)
-	Tech      string
-	CellID    string
-	Lat       float64
-	Lon       float64
-	SpeedMPH  float64
+	Time     time.Time // the tick's instant, truncated to the second as the app logs it
+	Zone     geo.Timezone
+	Tech     radio.Technology
+	CellID   string
+	Loc      geo.LatLon
+	SpeedMPH float64
 }
 
 // HandoverLogger is one passive phone: it records technology/cell/GPS
@@ -240,13 +239,12 @@ func (l *HandoverLogger) Step(now time.Time, wp geo.Waypoint, speedMPH float64, 
 	if l.since >= time.Second {
 		l.since -= time.Second
 		l.rows = append(l.rows, LoggerRow{
-			TimeLocal: loggerTime(now, wp.Timezone.Location()),
-			Zone:      wp.Timezone.String(),
-			Tech:      tech.String(),
-			CellID:    cell,
-			Lat:       wp.Loc.Lat,
-			Lon:       wp.Loc.Lon,
-			SpeedMPH:  speedMPH,
+			Time:     now.Truncate(time.Second),
+			Zone:     wp.Timezone,
+			Tech:     tech,
+			CellID:   cell,
+			Loc:      wp.Loc,
+			SpeedMPH: speedMPH,
 		})
 	}
 }

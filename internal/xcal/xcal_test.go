@@ -140,16 +140,17 @@ func TestHandoverLoggerProducesRows(t *testing.T) {
 	if again := l.Rows(); again != nil {
 		t.Errorf("second Rows() = %d rows, want nil after the hand-over", len(again))
 	}
-	for _, row := range rows {
-		if row.Zone != "Pacific" {
-			t.Errorf("zone = %q", row.Zone)
+	for i, row := range rows {
+		if row.Zone != geo.Pacific {
+			t.Errorf("zone = %v", row.Zone)
 		}
-		if _, err := time.Parse(LoggerFormat, row.TimeLocal); err != nil {
-			t.Errorf("bad local time %q: %v", row.TimeLocal, err)
+		// The app logs whole seconds, one row a second.
+		if row.Time.Nanosecond() != 0 || i > 0 && row.Time.Sub(rows[i-1].Time) != time.Second {
+			t.Errorf("row %d at %v", i, row.Time)
 		}
 		// AT&T idle must never show 5G (Fig 1d).
-		if strings.HasPrefix(row.Tech, "5G") {
-			t.Errorf("passive AT&T row on %q", row.Tech)
+		if row.Tech.Is5G() {
+			t.Errorf("passive AT&T row on %v", row.Tech)
 		}
 	}
 	// The logger steps only the UE's mobility: no load, SINR or capacity.
