@@ -524,10 +524,12 @@ func BenchmarkFleetRun(b *testing.B) {
 
 // BenchmarkReport times the paper-report assembly over the shared
 // benchmark dataset: every table and figure analysis plus rendering into
-// the final text report.
+// the final text report. The sections render on GOMAXPROCS workers from
+// one shared view of the dataset, so the time scales with -cpu.
 func BenchmarkReport(b *testing.B) {
 	db := benchDB(b)
 	maps := core.FigureCoverageMaps(db, geo.DefaultRoute(), 100)
+	b.ReportAllocs()
 	b.ResetTimer()
 	var out string
 	for i := 0; i < b.N; i++ {

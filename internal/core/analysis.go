@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"text/tabwriter"
 
+	"github.com/nuwins/cellwheels/internal/dataset"
 	"github.com/nuwins/cellwheels/internal/radio"
 	"github.com/nuwins/cellwheels/internal/stats"
 )
@@ -44,16 +44,16 @@ func summarizeOrZero(xs []float64) stats.Summary {
 	return s
 }
 
-// sortedTestIDs returns the keys of a per-test sample map in ascending
-// ID order, so aggregation walks tests deterministically instead of in
-// randomized map order.
-func sortedTestIDs(m map[int][]float64) []int {
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
+// throughputDir reports the direction of a throughput test kind; ok is
+// false for every other kind.
+func throughputDir(k dataset.TestKind) (dir radio.Direction, ok bool) {
+	switch k {
+	case dataset.ThroughputDL:
+		return radio.Downlink, true
+	case dataset.ThroughputUL:
+		return radio.Uplink, true
 	}
-	sort.Ints(ids)
-	return ids
+	return 0, false
 }
 
 // techLetter is the single-character code used in coverage strips.

@@ -131,19 +131,23 @@ func FigureCoverageMaps(db *dataset.DB, route *geo.Route, bins int) CoverageMaps
 		}
 		return b
 	}
+	// Technology counts per operator and route bin, from one pass over
+	// each table.
+	var passive, active [radio.NumOperators][][radio.NumTechnologies]int
 	for _, op := range radio.Operators() {
-		passive := make([][radio.NumTechnologies]int, bins)
-		active := make([][radio.NumTechnologies]int, bins)
-		for _, p := range db.Passive {
-			if p.Op == op {
-				passive[binOf(p.Odometer)][p.Tech]++
-			}
+		passive[op] = make([][radio.NumTechnologies]int, bins)
+		active[op] = make([][radio.NumTechnologies]int, bins)
+	}
+	for i := range db.Passive {
+		p := &db.Passive[i]
+		passive[p.Op][binOf(p.Odometer)][p.Tech]++
+	}
+	for i := range db.Throughput {
+		if s := &db.Throughput[i]; !s.Static {
+			active[s.Op][binOf(s.Odometer)][s.Tech]++
 		}
-		for _, s := range db.Throughput {
-			if s.Op == op && !s.Static {
-				active[binOf(s.Odometer)][s.Tech]++
-			}
-		}
+	}
+	for _, op := range radio.Operators() {
 		render := func(counts [][radio.NumTechnologies]int) (string, float64) {
 			strip := make([]byte, bins)
 			fiveG, withData := 0, 0
@@ -173,8 +177,8 @@ func FigureCoverageMaps(db *dataset.DB, route *geo.Route, bins int) CoverageMaps
 			}
 			return string(strip), share
 		}
-		p, pShare := render(passive)
-		a, aShare := render(active)
+		p, pShare := render(passive[op])
+		a, aShare := render(active[op])
 		out.Strip[op] = [2]string{p, a}
 		out.Passive5G[op] = pShare
 		out.Active5G[op] = aShare
@@ -220,7 +224,9 @@ func ShareHighSpeed(m map[radio.Technology]float64) float64 {
 
 // FigureCoverage computes Fig 2 from the active throughput samples,
 // weighting each 500 ms sample by the distance driven during it — the
-// paper's "% of miles" denominator.
+// paper's "% of miles" denominator. Each panel's miles add up in table
+// order and its shares over technologies in technology order, so the
+// shares are the same on every call.
 func FigureCoverage(db *dataset.DB) Coverage {
 	cov := Coverage{
 		Overall:     map[radio.Operator]map[radio.Technology]float64{},
@@ -229,20 +235,17 @@ func FigureCoverage(db *dataset.DB) Coverage {
 		BySpeedBin:  map[radio.Operator]map[string]map[radio.Technology]float64{},
 	}
 	speedBins := stats.SpeedBins()
-	type acc map[radio.Technology]float64
-
-	overall := map[radio.Operator]acc{}
-	byDir := map[radio.Operator]map[radio.Direction]acc{}
-	byTZ := map[radio.Operator]map[geo.Timezone]acc{}
-	bySpeed := map[radio.Operator]map[string]acc{}
+	var (
+		overall [radio.NumOperators]milesAcc
+		byDir   [radio.NumOperators][radio.NumDirections]milesAcc
+		byTZ    [radio.NumOperators][geo.NumTimezones]milesAcc
+		bySpeed [radio.NumOperators][]milesAcc
+	)
 	for _, op := range radio.Operators() {
-		overall[op] = acc{}
-		byDir[op] = map[radio.Direction]acc{radio.Downlink: {}, radio.Uplink: {}}
-		byTZ[op] = map[geo.Timezone]acc{}
-		bySpeed[op] = map[string]acc{}
+		bySpeed[op] = make([]milesAcc, speedBins.Bins())
 	}
-
-	for _, s := range db.Throughput {
+	for i := range db.Throughput {
+		s := &db.Throughput[i]
 		if s.Static {
 			continue
 		}
@@ -250,49 +253,67 @@ func FigureCoverage(db *dataset.DB) Coverage {
 		if miles <= 0 {
 			miles = 1e-6 // keep stationary samples visible
 		}
-		overall[s.Op][s.Tech] += miles
-		byDir[s.Op][s.Dir][s.Tech] += miles
-		if byTZ[s.Op][s.Timezone] == nil {
-			byTZ[s.Op][s.Timezone] = acc{}
-		}
-		byTZ[s.Op][s.Timezone][s.Tech] += miles
-		label := speedBins.Label(s.SpeedMPH)
-		if bySpeed[s.Op][label] == nil {
-			bySpeed[s.Op][label] = acc{}
-		}
-		bySpeed[s.Op][label][s.Tech] += miles
+		overall[s.Op].add(s.Tech, miles)
+		byDir[s.Op][s.Dir].add(s.Tech, miles)
+		byTZ[s.Op][s.Timezone].add(s.Tech, miles)
+		bySpeed[s.Op][speedBins.Index(s.SpeedMPH)].add(s.Tech, miles)
 	}
 
-	norm := func(a acc) map[radio.Technology]float64 {
-		total := 0.0
-		for _, v := range a {
-			total += v
-		}
-		out := map[radio.Technology]float64{}
-		if total == 0 {
-			return out
-		}
-		for k, v := range a {
-			out[k] = v / total
-		}
-		return out
-	}
 	for _, op := range radio.Operators() {
-		cov.Overall[op] = norm(overall[op])
+		cov.Overall[op] = overall[op].shares()
 		cov.ByDirection[op] = map[radio.Direction]map[radio.Technology]float64{
-			radio.Downlink: norm(byDir[op][radio.Downlink]),
-			radio.Uplink:   norm(byDir[op][radio.Uplink]),
+			radio.Downlink: byDir[op][radio.Downlink].shares(),
+			radio.Uplink:   byDir[op][radio.Uplink].shares(),
 		}
 		cov.ByTimezone[op] = map[geo.Timezone]map[radio.Technology]float64{}
-		for tz, a := range byTZ[op] {
-			cov.ByTimezone[op][tz] = norm(a)
+		for tz := range byTZ[op] {
+			if a := &byTZ[op][tz]; a.any() {
+				cov.ByTimezone[op][geo.Timezone(tz)] = a.shares()
+			}
 		}
 		cov.BySpeedBin[op] = map[string]map[radio.Technology]float64{}
-		for lbl, a := range bySpeed[op] {
-			cov.BySpeedBin[op][lbl] = norm(a)
+		for b := range bySpeed[op] {
+			if a := &bySpeed[op][b]; a.any() {
+				cov.BySpeedBin[op][speedBins.Labels[b]] = a.shares()
+			}
 		}
 	}
 	return cov
+}
+
+// milesAcc adds up driven miles per technology; n counts the samples,
+// so that shares has an entry for exactly the technologies seen.
+type milesAcc struct {
+	miles [radio.NumTechnologies]float64
+	n     [radio.NumTechnologies]int
+}
+
+func (a *milesAcc) add(t radio.Technology, miles float64) {
+	a.miles[t] += miles
+	a.n[t]++
+}
+
+func (a *milesAcc) any() bool { return a.n != [radio.NumTechnologies]int{} }
+
+// shares divides each seen technology's miles by their total, summed in
+// technology order. No miles at all is an empty map.
+func (a *milesAcc) shares() map[radio.Technology]float64 {
+	out := map[radio.Technology]float64{}
+	total := 0.0
+	for t, m := range a.miles {
+		if a.n[t] > 0 {
+			total += m
+		}
+	}
+	if total == 0 {
+		return out
+	}
+	for t, m := range a.miles {
+		if a.n[t] > 0 {
+			out[radio.Technology(t)] = m / total
+		}
+	}
+	return out
 }
 
 // Render formats Fig 2's four panels.

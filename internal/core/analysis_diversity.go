@@ -85,41 +85,35 @@ const concurrencyWindow = 250 * time.Millisecond
 
 // FigureOperatorDiversity computes Fig 6 from concurrent sample pairs.
 func FigureOperatorDiversity(db *dataset.DB) OperatorDiversity {
+	return operatorDiversity(newView(db))
+}
+
+func operatorDiversity(v *view) OperatorDiversity {
 	out := OperatorDiversity{ByPair: map[OperatorPair]map[radio.Direction]PairDiff{}}
-
-	// Index samples by (op, dir) sorted by time. The merge already sorts
-	// the throughput table by time.
-	idx := map[opDir][]dataset.ThroughputSample{}
-	for _, s := range db.Throughput {
-		if s.Static {
-			continue
-		}
-		k := opDir{s.Op, s.Dir}
-		idx[k] = append(idx[k], s)
-	}
-
+	rows := v.db.Throughput
 	for _, pair := range Pairs() {
 		out.ByPair[pair] = map[radio.Direction]PairDiff{}
 		for _, dir := range radio.Directions() {
-			as := idx[opDir{pair.A, dir}]
-			bs := idx[opDir{pair.B, dir}]
+			// Each cut is in table order, which the merge sorts by time.
+			as, bs := v.driving(pair.A, dir).pos, v.driving(pair.B, dir).pos
 			pd := PairDiff{
 				BinShare:         map[HTLTBin]float64{},
 				BinDiff:          map[HTLTBin]stats.Summary{},
 				BinFracAPositive: map[HTLTBin]float64{},
 			}
-			var diffs []float64
-			binVals := map[HTLTBin][]float64{}
+			diffs := make([]float64, 0, len(as))
+			bins := make([]HTLTBin, 0, len(as)) // bins[i] is diffs[i]'s
 			j := 0
-			for _, a := range as {
+			for _, pa := range as {
+				a := &rows[pa]
 				// advance j to the first b not far before a
-				for j < len(bs) && bs[j].Time.Before(a.Time.Add(-concurrencyWindow)) {
+				for j < len(bs) && rows[bs[j]].Time.Before(a.Time.Add(-concurrencyWindow)) {
 					j++
 				}
 				if j >= len(bs) {
 					break
 				}
-				b := bs[j]
+				b := &rows[bs[j]]
 				skew := b.Time.Sub(a.Time)
 				if skew < 0 {
 					skew = -skew
@@ -127,18 +121,20 @@ func FigureOperatorDiversity(db *dataset.DB) OperatorDiversity {
 				if skew > concurrencyWindow {
 					continue
 				}
-				d := a.Mbps - b.Mbps
-				diffs = append(diffs, d)
-				bin := binOfPair(a.Tech, b.Tech)
-				binVals[bin] = append(binVals[bin], d)
+				diffs = append(diffs, a.Mbps-b.Mbps)
+				bins = append(bins, binOfPair(a.Tech, b.Tech))
 			}
+			all := newCut(diffs)
 			pd.N = len(diffs)
-			pd.Diff = summarizeOrZero(diffs)
+			pd.Diff = all.summary()
 			pd.FracAPositive = fracPositive(diffs)
-			for bin, vals := range binVals {
-				pd.BinShare[bin] = float64(len(vals)) / float64(len(diffs))
-				pd.BinDiff[bin] = summarizeOrZero(vals)
-				pd.BinFracAPositive[bin] = fracPositive(vals)
+			for bin, c := range all.split(int(LTLT)+1, func(i int32) int { return int(bins[i]) }) {
+				if len(c.vals) == 0 {
+					continue
+				}
+				pd.BinShare[HTLTBin(bin)] = float64(len(c.vals)) / float64(len(diffs))
+				pd.BinDiff[HTLTBin(bin)] = c.summary()
+				pd.BinFracAPositive[HTLTBin(bin)] = fracPositive(c.vals)
 			}
 			out.ByPair[pair][dir] = pd
 		}

@@ -25,23 +25,18 @@ func FigureHandoverStats(db *dataset.DB) HandoverStats {
 		PerMile:  map[opDir]stats.Summary{},
 		Duration: map[opDir]stats.Summary{},
 	}
-	hosByTest := map[int][]dataset.Handover{}
-	for _, h := range db.Handovers {
-		hosByTest[h.TestID] = append(hosByTest[h.TestID], h)
+	// Each test's handover durations, in table order.
+	byTest := map[int][]float64{}
+	for i := range db.Handovers {
+		h := &db.Handovers[i]
+		byTest[h.TestID] = append(byTest[h.TestID], h.DurationMS)
 	}
 	perMile := map[opDir][]float64{}
 	durations := map[opDir][]float64{}
-	for _, t := range db.Tests {
-		var dir radio.Direction
-		switch t.Kind {
-		case dataset.ThroughputDL:
-			dir = radio.Downlink
-		case dataset.ThroughputUL:
-			dir = radio.Uplink
-		default:
-			continue
-		}
-		if t.Static {
+	for i := range db.Tests {
+		t := &db.Tests[i]
+		dir, ok := throughputDir(t.Kind)
+		if !ok || t.Static {
 			continue
 		}
 		miles := t.Miles()
@@ -49,11 +44,9 @@ func FigureHandoverStats(db *dataset.DB) HandoverStats {
 			continue
 		}
 		k := opDir{t.Op, dir}
-		hos := hosByTest[t.ID]
+		hos := byTest[t.ID]
 		perMile[k] = append(perMile[k], float64(len(hos))/miles)
-		for _, h := range hos {
-			durations[k] = append(durations[k], h.DurationMS)
-		}
+		durations[k] = append(durations[k], hos...)
 	}
 	for k, xs := range perMile {
 		out.PerMile[k] = summarizeOrZero(xs)
@@ -108,7 +101,9 @@ type HandoverImpact struct {
 // FigureHandoverImpact computes Fig 12 using the paper's exact window
 // construction (§6, Fig 11c): with 500 ms samples T₁..T₅ and a handover
 // inside T₃'s window, ΔT₁ = T₃ − (T₂+T₄)/2 and ΔT₂ = (T₄+T₅)/2 − (T₁+T₂)/2.
-func FigureHandoverImpact(db *dataset.DB) HandoverImpact {
+func FigureHandoverImpact(db *dataset.DB) HandoverImpact { return handoverImpact(newView(db)) }
+
+func handoverImpact(v *view) HandoverImpact {
 	out := HandoverImpact{
 		DeltaT1:              map[opDir]stats.Summary{},
 		FracT1Negative:       map[opDir]float64{},
@@ -117,42 +112,44 @@ func FigureHandoverImpact(db *dataset.DB) HandoverImpact {
 		DeltaT2ByKind:        map[ran.HandoverKind]stats.Summary{},
 		FracT2PositiveByKind: map[ran.HandoverKind]float64{},
 	}
-
-	// Index samples per test, ordered by time (already sorted globally).
-	samplesByTest := map[int][]dataset.ThroughputSample{}
-	for _, s := range db.Throughput {
-		if !s.Static {
-			samplesByTest[s.TestID] = append(samplesByTest[s.TestID], s)
-		}
-	}
-	testInfo := map[int]dataset.Test{}
-	for _, t := range db.Tests {
-		testInfo[t.ID] = t
-	}
+	x := v.testRows()
+	rows := v.db.Throughput
 
 	d1 := map[opDir][]float64{}
 	d2 := map[opDir][]float64{}
 	d2k := map[ran.HandoverKind][]float64{}
 
-	for _, h := range db.Handovers {
-		t, ok := testInfo[h.TestID]
-		if !ok || t.Static {
+	// ss is the driving throughput rows of test ids[last], in time order
+	// (the merge sorts the table by time).
+	var ss []int32
+	last := -1
+	for hi := range v.db.Handovers {
+		h := &v.db.Handovers[hi]
+		ti := x.slot(h.TestID)
+		if ti < 0 || x.row[ti] < 0 {
 			continue
 		}
-		var dir radio.Direction
-		switch t.Kind {
-		case dataset.ThroughputDL:
-			dir = radio.Downlink
-		case dataset.ThroughputUL:
-			dir = radio.Uplink
-		default:
+		t := &v.db.Tests[x.row[ti]]
+		if t.Static {
 			continue
 		}
-		ss := samplesByTest[h.TestID]
+		dir, ok := throughputDir(t.Kind)
+		if !ok {
+			continue
+		}
+		if ti != last {
+			ss = ss[:0]
+			for _, p := range x.tput.of(ti) {
+				if !rows[p].Static {
+					ss = append(ss, p)
+				}
+			}
+			last = ti
+		}
 		// Find the sample window T₃ containing the HO.
 		i := -1
-		for j, s := range ss {
-			if !h.Time.Before(s.Time) && h.Time.Before(s.Time.Add(500*time.Millisecond)) {
+		for j, p := range ss {
+			if s := &rows[p]; !h.Time.Before(s.Time) && h.Time.Before(s.Time.Add(500*time.Millisecond)) {
 				i = j
 				break
 			}
@@ -161,7 +158,7 @@ func FigureHandoverImpact(db *dataset.DB) HandoverImpact {
 		if i < 2 || i+2 >= len(ss) {
 			continue
 		}
-		t1, t2, t3, t4, t5 := ss[i-2].Mbps, ss[i-1].Mbps, ss[i].Mbps, ss[i+1].Mbps, ss[i+2].Mbps
+		t1, t2, t3, t4, t5 := rows[ss[i-2]].Mbps, rows[ss[i-1]].Mbps, rows[ss[i]].Mbps, rows[ss[i+1]].Mbps, rows[ss[i+2]].Mbps
 		k := opDir{t.Op, dir}
 		d1[k] = append(d1[k], t3-(t2+t4)/2)
 		delta2 := (t4+t5)/2 - (t1+t2)/2

@@ -18,58 +18,43 @@ type SpeedScatter struct {
 }
 
 // FigureSpeedScatter computes Figs 7 and 8.
-func FigureSpeedScatter(db *dataset.DB) SpeedScatter {
+func FigureSpeedScatter(db *dataset.DB) SpeedScatter { return speedScatter(newView(db)) }
+
+func speedScatter(v *view) SpeedScatter {
 	bins := stats.SpeedBins()
 	out := SpeedScatter{
 		Tput: map[opDir]map[string]map[radio.Technology]stats.Summary{},
 		RTT:  map[radio.Operator]map[string]map[radio.Technology]stats.Summary{},
 	}
-	tputVals := map[opDir]map[string]map[radio.Technology][]float64{}
-	for _, s := range db.Throughput {
-		if s.Static {
-			continue
+	// A driving cut splits into one part per speed bin and technology:
+	// part bin·NumTechnologies + tech.
+	const nt = radio.NumTechnologies
+	key := func(speed float64, tech radio.Technology) int { return bins.Index(speed)*nt + int(tech) }
+	byBin := func(parts []cut) map[string]map[radio.Technology]stats.Summary {
+		m := map[string]map[radio.Technology]stats.Summary{}
+		for k := range parts {
+			if len(parts[k].vals) == 0 {
+				continue
+			}
+			lbl := bins.Labels[k/nt]
+			if m[lbl] == nil {
+				m[lbl] = map[radio.Technology]stats.Summary{}
+			}
+			m[lbl][radio.Technology(k%nt)] = parts[k].summary()
 		}
-		k := opDir{s.Op, s.Dir}
-		if tputVals[k] == nil {
-			tputVals[k] = map[string]map[radio.Technology][]float64{}
-		}
-		lbl := bins.Label(s.SpeedMPH)
-		if tputVals[k][lbl] == nil {
-			tputVals[k][lbl] = map[radio.Technology][]float64{}
-		}
-		tputVals[k][lbl][s.Tech] = append(tputVals[k][lbl][s.Tech], s.Mbps)
+		return m
 	}
-	for k, byBin := range tputVals {
-		out.Tput[k] = map[string]map[radio.Technology]stats.Summary{}
-		for lbl, byTech := range byBin {
-			out.Tput[k][lbl] = map[radio.Technology]stats.Summary{}
-			for tech, vals := range byTech {
-				out.Tput[k][lbl][tech] = summarizeOrZero(vals)
+	tput, rtt := v.db.Throughput, v.db.RTT
+	for _, op := range radio.Operators() {
+		for _, dir := range radio.Directions() {
+			if c := v.driving(op, dir); len(c.pos) > 0 {
+				out.Tput[opDir{op, dir}] = byBin(c.split(bins.Bins()*nt,
+					func(p int32) int { return key(tput[p].SpeedMPH, tput[p].Tech) }))
 			}
 		}
-	}
-
-	rttVals := map[radio.Operator]map[string]map[radio.Technology][]float64{}
-	for _, s := range db.RTT {
-		if s.Static || s.Lost {
-			continue
-		}
-		if rttVals[s.Op] == nil {
-			rttVals[s.Op] = map[string]map[radio.Technology][]float64{}
-		}
-		lbl := bins.Label(s.SpeedMPH)
-		if rttVals[s.Op][lbl] == nil {
-			rttVals[s.Op][lbl] = map[radio.Technology][]float64{}
-		}
-		rttVals[s.Op][lbl][s.Tech] = append(rttVals[s.Op][lbl][s.Tech], s.RTTMS)
-	}
-	for op, byBin := range rttVals {
-		out.RTT[op] = map[string]map[radio.Technology]stats.Summary{}
-		for lbl, byTech := range byBin {
-			out.RTT[op][lbl] = map[radio.Technology]stats.Summary{}
-			for tech, vals := range byTech {
-				out.RTT[op][lbl][tech] = summarizeOrZero(vals)
-			}
+		if c := v.rttOf(op, false); len(c.pos) > 0 {
+			out.RTT[op] = byBin(c.split(bins.Bins()*nt,
+				func(p int32) int { return key(rtt[p].SpeedMPH, rtt[p].Tech) }))
 		}
 	}
 	return out
@@ -145,7 +130,9 @@ type KPICorrelation struct {
 }
 
 // TableKPICorrelation computes Table 2.
-func TableKPICorrelation(db *dataset.DB) KPICorrelation {
+func TableKPICorrelation(db *dataset.DB) KPICorrelation { return kpiCorrelation(newView(db)) }
+
+func kpiCorrelation(v *view) KPICorrelation {
 	out := KPICorrelation{
 		R: map[radio.Operator]map[radio.Direction]map[KPIName]float64{},
 		N: map[opDir]int{},
@@ -153,7 +140,7 @@ func TableKPICorrelation(db *dataset.DB) KPICorrelation {
 	for _, op := range radio.Operators() {
 		out.R[op] = map[radio.Direction]map[KPIName]float64{}
 		for _, dir := range radio.Directions() {
-			tput, cols := drivingKPIs(db, op, dir)
+			tput, cols := v.drivingKPIs(op, dir)
 			rs := map[KPIName]float64{}
 			for _, k := range KPINames() {
 				r, err := stats.Pearson(cols[string(k)], tput)
@@ -167,30 +154,6 @@ func TableKPICorrelation(db *dataset.DB) KPICorrelation {
 		}
 	}
 	return out
-}
-
-// drivingKPIs returns the throughput of op's driving samples in dir
-// and, aligned with it, each Table 2 KPI's values keyed by name. It
-// ranges the table by index, so no sample is copied.
-func drivingKPIs(db *dataset.DB, op radio.Operator, dir radio.Direction) (tput []float64, kpis map[string][]float64) {
-	var rsrp, mcs, ca, bler, speed, ho []float64
-	for i := range db.Throughput {
-		s := &db.Throughput[i]
-		if s.Op != op || s.Dir != dir || s.Static {
-			continue
-		}
-		tput = append(tput, s.Mbps)
-		rsrp = append(rsrp, s.RSRP)
-		mcs = append(mcs, float64(s.MCS))
-		ca = append(ca, float64(s.CC))
-		bler = append(bler, s.BLER)
-		speed = append(speed, s.SpeedMPH)
-		ho = append(ho, float64(s.Handovers))
-	}
-	return tput, map[string][]float64{
-		string(KPIRSRP): rsrp, string(KPIMCS): mcs, string(KPICA): ca,
-		string(KPIBLER): bler, string(KPISpeed): speed, string(KPIHO): ho,
-	}
 }
 
 // Render formats Table 2.

@@ -22,7 +22,9 @@ type Multivariate struct {
 
 // AnalyzeMultivariate fits throughput ~ RSRP + MCS + CA + BLER + Speed +
 // HO per operator and direction over driving samples.
-func AnalyzeMultivariate(db *dataset.DB) Multivariate {
+func AnalyzeMultivariate(db *dataset.DB) Multivariate { return multivariate(newView(db)) }
+
+func multivariate(v *view) Multivariate {
 	out := Multivariate{
 		Fit:    map[opDir]stats.Regression{},
 		Errors: map[opDir]string{},
@@ -30,7 +32,7 @@ func AnalyzeMultivariate(db *dataset.DB) Multivariate {
 	names := []string{"RSRP", "MCS", "CA", "BLER", "Speed", "HO"}
 	for _, op := range radio.Operators() {
 		for _, dir := range radio.Directions() {
-			y, cols := drivingKPIs(db, op, dir)
+			y, cols := v.drivingKPIs(op, dir)
 			k := opDir{op, dir}
 			if len(y) < 20 {
 				out.Errors[k] = "too few samples"

@@ -22,36 +22,33 @@ type StaticVsDriving struct {
 }
 
 // FigureStaticVsDriving computes Fig 3.
-func FigureStaticVsDriving(db *dataset.DB) StaticVsDriving {
+func FigureStaticVsDriving(db *dataset.DB) StaticVsDriving { return staticVsDriving(newView(db)) }
+
+func staticVsDriving(v *view) StaticVsDriving {
 	out := StaticVsDriving{
 		Throughput: map[opDir][2]stats.Summary{},
 		RTT:        map[radio.Operator][2]stats.Summary{},
 		FracBelow5: map[radio.Direction]float64{},
 	}
+	var below, total [radio.NumDirections]int
 	for _, op := range radio.Operators() {
 		for _, dir := range radio.Directions() {
-			sel := func(static bool) []float64 {
-				return db.MbpsWhere(func(s *dataset.ThroughputSample) bool {
-					return s.Op == op && s.Dir == dir && s.Static == static
-				})
-			}
+			drive := v.driving(op, dir)
 			out.Throughput[opDir{op, dir}] = [2]stats.Summary{
-				summarizeOrZero(sel(true)),
-				summarizeOrZero(sel(false)),
+				v.throughput(op, dir, true).summary(),
+				drive.summary(),
 			}
+			below[dir] += drive.below(5)
+			total[dir] += len(drive.vals)
 		}
-		rtt := func(static bool) []float64 {
-			return db.RTTValuesWhere(func(s *dataset.RTTSample) bool {
-				return s.Op == op && s.Static == static
-			})
-		}
-		out.RTT[op] = [2]stats.Summary{summarizeOrZero(rtt(true)), summarizeOrZero(rtt(false))}
+		out.RTT[op] = [2]stats.Summary{v.rttOf(op, true).summary(), v.rttOf(op, false).summary()}
 	}
 	for _, dir := range radio.Directions() {
-		xs := db.MbpsWhere(func(s *dataset.ThroughputSample) bool {
-			return s.Dir == dir && !s.Static
-		})
-		out.FracBelow5[dir] = stats.NewCDF(xs).FracBelow(5)
+		frac := 0.0
+		if total[dir] > 0 {
+			frac = float64(below[dir]) / float64(total[dir])
+		}
+		out.FracBelow5[dir] = frac
 	}
 	return out
 }
@@ -125,46 +122,50 @@ type PerTechnology struct {
 }
 
 // FigurePerTechnology computes Fig 4.
-func FigurePerTechnology(db *dataset.DB) PerTechnology {
+func FigurePerTechnology(db *dataset.DB) PerTechnology { return perTechnology(newView(db)) }
+
+func perTechnology(v *view) PerTechnology {
 	out := PerTechnology{
 		Throughput:     map[radio.Operator]map[radio.Technology]map[radio.Direction]stats.Summary{},
 		RTT:            map[radio.Operator]map[radio.Technology]stats.Summary{},
 		VerizonEdge:    map[radio.Technology]map[radio.Direction][2]stats.Summary{},
 		VerizonEdgeRTT: map[radio.Technology][2]stats.Summary{},
 	}
+	tput, rtt := v.db.Throughput, v.db.RTT
 	for _, op := range radio.Operators() {
 		out.Throughput[op] = map[radio.Technology]map[radio.Direction]stats.Summary{}
 		out.RTT[op] = map[radio.Technology]stats.Summary{}
+		rttByTech := v.rttOf(op, false).split(radio.NumTechnologies, func(p int32) int { return int(rtt[p].Tech) })
 		for _, tech := range radio.Technologies() {
 			out.Throughput[op][tech] = map[radio.Direction]stats.Summary{}
 			for _, dir := range radio.Directions() {
-				xs := db.MbpsWhere(func(s *dataset.ThroughputSample) bool {
-					return s.Op == op && s.Dir == dir && s.Tech == tech && !s.Static
-				})
-				out.Throughput[op][tech][dir] = summarizeOrZero(xs)
+				out.Throughput[op][tech][dir] = v.drivingByTech(op, dir)[tech].summary()
 			}
-			rt := db.RTTValuesWhere(func(s *dataset.RTTSample) bool {
-				return s.Op == op && s.Tech == tech && !s.Static
-			})
-			out.RTT[op][tech] = summarizeOrZero(rt)
+			out.RTT[op][tech] = rttByTech[tech].summary()
 		}
 	}
+	// Verizon's driving rows by technology, edge first: part 2·tech+0
+	// is edge, 2·tech+1 cloud.
+	edgeKey := func(tech radio.Technology, edge bool) int {
+		if edge {
+			return 2 * int(tech)
+		}
+		return 2*int(tech) + 1
+	}
+	var vzTput [radio.NumDirections][]cut
+	for _, dir := range radio.Directions() {
+		vzTput[dir] = v.driving(radio.Verizon, dir).split(2*radio.NumTechnologies,
+			func(p int32) int { return edgeKey(tput[p].Tech, tput[p].Edge) })
+	}
+	vzRTT := v.rttOf(radio.Verizon, false).split(2*radio.NumTechnologies,
+		func(p int32) int { return edgeKey(rtt[p].Tech, rtt[p].Edge) })
 	for _, tech := range radio.Technologies() {
 		out.VerizonEdge[tech] = map[radio.Direction][2]stats.Summary{}
 		for _, dir := range radio.Directions() {
-			sel := func(edge bool) []float64 {
-				return db.MbpsWhere(func(s *dataset.ThroughputSample) bool {
-					return s.Op == radio.Verizon && s.Dir == dir && s.Tech == tech && !s.Static && s.Edge == edge
-				})
-			}
-			out.VerizonEdge[tech][dir] = [2]stats.Summary{summarizeOrZero(sel(true)), summarizeOrZero(sel(false))}
+			parts := vzTput[dir]
+			out.VerizonEdge[tech][dir] = [2]stats.Summary{parts[2*tech].summary(), parts[2*tech+1].summary()}
 		}
-		rsel := func(edge bool) []float64 {
-			return db.RTTValuesWhere(func(s *dataset.RTTSample) bool {
-				return s.Op == radio.Verizon && s.Tech == tech && !s.Static && s.Edge == edge
-			})
-		}
-		out.VerizonEdgeRTT[tech] = [2]stats.Summary{summarizeOrZero(rsel(true)), summarizeOrZero(rsel(false))}
+		out.VerizonEdgeRTT[tech] = [2]stats.Summary{vzRTT[2*tech].summary(), vzRTT[2*tech+1].summary()}
 	}
 	return out
 }
@@ -218,17 +219,18 @@ type TimezonePerf struct {
 }
 
 // FigureTimezone computes Fig 5.
-func FigureTimezone(db *dataset.DB) TimezonePerf {
+func FigureTimezone(db *dataset.DB) TimezonePerf { return timezonePerf(newView(db)) }
+
+func timezonePerf(v *view) TimezonePerf {
 	out := TimezonePerf{Summary: map[opDir]map[geo.Timezone]stats.Summary{}}
+	rows := v.db.Throughput
 	for _, op := range radio.Operators() {
 		for _, dir := range radio.Directions() {
 			k := opDir{op, dir}
 			out.Summary[k] = map[geo.Timezone]stats.Summary{}
+			byZone := v.driving(op, dir).split(geo.NumTimezones, func(p int32) int { return int(rows[p].Timezone) })
 			for tz := geo.Pacific; tz <= geo.Eastern; tz++ {
-				xs := db.MbpsWhere(func(s *dataset.ThroughputSample) bool {
-					return s.Op == op && s.Dir == dir && s.Timezone == tz && !s.Static
-				})
-				out.Summary[k][tz] = summarizeOrZero(xs)
+				out.Summary[k][tz] = byZone[tz].summary()
 			}
 		}
 	}
@@ -265,76 +267,57 @@ type LongTimescale struct {
 }
 
 // FigureLongTimescale computes Fig 9 from per-test aggregates.
-func FigureLongTimescale(db *dataset.DB) LongTimescale {
-	out := LongTimescale{
-		MeanTput:  map[opDir]stats.Summary{},
-		MeanRTT:   map[radio.Operator]stats.Summary{},
-		StdPct:    map[opDir]stats.Summary{},
-		RTTStdPct: map[radio.Operator]stats.Summary{},
-	}
-	// Group throughput samples per test.
-	byTest := map[int][]float64{}
-	testInfo := map[int]dataset.Test{}
-	for _, t := range db.Tests {
-		testInfo[t.ID] = t
-	}
-	for _, s := range db.Throughput {
-		if !s.Static {
-			byTest[s.TestID] = append(byTest[s.TestID], s.Mbps)
-		}
-	}
-	means := map[opDir][]float64{}
-	stds := map[opDir][]float64{}
-	// Walk tests in ID order, not map order: the per-test means are
-	// accumulated into float slices whose summation order must be fixed
-	// for the report to be byte-identical across runs.
-	for _, id := range sortedTestIDs(byTest) {
-		xs := byTest[id]
-		t := testInfo[id]
-		dir := radio.Downlink
-		if t.Kind == dataset.ThroughputUL {
-			dir = radio.Uplink
-		} else if t.Kind != dataset.ThroughputDL {
-			continue
-		}
-		sum := summarizeOrZero(xs)
-		k := opDir{t.Op, dir}
-		means[k] = append(means[k], sum.Mean)
-		if sum.Mean > 0 {
-			stds[k] = append(stds[k], 100*sum.Std/sum.Mean)
-		}
-	}
-	for k, xs := range means {
-		out.MeanTput[k] = summarizeOrZero(xs)
-	}
-	for k, xs := range stds {
-		out.StdPct[k] = summarizeOrZero(xs)
-	}
+func FigureLongTimescale(db *dataset.DB) LongTimescale { return newView(db).longTimescale() }
 
-	rttByTest := map[int][]float64{}
-	for _, s := range db.RTT {
-		if !s.Lost && !s.Static {
-			rttByTest[s.TestID] = append(rttByTest[s.TestID], s.RTTMS)
+// longTimescale computes Fig 9 once per view: Table 3 reads its
+// per-test means too.
+func (v *view) longTimescale() LongTimescale {
+	v.longOnce.Do(func() {
+		out := LongTimescale{
+			MeanTput:  map[opDir]stats.Summary{},
+			MeanRTT:   map[radio.Operator]stats.Summary{},
+			StdPct:    map[opDir]stats.Summary{},
+			RTTStdPct: map[radio.Operator]stats.Summary{},
 		}
-	}
-	rttMeans := map[radio.Operator][]float64{}
-	rttStds := map[radio.Operator][]float64{}
-	for _, id := range sortedTestIDs(rttByTest) {
-		xs := rttByTest[id]
-		t := testInfo[id]
-		sum := summarizeOrZero(xs)
-		rttMeans[t.Op] = append(rttMeans[t.Op], sum.Mean)
-		if sum.Mean > 0 {
-			rttStds[t.Op] = append(rttStds[t.Op], 100*sum.Std/sum.Mean)
+		x := v.testRows()
+		means := map[opDir][]float64{}
+		stds := map[opDir][]float64{}
+		rttMeans := map[radio.Operator][]float64{}
+		rttStds := map[radio.Operator][]float64{}
+		// Tests in ID order: the per-test means are accumulated into
+		// float slices whose summation order must be fixed for the
+		// report to be byte-identical across runs.
+		for i, m := range v.testMeansOf() {
+			t := x.test(v.db, i)
+			if dir, ok := throughputDir(t.Kind); ok && m.tputN > 0 {
+				k := opDir{t.Op, dir}
+				means[k] = append(means[k], m.tputMean)
+				if m.tputMean > 0 {
+					stds[k] = append(stds[k], 100*m.tputStd/m.tputMean)
+				}
+			}
+			if m.rttN > 0 {
+				rttMeans[t.Op] = append(rttMeans[t.Op], m.rttMean)
+				if m.rttMean > 0 {
+					rttStds[t.Op] = append(rttStds[t.Op], 100*m.rttStd/m.rttMean)
+				}
+			}
 		}
-	}
-	for op, xs := range rttMeans {
-		out.MeanRTT[op] = summarizeOrZero(xs)
-	}
-	for op, xs := range rttStds {
-		out.RTTStdPct[op] = summarizeOrZero(xs)
-	}
-	return out
+		for k, xs := range means {
+			out.MeanTput[k] = summarizeOrZero(xs)
+		}
+		for k, xs := range stds {
+			out.StdPct[k] = summarizeOrZero(xs)
+		}
+		for op, xs := range rttMeans {
+			out.MeanRTT[op] = summarizeOrZero(xs)
+		}
+		for op, xs := range rttStds {
+			out.RTTStdPct[op] = summarizeOrZero(xs)
+		}
+		v.long = out
+	})
+	return v.long
 }
 
 // Render formats Fig 9.
@@ -366,7 +349,9 @@ type HighSpeedShare struct {
 }
 
 // FigureHighSpeed5GShare computes Fig 10.
-func FigureHighSpeed5GShare(db *dataset.DB) HighSpeedShare {
+func FigureHighSpeed5GShare(db *dataset.DB) HighSpeedShare { return highSpeed5GShare(newView(db)) }
+
+func highSpeed5GShare(v *view) HighSpeedShare {
 	out := HighSpeedShare{
 		TputByBin: map[opDir][3]stats.Summary{},
 		RTTByBin:  map[radio.Operator][3]stats.Summary{},
@@ -381,83 +366,32 @@ func FigureHighSpeed5GShare(db *dataset.DB) HighSpeedShare {
 			return 2
 		}
 	}
-	// Per-test high-speed share from samples.
-	hsFrac := map[int]float64{}
-	counts := map[int][2]int{} // [highspeed, total]
-	for _, s := range db.Throughput {
-		c := counts[s.TestID]
-		c[1]++
-		if s.Tech.IsHighSpeed() {
-			c[0]++
-		}
-		counts[s.TestID] = c
-	}
-	for id, c := range counts {
-		if c[1] > 0 {
-			hsFrac[id] = float64(c[0]) / float64(c[1])
-		}
-	}
-	testInfo := map[int]dataset.Test{}
-	for _, t := range db.Tests {
-		testInfo[t.ID] = t
-	}
-
+	// A throughput test's high-speed share counts all its samples, a
+	// RTT test's its driving ones, lost or not. Tests are walked in ID
+	// order, so each bin's means are in a fixed order.
+	x := v.testRows()
 	tmp := map[opDir][3][]float64{}
-	byTest := map[int][]float64{}
-	for _, s := range db.Throughput {
-		if !s.Static {
-			byTest[s.TestID] = append(byTest[s.TestID], s.Mbps)
+	rtmp := map[radio.Operator][3][]float64{}
+	for i, m := range v.testMeansOf() {
+		t := x.test(v.db, i)
+		if dir, ok := throughputDir(t.Kind); ok && m.tputN > 0 {
+			k := opDir{t.Op, dir}
+			arr := tmp[k]
+			b := binOf(float64(m.tputHS) / float64(m.tputAll))
+			arr[b] = append(arr[b], m.tputMean)
+			tmp[k] = arr
 		}
-	}
-	for id, xs := range byTest {
-		t := testInfo[id]
-		dir := radio.Downlink
-		if t.Kind == dataset.ThroughputUL {
-			dir = radio.Uplink
-		} else if t.Kind != dataset.ThroughputDL {
-			continue
+		if m.rttN > 0 {
+			arr := rtmp[t.Op]
+			b := binOf(float64(m.rttHS) / float64(m.rttDriving))
+			arr[b] = append(arr[b], m.rttMean)
+			rtmp[t.Op] = arr
 		}
-		k := opDir{t.Op, dir}
-		arr := tmp[k]
-		b := binOf(hsFrac[id])
-		arr[b] = append(arr[b], summarizeOrZero(xs).Mean)
-		tmp[k] = arr
 	}
 	for k, arr := range tmp {
 		out.TputByBin[k] = [3]stats.Summary{
 			summarizeOrZero(arr[0]), summarizeOrZero(arr[1]), summarizeOrZero(arr[2]),
 		}
-	}
-
-	// RTT tests: derive the high-speed share from RTT samples' tech.
-	rttCounts := map[int][2]int{}
-	rttByTest := map[int][]float64{}
-	for _, s := range db.RTT {
-		if s.Static {
-			continue
-		}
-		c := rttCounts[s.TestID]
-		c[1]++
-		if s.Tech.IsHighSpeed() {
-			c[0]++
-		}
-		rttCounts[s.TestID] = c
-		if !s.Lost {
-			rttByTest[s.TestID] = append(rttByTest[s.TestID], s.RTTMS)
-		}
-	}
-	rtmp := map[radio.Operator][3][]float64{}
-	for id, xs := range rttByTest {
-		t := testInfo[id]
-		c := rttCounts[id]
-		frac := 0.0
-		if c[1] > 0 {
-			frac = float64(c[0]) / float64(c[1])
-		}
-		arr := rtmp[t.Op]
-		b := binOf(frac)
-		arr[b] = append(arr[b], summarizeOrZero(xs).Mean)
-		rtmp[t.Op] = arr
 	}
 	for op, arr := range rtmp {
 		out.RTTByBin[op] = [3]stats.Summary{
@@ -511,8 +445,11 @@ var ooklaQ32022 = map[radio.Operator][3]float64{
 }
 
 // TableOoklaComparison computes Table 3.
-func TableOoklaComparison(db *dataset.DB) OoklaComparison {
-	lt := FigureLongTimescale(db)
+func TableOoklaComparison(db *dataset.DB) OoklaComparison { return ooklaComparison(newView(db)) }
+
+// ooklaComparison reads Fig 9's per-test means.
+func ooklaComparison(v *view) OoklaComparison {
+	lt := v.longTimescale()
 	out := OoklaComparison{Rows: map[radio.Operator]OoklaRow{}}
 	for _, op := range radio.Operators() {
 		ook := ooklaQ32022[op]

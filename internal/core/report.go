@@ -10,21 +10,28 @@ import (
 )
 
 // section is one entry of the paper-order report: the identifiers it
-// answers to and how to render it. maps yields Figure 1's coverage maps,
-// the one section that needs more than the database.
+// answers to and how to render it from the report's shared view of the
+// database. maps yields Figure 1's coverage maps, the one section that
+// needs more than the database.
 type section struct {
 	ids    []string
-	render func(db *dataset.DB, maps func() CoverageMaps) string
+	render func(v *view, maps func() CoverageMaps) string
 }
 
-// fromDB adapts a database-only figure or table to a section renderer.
-func fromDB[T interface{ Render() string }](f func(*dataset.DB) T) func(*dataset.DB, func() CoverageMaps) string {
-	return func(db *dataset.DB, _ func() CoverageMaps) string { return f(db).Render() }
+// fromView adapts a figure or table computed from the view to a section
+// renderer.
+func fromView[T interface{ Render() string }](f func(*view) T) func(*view, func() CoverageMaps) string {
+	return func(v *view, _ func() CoverageMaps) string { return f(v).Render() }
+}
+
+// fromDB adapts a figure or table that reads the tables directly.
+func fromDB[T interface{ Render() string }](f func(*dataset.DB) T) func(*view, func() CoverageMaps) string {
+	return func(v *view, _ func() CoverageMaps) string { return f(v.db).Render() }
 }
 
 // constant adapts a section that reads nothing to a section renderer.
-func constant(f func() string) func(*dataset.DB, func() CoverageMaps) string {
-	return func(*dataset.DB, func() CoverageMaps) string { return f() }
+func constant(f func() string) func(*view, func() CoverageMaps) string {
+	return func(*view, func() CoverageMaps) string { return f() }
 }
 
 // sections is the report, in paper order. Figures 7 and 8 are one
@@ -32,26 +39,26 @@ func constant(f func() string) func(*dataset.DB, func() CoverageMaps) string {
 // it once.
 var sections = []section{
 	{[]string{"table1"}, fromDB(TableDatasetStats)},
-	{[]string{"fig1"}, func(_ *dataset.DB, maps func() CoverageMaps) string { return maps().Render() }},
+	{[]string{"fig1"}, func(_ *view, maps func() CoverageMaps) string { return maps().Render() }},
 	{[]string{"fig2"}, fromDB(FigureCoverage)},
-	{[]string{"fig3"}, fromDB(FigureStaticVsDriving)},
-	{[]string{"fig4"}, fromDB(FigurePerTechnology)},
-	{[]string{"fig5"}, fromDB(FigureTimezone)},
-	{[]string{"fig6"}, fromDB(FigureOperatorDiversity)},
-	{[]string{"fig7", "fig8"}, fromDB(FigureSpeedScatter)},
-	{[]string{"table2"}, fromDB(TableKPICorrelation)},
-	{[]string{"fig9"}, fromDB(FigureLongTimescale)},
-	{[]string{"fig10"}, fromDB(FigureHighSpeed5GShare)},
-	{[]string{"table3"}, fromDB(TableOoklaComparison)},
+	{[]string{"fig3"}, fromView(staticVsDriving)},
+	{[]string{"fig4"}, fromView(perTechnology)},
+	{[]string{"fig5"}, fromView(timezonePerf)},
+	{[]string{"fig6"}, fromView(operatorDiversity)},
+	{[]string{"fig7", "fig8"}, fromView(speedScatter)},
+	{[]string{"table2"}, fromView(kpiCorrelation)},
+	{[]string{"fig9"}, fromView((*view).longTimescale)},
+	{[]string{"fig10"}, fromView(highSpeed5GShare)},
+	{[]string{"table3"}, fromView(ooklaComparison)},
 	{[]string{"fig11"}, fromDB(FigureHandoverStats)},
-	{[]string{"fig12"}, fromDB(FigureHandoverImpact)},
+	{[]string{"fig12"}, fromView(handoverImpact)},
 	{[]string{"fig13"}, fromDB(FigureARApp)},
 	{[]string{"fig14"}, fromDB(FigureCAVApp)},
 	{[]string{"fig15"}, fromDB(FigureVideo)},
 	{[]string{"fig16"}, fromDB(FigureGaming)},
 	{[]string{"table4"}, constant(TableAppConfigs)},
 	{[]string{"table5"}, constant(TableMAP)},
-	{[]string{"multivariate"}, fromDB(AnalyzeMultivariate)},
+	{[]string{"multivariate"}, fromView(multivariate)},
 }
 
 // SectionIDs lists every section identifier, in paper order.
@@ -68,7 +75,7 @@ func SectionIDs() []string {
 func Section(db *dataset.DB, maps func() CoverageMaps, id string) (out string, ok bool) {
 	for _, s := range sections {
 		if slices.Contains(s.ids, id) {
-			return s.render(db, maps), true
+			return s.render(newView(db), maps), true
 		}
 	}
 	return "", false
@@ -76,11 +83,12 @@ func Section(db *dataset.DB, maps func() CoverageMaps, id string) (out string, o
 
 // Report renders every table and figure in paper order, each followed by
 // a blank line; Figure 1 comes from the precomputed maps. The sections
-// are independent reads of the database, so they render concurrently on
-// a bounded worker pool; the join order is fixed, so the output is
-// identical to a serial render.
+// are independent reads of one shared view of the database, so they
+// render concurrently on a bounded worker pool; the join order is
+// fixed, so the output is identical to a serial render.
 func Report(db *dataset.DB, maps CoverageMaps) string {
 	given := func() CoverageMaps { return maps }
+	v := newView(db)
 	rendered := make([]string, len(sections))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -90,7 +98,7 @@ func Report(db *dataset.DB, maps CoverageMaps) string {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				rendered[i] = sections[i].render(db, given)
+				rendered[i] = sections[i].render(v, given)
 			}
 		}()
 	}

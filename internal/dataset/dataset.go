@@ -243,27 +243,3 @@ func RTTValues(samples []RTTSample) []float64 {
 	}
 	return out
 }
-
-// MbpsWhere returns the throughput of the samples matching the
-// predicate, in table order, without copying the samples.
-func (db *DB) MbpsWhere(keep func(*ThroughputSample) bool) []float64 {
-	var out []float64
-	for i := range db.Throughput {
-		if s := &db.Throughput[i]; keep(s) {
-			out = append(out, s.Mbps)
-		}
-	}
-	return out
-}
-
-// RTTValuesWhere returns the RTT values (ms) of the non-lost samples
-// matching the predicate, in table order, without copying the samples.
-func (db *DB) RTTValuesWhere(keep func(*RTTSample) bool) []float64 {
-	var out []float64
-	for i := range db.RTT {
-		if s := &db.RTT[i]; !s.Lost && keep(s) {
-			out = append(out, s.RTTMS)
-		}
-	}
-	return out
-}

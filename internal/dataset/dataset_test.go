@@ -129,22 +129,9 @@ func TestFilters(t *testing.T) {
 
 func TestValueExtraction(t *testing.T) {
 	db := sampleDB()
-	ms := db.MbpsWhere(func(*ThroughputSample) bool { return true })
-	if len(ms) != 2 || ms[0] != 42.5 || ms[1] != 3.1 {
-		t.Errorf("MbpsWhere(all) = %v", ms)
-	}
-	if ms := db.MbpsWhere(func(s *ThroughputSample) bool { return s.Static }); len(ms) != 1 || ms[0] != 3.1 {
-		t.Errorf("MbpsWhere(static) = %v", ms)
-	}
 	rs := RTTValues(db.RTT)
 	if len(rs) != 1 || rs[0] != 63.5 {
 		t.Errorf("RTTValues = %v (lost samples must be excluded)", rs)
-	}
-	if rs := db.RTTValuesWhere(func(*RTTSample) bool { return true }); len(rs) != 1 || rs[0] != 63.5 {
-		t.Errorf("RTTValuesWhere = %v (lost samples must be excluded)", rs)
-	}
-	if rs := db.RTTValuesWhere(func(s *RTTSample) bool { return !s.Static }); len(rs) != 0 {
-		t.Errorf("RTTValuesWhere(driving) = %v, want none", rs)
 	}
 }
 

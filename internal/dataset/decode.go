@@ -26,28 +26,144 @@ import (
 // anything else goes through encoding/json, which defines the result:
 // the same DB, or an error, for every input. As with a json.Decoder,
 // bytes after the top-level value are ignored.
+//
+// A row whose operator, direction, technology or timezone is not one of
+// the study's is an error, as the CSV readers reject a name they do not
+// know: the analysis indexes its tables by these fields.
 func ReadJSON(r io.Reader) (*DB, error) {
-	// io.Copy lets a bytes or strings reader hand over its bytes in one
-	// write, where io.ReadAll would regrow its buffer many times. A file
-	// reports its size, so the buffer is grown once to hold it all.
-	var buf bytes.Buffer
-	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
-		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
-			buf.Grow(int(fi.Size()) + bytes.MinRead)
-		}
-	}
-	if _, err := io.Copy(&buf, r); err != nil {
+	b, err := readAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("dataset: read: %w", err)
 	}
-	b := buf.Bytes()
-	if db, ok := decodeCanonical(b); ok {
-		return db, nil
+	db, ok := decodeCanonical(b)
+	if !ok {
+		db = new(DB)
+		if err := json.NewDecoder(bytes.NewReader(b)).Decode(db); err != nil {
+			return nil, fmt.Errorf("dataset: decode: %w", err)
+		}
 	}
-	var db DB
-	if err := json.NewDecoder(bytes.NewReader(b)).Decode(&db); err != nil {
+	if err := db.checkEnums(); err != nil {
 		return nil, fmt.Errorf("dataset: decode: %w", err)
 	}
-	return &db, nil
+	return db, nil
+}
+
+// checkEnums returns an error naming the first row, table by table,
+// whose operator, direction, technology or timezone lies outside the
+// study's.
+func (db *DB) checkEnums() error {
+	var err error
+	check := func(table string, row int, field string, v, n int) {
+		if err == nil && (v < 0 || v >= n) {
+			err = fmt.Errorf("%s row %d: %s %d is not one of the study's", table, row, field, v)
+		}
+	}
+	const ops, dirs, techs, zones = radio.NumOperators, radio.NumDirections, radio.NumTechnologies, geo.NumTimezones
+	for i := range db.Tests {
+		t := &db.Tests[i]
+		check("Tests", i, "operator", int(t.Op), ops)
+		check("Tests", i, "timezone", int(t.Timezone), zones)
+	}
+	for i := range db.Throughput {
+		s := &db.Throughput[i]
+		check("Throughput", i, "operator", int(s.Op), ops)
+		check("Throughput", i, "direction", int(s.Dir), dirs)
+		check("Throughput", i, "technology", int(s.Tech), techs)
+		check("Throughput", i, "timezone", int(s.Timezone), zones)
+	}
+	for i := range db.RTT {
+		s := &db.RTT[i]
+		check("RTT", i, "operator", int(s.Op), ops)
+		check("RTT", i, "technology", int(s.Tech), techs)
+		check("RTT", i, "timezone", int(s.Timezone), zones)
+	}
+	for i := range db.Handovers {
+		h := &db.Handovers[i]
+		check("Handovers", i, "operator", int(h.Op), ops)
+		check("Handovers", i, "technology", int(h.FromTech), techs)
+		check("Handovers", i, "technology", int(h.ToTech), techs)
+	}
+	for i := range db.AppRuns {
+		check("AppRuns", i, "operator", int(db.AppRuns[i].Op), ops)
+	}
+	for i := range db.Passive {
+		s := &db.Passive[i]
+		check("Passive", i, "operator", int(s.Op), ops)
+		check("Passive", i, "technology", int(s.Tech), techs)
+		check("Passive", i, "timezone", int(s.Timezone), zones)
+	}
+	return err
+}
+
+// readAll returns the rest of r's bytes. A reader that can read at an
+// offset and knows where it is and how long it is (a *bytes.Reader, a
+// *strings.Reader, a regular *os.File) is read into one buffer by
+// GOMAXPROCS concurrent ReadAt calls, each filling its own stretch, and
+// left at its end, as a copy would leave it. Any other reader is copied
+// once: io.Copy lets a reader with a WriteTo hand over its bytes in one
+// write, where io.ReadAll would regrow its buffer many times.
+func readAll(r io.Reader) ([]byte, error) {
+	if ra, ok := r.(readerAtSeeker); ok {
+		if size, ok := sizeOf(r); ok {
+			if at, err := ra.Seek(0, io.SeekCurrent); err == nil && at <= size {
+				return readAt(ra, at, size)
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, r); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+type readerAtSeeker interface {
+	io.ReaderAt
+	io.Seeker
+}
+
+// sizeOf reports the length of a reader that knows it: a Size method,
+// or a regular file's Stat.
+func sizeOf(r io.Reader) (int64, bool) {
+	switch f := r.(type) {
+	case interface{ Size() int64 }:
+		return f.Size(), true
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+			return fi.Size(), true
+		}
+	}
+	return 0, false
+}
+
+// readAt reads r's bytes from offset at up to size into one buffer, in
+// stretches of at least splitBytes on up to GOMAXPROCS goroutines, and
+// then seeks r to size. A stretch that reads short is an error.
+func readAt(r readerAtSeeker, at, size int64) ([]byte, error) {
+	b := make([]byte, size-at)
+	parts := min(max(len(b)/splitBytes, 1), runtime.GOMAXPROCS(0))
+	errs := make([]error, parts)
+	parallel(parts, func(i int) bool {
+		lo, hi := len(b)*i/parts, len(b)*(i+1)/parts
+		n, err := r.ReadAt(b[lo:hi], at+int64(lo))
+		if n < hi-lo {
+			if err == nil || err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			errs[i] = err
+			return false
+		}
+		return true
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	if _, err := r.Seek(size, io.SeekStart); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // decodeCanonical decodes b when it holds WriteJSON's layout: keys in

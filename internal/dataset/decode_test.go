@@ -3,23 +3,32 @@ package dataset
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"math/big"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/nuwins/cellwheels/internal/geo"
+	"github.com/nuwins/cellwheels/internal/radio"
 	"github.com/nuwins/cellwheels/internal/unit"
 )
 
-// referenceDecode is what ReadJSON did before the canonical decoder,
-// and what defines its results.
+// referenceDecode is encoding/json's decode followed by the check of
+// every row's enumerated fields, which defines ReadJSON's results.
 func referenceDecode(b []byte) (*DB, error) {
 	var db DB
 	if err := json.NewDecoder(bytes.NewReader(b)).Decode(&db); err != nil {
+		return nil, err
+	}
+	if err := db.checkEnums(); err != nil {
 		return nil, err
 	}
 	return &db, nil
@@ -307,5 +316,115 @@ func TestDecimal(t *testing.T) {
 	}
 	if plain < len(inputs)/3 {
 		t.Errorf("only %d of %d inputs took the fast path", plain, len(inputs))
+	}
+}
+
+// brokenReaderAt is a bytes.Reader whose ReadAt fails from offset bad
+// on: with err, or, when err is nil, by reading short with no error.
+type brokenReaderAt struct {
+	*bytes.Reader
+	bad int64
+	err error
+}
+
+func (r brokenReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if off+int64(len(p)) <= r.bad {
+		return r.Reader.ReadAt(p, off)
+	}
+	n := 0
+	if off < r.bad {
+		n, _ = r.Reader.ReadAt(p[:r.bad-off], off)
+	}
+	return n, r.err
+}
+
+// TestReadJSONReaderAt pins ReadJSON's ReadAt path to its io.Copy
+// path: the same DB from a bytes.Reader read partway, and from a file,
+// each left at its end; and a ReaderAt that fails or reads short in the
+// middle of a stretch gives a read error.
+func TestReadJSONReaderAt(t *testing.T) {
+	db := sampleDB()
+	for len(db.Passive) < 8000 {
+		db.Passive = append(db.Passive, db.Passive...)
+	}
+	b := encode(t, db)
+	want, err := ReadJSON(struct{ io.Reader }{bytes.NewReader(b)})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := bytes.NewReader(append([]byte("xy"), b...))
+	if _, err := r.Seek(2, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadJSON(r)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("bytes.Reader at offset 2: ReadJSON = %v, want the copied read's DB", err)
+	}
+	if r.Len() != 0 {
+		t.Errorf("bytes.Reader left with %d bytes unread", r.Len())
+	}
+
+	path := filepath.Join(t.TempDir(), "db.json")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err = ReadJSON(f)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("file: ReadJSON = %v, want the copied read's DB", err)
+	}
+	if at, err := f.Seek(0, io.SeekCurrent); err != nil || at != int64(len(b)) {
+		t.Errorf("file left at %d (%v), want %d", at, err, len(b))
+	}
+
+	errBroken := errors.New("broken disk")
+	for _, tc := range []struct {
+		name string
+		err  error
+		want error
+	}{
+		{"fails", errBroken, errBroken},
+		{"short", nil, io.ErrUnexpectedEOF},
+	} {
+		r := brokenReaderAt{bytes.NewReader(b), int64(len(b))/2 + 1000, tc.err}
+		_, err := ReadJSON(r)
+		if err == nil || !strings.HasPrefix(err.Error(), "dataset: read: ") || !errors.Is(err, tc.want) {
+			t.Errorf("%s: ReadJSON error %v, want a dataset: read: error wrapping %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestReadJSONRejectsOutOfRange requires ReadJSON to reject a row whose
+// operator, direction, technology or timezone lies outside the study's,
+// naming the row, in WriteJSON's layout and through encoding/json.
+func TestReadJSONRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		edit func(*DB)
+		want string
+	}{
+		{func(db *DB) { db.Throughput[1].Tech = radio.Technology(radio.NumTechnologies) }, "Throughput row 1: technology 5 "},
+		{func(db *DB) { db.Throughput[0].Dir = -1 }, "Throughput row 0: direction -1 "},
+		{func(db *DB) { db.RTT[0].Op = radio.Operator(radio.NumOperators) }, "RTT row 0: operator 3 "},
+		{func(db *DB) { db.Passive[0].Timezone = geo.Timezone(geo.NumTimezones) }, "Passive row 0: timezone 4 "},
+		{func(db *DB) { db.Handovers[0].ToTech = -2 }, "Handovers row 0: technology -2 "},
+	} {
+		db := sampleDB()
+		tc.edit(db)
+		b := encode(t, db)
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, b, "", " "); err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range [][]byte{b, indented.Bytes()} {
+			_, err := ReadJSON(bytes.NewReader(in))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("ReadJSON error %v, want one naming %q", err, tc.want)
+			}
+		}
 	}
 }

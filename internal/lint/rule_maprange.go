@@ -2,23 +2,27 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
 
 // MapRangeRule flags `for ... range m` over a map when the loop body
 // emits something order-sensitive — appends to a slice, writes to a
-// writer, or produces files/records — because Go randomizes map iteration
-// order per run, so the emitted sequence differs run to run. Iterations
-// that only fill other maps are order-independent and stay legal, as is
-// the collect-keys-then-sort idiom: an append whose target is later
-// passed to a sort.* or slices.* call is recognized and not flagged.
+// writer, or produces files/records — or adds floats up across
+// iterations (`+=`, `-=` or `*=` into a float declared outside the
+// loop, whose rounding depends on the order), because Go randomizes map
+// iteration order per run, so the emitted sequence or the sum differs
+// run to run. Iterations that only fill other maps are order-independent
+// and stay legal, as is the collect-keys-then-sort idiom: an append
+// whose target is later passed to a sort.* or slices.* call is
+// recognized and not flagged.
 type MapRangeRule struct{}
 
 func (MapRangeRule) Name() string { return "maprange" }
 
 func (MapRangeRule) Doc() string {
-	return "flag map iteration that appends/writes/emits in randomized order; sort keys first"
+	return "flag map iteration that appends/writes/emits, or adds floats up, in randomized order; sort keys first"
 }
 
 // emittingMethods are method names whose call inside a map-range body
@@ -57,6 +61,13 @@ func emissionIn(p *Package, rs *ast.RangeStmt, fn ast.Node) string {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		if why != "" {
 			return false
+		}
+		if as, ok := n.(*ast.AssignStmt); ok {
+			if obj := floatAccumulator(p.Info, as); obj != nil && !declaredWithin(obj, rs) {
+				why = "adds floats into " + obj.Name() + " in that order"
+				return false
+			}
+			return true
 		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -104,6 +115,24 @@ func appendTarget(info *types.Info, call *ast.CallExpr) types.Object {
 		return nil
 	}
 	return baseObject(info, call.Args[0])
+}
+
+// floatAccumulator returns the variable that a `+=`, `-=` or `*=` of a
+// floating-point value updates, nil for any other statement. The
+// variable may be a per-iteration local; the caller checks where it is
+// declared.
+func floatAccumulator(info *types.Info, as *ast.AssignStmt) types.Object {
+	if as.Tok != token.ADD_ASSIGN && as.Tok != token.SUB_ASSIGN && as.Tok != token.MUL_ASSIGN {
+		return nil
+	}
+	t := info.TypeOf(as.Lhs[0])
+	if t == nil {
+		return nil
+	}
+	if b, ok := t.Underlying().(*types.Basic); !ok || b.Info()&types.IsFloat == 0 {
+		return nil
+	}
+	return baseObject(info, as.Lhs[0])
 }
 
 // baseObject resolves the root variable of an lvalue-ish expression:

@@ -63,3 +63,31 @@ func okSliceRange(xs []string, w io.Writer) {
 		fmt.Fprintln(w, x)
 	}
 }
+
+func badFloatSum(m map[string]float64) float64 {
+	total := 0.0
+	for _, v := range m {
+		total += v
+	}
+	return total
+}
+
+func okFloatSumPerIteration(m map[string][]float64) map[string]float64 {
+	out := make(map[string]float64, len(m))
+	for k, vs := range m {
+		sum := 0.0
+		for _, v := range vs {
+			sum += v
+		}
+		out[k] = sum
+	}
+	return out
+}
+
+func okIntSum(m map[string]int) int {
+	n := 0
+	for _, v := range m {
+		n += v
+	}
+	return n
+}

@@ -43,9 +43,12 @@ func OLS(y []float64, names []string, cols map[string][]float64) (Regression, er
 	if n <= p+1 {
 		return Regression{}, fmt.Errorf("stats: %d observations for %d predictors", n, p)
 	}
-	for _, name := range names {
-		if len(cols[name]) != n {
-			return Regression{}, fmt.Errorf("stats: column %q has %d values, want %d", name, len(cols[name]), n)
+	// x[j] is names[j]'s column, looked up once rather than per row.
+	x := make([][]float64, p)
+	for j, name := range names {
+		x[j] = cols[name]
+		if len(x[j]) != n {
+			return Regression{}, fmt.Errorf("stats: column %q has %d values, want %d", name, len(x[j]), n)
 		}
 	}
 
@@ -59,14 +62,20 @@ func OLS(y []float64, names []string, cols map[string][]float64) (Regression, er
 	row := make([]float64, d)
 	for k := 0; k < n; k++ {
 		row[0] = 1
-		for j, name := range names {
-			row[j+1] = cols[name][k]
+		for j, col := range x {
+			row[j+1] = col[k]
 		}
 		for i := 0; i < d; i++ {
-			for j := 0; j < d; j++ {
+			for j := i; j < d; j++ {
 				xtx[i][j] += row[i] * row[j]
 			}
 			xty[i] += row[i] * y[k]
+		}
+	}
+	// X'X is symmetric: a product is the same either way round.
+	for i := 0; i < d; i++ {
+		for j := 0; j < i; j++ {
+			xtx[i][j] = xtx[j][i]
 		}
 	}
 
@@ -84,8 +93,8 @@ func OLS(y []float64, names []string, cols map[string][]float64) (Regression, er
 	var ssTot, ssRes float64
 	for k := 0; k < n; k++ {
 		pred := beta[0]
-		for j, name := range names {
-			pred += beta[j+1] * cols[name][k]
+		for j, col := range x {
+			pred += beta[j+1] * col[k]
 		}
 		r := y[k] - pred
 		ssRes += r * r
@@ -108,8 +117,8 @@ func OLS(y []float64, names []string, cols map[string][]float64) (Regression, er
 	// Standardized coefficients.
 	sy := stddev(y)
 	reg.StdCoef = make([]float64, p)
-	for j, name := range names {
-		sx := stddev(cols[name])
+	for j, col := range x {
+		sx := stddev(col)
 		if sy > 0 {
 			reg.StdCoef[j] = reg.Coef[j] * sx / sy
 		}

@@ -164,20 +164,26 @@ type Summary struct {
 
 // Summarize computes a Summary of xs.
 func Summarize(xs []float64) (Summary, error) {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return SummarizeSorted(xs, sorted)
+}
+
+// SummarizeSorted is Summarize for a sample set at hand in two orders:
+// xs in the order Summarize would be given it, and sorted, the same
+// values as sort.Float64s leaves them. The mean and standard deviation
+// are summed over xs in its order and the order statistics are read
+// from sorted, so the result is Summarize(xs)'s bit for bit, without a
+// copy or a sort. sorted is not modified.
+func SummarizeSorted(xs, sorted []float64) (Summary, error) {
 	if len(xs) == 0 {
 		return Summary{}, ErrEmpty
 	}
-	c := NewCDF(xs)
-	mean := c.Mean()
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
+	if len(sorted) != len(xs) {
+		return Summary{}, fmt.Errorf("stats: %d sorted values for %d samples", len(sorted), len(xs))
 	}
-	std := 0.0
-	if len(xs) > 1 {
-		std = math.Sqrt(ss / float64(len(xs)-1))
-	}
+	c := &CDF{samples: sorted, sorted: true}
+	mean, std := MeanStd(xs)
 	return Summary{
 		N:      len(xs),
 		Mean:   mean,
@@ -189,6 +195,28 @@ func Summarize(xs []float64) (Summary, error) {
 		P90:    c.Quantile(0.90),
 		Max:    c.Max(),
 	}, nil
+}
+
+// MeanStd returns Summarize(xs)'s Mean and Std, summed over xs in
+// order, without sorting xs. Both are zero for an empty xs.
+func MeanStd(xs []float64) (mean, std float64) {
+	if len(xs) == 0 {
+		return 0, 0
+	}
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	mean = sum / float64(len(xs))
+	var ss float64
+	for _, x := range xs {
+		d := x - mean
+		ss += d * d
+	}
+	if len(xs) > 1 {
+		std = math.Sqrt(ss / float64(len(xs)-1))
+	}
+	return mean, std
 }
 
 // String renders the summary in one line.

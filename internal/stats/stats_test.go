@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -329,5 +331,98 @@ func TestShare(t *testing.T) {
 	z := Share(map[string]int{"a": 0})
 	if z["a"] != 0 {
 		t.Errorf("Share of zero total = %v", z)
+	}
+}
+
+// sameBits reports whether two summaries agree bit for bit.
+func sameBits(a, b Summary) bool {
+	fa := []float64{a.Mean, a.Std, a.Min, a.P25, a.Median, a.P75, a.P90, a.Max}
+	fb := []float64{b.Mean, b.Std, b.Min, b.P25, b.Median, b.P75, b.P90, b.Max}
+	for i := range fa {
+		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
+			return false
+		}
+	}
+	return a.N == b.N
+}
+
+// referenceSummarize is Summarize as it was before SummarizeSorted:
+// the order statistics of a CDF over a copy, the mean and standard
+// deviation summed over xs in order.
+func referenceSummarize(xs []float64) Summary {
+	c := NewCDF(xs)
+	mean := c.Mean()
+	var ss float64
+	for _, x := range xs {
+		d := x - mean
+		ss += d * d
+	}
+	std := 0.0
+	if len(xs) > 1 {
+		std = math.Sqrt(ss / float64(len(xs)-1))
+	}
+	return Summary{
+		N: len(xs), Mean: mean, Std: std, Min: c.Min(),
+		P25: c.Quantile(0.25), Median: c.Median(), P75: c.Quantile(0.75), P90: c.Quantile(0.90),
+		Max: c.Max(),
+	}
+}
+
+// TestSummarizeSortedMatchesSummarize pins SummarizeSorted, given the
+// values in their original order and as sort.Float64s sorts them, and
+// Summarize to the reference bit for bit: on random samples with many
+// duplicates, one sample, all-equal samples, and samples holding NaN
+// and -0.
+func TestSummarizeSortedMatchesSummarize(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cases := map[string][]float64{
+		"one":       {42.5},
+		"all-equal": {3.25, 3.25, 3.25, 3.25, 3.25},
+		"nan-zeros": {0, math.Copysign(0, -1), math.NaN(), -1.5, 0, math.NaN(), 2},
+	}
+	for i := 0; i < 200; i++ {
+		xs := make([]float64, 1+rng.Intn(300))
+		for j := range xs {
+			if rng.Intn(3) == 0 {
+				xs[j] = float64(rng.Intn(5)) // duplicates
+			} else {
+				xs[j] = rng.NormFloat64() * 100
+			}
+		}
+		cases[fmt.Sprintf("random-%d", i)] = xs
+	}
+	for name, xs := range cases {
+		want := referenceSummarize(xs)
+		if got, err := Summarize(xs); err != nil || !sameBits(got, want) {
+			t.Errorf("%s: Summarize = %+v, %v; want %+v", name, got, err, want)
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		kept := append([]float64(nil), sorted...)
+		got, err := SummarizeSorted(xs, sorted)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !sameBits(got, want) {
+			t.Errorf("%s: SummarizeSorted = %+v, want %+v", name, got, want)
+		}
+		if mean, std := MeanStd(xs); math.Float64bits(mean) != math.Float64bits(want.Mean) ||
+			math.Float64bits(std) != math.Float64bits(want.Std) {
+			t.Errorf("%s: MeanStd = %v, %v; want %v, %v", name, mean, std, want.Mean, want.Std)
+		}
+		for i := range kept {
+			if math.Float64bits(kept[i]) != math.Float64bits(sorted[i]) {
+				t.Fatalf("%s: SummarizeSorted modified its sorted input", name)
+			}
+		}
+	}
+	if _, err := SummarizeSorted(nil, nil); err != ErrEmpty {
+		t.Errorf("empty: err = %v, want ErrEmpty", err)
+	}
+	if _, err := SummarizeSorted([]float64{1, 2}, []float64{1}); err == nil {
+		t.Error("length mismatch accepted")
+	}
+	if mean, std := MeanStd(nil); mean != 0 || std != 0 {
+		t.Errorf("MeanStd(nil) = %v, %v, want 0, 0", mean, std)
 	}
 }
