@@ -33,12 +33,15 @@ test-386:
 # 700 km benchmark dataset, from memory and from a file), encoding
 # (WriteJSON of it) and the paper report over it (Report, with its
 # allocations) run once at -cpu 1 and once at -cpu 2, so that the codecs
-# and the report's section workers run both on one core and split. For
+# and the report's section workers run both on one core and split. The
+# live crowd (a fresh 10k-UE registry over a 20 km run's 61,278 ticks,
+# about a million events, with its allocations) runs once at -cpu 1. For
 # real numbers drop -benchtime=1x; the full figure/table benches live in
 # bench_test.go and run with `go test -bench=.`.
 bench:
 	$(GO) test -run=NONE -bench='^(BenchmarkCampaignRun|BenchmarkLogsyncMerge|BenchmarkRouteAt|BenchmarkTimelineScan|BenchmarkOdometerOf|BenchmarkParseContentTime|BenchmarkUEStep|BenchmarkNewMap|BenchmarkNewCampaign)$$' -benchtime=1x . ./internal/geo ./internal/logsync ./internal/ran ./internal/deploy ./internal/core
 	$(GO) test -run=NONE -bench='^(BenchmarkLoad|BenchmarkWriteJSON|BenchmarkReport)$$' -benchtime=1x -cpu 1,2 .
+	$(GO) test -run=NONE -bench='^BenchmarkCrowdLive$$' -benchtime=1x -cpu 1 ./internal/ue
 
 # bench-test vets and tests the repo benchmark (bench/, a module of its
 # own that the root `go test ./...` does not reach): its golden digests,

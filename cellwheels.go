@@ -34,6 +34,7 @@ import (
 	"github.com/nuwins/cellwheels/internal/obs"
 	"github.com/nuwins/cellwheels/internal/radio"
 	"github.com/nuwins/cellwheels/internal/stats"
+	"github.com/nuwins/cellwheels/internal/ue"
 	"github.com/nuwins/cellwheels/internal/unit"
 	"github.com/nuwins/cellwheels/internal/xcal"
 )
@@ -68,7 +69,8 @@ type Config struct {
 	// 0 means GOMAXPROCS. Any value produces byte-identical output.
 	Workers int `json:"workers"`
 	// CrowdSize attaches this many background UEs per operator — the
-	// metro-scale crowd. 0 keeps the classic six-handset campaign.
+	// metro-scale crowd, at most 1<<20. 0 keeps the classic six-handset
+	// campaign.
 	CrowdSize int `json:"crowd_size"`
 	// CrowdSamples is how many crowd UEs run speedtest measurements
 	// during the campaign; 0 defaults to 120 when a crowd is enabled.
@@ -123,8 +125,8 @@ func (c Config) validate() error {
 	default:
 		return fmt.Errorf("cellwheels: unknown load_model %q (want %q or %q)", c.LoadModel, LoadModelStandin, LoadModelDemand)
 	}
-	if c.CrowdSize < 0 {
-		return fmt.Errorf("cellwheels: crowd_size must be >= 0, got %d", c.CrowdSize)
+	if c.CrowdSize < 0 || c.CrowdSize > ue.MaxSize {
+		return fmt.Errorf("cellwheels: crowd_size must be in [0, %d], got %d", ue.MaxSize, c.CrowdSize)
 	}
 	if c.CrowdSamples < 0 {
 		return fmt.Errorf("cellwheels: crowd_samples must be >= 0, got %d", c.CrowdSamples)

@@ -235,19 +235,29 @@ func TestWorkersByteIdentical(t *testing.T) {
 // TestDatasetGolden pins the engine's output to fixed digests, so a
 // change that is deterministic but different (same bytes on every run,
 // other bytes than before) still fails here and not only in the bench
-// module's goldens. Workers 2 runs three lanes on two slots.
+// module's goldens. Workers 2 runs three lanes on two slots. The crowd
+// case is 2 km, inside one 8,192-tick epoch of the crowd's event wheel;
+// crowd-20km has the repo benchmark's fleet-sync run shape, whose 61,278
+// ticks fold the wheel's far overflow seven times and see a typical slot
+// detach and re-attach about three times.
 func TestDatasetGolden(t *testing.T) {
 	const (
-		quickDataset = "45f69419592d3b2add765a81243821ae189ae89643ea2b94bda02f0e2e8a2370"
-		quickReport  = "03d9dea4de20a39a4a9f8919ba1fc44cdd1244388d30248aa35b8c687b1b7a2d"
-		crowdDataset = "f065b6f91eb28876793d8d349fa66292c5f6ff75249e450d36ae42a7be0e3b01"
-		crowdReport  = "02e3e7b0331433399192042a2685d2f16b733356f50af6922d8f250175c59ded"
+		quickDataset   = "45f69419592d3b2add765a81243821ae189ae89643ea2b94bda02f0e2e8a2370"
+		quickReport    = "03d9dea4de20a39a4a9f8919ba1fc44cdd1244388d30248aa35b8c687b1b7a2d"
+		crowdDataset   = "f065b6f91eb28876793d8d349fa66292c5f6ff75249e450d36ae42a7be0e3b01"
+		crowdReport    = "02e3e7b0331433399192042a2685d2f16b733356f50af6922d8f250175c59ded"
+		crowd20Dataset = "7cdc72ef3988cdd15aab82f29bf4667cd2bcb2f1c4284632a0729d159d93e2ee"
+		crowd20Report  = "dae63e5cedbdb680a755afda5b091e32c6f54f42440f84ed4ee23ef6e9111fd7"
 	)
 	type golden struct {
 		cfg             Config
 		dataset, report string
 	}
-	cases := map[string]golden{"crowd": {crowdConfig(2), crowdDataset, crowdReport}}
+	cases := map[string]golden{
+		"crowd": {crowdConfig(2), crowdDataset, crowdReport},
+		"crowd-20km": {Config{Seed: 1, LimitKm: 20, SkipApps: true, CrowdSize: 10_000, LoadModel: LoadModelDemand},
+			crowd20Dataset, crowd20Report},
+	}
 	for _, workers := range []int{1, 2, 3} {
 		cfg := Config{Seed: 21, LimitKm: 40, VideoSeconds: 20, GamingSeconds: 15, Workers: workers}
 		cases[fmt.Sprintf("workers=%d", workers)] = golden{cfg, quickDataset, quickReport}

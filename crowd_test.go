@@ -131,6 +131,7 @@ func TestCrowdConfigValidation(t *testing.T) {
 	cases := []Config{
 		{Seed: 1, LoadModel: "bogus"},
 		{Seed: 1, CrowdSize: -5},
+		{Seed: 1, CrowdSize: 1<<20 + 1},
 		{Seed: 1, CrowdSamples: -1},
 	}
 	for _, cfg := range cases {
@@ -169,20 +170,24 @@ func TestFleetCrowdSweepAxis(t *testing.T) {
 }
 
 // TestFleetRejectsBadCrowdCell pins that facade validation reaches fleet
-// cells: a sweep value outside the load-model envelope fails that run.
+// cells: a sweep value outside the load-model envelope, or a crowd past
+// ue.MaxSize, fails that run before any registry is built.
 func TestFleetRejectsBadCrowdCell(t *testing.T) {
-	res, err := RunFleet(FleetConfig{
-		MasterSeed: 12,
-		Replicates: 1,
-		Base:       Config{LimitKm: 2, SkipApps: true, SkipStatic: true, SkipPassive: true},
-		Sweep: []SweepAxis{
-			{Field: "load_model", Values: rawJSON(`"bogus"`)},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed() != 1 {
-		t.Fatalf("fleet reported %d failures, want the bogus load model to fail its run", res.Failed())
+	for _, axis := range []SweepAxis{
+		{Field: "load_model", Values: rawJSON(`"bogus"`)},
+		{Field: "crowd_size", Values: rawJSON("1048577")},
+	} {
+		res, err := RunFleet(FleetConfig{
+			MasterSeed: 12,
+			Replicates: 1,
+			Base:       Config{LimitKm: 2, SkipApps: true, SkipStatic: true, SkipPassive: true},
+			Sweep:      []SweepAxis{axis},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed() != 1 {
+			t.Fatalf("fleet reported %d failures, want the %s cell to fail its run", res.Failed(), axis.Field)
+		}
 	}
 }

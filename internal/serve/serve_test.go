@@ -539,6 +539,7 @@ func TestBadRequests(t *testing.T) {
 		{"campaign without config", `{"kind":"campaign"}`},
 		{"fleet without scenario", `{"kind":"fleet"}`},
 		{"bad load model", `{"kind":"campaign","config":{"seed":1,"load_model":"psychic"}}`},
+		{"crowd past ue.MaxSize", `{"kind":"campaign","config":{"seed":1,"crowd_size":1048577}}`},
 		{"bad sweep field", `{"kind":"fleet","scenario":{"master_seed":1,"base":{"seed":0},"sweep":[{"field":"nope","values":[1]}]}}`},
 		{"archive_dir rejected", `{"kind":"fleet","scenario":{"master_seed":1,"archive_dir":"/tmp/x","base":{"seed":0}}}`},
 	} {

@@ -15,8 +15,8 @@ import (
 // with a live event mix (sessions, reselections, detaches all enabled):
 // after the attach burst drains and the wheel's bucket pool and shard
 // slices have grown to steady state, Advance must average well under one
-// allocation per tick. The wheel's bucket recycling, the insertion sort
-// replacing sort.SliceStable, and the pointer-passed chooser are what
+// allocation per tick. The wheel's bucket recycling, the allocation-free
+// sort of each bucket's keys, and the pointer-passed chooser are what
 // this guards — before those fixes every non-empty tick allocated.
 func TestAdvanceSteadyStateAllocs(t *testing.T) {
 	route := geo.DefaultRoute()

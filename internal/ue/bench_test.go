@@ -48,3 +48,32 @@ func BenchmarkCrowdStep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCrowdLive measures a live crowd end to end: one op builds a
+// fresh 10k-UE registry with the default dwell means (sessions,
+// reselections, detaches and re-attaches all firing) and advances it over
+// the 61,278 ticks of a 20 km campaign, the crowd shape of the repo
+// benchmark's fleet-sync runs. Where BenchmarkCrowdStep shows that idle
+// UEs cost nothing, this is the per-event cost: about a million events
+// per op.
+func BenchmarkCrowdLive(b *testing.B) {
+	const ticks = 61_278
+	route := geo.DefaultRoute()
+	m := deploy.NewMap(radio.Verizon, route, simrand.New(7))
+	b.ReportAllocs()
+	var events int64
+	for i := 0; i < b.N; i++ {
+		r := NewRegistry(Config{
+			Op: radio.Verizon, Map: m, Route: route,
+			Size: 10_000, Span: 20 * unit.Kilometer, Seed: 13,
+			HorizonTicks: ticks,
+		})
+		now := time.Date(2022, 8, 12, 9, 0, 0, 0, time.UTC)
+		for j := 0; j < ticks; j++ {
+			r.Advance(now)
+			now = now.Add(50 * time.Millisecond)
+		}
+		events = r.EventsProcessed()
+	}
+	b.ReportMetric(float64(events), "events/op")
+}

@@ -24,6 +24,13 @@
 //     (see DESIGN.md Appendix D) — so wheel internals can be reorganized
 //     freely without changing results.
 //
+// An event is cheap because everything a UE's events look up is fixed
+// once its position is: the technologies deployed there are computed in
+// NewRegistry, and the nearest cell of each technology on first use,
+// then read from per-slot memos. The wheel files an event as one 8-byte
+// key, (kind, slot, generation) packed so that sorting the integers puts
+// a tick's events in contract order.
+//
 // Per-cell aggregate demand (integer units, exact under any summation
 // order) is the registry's output surface: it backs the demand-driven
 // load model behind ran.LoadBackend.
@@ -46,8 +53,9 @@ type Config struct {
 	Map   *deploy.Map
 	Route *geo.Route
 
-	// Size is the number of background UEs (slots). Zero is a valid empty
-	// crowd: the registry still answers CellLoad with the base load.
+	// Size is the number of background UEs (slots), at most MaxSize.
+	// Zero is a valid empty crowd: the registry still answers CellLoad
+	// with the base load.
 	Size int
 	// Span bounds drawn positions to [0, Span] along the route; zero
 	// means the full route. Campaigns pass their driven limit so the
@@ -85,6 +93,13 @@ type Config struct {
 	// wheel depth, measurements). Write-only and nil-safe, as everywhere.
 	Obs *obs.Recorder
 }
+
+// MaxSize is the largest crowd a registry holds: the 10⁶-UE design
+// scale, rounded up to a power of two. Every slot costs about 60 bytes
+// across the slot store plus its pending events, so the bound keeps a
+// config from asking for more memory than any host has; it is also far
+// inside the 29 bits a slot has in an event key.
+const MaxSize = 1 << 20
 
 // Slot lifecycle states.
 const (
@@ -131,6 +146,13 @@ type Registry struct {
 	measure []int32 // demand units of a running measurement
 	seq     []uint64
 	isMeas  []bool
+
+	// Per-slot lookups that depend only on the slot's fixed position and
+	// the immutable deploy.Map: the technologies deployed there, and the
+	// nearest cell of each technology (slot*NumTechnologies + tech),
+	// unknownCell until first asked for.
+	avail   []deploy.TechSet
+	nearest []int32
 
 	shards [radio.NumTechnologies][]cellShard
 	wheel  wheel
@@ -236,6 +258,8 @@ func NewRegistry(cfg Config) *Registry {
 		measure: make([]int32, n),
 		seq:     make([]uint64, n),
 		isMeas:  make([]bool, n),
+		avail:   make([]deploy.TechSet, n),
+		nearest: make([]int32, n*radio.NumTechnologies),
 
 		sessionT:  ticksOf(cfg.SessionMean, cfg.Tick),
 		activeT:   ticksOf(cfg.ActiveMean, cfg.Tick),
@@ -260,11 +284,15 @@ func NewRegistry(cfg Config) *Registry {
 		span = cfg.Span
 	}
 	r.rast = newRaster(cfg.Route, span)
+	for i := range r.nearest {
+		r.nearest[i] = unknownCell
+	}
 
 	for slot := int32(0); slot < int32(n); slot++ {
 		r.cell[slot] = -1
 		r.odo[slot] = r.drawPosition(slot, span)
 		r.tz[slot] = uint8(r.rast.timezone(r.odo[slot]))
+		r.avail[slot] = cfg.Map.Available(r.odo[slot])
 		r.schedule(evAttach, slot, 1+r.intn(slot, r.attachW))
 	}
 	r.scheduleMeasurements()
@@ -314,41 +342,24 @@ func (r *Registry) scheduleMeasurements() {
 func (r *Registry) Advance(now time.Time) {
 	r.tick++
 	bucket := r.wheel.take(r.tick)
-	if len(bucket) > 1 {
-		// Stable insertion sort in (kind, slot) order. Buckets are tiny —
-		// a handful of events share a tick — and sort.SliceStable would
-		// box the slice and allocate its comparator on every tick. Shifting
-		// only on strict inequality preserves the order of equal elements,
-		// so the result is byte-identical to the sort.SliceStable it
-		// replaces.
-		for i := 1; i < len(bucket); i++ {
-			ev := bucket[i]
-			j := i
-			for j > 0 && (ev.kind < bucket[j-1].kind ||
-				(ev.kind == bucket[j-1].kind && ev.slot < bucket[j-1].slot)) {
-				bucket[j] = bucket[j-1]
-				j--
-			}
-			bucket[j] = ev
-		}
-	}
-	for _, ev := range bucket {
-		if ev.gen != r.gen[ev.slot] {
+	for _, k := range bucket {
+		kind, slot, gen := unpackKey(k)
+		if gen != r.gen[slot] {
 			continue // cancelled by a detach after scheduling
 		}
-		switch ev.kind {
+		switch kind {
 		case evAttach:
-			r.handleAttach(ev.slot)
+			r.handleAttach(slot)
 		case evDetach:
-			r.handleDetach(ev.slot)
+			r.handleDetach(slot)
 		case evHandover:
-			r.handleHandover(ev.slot)
+			r.handleHandover(slot)
 		case evSession:
-			r.handleSession(ev.slot)
+			r.handleSession(slot)
 		case evMeasureStart:
-			r.handleMeasureStart(ev.slot, now)
+			r.handleMeasureStart(slot, now)
 		case evMeasureEnd:
-			r.handleMeasureEnd(ev.slot)
+			r.handleMeasureEnd(slot)
 		}
 	}
 	if n := int64(len(bucket)); n > 0 {
@@ -391,7 +402,7 @@ func (r *Registry) schedule(kind uint8, slot int32, delay int64) {
 	if delay < 1 {
 		delay = 1
 	}
-	r.wheel.schedule(event{at: r.tick + delay, slot: slot, gen: r.gen[slot], kind: kind}, r.tick)
+	r.wheel.schedule(r.tick+delay, eventKey(kind, slot, r.gen[slot]), r.tick)
 }
 
 // handleAttach runs the idle elevation policy at the slot's position and
@@ -402,20 +413,18 @@ func (r *Registry) handleAttach(slot int32) {
 	if r.state[slot] != stDetached {
 		return
 	}
-	odo := r.odo[slot]
-	avail := r.cfg.Map.Available(odo)
 	r.chooser.slot = slot
-	tech := deploy.ChooseTechWith(r.cfg.Op, avail, deploy.Idle, geo.Timezone(r.tz[slot]), &r.chooser)
-	ci := r.nearestCell(odo, tech)
+	tech := deploy.ChooseTechWith(r.cfg.Op, r.avail[slot], deploy.Idle, geo.Timezone(r.tz[slot]), &r.chooser)
+	ci := r.nearestCell(slot, tech)
 	if ci < 0 && tech != radio.LTE {
 		tech = radio.LTE
-		ci = r.nearestCell(odo, radio.LTE)
+		ci = r.nearestCell(slot, radio.LTE)
 	}
 	if ci < 0 {
 		r.schedule(evAttach, slot, r.expTicks(slot, r.reattachT))
 		return
 	}
-	r.attachSlot(slot, tech, int32(ci))
+	r.attachSlot(slot, tech, ci)
 	r.schedule(evSession, slot, r.expTicks(slot, r.sessionT))
 	r.schedule(evHandover, slot, r.expTicks(slot, r.reselectT))
 	if !r.isMeas[slot] {
@@ -444,21 +453,19 @@ func (r *Registry) handleHandover(slot int32) {
 	if r.state[slot] != stAttached {
 		return
 	}
-	odo := r.odo[slot]
 	traffic := deploy.Idle
 	if r.session[slot] > 0 || r.measure[slot] > 0 {
 		traffic = deploy.HeavyDL
 	}
-	avail := r.cfg.Map.Available(odo)
 	r.chooser.slot = slot
-	tech := deploy.ChooseTechWith(r.cfg.Op, avail, traffic, geo.Timezone(r.tz[slot]), &r.chooser)
-	ci := r.nearestCell(odo, tech)
+	tech := deploy.ChooseTechWith(r.cfg.Op, r.avail[slot], traffic, geo.Timezone(r.tz[slot]), &r.chooser)
+	ci := r.nearestCell(slot, tech)
 	if ci < 0 && tech != radio.LTE {
 		tech = radio.LTE
-		ci = r.nearestCell(odo, radio.LTE)
+		ci = r.nearestCell(slot, radio.LTE)
 	}
-	if ci >= 0 && (uint8(tech) != r.tech[slot] || int32(ci) != r.cell[slot]) {
-		r.moveSlot(slot, tech, int32(ci))
+	if ci >= 0 && (uint8(tech) != r.tech[slot] || ci != r.cell[slot]) {
+		r.moveSlot(slot, tech, ci)
 	}
 	r.schedule(evHandover, slot, r.expTicks(slot, r.reselectT))
 }
@@ -570,9 +577,20 @@ func (r *Registry) addDemand(slot int32, delta int32) {
 	r.shards[r.tech[slot]][r.cell[slot]].demand += int64(delta)
 }
 
-// nearestCell picks the closest site of a technology within the usual
-// attachment window, or -1 when none is in range.
-func (r *Registry) nearestCell(odo unit.Meters, t radio.Technology) int {
+// unknownCell marks a nearest-cell memo entry not computed yet; -1 is
+// taken by "no site in range".
+const unknownCell = -2
+
+// nearestCell picks the closest site of a technology to the slot within
+// the usual attachment window, or -1 when none is in range. The answer
+// depends only on the slot's fixed position and the immutable map, so it
+// is computed once per (slot, technology) and then read from the memo.
+func (r *Registry) nearestCell(slot int32, t radio.Technology) int32 {
+	m := &r.nearest[int(slot)*radio.NumTechnologies+int(t)]
+	if *m != unknownCell {
+		return *m
+	}
+	odo := r.odo[slot]
 	window := 3 * radio.Band(t).CellRadius
 	lo, hi := r.cfg.Map.CellRange(odo, t, window)
 	best, bestIdx := math.Inf(1), -1
@@ -581,7 +599,8 @@ func (r *Registry) nearestCell(odo unit.Meters, t radio.Technology) int {
 			best, bestIdx = d, i
 		}
 	}
-	return bestIdx
+	*m = int32(bestIdx)
+	return *m
 }
 
 // drawPosition samples the slot's home position with the same urban bias

@@ -337,15 +337,16 @@ func TestWheelFarEvents(t *testing.T) {
 	ringSize := int64(len(w.ring))
 	due := []int64{1, 2, ringSize - 1, ringSize, ringSize + 1, 3 * ringSize, 10*ringSize + 7}
 	for i, at := range due {
-		w.schedule(event{at: at, slot: int32(i)}, 0)
+		w.schedule(at, eventKey(evSession, int32(i), 0), 0)
 	}
 	if w.depth != len(due) {
 		t.Fatalf("depth = %d after scheduling, want %d", w.depth, len(due))
 	}
 	got := map[int64][]int32{}
 	for tick := int64(1); tick <= 10*ringSize+8; tick++ {
-		for _, ev := range w.take(tick) {
-			got[tick] = append(got[tick], ev.slot)
+		for _, k := range w.take(tick) {
+			_, slot, _ := unpackKey(k)
+			got[tick] = append(got[tick], slot)
 		}
 	}
 	if w.depth != 0 {
