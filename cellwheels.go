@@ -62,7 +62,8 @@ type Config struct {
 	// regardless of traffic (ablation of the elevation policy).
 	DisablePolicy bool `json:"disable_policy"`
 	// VideoSeconds and GamingSeconds shorten the two long app tests;
-	// zero keeps the paper's durations (180 s and 90 s).
+	// zero keeps the paper's durations (180 s and 90 s). Each is at most
+	// MaxAppSeconds.
 	VideoSeconds  int `json:"video_seconds"`
 	GamingSeconds int `json:"gaming_seconds"`
 	// Workers caps how many operator lanes are simulated concurrently;
@@ -116,6 +117,12 @@ const (
 	LoadModelDemand  = core.LoadModelDemand
 )
 
+// MaxAppSeconds bounds VideoSeconds and GamingSeconds: one hour, twenty
+// times the paper's longest app test. It keeps a single job's simulated
+// app time finite and far below the ~9.2·10⁹ s at which the duration
+// would overflow time.Duration.
+const MaxAppSeconds = 3600
+
 // validate rejects configs outside the supported envelope before any
 // simulation state is built, so fleet sweeps fail fast with a clear error
 // instead of deep inside a lane.
@@ -130,6 +137,12 @@ func (c Config) validate() error {
 	}
 	if c.CrowdSamples < 0 {
 		return fmt.Errorf("cellwheels: crowd_samples must be >= 0, got %d", c.CrowdSamples)
+	}
+	if c.VideoSeconds < 0 || c.VideoSeconds > MaxAppSeconds {
+		return fmt.Errorf("cellwheels: video_seconds must be in [0, %d], got %d", MaxAppSeconds, c.VideoSeconds)
+	}
+	if c.GamingSeconds < 0 || c.GamingSeconds > MaxAppSeconds {
+		return fmt.Errorf("cellwheels: gaming_seconds must be in [0, %d], got %d", MaxAppSeconds, c.GamingSeconds)
 	}
 	return nil
 }

@@ -421,3 +421,40 @@ func TestWriteCoverageGeoJSON(t *testing.T) {
 		t.Error("loaded study exported coverage GeoJSON")
 	}
 }
+
+// TestAppSecondsBound pins MaxAppSeconds: one second past it, or a
+// negative duration, fails Run and FleetConfig.Validate before anything
+// runs, and a fleet sweep cell past it fails its run; the bound itself
+// is valid.
+func TestAppSecondsBound(t *testing.T) {
+	for _, cfg := range []Config{
+		{Seed: 1, VideoSeconds: MaxAppSeconds + 1},
+		{Seed: 1, GamingSeconds: MaxAppSeconds + 1},
+		{Seed: 1, VideoSeconds: -1},
+		{Seed: 1, GamingSeconds: -1},
+	} {
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("Run accepted %+v", cfg)
+		}
+		if err := (FleetConfig{MasterSeed: 1, Replicates: 1, Base: cfg}).Validate(); err == nil {
+			t.Errorf("FleetConfig.Validate accepted base %+v", cfg)
+		}
+	}
+	if err := (Config{VideoSeconds: MaxAppSeconds, GamingSeconds: MaxAppSeconds}).Validate(); err != nil {
+		t.Errorf("the bound itself is rejected: %v", err)
+	}
+	for _, field := range []string{"video_seconds", "gaming_seconds"} {
+		res, err := RunFleet(FleetConfig{
+			MasterSeed: 12,
+			Replicates: 1,
+			Base:       Config{LimitKm: 2, SkipStatic: true, SkipPassive: true},
+			Sweep:      []SweepAxis{{Field: field, Values: rawJSON(fmt.Sprint(MaxAppSeconds + 1))}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed() != 1 {
+			t.Errorf("%s past the bound: %d failed runs, want 1", field, res.Failed())
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/nuwins/cellwheels"
 	"github.com/nuwins/cellwheels/internal/fleet"
 	"github.com/nuwins/cellwheels/internal/serve"
 )
@@ -301,5 +302,25 @@ func TestFleetrunUnwritableOutDirError(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "create output directory") {
 		t.Errorf("unwritable -out produced a bare error:\n%s", stderr)
+	}
+}
+
+// TestFleetrunAppSecondsBound: a scenario whose base asks for more than
+// cellwheels.MaxAppSeconds of video fails every run through the shared
+// config check, and the manifest says why.
+func TestFleetrunAppSecondsBound(t *testing.T) {
+	dir := t.TempDir()
+	scenario := filepath.Join(dir, "fleet.json")
+	body := fmt.Sprintf(`{"master_seed":5,"replicates":1,"base":{"limit_km":2,"video_seconds":%d}}`, cellwheels.MaxAppSeconds+1)
+	if err := os.WriteFile(scenario, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "out")
+	if code := realMain([]string{"fleet", "-scenario", scenario, "-out", out}); code != 1 {
+		t.Fatalf("exit code = %d, want 1", code)
+	}
+	man := readFleetManifest(t, out)
+	if man.Failed != 1 || !strings.Contains(man.Runs[0].Error, "video_seconds") {
+		t.Fatalf("manifest = %+v, want the one run failed on video_seconds", man)
 	}
 }

@@ -61,10 +61,13 @@
 //	GET  /v1/jobs/{id}                     one job's status and artifact list
 //	GET  /v1/jobs/{id}/progress[?follow=1] live obs counters (NDJSON stream with follow)
 //	GET  /v1/jobs/{id}/artifacts/{name}    download one artifact
+//	GET  /v1/metrics                       the daemon's own counters and queue gauges, live
 //	     /fleetsync/v1/...                 the fleetsync protocol, while a collect job is live
 //
 // Jobs are content-addressed, so re-submitting is idempotent, and every
 // artifact is byte-identical to the equivalent run or fleet invocation.
+// A campaign job whose config an earlier job already ran copies that
+// run's dataset and report instead of running it again.
 // The bound address is written to <data>/wheelsd-addr.txt once the
 // listener is live, so scripts can pass -addr :0 and wait for the file.
 // SIGINT/SIGTERM drains: accepted jobs run to completion and a live

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -115,6 +116,43 @@ func TestRuleFixtures(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConcurrentLoads loads every rule's fixture from its own goroutine
+// at once. The loads share the process's one standard-library importer
+// and file set, which its lock keeps consistent (run under -race): each
+// still renders its golden.
+func TestConcurrentLoads(t *testing.T) {
+	var wg sync.WaitGroup
+	for _, r := range AllRules() {
+		wg.Add(1)
+		go func(r Rule) {
+			defer wg.Done()
+			dir := filepath.Join("testdata", r.Name())
+			var pkgs []*Package
+			var err error
+			if moduleFixtures[r.Name()] {
+				pkgs, err = LoadModule(dir)
+			} else {
+				var p *Package
+				p, err = LoadFixture(dir, "internal/fixture/"+r.Name())
+				pkgs = []*Package{p}
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			want, err := os.ReadFile(filepath.Join(dir, "expected.txt"))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got := render(dir, Run(pkgs, []Rule{r})); got != string(want) {
+				t.Errorf("%s: concurrent load differs from its golden:\n%s", r.Name(), got)
+			}
+		}(r)
+	}
+	wg.Wait()
 }
 
 // TestFixturesExerciseEveryRule guards the checked-in corpus without

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // The loader is a miniature, dependency-free replacement for
@@ -21,13 +22,38 @@ import (
 // source via go/importer's "source" compiler (the gc export-data importer
 // no longer works since binary stdlib .a files stopped shipping).
 
+// The process shares one standard-library importer and one file set.
+// The source importer type-checks each GOROOT package once and caches
+// it, so every LoadModule and LoadFixture after the first reuses that
+// work instead of checking the standard library again. Every load
+// positions its files in stdFset; a position renders the same
+// file:line:col in any file set, and token.FileSet is safe for
+// concurrent use. The source importer is not, so every call into it
+// holds stdMu.
+var (
+	stdFset = token.NewFileSet()
+	stdMu   sync.Mutex
+	stdSrc  = importer.ForCompiler(stdFset, "source", nil).(types.ImporterFrom)
+)
+
+// stdImporter is the shared source importer behind stdMu.
+type stdImporter struct{}
+
+func (stdImporter) Import(path string) (*types.Package, error) {
+	return stdImporter{}.ImportFrom(path, "", 0)
+}
+
+func (stdImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return stdSrc.ImportFrom(path, dir, mode)
+}
+
 type loader struct {
-	fset    *token.FileSet
 	root    string // absolute module root
 	modPath string // module path from go.mod
 	cache   map[string]*Package
 	loading map[string]bool // import-cycle guard
-	std     types.ImporterFrom
 }
 
 func newLoader(root string) (*loader, error) {
@@ -39,18 +65,11 @@ func newLoader(root string) (*loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	if !ok {
-		return nil, fmt.Errorf("lint: source importer unavailable")
-	}
 	return &loader{
-		fset:    fset,
 		root:    abs,
 		modPath: modPath,
 		cache:   map[string]*Package{},
 		loading: map[string]bool{},
-		std:     std,
 	}, nil
 }
 
@@ -88,7 +107,7 @@ func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 		}
 		return p.Pkg, nil
 	}
-	return l.std.ImportFrom(path, dir, mode)
+	return stdImporter{}.ImportFrom(path, dir, mode)
 }
 
 // relOf maps an import path inside the module to its module-relative dir.
@@ -117,7 +136,7 @@ func (l *loader) loadRel(rel string) (*Package, error) {
 	l.loading[importPath] = true
 	defer delete(l.loading, importPath)
 
-	p, err := loadPackage(l.fset, l, filepath.Join(l.root, filepath.FromSlash(rel)), importPath, rel)
+	p, err := loadPackage(l, filepath.Join(l.root, filepath.FromSlash(rel)), importPath, rel)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +146,7 @@ func (l *loader) loadRel(rel string) (*Package, error) {
 
 // loadPackage parses the non-test .go files of one directory and
 // typechecks them as a single package.
-func loadPackage(fset *token.FileSet, imp types.Importer, dir, importPath, rel string) (*Package, error) {
+func loadPackage(imp types.Importer, dir, importPath, rel string) (*Package, error) {
 	names, err := goSources(dir)
 	if err != nil {
 		return nil, err
@@ -137,7 +156,7 @@ func loadPackage(fset *token.FileSet, imp types.Importer, dir, importPath, rel s
 	}
 	var files []*ast.File
 	for _, name := range names {
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(stdFset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %w", err)
 		}
@@ -152,12 +171,12 @@ func loadPackage(fset *token.FileSet, imp types.Importer, dir, importPath, rel s
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(importPath, fset, files, info)
+	tpkg, err := conf.Check(importPath, stdFset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: typecheck %s: %w", importPath, err)
 	}
 	return &Package{
-		Fset:  fset,
+		Fset:  stdFset,
 		Path:  importPath,
 		Rel:   rel,
 		Dir:   dir,
@@ -219,12 +238,7 @@ func LoadModule(root string, patterns ...string) ([]*Package, error) {
 // only), presenting it to rules as if it lived at module-relative dir
 // rel — so path-scoped rules can be exercised from testdata.
 func LoadFixture(dir, rel string) (*Package, error) {
-	fset := token.NewFileSet()
-	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	if !ok {
-		return nil, fmt.Errorf("lint: source importer unavailable")
-	}
-	return loadPackage(fset, std, dir, "fixture/"+filepath.Base(dir), rel)
+	return loadPackage(stdImporter{}, dir, "fixture/"+filepath.Base(dir), rel)
 }
 
 // packageDirs walks the module tree and returns the module-relative dirs

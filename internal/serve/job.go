@@ -5,6 +5,14 @@
 // artifact a job produces is byte-identical to the equivalent
 // `cellwheels run` or `cellwheels fleet` invocation, pinned by tests
 // under -race.
+//
+// Jobs are content-addressed by their whole spec; campaign runs are
+// addressed a second time by Config.Fingerprint. A campaign job whose
+// config an earlier job already ran to the end copies that job's
+// dataset.json and report.txt byte for byte (and derives its CSVs from
+// the copied dataset) instead of running the campaign again; if those
+// files cannot be read, it runs. GET /v1/metrics serves the daemon's
+// counters live, serve/run_reuse/{hits,misses} among them.
 package serve
 
 import (

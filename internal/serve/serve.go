@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -59,6 +60,11 @@ type Server struct {
 	order    []string // submission order, for listing
 	queue    []*Job   // FIFO of queued pooled jobs
 	draining bool
+	// runs maps a campaign config's fingerprint (the config_sha256 of
+	// its manifest) to the last job that finished that config; a later
+	// campaign job with the same fingerprint copies that job's
+	// artifacts instead of running the campaign again.
+	runs map[string]*Job
 
 	// The mounted collector, when a collect job is live. Mounting is
 	// exclusive: the /fleetsync/v1 path can only mean one reduction.
@@ -89,6 +95,7 @@ func New(cfg Config) (*Server, error) {
 		jobsDir: jobsDir,
 		rec:     cfg.Obs,
 		jobs:    map[string]*Job{},
+		runs:    map[string]*Job{},
 		stop:    make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -135,6 +142,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/progress", s.handleProgress)
 	mux.HandleFunc("GET /v1/jobs/{id}/artifacts/{name}", s.handleArtifact)
+	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc(fleetsync.BasePath+"/", s.handleFleetsync)
 	return mux
 }
@@ -183,6 +191,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.rec.Counter("serve/jobs_submitted").Add(1)
 	writeJSON(w, http.StatusCreated, j.Status())
+}
+
+// handleMetrics serves the daemon's own counters and queue gauges, live:
+// the Snapshot that `cellwheels serve -metrics` writes on exit.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.Snapshot())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -333,24 +347,43 @@ func (s *Server) runJob(j *Job) {
 // runCampaign executes a campaign job and writes exactly the artifact
 // set of `cellwheels run` — dataset.json (the bytes of Study.WriteJSON),
 // report.txt, optional CSV tables, and the job's obs manifest last so it
-// carries every phase.
+// carries every phase. A config this daemon has already run to the end
+// is not run again: the job copies that run's dataset and report byte
+// for byte (see finishedRun) and labels its manifest reused_from.
 //
 //lint:cold — once per job; per-tick work lives in the campaign, not the daemon
 func (s *Server) runCampaign(j *Job) error {
 	cfg := *j.Spec.Config
-	cfg.Obs = j.rec
-	study, err := cellwheels.Run(cfg)
-	if err != nil {
-		return err
+	fp := cfg.Fingerprint()
+	var (
+		writeDataset func(path string) error
+		report       []byte
+		study        *cellwheels.Study // for the CSV export; nil on a hit without csv
+	)
+	if src, data, rep, st := s.finishedRun(fp, j.Spec.CSV); src != nil {
+		s.rec.Counter("serve/run_reuse/hits").Add(1)
+		j.rec.SetLabel("seed", strconv.FormatInt(cfg.Seed, 10))
+		j.rec.SetLabel("config_sha256", fp)
+		j.rec.SetLabel("reused_from", src.ID)
+		writeDataset = func(path string) error { return atomicio.WriteFileBytes(path, 0o644, data) }
+		report, study = rep, st
+	} else {
+		s.rec.Counter("serve/run_reuse/misses").Add(1)
+		cfg.Obs = j.rec
+		var err error
+		if study, err = cellwheels.Run(cfg); err != nil {
+			return err
+		}
+		writeDataset = study.WriteJSONFile
+		stop := j.rec.StartPhase("report")
+		report = []byte(study.Report())
+		stop()
 	}
-	if err := study.WriteJSONFile(filepath.Join(j.dir, "dataset.json")); err != nil {
+	if err := writeDataset(filepath.Join(j.dir, "dataset.json")); err != nil {
 		return err
 	}
 	j.addArtifact("dataset.json")
-	stop := j.rec.StartPhase("report")
-	report := study.Report()
-	stop()
-	if err := atomicio.WriteFileBytes(filepath.Join(j.dir, "report.txt"), 0o644, []byte(report)); err != nil {
+	if err := atomicio.WriteFileBytes(filepath.Join(j.dir, "report.txt"), 0o644, report); err != nil {
 		return err
 	}
 	j.addArtifact("report.txt")
@@ -362,7 +395,41 @@ func (s *Server) runCampaign(j *Job) error {
 			j.addArtifact(name)
 		}
 	}
-	return s.writeObsManifest(j)
+	if err := s.writeObsManifest(j); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.runs[fp] = j
+	s.mu.Unlock()
+	return nil
+}
+
+// finishedRun looks up the last job that ran the config with fingerprint
+// fp to the end and reads its dataset and report back from that job's
+// directory; for a CSV job it also decodes the dataset into the study the
+// tables are exported from. src is nil when no such job exists or any of
+// this fails — a deleted or unreadable file included — and the caller
+// then runs the campaign itself.
+func (s *Server) finishedRun(fp string, csv bool) (src *Job, data, report []byte, study *cellwheels.Study) {
+	s.mu.Lock()
+	src = s.runs[fp]
+	s.mu.Unlock()
+	if src == nil {
+		return nil, nil, nil, nil
+	}
+	data, err := os.ReadFile(filepath.Join(src.dir, "dataset.json"))
+	if err != nil {
+		return nil, nil, nil, nil
+	}
+	if report, err = os.ReadFile(filepath.Join(src.dir, "report.txt")); err != nil {
+		return nil, nil, nil, nil
+	}
+	if csv {
+		if study, err = cellwheels.Load(bytes.NewReader(data)); err != nil {
+			return nil, nil, nil, nil
+		}
+	}
+	return src, data, report, study
 }
 
 // runFleet executes a fleet job in-process, producing the artifact pair

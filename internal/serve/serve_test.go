@@ -540,6 +540,9 @@ func TestBadRequests(t *testing.T) {
 		{"fleet without scenario", `{"kind":"fleet"}`},
 		{"bad load model", `{"kind":"campaign","config":{"seed":1,"load_model":"psychic"}}`},
 		{"crowd past ue.MaxSize", `{"kind":"campaign","config":{"seed":1,"crowd_size":1048577}}`},
+		{"video past MaxAppSeconds", fmt.Sprintf(`{"kind":"campaign","config":{"seed":1,"video_seconds":%d}}`, cellwheels.MaxAppSeconds+1)},
+		{"gaming past MaxAppSeconds", fmt.Sprintf(`{"kind":"campaign","config":{"seed":1,"gaming_seconds":%d}}`, cellwheels.MaxAppSeconds+1)},
+		{"fleet base video past MaxAppSeconds", fmt.Sprintf(`{"kind":"fleet","scenario":{"master_seed":1,"base":{"seed":0,"video_seconds":%d}}}`, cellwheels.MaxAppSeconds+1)},
 		{"bad sweep field", `{"kind":"fleet","scenario":{"master_seed":1,"base":{"seed":0},"sweep":[{"field":"nope","values":[1]}]}}`},
 		{"archive_dir rejected", `{"kind":"fleet","scenario":{"master_seed":1,"archive_dir":"/tmp/x","base":{"seed":0}}}`},
 	} {
@@ -569,6 +572,246 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("artifact %q: want 404, got %d", name, resp.StatusCode)
+		}
+	}
+}
+
+// reuseConfig is a short campaign with every test kind on, so all four
+// CSV tables have rows.
+func reuseConfig(seed int64) cellwheels.Config {
+	return cellwheels.Config{Seed: seed, LimitKm: 8, VideoSeconds: 20, GamingSeconds: 15}
+}
+
+func campaignSpec(t *testing.T, cfg cellwheels.Config, csv bool) string {
+	t.Helper()
+	body, err := json.Marshal(JobSpec{Kind: KindCampaign, Config: &cfg, CSV: csv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// directArtifacts runs cfg through the library and returns every file a
+// campaign job with csv set publishes, manifest aside, by name.
+func directArtifacts(t *testing.T, cfg cellwheels.Config) map[string][]byte {
+	t.Helper()
+	study, err := cellwheels.Run(cfg)
+	if err != nil {
+		t.Fatalf("direct run: %v", err)
+	}
+	var data bytes.Buffer
+	if err := study.WriteJSON(&data); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{"dataset.json": data.Bytes(), "report.txt": []byte(study.Report())}
+	dir := t.TempDir()
+	if err := study.WriteCSV(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range cellwheels.CSVFiles() {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = b
+	}
+	return want
+}
+
+// runJob submits spec, waits for it to end done and returns its status.
+func runJob(t *testing.T, ts *httptest.Server, spec string) JobStatus {
+	t.Helper()
+	st, code := submit(t, ts, spec)
+	if code != http.StatusCreated {
+		t.Fatalf("submit: status %d (%s)", code, st.Error)
+	}
+	done := waitJob(t, ts, st.ID)
+	if done.State != StateDone {
+		t.Fatalf("job %s: %s", done.State, done.Error)
+	}
+	return done
+}
+
+// checkArtifacts byte-compares every artifact the job lists, manifest
+// aside, with want, and checks that the job lists the CSVs iff csv.
+func checkArtifacts(t *testing.T, ts *httptest.Server, st JobStatus, want map[string][]byte, csv bool) {
+	t.Helper()
+	names := []string{"dataset.json", "report.txt"}
+	if csv {
+		names = append(names, cellwheels.CSVFiles()...)
+	}
+	names = append(names, "manifest.json")
+	if fmt.Sprint(st.Artifacts) != fmt.Sprint(names) {
+		t.Fatalf("job %.12s lists %v, want %v", st.ID, st.Artifacts, names)
+	}
+	for _, name := range names[:len(names)-1] {
+		if got := fetch(t, ts, st.ID, name); !bytes.Equal(got, want[name]) {
+			t.Errorf("job %.12s: %s differs from a direct run", st.ID, name)
+		}
+	}
+}
+
+// metrics reads the daemon's live counters through GET /v1/metrics.
+func metrics(t *testing.T, ts *httptest.Server) obs.Snapshot {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics: status %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("metrics content type: %s", ct)
+	}
+	var snap obs.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+func checkReuse(t *testing.T, ts *httptest.Server, hits, misses int64) {
+	t.Helper()
+	c := metrics(t, ts).Counters
+	if c["serve/run_reuse/hits"] != hits || c["serve/run_reuse/misses"] != misses {
+		t.Errorf("run reuse hits %d, misses %d; want %d, %d",
+			c["serve/run_reuse/hits"], c["serve/run_reuse/misses"], hits, misses)
+	}
+}
+
+// TestRunReuse: a campaign job whose config an earlier job already ran
+// copies that run instead of running it again, in either csv order, and
+// every artifact it serves is byte-identical to a direct run's.
+func TestRunReuse(t *testing.T) {
+	cfg := reuseConfig(91)
+	want := directArtifacts(t, cfg)
+	for _, firstCSV := range []bool{false, true} {
+		t.Run(fmt.Sprintf("first_csv=%v", firstCSV), func(t *testing.T) {
+			_, ts := startServer(t, Config{Workers: 2, Obs: obs.New()})
+			first := runJob(t, ts, campaignSpec(t, cfg, firstCSV))
+			twin := runJob(t, ts, campaignSpec(t, cfg, !firstCSV))
+			if twin.ID == first.ID {
+				t.Fatal("csv and non-csv specs share a job ID")
+			}
+			checkArtifacts(t, ts, first, want, firstCSV)
+			checkArtifacts(t, ts, twin, want, !firstCSV)
+			checkReuse(t, ts, 1, 1)
+
+			var man obs.Manifest
+			if err := json.Unmarshal(fetch(t, ts, twin.ID, "manifest.json"), &man); err != nil {
+				t.Fatal(err)
+			}
+			for key, val := range map[string]string{
+				"config_sha256": cfg.Fingerprint(),
+				"seed":          "91",
+				"reused_from":   first.ID,
+				"job_id":        twin.ID,
+			} {
+				if man.Labels[key] != val {
+					t.Errorf("hit manifest label %s = %q, want %q", key, man.Labels[key], val)
+				}
+			}
+		})
+	}
+}
+
+// TestRunReuseSkipsFailedSource: a job that failed is never a source,
+// even when its directory holds files under the artifact names; its
+// twin runs the campaign itself.
+func TestRunReuseSkipsFailedSource(t *testing.T) {
+	cfg := quickConfig(92)
+	want := directArtifacts(t, cfg)
+	hook := func(j *Job) {
+		if j.Spec.CSV {
+			panic("injected source failure")
+		}
+	}
+	dir := t.TempDir()
+	_, ts := startServer(t, Config{DataDir: dir, Workers: 1, Obs: obs.New(), TestHookRun: hook})
+	st, _ := submit(t, ts, campaignSpec(t, cfg, true))
+	if done := waitJob(t, ts, st.ID); done.State != StateFailed {
+		t.Fatalf("source job: %s, want failed", done.State)
+	}
+	for _, name := range []string{"dataset.json", "report.txt"} {
+		if err := os.WriteFile(filepath.Join(dir, "jobs", st.ID, name), []byte("not a run\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	twin := runJob(t, ts, campaignSpec(t, cfg, false))
+	checkArtifacts(t, ts, twin, want, false)
+	checkReuse(t, ts, 0, 1)
+}
+
+// TestRunReuseFallsBack: a source whose dataset.json is gone is not
+// copied; the twin runs the campaign, in either csv order, and still
+// serves a direct run's bytes.
+func TestRunReuseFallsBack(t *testing.T) {
+	cfg := quickConfig(93)
+	want := directArtifacts(t, cfg)
+	for _, twinCSV := range []bool{false, true} {
+		t.Run(fmt.Sprintf("twin_csv=%v", twinCSV), func(t *testing.T) {
+			dir := t.TempDir()
+			_, ts := startServer(t, Config{DataDir: dir, Workers: 1, Obs: obs.New()})
+			first := runJob(t, ts, campaignSpec(t, cfg, !twinCSV))
+			if err := os.Remove(filepath.Join(dir, "jobs", first.ID, "dataset.json")); err != nil {
+				t.Fatal(err)
+			}
+			twin := runJob(t, ts, campaignSpec(t, cfg, twinCSV))
+			checkArtifacts(t, ts, twin, want, twinCSV)
+			checkReuse(t, ts, 0, 2)
+			var man obs.Manifest
+			if err := json.Unmarshal(fetch(t, ts, twin.ID, "manifest.json"), &man); err != nil {
+				t.Fatal(err)
+			}
+			if from, ok := man.Labels["reused_from"]; ok {
+				t.Errorf("fallback run labelled reused_from %q", from)
+			}
+		})
+	}
+}
+
+// TestMetricsEndpoint: GET /v1/metrics serves the daemon's Snapshot
+// live — submission and outcome counters plus the queue gauges.
+func TestMetricsEndpoint(t *testing.T) {
+	_, ts := startServer(t, Config{Workers: 1, Obs: obs.New()})
+	if snap := metrics(t, ts); len(snap.Counters) != 0 || snap.Gauges["serve/jobs_total"] != 0 {
+		t.Fatalf("idle daemon metrics: %+v", snap)
+	}
+	runJob(t, ts, quickSpec(94))
+	if _, code := submit(t, ts, quickSpec(94)); code != http.StatusOK {
+		t.Fatalf("resubmit: status %d", code)
+	}
+	snap := metrics(t, ts)
+	for name, want := range map[string]int64{
+		"serve/jobs_submitted":   1,
+		"serve/jobs_deduped":     1,
+		"serve/jobs_done":        1,
+		"serve/run_reuse/misses": 1,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if snap.Gauges["serve/jobs_total"] != 1 || snap.Gauges["serve/jobs_queued"] != 0 {
+		t.Errorf("gauges %v, want 1 job in total and none queued", snap.Gauges)
+	}
+}
+
+// TestJobIDsPinned: job IDs are content addresses that clients keep, so
+// a spec's ID never changes — the one at MaxAppSeconds included.
+func TestJobIDsPinned(t *testing.T) {
+	for body, want := range map[string]string{
+		quickSpec(31): "23cc884f6bb1dadafc5c96f8fd26d30e5145291c01cb6f4c4ecd184ebaa416c6",
+		`{"kind":"campaign","csv":true,"config":{"seed":1,"limit_km":25,"skip_apps":true,"video_seconds":3600,"gaming_seconds":3600}}`: "c97969ea45b93897b22cba7d2a2d919a77d6a3d4c8fa3499aa8f06d915ac498f",
+	} {
+		_, id, err := ParseJobSpec(strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if id != want {
+			t.Errorf("%s: ID %s, want %s", body, id, want)
 		}
 	}
 }

@@ -3,12 +3,14 @@
 # through real processes — submit a campaign job via curl, poll it,
 # download its artifacts, and byte-diff them against a direct
 # `cellwheels run` (the report against `cellwheels report -in` on that
-# run's dataset); then a fleet job and a collect job (fed by real
-# `cellwheels fleet -push` workers through the daemon's /fleetsync/v1
-# mount) diffed against a single-process `cellwheels fleet`; and finally
-# a SIGTERM mid-job, pinning the graceful-drain contract: the daemon
-# exits 0 and the in-flight job's artifacts are complete and
-# byte-identical on disk.
+# run's dataset); then the same config without CSV export, which the
+# daemon serves by copying the finished run (one reuse hit on
+# /v1/metrics), diffed the same way; then a fleet job and a collect job
+# (fed by real `cellwheels fleet -push` workers through the daemon's
+# /fleetsync/v1 mount) diffed against a single-process `cellwheels
+# fleet`; and finally a SIGTERM mid-job, pinning the graceful-drain
+# contract: the daemon exits 0 and the in-flight job's artifacts are
+# complete and byte-identical on disk.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -85,6 +87,21 @@ for csv in throughput rtt handovers appruns; do
   cmp "$out/cli-csv/$csv.csv" "$out/daemon-$csv.csv"
 done
 echo "serve-smoke: campaign artifacts are byte-identical to cellwheels run and report" >&2
+
+echo "serve-smoke: the same config without csv reuses the finished run" >&2
+twin_id=$(json_field id "$(curl -sS -X POST "$url/v1/jobs" \
+  -d '{"kind":"campaign","config":{"seed":1,"limit_km":25,"skip_apps":true}}')")
+[ -n "$twin_id" ] && [ "$twin_id" != "$id" ] || {
+  echo "serve-smoke: the csv-less twin did not get a job ID of its own" >&2; exit 1; }
+wait_state "$twin_id" done
+curl -sSf "$url/v1/jobs/$twin_id/artifacts/dataset.json" -o "$out/twin-dataset.json"
+curl -sSf "$url/v1/jobs/$twin_id/artifacts/report.txt" -o "$out/twin-report.txt"
+cmp "$out/cli-dataset.json" "$out/twin-dataset.json"
+cmp "$out/cli-report.txt" "$out/twin-report.txt"
+metrics=$(curl -sSf "$url/v1/metrics")
+printf '%s' "$metrics" | grep -q '"serve/run_reuse/hits":1[,}]' || {
+  echo "serve-smoke: /v1/metrics does not show one run reuse hit: $metrics" >&2; exit 1; }
+echo "serve-smoke: the reused run's artifacts are byte-identical too" >&2
 
 echo "serve-smoke: fleet job" >&2
 fleet_spec='{"kind":"fleet","scenario":'$(cat "$scenario")'}'
