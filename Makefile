@@ -26,10 +26,10 @@ test-386:
 # bench runs the lane-engine scaling benchmark, the per-tick layer
 # benches (log reconciliation, geo route lookup and a full-route drive
 # pass, the moving, mobility-only and mmWave RAN ticks), the per-row
-# merge benches (joining a GPS fix to the route on and off it, parsing
-# a content stamp) and the testbed construction benches (one operator's
-# full-route deployment, a 20 km campaign's NewCampaign) once each, so
-# CI keeps them compiling and running. Dataset decoding (Load of the
+# merge bench (joining a GPS fix to the route on and off it) and the
+# testbed construction benches (one operator's full-route deployment, a
+# 20 km campaign's NewCampaign) once each, so CI keeps them compiling
+# and running. Dataset decoding (Load of the
 # 700 km benchmark dataset, from memory and from a file), encoding
 # (WriteJSON of it) and the paper report over it (Report, with its
 # allocations) run once at -cpu 1 and once at -cpu 2, so that the codecs
@@ -39,7 +39,7 @@ test-386:
 # real numbers drop -benchtime=1x; the full figure/table benches live in
 # bench_test.go and run with `go test -bench=.`.
 bench:
-	$(GO) test -run=NONE -bench='^(BenchmarkCampaignRun|BenchmarkLogsyncMerge|BenchmarkRouteAt|BenchmarkTimelineScan|BenchmarkOdometerOf|BenchmarkParseContentTime|BenchmarkUEStep|BenchmarkNewMap|BenchmarkNewCampaign)$$' -benchtime=1x . ./internal/geo ./internal/logsync ./internal/ran ./internal/deploy ./internal/core
+	$(GO) test -run=NONE -bench='^(BenchmarkCampaignRun|BenchmarkLogsyncMerge|BenchmarkRouteAt|BenchmarkTimelineScan|BenchmarkOdometerOf|BenchmarkUEStep|BenchmarkNewMap|BenchmarkNewCampaign)$$' -benchtime=1x . ./internal/geo ./internal/ran ./internal/deploy ./internal/core
 	$(GO) test -run=NONE -bench='^(BenchmarkLoad|BenchmarkWriteJSON|BenchmarkReport)$$' -benchtime=1x -cpu 1,2 .
 	$(GO) test -run=NONE -bench='^BenchmarkCrowdLive$$' -benchtime=1x -cpu 1 ./internal/ue
 
@@ -55,9 +55,7 @@ bench-test:
 # range; the dataset's throughput, RTT and handover CSV readers,
 # the daemon job-spec parser, the fleetsync artifact decoder and the
 # .drm capture decoder (each: no panic, linear allocation, a re-encode
-# fixpoint), and the XCAL content stamp codec against package time (the
-# parser against time.ParseInLocation, the formatter against
-# time.Time.Format). Minimizing a new input is capped at 100 runs: the
+# fixpoint). Minimizing a new input is capped at 100 runs: the
 # default cap is 60 s, so a 5 s target would otherwise spend its budget
 # minimizing the first input it finds instead of fuzzing.
 # Crashers are kept under the package's testdata/fuzz/ as regression
@@ -72,8 +70,6 @@ fuzz-smoke:
 	$(FUZZ) -fuzz='^FuzzReadHandoverCSV$$' ./internal/dataset
 	$(FUZZ) -fuzz='^FuzzParseJobSpec$$' ./internal/serve
 	$(FUZZ) -fuzz='^FuzzDecodeArtifact$$' ./internal/fleetsync
-	$(FUZZ) -fuzz='^FuzzParseContentTime$$' ./internal/logsync
-	$(FUZZ) -fuzz='^FuzzFormatStamps$$' ./internal/xcal
 	$(FUZZ) -fuzz='^FuzzReadDRM$$' ./internal/xcal
 
 # lint runs the in-repo determinism & correctness linter (internal/lint)

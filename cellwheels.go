@@ -48,7 +48,8 @@ type Config struct {
 	// produce identical datasets.
 	Seed int64 `json:"seed"`
 	// LimitKm truncates the drive after this many kilometers; 0 means
-	// the full 5,711 km route. Small values make quick demos.
+	// the full 5,711 km route, and a negative value is an error. Small
+	// values make quick demos.
 	LimitKm float64 `json:"limit_km"`
 	// SkipApps drops the four application workloads from the rotation.
 	SkipApps bool `json:"skip_apps"`
@@ -131,6 +132,9 @@ func (c Config) validate() error {
 	case "", LoadModelStandin, LoadModelDemand:
 	default:
 		return fmt.Errorf("cellwheels: unknown load_model %q (want %q or %q)", c.LoadModel, LoadModelStandin, LoadModelDemand)
+	}
+	if !(c.LimitKm >= 0) { // NaN as well
+		return fmt.Errorf("cellwheels: limit_km must be >= 0, got %v", c.LimitKm)
 	}
 	if c.CrowdSize < 0 || c.CrowdSize > ue.MaxSize {
 		return fmt.Errorf("cellwheels: crowd_size must be in [0, %d], got %d", ue.MaxSize, c.CrowdSize)

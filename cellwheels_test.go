@@ -426,6 +426,16 @@ func TestWriteCoverageGeoJSON(t *testing.T) {
 // negative duration, fails Run and FleetConfig.Validate before anything
 // runs, and a fleet sweep cell past it fails its run; the bound itself
 // is valid.
+// TestLimitKmBound: a negative limit_km is an error, not the full route.
+func TestLimitKmBound(t *testing.T) {
+	for _, km := range []float64{-1, -0.001, math.NaN()} {
+		_, err := Run(Config{Seed: 1, LimitKm: km})
+		if err == nil || !strings.Contains(err.Error(), "cellwheels: limit_km must be >= 0") {
+			t.Errorf("Run with limit_km %v: error %v, want the limit_km bound", km, err)
+		}
+	}
+}
+
 func TestAppSecondsBound(t *testing.T) {
 	for _, cfg := range []Config{
 		{Seed: 1, VideoSeconds: MaxAppSeconds + 1},
@@ -438,6 +448,9 @@ func TestAppSecondsBound(t *testing.T) {
 		}
 		if err := (FleetConfig{MasterSeed: 1, Replicates: 1, Base: cfg}).Validate(); err == nil {
 			t.Errorf("FleetConfig.Validate accepted base %+v", cfg)
+		}
+		if _, err := RunFleet(FleetConfig{MasterSeed: 1, Replicates: 1, Base: cfg}); err == nil {
+			t.Errorf("RunFleet accepted base %+v", cfg)
 		}
 	}
 	if err := (Config{VideoSeconds: MaxAppSeconds, GamingSeconds: MaxAppSeconds}).Validate(); err != nil {

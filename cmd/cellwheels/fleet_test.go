@@ -306,8 +306,8 @@ func TestFleetrunUnwritableOutDirError(t *testing.T) {
 }
 
 // TestFleetrunAppSecondsBound: a scenario whose base asks for more than
-// cellwheels.MaxAppSeconds of video fails every run through the shared
-// config check, and the manifest says why.
+// cellwheels.MaxAppSeconds of video fails the shared config check before
+// any run starts, and the error says why.
 func TestFleetrunAppSecondsBound(t *testing.T) {
 	dir := t.TempDir()
 	scenario := filepath.Join(dir, "fleet.json")
@@ -316,11 +316,24 @@ func TestFleetrunAppSecondsBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "out")
-	if code := realMain([]string{"fleet", "-scenario", scenario, "-out", out}); code != 1 {
+	runs := 0
+	testHookStart = func(int, string, int) { runs++ }
+	defer func() { testHookStart = nil }()
+	// The base is rejected before any run starts, so there is no manifest.
+	var code int
+	stderr := capture(t, &os.Stderr, func() {
+		code = realMain([]string{"fleet", "-scenario", scenario, "-out", out})
+	})
+	if code != 1 {
 		t.Fatalf("exit code = %d, want 1", code)
 	}
-	man := readFleetManifest(t, out)
-	if man.Failed != 1 || !strings.Contains(man.Runs[0].Error, "video_seconds") {
-		t.Fatalf("manifest = %+v, want the one run failed on video_seconds", man)
+	if !strings.Contains(stderr, "video_seconds") {
+		t.Errorf("stderr does not name video_seconds:\n%s", stderr)
+	}
+	if runs != 0 {
+		t.Errorf("%d runs started, want none", runs)
+	}
+	if _, err := os.Stat(filepath.Join(out, fleet.ManifestFile)); !os.IsNotExist(err) {
+		t.Errorf("manifest written for a rejected base: stat error %v", err)
 	}
 }

@@ -22,8 +22,8 @@
 //
 // run executes a campaign and writes the consolidated dataset, the
 // paper's data-collection phase. The full 5,711 km campaign takes about
-// 9 s and peaks below 700 MB RSS on a 2-vCPU host, writing its ~215 MB
-// dataset included; use -limit-km for quick runs. -progress prints a
+// 9 s and peaks at about 420–450 MB RSS on a 2-vCPU host, writing its
+// ~215 MB dataset included; use -limit-km for quick runs. -progress prints a
 // periodic status line to stderr, -metrics writes a machine-readable run
 // manifest, with a write phase for the dataset, and -pprof captures a
 // CPU profile of the whole run. All three are side channels: the dataset

@@ -15,8 +15,8 @@
 //	lintwheels -baseline lint-baseline.json -write-baseline ./...
 //
 // Diagnostics print as "file:line:col: [rule] message", sorted by file
-// and position; -format json and -format sarif emit machine-readable
-// reports with the same ordering. Output is byte-identical for every
+// and position; -format sarif emits a machine-readable SARIF 2.1.0
+// report with the same ordering. Output is byte-identical for every
 // -workers value. The exit status is non-zero when anything is found,
 // including stale baseline entries. Intentional violations are silenced
 // at the call site with "//lint:allow <rule>[,<rule>] — reason".
@@ -40,7 +40,7 @@ func main() {
 	var (
 		chdir     = flag.String("C", "", "change to this directory before linting")
 		ruleSpec  = flag.String("rules", "", "comma-separated rule names to run (default all); \"list\" prints the suite and exits")
-		format    = flag.String("format", "text", "output format: text, json, or sarif")
+		format    = flag.String("format", "text", "output format: text or sarif")
 		outPath   = flag.String("o", "", "write the report to this file instead of stdout")
 		baseline  = flag.String("baseline", "", "baseline file: suppress known findings, fail on stale entries")
 		writeBase = flag.Bool("write-baseline", false, "rewrite the -baseline file from current findings and exit")
@@ -107,13 +107,6 @@ func main() {
 				}
 			}
 			return nil
-		case "json":
-			rep, err := lint.JSONReport(diags)
-			if err != nil {
-				return err
-			}
-			_, err = out.Write(rep)
-			return err
 		case "sarif":
 			rep, err := lint.SARIFReport(diags, rules)
 			if err != nil {
@@ -122,7 +115,7 @@ func main() {
 			_, err = out.Write(rep)
 			return err
 		default:
-			return fmt.Errorf("unknown -format %q (want text, json, or sarif)", *format)
+			return fmt.Errorf("unknown -format %q (want text or sarif)", *format)
 		}
 	}
 	if *outPath != "" {

@@ -133,14 +133,21 @@ func (r *FleetResult) WriteOutputs(dir string) error { return r.res.WriteOutputs
 // running anything: the same early checks RunFleet performs before any
 // campaign starts. Services use it to refuse a bad job at submission.
 func (cfg FleetConfig) Validate() error {
+	_, _, err := cfg.validated()
+	return err
+}
+
+// validated is Validate returning what RunFleet runs from: the base
+// config with its Seed and Obs cleared, and the sweep's axes.
+func (cfg FleetConfig) validated() (Config, []fleet.Axis, error) {
 	base := cfg.Base
 	base.Seed = 0
 	base.Obs = nil
 	if err := base.Validate(); err != nil {
-		return err
+		return Config{}, nil, err
 	}
-	_, _, err := fleetSweep(cfg.Sweep, &base)
-	return err
+	axes, _, err := fleetSweep(cfg.Sweep, &base)
+	return base, axes, err
 }
 
 // RunFleet executes many campaigns as one deterministic job: the sweep
@@ -151,14 +158,10 @@ func (cfg FleetConfig) Validate() error {
 // individual run failures (including panics) are contained, recorded in
 // the manifest, and do not stop sibling runs — check FleetResult.Failed.
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
-	base := cfg.Base
-	base.Seed = 0
-	base.Obs = nil
-
-	// Validate every cell's overrides before any campaign runs: a
-	// typo'd field name should fail the fleet fast, not produce a
-	// manifest full of identical failures.
-	axes, _, err := fleetSweep(cfg.Sweep, &base)
+	// Validate the base config and every cell's overrides before any
+	// campaign runs: a bad base or a typo'd field name should fail the
+	// fleet fast, not produce a manifest full of identical failures.
+	base, axes, err := cfg.validated()
 	if err != nil {
 		return nil, err
 	}

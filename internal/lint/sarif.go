@@ -118,32 +118,3 @@ func SARIFReport(diags []Diagnostic, rules []Rule) ([]byte, error) {
 	}
 	return append(out, '\n'), nil
 }
-
-// jsonFinding is the -format json record for one diagnostic.
-type jsonFinding struct {
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
-	Rule string `json:"rule"`
-	Msg  string `json:"msg"`
-}
-
-type jsonReport struct {
-	Count    int           `json:"count"`
-	Findings []jsonFinding `json:"findings"`
-}
-
-// JSONReport renders diagnostics as a stable JSON document.
-func JSONReport(diags []Diagnostic) ([]byte, error) {
-	rep := jsonReport{Count: len(diags), Findings: make([]jsonFinding, 0, len(diags))}
-	for _, d := range diags {
-		rep.Findings = append(rep.Findings, jsonFinding{
-			File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column, Rule: d.Rule, Msg: d.Msg,
-		})
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}

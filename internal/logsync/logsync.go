@@ -1,17 +1,18 @@
 // Package logsync is the reproduction of the paper's "sophisticated
 // software" for challenge C2 (§3, §B): it reconciles logs whose
-// timestamps come in three inconsistent formats — XCAL file names stamped
-// in the vehicle's local time, XCAL file contents stamped in fixed EDT,
-// and application logs stamped either in UTC or in naive local time —
-// across the four timezones the trip crosses, matches each application
-// log to its XCAL capture, and emits the consolidated database the
-// analysis runs on.
+// timestamps come in inconsistent formats — XCAL file names stamped in
+// the vehicle's local time, and application logs stamped either in UTC
+// or in naive local time — across the four timezones the trip crosses,
+// matches each application log to its XCAL capture, and emits the
+// consolidated database the analysis runs on. XCAL file contents are
+// stamped in fixed EDT; the xcal package's .drm codec reads those back
+// to instants, so the captures reach this package typed.
 //
 // The work comes in two steps. A Normalizer turns each XCAL capture,
 // and each batch of passive-logger rows, into records the moment they
-// are logged: the content stamps are fixed EDT, so nothing in that step
-// depends on the match. Merge then matches captures to application logs
-// and assembles the database.
+// are logged: a capture's rows carry their instants, so nothing in that
+// step depends on the match. Merge then matches captures to application
+// logs and assembles the database.
 //
 // The matcher never sees test identifiers: like the real pipeline, it has
 // only operator, test label, and timestamps to go on. Matching a file
@@ -232,20 +233,17 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 		slices.SortStableFunc(bucket, func(a, b int) int { return m.appStarts[a].Compare(m.appStarts[b]) })
 	}
 
-	// Deterministic processing order: captures sorted by name. A
-	// malformed name ends the list; the captures before it are still
-	// reconciled, so an earlier file's content error wins.
+	// Deterministic processing order: captures sorted by name. The first
+	// malformed name in that order fails the merge.
 	caps := make([]*Capture, len(in.Captures))
 	for i := range in.Captures {
 		caps[i] = &in.Captures[i]
 	}
 	sort.SliceStable(caps, func(i, j int) bool { return caps[i].Name < caps[j].Name })
 	var fileParts []*filePart
-	var nameErr error
 	for _, c := range caps {
 		if c.nameErr != nil {
-			nameErr = c.nameErr
-			break
+			return nil, Report{}, c.nameErr
 		}
 		if n := len(fileParts); n == 0 || fileParts[n-1].op != c.name.op {
 			fileParts = append(fileParts, &filePart{op: c.name.op})
@@ -273,17 +271,6 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 		tasks = append(tasks, func() { p.Passive = sortedPassive(p.Passive) })
 	}
 	runAll(tasks)
-
-	// Errors surface in the order a single pass would meet them: files
-	// in name order, then the malformed name.
-	for _, p := range fileParts {
-		if p.err != nil {
-			return nil, Report{}, p.err
-		}
-	}
-	if nameErr != nil {
-		return nil, Report{}, nameErr
-	}
 
 	// Skew between a file-name stamp (best zone interpretation) and the
 	// matched app log, in ms — the quantity matchTolerance bounds.
@@ -373,7 +360,6 @@ type filePart struct {
 	// unmatched and skewsMS follow name order.
 	unmatched []string
 	skewsMS   []float64
-	err       error
 }
 
 // sortedPassive returns s in sortDB order: s itself when it already is,
@@ -426,10 +412,6 @@ func (m *merger) reconcileFiles(p *filePart) {
 		p.matched++
 		p.skewsMS = append(p.skewsMS, float64(bestSkew)/float64(time.Millisecond))
 		app := &in.Apps[bestApp]
-		if c.err != nil {
-			p.err = c.err
-			return
-		}
 
 		id := nextID
 		nextID++

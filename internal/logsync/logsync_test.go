@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -58,21 +59,6 @@ func passiveLogs(logger map[radio.Operator][]xcal.LoggerRow) map[radio.Operator]
 }
 
 func utcStamp(t time.Time) string { return t.UTC().Format(time.RFC3339Nano) }
-
-func TestParseContentTime(t *testing.T) {
-	// Noon EDT = 16:00 UTC.
-	got, err := ParseContentTime("08/08/2022 12:00:00.000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := time.Date(2022, 8, 8, 16, 0, 0, 0, time.UTC)
-	if !got.Equal(want) {
-		t.Errorf("got %v, want %v", got, want)
-	}
-	if _, err := ParseContentTime("garbage"); err == nil {
-		t.Error("garbage accepted")
-	}
-}
 
 func TestAppLogStartUTC(t *testing.T) {
 	// UTC stamp round-trips.
@@ -276,10 +262,10 @@ func TestMergeHandoverSignals(t *testing.T) {
 	start := time.Date(2022, 8, 9, 16, 30, 0, 0, time.UTC)
 	f := makeFile(t, radio.Verizon, "DL", start, 300*unit.Kilometer, radio.NRMid, 50)
 	f.Signals = append(f.Signals, xcal.Signal{
-		TimeEDT:    start.Add(2 * time.Second).In(xcal.EDT).Format(xcal.ContentFormat),
+		Time:       start.Add(2 * time.Second),
 		Event:      "HO",
-		FromTech:   "5G-mid",
-		ToTech:     "LTE-A",
+		FromTech:   radio.NRMid,
+		ToTech:     radio.LTEA,
 		DurationMS: 53,
 	})
 	app := AppLog{Op: "V", Kind: "DL", StartStamp: utcStamp(start), Stamp: StampUTC, DurationSec: 10}
@@ -514,6 +500,140 @@ func TestPassiveMatchesTextPath(t *testing.T) {
 	}
 }
 
+// textCapture is the capture's former text round trip, kept here as the
+// reference the typed rows must equal: each row and signal stamped as the
+// recorder rendered it (its window's or event's raw instant as
+// ContentFormat in EDT, a technology label) and parsed back as the
+// normaliser did.
+func textCapture(t *testing.T, f xcal.File, rowStarts, sigStarts []time.Time) xcal.File {
+	t.Helper()
+	stamp := func(at time.Time) time.Time {
+		back, err := time.ParseInLocation(xcal.ContentFormat, at.In(xcal.EDT).Format(xcal.ContentFormat), xcal.EDT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return back.UTC()
+	}
+	tech := func(tech radio.Technology) radio.Technology {
+		back, ok := radio.ParseTechnology(tech.String())
+		if !ok {
+			t.Fatalf("technology %v does not parse back", tech)
+		}
+		return back
+	}
+	out := f
+	out.Rows = slices.Clone(f.Rows)
+	for i := range out.Rows {
+		out.Rows[i].Time, out.Rows[i].Tech = stamp(rowStarts[i]), tech(f.Rows[i].Tech)
+	}
+	out.Signals = slices.Clone(f.Signals)
+	for i := range out.Signals {
+		s := &out.Signals[i]
+		s.Time, s.FromTech, s.ToTech = stamp(sigStarts[i]), tech(s.FromTech), tech(s.ToTech)
+	}
+	return out
+}
+
+// TestCaptureMatchesTextPath records a downlink capture over a 25 km
+// timeline, then for a second at sub-millisecond local-time instants in
+// each of the route's zones with a handover there, and requires its typed rows and
+// signals, and so its normalised capture, to equal what the text round
+// trip gives.
+func TestCaptureMatchesTextPath(t *testing.T) {
+	route := geo.DefaultRoute()
+	rng := simrand.New(7)
+	m := deploy.NewMap(radio.Verizon, route, rng)
+	ue := ran.NewUE(ran.UEConfig{Op: radio.Verizon, Map: m}, rng.Fork("active"))
+	const tick = 50 * time.Millisecond
+	tl := geo.NewTimeline(route, geo.DefaultDriveConfig(), rng, geo.TimelineConfig{Tick: tick, Limit: 25 * unit.Kilometer})
+	cur := tl.Cursor()
+	first, _ := cur.Next()
+	ds := first.DriveState
+	ue.SetTraffic(deploy.HeavyDL, ds.Time, ds.Waypoint)
+	rec := xcal.NewRecorder(radio.Verizon)
+	rec.StartFile("DL", ds.Time, ds.Waypoint.Timezone)
+
+	// The recorder opens a window at StartFile and after every tenth
+	// 50 ms tick, at that tick's instant.
+	rowStarts := []time.Time{ds.Time}
+	var sigStarts []time.Time
+	ticks, hoSeen := 0, 0
+	observe := func(at time.Time, wp geo.Waypoint, mph float64) {
+		st := ue.Step(at, wp, mph, tick)
+		for _, ev := range ue.HandoversFrom(hoSeen) {
+			rec.LogHandover(ev)
+			sigStarts = append(sigStarts, ev.Start)
+		}
+		hoSeen = ue.HandoverCount()
+		rec.Observe(tick, st, wp, mph, 40*unit.KB)
+		if ticks++; ticks%10 == 0 {
+			rowStarts = append(rowStarts, at)
+		}
+	}
+	for {
+		observe(ds.Time, ds.Waypoint, ds.Speed.MPH())
+		ts, ok := cur.Next()
+		if !ok {
+			break
+		}
+		ds = ts.DriveState
+	}
+	if ds.Odometer < 25*unit.Kilometer {
+		t.Fatalf("timeline ends at %v", ds.Odometer)
+	}
+	at := ds.Time.Add(123_456_789)
+	zones := 0
+	for odo := unit.Meters(0); odo < route.Total(); odo += 100 * unit.Kilometer {
+		wp := route.At(odo)
+		if wp.Timezone != geo.Timezone(zones) {
+			continue
+		}
+		// Instants in the zone's local time: the rows log them in UTC.
+		at = at.In(wp.Timezone.Location())
+		for i := 0; i < int(time.Second/tick); i++ {
+			at = at.Add(tick + 7_654_321)
+			observe(at, wp, 61.5)
+		}
+		ev := ran.HandoverEvent{Start: at.Add(-333_333), Duration: 41 * time.Millisecond, FromTech: radio.NRMid, ToTech: radio.LTEA}
+		rec.LogHandover(ev)
+		sigStarts = append(sigStarts, ev.Start)
+		zones++
+	}
+	if zones != geo.NumTimezones {
+		t.Fatalf("stepped in %d zones, want %d", zones, geo.NumTimezones)
+	}
+
+	f := rec.CloseFile()
+	if n := len(f.Rows); n != len(rowStarts) && n != len(rowStarts)-1 {
+		t.Fatalf("%d rows for %d windows", n, len(rowStarts))
+	}
+	if len(f.Signals) != len(sigStarts) || len(sigStarts) <= geo.NumTimezones {
+		t.Fatalf("%d signals for %d handovers, want more than one per zone", len(f.Signals), len(sigStarts))
+	}
+	techs := map[radio.Technology]bool{}
+	for _, r := range f.Rows {
+		techs[r.Tech] = true
+	}
+	if len(techs) < 2 {
+		t.Fatalf("rows on %d technologies, want several", len(techs))
+	}
+	want := textCapture(t, f, rowStarts, sigStarts)
+	for i := range f.Rows {
+		if f.Rows[i] != want.Rows[i] {
+			t.Fatalf("row %d = %+v, want %+v", i, f.Rows[i], want.Rows[i])
+		}
+	}
+	for i := range f.Signals {
+		if f.Signals[i] != want.Signals[i] {
+			t.Fatalf("signal %d = %+v, want %+v", i, f.Signals[i], want.Signals[i])
+		}
+	}
+	n := NewNormalizer(route)
+	if got, want := n.Capture(&f), n.Capture(&want); !reflect.DeepEqual(got, want) {
+		t.Fatalf("capture = %+v, want %+v", got, want)
+	}
+}
+
 // TestMergeCrossOperatorTies pins the merge's output order where rows of
 // different operators tie on time, its error when a malformed name sits
 // between valid ones, and the order it reports unmatched files in.
@@ -595,34 +715,6 @@ func TestMergeCrossOperatorTies(t *testing.T) {
 	want := []string{"A_DL_" + stamp + ".drm", "A_UL_" + stamp + ".drm", "V_DL_" + stamp + ".drm"}
 	if rep.Matched != 1 || fmt.Sprint(rep.UnmatchedFiles) != fmt.Sprint(want) {
 		t.Errorf("report = %+v, want 1 match and unmatched %v", rep, want)
-	}
-}
-
-// TestMergeContentErrorOnlyWhenMatched pins where the content error of
-// a capture, normalised before any match, surfaces: an unmatched
-// capture with a bad stamp stays silent, and the same capture, once an
-// app log matches it, fails the merge with its parse error.
-func TestMergeContentErrorOnlyWhenMatched(t *testing.T) {
-	start := time.Date(2022, 8, 9, 16, 30, 0, 0, time.UTC)
-	f := makeFile(t, radio.Verizon, "DL", start, 300*unit.Kilometer, radio.NRMid, 50)
-	f.Rows[3].TimeEDT = "08/09/2022 25:61:00.000"
-	c := captures(f)
-	app := AppLog{Op: "V", Kind: "DL", StartStamp: utcStamp(start), Stamp: StampUTC, DurationSec: 10}
-	away := app
-	away.StartStamp = utcStamp(start.Add(2 * time.Hour))
-
-	db, rep, err := Merge(Input{Captures: c, Apps: []AppLog{away}})
-	if err != nil {
-		t.Fatalf("unmatched capture with a bad stamp: %v", err)
-	}
-	if len(rep.UnmatchedFiles) != 1 || len(db.Tests) != 0 {
-		t.Errorf("report = %+v, tests = %d", rep, len(db.Tests))
-	}
-
-	_, _, err = Merge(Input{Captures: c, Apps: []AppLog{app}})
-	_, want := ParseContentTime(f.Rows[3].TimeEDT)
-	if err == nil || want == nil || err.Error() != want.Error() {
-		t.Errorf("matched capture with a bad stamp: error %v, want %v", err, want)
 	}
 }
 

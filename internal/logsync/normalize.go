@@ -12,17 +12,16 @@ import (
 )
 
 // Capture is one XCAL file normalised on its own: everything Merge needs
-// from it that does not depend on which app log it matches. Its content
-// stamps are fixed EDT, so the file's rows resolve to UTC without the
-// matcher; only the test ID and the matched app's fields (server, edge,
-// static, metrics, RTT entries) wait for Merge. A Capture holds no raw
-// row, so the file it came from can be dropped as soon as its test ends.
+// from it that does not depend on which app log it matches. Its rows
+// carry their instants, so they resolve without the matcher; only the
+// test ID and the matched app's fields (server, edge, static, metrics,
+// RTT entries) wait for Merge. A Capture holds no raw row, so the file
+// it came from can be dropped as soon as its test ends.
 type Capture struct {
 	Name string
 
 	name    parsedName
 	nameErr error // a malformed name: Merge stops at it in name order
-	err     error // a content stamp that failed to parse: Merge returns it if the file matches
 
 	// startOdo, endOdo and timezone stay zero, as the test's fields do,
 	// for a capture without rows.
@@ -51,12 +50,9 @@ type rowPoint struct {
 }
 
 // Normalizer converts one lane's captures and passive rows as they are
-// logged, reusing its scratch rows from one capture to the next. It is
-// not safe for concurrent use; each lane owns one.
+// logged, joining their GPS fixes to the route.
 type Normalizer struct {
-	route   *geo.Route
-	rows    []normRow
-	signals []normSignal
+	route *geo.Route
 }
 
 // NewNormalizer returns a normaliser that joins rows to route.
@@ -69,15 +65,10 @@ func (n *Normalizer) Capture(f *xcal.File) Capture {
 	if c.nameErr != nil {
 		return c
 	}
-	rows, signals, err := normalizeFile(f, n.rows[:0], n.signals[:0])
-	if err != nil {
-		c.err = err
-		return c
-	}
-	n.rows, n.signals = rows, signals
+	rows, signals := f.Rows, f.Signals
 	route := n.route
 	if len(rows) > 0 {
-		first, last := rows[0].raw, rows[len(rows)-1].raw
+		first, last := &rows[0], &rows[len(rows)-1]
 		c.startOdo = route.OdometerOf(geo.LatLon{Lat: first.Lat, Lon: first.Lon})
 		c.endOdo = route.OdometerOf(geo.LatLon{Lat: last.Lat, Lon: last.Lon})
 		c.timezone = route.At(c.startOdo).Timezone
@@ -85,12 +76,13 @@ func (n *Normalizer) Capture(f *xcal.File) Capture {
 	op := c.name.op
 	if len(signals) > 0 {
 		c.handovers = make([]dataset.Handover, len(signals))
-		for i, sig := range signals {
+		for i := range signals {
+			sig := &signals[i]
 			c.handovers[i] = dataset.Handover{
-				Time: sig.at, Op: op,
-				DurationMS: sig.raw.DurationMS,
-				FromTech:   sig.fromTech, ToTech: sig.toTech,
-				Odometer: nearestOdo(rows, sig.at, route),
+				Time: sig.Time, Op: op,
+				DurationMS: sig.DurationMS,
+				FromTech:   sig.FromTech, ToTech: sig.ToTech,
+				Odometer: nearestOdo(rows, sig.Time, route),
 			}
 		}
 	}
@@ -106,14 +98,15 @@ func (n *Normalizer) Capture(f *xcal.File) Capture {
 		}
 	case dataset.RTTTest:
 		c.rows = make([]rowPoint, len(rows))
-		for i, r := range rows {
-			odo := route.OdometerOf(geo.LatLon{Lat: r.raw.Lat, Lon: r.raw.Lon})
-			c.rows[i] = rowPoint{at: r.at, tech: r.tech, speedMPH: r.raw.SpeedMPH, odo: odo, zone: route.At(odo).Timezone}
+		for i := range rows {
+			r := &rows[i]
+			odo := route.OdometerOf(geo.LatLon{Lat: r.Lat, Lon: r.Lon})
+			c.rows[i] = rowPoint{at: r.Time, tech: r.Tech, speedMPH: r.SpeedMPH, odo: odo, zone: route.At(odo).Timezone}
 		}
 	default:
 		hs := 0
-		for _, r := range rows {
-			if r.tech.IsHighSpeed() {
+		for i := range rows {
+			if rows[i].Tech.IsHighSpeed() {
 				hs++
 			}
 		}
@@ -137,70 +130,30 @@ func (n *Normalizer) Passive(dst []dataset.CoverageSample, op radio.Operator, ro
 	return dst
 }
 
-// normRow is a parsed XCAL row with UTC time. It refers to the file's
-// row rather than copying it.
-type normRow struct {
-	at   time.Time
-	tech radio.Technology
-	raw  *xcal.Row
-}
-
-// normSignal is a parsed signaling event.
-type normSignal struct {
-	at       time.Time
-	fromTech radio.Technology
-	toTech   radio.Technology
-	raw      *xcal.Signal
-}
-
-// normalizeFile parses f's rows and signals, appending them to rows and
-// signals.
-func normalizeFile(f *xcal.File, rows []normRow, signals []normSignal) ([]normRow, []normSignal, error) {
-	for i := range f.Rows {
-		r := &f.Rows[i]
-		at, err := ParseContentTime(r.TimeEDT)
-		if err != nil {
-			return nil, nil, err
-		}
-		tech, _ := radio.ParseTechnology(r.Tech)
-		rows = append(rows, normRow{at: at, tech: tech, raw: r})
-	}
-	for i := range f.Signals {
-		s := &f.Signals[i]
-		at, err := ParseContentTime(s.TimeEDT)
-		if err != nil {
-			return nil, nil, err
-		}
-		ft, _ := radio.ParseTechnology(s.FromTech)
-		tt, _ := radio.ParseTechnology(s.ToTech)
-		signals = append(signals, normSignal{at: at, fromTech: ft, toTech: tt, raw: s})
-	}
-	return rows, signals, nil
-}
-
 // throughputSample joins one row of a throughput file to the route. The
 // test ID and the matched app's Edge and Static are Merge's to set.
-func throughputSample(op radio.Operator, dir radio.Direction, r *normRow, signals []normSignal, route *geo.Route) dataset.ThroughputSample {
-	odo := route.OdometerOf(geo.LatLon{Lat: r.raw.Lat, Lon: r.raw.Lon})
+func throughputSample(op radio.Operator, dir radio.Direction, r *xcal.Row, signals []xcal.Signal, route *geo.Route) dataset.ThroughputSample {
+	odo := route.OdometerOf(geo.LatLon{Lat: r.Lat, Lon: r.Lon})
 	wp := route.At(odo)
-	cc := r.raw.CCDL
+	cc := r.CCDL
 	if dir == radio.Uplink {
-		cc = r.raw.CCUL
+		cc = r.CCUL
 	}
 	hos := 0
-	for _, s := range signals {
-		if !s.at.Before(r.at) && s.at.Before(r.at.Add(xcal.SampleInterval)) {
+	end := r.Time.Add(xcal.SampleInterval)
+	for i := range signals {
+		if at := signals[i].Time; !at.Before(r.Time) && at.Before(end) {
 			hos++
 		}
 	}
 	return dataset.ThroughputSample{
-		Time: r.at, Op: op, Dir: dir,
-		Mbps: r.raw.AppMbps, Tech: r.tech,
-		RSRP: r.raw.RSRP, SINR: r.raw.SINR, MCS: r.raw.MCS, CC: cc,
-		BLER: r.raw.BLER, Load: r.raw.Load,
-		SpeedMPH: r.raw.SpeedMPH, Odometer: odo,
+		Time: r.Time, Op: op, Dir: dir,
+		Mbps: r.AppMbps, Tech: r.Tech,
+		RSRP: r.RSRP, SINR: r.SINR, MCS: r.MCS, CC: cc,
+		BLER: r.BLER, Load: r.Load,
+		SpeedMPH: r.SpeedMPH, Odometer: odo,
 		Timezone: wp.Timezone, Region: wp.Region,
-		Handovers: hos, CellID: r.raw.CellID,
+		Handovers: hos, CellID: r.CellID,
 	}
 }
 
@@ -224,10 +177,10 @@ func rowNear(n int, at time.Time, rowAt func(i int) time.Time) int {
 	return i - 1
 }
 
-func nearestOdo(rows []normRow, at time.Time, route *geo.Route) unit.Meters {
-	i := rowNear(len(rows), at, func(i int) time.Time { return rows[i].at })
+func nearestOdo(rows []xcal.Row, at time.Time, route *geo.Route) unit.Meters {
+	i := rowNear(len(rows), at, func(i int) time.Time { return rows[i].Time })
 	if i < 0 {
 		return 0
 	}
-	return route.OdometerOf(geo.LatLon{Lat: rows[i].raw.Lat, Lon: rows[i].raw.Lon})
+	return route.OdometerOf(geo.LatLon{Lat: rows[i].Lat, Lon: rows[i].Lon})
 }

@@ -540,6 +540,7 @@ func TestBadRequests(t *testing.T) {
 		{"fleet without scenario", `{"kind":"fleet"}`},
 		{"bad load model", `{"kind":"campaign","config":{"seed":1,"load_model":"psychic"}}`},
 		{"crowd past ue.MaxSize", `{"kind":"campaign","config":{"seed":1,"crowd_size":1048577}}`},
+		{"negative limit_km", `{"kind":"campaign","config":{"seed":1,"limit_km":-1}}`},
 		{"video past MaxAppSeconds", fmt.Sprintf(`{"kind":"campaign","config":{"seed":1,"video_seconds":%d}}`, cellwheels.MaxAppSeconds+1)},
 		{"gaming past MaxAppSeconds", fmt.Sprintf(`{"kind":"campaign","config":{"seed":1,"gaming_seconds":%d}}`, cellwheels.MaxAppSeconds+1)},
 		{"fleet base video past MaxAppSeconds", fmt.Sprintf(`{"kind":"fleet","scenario":{"master_seed":1,"base":{"seed":0,"video_seconds":%d}}}`, cellwheels.MaxAppSeconds+1)},

@@ -7,13 +7,19 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
+
+	"github.com/nuwins/cellwheels/internal/radio"
 )
 
 // This file implements a compact binary container for capture files —
 // the stand-in for the proprietary .drm format that the real study could
-// only decode through Accuver's licensed XCAP-M software (§B). Encoding
-// and decoding round-trips File exactly, and the decoder is defensive:
-// real post-processing pipelines meet truncated and corrupted captures.
+// only decode through Accuver's licensed XCAP-M software (§B). It is the
+// one place where a capture is text: instants are written as
+// ContentFormat stamps in EDT and technologies by name. Encoding and
+// decoding round-trips a recorded File exactly, and the decoder is
+// defensive: real post-processing pipelines meet truncated and corrupted
+// captures.
 
 // drmMagic identifies the container; drmVersion gates format changes.
 var drmMagic = [4]byte{'D', 'R', 'M', '1'}
@@ -120,7 +126,7 @@ func ReadDRM(r io.Reader) (File, error) {
 }
 
 func writeRow(w io.Writer, r Row) error {
-	for _, s := range []string{r.TimeEDT, r.Tech, r.CellID} {
+	for _, s := range []string{contentStamp(r.Time), r.Tech.String(), r.CellID} {
 		if err := writeString(w, s); err != nil {
 			return err
 		}
@@ -146,10 +152,10 @@ func writeRow(w io.Writer, r Row) error {
 func readRow(r io.Reader) (Row, error) {
 	var row Row
 	var err error
-	if row.TimeEDT, err = readString(r); err != nil {
+	if row.Time, err = readStamp(r); err != nil {
 		return row, err
 	}
-	if row.Tech, err = readString(r); err != nil {
+	if row.Tech, err = readTech(r); err != nil {
 		return row, err
 	}
 	if row.CellID, err = readString(r); err != nil {
@@ -178,7 +184,7 @@ func readRow(r io.Reader) (Row, error) {
 }
 
 func writeSignal(w io.Writer, s Signal) error {
-	for _, str := range []string{s.TimeEDT, s.Event, s.FromTech, s.ToTech, s.FromCell, s.ToCell} {
+	for _, str := range []string{contentStamp(s.Time), s.Event, s.FromTech.String(), s.ToTech.String(), s.FromCell, s.ToCell} {
 		if err := writeString(w, str); err != nil {
 			return err
 		}
@@ -189,14 +195,58 @@ func writeSignal(w io.Writer, s Signal) error {
 func readSignal(r io.Reader) (Signal, error) {
 	var s Signal
 	var err error
-	strs := []*string{&s.TimeEDT, &s.Event, &s.FromTech, &s.ToTech, &s.FromCell, &s.ToCell}
-	for _, p := range strs {
-		if *p, err = readString(r); err != nil {
-			return s, err
-		}
+	if s.Time, err = readStamp(r); err != nil {
+		return s, err
+	}
+	if s.Event, err = readString(r); err != nil {
+		return s, err
+	}
+	if s.FromTech, err = readTech(r); err != nil {
+		return s, err
+	}
+	if s.ToTech, err = readTech(r); err != nil {
+		return s, err
+	}
+	if s.FromCell, err = readString(r); err != nil {
+		return s, err
+	}
+	if s.ToCell, err = readString(r); err != nil {
+		return s, err
 	}
 	s.DurationMS, err = readF64(r)
 	return s, err
+}
+
+// contentStamp renders t as the XCAL software stamps file contents:
+// ContentFormat in EDT.
+func contentStamp(t time.Time) string { return t.In(EDT).Format(ContentFormat) }
+
+// readStamp reads a content stamp back to its instant in UTC. A stamp
+// that does not render back to the same text is malformed, so a decoded
+// capture re-encodes to the bytes it came from.
+func readStamp(r io.Reader) (time.Time, error) {
+	s, err := readString(r)
+	if err != nil {
+		return time.Time{}, err
+	}
+	t, err := time.ParseInLocation(ContentFormat, s, EDT)
+	if err != nil || contentStamp(t) != s {
+		return time.Time{}, fmt.Errorf("%w: content stamp %q", ErrBadDRM, s)
+	}
+	return t.UTC(), nil
+}
+
+// readTech reads a technology by name.
+func readTech(r io.Reader) (radio.Technology, error) {
+	s, err := readString(r)
+	if err != nil {
+		return 0, err
+	}
+	tech, ok := radio.ParseTechnology(s)
+	if !ok {
+		return 0, fmt.Errorf("%w: technology %q", ErrBadDRM, s)
+	}
+	return tech, nil
 }
 
 func writeString(w io.Writer, s string) error {

@@ -37,7 +37,8 @@ func FuzzReadDRM(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A decoded row takes 144 bytes for at least 89 input bytes and a
-		// signal 104 bytes for at least 32, and the record slices grow
+		// signal 96 bytes for at least 32, each plus its strings and the
+		// re-rendered content stamp, and the record slices grow
 		// geometrically; the constant covers the 4 KiB read buffer and an
 		// up-front short string.
 		r := bytes.NewReader(data)

@@ -2,7 +2,10 @@ package xcal
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,25 +19,26 @@ import (
 )
 
 func sampleFile() File {
+	at := time.Date(2022, 8, 8, 16, 0, 0, 0, time.UTC)
 	return File{
 		Name:  "V_DL_20220808_090000.drm",
 		Op:    "V",
 		Label: "DL",
 		Rows: []Row{
 			{
-				TimeEDT: "08/08/2022 12:00:00.000", Tech: "5G-mid", CellID: "V-5G-mid-0001",
+				Time: at, Tech: radio.NRMid, CellID: "V-5G-mid-0001",
 				RSRP: -95.5, SINR: 12.25, MCS: 15, CCDL: 2, CCUL: 1,
 				BLER: 0.05, Load: 0.4, AppMbps: 42.5, InHandover: false,
 				Lat: 34.05, Lon: -118.24, SpeedMPH: 65,
 			},
 			{
-				TimeEDT: "08/08/2022 12:00:00.500", Tech: "LTE-A", CellID: "",
+				Time: at.Add(500 * time.Millisecond), Tech: radio.LTEA, CellID: "",
 				RSRP: -101, InHandover: true,
 			},
 		},
 		Signals: []Signal{
-			{TimeEDT: "08/08/2022 12:00:00.200", Event: "HO",
-				FromTech: "5G-mid", ToTech: "LTE-A",
+			{Time: at.Add(200 * time.Millisecond), Event: "HO",
+				FromTech: radio.NRMid, ToTech: radio.LTEA,
 				FromCell: "V-5G-mid-0001", ToCell: "V-LTE-A-0033", DurationMS: 53},
 		},
 	}
@@ -74,6 +78,29 @@ func TestDRMBadMagic(t *testing.T) {
 	_, err := ReadDRM(strings.NewReader("NOPE...."))
 	if !errors.Is(err, ErrBadDRM) {
 		t.Errorf("err = %v, want ErrBadDRM", err)
+	}
+}
+
+// TestDRMRejectsBadText: the codec reads content stamps and technology
+// names back only when they are what WriteDRM renders.
+func TestDRMRejectsBadText(t *testing.T) {
+	var buf bytes.Buffer
+	if err := sampleFile().WriteDRM(&buf); err != nil {
+		t.Fatal(err)
+	}
+	str := func(s string) string { return string(binary.LittleEndian.AppendUint32(nil, uint32(len(s)))) + s }
+	for _, tc := range []struct{ name, old, new string }{
+		{"row stamp with a decimal comma", "08/08/2022 12:00:00.000", "08/08/2022 12:00:00,000"},
+		{"signal stamp past midnight", "08/08/2022 12:00:00.200", "08/08/2022 24:00:00.200"},
+		{"unknown technology", str("LTE-A"), str("LTE-B")},
+	} {
+		data := bytes.ReplaceAll(buf.Bytes(), []byte(tc.old), []byte(tc.new))
+		if bytes.Equal(data, buf.Bytes()) {
+			t.Fatalf("%s: %q is not in the encoding", tc.name, tc.old)
+		}
+		if _, err := ReadDRM(bytes.NewReader(data)); !errors.Is(err, ErrBadDRM) {
+			t.Errorf("%s: err = %v, want ErrBadDRM", tc.name, err)
+		}
 	}
 }
 
@@ -152,4 +179,45 @@ func testStart() time.Time       { return time.Date(2022, 8, 10, 18, 0, 0, 0, ti
 func wpForTest() geo.Waypoint    { return geo.DefaultRoute().At(1200 * unit.Kilometer) }
 func stateForTest() ran.LinkState {
 	return ran.LinkState{Tech: radio.LTEA, CellID: "T-LTE-A-0100", RSRP: -98, SINR: 14, MCS: 17, CCDL: 3, CCUL: 1, BLER: 0.04, Load: 0.5}
+}
+
+// goldenCapture is a recorder-produced capture with rows on two
+// technologies and one handover between them. Its instants carry
+// sub-millisecond fractions, which the content stamps truncate.
+func goldenCapture() File {
+	rec := NewRecorder(opForTest())
+	now := testStart().Add(123_456_789)
+	rec.StartFile("DL", now, zoneForTest())
+	st := stateForTest()
+	for i := 0; i < 40; i++ {
+		if i == 20 {
+			rec.LogHandover(ran.HandoverEvent{
+				Start: now, Duration: 41 * time.Millisecond,
+				FromTech: st.Tech, ToTech: radio.NRMid,
+				FromCell: st.CellID, ToCell: "T-5G-mid-0007",
+			})
+			st.Tech, st.CellID = radio.NRMid, "T-5G-mid-0007"
+		}
+		st.Time = now
+		rec.Observe(tickForTest(), st, wpForTest(), 55, unit.Bytes(4096+i))
+		now = now.Add(tickForTest())
+	}
+	return rec.CloseFile()
+}
+
+// TestDRMGolden pins the .drm bytes of a recorder-produced capture: the
+// container, the EDT content stamps and the technology names.
+func TestDRMGolden(t *testing.T) {
+	f := goldenCapture()
+	if len(f.Signals) != 1 || len(f.Rows) < 2 || f.Rows[0].Tech == f.Rows[len(f.Rows)-1].Tech {
+		t.Fatalf("golden capture has %d signals and rows on one technology", len(f.Signals))
+	}
+	var buf bytes.Buffer
+	if err := f.WriteDRM(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "f4fa2348d1a1e9c4c59ede655f518774596164ae00ae5050499fe877dabf3b08"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("sha256 of the golden .drm = %s, want %s", got, want)
+	}
 }

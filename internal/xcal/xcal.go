@@ -2,9 +2,11 @@
 //
 // The Recorder stands in for an Accuver XCAL Solo attached to a phone: it
 // samples the full PHY KPI surface every 500 ms and logs control-plane
-// signaling (handovers), writing ".drm"-style files whose *names* carry
-// local-time stamps while their *contents* carry timestamps in fixed EDT —
-// exactly the mismatch §B describes, which the logsync package must undo.
+// signaling (handovers) into ".drm"-style captures whose *names* carry
+// local-time stamps — the mismatch §B describes, which the logsync
+// package must undo. Their rows and signals log typed instants and
+// technologies; only the .drm codec (drm.go) renders them as text, the
+// instants in fixed EDT as the real tool stamped file contents.
 //
 // The HandoverLogger stands in for the three extra unrooted phones that
 // passively logged coverage for the whole trip over idle ICMP traffic
@@ -44,8 +46,8 @@ var EDT = time.FixedZone("EDT", -4*3600)
 
 // Row is one 500 ms KPI sample.
 type Row struct {
-	TimeEDT    string // ContentFormat in EDT
-	Tech       string
+	Time       time.Time // the window's start, truncated to the millisecond, in UTC
+	Tech       radio.Technology
 	CellID     string
 	RSRP       float64
 	SINR       float64
@@ -63,10 +65,10 @@ type Row struct {
 
 // Signal is one control-plane event record.
 type Signal struct {
-	TimeEDT    string
-	Event      string // "HO"
-	FromTech   string
-	ToTech     string
+	Time       time.Time // the event's start, truncated to the millisecond, in UTC
+	Event      string    // "HO"
+	FromTech   radio.Technology
+	ToTech     radio.Technology
 	FromCell   string
 	ToCell     string
 	DurationMS float64
@@ -154,8 +156,8 @@ func (r *Recorder) flushRow() {
 	}
 	s := r.pending
 	r.cur.Rows = append(r.cur.Rows, Row{
-		TimeEDT:    contentTime(r.winStart),
-		Tech:       s.Tech.String(),
+		Time:       stamp(r.winStart),
+		Tech:       s.Tech,
 		CellID:     s.CellID,
 		RSRP:       float64(s.RSRP),
 		SINR:       float64(s.SINR),
@@ -178,15 +180,19 @@ func (r *Recorder) LogHandover(ev ran.HandoverEvent) {
 		return
 	}
 	r.cur.Signals = append(r.cur.Signals, Signal{
-		TimeEDT:    contentTime(ev.Start),
+		Time:       stamp(ev.Start),
 		Event:      "HO",
-		FromTech:   ev.FromTech.String(),
-		ToTech:     ev.ToTech.String(),
+		FromTech:   ev.FromTech,
+		ToTech:     ev.ToTech,
 		FromCell:   ev.FromCell,
 		ToCell:     ev.ToCell,
 		DurationMS: unit.Milliseconds(ev.Duration),
 	})
 }
+
+// stamp is the instant a content stamp records: t to the millisecond,
+// in UTC.
+func stamp(t time.Time) time.Time { return t.Truncate(time.Millisecond).UTC() }
 
 // CloseFile flushes any partial window and returns the finished file.
 func (r *Recorder) CloseFile() File {

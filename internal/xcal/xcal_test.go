@@ -1,6 +1,7 @@
 package xcal
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -42,8 +43,15 @@ func TestRecorderContentUsesEDT(t *testing.T) {
 	if len(f.Rows) == 0 {
 		t.Fatal("no rows")
 	}
-	if !strings.HasPrefix(f.Rows[0].TimeEDT, "08/08/2022 12:00:00") {
-		t.Errorf("content timestamp = %q, want EDT noon", f.Rows[0].TimeEDT)
+	if got := f.Rows[0].Time; got != now {
+		t.Errorf("row time = %v, want %v", got, now)
+	}
+	var buf bytes.Buffer
+	if err := f.WriteDRM(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte("08/08/2022 12:00:00.000")) {
+		t.Errorf(".drm lacks the EDT noon content stamp:\n%q", buf.Bytes())
 	}
 }
 
@@ -111,14 +119,14 @@ func TestRecorderLogsHandovers(t *testing.T) {
 		t.Fatalf("signals = %d", len(f.Signals))
 	}
 	sig := f.Signals[0]
-	if sig.Event != "HO" || sig.FromTech != "5G-mid" || sig.ToTech != "LTE-A" {
+	if sig.Event != "HO" || sig.FromTech != radio.NRMid || sig.ToTech != radio.LTEA {
 		t.Errorf("signal = %+v", sig)
 	}
 	if sig.DurationMS != 53 {
 		t.Errorf("duration = %v", sig.DurationMS)
 	}
-	if !strings.HasPrefix(sig.TimeEDT, "08/09/2022 16:00:01") {
-		t.Errorf("signal time = %q, want EDT", sig.TimeEDT)
+	if want := now.Add(time.Second); sig.Time != want {
+		t.Errorf("signal time = %v, want %v", sig.Time, want)
 	}
 }
 
