@@ -39,7 +39,7 @@ test-386:
 # real numbers drop -benchtime=1x; the full figure/table benches live in
 # bench_test.go and run with `go test -bench=.`.
 bench:
-	$(GO) test -run=NONE -bench='^(BenchmarkCampaignRun|BenchmarkLogsyncMerge|BenchmarkRouteAt|BenchmarkTimelineScan|BenchmarkOdometerOf|BenchmarkUEStep|BenchmarkNewMap|BenchmarkNewCampaign)$$' -benchtime=1x . ./internal/geo ./internal/ran ./internal/deploy ./internal/core
+	$(GO) test -run=NONE -bench='^(BenchmarkCampaignRun|BenchmarkLogsyncMerge|BenchmarkRouteAt|BenchmarkTimelineScan|BenchmarkCursorNext|BenchmarkOdometerOf|BenchmarkUEStep|BenchmarkNewMap|BenchmarkNewCampaign)$$' -benchtime=1x . ./internal/geo ./internal/ran ./internal/deploy ./internal/core
 	$(GO) test -run=NONE -bench='^(BenchmarkLoad|BenchmarkWriteJSON|BenchmarkReport)$$' -benchtime=1x -cpu 1,2 .
 	$(GO) test -run=NONE -bench='^BenchmarkCrowdLive$$' -benchtime=1x -cpu 1 ./internal/ue
 

@@ -58,6 +58,11 @@ func fleetCmd(args []string) int {
 	if err != nil {
 		return fail(err)
 	}
+	// A rejected scenario touches nothing: no collector is asked for its
+	// status and no output directory is made.
+	if err := cfg.Validate(); err != nil {
+		return fail(err)
+	}
 	cfg.Obs = rec
 	cfg.TestHookStart = testHookStart
 	if *workers != 0 {

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -335,5 +336,47 @@ func TestFleetrunAppSecondsBound(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(out, fleet.ManifestFile)); !os.IsNotExist(err) {
 		t.Errorf("manifest written for a rejected base: stat error %v", err)
+	}
+}
+
+// TestFleetrunRejectedScenarioTouchesNothing: a scenario that fails
+// validation — a base past MaxAppSeconds, or more replicates than
+// MaxReplicates — exits 1 before the command touches anything: no -out
+// directory is made, and a -push worker sends its collector no request.
+func TestFleetrunRejectedScenarioTouchesNothing(t *testing.T) {
+	var requests atomic.Int32
+	collector := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.Error(w, "no collector here", http.StatusServiceUnavailable)
+	}))
+	defer collector.Close()
+
+	for name, body := range map[string]string{
+		"video_seconds": fmt.Sprintf(`{"master_seed":5,"replicates":1,"base":{"limit_km":2,"video_seconds":%d}}`, cellwheels.MaxAppSeconds+1),
+		"replicates":    fmt.Sprintf(`{"master_seed":5,"replicates":%d,"base":{"limit_km":2}}`, cellwheels.MaxReplicates+1),
+	} {
+		for _, push := range []bool{false, true} {
+			dir := t.TempDir()
+			scenario := filepath.Join(dir, "fleet.json")
+			if err := os.WriteFile(scenario, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			out := filepath.Join(dir, "out")
+			args := []string{"fleet", "-scenario", scenario, "-out", out}
+			if push {
+				args = append(args, "-push", collector.URL, "-archive")
+			}
+			var code int
+			stderr := capture(t, &os.Stderr, func() { code = realMain(args) })
+			if code != 1 || !strings.Contains(stderr, name) {
+				t.Errorf("%s, push %v: exit %d, stderr:\n%s", name, push, code, stderr)
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Errorf("%s, push %v: -out exists after a rejected scenario (stat error %v)", name, push, err)
+			}
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("rejected scenarios sent the collector %d requests", n)
 	}
 }

@@ -129,9 +129,10 @@ func (r *FleetResult) WriteManifest(w io.Writer) error {
 func (r *FleetResult) WriteOutputs(dir string) error { return r.res.WriteOutputs(dir) }
 
 // Validate rejects malformed scenarios — bad sweeps, unknown override
-// fields, type-mismatched values, an unsupported base config — without
-// running anything: the same early checks RunFleet performs before any
-// campaign starts. Services use it to refuse a bad job at submission.
+// fields, type-mismatched values, an unsupported base config, a fleet
+// larger than MaxReplicates or MaxFleetRuns — without running anything:
+// the same early checks RunFleet performs before any campaign starts.
+// Services use it to refuse a bad job at submission.
 func (cfg FleetConfig) Validate() error {
 	_, _, err := cfg.validated()
 	return err
@@ -146,8 +147,39 @@ func (cfg FleetConfig) validated() (Config, []fleet.Axis, error) {
 	if err := base.Validate(); err != nil {
 		return Config{}, nil, err
 	}
+	if err := cfg.checkSize(); err != nil {
+		return Config{}, nil, err
+	}
 	axes, _, err := fleetSweep(cfg.Sweep, &base)
 	return base, axes, err
+}
+
+// Fleet size bounds. A scenario far below any request size limit can
+// name billions of runs, and a fleet builds per-run state for its whole
+// matrix before the first run starts.
+const (
+	// MaxReplicates bounds a fleet's replicates per sweep cell.
+	MaxReplicates = 1000
+	// MaxFleetRuns bounds a fleet's planned runs: its sweep cells times
+	// its replicates.
+	MaxFleetRuns = 10000
+)
+
+// checkSize rejects a fleet whose replicates or planned runs exceed
+// their bounds. It counts the sweep's cells from its axes' lengths,
+// before anything is expanded.
+func (cfg FleetConfig) checkSize() error {
+	if cfg.Replicates > MaxReplicates {
+		return fmt.Errorf("cellwheels: fleet: replicates must be at most %d, got %d", MaxReplicates, cfg.Replicates)
+	}
+	runs := max(cfg.Replicates, 1)
+	for _, a := range cfg.Sweep {
+		// Past the bound the product is not needed, only the fact.
+		if runs *= max(len(a.Values), 1); runs > MaxFleetRuns {
+			return fmt.Errorf("cellwheels: fleet: the sweep and replicates plan more than %d runs", MaxFleetRuns)
+		}
+	}
+	return nil
 }
 
 // RunFleet executes many campaigns as one deterministic job: the sweep
@@ -242,6 +274,9 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 // seeds and the campaign metric order, so runs executed by remote workers
 // fold into a Result byte-identical to RunFleet's over the same scenario.
 func FleetReducer(cfg FleetConfig) (*fleet.Reducer, error) {
+	if err := cfg.checkSize(); err != nil {
+		return nil, err
+	}
 	axes, _, err := fleetSweep(cfg.Sweep, nil)
 	if err != nil {
 		return nil, err
@@ -257,6 +292,9 @@ func FleetReducer(cfg FleetConfig) (*fleet.Reducer, error) {
 // sweep order — without running anything. Worker cell subsets (cellwheels
 // fleet -cells) are validated and reported against this list.
 func FleetCells(cfg FleetConfig) ([]string, error) {
+	if err := cfg.checkSize(); err != nil {
+		return nil, err
+	}
 	_, cells, err := fleetSweep(cfg.Sweep, nil)
 	if err != nil {
 		return nil, err

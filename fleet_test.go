@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -246,5 +247,66 @@ func TestApplyFleetOverrides(t *testing.T) {
 	}
 	if _, err := applyFleetOverrides(base, []fleet.Override{{Field: "Obs", Value: json.RawMessage("null")}}); err == nil {
 		t.Error("the Obs side channel must not be sweepable")
+	}
+}
+
+// limitSweep is a sweep of n limit_km values, 1 to n km.
+func limitSweep(n int) []SweepAxis {
+	vals := make([]string, n)
+	for i := range vals {
+		vals[i] = strconv.Itoa(i + 1)
+	}
+	return []SweepAxis{{Field: "limit_km", Values: rawJSON(vals...)}}
+}
+
+// TestFleetSizeBounds pins MaxReplicates and MaxFleetRuns: one replicate
+// or one planned run past either bound fails Validate, RunFleet, and the
+// collector and worker entry points FleetReducer and FleetCells, before
+// any per-run state is built; the bounds themselves are valid. A
+// rejection costs no more than the spec's size, however many runs it
+// asks for.
+func TestFleetSizeBounds(t *testing.T) {
+	if MaxFleetRuns+1 != 73*137 {
+		t.Fatalf("MaxFleetRuns+1 = %d; pick a new factorisation for the sweep below", MaxFleetRuns+1)
+	}
+	base := Config{LimitKm: 1, SkipApps: true}
+	for _, tc := range []struct {
+		name string
+		cfg  FleetConfig
+		want string
+	}{
+		{"replicates", FleetConfig{Replicates: MaxReplicates + 1, Base: base}, "replicates must be at most"},
+		{"huge replicates", FleetConfig{Replicates: 1 << 40, Base: base}, "replicates must be at most"},
+		{"planned runs", FleetConfig{Replicates: 73, Base: base, Sweep: limitSweep(137)}, "plan more than"},
+		{"planned cells", FleetConfig{Base: base, Sweep: append(limitSweep(MaxFleetRuns/2), SweepAxis{Field: "skip_apps", Values: rawJSON("false", "true", "null")})}, "plan more than"},
+	} {
+		if err := tc.cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.want)
+		}
+		if _, err := RunFleet(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: RunFleet = %v, want %q", tc.name, err, tc.want)
+		}
+		if _, err := FleetReducer(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: FleetReducer = %v, want %q", tc.name, err, tc.want)
+		}
+		if _, err := FleetCells(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: FleetCells = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	huge := FleetConfig{Replicates: 1 << 40, Base: base, Sweep: limitSweep(3)}
+	if allocs := testing.AllocsPerRun(10, func() { _ = huge.Validate() }); allocs > 20 {
+		t.Errorf("rejecting 2^40 replicates allocates %v objects", allocs)
+	}
+
+	for _, cfg := range []FleetConfig{
+		{Replicates: MaxReplicates, Base: base},
+		{Replicates: 100, Base: base, Sweep: limitSweep(100)},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%d replicates × %d cells: %v", cfg.Replicates, max(len(cfg.Sweep), 1), err)
+		}
+		if _, err := FleetReducer(cfg); err != nil {
+			t.Errorf("FleetReducer at the bound: %v", err)
+		}
 	}
 }

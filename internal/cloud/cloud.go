@@ -133,10 +133,7 @@ func Select(fleet []Server, wp geo.Waypoint, op radio.Operator, role Role) Serve
 			}
 		}
 	}
-	region := "California"
-	if wp.Timezone == geo.Central || wp.Timezone == geo.Eastern {
-		region = "Ohio"
-	}
+	region := Region(wp.Timezone)
 	for _, s := range fleet {
 		if s.Kind == Cloud && s.Role == role && s.City == region {
 			return s
@@ -145,6 +142,16 @@ func Select(fleet []Server, wp geo.Waypoint, op radio.Operator, role Role) Serve
 	// A fleet without cloud servers is a configuration error; fall back
 	// to anything rather than panic mid-campaign.
 	return fleet[0]
+}
+
+// Region names the cloud region whose servers tests in timezone z use:
+// California for Pacific and Mountain, Ohio for Central and Eastern. A
+// server is in a region when its City is the region's name.
+func Region(z geo.Timezone) string {
+	if z == geo.Central || z == geo.Eastern {
+		return "Ohio"
+	}
+	return "California"
 }
 
 // Propagation and overhead constants for BaseRTT.
@@ -158,8 +165,10 @@ const (
 // BaseRTT reports the wireline round-trip time between a UE position,
 // prepared by geo.Prepare, and the server: two-way fiber propagation over
 // an inflated path plus peering/processing overhead. The radio access
-// latency is added by the transport layer, not here.
-func BaseRTT(s Server, at geo.PreparedPoint) time.Duration {
+// latency is added by the transport layer, not here. It reads only the
+// server's Kind and Loc, so two servers of one kind at one location have
+// the same RTT from every position, bit for bit.
+func BaseRTT(s *Server, at geo.PreparedPoint) time.Duration {
 	to := s.point
 	if !s.prepared {
 		to = geo.Prepare(s.Loc) // a Server built by hand, not by Fleet

@@ -136,7 +136,7 @@ func TestBaseRTTEdgeBelowCloud(t *testing.T) {
 			cld = s
 		}
 	}
-	e, c := BaseRTT(edge, geo.Prepare(la)), BaseRTT(cld, geo.Prepare(la))
+	e, c := BaseRTT(&edge, geo.Prepare(la)), BaseRTT(&cld, geo.Prepare(la))
 	if e >= c {
 		t.Errorf("edge RTT %v not below cloud RTT %v", e, c)
 	}
@@ -147,8 +147,8 @@ func TestBaseRTTEdgeBelowCloud(t *testing.T) {
 
 func TestBaseRTTGrowsWithDistance(t *testing.T) {
 	oh := Server{Name: "oh", Kind: Cloud, Loc: geo.LatLon{Lat: 39.96, Lon: -83.00}}
-	near := BaseRTT(oh, geo.Prepare(geo.LatLon{Lat: 41.5, Lon: -81.7})) // Cleveland
-	far := BaseRTT(oh, geo.Prepare(geo.LatLon{Lat: 34.05, Lon: -118.24}))
+	near := BaseRTT(&oh, geo.Prepare(geo.LatLon{Lat: 41.5, Lon: -81.7})) // Cleveland
+	far := BaseRTT(&oh, geo.Prepare(geo.LatLon{Lat: 34.05, Lon: -118.24}))
 	if near >= far {
 		t.Errorf("RTT near %v not below far %v", near, far)
 	}

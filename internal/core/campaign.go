@@ -246,8 +246,8 @@ type Raw struct {
 	Captures []logsync.Capture
 	Apps     []logsync.AppLog
 	// Passive holds each passive logger's coverage samples, keyed by
-	// operator.
-	Passive map[radio.Operator][]dataset.CoverageSample
+	// operator, in log order as consecutive chunks (logsync.Input.Passive).
+	Passive map[radio.Operator][][]dataset.CoverageSample
 	Meta    dataset.Meta
 	// ArchiveErr is the first error Config.Archive returned, in
 	// operator order.
@@ -260,6 +260,7 @@ type Campaign struct {
 	route    *geo.Route
 	maps     map[radio.Operator]*deploy.Map
 	fleet    []cloud.Server
+	wire     *wireSites
 	lanes    []*lane
 	timeline *geo.Timeline
 }
@@ -311,6 +312,7 @@ func NewCampaign(cfg Config) *Campaign {
 		route:    route,
 		maps:     map[radio.Operator]*deploy.Map{},
 		fleet:    fleet,
+		wire:     newWireSites(fleet),
 		timeline: timeline,
 	}
 	// A crowd's event wheel must know the trip's length before the lanes
@@ -356,6 +358,7 @@ func NewCampaign(cfg Config) *Campaign {
 			rec:     xcal.NewRecorder(op),
 			rng:     rng.Fork("phone/" + op.Short()),
 			fleet:   fleet,
+			wire:    c.wire,
 			specs:   cfg.rotation(),
 			norm:    logsync.NewNormalizer(route),
 			archive: cfg.Archive,
@@ -450,7 +453,7 @@ func (c *Campaign) Run() Raw {
 	})
 	defer stopProgress()
 
-	ticks, final := runLanes(c.timeline, c.lanes, workers, rec)
+	ticks, final := runLanes(c.timeline, c.wire, c.lanes, workers, rec)
 	rec.Counter("ticks/per_lane").Add(int64(ticks))
 	rec.Gauge("route/total_km").Set(final.Odometer.Km())
 
@@ -467,7 +470,7 @@ func (c *Campaign) Run() Raw {
 // campaign lives on for its maps and crowd results.
 func (c *Campaign) collect(final geo.DriveState) Raw {
 	raw := Raw{
-		Passive: map[radio.Operator][]dataset.CoverageSample{},
+		Passive: map[radio.Operator][][]dataset.CoverageSample{},
 		Meta: dataset.Meta{
 			Seed:          c.cfg.Seed,
 			RouteKm:       final.Odometer.Km(),
@@ -500,8 +503,8 @@ func (c *Campaign) collect(final geo.DriveState) Raw {
 		if l.logger == nil {
 			continue
 		}
-		raw.Passive[l.op] = l.passive
-		l.passive = nil
+		raw.Passive[l.op] = l.passive.chunks
+		l.passive = passiveStore{}
 		n := l.logger.UE.HandoverCount()
 		raw.Meta.HandoverTotal[l.op.String()] = n
 		rec.Counter("lane/" + l.op.Short() + "/passive_handovers").Add(int64(n))

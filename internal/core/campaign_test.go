@@ -311,8 +311,8 @@ func TestRunHandsOverCaptures(t *testing.T) {
 
 	loggers := 0
 	for _, l := range c.lanes {
-		if l.phone.captures != nil || l.phone.apps != nil || l.passive != nil {
-			t.Errorf("lane %s: still holds %d captures, %d app logs and %d passive samples after Run", l.op.Short(), len(l.phone.captures), len(l.phone.apps), len(l.passive))
+		if l.phone.captures != nil || l.phone.apps != nil || l.passive.chunks != nil {
+			t.Errorf("lane %s: still holds %d captures, %d app logs and %d chunks of passive samples after Run", l.op.Short(), len(l.phone.captures), len(l.phone.apps), len(l.passive.chunks))
 		}
 		if l.logger != nil {
 			loggers++

@@ -4,6 +4,7 @@ import (
 	"github.com/nuwins/cellwheels/internal/dataset"
 	"github.com/nuwins/cellwheels/internal/deploy"
 	"github.com/nuwins/cellwheels/internal/geo"
+	"github.com/nuwins/cellwheels/internal/logsync"
 	"github.com/nuwins/cellwheels/internal/obs"
 	"github.com/nuwins/cellwheels/internal/radio"
 	"github.com/nuwins/cellwheels/internal/speedtest"
@@ -25,9 +26,9 @@ type lane struct {
 	logger *xcal.HandoverLogger
 	m      *deploy.Map
 
-	// passive is the logger's log as coverage samples, converted at the
-	// end of every block.
-	passive []dataset.CoverageSample
+	// passive holds the logger's log as coverage samples, converted at
+	// the end of every block.
+	passive passiveStore
 
 	// reg is the lane's crowd; nil without one. crowdResults collects the
 	// measuring crowd UEs' speedtest results in deterministic event order.
@@ -51,10 +52,11 @@ type lane struct {
 // hands the drive state on by pointer.
 //
 //lint:hotroot — the campaign tick loop; everything it reaches runs per 50 ms step
-func (l *lane) step(blk []geo.TickState) {
+func (l *lane) step(blk *tickBlock) {
 	p := l.phone
-	for i := range blk {
-		ts := &blk[i]
+	ticks, wire := blk.ticks, blk.wire[:len(blk.ticks)]
+	for i := range ticks {
+		ts := &ticks[i]
 		ds := &ts.DriveState
 		// The crowd moves first, so the phone and logger read this tick's
 		// demand aggregates. The lane owns the clock: tick→time is not
@@ -80,9 +82,9 @@ func (l *lane) step(blk []geo.TickState) {
 			}
 		}
 
-		p.tick(l.cfg, ts)
+		p.tick(l.cfg, ts, wire[i])
 		if l.logger != nil {
-			l.logger.Step(ds.Time, ds.Waypoint, ds.Speed.MPH(), Tick)
+			l.logger.StepDrive(ds, Tick)
 		}
 
 		if ts.HoldLast && l.inStatic {
@@ -94,8 +96,8 @@ func (l *lane) step(blk []geo.TickState) {
 			l.inStatic = false
 		}
 	}
-	if n := len(blk); n > 0 {
-		l.last = blk[n-1].DriveState
+	if n := len(ticks); n > 0 {
+		l.last = ticks[n-1].DriveState
 		l.obsTicks.Add(int64(n))
 		l.obsOdoKm.Set(l.last.Odometer.Km())
 	}
@@ -103,19 +105,58 @@ func (l *lane) step(blk []geo.TickState) {
 }
 
 // convertPassive turns the rows the passive logger logged since the last
-// call into coverage samples, so the raw rows never outlive their block.
+// call into coverage samples, so the raw rows never outlive their block
+// and the logger logs the next block into the same buffer.
 //
-//lint:cold — runs once per 4,096-tick block, not per tick; the row conversion and sample growth are amortized over the block
+//lint:cold — runs once per 4,096-tick block, not per tick; the row conversion and chunk allocations are amortized over the block
 func (l *lane) convertPassive() {
 	if l.logger != nil {
-		l.passive = l.phone.norm.Passive(l.passive, l.op, l.logger.Rows())
+		l.passive.add(l.phone.norm, l.op, l.logger.Rows())
 	}
 }
 
-// finish closes any file still open at trip end.
+// finish closes any file still open at trip end, and the passive log.
 func (l *lane) finish() {
 	if l.phone.rec.Recording() {
 		l.phone.finishTest(&l.last)
 	}
-	l.convertPassive()
+	if l.logger != nil {
+		l.passive.add(l.phone.norm, l.op, l.logger.Close())
+	}
+}
+
+// The chunks of a passive store double in size from the first, about
+// 20 KB, to the largest, about 1.3 MB: a short run, such as a fleet's,
+// reserves little it does not fill, and a full route's ~250 k samples
+// per lane take about twenty chunks.
+const (
+	firstPassiveChunk = 1 << 8
+	maxPassiveChunk   = 1 << 14
+)
+
+// passiveStore holds a lane's coverage samples in chunks, in log order,
+// which the merge reads where they are. A slice grown by append would
+// copy the whole log at every regrowth, holding the old and the new
+// array at once.
+type passiveStore struct {
+	chunks [][]dataset.CoverageSample // the last one is being filled
+}
+
+// add converts rows and appends the samples.
+func (s *passiveStore) add(norm *logsync.Normalizer, op radio.Operator, rows []xcal.LoggerRow) {
+	for len(rows) > 0 {
+		n := len(s.chunks)
+		if n == 0 || len(s.chunks[n-1]) == cap(s.chunks[n-1]) {
+			size := firstPassiveChunk
+			if n > 0 {
+				size = min(2*cap(s.chunks[n-1]), maxPassiveChunk)
+			}
+			s.chunks = append(s.chunks, make([]dataset.CoverageSample, 0, size))
+			n++
+		}
+		last := &s.chunks[n-1]
+		k := min(len(rows), cap(*last)-len(*last))
+		*last = norm.Passive(*last, op, rows[:k])
+		rows = rows[k:]
+	}
 }

@@ -28,6 +28,9 @@ type phone struct {
 	rec   *xcal.Recorder
 	rng   *simrand.Source
 	fleet []cloud.Server
+	// wire names the cloud sites whose RTT each tick carries, shared by
+	// every lane (see wireSites).
+	wire *wireSites
 
 	// rotation state
 	specs   []testSpec
@@ -41,7 +44,10 @@ type phone struct {
 	testStart time.Time
 	static    bool
 	server    cloud.Server
-	appLog    logsync.AppLog
+	// wireMask is wire.mask(&server): the sites whose shared RTT is the
+	// server's own.
+	wireMask uint8
+	appLog   logsync.AppLog
 
 	flow      *transport.Flow
 	pinger    *transport.Pinger
@@ -91,15 +97,16 @@ func stampFor(k dataset.TestKind) logsync.StampKind {
 	}
 }
 
-// tick advances the phone one simulation step.
-func (p *phone) tick(cfg *Config, ts *geo.TickState) {
+// tick advances the phone one simulation step. w is the tick's shared
+// wireline RTT.
+func (p *phone) tick(cfg *Config, ts *geo.TickState, w wireRTT) {
 	if p.inTest {
-		p.tickTest(ts)
+		p.tickTest(ts, w)
 		return
 	}
 	ds := &ts.DriveState
 	// Idle gap between tests: the UE stays attached under idle traffic.
-	p.ue.Step(ds.Time, ds.Waypoint, ds.Speed.MPH(), Tick)
+	p.ue.StepDrive(ds, Tick)
 	p.gapLeft -= Tick
 	if p.gapLeft <= 0 {
 		p.startTest(cfg, ds)
@@ -118,7 +125,7 @@ func (p *phone) startTest(cfg *Config, ds *geo.DriveState) {
 	if kind == dataset.AppGaming || kind == dataset.AppAR || kind == dataset.AppCAV {
 		role = cloud.GPU
 	}
-	p.server = cloud.Select(p.fleet, ds.Waypoint, p.op, role)
+	p.pickServer(ds, role)
 
 	p.ue.SetTraffic(trafficFor(kind), ds.Time, ds.Waypoint)
 
@@ -180,10 +187,28 @@ func (p *phone) startTest(cfg *Config, ds *geo.DriveState) {
 	p.hoSeen = p.ue.HandoverCount()
 }
 
+// pickServer selects the test's server by §3's rule at the test's start
+// (cloud.Select) and notes which shared RTT is its own.
+func (p *phone) pickServer(ds *geo.DriveState, role cloud.Role) {
+	p.server = cloud.Select(p.fleet, ds.Waypoint, p.op, role)
+	p.wireMask = p.wire.mask(&p.server)
+}
+
+// wireRTT is the wireline RTT from the tick's point to the test's
+// server: the tick's shared value when the server is at the site it was
+// priced for, which a test that crossed into another region since it
+// picked its server is not, and its own cloud.BaseRTT otherwise.
+func (p *phone) wireRTT(ts *geo.TickState, w wireRTT) time.Duration {
+	if w.site&p.wireMask != 0 {
+		return w.rtt
+	}
+	return cloud.BaseRTT(&p.server, ts.Point)
+}
+
 // tickTest advances the active test by one tick.
-func (p *phone) tickTest(ts *geo.TickState) {
+func (p *phone) tickTest(ts *geo.TickState, w wireRTT) {
 	ds := &ts.DriveState
-	st := p.ue.Step(ds.Time, ds.Waypoint, ds.Speed.MPH(), Tick)
+	st := p.ue.StepDrive(ds, Tick)
 
 	// Forward any new signaling events to the recorder.
 	for _, ev := range p.ue.HandoversFrom(p.hoSeen) {
@@ -191,8 +216,7 @@ func (p *phone) tickTest(ts *geo.TickState) {
 	}
 	p.hoSeen = p.ue.HandoverCount()
 
-	baseRTT := cloud.BaseRTT(p.server, ts.Point) +
-		unit.DurationFromMS(radio.BaseRadioRTT(st.Tech))
+	baseRTT := p.wireRTT(ts, w) + unit.DurationFromMS(radio.BaseRadioRTT(st.Tech))
 
 	var delivered unit.Bytes
 	switch p.spec.kind {
@@ -233,7 +257,7 @@ func (p *phone) tickTest(ts *geo.TickState) {
 		p.bytesRx += delivered
 	}
 
-	p.rec.Observe(Tick, st, ds.Waypoint, ds.Speed.MPH(), delivered)
+	p.rec.ObserveDrive(Tick, st, ds, delivered)
 
 	p.testLeft -= Tick
 	p.testTime += Tick

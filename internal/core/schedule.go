@@ -9,7 +9,8 @@ import (
 )
 
 // blockTicks is how many tick states one block of the shared drive
-// holds: about 620 KB, a few seconds of lane work at most.
+// holds: about 780 KB with their shared RTTs, a few seconds of lane work
+// at most.
 const blockTicks = 4096
 
 // blockPool is how many blocks are in flight at once. It bounds how far
@@ -21,6 +22,9 @@ const blockPool = 4
 type tickBlock struct {
 	buf   []geo.TickState
 	ticks []geo.TickState // the filled prefix of buf
+	// wire[i] is ticks[i]'s shared wireline RTT (see wireSites); it has
+	// buf's length.
+	wire []wireRTT
 	// readers counts the lanes that have yet to step this block; the
 	// last one to finish returns it to the pool.
 	readers atomic.Int32
@@ -30,18 +34,18 @@ type tickBlock struct {
 func newBlockPool(n, size int) chan *tickBlock {
 	free := make(chan *tickBlock, n)
 	for i := 0; i < n; i++ {
-		free <- &tickBlock{buf: make([]geo.TickState, size)}
+		free <- &tickBlock{buf: make([]geo.TickState, size), wire: make([]wireRTT, size)}
 	}
 	return free
 }
 
 // produceBlocks steps cur to the end of the trip, filling blocks of up
-// to size ticks taken from free and handing each one, in trip order, to
-// every channel of outs. It closes outs once the trip is over and
-// returns the trip's tick count and its last drive state. Each out must
-// have room for every block of the pool, so handing a block on never
-// waits for a lane.
-func produceBlocks(cur *geo.Cursor, size int, free chan *tickBlock, outs []chan *tickBlock) (ticks int, last geo.DriveState) {
+// to size ticks taken from free in place, with each tick's shared RTT to
+// the sites, and handing each block, in trip order, to every channel of
+// outs. It closes outs once the trip is over and returns the trip's tick
+// count and its last drive state. Each out must have room for every
+// block of the pool, so handing a block on never waits for a lane.
+func produceBlocks(cur *geo.Cursor, sites *wireSites, size int, free chan *tickBlock, outs []chan *tickBlock) (ticks int, last geo.DriveState) {
 	defer func() {
 		for _, out := range outs {
 			close(out)
@@ -50,12 +54,8 @@ func produceBlocks(cur *geo.Cursor, size int, free chan *tickBlock, outs []chan 
 	for {
 		blk := <-free
 		n := 0
-		for n < size {
-			ts, ok := cur.Next()
-			if !ok {
-				break
-			}
-			blk.buf[n] = ts
+		for n < size && cur.NextInto(&blk.buf[n]) {
+			blk.wire[n] = sites.at(&blk.buf[n])
 			n++
 		}
 		if n == 0 {
@@ -84,7 +84,7 @@ func produceBlocks(cur *geo.Cursor, size int, free chan *tickBlock, outs []chan 
 // lane still sees the whole timeline in order, so its output does not
 // depend on workers. It returns what the pass learned: the trip's tick
 // count and its last drive state.
-func runLanes(tl *geo.Timeline, lanes []*lane, workers int, rec *obs.Recorder) (ticks int, last geo.DriveState) {
+func runLanes(tl *geo.Timeline, sites *wireSites, lanes []*lane, workers int, rec *obs.Recorder) (ticks int, last geo.DriveState) {
 	free := newBlockPool(blockPool, blockTicks)
 	// A lane's channel holds every block of the pool, so the producer
 	// never waits on a lane, only on the pool.
@@ -102,7 +102,7 @@ func runLanes(tl *geo.Timeline, lanes []*lane, workers int, rec *obs.Recorder) (
 			defer rec.StartPhase("lane/" + l.op.Short())()
 			for blk := range in {
 				slots <- struct{}{}
-				l.step(blk.ticks)
+				l.step(blk)
 				<-slots
 				if blk.readers.Add(-1) == 0 {
 					free <- blk
@@ -113,7 +113,7 @@ func runLanes(tl *geo.Timeline, lanes []*lane, workers int, rec *obs.Recorder) (
 			<-slots
 		}(l, outs[i])
 	}
-	ticks, last = produceBlocks(tl.Cursor(), blockTicks, free, outs)
+	ticks, last = produceBlocks(tl.Cursor(), sites, blockTicks, free, outs)
 	wg.Wait()
 	return ticks, last
 }

@@ -6,13 +6,15 @@ import (
 	"testing"
 	"time"
 
+	"github.com/nuwins/cellwheels/internal/cloud"
 	"github.com/nuwins/cellwheels/internal/geo"
 	"github.com/nuwins/cellwheels/internal/simrand"
 	"github.com/nuwins/cellwheels/internal/unit"
 )
 
 // TestProduceBlocksMatchesCursor checks that every reader of the block
-// producer sees exactly a fresh cursor's Next sequence, and that the
+// producer sees exactly a fresh cursor's Next sequence, each tick with
+// its own shared RTT although blocks are refilled in place, and that the
 // producer reports that sequence's length and last drive state, for trips
 // that fill a whole number of blocks, one tick more, and one tick less,
 // with static holds that straddle block boundaries.
@@ -64,6 +66,7 @@ func TestProduceBlocksMatchesCursor(t *testing.T) {
 				}
 			}
 			const readers = 2
+			sites := newWireSites(cloud.Fleet())
 			free := newBlockPool(2, size)
 			outs := make([]chan *tickBlock, readers)
 			for i := range outs {
@@ -80,13 +83,18 @@ func TestProduceBlocksMatchesCursor(t *testing.T) {
 							t.Errorf("reader %d: block of %d ticks after %d, size %d", i, len(blk.ticks), len(got[i]), size)
 						}
 						got[i] = append(got[i], blk.ticks...)
+						for j := range blk.ticks {
+							if w := sites.at(&blk.ticks[j]); blk.wire[j] != w {
+								t.Errorf("reader %d: tick %d carries shared RTT %+v, want %+v", i, len(got[i])-len(blk.ticks)+j, blk.wire[j], w)
+							}
+						}
 						if blk.readers.Add(-1) == 0 {
 							free <- blk
 						}
 					}
 				}(i)
 			}
-			ticks, last := produceBlocks(tl.Cursor(), size, free, outs)
+			ticks, last := produceBlocks(tl.Cursor(), sites, size, free, outs)
 			wg.Wait()
 			if ticks != n || last != want[n-1].DriveState {
 				t.Errorf("block size %d: producer reported %d ticks ending at %+v, want %d ending at %+v",

@@ -71,3 +71,27 @@ func BenchmarkTimelineScan(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ticks), "ns/tick")
 }
+
+// tickSink is the block slot BenchmarkCursorNext fills.
+var tickSink TickState
+
+// BenchmarkCursorNext measures one tick of the campaign's drive pass:
+// Cursor.Next over the full 5,711 km timeline at the 50 ms tick, with
+// the campaign's static holds, filling a block slot in place as the
+// block producer does. A cursor that reaches the trip's end is replaced
+// by a fresh one, outside the timer.
+func BenchmarkCursorNext(b *testing.B) {
+	tl := NewTimeline(DefaultRoute(), DriveConfig{}, simrand.New(1), TimelineConfig{
+		Tick: 50 * time.Millisecond,
+		Hold: HoldRule{MaxCityDistance: 8 * unit.Kilometer, Budget: 2 * time.Minute},
+	})
+	cur := tl.Cursor()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !cur.NextInto(&tickSink) {
+			b.StopTimer()
+			cur = tl.Cursor()
+			b.StartTimer()
+		}
+	}
+}

@@ -83,6 +83,7 @@ type Drive struct {
 	rng   *simrand.Source
 
 	state     DriveState
+	point     PreparedPoint // state.Waypoint.Loc, prepared
 	dayQuota  unit.Meters
 	speedVar  simrand.OU
 	stopUntil time.Time
@@ -100,10 +101,8 @@ func NewDrive(r *Route, cfg DriveConfig, rng *simrand.Source) *Drive {
 		},
 	}
 	d.dayQuota = unit.Meters(float64(r.Total()) / float64(cfg.Days))
-	d.state = DriveState{
-		Time:     cfg.StartUTC,
-		Waypoint: r.At(0),
-	}
+	d.state = DriveState{Time: cfg.StartUTC}
+	d.point = r.at(0, &d.state.Waypoint)
 	return d
 }
 
@@ -113,9 +112,14 @@ func (d *Drive) State() DriveState { return d.state }
 // Hold advances simulated time by dt with the vehicle stationary, for
 // static baseline tests in cities.
 func (d *Drive) Hold(dt time.Duration) DriveState {
+	d.hold(dt)
+	return d.state
+}
+
+// hold is Hold in place: it updates d.state without returning a copy.
+func (d *Drive) hold(dt time.Duration) {
 	d.state.Time = d.state.Time.Add(dt)
 	d.state.Speed = 0
-	return d.state
 }
 
 // targetSpeed reports the mean speed for a region.
@@ -134,8 +138,15 @@ func (d *Drive) targetSpeed(r Region) unit.MetersPerSecond {
 // route is exhausted the returned state has Done set and no longer
 // changes.
 func (d *Drive) Step(dt time.Duration) DriveState {
+	d.step(dt)
+	return d.state
+}
+
+// step is Step in place: it updates d.state, and d.point whenever the
+// waypoint moves, without returning a copy.
+func (d *Drive) step(dt time.Duration) {
 	if d.state.Done {
-		return d.state
+		return
 	}
 
 	// Day boundary: once the day's quota is covered, jump to the next
@@ -156,14 +167,14 @@ func (d *Drive) Step(dt time.Duration) DriveState {
 	// not moved since the waypoint was last set, so the waypoint stands.
 	if d.state.Time.Before(d.stopUntil) {
 		d.state.Speed = 0
-		return d.state
+		return
 	}
 	region := d.state.Waypoint.Region
 	if region == Urban && d.rng.Bool(dt.Seconds()/180) {
 		// Roughly one stop per ~3 urban minutes, 15–45 s long.
 		d.stopUntil = d.state.Time.Add(time.Duration(d.rng.Uniform(15, 45) * float64(time.Second)))
 		d.state.Speed = 0
-		return d.state
+		return
 	}
 
 	// Smooth speed around the regional target.
@@ -183,6 +194,5 @@ func (d *Drive) Step(dt time.Duration) DriveState {
 		d.state.Done = true
 		d.state.Speed = 0
 	}
-	d.state.Waypoint = d.route.At(d.state.Odometer)
-	return d.state
+	d.point = d.route.at(d.state.Odometer, &d.state.Waypoint)
 }

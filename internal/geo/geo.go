@@ -211,10 +211,11 @@ const (
 // number of goroutines.
 type Route struct {
 	cities   []City
-	cumGC    []unit.Meters // cumulative great-circle distance at each city
-	factor   float64       // road distance / great-circle distance
-	total    unit.Meters   // road distance
-	towns    []unit.Meters // odometer positions of small towns, ascending
+	cityPts  []PreparedPoint // each city's Loc, prepared once
+	cumGC    []unit.Meters   // cumulative great-circle distance at each city
+	factor   float64         // road distance / great-circle distance
+	total    unit.Meters     // road distance
+	towns    []unit.Meters   // odometer positions of small towns, ascending
 	townLocs []LatLon
 
 	// The candidate-city table: candidates[candStart[b]:candStart[b+1]]
@@ -280,10 +281,14 @@ func NewRoute(cities []City, roadLength unit.Meters) (*Route, error) {
 		return nil, fmt.Errorf("geo: road length %v below great-circle %v", roadLength, gc)
 	}
 	r := &Route{
-		cities: append([]City(nil), cities...),
-		cumGC:  cum,
-		factor: float64(roadLength) / float64(gc),
-		total:  roadLength,
+		cities:  append([]City(nil), cities...),
+		cityPts: make([]PreparedPoint, len(cities)),
+		cumGC:   cum,
+		factor:  float64(roadLength) / float64(gc),
+		total:   roadLength,
+	}
+	for i, c := range cities {
+		r.cityPts[i] = Prepare(c.Loc)
 	}
 	r.placeTowns()
 	r.buildCandidates()
@@ -390,17 +395,19 @@ func (r *Route) candidateBin(gc unit.Meters) int {
 	return b
 }
 
-// nearestCityNear is nearestCity for a point of the route at great-circle
-// distance gc. It scans only the bin's candidates, which include every
-// city that can be nearest there, in ascending index order with the same
-// strict comparison, so distance, index and tie-breaking all match the
-// full scan bit for bit.
-func (r *Route) nearestCityNear(loc LatLon, gc unit.Meters) (unit.Meters, int) {
+// nearestCityNear is nearestCity for a point of the route, prepared as
+// from, at great-circle distance gc. It scans only the bin's candidates,
+// which include every city that can be nearest there, in ascending index
+// order with the same strict comparison, so distance, index and
+// tie-breaking all match the full scan bit for bit. Both ends are
+// prepared once, the cities by NewRoute, and Haversine is the Distance
+// of the prepared points, so every distance is Haversine's.
+func (r *Route) nearestCityNear(from PreparedPoint, gc unit.Meters) (unit.Meters, int) {
 	b := r.candidateBin(gc)
 	best := unit.Meters(math.Inf(1))
 	bestIdx := 0
 	for _, i := range r.candidates[r.candStart[b]:r.candStart[b+1]] {
-		if d := Haversine(loc, r.cities[i].Loc); d < best {
+		if d := from.Distance(r.cityPts[i]); d < best {
 			best, bestIdx = d, int(i)
 		}
 	}
@@ -491,6 +498,15 @@ type Waypoint struct {
 
 // At maps an odometer reading (clamped to [0, Total]) to a Waypoint.
 func (r *Route) At(odo unit.Meters) Waypoint {
+	var wp Waypoint
+	r.at(odo, &wp)
+	return wp
+}
+
+// at is At writing the waypoint into wp, the drive's own state, and
+// reporting wp.Loc prepared: the nearest-city scan prepares it anyway,
+// so a tick's consumers get it without preparing it again.
+func (r *Route) at(odo unit.Meters, wp *Waypoint) PreparedPoint {
 	if odo < 0 {
 		odo = 0
 	}
@@ -499,7 +515,8 @@ func (r *Route) At(odo unit.Meters) Waypoint {
 	}
 	gc := r.greatCircle(odo)
 	loc := r.pointAt(gc)
-	cityDist, cityIdx := r.nearestCityNear(loc, gc)
+	from := Prepare(loc)
+	cityDist, cityIdx := r.nearestCityNear(from, gc)
 	region := Highway
 	switch {
 	case cityDist < urbanRadius:
@@ -507,15 +524,15 @@ func (r *Route) At(odo unit.Meters) Waypoint {
 	case cityDist < suburbanRadius, r.nearestTown(odo) < townRadius:
 		region = Suburban
 	}
-	return Waypoint{
-		Odometer:     odo,
-		Loc:          loc,
-		Region:       region,
-		Timezone:     TimezoneAt(loc.Lon),
-		City:         r.cities[cityIdx].Name,
-		CityDistance: cityDist,
-		CityHasEdge:  r.cities[cityIdx].HasEdge,
-	}
+	city := &r.cities[cityIdx]
+	wp.Odometer = odo
+	wp.Loc = loc
+	wp.Region = region
+	wp.Timezone = TimezoneAt(loc.Lon)
+	wp.City = city.Name
+	wp.CityDistance = cityDist
+	wp.CityHasEdge = city.HasEdge
+	return from
 }
 
 // OdometerOf maps a coordinate back to the closest odometer position on

@@ -324,7 +324,7 @@ func TestNearestCityCandidatesMatchScan(t *testing.T) {
 		probes++
 		loc := r.pointAt(gc)
 		wantD, wantI := r.nearestCity(loc)
-		gotD, gotI := r.nearestCityNear(loc, gc)
+		gotD, gotI := r.nearestCityNear(Prepare(loc), gc)
 		if math.Float64bits(float64(gotD)) != math.Float64bits(float64(wantD)) || gotI != wantI {
 			t.Fatalf("gc %v (%v): candidates give (%v, %d), full scan (%v, %d)", gc, loc, gotD, gotI, wantD, wantI)
 		}

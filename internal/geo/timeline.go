@@ -92,13 +92,12 @@ func (t *Timeline) holdTicks() int {
 // the trip runs.
 func (t *Timeline) Ticks() int {
 	cur := t.Cursor()
+	var ts TickState
 	n := 0
-	for {
-		if _, ok := cur.Next(); !ok {
-			return n
-		}
+	for cur.NextInto(&ts) {
 		n++
 	}
+	return n
 }
 
 // Cursor returns a fresh replay of the timeline from its first tick.
@@ -128,36 +127,49 @@ type Cursor struct {
 
 // Next produces the next tick state, or ok=false once the trip is over.
 func (c *Cursor) Next() (TickState, bool) {
+	var ts TickState
+	ok := c.NextInto(&ts)
+	return ts, ok
+}
+
+// NextInto is Next writing the tick state into ts, which may hold an
+// earlier tick: every field is overwritten. The drive state is copied
+// once, from the drive into ts, and the point is the one the drive's
+// route lookup prepared. It reports false, leaving ts as it was, once
+// the trip is over.
+func (c *Cursor) NextInto(ts *TickState) bool {
 	if c.ended {
-		return TickState{}, false
+		return false
 	}
+	d := c.drive
 	if c.holdLeft > 0 {
-		ds := c.drive.Hold(c.t.cfg.Tick)
+		d.hold(c.t.cfg.Tick)
 		c.holdLeft--
-		ts := TickState{
-			DriveState: ds,
-			Point:      Prepare(ds.Waypoint.Loc),
-			Hold:       true,
-			HoldFirst:  c.holdLeft == c.holdTotal-1,
-			HoldLast:   c.holdLeft == 0,
-			HoldCity:   c.holdCity,
-		}
+		ts.DriveState = d.state
+		ts.Point = d.point
+		ts.Hold = true
+		ts.HoldFirst = c.holdLeft == c.holdTotal-1
+		ts.HoldLast = c.holdLeft == 0
+		ts.HoldCity = c.holdCity
 		if ts.HoldLast {
 			c.holdCity = ""
 			if c.endPending {
 				c.ended = true
 			}
 		}
-		return ts, true
+		return true
 	}
 
-	ds := c.drive.Step(c.t.cfg.Tick)
-	ts := TickState{DriveState: ds, Point: Prepare(ds.Waypoint.Loc)}
+	d.step(c.t.cfg.Tick)
+	ds := &d.state
+	ts.DriveState = *ds
+	ts.Point = d.point
+	ts.Hold, ts.HoldFirst, ts.HoldLast, ts.HoldCity = false, false, false, ""
 
 	// First arrival at a major city's core schedules a hold window that
 	// begins on the next tick, mirroring the serial engine's "tick, then
 	// park" order.
-	wp := ds.Waypoint
+	wp := &ds.Waypoint
 	if budget := c.t.holdTicks(); budget > 0 &&
 		wp.Region == Urban && wp.CityDistance < c.t.cfg.Hold.MaxCityDistance && !c.citiesDone[wp.City] {
 		c.citiesDone[wp.City] = true
@@ -173,5 +185,5 @@ func (c *Cursor) Next() (TickState, bool) {
 			c.ended = true
 		}
 	}
-	return ts, true
+	return true
 }

@@ -179,8 +179,10 @@ type Input struct {
 	Captures []Capture
 	Apps     []AppLog
 	// Passive holds each operator's passive-logger samples
-	// (Normalizer.Passive).
-	Passive map[radio.Operator][]dataset.CoverageSample
+	// (Normalizer.Passive) in log order, as consecutive chunks: a lane
+	// stores its log in fixed-size chunks, and the merge reads them
+	// where they are instead of joining them first.
+	Passive map[radio.Operator][][]dataset.CoverageSample
 	Meta    dataset.Meta
 	// Obs receives merge statistics (match counts, name-stamp skew, final
 	// per-table row counts). Write-only and nil-safe: the merge's output
@@ -259,16 +261,15 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 		ops = append(ops, op)
 	}
 	slices.Sort(ops)
-	passiveParts := make([]*dataset.DB, len(ops))
+	passiveParts := make([][][]dataset.CoverageSample, len(ops))
 
 	var tasks []func()
 	for _, p := range fileParts {
 		tasks = append(tasks, func() { m.reconcileFiles(p) })
 	}
 	for i, op := range ops {
-		p := &dataset.DB{Passive: in.Passive[op]}
-		passiveParts[i] = p
-		tasks = append(tasks, func() { p.Passive = sortedPassive(p.Passive) })
+		chunks := in.Passive[op]
+		tasks = append(tasks, func() { passiveParts[i] = sortedPassive(chunks) })
 	}
 	runAll(tasks)
 
@@ -276,7 +277,7 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 	// matched app log, in ms — the quantity matchTolerance bounds.
 	skew := in.Obs.Histogram("logsync/skew_ms", []float64{1, 10, 100, 1000, 3000})
 	rep := Report{}
-	parts := make([]*dataset.DB, 0, len(fileParts)+len(passiveParts))
+	parts := make([]*dataset.DB, 0, len(fileParts))
 	for _, p := range fileParts {
 		offsetTestIDs(&p.db, rep.Matched)
 		rep.Matched += p.matched
@@ -286,13 +287,13 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 		}
 		parts = append(parts, &p.db)
 	}
-	parts = append(parts, passiveParts...)
 	for _, used := range m.usedApps {
 		if !used {
 			rep.UnmatchedApps++
 		}
 	}
 	db := mergeParts(parts)
+	db.Passive = mergeChunked(passiveParts, passiveLess)
 	db.Meta = in.Meta
 	recordMergeStats(in.Obs, db, rep)
 	return db, rep, nil
@@ -362,17 +363,30 @@ type filePart struct {
 	skewsMS   []float64
 }
 
-// sortedPassive returns s in sortDB order: s itself when it already is,
-// as a lane logs its samples, and otherwise a sorted copy, so Merge
-// leaves its input as it was.
-func sortedPassive(s []dataset.CoverageSample) []dataset.CoverageSample {
+// sortedPassive returns one operator's chunks of samples in sortDB
+// order: the chunks themselves when they already are, across chunk
+// edges as well, as a lane logs its samples, and otherwise one sorted
+// copy, so Merge leaves its input as it was.
+func sortedPassive(chunks [][]dataset.CoverageSample) [][]dataset.CoverageSample {
 	cmp := func(a, b dataset.CoverageSample) int { return cmpBy(passiveLess, &a, &b) }
-	if slices.IsSortedFunc(s, cmp) {
-		return s
+	sorted := true
+	var last *dataset.CoverageSample
+	for _, c := range chunks {
+		if len(c) == 0 {
+			continue
+		}
+		if last != nil && passiveLess(&c[0], last) || !slices.IsSortedFunc(c, cmp) {
+			sorted = false
+			break
+		}
+		last = &c[len(c)-1]
 	}
-	s = slices.Clone(s)
+	if sorted {
+		return chunks
+	}
+	s := slices.Concat(chunks...)
 	slices.SortStableFunc(s, cmp)
-	return s
+	return [][]dataset.CoverageSample{s}
 }
 
 // runAll runs every task and waits for them, at most GOMAXPROCS at a
@@ -608,7 +622,6 @@ func mergeParts(parts []*dataset.DB) *dataset.DB {
 	db.RTT = mergeSorted(parts, func(p *dataset.DB) *[]dataset.RTTSample { return &p.RTT }, rttLess)
 	db.Handovers = mergeSorted(parts, func(p *dataset.DB) *[]dataset.Handover { return &p.Handovers }, handoverLess)
 	db.AppRuns = mergeSorted(parts, func(p *dataset.DB) *[]dataset.AppRun { return &p.AppRuns }, appRunLess)
-	db.Passive = mergeSorted(parts, func(p *dataset.DB) *[]dataset.CoverageSample { return &p.Passive }, passiveLess)
 	return db
 }
 
@@ -617,31 +630,68 @@ func mergeParts(parts []*dataset.DB) *dataset.DB {
 // of the table, so they can be freed, and returns nil when every part is
 // empty, as appending to a nil table would.
 func mergeSorted[T any](parts []*dataset.DB, table func(*dataset.DB) *[]T, less func(a, b *T) bool) []T {
-	heads := make([][]T, 0, len(parts))
-	n := 0
-	for _, p := range parts {
+	seqs := make([][][]T, len(parts))
+	for i, p := range parts {
 		t := table(p)
-		if len(*t) > 0 {
-			heads = append(heads, *t)
-			n += len(*t)
-		}
+		seqs[i] = [][]T{*t}
 		*t = nil
+	}
+	return mergeChunked(seqs, less)
+}
+
+// mergeChunked is a k-way merge of sequences, each sorted by less and
+// given as consecutive chunks. On a tie the earlier sequence goes first.
+// It returns nil when every sequence is empty, as appending to a nil
+// table would.
+func mergeChunked[T any](seqs [][][]T, less func(a, b *T) bool) []T {
+	// A run is a sequence being merged: its current chunk's unmerged
+	// rest, and the chunks after it.
+	type run struct {
+		head []T
+		rest [][]T
+	}
+	// next moves r to its next non-empty chunk, reporting whether there
+	// is one.
+	next := func(r *run) bool {
+		for len(r.rest) > 0 {
+			r.head, r.rest = r.rest[0], r.rest[1:]
+			if len(r.head) > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	runs := make([]run, 0, len(seqs))
+	n := 0
+	for _, s := range seqs {
+		for _, c := range s {
+			n += len(c)
+		}
+		if r := (run{rest: s}); next(&r) {
+			runs = append(runs, r)
+		}
 	}
 	if n == 0 {
 		return nil
 	}
 	out := make([]T, 0, n)
-	for len(heads) > 1 {
+	for len(runs) > 1 {
 		best := 0
-		for i := 1; i < len(heads); i++ {
-			if less(&heads[i][0], &heads[best][0]) {
+		for i := 1; i < len(runs); i++ {
+			if less(&runs[i].head[0], &runs[best].head[0]) {
 				best = i
 			}
 		}
-		out = append(out, heads[best][0])
-		if heads[best] = heads[best][1:]; len(heads[best]) == 0 {
-			heads = append(heads[:best], heads[best+1:]...)
+		r := &runs[best]
+		out = append(out, r.head[0])
+		if r.head = r.head[1:]; len(r.head) == 0 && !next(r) {
+			runs = append(runs[:best], runs[best+1:]...)
 		}
 	}
-	return append(out, heads[0]...)
+	r := runs[0]
+	out = append(out, r.head...)
+	for _, c := range r.rest {
+		out = append(out, c...)
+	}
+	return out
 }

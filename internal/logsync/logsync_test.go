@@ -48,12 +48,19 @@ func captures(files ...xcal.File) []Capture {
 }
 
 // passiveLogs converts passive-logger rows keyed by operator as the
-// lanes do.
-func passiveLogs(logger map[radio.Operator][]xcal.LoggerRow) map[radio.Operator][]dataset.CoverageSample {
+// lanes do, into chunks of one, two and three samples in turn (and an
+// empty one first), so every merge test crosses chunk edges.
+func passiveLogs(logger map[radio.Operator][]xcal.LoggerRow) map[radio.Operator][][]dataset.CoverageSample {
 	n := NewNormalizer(geo.DefaultRoute())
-	out := map[radio.Operator][]dataset.CoverageSample{}
+	out := map[radio.Operator][][]dataset.CoverageSample{}
 	for op, rows := range logger {
-		out[op] = n.Passive(nil, op, rows)
+		chunks := [][]dataset.CoverageSample{nil}
+		for size := 1; len(rows) > 0; size = size%3 + 1 {
+			k := min(size, len(rows))
+			chunks = append(chunks, n.Passive(nil, op, rows[:k]))
+			rows = rows[k:]
+		}
+		out[op] = chunks
 	}
 	return out
 }
@@ -745,10 +752,50 @@ func TestMergeLeavesInputIntact(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Error("two merges of one Input differ")
 	}
-	if got := in.Passive[radio.ATT]; got[0].CellID != "A-1" || got[1].CellID != "A-0" {
-		t.Errorf("Merge reordered its input's passive samples: %s, %s", got[0].CellID, got[1].CellID)
+	if got := in.Passive[radio.ATT]; got[1][0].CellID != "A-1" || got[2][0].CellID != "A-0" {
+		t.Errorf("Merge reordered its input's passive samples: %s, %s", got[1][0].CellID, got[2][0].CellID)
 	}
 	if first.Passive[0].CellID != "A-0" || len(first.Throughput) != 20 {
 		t.Errorf("merged passive starts with %s and has %d throughput samples", first.Passive[0].CellID, len(first.Throughput))
+	}
+}
+
+// TestMergeChunkedMatchesStableSort pins the chunked k-way merge to its
+// reference: for sorted sequences cut into chunks of any length, empty
+// ones included, the merge equals a stable sort of the sequences'
+// concatenation in order, so on a tie the earlier sequence goes first.
+func TestMergeChunkedMatchesStableSort(t *testing.T) {
+	type item struct{ key, seq, idx int }
+	less := func(a, b *item) bool { return a.key < b.key }
+	rng := simrand.New(11).Fork("merge-chunked")
+	for trial := 0; trial < 300; trial++ {
+		seqs := make([][][]item, rng.Intn(5))
+		var all []item
+		for s := range seqs {
+			n := rng.Intn(40)
+			flat := make([]item, n)
+			key := 0
+			for i := range flat {
+				key += rng.Intn(3) // small steps, so keys tie within and across sequences
+				flat[i] = item{key: key, seq: s, idx: i}
+			}
+			all = append(all, flat...)
+			for len(flat) > 0 || rng.Bool(0.3) {
+				k := min(rng.Intn(6), len(flat))
+				seqs[s] = append(seqs[s], flat[:k])
+				flat = flat[k:]
+			}
+		}
+		slices.SortStableFunc(all, func(a, b item) int { return a.key - b.key })
+		got := mergeChunked(seqs, less)
+		if len(all) == 0 {
+			if got != nil {
+				t.Fatalf("trial %d: %d empty sequences merge to %v, want nil", trial, len(seqs), got)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, all) {
+			t.Fatalf("trial %d: merge of %d chunked sequences\n got %v\nwant %v", trial, len(seqs), got, all)
+		}
 	}
 }

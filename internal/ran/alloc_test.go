@@ -42,7 +42,8 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 // stretch of driving without a handover, Step (the bounded A3 scan and
 // its quiet-bucket certificate, shadow memo refills at bucket edges, the
 // coverage span cache) must not allocate either, and neither may Move,
-// the mobility half alone. A scouting UE finds the first such stretch
+// the mobility half alone, nor StepDrive, Step's in-place form. A
+// scouting UE finds the first such stretch
 // after ten minutes of driving; identical UEs replay the drive up to it.
 func TestMovingStepAllocs(t *testing.T) {
 	const runs = 300
@@ -65,21 +66,22 @@ func TestMovingStepAllocs(t *testing.T) {
 
 	for _, c := range []struct {
 		name string
-		step func(*UE, geo.DriveState)
+		step func(*UE, *geo.DriveState)
 	}{
-		{"Step", step},
+		{"Step", func(u *UE, ds *geo.DriveState) { u.Step(ds.Time, ds.Waypoint, ds.Speed.MPH(), tick) }},
+		{"StepDrive", step},
 		{"Move", move},
 	} {
 		ue, _ := testUE(t, radio.Verizon, 11)
-		for _, ds := range states[:quiet] {
-			c.step(ue, ds)
+		for i := range states[:quiet] {
+			c.step(ue, &states[i])
 		}
 		if ue.HandoverCount() != hos {
 			t.Fatalf("%s replay reached the stretch after %d handovers, scout after %d", c.name, ue.HandoverCount(), hos)
 		}
 		next := quiet
 		avg := testing.AllocsPerRun(runs, func() {
-			c.step(ue, states[next])
+			c.step(ue, &states[next])
 			next++
 		})
 		if avg != 0 {

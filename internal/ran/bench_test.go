@@ -61,13 +61,14 @@ func BenchmarkUEStep(b *testing.B) {
 	})
 }
 
-// step is one full UE.Step tick, and move one mobility-only UE.Move tick.
-func step(ue *UE, ds geo.DriveState) { ue.Step(ds.Time, ds.Waypoint, ds.Speed.MPH(), tick) }
-func move(ue *UE, ds geo.DriveState) { ue.Move(ds.Time, ds.Waypoint) }
+// step is one full UE tick, in the in-place form the campaign lanes
+// call, and move one mobility-only tick.
+func step(ue *UE, ds *geo.DriveState) { ue.StepDrive(ds, tick) }
+func move(ue *UE, ds *geo.DriveState) { ue.Move(ds.Time, ds.Waypoint) }
 
 // benchSteps times advance over states on traffic tr, restarting with a
 // fresh UE whenever the states run out.
-func benchSteps(b *testing.B, m *deploy.Map, rng *simrand.Source, tr deploy.Traffic, states []geo.DriveState, advance func(*UE, geo.DriveState)) {
+func benchSteps(b *testing.B, m *deploy.Map, rng *simrand.Source, tr deploy.Traffic, states []geo.DriveState, advance func(*UE, *geo.DriveState)) {
 	fresh := func() *UE {
 		ue := NewUE(UEConfig{Op: m.Op, Map: m}, rng)
 		ue.SetTraffic(tr, states[0].Time, states[0].Waypoint)
@@ -82,6 +83,6 @@ func benchSteps(b *testing.B, m *deploy.Map, rng *simrand.Source, tr deploy.Traf
 			ue = fresh()
 			b.StartTimer()
 		}
-		advance(ue, states[j])
+		advance(ue, &states[j])
 	}
 }

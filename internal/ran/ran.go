@@ -271,7 +271,7 @@ func (u *UE) SetTraffic(tr deploy.Traffic, now time.Time, wp geo.Waypoint) {
 	if goingIdle && u.policyRNG.Bool(deploy.StickyRetainProb) {
 		return // retain the elevated technology for now
 	}
-	u.reselectTech(now, wp)
+	u.reselectTech(now, &wp)
 }
 
 // Traffic reports the current offered-traffic profile.
@@ -279,7 +279,7 @@ func (u *UE) Traffic() deploy.Traffic { return u.traffic }
 
 // reselectTech runs the elevation policy and performs a vertical
 // handover if the serving technology changes.
-func (u *UE) reselectTech(now time.Time, wp geo.Waypoint) {
+func (u *UE) reselectTech(now time.Time, wp *geo.Waypoint) {
 	avail := u.availAt(wp.Odometer)
 	u.lastAvail = avail
 	chosen := u.choose(avail, wp)
@@ -303,7 +303,7 @@ func (u *UE) reselectTech(now time.Time, wp geo.Waypoint) {
 // traffic always gets the best technology; idle (ICMP) traffic follows
 // the normal conservative policy even when static, which is why the
 // paper's static AT&T RTT tests ran over LTE (§5.1).
-func (u *UE) choose(avail deploy.TechSet, wp geo.Waypoint) radio.Technology {
+func (u *UE) choose(avail deploy.TechSet, wp *geo.Waypoint) radio.Technology {
 	if u.cfg.ForceBest || (u.staticMode && u.traffic != deploy.Idle) {
 		return avail.Best()
 	}
@@ -568,12 +568,28 @@ func (u *UE) seedTargetLoad(c *deploy.Cell) {
 //
 //lint:hotroot — the RAN model's per-tick entry point
 func (u *UE) Step(now time.Time, wp geo.Waypoint, speedMPH float64, dt time.Duration) LinkState {
+	return *u.step(now, &wp, speedMPH, dt)
+}
+
+// StepDrive is Step at a drive state, without the copies: it reads ds in
+// place and returns the UE's own link state, which is valid until the
+// UE's next step or move. Its speed is ds.Speed.MPH(), as a caller of
+// Step would pass it.
+//
+//lint:hotroot — the campaign lanes' per-tick RAN entry point
+func (u *UE) StepDrive(ds *geo.DriveState, dt time.Duration) *LinkState {
+	return u.step(ds.Time, &ds.Waypoint, ds.Speed.MPH(), dt)
+}
+
+// step is Step writing the link state in place.
+func (u *UE) step(now time.Time, wp *geo.Waypoint, speedMPH float64, dt time.Duration) *LinkState {
 	servingRSRP, haveRSRP, target := u.move(now, wp)
 	if target != nil {
 		// Seeded here, not in the A3 check, so Move draws no load.
 		u.seedTargetLoad(target)
 	}
-	return u.link(now, wp, speedMPH, dt, servingRSRP, haveRSRP)
+	u.link(now, wp.Odometer, speedMPH, dt, servingRSRP, haveRSRP)
+	return &u.state
 }
 
 // Move advances only the mobility half of a tick: coverage reselection,
@@ -586,7 +602,7 @@ func (u *UE) Step(now time.Time, wp geo.Waypoint, speedMPH float64, dt time.Dura
 //
 //lint:hotroot — the passive logger's per-tick entry point
 func (u *UE) Move(now time.Time, wp geo.Waypoint) (radio.Technology, string) {
-	u.move(now, wp)
+	u.move(now, &wp)
 	st := &u.state
 	st.Time, st.Tech, st.CellID, st.InHandover = now, u.tech, u.cellName(), now.Before(u.hoUntil)
 	return st.Tech, st.CellID
@@ -595,7 +611,7 @@ func (u *UE) Move(now time.Time, wp geo.Waypoint) (radio.Technology, string) {
 // move is the mobility half of a tick. When the A3 check computed the
 // serving cell's RSRP for this tick it reports it with haveRSRP; when a
 // horizontal handover fired it reports the target cell.
-func (u *UE) move(now time.Time, wp geo.Waypoint) (servingRSRP unit.DBm, haveRSRP bool, target *deploy.Cell) {
+func (u *UE) move(now time.Time, wp *geo.Waypoint) (servingRSRP unit.DBm, haveRSRP bool, target *deploy.Cell) {
 	avail := u.availAt(wp.Odometer)
 	if !u.attached || avail != u.lastAvail || (u.cellIdx >= 0 && !avail.Has(u.tech)) {
 		u.lastAvail = avail
@@ -618,9 +634,10 @@ func (u *UE) move(now time.Time, wp geo.Waypoint) (servingRSRP unit.DBm, haveRSR
 }
 
 // link is the link half of a tick: carrier aggregation, deep fades, and
-// the serving cell's load, SINR, MCS, BLER and capacities. servingRSRP is
-// this tick's serving RSRP when haveRSRP is set.
-func (u *UE) link(now time.Time, wp geo.Waypoint, speedMPH float64, dt time.Duration, servingRSRP unit.DBm, haveRSRP bool) LinkState {
+// the serving cell's load, SINR, MCS, BLER and capacities, written into
+// u.state. servingRSRP is this tick's serving RSRP at odometer odo when
+// haveRSRP is set.
+func (u *UE) link(now time.Time, odo unit.Meters, speedMPH float64, dt time.Duration, servingRSRP unit.DBm, haveRSRP bool) {
 	// Carrier aggregation reconfiguration.
 	if now.After(u.caNext) {
 		u.redrawCA(now)
@@ -637,13 +654,17 @@ func (u *UE) link(now time.Time, wp geo.Waypoint, speedMPH float64, dt time.Dura
 		}
 	}
 
-	st := LinkState{Time: now, Tech: u.tech, CCDL: u.ccDL, CCUL: u.ccUL}
+	// Every field is set, one by one: a composite literal would be built
+	// aside and copied in.
+	st := &u.state
+	st.Time, st.Tech, st.CCDL, st.CCUL = now, u.tech, u.ccDL, u.ccUL
+	st.InHandover = false
 	if u.cellIdx >= 0 {
 		c := u.cfg.Map.CellAt(u.tech, u.cellIdx)
 		st.CellID = c.ID
 		st.RSRP = servingRSRP
 		if !haveRSRP {
-			st.RSRP = u.rsrpOf(c, wp.Odometer)
+			st.RSRP = u.rsrpOf(c, odo)
 		}
 		st.Load = u.loadOf(c, now)
 		st.SINR = radio.SINR(u.tech, st.RSRP, st.Load)
@@ -664,6 +685,9 @@ func (u *UE) link(now time.Time, wp geo.Waypoint, speedMPH float64, dt time.Dura
 	} else {
 		// Out of range of every cell of the serving technology: no
 		// capacity until coverage changes.
+		st.CellID = ""
+		st.Load = 0
+		st.CapacityDL, st.CapacityUL = 0, 0
 		st.RSRP = -140
 		st.SINR = -10
 		st.MCS = 0
@@ -673,13 +697,11 @@ func (u *UE) link(now time.Time, wp geo.Waypoint, speedMPH float64, dt time.Dura
 		st.InHandover = true
 		st.CapacityDL, st.CapacityUL = 0, 0
 	}
-	u.state = st
-	return st
 }
 
 // reselectTechOnCoverageChange re-runs the policy when the deployed set
 // under the UE changes (fragment boundary) or on first attach.
-func (u *UE) reselectTechOnCoverageChange(now time.Time, wp geo.Waypoint, avail deploy.TechSet) {
+func (u *UE) reselectTechOnCoverageChange(now time.Time, wp *geo.Waypoint, avail deploy.TechSet) {
 	chosen := u.choose(avail, wp)
 	if chosen == u.tech && u.attached {
 		// Same technology still; make sure we are attached to a cell.
@@ -710,7 +732,7 @@ func (u *UE) reselectTechOnCoverageChange(now time.Time, wp geo.Waypoint, avail 
 // r > best anywhere in the bucket, so its exact RSRP is skipped. Every
 // other neighbour is evaluated exactly, in the same index order, so the
 // target is the one the exhaustive scan picks.
-func (u *UE) maybeHandover(now time.Time, wp geo.Waypoint) (servingRSRP unit.DBm, haveRSRP bool, target *deploy.Cell) {
+func (u *UE) maybeHandover(now time.Time, wp *geo.Waypoint) (servingRSRP unit.DBm, haveRSRP bool, target *deploy.Cell) {
 	serving := u.cfg.Map.CellAt(u.tech, u.cellIdx)
 	bounded := !u.staticMode && !u.fullScan
 	bucket := int64(wp.Odometer / shadowBucket)

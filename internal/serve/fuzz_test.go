@@ -6,12 +6,16 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"github.com/nuwins/cellwheels"
 )
 
 // FuzzParseJobSpec feeds arbitrary submission bodies to ParseJobSpec. No
 // input may panic, and an accepted spec must be a fixed point of its
 // canonical form: re-marshalled and parsed again, it yields the same
-// spec and the same job ID, which is what makes re-submission dedup.
+// spec and the same job ID, which is what makes re-submission dedup. An
+// accepted fleet or collect spec plans at most cellwheels.MaxFleetRuns
+// runs of at most cellwheels.MaxReplicates replicates each.
 func FuzzParseJobSpec(f *testing.F) {
 	for _, seed := range []string{
 		quickSpec(31),
@@ -59,6 +63,15 @@ func FuzzParseJobSpec(f *testing.F) {
 		}
 		if againID != id {
 			t.Errorf("canonical form %s has ID %s, want %s", canonical, againID, id)
+		}
+		if sc := spec.Scenario; sc != nil {
+			runs := max(sc.Replicates, 1)
+			for _, a := range sc.Sweep {
+				runs *= len(a.Values)
+			}
+			if sc.Replicates > cellwheels.MaxReplicates || runs > cellwheels.MaxFleetRuns {
+				t.Errorf("accepted a scenario of %d replicates and %d planned runs", sc.Replicates, runs)
+			}
 		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -526,6 +527,15 @@ func TestProgressEndpoint(t *testing.T) {
 	}
 }
 
+// limitValues lists n distinct limit_km values for a sweep, 1 to n.
+func limitValues(n int) string {
+	vals := make([]string, n)
+	for i := range vals {
+		vals[i] = strconv.Itoa(i + 1)
+	}
+	return strings.Join(vals, ",")
+}
+
 // TestBadRequests: malformed specs fail at submission, unknown jobs and
 // unlisted artifact names are 404s — including traversal spellings.
 func TestBadRequests(t *testing.T) {
@@ -543,6 +553,9 @@ func TestBadRequests(t *testing.T) {
 		{"negative limit_km", `{"kind":"campaign","config":{"seed":1,"limit_km":-1}}`},
 		{"video past MaxAppSeconds", fmt.Sprintf(`{"kind":"campaign","config":{"seed":1,"video_seconds":%d}}`, cellwheels.MaxAppSeconds+1)},
 		{"gaming past MaxAppSeconds", fmt.Sprintf(`{"kind":"campaign","config":{"seed":1,"gaming_seconds":%d}}`, cellwheels.MaxAppSeconds+1)},
+		{"fleet replicates past MaxReplicates", fmt.Sprintf(`{"kind":"fleet","scenario":{"master_seed":1,"replicates":%d,"base":{"seed":0}}}`, cellwheels.MaxReplicates+1)},
+		{"collect runs past MaxFleetRuns", fmt.Sprintf(`{"kind":"collect","scenario":{"master_seed":1,"replicates":%d,"base":{"seed":0},"sweep":[{"field":"limit_km","values":[%s]}]}}`,
+			(cellwheels.MaxFleetRuns+1)/137, limitValues(137))},
 		{"fleet base video past MaxAppSeconds", fmt.Sprintf(`{"kind":"fleet","scenario":{"master_seed":1,"base":{"seed":0,"video_seconds":%d}}}`, cellwheels.MaxAppSeconds+1)},
 		{"bad sweep field", `{"kind":"fleet","scenario":{"master_seed":1,"base":{"seed":0},"sweep":[{"field":"nope","values":[1]}]}}`},
 		{"archive_dir rejected", `{"kind":"fleet","scenario":{"master_seed":1,"archive_dir":"/tmp/x","base":{"seed":0}}}`},

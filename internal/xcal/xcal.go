@@ -92,7 +92,7 @@ type Recorder struct {
 	winBytes    unit.Bytes
 	winStart    time.Time
 	pending     ran.LinkState
-	pendingWP   geo.Waypoint
+	pendingLoc  geo.LatLon
 	pendingMPH  float64
 	havePending bool
 
@@ -133,11 +133,24 @@ func (r *Recorder) Recording() bool { return r.cur != nil }
 // moved this tick; every SampleInterval the recorder flushes a row using
 // the latest link state.
 func (r *Recorder) Observe(dt time.Duration, state ran.LinkState, wp geo.Waypoint, speedMPH float64, delivered unit.Bytes) {
+	r.observe(dt, &state, wp.Loc, speedMPH, delivered)
+}
+
+// ObserveDrive is Observe at a drive state, reading the link and drive
+// states in place; the speed is ds.Speed.MPH(), as a caller of Observe
+// would pass it.
+func (r *Recorder) ObserveDrive(dt time.Duration, state *ran.LinkState, ds *geo.DriveState, delivered unit.Bytes) {
+	r.observe(dt, state, ds.Waypoint.Loc, ds.Speed.MPH(), delivered)
+}
+
+// observe keeps the one copy of the link state a partial window's row
+// needs at CloseFile, and of the waypoint only its position.
+func (r *Recorder) observe(dt time.Duration, state *ran.LinkState, loc geo.LatLon, speedMPH float64, delivered unit.Bytes) {
 	if r.cur == nil {
 		return
 	}
-	r.pending = state
-	r.pendingWP = wp
+	r.pending = *state
+	r.pendingLoc = loc
 	r.pendingMPH = speedMPH
 	r.havePending = true
 	r.winBytes += delivered
@@ -154,24 +167,19 @@ func (r *Recorder) flushRow() {
 	if !r.havePending {
 		return
 	}
-	s := r.pending
-	r.cur.Rows = append(r.cur.Rows, Row{
-		Time:       stamp(r.winStart),
-		Tech:       s.Tech,
-		CellID:     s.CellID,
-		RSRP:       float64(s.RSRP),
-		SINR:       float64(s.SINR),
-		MCS:        s.MCS,
-		CCDL:       s.CCDL,
-		CCUL:       s.CCUL,
-		BLER:       s.BLER,
-		Load:       s.Load,
-		AppMbps:    r.winBytes.RateOver(SampleInterval).Mbps(),
-		InHandover: s.InHandover,
-		Lat:        r.pendingWP.Loc.Lat,
-		Lon:        r.pendingWP.Loc.Lon,
-		SpeedMPH:   r.pendingMPH,
-	})
+	s := &r.pending
+	// The row is filled where it lands, not built aside and copied in.
+	r.cur.Rows = append(r.cur.Rows, Row{})
+	row := &r.cur.Rows[len(r.cur.Rows)-1]
+	row.Time = stamp(r.winStart)
+	row.Tech, row.CellID = s.Tech, s.CellID
+	row.RSRP, row.SINR = float64(s.RSRP), float64(s.SINR)
+	row.MCS, row.CCDL, row.CCUL = s.MCS, s.CCDL, s.CCUL
+	row.BLER, row.Load = s.BLER, s.Load
+	row.AppMbps = r.winBytes.RateOver(SampleInterval).Mbps()
+	row.InHandover = s.InHandover
+	row.Lat, row.Lon = r.pendingLoc.Lat, r.pendingLoc.Lon
+	row.SpeedMPH = r.pendingMPH
 }
 
 // LogHandover records a signaling event into the open file.
@@ -241,6 +249,18 @@ func NewHandoverLogger(cfg ran.UEConfig, rng *simrand.Source) *HandoverLogger {
 // Step advances the logger one simulation tick.
 func (l *HandoverLogger) Step(now time.Time, wp geo.Waypoint, speedMPH float64, dt time.Duration) {
 	tech, cell := l.UE.Move(now, wp)
+	l.log(now, &wp, speedMPH, dt, tech, cell)
+}
+
+// StepDrive is Step at a drive state, reading it in place; the speed is
+// ds.Speed.MPH(), as a caller of Step would pass it.
+func (l *HandoverLogger) StepDrive(ds *geo.DriveState, dt time.Duration) {
+	tech, cell := l.UE.Move(ds.Time, ds.Waypoint)
+	l.log(ds.Time, &ds.Waypoint, ds.Speed.MPH(), dt, tech, cell)
+}
+
+// log logs a row once a second of ticks has passed.
+func (l *HandoverLogger) log(now time.Time, wp *geo.Waypoint, speedMPH float64, dt time.Duration, tech radio.Technology, cell string) {
 	l.since += dt
 	if l.since >= time.Second {
 		l.since -= time.Second
@@ -255,12 +275,23 @@ func (l *HandoverLogger) Step(now time.Time, wp geo.Waypoint, speedMPH float64, 
 	}
 }
 
-// Rows hands over the passive coverage log: it returns the logger's own
-// slice rather than a copy, which on the full route is a quarter-million
-// rows per operator, and forgets it, so the caller holds the only
-// reference. A second call returns only the rows logged since the
-// first.
+// Rows returns the rows logged since the last call, nil if there are
+// none. The slice is the logger's own buffer, not a copy: it is valid
+// until the next Step, which logs into the same buffer again, so a
+// caller that drains the log after every run of Steps never makes the
+// logger grow a new one.
 func (l *HandoverLogger) Rows() []LoggerRow {
+	rows := l.rows
+	if len(rows) == 0 {
+		return nil
+	}
+	l.rows = rows[:0]
+	return rows
+}
+
+// Close is the last Rows: it returns the rows logged since the last call
+// and forgets the buffer, so that a logger whose trip is over pins none.
+func (l *HandoverLogger) Close() []LoggerRow {
 	rows := l.rows
 	l.rows = nil
 	return rows

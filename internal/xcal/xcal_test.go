@@ -2,6 +2,7 @@ package xcal
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -144,9 +145,9 @@ func TestHandoverLoggerProducesRows(t *testing.T) {
 	if len(rows) < 110 || len(rows) > 130 {
 		t.Errorf("rows in 2 min = %d, want ≈120", len(rows))
 	}
-	// Rows hands the log over: the logger keeps no reference to it.
+	// Rows drains the log: a second call without a Step has nothing.
 	if again := l.Rows(); again != nil {
-		t.Errorf("second Rows() = %d rows, want nil after the hand-over", len(again))
+		t.Errorf("second Rows() = %d rows, want nil after the drain", len(again))
 	}
 	for i, row := range rows {
 		if row.Zone != geo.Pacific {
@@ -195,5 +196,74 @@ func TestHandoverLoggerSeesFewer5GThanActive(t *testing.T) {
 	}
 	if passive5G >= active5G {
 		t.Errorf("passive 5G ticks %d not below active %d", passive5G, active5G)
+	}
+}
+
+// TestDriveFormsMatchValueForms pins the in-place forms the campaign
+// lanes call to the value forms: a UE stepped by StepDrive and recorded
+// by ObserveDrive, and a logger stepped by StepDrive and drained once a
+// minute, log exactly what UE.Step, Observe and Step do over ten minutes
+// of the drive, tests opening and closing along the way. The drained
+// logger keeps logging into its first buffer.
+func TestDriveFormsMatchValueForms(t *testing.T) {
+	route := geo.DefaultRoute()
+	m := deploy.NewMap(radio.TMobile, route, simrand.New(6))
+	cfg := ran.UEConfig{Op: radio.TMobile, Map: m}
+	const dt = 50 * time.Millisecond
+	type rig struct {
+		ue     *ran.UE
+		rec    *Recorder
+		logger *HandoverLogger
+		files  []File
+		rows   []LoggerRow
+	}
+	newRig := func() *rig {
+		rng := simrand.New(7)
+		return &rig{ue: ran.NewUE(cfg, rng.Fork("active")), rec: NewRecorder(radio.TMobile), logger: NewHandoverLogger(cfg, rng)}
+	}
+	byValue, inPlace := newRig(), newRig()
+	drive := geo.NewDrive(route, geo.DefaultDriveConfig(), simrand.New(8))
+	var buf *LoggerRow
+	ticks := int(10 * time.Minute / dt)
+	for i := 0; i < ticks; i++ {
+		ds := drive.Step(dt)
+		for _, r := range []*rig{byValue, inPlace} {
+			if i%600 == 100 {
+				r.rec.StartFile("DL", ds.Time, ds.Waypoint.Timezone)
+			}
+		}
+		st := byValue.ue.Step(ds.Time, ds.Waypoint, ds.Speed.MPH(), dt)
+		byValue.rec.Observe(dt, st, ds.Waypoint, ds.Speed.MPH(), unit.Bytes(i%7)*unit.KB)
+		byValue.logger.Step(ds.Time, ds.Waypoint, ds.Speed.MPH(), dt)
+		ref := inPlace.ue.StepDrive(&ds, dt)
+		inPlace.rec.ObserveDrive(dt, ref, &ds, unit.Bytes(i%7)*unit.KB)
+		inPlace.logger.StepDrive(&ds, dt)
+		if *ref != st {
+			t.Fatalf("tick %d: StepDrive gives %+v, Step %+v", i, *ref, st)
+		}
+		for _, r := range []*rig{byValue, inPlace} {
+			if i%600 == 500 {
+				r.files = append(r.files, r.rec.CloseFile())
+			}
+		}
+		if i%1200 == 1199 {
+			byValue.rows = append(byValue.rows, byValue.logger.Rows()...)
+			rows := inPlace.logger.Rows()
+			if buf == nil {
+				buf = &rows[0]
+			} else if &rows[0] != buf {
+				t.Errorf("tick %d: the logger grew a new buffer after a drain", i)
+			}
+			inPlace.rows = append(inPlace.rows, rows...)
+		}
+	}
+	if len(byValue.files) != 20 || len(byValue.rows) != 600 {
+		t.Fatalf("%d files and %d logger rows in ten minutes, want 20 and 600", len(byValue.files), len(byValue.rows))
+	}
+	if !reflect.DeepEqual(inPlace.files, byValue.files) {
+		t.Error("ObserveDrive's files differ from Observe's")
+	}
+	if !reflect.DeepEqual(inPlace.rows, byValue.rows) {
+		t.Error("the logger's StepDrive rows differ from Step's")
 	}
 }
