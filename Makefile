@@ -53,11 +53,11 @@ bench-test:
 # them running: dataset.ReadJSON and dataset.WriteJSON against the
 # encoding/json reference, with tables split from single rows to one
 # range; the dataset's throughput, RTT and handover CSV readers,
-# the daemon job-spec parser, the fleetsync artifact decoder and the
-# .drm capture decoder (each: no panic, linear allocation, a re-encode
-# fixpoint). Minimizing a new input is capped at 100 runs: the
-# default cap is 60 s, so a 5 s target would otherwise spend its budget
-# minimizing the first input it finds instead of fuzzing.
+# the daemon job-spec parser and the fleetsync artifact decoder (each:
+# no panic, linear allocation, a re-encode fixpoint). Minimizing a new
+# input is capped at 100 runs: the default cap is 60 s, so a 5 s target
+# would otherwise spend its budget minimizing the first input it finds
+# instead of fuzzing.
 # Crashers are kept under the package's testdata/fuzz/ as regression
 # inputs.
 FUZZ = $(GO) test -run=NONE -fuzztime=5s -fuzzminimizetime=100x
@@ -70,7 +70,6 @@ fuzz-smoke:
 	$(FUZZ) -fuzz='^FuzzReadHandoverCSV$$' ./internal/dataset
 	$(FUZZ) -fuzz='^FuzzParseJobSpec$$' ./internal/serve
 	$(FUZZ) -fuzz='^FuzzDecodeArtifact$$' ./internal/fleetsync
-	$(FUZZ) -fuzz='^FuzzReadDRM$$' ./internal/xcal
 
 # lint runs the in-repo determinism & correctness linter (internal/lint)
 # over every package; findings fail the build. Suppress intentional uses
@@ -111,9 +110,7 @@ lint-inject-smoke:
 # CI artifact). Fails on any CLI regression the unit tests sit below. It
 # then reruns the campaign with one and with two lane slots and requires
 # the same dataset bytes: two slots for three lanes is the path where
-# lanes wait on each other for a slot. A fourth run archives the raw
-# .drm captures into smoke-raw/ as the lanes go (-raw) and must write the
-# same dataset as the others. The first run also prints its
+# lanes wait on each other for a slot. The first run also prints its
 # -progress lines to smoke-progress.log, and the last of them must
 # report the whole planned distance: 100.0% with eta 0s. A run on one
 # core (GOMAXPROCS=1), where one worker encodes every chunk, must write
@@ -128,8 +125,6 @@ smoke:
 	$(GO) run ./cmd/cellwheels run -seed 1 -limit-km 50 -workers 2 -out smoke-dataset-w2.json
 	cmp smoke-dataset-w1.json smoke-dataset-w2.json
 	cmp smoke-dataset.json smoke-dataset-w1.json
-	$(GO) run ./cmd/cellwheels run -seed 1 -limit-km 50 -raw smoke-raw -out smoke-dataset-raw.json
-	cmp smoke-dataset.json smoke-dataset-raw.json
 	GOMAXPROCS=1 $(GO) run ./cmd/cellwheels run -seed 1 -limit-km 50 -out smoke-dataset-p1.json
 	cmp smoke-dataset.json smoke-dataset-p1.json
 	GOMAXPROCS=1 $(GO) run ./cmd/cellwheels report -in smoke-dataset.json >smoke-report-p1.txt

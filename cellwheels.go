@@ -36,7 +36,6 @@ import (
 	"github.com/nuwins/cellwheels/internal/stats"
 	"github.com/nuwins/cellwheels/internal/ue"
 	"github.com/nuwins/cellwheels/internal/unit"
-	"github.com/nuwins/cellwheels/internal/xcal"
 )
 
 // Config parameterizes a study. The zero value runs the paper's full
@@ -186,52 +185,17 @@ type Study struct {
 }
 
 // Run executes a campaign and consolidates its logs.
-func Run(cfg Config) (*Study, error) { return run(cfg, "") }
-
-// RunArchivingRaw executes a campaign like Run, additionally writing
-// every raw XCAL capture as a binary .drm container into dir — the raw
-// 388 GB log archive of the real study, in miniature. Each capture is
-// written by its lane the moment its test ends, before the lane
-// normalises it for log synchronization, so the archive is exactly what
-// the instruments produced and streams to disk rather than being held in
-// memory. A failed write fails the run with the first error in operator
-// order. An empty dir archives nothing, as Run.
-func RunArchivingRaw(cfg Config, dir string) (*Study, error) { return run(cfg, dir) }
-
-// run is Run and RunArchivingRaw: when rawDir is not empty, the lanes
-// archive each raw capture into it as its test ends. The obs phase
-// "archive" sums the lanes' time spent writing.
-func run(cfg Config, rawDir string) (*Study, error) {
+func Run(cfg Config) (*Study, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	icfg := cfg.internal()
-	if rawDir != "" {
-		if err := os.MkdirAll(rawDir, 0o755); err != nil {
-			return nil, fmt.Errorf("cellwheels: %w", err)
-		}
-		icfg.Archive = func(f *xcal.File) error {
-			defer cfg.Obs.StartPhase("archive")()
-			return writeDRMFile(filepath.Join(rawDir, f.Name), f)
-		}
-	}
 	cfg.stamp()
-	c := core.NewCampaign(icfg)
-	raw := c.Run()
-	if raw.ArchiveErr != nil {
-		return nil, fmt.Errorf("cellwheels: %w", raw.ArchiveErr)
-	}
-	db, err := c.MergeMatched(raw)
+	c := core.NewCampaign(cfg.internal())
+	db, err := c.MergeMatched(c.Run())
 	if err != nil {
 		return nil, fmt.Errorf("cellwheels: %w", err)
 	}
 	return &Study{db: db, route: c.Route(), campaign: c}, nil
-}
-
-// writeDRMFile archives one capture atomically via the shared writer, so
-// a mid-archive failure never leaves a truncated .drm behind.
-func writeDRMFile(path string, f *xcal.File) error {
-	return atomicio.WriteFile(path, 0o644, f.WriteDRM)
 }
 
 // WriteCoverageGeoJSON writes map-ready GeoJSON into dir: the route with

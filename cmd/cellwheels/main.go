@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	cellwheels run    [campaign flags] [-out dataset.json] [-csv dir] [-raw dir]
+//	cellwheels run    [campaign flags] [-out dataset.json] [-csv dir]
 //	                  [-geojson dir] [-progress] [-metrics manifest.json] [-pprof cpu.out]
 //	cellwheels report [campaign flags] [-section id] [-metrics manifest.json]
 //	cellwheels report -in dataset.json [-section id] [-metrics manifest.json]

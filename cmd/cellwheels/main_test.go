@@ -49,6 +49,7 @@ func TestUsageErrors(t *testing.T) {
 		{"report", "-in", "x", "-seed", "1"},
 		{"report", "-in", "x", "-crowd", "10"},
 		{"run", "-no-such-flag"},
+		{"run", "-raw", "x"}, // the raw .drm archive is retired
 	} {
 		var code int
 		capture(t, &os.Stderr, func() { code = realMain(args) })

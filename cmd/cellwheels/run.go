@@ -18,7 +18,6 @@ func runCmd(args []string) int {
 	var (
 		out         = fs.String("out", "dataset.json", "output dataset path")
 		csvDir      = fs.String("csv", "", "also write per-table CSVs into this directory")
-		rawDir      = fs.String("raw", "", "also archive the raw XCAL captures (.drm) into this directory")
 		geoDir      = fs.String("geojson", "", "also write route + coverage GeoJSON into this directory")
 		progress    = fs.Bool("progress", false, "print a periodic progress line (odometer, tick rate, ETA) to stderr")
 		metricsPath = fs.String("metrics", "", "write a machine-readable run manifest (JSON) to this path")
@@ -53,12 +52,9 @@ func runCmd(args []string) int {
 		}()
 	}
 
-	study, err := cellwheels.RunArchivingRaw(*cfg, *rawDir)
+	study, err := cellwheels.Run(*cfg)
 	if err != nil {
 		return fail(err)
-	}
-	if *rawDir != "" {
-		fmt.Fprintf(os.Stderr, "raw captures archived to %s/\n", *rawDir)
 	}
 	//lint:allow timetaint — stderr banner timing only; never reaches the dataset
 	fmt.Fprintf(os.Stderr, "campaign finished in %v\n", rec.Elapsed().Round(time.Millisecond))

@@ -139,9 +139,6 @@ func TestCrowdConfigValidation(t *testing.T) {
 			t.Errorf("Run accepted invalid config %+v", cfg)
 		}
 	}
-	if _, err := RunArchivingRaw(Config{Seed: 1, LoadModel: "bogus"}, t.TempDir()); err == nil {
-		t.Error("RunArchivingRaw accepted an invalid load model")
-	}
 }
 
 // TestFleetCrowdSweepAxis pins the new config fields as fleet sweep axes:

@@ -113,13 +113,6 @@ type Config struct {
 	// Operators to measure; nil means all three.
 	Operators []radio.Operator
 
-	// Archive, when set, receives every raw XCAL capture as its test
-	// ends, before the lane normalises it and drops the raw rows; the
-	// file is valid only during the call. Lanes call it concurrently,
-	// each with its own captures in order. A lane stops calling it after
-	// its first error, which Run reports in Raw.ArchiveErr.
-	Archive func(*xcal.File) error
-
 	// Obs is the observability side channel: lanes count ticks into it,
 	// phases time themselves against it, and logsync records merge stats.
 	// It is strictly write-only from the engine's point of view — nothing
@@ -239,9 +232,9 @@ func ceilTicks(d time.Duration) int64 {
 // database.
 type Raw struct {
 	// Files is always nil: a lane normalises each capture into Captures
-	// when its test ends and drops the raw rows, so the raw archive is
-	// never in memory (Config.Archive streams it out instead). The
-	// field stays so that callers that range over it still compile.
+	// when its test ends and keeps no raw rows. It stays only for
+	// bench/layers.go, which ranges over it, until the replay that
+	// benchmark drives is retired.
 	Files    []xcal.File
 	Captures []logsync.Capture
 	Apps     []logsync.AppLog
@@ -249,9 +242,6 @@ type Raw struct {
 	// operator, in log order as consecutive chunks (logsync.Input.Passive).
 	Passive map[radio.Operator][][]dataset.CoverageSample
 	Meta    dataset.Meta
-	// ArchiveErr is the first error Config.Archive returned, in
-	// operator order.
-	ArchiveErr error
 }
 
 // Campaign is a configured, runnable measurement campaign.
@@ -353,15 +343,14 @@ func NewCampaign(cfg Config) *Campaign {
 		}
 
 		p := &phone{
-			op:      op,
-			ue:      ran.NewUE(ran.UEConfig{Op: op, Map: m, ForceBest: cfg.DisablePolicy, Load: backend}, rng.Fork("active")),
-			rec:     xcal.NewRecorder(op),
-			rng:     rng.Fork("phone/" + op.Short()),
-			fleet:   fleet,
-			wire:    c.wire,
-			specs:   cfg.rotation(),
-			norm:    logsync.NewNormalizer(route),
-			archive: cfg.Archive,
+			op:    op,
+			ue:    ran.NewUE(ran.UEConfig{Op: op, Map: m, ForceBest: cfg.DisablePolicy, Load: backend}, rng.Fork("active")),
+			rec:   xcal.NewRecorder(op),
+			rng:   rng.Fork("phone/" + op.Short()),
+			fleet: fleet,
+			wire:  c.wire,
+			specs: cfg.rotation(),
+			norm:  logsync.NewNormalizer(route),
 		}
 		p.gapLeft = testGap
 		var logger *xcal.HandoverLogger
@@ -486,9 +475,6 @@ func (c *Campaign) collect(final geo.DriveState) Raw {
 		p := l.phone
 		raw.Captures = append(raw.Captures, p.captures...)
 		raw.Apps = append(raw.Apps, p.apps...)
-		if raw.ArchiveErr == nil {
-			raw.ArchiveErr = p.archiveErr
-		}
 		raw.Meta.BytesRx += p.bytesRx
 		raw.Meta.BytesTx += p.bytesTx
 		raw.Meta.RuntimeByOp[p.op.String()] = p.testTime

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -444,34 +443,5 @@ func TestMergeLeavesRawIntact(t *testing.T) {
 	}
 	if sums[0] != sums[1] {
 		t.Errorf("merging one Raw twice gave different datasets: %x, %x", sums[0], sums[1])
-	}
-}
-
-// TestArchiveSinkFirstErrorInOperatorOrder pins the archive sink's
-// contract: every lane hands it its captures until the first error,
-// and Run reports the first lane's error in operator order.
-func TestArchiveSinkFirstErrorInOperatorOrder(t *testing.T) {
-	cfg := quickConfig(2)
-	cfg.Limit = 10 * unit.Kilometer
-	var mu sync.Mutex
-	calls := map[string]int{}
-	first := map[string]string{}
-	cfg.Archive = func(f *xcal.File) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if calls[f.Op]++; calls[f.Op] == 1 {
-			first[f.Op] = f.Name
-		}
-		return fmt.Errorf("archive %s", f.Name)
-	}
-	c := NewCampaign(cfg)
-	raw := c.Run()
-	for _, l := range c.lanes {
-		if n := calls[l.op.Short()]; n != 1 {
-			t.Errorf("lane %s called the sink %d times after its first error", l.op.Short(), n)
-		}
-	}
-	if want := "archive " + first[c.lanes[0].op.Short()]; fmt.Sprint(raw.ArchiveErr) != want {
-		t.Errorf("ArchiveErr = %v, want %s", raw.ArchiveErr, want)
 	}
 }

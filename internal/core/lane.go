@@ -120,6 +120,7 @@ func (l *lane) finish() {
 	if l.phone.rec.Recording() {
 		l.phone.finishTest(&l.last)
 	}
+	l.phone.rec.Release()
 	if l.logger != nil {
 		l.passive.add(l.phone.norm, l.op, l.logger.Close())
 	}

@@ -59,12 +59,8 @@ type phone struct {
 	testTime  time.Duration // cumulative test runtime (Table 1)
 	testsDone int
 
-	// norm normalises each capture when its test ends, and archive, when
-	// set, receives the raw capture first (Config.Archive); archiveErr
-	// is the first error it returned, after which it is not called.
-	norm       *logsync.Normalizer
-	archive    func(*xcal.File) error
-	archiveErr error
+	// norm normalises each capture when its test ends.
+	norm *logsync.Normalizer
 
 	captures []logsync.Capture
 	apps     []logsync.AppLog
@@ -302,9 +298,6 @@ func (p *phone) finishTest(ds *geo.DriveState) {
 		}
 	}
 	f := p.rec.CloseFile()
-	if p.archive != nil && p.archiveErr == nil {
-		p.archiveErr = p.archive(&f)
-	}
 	p.captures = append(p.captures, p.norm.Capture(&f))
 	p.apps = append(p.apps, p.appLog)
 	p.inTest = false

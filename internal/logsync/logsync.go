@@ -5,8 +5,9 @@
 // or in naive local time — across the four timezones the trip crosses,
 // matches each application log to its XCAL capture, and emits the
 // consolidated database the analysis runs on. XCAL file contents are
-// stamped in fixed EDT; the xcal package's .drm codec reads those back
-// to instants, so the captures reach this package typed.
+// stamped in fixed EDT, but only when the xcal package encodes a .drm
+// container; the recorder logs instants, so the captures reach this
+// package typed.
 //
 // The work comes in two steps. A Normalizer turns each XCAL capture,
 // and each batch of passive-logger rows, into records the moment they

@@ -24,6 +24,19 @@ import (
 // followInterval paces the streaming progress endpoint.
 const followInterval = 500 * time.Millisecond
 
+// MaxQueuedJobs bounds the pooled jobs waiting for a worker. Every seed
+// is a distinct spec, so without a bound a client could queue more
+// campaigns than the daemon will finish in days, each holding its job
+// state and directory. A submit over the bound is refused with 503 and
+// a Retry-After of queueRetryAfter; a re-submit of an accepted spec is
+// still answered with its status.
+const MaxQueuedJobs = 256
+
+// queueRetryAfter is the Retry-After, in seconds, of a submit refused
+// at MaxQueuedJobs: about the time a worker takes to finish a short
+// campaign job and free a slot.
+const queueRetryAfter = "10"
+
 // Config parameterizes a daemon.
 type Config struct {
 	// DataDir is the daemon's state root; each job owns
@@ -167,6 +180,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		s.rec.Counter("serve/jobs_deduped").Add(1)
 		writeJSON(w, http.StatusOK, j.Status())
+		return
+	}
+	if spec.Kind != KindCollect && len(s.queue) >= MaxQueuedJobs {
+		s.mu.Unlock()
+		w.Header().Set("Retry-After", queueRetryAfter)
+		http.Error(w, fmt.Sprintf("job queue is full (%d jobs)", MaxQueuedJobs), http.StatusServiceUnavailable)
 		return
 	}
 	j := newJob(id, spec, filepath.Join(s.jobsDir, id))

@@ -472,6 +472,61 @@ func TestShutdownDrainsQueue(t *testing.T) {
 	}
 }
 
+// TestQueueBound: with the worker held, MaxQueuedJobs distinct specs
+// queue behind the running one and the next is refused with 503 and a
+// Retry-After, leaving no job or directory behind; a re-submit of an
+// accepted spec is still answered with its status.
+func TestQueueBound(t *testing.T) {
+	dir := t.TempDir()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	// Released, the jobs fail at once, so the drain runs no campaign.
+	hook := func(*Job) {
+		once.Do(func() { close(started) })
+		<-release
+		panic("not run")
+	}
+	s, ts := startServer(t, Config{DataDir: dir, Workers: 1, TestHookRun: hook})
+	defer close(release)
+	if _, code := submit(t, ts, quickSpec(0)); code != http.StatusCreated {
+		t.Fatalf("submit seed 0: status %d", code)
+	}
+	<-started // seed 0 holds the worker; the rest queue
+	var queued JobStatus
+	for seed := int64(1); seed <= MaxQueuedJobs; seed++ {
+		st, code := submit(t, ts, quickSpec(seed))
+		if code != http.StatusCreated {
+			t.Fatalf("submit seed %d of %d: status %d (%s)", seed, MaxQueuedJobs, code, st.Error)
+		}
+		queued = st
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(quickSpec(MaxQueuedJobs+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("submit over the bound: status %d, Retry-After %q; want 503 with a Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "jobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	jobs := len(s.jobs)
+	s.mu.Unlock()
+	if want := MaxQueuedJobs + 1; jobs != want || len(entries) != want {
+		t.Errorf("%d jobs and %d job directories after a refused submit, want %d", jobs, len(entries), want)
+	}
+
+	st, code := submit(t, ts, quickSpec(MaxQueuedJobs))
+	if code != http.StatusOK || st.ID != queued.ID {
+		t.Errorf("re-submit at the bound: status %d, id %s; want 200 with id %s", code, st.ID, queued.ID)
+	}
+}
+
 // TestProgressEndpoint: the one-shot snapshot carries the job's live
 // obs registry, and follow mode streams NDJSON ending in the terminal
 // state.

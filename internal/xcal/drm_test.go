@@ -3,13 +3,8 @@ package xcal
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"reflect"
-	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"github.com/nuwins/cellwheels/internal/geo"
@@ -44,133 +39,7 @@ func sampleFile() File {
 	}
 }
 
-func TestDRMRoundTrip(t *testing.T) {
-	f := sampleFile()
-	var buf bytes.Buffer
-	if err := f.WriteDRM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadDRM(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f, back) {
-		t.Errorf("round trip changed file:\n got %+v\nwant %+v", back, f)
-	}
-}
-
-func TestDRMRoundTripEmpty(t *testing.T) {
-	f := File{Name: "T_RTT_20220810_110000.drm", Op: "T", Label: "RTT"}
-	var buf bytes.Buffer
-	if err := f.WriteDRM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadDRM(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != f.Name || len(back.Rows) != 0 || len(back.Signals) != 0 {
-		t.Errorf("round trip = %+v", back)
-	}
-}
-
-func TestDRMBadMagic(t *testing.T) {
-	_, err := ReadDRM(strings.NewReader("NOPE...."))
-	if !errors.Is(err, ErrBadDRM) {
-		t.Errorf("err = %v, want ErrBadDRM", err)
-	}
-}
-
-// TestDRMRejectsBadText: the codec reads content stamps and technology
-// names back only when they are what WriteDRM renders.
-func TestDRMRejectsBadText(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sampleFile().WriteDRM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	str := func(s string) string { return string(binary.LittleEndian.AppendUint32(nil, uint32(len(s)))) + s }
-	for _, tc := range []struct{ name, old, new string }{
-		{"row stamp with a decimal comma", "08/08/2022 12:00:00.000", "08/08/2022 12:00:00,000"},
-		{"signal stamp past midnight", "08/08/2022 12:00:00.200", "08/08/2022 24:00:00.200"},
-		{"unknown technology", str("LTE-A"), str("LTE-B")},
-	} {
-		data := bytes.ReplaceAll(buf.Bytes(), []byte(tc.old), []byte(tc.new))
-		if bytes.Equal(data, buf.Bytes()) {
-			t.Fatalf("%s: %q is not in the encoding", tc.name, tc.old)
-		}
-		if _, err := ReadDRM(bytes.NewReader(data)); !errors.Is(err, ErrBadDRM) {
-			t.Errorf("%s: err = %v, want ErrBadDRM", tc.name, err)
-		}
-	}
-}
-
-func TestDRMTruncated(t *testing.T) {
-	f := sampleFile()
-	var buf bytes.Buffer
-	if err := f.WriteDRM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	// Every truncation point must fail cleanly, never panic.
-	for cut := 0; cut < len(full)-1; cut += 7 {
-		if _, err := ReadDRM(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-}
-
-func TestDRMCorruptedLengths(t *testing.T) {
-	f := sampleFile()
-	var buf bytes.Buffer
-	if err := f.WriteDRM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	// Blow up the first string length field (bytes 4..8).
-	data[4], data[5], data[6], data[7] = 0xff, 0xff, 0xff, 0xff
-	if _, err := ReadDRM(bytes.NewReader(data)); !errors.Is(err, ErrBadDRM) {
-		t.Errorf("corrupted length: err = %v", err)
-	}
-}
-
-func TestDRMFuzzRandomBytes(t *testing.T) {
-	// Arbitrary byte soup never panics and (except for the vanishingly
-	// unlikely valid container) returns an error.
-	f := func(data []byte) bool {
-		_, err := ReadDRM(bytes.NewReader(data))
-		return err != nil || len(data) >= 16
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDRMRecorderIntegration(t *testing.T) {
-	// A file produced by the Recorder round-trips through the container.
-	rec := NewRecorder(opForTest())
-	now := testStart()
-	rec.StartFile("UL", now, zoneForTest())
-	st := stateForTest()
-	for i := 0; i < 20; i++ {
-		st.Time = now
-		rec.Observe(tickForTest(), st, wpForTest(), 55, 4096)
-		now = now.Add(tickForTest())
-	}
-	f := rec.CloseFile()
-	var buf bytes.Buffer
-	if err := f.WriteDRM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadDRM(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f, back) {
-		t.Error("recorder file did not round trip")
-	}
-}
-
-// Test fixtures shared with the recorder integration test.
+// Test fixtures shared with the recorder tests.
 
 func opForTest() radio.Operator  { return radio.TMobile }
 func zoneForTest() geo.Timezone  { return geo.Mountain }
@@ -205,19 +74,28 @@ func goldenCapture() File {
 	return rec.CloseFile()
 }
 
-// TestDRMGolden pins the .drm bytes of a recorder-produced capture: the
-// container, the EDT content stamps and the technology names.
+// TestDRMGolden pins the .drm bytes WriteDRM renders for a hand-built
+// file and for a recorder-produced capture: the container, the EDT
+// content stamps and the technology names.
 func TestDRMGolden(t *testing.T) {
-	f := goldenCapture()
-	if len(f.Signals) != 1 || len(f.Rows) < 2 || f.Rows[0].Tech == f.Rows[len(f.Rows)-1].Tech {
-		t.Fatalf("golden capture has %d signals and rows on one technology", len(f.Signals))
+	capture := goldenCapture()
+	if len(capture.Signals) != 1 || len(capture.Rows) < 2 || capture.Rows[0].Tech == capture.Rows[len(capture.Rows)-1].Tech {
+		t.Fatalf("golden capture has %d signals and rows on one technology", len(capture.Signals))
 	}
-	var buf bytes.Buffer
-	if err := f.WriteDRM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	const want = "f4fa2348d1a1e9c4c59ede655f518774596164ae00ae5050499fe877dabf3b08"
-	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
-		t.Errorf("sha256 of the golden .drm = %s, want %s", got, want)
+	for _, tc := range []struct {
+		name string
+		file File
+		want string
+	}{
+		{"sampleFile", sampleFile(), "582c0c0e462a72bb5c0423160fa5a340589700704c578a6310e18e9d3b1b0618"},
+		{"goldenCapture", capture, "f4fa2348d1a1e9c4c59ede655f518774596164ae00ae5050499fe877dabf3b08"},
+	} {
+		var buf bytes.Buffer
+		if err := tc.file.WriteDRM(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.want {
+			t.Errorf("sha256 of the %s .drm = %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

@@ -5,8 +5,9 @@
 // signaling (handovers) into ".drm"-style captures whose *names* carry
 // local-time stamps — the mismatch §B describes, which the logsync
 // package must undo. Their rows and signals log typed instants and
-// technologies; only the .drm codec (drm.go) renders them as text, the
-// instants in fixed EDT as the real tool stamped file contents.
+// technologies; only the .drm encoder (drm.go) renders them as text, the
+// instants in fixed EDT as the real tool stamped file contents, and
+// nothing reads that text back.
 //
 // The HandoverLogger stands in for the three extra unrooted phones that
 // passively logged coverage for the whole trip over idle ICMP traffic
@@ -83,10 +84,13 @@ type File struct {
 	Signals []Signal
 }
 
-// Recorder samples a UE's link state into Files.
+// Recorder samples a UE's link state into Files. It records into one
+// File whose row and signal tables it reuses from capture to capture,
+// so a closed file is valid only until the next StartFile.
 type Recorder struct {
-	op  radio.Operator
-	cur *File
+	op        radio.Operator
+	cur       File
+	recording bool
 
 	sinceSample time.Duration
 	winBytes    unit.Bytes
@@ -95,11 +99,6 @@ type Recorder struct {
 	pendingLoc  geo.LatLon
 	pendingMPH  float64
 	havePending bool
-
-	// rowHint is, per label, the row count of the last file closed: a
-	// label's tests run for the same time, so a new file reserves that
-	// many rows instead of growing its table row by row.
-	rowHint map[string]int
 }
 
 // NewRecorder returns a recorder for one operator's phone.
@@ -112,14 +111,14 @@ func NewRecorder(op radio.Operator) *Recorder {
 // timezone crossings made file matching painful.
 func (r *Recorder) StartFile(label string, nowUTC time.Time, zone geo.Timezone) {
 	local := nowUTC.In(zone.Location())
-	r.cur = &File{
-		Name:  fmt.Sprintf("%s_%s_%s.drm", r.op.Short(), label, local.Format(FileNameFormat)),
-		Op:    r.op.Short(),
-		Label: label,
+	r.cur = File{
+		Name:    fmt.Sprintf("%s_%s_%s.drm", r.op.Short(), label, local.Format(FileNameFormat)),
+		Op:      r.op.Short(),
+		Label:   label,
+		Rows:    r.cur.Rows[:0],
+		Signals: r.cur.Signals[:0],
 	}
-	if n := r.rowHint[label]; n > 0 {
-		r.cur.Rows = make([]Row, 0, n)
-	}
+	r.recording = true
 	r.sinceSample = 0
 	r.winBytes = 0
 	r.winStart = nowUTC
@@ -127,7 +126,7 @@ func (r *Recorder) StartFile(label string, nowUTC time.Time, zone geo.Timezone) 
 }
 
 // Recording reports whether a file is open.
-func (r *Recorder) Recording() bool { return r.cur != nil }
+func (r *Recorder) Recording() bool { return r.recording }
 
 // Observe feeds one simulation tick. Delivered is the application bytes
 // moved this tick; every SampleInterval the recorder flushes a row using
@@ -146,7 +145,7 @@ func (r *Recorder) ObserveDrive(dt time.Duration, state *ran.LinkState, ds *geo.
 // observe keeps the one copy of the link state a partial window's row
 // needs at CloseFile, and of the waypoint only its position.
 func (r *Recorder) observe(dt time.Duration, state *ran.LinkState, loc geo.LatLon, speedMPH float64, delivered unit.Bytes) {
-	if r.cur == nil {
+	if !r.recording {
 		return
 	}
 	r.pending = *state
@@ -184,7 +183,7 @@ func (r *Recorder) flushRow() {
 
 // LogHandover records a signaling event into the open file.
 func (r *Recorder) LogHandover(ev ran.HandoverEvent) {
-	if r.cur == nil {
+	if !r.recording {
 		return
 	}
 	r.cur.Signals = append(r.cur.Signals, Signal{
@@ -203,20 +202,25 @@ func (r *Recorder) LogHandover(ev ran.HandoverEvent) {
 func stamp(t time.Time) time.Time { return t.Truncate(time.Millisecond).UTC() }
 
 // CloseFile flushes any partial window and returns the finished file.
+// Its Rows and Signals are the recorder's own tables, not copies: they
+// are valid until the next StartFile, which records into them again, so
+// a caller that keeps a file past that must copy them.
 func (r *Recorder) CloseFile() File {
-	if r.cur == nil {
+	if !r.recording {
 		return File{}
 	}
 	if r.sinceSample > 0 && r.winBytes > 0 {
 		r.flushRow()
 	}
-	f := *r.cur
-	r.cur = nil
-	if r.rowHint == nil {
-		r.rowHint = map[string]int{}
-	}
-	r.rowHint[f.Label] = len(f.Rows)
-	return f
+	r.recording = false
+	return r.cur
+}
+
+// Release forgets the tables the recorder reuses, so that a recorder
+// whose trip is over pins none.
+func (r *Recorder) Release() {
+	r.recording = false
+	r.cur = File{}
 }
 
 // LoggerRow is one 1 Hz observation from a passive handover-logger phone.

@@ -3,6 +3,7 @@ package xcal
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -199,6 +200,56 @@ func TestHandoverLoggerSeesFewer5GThanActive(t *testing.T) {
 	}
 }
 
+// cloneFile copies a closed file's tables, which its recorder reuses
+// for the next capture.
+func cloneFile(f File) File {
+	f.Rows, f.Signals = slices.Clone(f.Rows), slices.Clone(f.Signals)
+	return f
+}
+
+// raceEnabled reports a -race build. Its sync.Pool drops items at
+// random, so the file name's fmt.Sprintf allocates a printer now and
+// then, and allocation counts are not exact.
+var raceEnabled bool
+
+// TestRecorderReusesCaptureBuffer: after a warm-up capture, a capture of
+// the same length records into the tables the last one used, so a cycle
+// of StartFile, observes and CloseFile allocates only what an empty
+// cycle does (the file name), and no row or signal table.
+func TestRecorderReusesCaptureBuffer(t *testing.T) {
+	rec := NewRecorder(opForTest())
+	st := stateForTest()
+	ds := geo.DriveState{Waypoint: wpForTest()}
+	capture := func(ticks int) File {
+		now := testStart()
+		rec.StartFile("DL", now, zoneForTest())
+		for i := 0; i < ticks; i++ {
+			if i == ticks/2 {
+				rec.LogHandover(ran.HandoverEvent{Start: now, Duration: 41 * time.Millisecond, FromTech: st.Tech, ToTech: st.Tech})
+			}
+			st.Time, ds.Time = now, now
+			rec.ObserveDrive(tickForTest(), &st, &ds, 4096)
+			now = now.Add(tickForTest())
+		}
+		return rec.CloseFile()
+	}
+	const ticks = 600 // a 30 s test: 60 rows
+	warm := capture(ticks)
+	if len(warm.Rows) != 60 || len(warm.Signals) != 1 {
+		t.Fatalf("warm-up capture has %d rows and %d signals, want 60 and 1", len(warm.Rows), len(warm.Signals))
+	}
+	if !raceEnabled {
+		empty := testing.AllocsPerRun(20, func() { capture(0) })
+		full := testing.AllocsPerRun(20, func() { capture(ticks) })
+		if full != empty {
+			t.Errorf("a %d-tick capture cycle allocates %v times, an empty one %v", ticks, full, empty)
+		}
+	}
+	if again := capture(ticks); &again.Rows[0] != &warm.Rows[0] || &again.Signals[0] != &warm.Signals[0] {
+		t.Error("a capture of the same length recorded into new tables")
+	}
+}
+
 // TestDriveFormsMatchValueForms pins the in-place forms the campaign
 // lanes call to the value forms: a UE stepped by StepDrive and recorded
 // by ObserveDrive, and a logger stepped by StepDrive and drained once a
@@ -243,7 +294,7 @@ func TestDriveFormsMatchValueForms(t *testing.T) {
 		}
 		for _, r := range []*rig{byValue, inPlace} {
 			if i%600 == 500 {
-				r.files = append(r.files, r.rec.CloseFile())
+				r.files = append(r.files, cloneFile(r.rec.CloseFile()))
 			}
 		}
 		if i%1200 == 1199 {
