@@ -112,7 +112,9 @@ lint-inject-smoke:
 # the same dataset bytes: two slots for three lanes is the path where
 # lanes wait on each other for a slot. The first run also prints its
 # -progress lines to smoke-progress.log, and the last of them must
-# report the whole planned distance: 100.0% with eta 0s. A run on one
+# report the whole planned distance: 100.0% with eta 0s. Its manifest
+# must show every app log matched to its capture: no unmatched app log,
+# and as many matches as tests in the dataset. A run on one
 # core (GOMAXPROCS=1), where one worker encodes every chunk, must write
 # the same bytes too, and the full report of the smoke dataset must be
 # the same decoded on one core and on all of them. Last, the report
@@ -121,6 +123,7 @@ lint-inject-smoke:
 smoke:
 	$(GO) run ./cmd/cellwheels run -seed 1 -limit-km 50 -progress -metrics manifest.json -out smoke-dataset.json 2>smoke-progress.log || { cat smoke-progress.log >&2; exit 1; }
 	grep '^obs:' smoke-progress.log | tail -n 1 | grep -E ' 100\.0% .*\| eta 0s$$' || { echo "smoke: last progress line is not 100.0% with eta 0s" >&2; cat smoke-progress.log >&2; exit 1; }
+	awk -F'[": ,]+' '$$2 == "logsync/matched" { m = $$3 } $$2 == "logsync/unmatched_apps" { u = $$3 } $$2 == "table/tests" { n = $$3 } END { if (m == "" || u == "" || u != 0 || m != n) { printf "smoke: manifest.json: logsync/matched %s, logsync/unmatched_apps %s, table/tests %s\n", m, u, n > "/dev/stderr"; exit 1 } }' manifest.json
 	$(GO) run ./cmd/cellwheels run -seed 1 -limit-km 50 -workers 1 -out smoke-dataset-w1.json
 	$(GO) run ./cmd/cellwheels run -seed 1 -limit-km 50 -workers 2 -out smoke-dataset-w2.json
 	cmp smoke-dataset-w1.json smoke-dataset-w2.json

@@ -77,8 +77,8 @@ type Config struct {
 	VideoDuration  time.Duration // 3 min (§D.1)
 	GamingDuration time.Duration // 90 s
 
-	// Apps disables the four application workloads when false is
-	// requested via SkipApps (kept inverted so the zero value runs all).
+	// SkipApps disables the four application workloads (AR, CAV, video
+	// and gaming); the zero value runs them.
 	SkipApps bool
 	// SkipStatic disables the per-city static baselines.
 	SkipStatic bool
@@ -234,7 +234,8 @@ type Raw struct {
 	// Files is always nil: a lane normalises each capture into Captures
 	// when its test ends and keeps no raw rows. It stays only for
 	// bench/layers.go, which ranges over it, until the replay that
-	// benchmark drives is retired.
+	// benchmark drives is retired. For the same caller Campaign.Merge
+	// keeps an error result, which is always nil.
 	Files    []xcal.File
 	Captures []logsync.Capture
 	Apps     []logsync.AppLog
@@ -499,15 +500,17 @@ func (c *Campaign) collect(final geo.DriveState) Raw {
 }
 
 // Merge reconstructs the consolidated database from raw logs. It only
-// reads raw, so one Raw can be merged any number of times.
+// reads raw, so one Raw can be merged any number of times. It cannot
+// fail: the error is always nil (see Raw.Files).
 func (c *Campaign) Merge(raw Raw) (*dataset.DB, logsync.Report, error) {
-	return logsync.Merge(logsync.Input{
+	db, rep := logsync.Merge(logsync.Input{
 		Captures: raw.Captures,
 		Apps:     raw.Apps,
 		Passive:  raw.Passive,
 		Meta:     raw.Meta,
 		Obs:      c.cfg.Obs,
 	})
+	return db, rep, nil
 }
 
 // RunAndMerge is the common path: execute and consolidate.
@@ -517,10 +520,7 @@ func (c *Campaign) RunAndMerge() (*dataset.DB, error) { return c.MergeMatched(c.
 // log, naming the first three: a dataset missing whole captures is not a
 // consolidation of the campaign.
 func (c *Campaign) MergeMatched(raw Raw) (*dataset.DB, error) {
-	db, rep, err := c.Merge(raw)
-	if err != nil {
-		return nil, err
-	}
+	db, rep, _ := c.Merge(raw) // never an error
 	if len(rep.UnmatchedFiles) > 0 {
 		return nil, fmt.Errorf("core: %d XCAL files unmatched after sync: %v", len(rep.UnmatchedFiles), rep.UnmatchedFiles[:min(3, len(rep.UnmatchedFiles))])
 	}

@@ -3,12 +3,14 @@ package core
 import (
 	"crypto/sha256"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/nuwins/cellwheels/internal/dataset"
+	"github.com/nuwins/cellwheels/internal/geo"
 	"github.com/nuwins/cellwheels/internal/obs"
 	"github.com/nuwins/cellwheels/internal/radio"
 	"github.com/nuwins/cellwheels/internal/unit"
@@ -443,5 +445,67 @@ func TestMergeLeavesRawIntact(t *testing.T) {
 	}
 	if sums[0] != sums[1] {
 		t.Errorf("merging one Raw twice gave different datasets: %x, %x", sums[0], sums[1])
+	}
+}
+
+// appStartText is an app log's former start stamp round trip, kept here
+// as the reference the typed start must equal: the RTT and video apps
+// rendered the start as naive local time beside a zone name, the others
+// as RFC3339Nano in UTC, and the merge parsed the stamp back.
+func appStartText(t *testing.T, kind dataset.TestKind, at time.Time, zone geo.Timezone) time.Time {
+	t.Helper()
+	if kind != dataset.RTTTest && kind != dataset.AppVideo {
+		back, err := time.Parse(time.RFC3339Nano, at.UTC().Format(time.RFC3339Nano))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return back.UTC()
+	}
+	const layout = "2006-01-02 15:04:05"
+	name := zone.String()
+	for z := geo.Pacific; z <= geo.Eastern; z++ {
+		if z.String() != name {
+			continue
+		}
+		back, err := time.ParseInLocation(layout, at.In(zone.Location()).Format(layout), z.Location())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return back.UTC()
+	}
+	t.Fatalf("zone %q does not parse back", name)
+	return time.Time{}
+}
+
+// TestAppLogStartMatchesTextPath starts a phone's tests, its whole
+// rotation several times over, at random sub-second instants in each of
+// the route's zones, and requires every app log's typed start to equal
+// what the text round trip gives.
+func TestAppLogStartMatchesTextPath(t *testing.T) {
+	c := NewCampaign(quickConfig(3))
+	p := c.lanes[0].phone
+	rng := rand.New(rand.NewSource(9))
+	base := time.Date(2022, 8, 8, 16, 0, 0, 0, time.UTC)
+	kinds := map[dataset.TestKind]bool{}
+	zones := 0
+	for odo := unit.Meters(0); odo < c.route.Total(); odo += 100 * unit.Kilometer {
+		wp := c.route.At(odo)
+		if wp.Timezone != geo.Timezone(zones) {
+			continue
+		}
+		for range 4 * len(p.specs) {
+			// An instant in the zone's local time: the app log holds it in UTC.
+			at := base.Add(time.Duration(rng.Int63n(int64(8 * 24 * time.Hour)))).In(wp.Timezone.Location())
+			ds := geo.DriveState{Time: at, Waypoint: wp}
+			p.startTest(&c.cfg, &ds)
+			kinds[p.spec.kind] = true
+			if got, want := p.appLog.Start, appStartText(t, p.spec.kind, ds.Time, wp.Timezone); got != want {
+				t.Fatalf("%v test at %v in %v: start %v, want %v", p.spec.kind, ds.Time, wp.Timezone, got, want)
+			}
+		}
+		zones++
+	}
+	if zones != geo.NumTimezones || len(kinds) != len(dataset.Kinds()) {
+		t.Fatalf("started %d kinds in %d zones, want %d in %d", len(kinds), zones, len(dataset.Kinds()), geo.NumTimezones)
 	}
 }

@@ -82,17 +82,6 @@ func trafficFor(k dataset.TestKind) deploy.Traffic {
 	}
 }
 
-// stampFor picks the timestamp format each app's log uses — the paper's
-// apps were inconsistent, which is exactly what logsync must handle.
-func stampFor(k dataset.TestKind) logsync.StampKind {
-	switch k {
-	case dataset.RTTTest, dataset.AppVideo:
-		return logsync.StampLocalNaive
-	default:
-		return logsync.StampUTC
-	}
-}
-
 // tick advances the phone one simulation step. w is the tick's shared
 // wireline RTT.
 func (p *phone) tick(cfg *Config, ts *geo.TickState, w wireRTT) {
@@ -158,27 +147,24 @@ func (p *phone) startTest(cfg *Config, ds *geo.DriveState) {
 		p.gameRun = gaming.NewSession(gcfg, testRNG.Fork("game"))
 	}
 
-	// App-side log skeleton. Its stamp format varies by kind.
+	// App-side log skeleton. The RTT and video apps log their start in
+	// whole seconds of local time; the others stamp the exact instant.
+	start := ds.Time.UTC()
+	if kind == dataset.RTTTest || kind == dataset.AppVideo {
+		start = start.Truncate(time.Second)
+	}
 	p.appLog = logsync.AppLog{
-		Op:          p.op.Short(),
-		Kind:        logsync.LabelOf(kind),
+		Op:          p.op,
+		Kind:        kind,
 		Server:      p.server.Name,
 		Edge:        p.server.Kind == cloud.Edge,
 		Static:      p.static,
 		Compressed:  p.spec.compressed,
-		Stamp:       stampFor(kind),
+		Start:       start,
 		DurationSec: cfg.testDuration(kind).Seconds(),
 	}
-	switch p.appLog.Stamp {
-	case logsync.StampUTC:
-		p.appLog.StartStamp = ds.Time.UTC().Format(time.RFC3339Nano)
-	default:
-		z := ds.Waypoint.Timezone
-		p.appLog.StartStamp = ds.Time.In(z.Location()).Format(xcal.LoggerFormat)
-		p.appLog.Zone = z.String()
-	}
 
-	p.rec.StartFile(p.appLog.Kind, ds.Time, ds.Waypoint.Timezone)
+	p.rec.StartFile(logsync.LabelOf(kind), ds.Time, ds.Waypoint.Timezone)
 	// Only handovers from the test window onward belong in this file.
 	p.hoSeen = p.ue.HandoverCount()
 }
@@ -262,39 +248,27 @@ func (p *phone) tickTest(ts *geo.TickState, w wireRTT) {
 	}
 }
 
-// finishTest closes the open test and queues its logs. The raw capture
-// goes to the archive sink, if any, and is normalised here, so it dies
-// with its test.
+// finishTest closes the open test and queues its logs. The capture is
+// normalised here, so its raw rows die with the test.
 //
 //lint:cold — runs once per test, not per tick; result assembly, normalisation and log queuing are amortized
 func (p *phone) finishTest(ds *geo.DriveState) {
+	r := &p.appLog.Result
 	switch p.spec.kind {
 	case dataset.AppAR, dataset.AppCAV:
 		if p.offRun != nil {
 			res := p.offRun.Result()
-			p.appLog.Metrics = map[string]float64{
-				"e2e_ms": res.MeanE2EMS,
-				"fps":    res.OffloadFPS,
-				"map":    res.MAP,
-			}
+			r.E2EMS, r.OffloadFPS, r.MAP = res.MeanE2EMS, res.OffloadFPS, res.MAP
 		}
 	case dataset.AppVideo:
 		if p.vidRun != nil {
 			res := p.vidRun.Result()
-			p.appLog.Metrics = map[string]float64{
-				"qoe":      res.AvgQoE,
-				"bitrate":  res.AvgBitrate,
-				"rebuffer": res.RebufferFrac,
-			}
+			r.QoE, r.AvgBitrate, r.RebufferFrac = res.AvgQoE, res.AvgBitrate, res.RebufferFrac
 		}
 	case dataset.AppGaming:
 		if p.gameRun != nil {
 			res := p.gameRun.Result()
-			p.appLog.Metrics = map[string]float64{
-				"send_bitrate":   res.MedianSendBitrate,
-				"net_latency_ms": res.MeanNetLatencyMS,
-				"frame_drop":     res.FrameDropFrac,
-			}
+			r.SendBitrate, r.NetLatencyMS, r.FrameDropFrac = res.MedianSendBitrate, res.MeanNetLatencyMS, res.FrameDropFrac
 		}
 	}
 	f := p.rec.CloseFile()

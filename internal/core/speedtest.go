@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"github.com/nuwins/cellwheels/internal/dataset"
 	"github.com/nuwins/cellwheels/internal/radio"
 	"github.com/nuwins/cellwheels/internal/simrand"
@@ -34,11 +32,10 @@ func (c *Campaign) MeasureSpeedtestCrowd(samples int) map[radio.Operator]speedte
 		}
 		return out
 	}
-	cfg := speedtest.DefaultConfig()
+	cfg := crowdSpeedtestConfig()
 	if samples > 0 {
 		cfg.Samples = samples
 	}
-	cfg.TestDuration = 8 * time.Second
 	out := map[radio.Operator]speedtest.Summary{}
 	rng := simrand.New(c.cfg.Seed).Fork("speedtest-crowd")
 	for op, m := range c.maps {

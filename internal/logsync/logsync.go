@@ -1,13 +1,13 @@
 // Package logsync is the reproduction of the paper's "sophisticated
-// software" for challenge C2 (§3, §B): it reconciles logs whose
-// timestamps come in inconsistent formats — XCAL file names stamped in
-// the vehicle's local time, and application logs stamped either in UTC
-// or in naive local time — across the four timezones the trip crosses,
+// software" for challenge C2 (§3, §B): it reconciles XCAL captures,
+// whose names carry the vehicle's local wall clock with no zone, with
+// the application logs across the four timezones the trip crosses,
 // matches each application log to its XCAL capture, and emits the
-// consolidated database the analysis runs on. XCAL file contents are
-// stamped in fixed EDT, but only when the xcal package encodes a .drm
-// container; the recorder logs instants, so the captures reach this
-// package typed.
+// consolidated database the analysis runs on. The recorder and the apps
+// log instants, operators and kinds, so both reach this package typed;
+// only the zone a capture's stamp was taken in is unknown. XCAL file
+// contents are stamped in fixed EDT, but only when the xcal package
+// encodes a .drm container.
 //
 // The work comes in two steps. A Normalizer turns each XCAL capture,
 // and each batch of passive-logger rows, into records the moment they
@@ -16,18 +16,16 @@
 // logs and assembles the database.
 //
 // The matcher never sees test identifiers: like the real pipeline, it has
-// only operator, test label, and timestamps to go on. Matching a file
-// name means trying each of the four candidate timezones and accepting
-// the interpretation that lines up with an application log of the same
-// operator and kind.
+// only operator, test kind, and timestamps to go on. Matching a capture
+// means trying each of the four candidate timezones for its stamp and
+// accepting the interpretation that lines up with an application log of
+// the same operator and kind.
 package logsync
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -36,19 +34,6 @@ import (
 	"github.com/nuwins/cellwheels/internal/obs"
 	"github.com/nuwins/cellwheels/internal/radio"
 	"github.com/nuwins/cellwheels/internal/unit"
-	"github.com/nuwins/cellwheels/internal/xcal"
-)
-
-// StampKind says how an application log rendered its start timestamp.
-type StampKind int
-
-// Stamp kinds.
-const (
-	// StampUTC is RFC3339 in UTC.
-	StampUTC StampKind = iota
-	// StampLocalNaive is xcal.LoggerFormat local time with a separate
-	// zone-name column.
-	StampLocalNaive
 )
 
 // RTTEntry is one echo result inside an RTT application log, stored as an
@@ -61,100 +46,49 @@ type RTTEntry struct {
 
 // AppLog is one application-side test log.
 type AppLog struct {
-	Op         string // operator short code ("V", "T", "A")
-	Kind       string // file label: DL, UL, RTT, AR, CAV, VID, GAME
+	Op         radio.Operator
+	Kind       dataset.TestKind
 	Server     string
 	Edge       bool
 	Static     bool
 	Compressed bool
 
-	StartStamp  string
-	Stamp       StampKind
-	Zone        string // zone name for StampLocalNaive
+	// Start is the instant the app logged the test's start, in UTC: exact
+	// for the apps that stamp UTC, to the second for the RTT and video
+	// apps, which log whole seconds of local time.
+	Start       time.Time
 	DurationSec float64
 
-	RTTs    []RTTEntry
-	Metrics map[string]float64
+	RTTs []RTTEntry
+	// Result holds an AR, CAV, video or gaming app's metric fields; Merge
+	// sets the rest of the dataset row.
+	Result dataset.AppRun
 }
 
-// StartUTC resolves the log's start instant.
-func (l AppLog) StartUTC() (time.Time, error) {
-	switch l.Stamp {
-	case StampUTC:
-		t, err := time.Parse(time.RFC3339Nano, l.StartStamp)
-		if err != nil {
-			return time.Time{}, fmt.Errorf("logsync: utc stamp %q: %w", l.StartStamp, err)
-		}
-		return t.UTC(), nil
-	default:
-		z, ok := zoneByName(l.Zone)
-		if !ok {
-			return time.Time{}, fmt.Errorf("logsync: unknown zone %q", l.Zone)
-		}
-		t, err := time.ParseInLocation(xcal.LoggerFormat, l.StartStamp, z.Location())
-		if err != nil {
-			return time.Time{}, fmt.Errorf("logsync: local stamp %q: %w", l.StartStamp, err)
-		}
-		return t.UTC(), nil
-	}
-}
-
-func zoneByName(name string) (geo.Timezone, bool) {
-	for z := geo.Pacific; z <= geo.Eastern; z++ {
-		if z.String() == name {
-			return z, true
-		}
-	}
-	return geo.Pacific, false
-}
-
-// kindByLabel maps file labels to test kinds.
-var kindByLabel = map[string]dataset.TestKind{
-	"DL":   dataset.ThroughputDL,
-	"UL":   dataset.ThroughputUL,
-	"RTT":  dataset.RTTTest,
-	"AR":   dataset.AppAR,
-	"CAV":  dataset.AppCAV,
-	"VID":  dataset.AppVideo,
-	"GAME": dataset.AppGaming,
+// labels is each test kind's file label, indexed by kind: the one table
+// that renders kinds into capture names and reads them back.
+var labels = [...]string{
+	dataset.ThroughputDL: "DL",
+	dataset.ThroughputUL: "UL",
+	dataset.RTTTest:      "RTT",
+	dataset.AppAR:        "AR",
+	dataset.AppCAV:       "CAV",
+	dataset.AppVideo:     "VID",
+	dataset.AppGaming:    "GAME",
 }
 
 // LabelOf renders a test kind as its file label.
-func LabelOf(k dataset.TestKind) string {
-	for l, kk := range kindByLabel {
-		if kk == k {
-			return l
+func LabelOf(k dataset.TestKind) string { return labels[k] }
+
+// kindOf reads a file label back as its test kind; ok is false for a
+// label outside the table.
+func kindOf(label string) (dataset.TestKind, bool) {
+	for k, l := range labels {
+		if l == label {
+			return dataset.TestKind(k), true
 		}
 	}
-	return "?"
-}
-
-// parsedName is the decomposition of an XCAL file name.
-type parsedName struct {
-	op    radio.Operator
-	label string
-	naive time.Time // wall-clock with unknown zone
-}
-
-// parseFileName decomposes "<OP>_<label>_<stamp>.drm".
-func parseFileName(name string) (parsedName, error) {
-	base := strings.TrimSuffix(name, ".drm")
-	parts := strings.Split(base, "_")
-	if len(parts) != 4 {
-		return parsedName{}, fmt.Errorf("logsync: malformed file name %q", name)
-	}
-	op, ok := radio.ParseOperatorShort(parts[0])
-	if !ok {
-		return parsedName{}, fmt.Errorf("logsync: unknown operator in %q", name)
-	}
-	if _, ok := kindByLabel[parts[1]]; !ok {
-		return parsedName{}, fmt.Errorf("logsync: unknown label in %q", name)
-	}
-	naive, err := time.Parse(xcal.FileNameFormat, parts[2]+"_"+parts[3])
-	if err != nil {
-		return parsedName{}, fmt.Errorf("logsync: stamp in %q: %w", name, err)
-	}
-	return parsedName{op: op, label: parts[1], naive: naive}, nil
+	return 0, false
 }
 
 // matchTolerance is the maximum skew accepted between a file-name stamp
@@ -213,19 +147,15 @@ type Report struct {
 // parts before and merges the parts' sorted tables (see mergeParts). The
 // result is the database a single pass over the files in name order,
 // followed by sortDB, would build.
-func Merge(in Input) (*dataset.DB, Report, error) {
+func Merge(in Input) (*dataset.DB, Report) {
 	defer in.Obs.StartPhase("merge")()
 	m := &merger{in: &in, appsByKey: map[appKey][]int{}}
 	m.appStarts = make([]time.Time, len(in.Apps))
 	m.usedApps = make([]bool, len(in.Apps))
 	for i, a := range in.Apps {
-		t, err := a.StartUTC()
-		if err != nil {
-			return nil, Report{}, err
-		}
-		m.appStarts[i] = t
+		m.appStarts[i] = a.Start
 		// A file only ever matches an app log of its own operator and
-		// label, so the matcher searches that bucket of app indices.
+		// kind, so the matcher searches that bucket of app indices.
 		k := appKey{a.Op, a.Kind}
 		m.appsByKey[k] = append(m.appsByKey[k], i)
 	}
@@ -236,8 +166,7 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 		slices.SortStableFunc(bucket, func(a, b int) int { return m.appStarts[a].Compare(m.appStarts[b]) })
 	}
 
-	// Deterministic processing order: captures sorted by name. The first
-	// malformed name in that order fails the merge.
+	// Deterministic processing order: captures sorted by name.
 	caps := make([]*Capture, len(in.Captures))
 	for i := range in.Captures {
 		caps[i] = &in.Captures[i]
@@ -245,11 +174,8 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 	sort.SliceStable(caps, func(i, j int) bool { return caps[i].Name < caps[j].Name })
 	var fileParts []*filePart
 	for _, c := range caps {
-		if c.nameErr != nil {
-			return nil, Report{}, c.nameErr
-		}
-		if n := len(fileParts); n == 0 || fileParts[n-1].op != c.name.op {
-			fileParts = append(fileParts, &filePart{op: c.name.op})
+		if n := len(fileParts); n == 0 || fileParts[n-1].op != c.op {
+			fileParts = append(fileParts, &filePart{op: c.op})
 		}
 		p := fileParts[len(fileParts)-1]
 		p.caps = append(p.caps, c)
@@ -297,12 +223,15 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 	db.Passive = mergeChunked(passiveParts, passiveLess)
 	db.Meta = in.Meta
 	recordMergeStats(in.Obs, db, rep)
-	return db, rep, nil
+	return db, rep
 }
 
 // appKey buckets app logs by what a file name can match: operator and
-// label.
-type appKey struct{ op, label string }
+// kind.
+type appKey struct {
+	op   radio.Operator
+	kind dataset.TestKind
+}
 
 // matchApp picks the app log a file name matches: among the unused apps
 // of bucket within matchTolerance of one of the name's zone readings,
@@ -415,9 +344,11 @@ func (m *merger) reconcileFiles(p *filePart) {
 	presize(db, p.caps)
 	nextID := 1
 	for _, c := range p.caps {
-		pn := c.name
-		bucket := m.appsByKey[appKey{pn.op.Short(), pn.label}]
-		bestApp, bestSkew := matchApp(bucket, m.appStarts, m.usedApps, resolveFileStart(pn.naive))
+		bestApp, bestSkew := -1, time.Duration(0)
+		if c.labeled {
+			bucket := m.appsByKey[appKey{c.op, c.kind}]
+			bestApp, bestSkew = matchApp(bucket, m.appStarts, m.usedApps, resolveFileStart(c.stamp))
+		}
 		if bestApp < 0 {
 			p.unmatched = append(p.unmatched, c.Name)
 			continue
@@ -433,8 +364,8 @@ func (m *merger) reconcileFiles(p *filePart) {
 		end := bestStart.Add(time.Duration(app.DurationSec * float64(time.Second)))
 		test := dataset.Test{
 			ID:       id,
-			Kind:     kindByLabel[pn.label],
-			Op:       pn.op,
+			Kind:     c.kind,
+			Op:       c.op,
 			Start:    bestStart,
 			End:      end,
 			StartOdo: c.startOdo,
@@ -460,7 +391,7 @@ func (m *merger) reconcileFiles(p *filePart) {
 			for _, e := range app.RTTs {
 				at := bestStart.Add(unit.DurationFromMS(e.OffsetMS))
 				s := dataset.RTTSample{
-					TestID: id, Time: at, Op: pn.op,
+					TestID: id, Time: at, Op: c.op,
 					RTTMS: e.RTTMS, Lost: e.Lost,
 					Edge: app.Edge, Static: app.Static,
 				}
@@ -486,7 +417,7 @@ func presize(db *dataset.DB, caps []*Capture) {
 	for _, c := range caps {
 		handovers += len(c.handovers)
 		rows += len(c.throughput)
-		switch kindByLabel[c.name.label] {
+		switch c.kind {
 		case dataset.ThroughputDL, dataset.ThroughputUL, dataset.RTTTest:
 		default:
 			apps++
@@ -513,17 +444,15 @@ func recordMergeStats(rec *obs.Recorder, db *dataset.DB, rep Report) {
 	rec.Counter("table/passive").Add(int64(len(db.Passive)))
 }
 
+// appRun is the matched app's metric fields with the rest of the row
+// set from its test and capture.
 func appRun(id int, test dataset.Test, app *AppLog, c *Capture) dataset.AppRun {
-	m := app.Metrics
-	return dataset.AppRun{
-		TestID: id, Kind: test.Kind, Op: test.Op, Start: test.Start,
-		Compressed: app.Compressed,
-		E2EMS:      m["e2e_ms"], OffloadFPS: m["fps"], MAP: m["map"],
-		QoE: m["qoe"], AvgBitrate: m["bitrate"], RebufferFrac: m["rebuffer"],
-		SendBitrate: m["send_bitrate"], NetLatencyMS: m["net_latency_ms"], FrameDropFrac: m["frame_drop"],
-		HighSpeedFrac: c.highSpeedFrac, Edge: test.Edge,
-		Handovers: len(c.handovers), Static: test.Static,
-	}
+	r := app.Result
+	r.TestID, r.Kind, r.Op, r.Start = id, test.Kind, test.Op, test.Start
+	r.Compressed = app.Compressed
+	r.HighSpeedFrac, r.Edge = c.highSpeedFrac, test.Edge
+	r.Handovers, r.Static = len(c.handovers), test.Static
+	return r
 }
 
 // sortDB orders every table for reproducible output. Sorts are stable and

@@ -3,8 +3,10 @@ package logsync
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -65,41 +67,18 @@ func passiveLogs(logger map[radio.Operator][]xcal.LoggerRow) map[radio.Operator]
 	return out
 }
 
-func utcStamp(t time.Time) string { return t.UTC().Format(time.RFC3339Nano) }
-
-func TestAppLogStartUTC(t *testing.T) {
-	// UTC stamp round-trips.
-	at := time.Date(2022, 8, 10, 3, 4, 5, 0, time.UTC)
-	l := AppLog{StartStamp: utcStamp(at), Stamp: StampUTC}
-	got, err := l.StartUTC()
-	if err != nil || !got.Equal(at) {
-		t.Errorf("utc stamp: %v, %v", got, err)
-	}
-	// Naive local + zone resolves correctly: 09:00 Mountain = 15:00 UTC.
-	l2 := AppLog{StartStamp: "2022-08-10 09:00:00", Stamp: StampLocalNaive, Zone: "Mountain"}
-	got2, err := l2.StartUTC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := time.Date(2022, 8, 10, 15, 0, 0, 0, time.UTC)
-	if !got2.Equal(want) {
-		t.Errorf("local stamp: got %v, want %v", got2, want)
-	}
-	// Unknown zone errors.
-	if _, err := (AppLog{Stamp: StampLocalNaive, Zone: "Atlantis", StartStamp: "2022-08-10 09:00:00"}).StartUTC(); err == nil {
-		t.Error("unknown zone accepted")
-	}
-}
-
 func TestLabelRoundTrip(t *testing.T) {
 	for _, k := range dataset.Kinds() {
 		l := LabelOf(k)
-		if l == "?" {
+		if l == "" {
 			t.Errorf("no label for %v", k)
 		}
-		if kindByLabel[l] != k {
-			t.Errorf("label %q does not map back to %v", l, k)
+		if back, ok := kindOf(l); !ok || back != k {
+			t.Errorf("label %q reads back as %v, %v, want %v", l, back, ok, k)
 		}
+	}
+	if k, ok := kindOf("bench"); ok {
+		t.Errorf("label outside the table reads back as %v", k)
 	}
 }
 
@@ -119,14 +98,11 @@ func TestMergeMatchesAcrossTimezones(t *testing.T) {
 	for i := range starts {
 		files = append(files, makeFile(t, radio.Verizon, "DL", starts[i], odos[i], radio.NRMid, 50))
 		apps = append(apps, AppLog{
-			Op: "V", Kind: "DL", Server: servers[i],
-			StartStamp: utcStamp(starts[i]), Stamp: StampUTC, DurationSec: 10,
+			Op: radio.Verizon, Kind: dataset.ThroughputDL, Server: servers[i],
+			Start: starts[i], DurationSec: 10,
 		})
 	}
-	db, rep, err := Merge(Input{Captures: captures(files...), Apps: apps})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, rep := Merge(Input{Captures: captures(files...), Apps: apps})
 	if rep.Matched != 3 || len(rep.UnmatchedFiles) != 0 || rep.UnmatchedApps != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -157,12 +133,9 @@ func TestMergeMatchesAcrossTimezones(t *testing.T) {
 func TestMergeThroughputSamplesCarryKPIs(t *testing.T) {
 	start := time.Date(2022, 8, 9, 16, 30, 0, 0, time.UTC)
 	f := makeFile(t, radio.TMobile, "DL", start, 300*unit.Kilometer, radio.NRMid, 80)
-	app := AppLog{Op: "T", Kind: "DL", Server: "ec2-ca-general",
-		StartStamp: utcStamp(start), Stamp: StampUTC, DurationSec: 10}
-	db, _, err := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	app := AppLog{Op: radio.TMobile, Kind: dataset.ThroughputDL, Server: "ec2-ca-general",
+		Start: start, DurationSec: 10}
+	db, _ := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
 	if len(db.Throughput) != 20 { // 10 s / 500 ms
 		t.Fatalf("samples = %d, want 20", len(db.Throughput))
 	}
@@ -187,11 +160,8 @@ func TestMergeThroughputSamplesCarryKPIs(t *testing.T) {
 func TestMergeUplinkUsesULCC(t *testing.T) {
 	start := time.Date(2022, 8, 9, 16, 30, 0, 0, time.UTC)
 	f := makeFile(t, radio.TMobile, "UL", start, 300*unit.Kilometer, radio.NRMid, 20)
-	app := AppLog{Op: "T", Kind: "UL", StartStamp: utcStamp(start), Stamp: StampUTC, DurationSec: 10}
-	db, _, err := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	app := AppLog{Op: radio.TMobile, Kind: dataset.ThroughputUL, Start: start, DurationSec: 10}
+	db, _ := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
 	if db.Throughput[0].CC != 1 { // makeFile sets CCUL=1, CCDL=2
 		t.Errorf("UL CC = %d, want 1", db.Throughput[0].CC)
 	}
@@ -204,20 +174,14 @@ func TestMergeRTTSamples(t *testing.T) {
 	start := time.Date(2022, 8, 11, 14, 0, 0, 0, time.UTC)
 	f := makeFile(t, radio.ATT, "RTT", start, 3000*unit.Kilometer, radio.LTEA, 0)
 	app := AppLog{
-		Op: "A", Kind: "RTT",
-		// RTT logs use naive local stamps; 3000 km is Central.
-		StartStamp: start.In(geo.Central.Location()).Format(xcal.LoggerFormat),
-		Stamp:      StampLocalNaive, Zone: "Central", DurationSec: 10,
+		Op: radio.ATT, Kind: dataset.RTTTest, Start: start, DurationSec: 10,
 		RTTs: []RTTEntry{
 			{OffsetMS: 200, RTTMS: 63.5},
 			{OffsetMS: 400, RTTMS: 70.1},
 			{OffsetMS: 600, Lost: true},
 		},
 	}
-	db, rep, err := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, rep := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
 	if rep.Matched != 1 {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -245,20 +209,21 @@ func TestMergeAppRun(t *testing.T) {
 	start := time.Date(2022, 8, 12, 15, 0, 0, 0, time.UTC)
 	f := makeFile(t, radio.Verizon, "AR", start, 4000*unit.Kilometer, radio.NRMid, 5)
 	app := AppLog{
-		Op: "V", Kind: "AR", Compressed: true, Edge: true,
-		StartStamp: utcStamp(start), Stamp: StampUTC, DurationSec: 10,
-		Metrics: map[string]float64{"e2e_ms": 214, "fps": 4.35, "map": 30.1},
+		Op: radio.Verizon, Kind: dataset.AppAR, Compressed: true, Edge: true,
+		Start: start, DurationSec: 10,
+		// Only the metric fields are the app's; Merge sets the rest.
+		Result: dataset.AppRun{E2EMS: 214, OffloadFPS: 4.35, MAP: 30.1, TestID: 99, Kind: dataset.AppGaming, Handovers: 7},
 	}
-	db, _, err := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, _ := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
 	if len(db.AppRuns) != 1 {
 		t.Fatalf("app runs = %d", len(db.AppRuns))
 	}
 	r := db.AppRuns[0]
 	if r.E2EMS != 214 || r.OffloadFPS != 4.35 || r.MAP != 30.1 || !r.Compressed || !r.Edge {
 		t.Errorf("run = %+v", r)
+	}
+	if r.TestID != 1 || r.Kind != dataset.AppAR || r.Op != radio.Verizon || !r.Start.Equal(start) || r.Handovers != 0 {
+		t.Errorf("run context = %+v", r)
 	}
 	if r.HighSpeedFrac != 1 { // all rows on NRMid
 		t.Errorf("high-speed frac = %v", r.HighSpeedFrac)
@@ -275,11 +240,8 @@ func TestMergeHandoverSignals(t *testing.T) {
 		ToTech:     radio.LTEA,
 		DurationMS: 53,
 	})
-	app := AppLog{Op: "V", Kind: "DL", StartStamp: utcStamp(start), Stamp: StampUTC, DurationSec: 10}
-	db, _, err := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	app := AppLog{Op: radio.Verizon, Kind: dataset.ThroughputDL, Start: start, DurationSec: 10}
+	db, _ := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
 	if len(db.Handovers) != 1 {
 		t.Fatalf("handovers = %d", len(db.Handovers))
 	}
@@ -304,11 +266,8 @@ func TestMergeUnmatchedFileReported(t *testing.T) {
 	start := time.Date(2022, 8, 9, 16, 30, 0, 0, time.UTC)
 	f := makeFile(t, radio.Verizon, "DL", start, 300*unit.Kilometer, radio.NRMid, 50)
 	// App log two hours away: no match.
-	app := AppLog{Op: "V", Kind: "DL", StartStamp: utcStamp(start.Add(2 * time.Hour)), Stamp: StampUTC, DurationSec: 10}
-	db, rep, err := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	app := AppLog{Op: radio.Verizon, Kind: dataset.ThroughputDL, Start: start.Add(2 * time.Hour), DurationSec: 10}
+	db, rep := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
 	if rep.Matched != 0 || len(rep.UnmatchedFiles) != 1 || rep.UnmatchedApps != 1 {
 		t.Errorf("report = %+v", rep)
 	}
@@ -329,10 +288,7 @@ func TestMergePassiveRows(t *testing.T) {
 		Loc:      wp.Loc,
 		SpeedMPH: 68,
 	}}
-	db, _, err := Merge(Input{Passive: passiveLogs(map[radio.Operator][]xcal.LoggerRow{radio.ATT: rows})})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, _ := Merge(Input{Passive: passiveLogs(map[radio.Operator][]xcal.LoggerRow{radio.ATT: rows})})
 	if len(db.Passive) != 1 {
 		t.Fatalf("passive = %d", len(db.Passive))
 	}
@@ -348,19 +304,9 @@ func TestMergePassiveRows(t *testing.T) {
 	}
 }
 
-func TestMergeBadInputs(t *testing.T) {
-	if _, _, err := Merge(Input{Captures: captures(xcal.File{Name: "nonsense"})}); err == nil {
-		t.Error("malformed file name accepted")
-	}
-	bad := AppLog{Op: "V", Kind: "DL", StartStamp: "not-a-time", Stamp: StampUTC}
-	if _, _, err := Merge(Input{Apps: []AppLog{bad}}); err == nil {
-		t.Error("malformed app stamp accepted")
-	}
-}
-
 func TestMergeManyTestsAllMatchedProperty(t *testing.T) {
-	// A denser scenario: 20 tests across the route and the trip days with
-	// mixed stamp formats; every file must match its own app log.
+	// A denser scenario: 20 tests across the route and the trip days;
+	// every file must match its own app log.
 	route := geo.DefaultRoute()
 	var files []xcal.File
 	var apps []AppLog
@@ -370,24 +316,12 @@ func TestMergeManyTestsAllMatchedProperty(t *testing.T) {
 		odo := unit.Meters(float64(i) / 20 * float64(route.Total()))
 		op := radio.Operators()[i%3]
 		files = append(files, makeFile(t, op, "DL", start, odo, radio.LTEA, 30))
-		stamp := StampUTC
-		ss := utcStamp(start)
-		zone := ""
-		if i%2 == 1 {
-			stamp = StampLocalNaive
-			z := route.At(odo).Timezone
-			ss = start.In(z.Location()).Format(xcal.LoggerFormat)
-			zone = z.String()
-		}
 		apps = append(apps, AppLog{
-			Op: op.Short(), Kind: "DL", Server: fmt.Sprintf("srv-%02d", i),
-			StartStamp: ss, Stamp: stamp, Zone: zone, DurationSec: 10,
+			Op: op, Kind: dataset.ThroughputDL, Server: fmt.Sprintf("srv-%02d", i),
+			Start: start, DurationSec: 10,
 		})
 	}
-	db, rep, err := Merge(Input{Captures: captures(files...), Apps: apps})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, rep := Merge(Input{Captures: captures(files...), Apps: apps})
 	if rep.Matched != 20 || rep.UnmatchedApps != 0 || len(rep.UnmatchedFiles) != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -411,9 +345,9 @@ func TestMergeZoneResolutionProperty(t *testing.T) {
 			Add(time.Duration(hourOffset%190) * time.Hour)
 		odo := unit.Meters(float64(posPermille%1000) / 1000 * float64(route.Total()))
 		file := makeFile(t, radio.TMobile, "UL", start, odo, radio.NRLow, 12)
-		app := AppLog{Op: "T", Kind: "UL", StartStamp: utcStamp(start), Stamp: StampUTC, DurationSec: 10}
-		db, rep, err := Merge(Input{Captures: captures(file), Apps: []AppLog{app}})
-		if err != nil || rep.Matched != 1 || len(db.Tests) != 1 {
+		app := AppLog{Op: radio.TMobile, Kind: dataset.ThroughputUL, Start: start, DurationSec: 10}
+		db, rep := Merge(Input{Captures: captures(file), Apps: []AppLog{app}})
+		if rep.Matched != 1 || len(db.Tests) != 1 {
 			return false
 		}
 		return db.Tests[0].Start.Equal(start)
@@ -429,13 +363,14 @@ func TestMergeZoneResolutionProperty(t *testing.T) {
 // label) and parsed back.
 func textPassive(t *testing.T, route *geo.Route, op radio.Operator, rows []xcal.LoggerRow) []dataset.CoverageSample {
 	t.Helper()
+	const layout = "2006-01-02 15:04:05"
 	var out []dataset.CoverageSample
 	for _, r := range rows {
-		z, ok := zoneByName(r.Zone.String())
+		z, ok := zoneNamed(r.Zone.String())
 		if !ok {
 			t.Fatalf("zone %v does not parse back", r.Zone)
 		}
-		at, err := time.ParseInLocation(xcal.LoggerFormat, r.Time.In(z.Location()).Format(xcal.LoggerFormat), z.Location())
+		at, err := time.ParseInLocation(layout, r.Time.In(z.Location()).Format(layout), z.Location())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,6 +384,16 @@ func textPassive(t *testing.T, route *geo.Route, op radio.Operator, rows []xcal.
 		})
 	}
 	return out
+}
+
+// zoneNamed reads a zone name back, as the text paths did.
+func zoneNamed(name string) (geo.Timezone, bool) {
+	for z := geo.Pacific; z <= geo.Eastern; z++ {
+		if z.String() == name {
+			return z, true
+		}
+	}
+	return geo.Pacific, false
 }
 
 // TestPassiveMatchesTextPath steps a passive logger over a 25 km
@@ -641,15 +586,69 @@ func TestCaptureMatchesTextPath(t *testing.T) {
 	}
 }
 
+// nameIdentity is a capture name's former parse, kept here as the
+// reference the typed identity must equal: "<OP>_<label>_<stamp>.drm"
+// split at its underscores, the operator code and label read back, and
+// the stamp parsed as a wall clock with no zone.
+func nameIdentity(t *testing.T, name string) (radio.Operator, dataset.TestKind, time.Time) {
+	t.Helper()
+	parts := strings.Split(strings.TrimSuffix(name, ".drm"), "_")
+	if len(parts) != 4 {
+		t.Fatalf("malformed file name %q", name)
+	}
+	op, ok := radio.ParseOperatorShort(parts[0])
+	if !ok {
+		t.Fatalf("unknown operator in %q", name)
+	}
+	kind, ok := kindOf(parts[1])
+	if !ok {
+		t.Fatalf("unknown label in %q", name)
+	}
+	naive, err := time.Parse(xcal.FileNameFormat, parts[2]+"_"+parts[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op, kind, naive
+}
+
+// TestCaptureIdentityMatchesName records captures of every operator and
+// test kind at random sub-second instants in each of the route's zones,
+// and requires each normalised capture's typed operator, kind and naive
+// stamp to equal what parsing its name gives.
+func TestCaptureIdentityMatchesName(t *testing.T) {
+	n := NewNormalizer(geo.DefaultRoute())
+	rng := rand.New(rand.NewSource(5))
+	base := time.Date(2022, 8, 8, 16, 0, 0, 0, time.UTC)
+	for _, op := range radio.Operators() {
+		for _, kind := range dataset.Kinds() {
+			for z := geo.Pacific; z <= geo.Eastern; z++ {
+				for range 20 {
+					at := base.Add(time.Duration(rng.Int63n(int64(8 * 24 * time.Hour))))
+					rec := xcal.NewRecorder(op)
+					rec.StartFile(LabelOf(kind), at, z)
+					f := rec.CloseFile()
+					c := n.Capture(&f)
+					wantOp, wantKind, wantStamp := nameIdentity(t, f.Name)
+					if !c.labeled || c.op != wantOp || c.kind != wantKind || c.stamp != wantStamp {
+						t.Fatalf("capture %q at %v in %v: identity %v %v %v (labeled %v), want %v %v %v",
+							f.Name, at, z, c.op, c.kind, c.stamp, c.labeled, wantOp, wantKind, wantStamp)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestMergeCrossOperatorTies pins the merge's output order where rows of
-// different operators tie on time, its error when a malformed name sits
-// between valid ones, and the order it reports unmatched files in.
+// different operators tie on time, and the order it reports unmatched
+// files in.
 func TestMergeCrossOperatorTies(t *testing.T) {
 	route := geo.DefaultRoute()
 	start := time.Date(2022, 8, 9, 17, 0, 0, 0, time.UTC)
 	odo := 300 * unit.Kilometer
 	app := func(op radio.Operator, label string) AppLog {
-		return AppLog{Op: op.Short(), Kind: label, StartStamp: utcStamp(start), Stamp: StampUTC, DurationSec: 10}
+		kind, _ := kindOf(label)
+		return AppLog{Op: op, Kind: kind, Start: start, DurationSec: 10}
 	}
 	// Four tests start at one instant, so their throughput rows share
 	// every timestamp. Name order is A_DL, A_UL, T_DL, V_DL: test IDs
@@ -675,10 +674,7 @@ func TestMergeCrossOperatorTies(t *testing.T) {
 		radio.Verizon: {row(t1, "V-1"), row(t0, "V-0")},
 	}
 
-	db, rep, err := Merge(Input{Captures: captures(files...), Apps: apps, Passive: passiveLogs(logger)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, rep := Merge(Input{Captures: captures(files...), Apps: apps, Passive: passiveLogs(logger)})
 	if rep.Matched != 4 || rep.UnmatchedApps != 0 || len(rep.UnmatchedFiles) != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -705,21 +701,12 @@ func TestMergeCrossOperatorTies(t *testing.T) {
 		t.Errorf("passive order = %s, want %s", got, want)
 	}
 
-	// The first malformed name in name order is the error, whatever the
-	// valid names around it.
-	bad := append([]xcal.File{{Name: "U_x_y_z.drm"}, {Name: "B_junk.drm"}}, files...)
-	_, _, err = Merge(Input{Captures: captures(bad...), Apps: apps, Passive: passiveLogs(logger)})
-	if got, want := fmt.Sprint(err), `logsync: malformed file name "B_junk.drm"`; got != want {
-		t.Errorf("error = %s, want %s", got, want)
-	}
-
-	// Unmatched files are reported in name order across operators.
-	_, rep, err = Merge(Input{Captures: captures(files...), Apps: apps[:1]})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Unmatched files are reported in name order across operators, a
+	// capture whose label is outside the label table among them.
+	files = append(files, makeFile(t, radio.TMobile, "bench", start, odo, radio.LTE, 5))
+	_, rep = Merge(Input{Captures: captures(files...), Apps: apps[:1]})
 	stamp := start.In(wp.Timezone.Location()).Format(xcal.FileNameFormat)
-	want := []string{"A_DL_" + stamp + ".drm", "A_UL_" + stamp + ".drm", "V_DL_" + stamp + ".drm"}
+	want := []string{"A_DL_" + stamp + ".drm", "A_UL_" + stamp + ".drm", "T_bench_" + stamp + ".drm", "V_DL_" + stamp + ".drm"}
 	if rep.Matched != 1 || fmt.Sprint(rep.UnmatchedFiles) != fmt.Sprint(want) {
 		t.Errorf("report = %+v, want 1 match and unmatched %v", rep, want)
 	}
@@ -738,17 +725,11 @@ func TestMergeLeavesInputIntact(t *testing.T) {
 	}
 	in := Input{
 		Captures: captures(makeFile(t, radio.ATT, "DL", start, odo, radio.LTEA, 30)),
-		Apps:     []AppLog{{Op: "A", Kind: "DL", StartStamp: utcStamp(start), Stamp: StampUTC, DurationSec: 10}},
+		Apps:     []AppLog{{Op: radio.ATT, Kind: dataset.ThroughputDL, Start: start, DurationSec: 10}},
 		Passive:  passiveLogs(map[radio.Operator][]xcal.LoggerRow{radio.ATT: {row(start.Add(time.Second), "A-1"), row(start, "A-0")}}),
 	}
-	first, _, err := Merge(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, _, err := Merge(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first, _ := Merge(in)
+	second, _ := Merge(in)
 	if !reflect.DeepEqual(first, second) {
 		t.Error("two merges of one Input differ")
 	}

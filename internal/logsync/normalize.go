@@ -18,10 +18,17 @@ import (
 // RTT entries) wait for Merge. A Capture holds no raw row, so the file
 // it came from can be dropped as soon as its test ends.
 type Capture struct {
+	// Name is the file's rendered identity: Merge's sort key, and what
+	// Report.UnmatchedFiles lists.
 	Name string
 
-	name    parsedName
-	nameErr error // a malformed name: Merge stops at it in name order
+	// op, kind and stamp are the identity Name renders; stamp is the
+	// naive local wall clock (xcal.File.Stamp). labeled is false for a
+	// label outside the label table: such a capture matches no app log.
+	op      radio.Operator
+	kind    dataset.TestKind
+	stamp   time.Time
+	labeled bool
 
 	// startOdo, endOdo and timezone stay zero, as the test's fields do,
 	// for a capture without rows.
@@ -60,9 +67,8 @@ func NewNormalizer(route *geo.Route) *Normalizer { return &Normalizer{route: rou
 
 // Capture normalises one XCAL file. It reads f only while it runs.
 func (n *Normalizer) Capture(f *xcal.File) Capture {
-	c := Capture{Name: f.Name}
-	c.name, c.nameErr = parseFileName(f.Name)
-	if c.nameErr != nil {
+	c := Capture{Name: f.Name, op: f.Op, stamp: f.Stamp}
+	if c.kind, c.labeled = kindOf(f.Label); !c.labeled {
 		return c
 	}
 	rows, signals := f.Rows, f.Signals
@@ -73,28 +79,27 @@ func (n *Normalizer) Capture(f *xcal.File) Capture {
 		c.endOdo = route.OdometerOf(geo.LatLon{Lat: last.Lat, Lon: last.Lon})
 		c.timezone = route.At(c.startOdo).Timezone
 	}
-	op := c.name.op
 	if len(signals) > 0 {
 		c.handovers = make([]dataset.Handover, len(signals))
 		for i := range signals {
 			sig := &signals[i]
 			c.handovers[i] = dataset.Handover{
-				Time: sig.Time, Op: op,
+				Time: sig.Time, Op: c.op,
 				DurationMS: sig.DurationMS,
 				FromTech:   sig.FromTech, ToTech: sig.ToTech,
 				Odometer: nearestOdo(rows, sig.Time, route),
 			}
 		}
 	}
-	switch kind := kindByLabel[c.name.label]; kind {
+	switch c.kind {
 	case dataset.ThroughputDL, dataset.ThroughputUL:
 		dir := radio.Downlink
-		if kind == dataset.ThroughputUL {
+		if c.kind == dataset.ThroughputUL {
 			dir = radio.Uplink
 		}
 		c.throughput = make([]dataset.ThroughputSample, len(rows))
 		for i := range rows {
-			c.throughput[i] = throughputSample(op, dir, &rows[i], signals, route)
+			c.throughput[i] = throughputSample(c.op, dir, &rows[i], signals, route)
 		}
 	case dataset.RTTTest:
 		c.rows = make([]rowPoint, len(rows))

@@ -825,17 +825,6 @@ func (u *UE) HandoversFrom(i int) []HandoverEvent {
 	return u.handovers[i:]
 }
 
-// HandoversSince reports events starting at or after t.
-func (u *UE) HandoversSince(t time.Time) []HandoverEvent {
-	var out []HandoverEvent
-	for _, e := range u.handovers {
-		if !e.Start.Before(t) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // UniqueCells reports how many distinct cells the UE has connected to —
 // Table 1's "# of unique cells connected".
 func (u *UE) UniqueCells() int { return len(u.cellsSeen) }

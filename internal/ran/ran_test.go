@@ -193,26 +193,6 @@ func TestVerticalHandoversOccur(t *testing.T) {
 	}
 }
 
-func TestHandoversSince(t *testing.T) {
-	ue, drive := testUE(t, radio.Verizon, 7)
-	ue.SetTraffic(deploy.HeavyDL, drive.State().Time, drive.State().Waypoint)
-	runFor(ue, drive, 10*time.Minute)
-	all := ue.Handovers()
-	if len(all) < 2 {
-		t.Skip("not enough handovers for slicing test")
-	}
-	cut := all[len(all)/2].Start
-	since := ue.HandoversSince(cut)
-	for _, h := range since {
-		if h.Start.Before(cut) {
-			t.Fatal("HandoversSince returned early event")
-		}
-	}
-	if len(since) == 0 || len(since) >= len(all) {
-		t.Errorf("HandoversSince returned %d of %d", len(since), len(all))
-	}
-}
-
 func TestUniqueCellsGrow(t *testing.T) {
 	ue, drive := testUE(t, radio.Verizon, 8)
 	ue.SetTraffic(deploy.HeavyDL, drive.State().Time, drive.State().Waypoint)

@@ -12,6 +12,7 @@
 package speedtest
 
 import (
+	"strconv"
 	"time"
 
 	"github.com/nuwins/cellwheels/internal/deploy"
@@ -93,7 +94,7 @@ func Crowd(route *geo.Route, m *deploy.Map, cfg Config, rng *simrand.Source) []R
 	results := make([]Result, 0, cfg.Samples)
 	for i := 0; i < cfg.Samples; i++ {
 		pos := drawPosition(route, src)
-		results = append(results, measure(route, m, cfg, pos, crowdAnchor(), src.Fork(itoa(i)), nil))
+		results = append(results, measure(route, m, cfg, pos, crowdAnchor(), src.Fork(strconv.Itoa(i)), nil))
 	}
 	return results
 }
@@ -208,18 +209,4 @@ func Summarize(results []Result) Summary {
 		sum.RTT = s
 	}
 	return sum
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	n := len(buf)
-	for i > 0 {
-		n--
-		buf[n] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[n:])
 }

@@ -89,11 +89,3 @@ func TestConfigDefaults(t *testing.T) {
 		t.Errorf("defaults = %+v", cfg)
 	}
 }
-
-func TestItoa(t *testing.T) {
-	for i, want := range map[int]string{0: "0", 7: "7", 42: "42", 119: "119"} {
-		if got := itoa(i); got != want {
-			t.Errorf("itoa(%d) = %q", i, got)
-		}
-	}
-}

@@ -36,7 +36,7 @@ func (f File) WriteDRM(w io.Writer) error {
 	if err := writeString(bw, f.Name); err != nil {
 		return err
 	}
-	if err := writeString(bw, f.Op); err != nil {
+	if err := writeString(bw, f.Op.Short()); err != nil {
 		return err
 	}
 	if err := writeString(bw, f.Label); err != nil {

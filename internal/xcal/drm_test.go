@@ -17,7 +17,7 @@ func sampleFile() File {
 	at := time.Date(2022, 8, 8, 16, 0, 0, 0, time.UTC)
 	return File{
 		Name:  "V_DL_20220808_090000.drm",
-		Op:    "V",
+		Op:    radio.Verizon,
 		Label: "DL",
 		Rows: []Row{
 			{

@@ -37,9 +37,6 @@ const (
 	ContentFormat = "01/02/2006 15:04:05.000"
 	// FileNameFormat is the local-time stamp embedded in file names.
 	FileNameFormat = "20060102_150405"
-	// LoggerFormat is the naive local-time layout some application
-	// logs stamp their start in, beside a separate zone name.
-	LoggerFormat = "2006-01-02 15:04:05"
 )
 
 // EDT is the fixed zone the XCAL software renders content timestamps in.
@@ -75,11 +72,16 @@ type Signal struct {
 	DurationMS float64
 }
 
-// File is one .drm-style capture, covering one test.
+// File is one .drm-style capture, covering one test. Name renders its
+// identity, Op, Label and Stamp, as the real tool named captures.
 type File struct {
-	Name    string // "<OP>_<label>_<local stamp>.drm"
-	Op      string
-	Label   string
+	Name  string // "<OP>_<label>_<local stamp>.drm"
+	Op    radio.Operator
+	Label string
+	// Stamp is the wall clock the name encodes: local time to the
+	// second, its zone dropped (read as UTC), so which of the trip's
+	// zones it was taken in is the merge's to find out.
+	Stamp   time.Time
 	Rows    []Row
 	Signals []Signal
 }
@@ -113,8 +115,9 @@ func (r *Recorder) StartFile(label string, nowUTC time.Time, zone geo.Timezone) 
 	local := nowUTC.In(zone.Location())
 	r.cur = File{
 		Name:    fmt.Sprintf("%s_%s_%s.drm", r.op.Short(), label, local.Format(FileNameFormat)),
-		Op:      r.op.Short(),
+		Op:      r.op,
 		Label:   label,
+		Stamp:   time.Date(local.Year(), local.Month(), local.Day(), local.Hour(), local.Minute(), local.Second(), 0, time.UTC),
 		Rows:    r.cur.Rows[:0],
 		Signals: r.cur.Signals[:0],
 	}

@@ -28,6 +28,9 @@ func TestRecorderFileNameUsesLocalTime(t *testing.T) {
 	if !strings.HasSuffix(f.Name, ".drm") {
 		t.Errorf("file name = %q, want .drm suffix", f.Name)
 	}
+	if want := time.Date(2022, 8, 8, 9, 0, 0, 0, time.UTC); f.Op != radio.Verizon || f.Label != "DL" || f.Stamp != want {
+		t.Errorf("identity = %v %q %v, want V DL with the naive stamp %v", f.Op, f.Label, f.Stamp, want)
+	}
 }
 
 func TestRecorderContentUsesEDT(t *testing.T) {
