@@ -88,16 +88,18 @@ type Config struct {
 	Obs *obs.Recorder `json:"-"`
 }
 
-// fingerprint hashes the deterministic inputs of the config — everything
-// except the observability side channel — for the run manifest.
+// fingerprint hashes the inputs that decide the output — everything
+// except the observability side channel and the worker count, which
+// change no byte of it — for the run manifest.
 func (c Config) fingerprint() string {
 	c.Obs = nil
+	c.Workers = 0
 	return obs.Fingerprint(c)
 }
 
-// Fingerprint is the config's Obs-free sha256 — the value stamped into
-// run manifests as config_sha256. Equal fingerprints mean byte-identical
-// runs.
+// Fingerprint is the config's sha256 with Obs and Workers zeroed — the
+// value stamped into run manifests as config_sha256. Equal fingerprints
+// mean byte-identical runs.
 func (c Config) Fingerprint() string { return c.fingerprint() }
 
 // Validate rejects configs outside the supported envelope without

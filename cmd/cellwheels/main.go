@@ -21,13 +21,11 @@
 // -crowd-samples (crowd UEs running speedtests) and -load-model.
 //
 // run executes a campaign and writes the consolidated dataset, the
-// paper's data-collection phase. The full 5,711 km campaign takes about
-// 9 s and peaks at about 420–450 MB RSS on a 2-vCPU host, writing its
-// ~215 MB dataset included; use -limit-km for quick runs. -progress prints a
-// periodic status line to stderr, -metrics writes a machine-readable run
-// manifest, with a write phase for the dataset, and -pprof captures a
-// CPU profile of the whole run. All three are side channels: the dataset
-// is byte-identical with or without them.
+// paper's data-collection phase; use -limit-km for quick runs. -progress
+// prints a periodic status line to stderr, -metrics writes a
+// machine-readable run manifest, with a write phase for the dataset, and
+// -pprof captures a CPU profile of the whole run. All three are side
+// channels: the dataset is byte-identical with or without them.
 //
 // report prints the paper's tables and figures in paper order. With -in
 // it reads a dataset written by run; without it, it runs the campaign

@@ -46,10 +46,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// PerfectQoE is the theoretical best average QoE for a config: the top
-// rung with no stalls and no switches.
-func (c Config) PerfectQoE() float64 { return c.Ladder[len(c.Ladder)-1] }
-
 // bbaPick chooses a ladder rung from the current buffer level.
 func (c Config) bbaPick(bufferSec float64) int {
 	if bufferSec <= c.Reservoir {

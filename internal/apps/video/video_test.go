@@ -34,9 +34,6 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 	if c.Lambda != 1 || c.Mu != 100 {
 		t.Errorf("QoE weights λ=%v μ=%v, want 1/100", c.Lambda, c.Mu)
 	}
-	if c.PerfectQoE() != 100 {
-		t.Errorf("PerfectQoE = %v", c.PerfectQoE())
-	}
 }
 
 func TestBBAPick(t *testing.T) {

@@ -110,9 +110,6 @@ type Config struct {
 	// registry, whatever the handsets use.
 	LoadModel string
 
-	// Operators to measure; nil means all three.
-	Operators []radio.Operator
-
 	// Obs is the observability side channel: lanes count ticks into it,
 	// phases time themselves against it, and logsync records merge stats.
 	// It is strictly write-only from the engine's point of view — nothing
@@ -137,9 +134,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.GamingDuration <= 0 {
 		c.GamingDuration = 90 * time.Second
-	}
-	if len(c.Operators) == 0 {
-		c.Operators = radio.Operators()
 	}
 	if c.CrowdSize > 0 && c.CrowdSamples == 0 {
 		c.CrowdSamples = 120
@@ -313,7 +307,7 @@ func NewCampaign(cfg Config) *Campaign {
 	if cfg.crowdEnabled() {
 		horizon = int64(timeline.Ticks())
 	}
-	for _, op := range cfg.Operators {
+	for _, op := range radio.Operators() {
 		m := deploy.NewMap(op, route, rng)
 		c.maps[op] = m
 
@@ -527,8 +521,8 @@ func (c *Campaign) MergeMatched(raw Raw) (*dataset.DB, error) {
 	return db, nil
 }
 
-// Maps exposes the generated deployments (for examples and coverage
-// analysis that needs ground truth).
+// Maps exposes the generated deployments, for analyses that need ground
+// truth, such as the coverage GeoJSON export.
 func (c *Campaign) Maps() map[radio.Operator]*deploy.Map { return c.maps }
 
 // Route exposes the campaign route.

@@ -48,17 +48,6 @@ func (s TechSet) Best() radio.Technology {
 	return radio.LTE
 }
 
-// Techs lists the set's members, oldest first.
-func (s TechSet) Techs() []radio.Technology {
-	var out []radio.Technology
-	for _, t := range radio.Technologies() {
-		if s.Has(t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Fragment is one contiguous covered stretch of a technology.
 type Fragment struct {
 	Tech  radio.Technology
@@ -424,17 +413,6 @@ func (m *Map) CellRange(odo unit.Meters, t radio.Technology, window unit.Meters)
 		}
 	}
 	return lo, hi2
-}
-
-// CellsNear returns indices (into Cells(t)'s ordering) of sites within
-// the window around odo.
-func (m *Map) CellsNear(odo unit.Meters, t radio.Technology, window unit.Meters) []int {
-	lo, hi := m.CellRange(odo, t, window)
-	idx := make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		idx = append(idx, i)
-	}
-	return idx
 }
 
 // CellAt returns a pointer to the i-th cell of technology t. The pointer

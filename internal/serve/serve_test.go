@@ -786,6 +786,38 @@ func TestRunReuse(t *testing.T) {
 	}
 }
 
+// TestRunReuseAcrossWorkers: two specs that differ only in workers are
+// two jobs but one run: the worker count changes no byte of the output,
+// so the second copies the first, and both manifests carry the
+// fingerprint of the workers-0 config.
+func TestRunReuseAcrossWorkers(t *testing.T) {
+	cfg := quickConfig(95)
+	want := directArtifacts(t, cfg)
+	_, ts := startServer(t, Config{Workers: 1, Obs: obs.New()})
+	one, two := cfg, cfg
+	one.Workers, two.Workers = 1, 2
+	first := runJob(t, ts, campaignSpec(t, one, false))
+	twin := runJob(t, ts, campaignSpec(t, two, false))
+	if twin.ID == first.ID {
+		t.Fatal("specs with different workers share a job ID")
+	}
+	checkArtifacts(t, ts, first, want, false)
+	checkArtifacts(t, ts, twin, want, false)
+	checkReuse(t, ts, 1, 1)
+	for _, st := range []JobStatus{first, twin} {
+		var man obs.Manifest
+		if err := json.Unmarshal(fetch(t, ts, st.ID, "manifest.json"), &man); err != nil {
+			t.Fatal(err)
+		}
+		if got := man.Labels["config_sha256"]; got != cfg.Fingerprint() {
+			t.Errorf("job %.12s config_sha256 = %q, want the workers-0 %q", st.ID, got, cfg.Fingerprint())
+		}
+		if from := man.Labels["reused_from"]; st.ID == twin.ID && from != first.ID {
+			t.Errorf("twin reused_from = %q, want %q", from, first.ID)
+		}
+	}
+}
+
 // TestRunReuseSkipsFailedSource: a job that failed is never a source,
 // even when its directory holds files under the artifact names; its
 // twin runs the campaign itself.

@@ -182,12 +182,3 @@ func solve(a [][]float64, b []float64) ([]float64, error) {
 	}
 	return x, nil
 }
-
-// Predict evaluates the fitted model on one observation.
-func (r Regression) Predict(obs map[string]float64) float64 {
-	v := r.Intercept
-	for j, name := range r.Names {
-		v += r.Coef[j] * obs[name]
-	}
-	return v
-}

@@ -124,30 +124,6 @@ func (c *CDF) FracBelow(x float64) float64 {
 	return float64(sort.SearchFloat64s(c.samples, x)) / float64(len(c.samples))
 }
 
-// Points renders the CDF as n evenly spaced (value, probability) pairs,
-// suitable for plotting or textual figure output.
-func (c *CDF) Points(n int) []Point {
-	if len(c.samples) == 0 || n <= 0 {
-		return nil
-	}
-	c.ensureSorted()
-	pts := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		if n == 1 {
-			q = 0.5
-		}
-		pts = append(pts, Point{X: c.Quantile(q), P: q})
-	}
-	return pts
-}
-
-// Point is one (value, cumulative probability) pair of a rendered CDF.
-type Point struct {
-	X float64
-	P float64
-}
-
 // Summary bundles the descriptive statistics the paper tabulates for a
 // sample set.
 type Summary struct {
@@ -314,22 +290,4 @@ func (b *Binner) Histogram(xs []float64) map[string]int {
 		h[b.Label(x)]++
 	}
 	return h
-}
-
-// Share converts a count map into fractional shares of the total.
-// An all-zero map yields all-zero shares.
-func Share(counts map[string]int) map[string]float64 {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	out := make(map[string]float64, len(counts))
-	for k, c := range counts {
-		if total == 0 {
-			out[k] = 0
-		} else {
-			out[k] = float64(c) / float64(total)
-		}
-	}
-	return out
 }

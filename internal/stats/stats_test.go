@@ -96,23 +96,6 @@ func TestCDFFracBelow(t *testing.T) {
 	}
 }
 
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{0, 10})
-	pts := c.Points(3)
-	if len(pts) != 3 {
-		t.Fatalf("Points len = %d, want 3", len(pts))
-	}
-	if pts[0].X != 0 || pts[2].X != 10 {
-		t.Errorf("endpoints = %v, %v", pts[0], pts[2])
-	}
-	if pts[1].P != 0.5 {
-		t.Errorf("middle P = %v, want 0.5", pts[1].P)
-	}
-	if got := c.Points(0); got != nil {
-		t.Errorf("Points(0) = %v, want nil", got)
-	}
-}
-
 func TestCDFQuantileMonotoneProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))
@@ -320,17 +303,6 @@ func TestBinnerIndexTotalProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestShare(t *testing.T) {
-	s := Share(map[string]int{"a": 1, "b": 3})
-	if s["a"] != 0.25 || s["b"] != 0.75 {
-		t.Errorf("Share = %v", s)
-	}
-	z := Share(map[string]int{"a": 0})
-	if z["a"] != 0 {
-		t.Errorf("Share of zero total = %v", z)
 	}
 }
 

@@ -94,39 +94,17 @@ func (b Bytes) String() string {
 // DBm is signal power in decibel-milliwatts (RSRP, TX power).
 type DBm float64
 
-// MilliWatts converts from the logarithmic to the linear domain.
-func (p DBm) MilliWatts() float64 { return math.Pow(10, float64(p)/10) }
-
-// DBmFromMilliWatts converts linear milliwatts to dBm.
-func DBmFromMilliWatts(mw float64) DBm {
-	if mw <= 0 {
-		return DBm(math.Inf(-1))
-	}
-	return DBm(10 * math.Log10(mw))
-}
-
 // DB is a dimensionless power ratio in decibels (path loss, SINR, gain).
 type DB float64
 
 // Linear converts the ratio to the linear domain.
 func (g DB) Linear() float64 { return math.Pow(10, float64(g)/10) }
 
-// DBFromLinear converts a linear ratio to decibels.
-func DBFromLinear(x float64) DB {
-	if x <= 0 {
-		return DB(math.Inf(-1))
-	}
-	return DB(10 * math.Log10(x))
-}
-
 // MHz is a frequency or bandwidth in megahertz.
 type MHz float64
 
 // Hz reports the frequency in hertz.
 func (f MHz) Hz() float64 { return float64(f) * 1e6 }
-
-// GHz reports the frequency in gigahertz.
-func (f MHz) GHz() float64 { return float64(f) / 1e3 }
 
 // Meters is a distance in meters.
 type Meters float64
@@ -157,9 +135,6 @@ type MetersPerSecond float64
 
 // MPH reports the speed in miles per hour.
 func (v MetersPerSecond) MPH() float64 { return float64(v) * 3600 / float64(Mile) }
-
-// KPH reports the speed in kilometers per hour.
-func (v MetersPerSecond) KPH() float64 { return float64(v) * 3.6 }
 
 // SpeedFromMPH converts miles per hour to meters per second.
 func SpeedFromMPH(mph float64) MetersPerSecond {

@@ -76,35 +76,13 @@ func TestBytesString(t *testing.T) {
 	}
 }
 
-func TestDBmRoundTrip(t *testing.T) {
-	f := func(p float64) bool {
-		if math.Abs(p) > 200 {
-			return true // outside physical range; skip
-		}
-		back := DBmFromMilliWatts(DBm(p).MilliWatts())
-		return math.Abs(float64(back)-p) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDBmFromMilliWattsNonPositive(t *testing.T) {
-	if got := DBmFromMilliWatts(0); !math.IsInf(float64(got), -1) {
-		t.Errorf("DBmFromMilliWatts(0) = %v, want -Inf", got)
-	}
-	if got := DBmFromMilliWatts(-1); !math.IsInf(float64(got), -1) {
-		t.Errorf("DBmFromMilliWatts(-1) = %v, want -Inf", got)
-	}
-}
-
 func TestDBLinearRoundTrip(t *testing.T) {
 	f := func(g float64) bool {
 		if math.Abs(g) > 200 {
 			return true
 		}
-		back := DBFromLinear(DB(g).Linear())
-		return math.Abs(float64(back)-g) < 1e-9
+		back := 10 * math.Log10(DB(g).Linear())
+		return math.Abs(back-g) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -118,16 +96,12 @@ func TestDBKnownValues(t *testing.T) {
 	if got := DB(10).Linear(); math.Abs(got-10) > 1e-9 {
 		t.Errorf("10 dB linear = %v, want 10", got)
 	}
-	if got := DBFromLinear(100); math.Abs(float64(got)-20) > 1e-9 {
-		t.Errorf("linear 100 = %v dB, want 20", got)
+	if got := DB(20).Linear(); math.Abs(got-100) > 1e-9 {
+		t.Errorf("20 dB linear = %v, want 100", got)
 	}
 }
 
 func TestFrequency(t *testing.T) {
-	f := MHz(28000)
-	if got := f.GHz(); got != 28 {
-		t.Errorf("GHz = %v, want 28", got)
-	}
 	if got := MHz(100).Hz(); got != 1e8 {
 		t.Errorf("Hz = %v, want 1e8", got)
 	}
@@ -158,9 +132,6 @@ func TestSpeedConversions(t *testing.T) {
 	v := SpeedFromMPH(60)
 	if got := v.MPH(); math.Abs(got-60) > 1e-9 {
 		t.Errorf("MPH round trip = %v, want 60", got)
-	}
-	if got := v.KPH(); math.Abs(got-96.56064) > 1e-4 {
-		t.Errorf("60 mph in kph = %v, want ≈96.56", got)
 	}
 	// 60 mph covers exactly one mile in a minute.
 	if got := v.DistanceIn(time.Minute).Miles(); math.Abs(got-1) > 1e-9 {

@@ -120,13 +120,20 @@ func TestObsManifestCountsMatchDataset(t *testing.T) {
 
 // TestFingerprintIgnoresSideChannels: the exported Fingerprint — the
 // manifest's config_sha256 — must not change when the Obs side channel
-// is attached, and must tell different seeds apart.
+// is attached or the worker count changes, and must tell different
+// seeds apart.
 func TestFingerprintIgnoresSideChannels(t *testing.T) {
 	cfg := Config{Seed: 4, LimitKm: 10}
 	base := cfg.Fingerprint()
 	cfg.Obs = obs.New()
 	if got := cfg.Fingerprint(); got != base {
 		t.Errorf("fingerprint changed with Obs attached: %s != %s", got, base)
+	}
+	for _, w := range []int{1, 2, 3} {
+		cfg.Workers = w
+		if got := cfg.Fingerprint(); got != base {
+			t.Errorf("fingerprint changed with workers %d: %s != %s", w, got, base)
+		}
 	}
 	if other := (Config{Seed: 5, LimitKm: 10}).Fingerprint(); other == base {
 		t.Error("different seeds share a fingerprint")
