@@ -602,9 +602,10 @@ func BenchmarkWriteJSON(b *testing.B) {
 	}
 }
 
-// BenchmarkLogsyncMerge times log reconciliation alone: a campaign's raw
-// logs are collected once, and each iteration re-merges them into the
-// consolidated database.
+// BenchmarkLogsyncMerge times log reconciliation alone. A merge
+// consumes its raw logs, so each iteration runs a fresh campaign with
+// the timer stopped and merges its raw logs into the consolidated
+// database.
 func BenchmarkLogsyncMerge(b *testing.B) {
 	cfg := core.Config{
 		Seed:           1,
@@ -612,10 +613,12 @@ func BenchmarkLogsyncMerge(b *testing.B) {
 		VideoDuration:  20 * time.Second,
 		GamingDuration: 15 * time.Second,
 	}
-	c := core.NewCampaign(cfg)
-	raw := c.Run()
-	b.ResetTimer()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := core.NewCampaign(cfg)
+		raw := c.Run()
+		b.StartTimer()
 		if _, _, err := c.Merge(raw); err != nil {
 			b.Fatal(err)
 		}

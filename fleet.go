@@ -259,8 +259,12 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	// identity so the final obs manifest is deterministic in those
 	// labels whatever order runs finished in.
 	cfg.Obs.SetLabel("seed", strconv.FormatInt(cfg.MasterSeed, 10))
+	// Worker counts never change a byte of the fleet's output, so they
+	// stay out of its identity, as Config.Fingerprint leaves them out.
 	fp := cfg
 	fp.Obs = nil
+	fp.Workers = 0
+	fp.Base.Obs, fp.Base.Workers = nil, 0
 	fp.TestHookStart = nil
 	fp.CellFilter = nil
 	fp.OnRun = nil

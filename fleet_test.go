@@ -193,6 +193,32 @@ func TestFleetObsCountsRuns(t *testing.T) {
 	}
 }
 
+// TestFleetConfigHashIgnoresWorkers pins the fleet manifest's
+// config_sha256 to the fleet's identity: fleets that differ only in how
+// many runs or lanes execute at once, whose outputs are byte-identical,
+// carry one hash, and a fleet with another master seed another.
+func TestFleetConfigHashIgnoresWorkers(t *testing.T) {
+	hash := func(seed int64, workers, laneWorkers int) string {
+		t.Helper()
+		rec := obs.New()
+		base := fleetTestBase
+		base.LimitKm, base.Workers = 2, laneWorkers
+		if _, err := RunFleet(FleetConfig{MasterSeed: seed, Replicates: 2, Base: base, Workers: workers, Obs: rec}); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Manifest().Labels["config_sha256"]
+	}
+	want := hash(1, 0, 0)
+	for _, w := range [][2]int{{1, 0}, {2, 0}, {1, 1}, {2, 3}} {
+		if got := hash(1, w[0], w[1]); got != want {
+			t.Errorf("workers %d, base workers %d: config_sha256 = %s, want %s", w[0], w[1], got, want)
+		}
+	}
+	if other := hash(2, 0, 0); other == want {
+		t.Errorf("master seeds 1 and 2 share config_sha256 %s", want)
+	}
+}
+
 func TestParseFleetScenario(t *testing.T) {
 	cfg, err := ParseFleetScenario(strings.NewReader(`{
 		"master_seed": 7,

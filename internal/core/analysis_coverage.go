@@ -29,12 +29,19 @@ type DatasetStats struct {
 
 // TableDatasetStats computes Table 1 from a dataset.
 func TableDatasetStats(db *dataset.DB) DatasetStats {
-	zones := map[geo.Timezone]bool{}
-	for _, s := range db.Throughput {
-		zones[s.Timezone] = true
+	// The dataset's readers and the merge keep every zone in range.
+	var seen [geo.NumTimezones]bool
+	for i := range db.Throughput {
+		seen[db.Throughput[i].Timezone] = true
 	}
-	for _, p := range db.Passive {
-		zones[p.Timezone] = true
+	for i := range db.Passive {
+		seen[db.Passive[i].Timezone] = true
+	}
+	zones := 0
+	for _, ok := range seen {
+		if ok {
+			zones++
+		}
 	}
 	var ops []string
 	for _, op := range radio.Operators() {
@@ -43,7 +50,7 @@ func TableDatasetStats(db *dataset.DB) DatasetStats {
 	return DatasetStats{
 		RouteKm:     db.Meta.RouteKm,
 		Days:        db.Meta.Days,
-		Timezones:   len(zones),
+		Timezones:   zones,
 		Operators:   ops,
 		UniqueCells: db.Meta.UniqueCells,
 		Handovers:   db.Meta.HandoverTotal,

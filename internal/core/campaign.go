@@ -221,21 +221,20 @@ func ceilTicks(d time.Duration) int64 {
 }
 
 // Raw is the campaign's unmerged output: what the instruments produced,
-// each XCAL capture and passive row already normalised by its lane,
+// each XCAL capture and passive second already normalised by its lane,
 // before logsync matches the captures to the app logs and builds the
 // database.
 type Raw struct {
 	// Files is always nil: a lane normalises each capture into Captures
 	// when its test ends and keeps no raw rows. It stays only for
 	// bench/layers.go, which ranges over it, until the replay that
-	// benchmark drives is retired. For the same caller Campaign.Merge
-	// keeps an error result, which is always nil.
+	// benchmark drives is retired.
 	Files    []xcal.File
 	Captures []logsync.Capture
 	Apps     []logsync.AppLog
-	// Passive holds each passive logger's coverage samples, keyed by
-	// operator, in log order as consecutive chunks (logsync.Input.Passive).
-	Passive map[radio.Operator][][]dataset.CoverageSample
+	// Passive is the passive loggers' log (logsync.Input.Passive): the
+	// logged seconds once, and each logger's column of cells.
+	Passive logsync.PassiveLog
 	Meta    dataset.Meta
 }
 
@@ -378,6 +377,11 @@ func NewCampaign(cfg Config) *Campaign {
 		}
 		c.lanes = append(c.lanes, l)
 	}
+	if !cfg.SkipPassive {
+		// The loggers ride in one car and step the same ticks, so they
+		// log the same seconds: one lane keeps those for all of them.
+		c.lanes[0].seconds = &chunked[logsync.PassiveSecond]{}
+	}
 	return c
 }
 
@@ -449,12 +453,12 @@ func (c *Campaign) Run() Raw {
 // state, which sets the route length and day count.
 //
 // The captures are handed over, not shared: each lane's normalised
-// captures, app logs and passive samples move into Raw and the lane
-// forgets them, so they die with the Raw once it is merged, while the
+// captures, app logs and passive log move into Raw and the lane forgets
+// them, so the merge that consumes the Raw frees them, while the
 // campaign lives on for its maps and crowd results.
 func (c *Campaign) collect(final geo.DriveState) Raw {
 	raw := Raw{
-		Passive: map[radio.Operator][][]dataset.CoverageSample{},
+		Passive: logsync.PassiveLog{Columns: map[radio.Operator][][]logsync.PassiveCell{}},
 		Meta: dataset.Meta{
 			Seed:          c.cfg.Seed,
 			RouteKm:       final.Odometer.Km(),
@@ -484,8 +488,12 @@ func (c *Campaign) collect(final geo.DriveState) Raw {
 		if l.logger == nil {
 			continue
 		}
-		raw.Passive[l.op] = l.passive.chunks
-		l.passive = passiveStore{}
+		if l.seconds != nil {
+			raw.Passive.Seconds = l.seconds.chunks
+			l.seconds = nil
+		}
+		raw.Passive.Columns[l.op] = l.cells.chunks
+		l.cells = chunked[logsync.PassiveCell]{}
 		n := l.logger.UE.HandoverCount()
 		raw.Meta.HandoverTotal[l.op.String()] = n
 		rec.Counter("lane/" + l.op.Short() + "/passive_handovers").Add(int64(n))
@@ -493,28 +501,31 @@ func (c *Campaign) collect(final geo.DriveState) Raw {
 	return raw
 }
 
-// Merge reconstructs the consolidated database from raw logs. It only
-// reads raw, so one Raw can be merged any number of times. It cannot
-// fail: the error is always nil (see Raw.Files).
+// Merge reconstructs the consolidated database from raw logs. It
+// consumes raw, as logsync.Merge consumes its Input, so a Raw is merged
+// once. The error is logsync.Merge's: a passive log whose columns do not
+// line up with its seconds.
 func (c *Campaign) Merge(raw Raw) (*dataset.DB, logsync.Report, error) {
-	db, rep := logsync.Merge(logsync.Input{
+	return logsync.Merge(logsync.Input{
 		Captures: raw.Captures,
 		Apps:     raw.Apps,
 		Passive:  raw.Passive,
 		Meta:     raw.Meta,
 		Obs:      c.cfg.Obs,
 	})
-	return db, rep, nil
 }
 
 // RunAndMerge is the common path: execute and consolidate.
 func (c *Campaign) RunAndMerge() (*dataset.DB, error) { return c.MergeMatched(c.Run()) }
 
-// MergeMatched is Merge that fails when any XCAL file matched no app
-// log, naming the first three: a dataset missing whole captures is not a
-// consolidation of the campaign.
+// MergeMatched is Merge that also fails when any XCAL file matched no
+// app log, naming the first three: a dataset missing whole captures is
+// not a consolidation of the campaign.
 func (c *Campaign) MergeMatched(raw Raw) (*dataset.DB, error) {
-	db, rep, _ := c.Merge(raw) // never an error
+	db, rep, err := c.Merge(raw)
+	if err != nil {
+		return nil, err
+	}
 	if len(rep.UnmatchedFiles) > 0 {
 		return nil, fmt.Errorf("core: %d XCAL files unmatched after sync: %v", len(rep.UnmatchedFiles), rep.UnmatchedFiles[:min(3, len(rep.UnmatchedFiles))])
 	}

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/nuwins/cellwheels/internal/dataset"
 	"github.com/nuwins/cellwheels/internal/geo"
+	"github.com/nuwins/cellwheels/internal/logsync"
 	"github.com/nuwins/cellwheels/internal/obs"
 	"github.com/nuwins/cellwheels/internal/radio"
 	"github.com/nuwins/cellwheels/internal/unit"
@@ -312,8 +315,8 @@ func TestRunHandsOverCaptures(t *testing.T) {
 
 	loggers := 0
 	for _, l := range c.lanes {
-		if l.phone.captures != nil || l.phone.apps != nil || l.passive.chunks != nil {
-			t.Errorf("lane %s: still holds %d captures, %d app logs and %d chunks of passive samples after Run", l.op.Short(), len(l.phone.captures), len(l.phone.apps), len(l.passive.chunks))
+		if l.phone.captures != nil || l.phone.apps != nil || l.cells.chunks != nil || l.seconds != nil {
+			t.Errorf("lane %s: still holds %d captures, %d app logs and %d chunks of passive cells after Run, or passive seconds", l.op.Short(), len(l.phone.captures), len(l.phone.apps), len(l.cells.chunks))
 		}
 		if l.logger != nil {
 			loggers++
@@ -338,9 +341,12 @@ func TestRunHandsOverCaptures(t *testing.T) {
 		if want == 0 || int64(captures[op]) != want {
 			t.Errorf("lane %s: Raw carries %d captures, lane/%s/files counter = %d", op, captures[op], op, want)
 		}
-		if l.logger != nil && len(raw.Passive[l.op]) == 0 {
-			t.Errorf("lane %s: Raw carries no passive samples", op)
+		if l.logger != nil && len(raw.Passive.Columns[l.op]) == 0 {
+			t.Errorf("lane %s: Raw carries no passive cells", op)
 		}
+	}
+	if len(raw.Passive.Seconds) == 0 {
+		t.Error("Raw carries no passive seconds")
 	}
 	if len(raw.Apps) != len(raw.Captures) {
 		t.Errorf("Raw carries %d app logs for %d captures", len(raw.Apps), len(raw.Captures))
@@ -421,31 +427,190 @@ func rawRowPath(v reflect.Value) string {
 	return p
 }
 
-// TestMergeLeavesRawIntact pins that Merge only reads its Raw: merging
-// one Raw twice gives the same dataset bytes.
-func TestMergeLeavesRawIntact(t *testing.T) {
+// TestMergeConsumesRaw pins Campaign.Merge's ownership of its Raw: a
+// merge leaves no capture table and no passive chunk in the Raw, and
+// what it builds is the dataset a merge of an equal campaign's Raw
+// builds, byte for byte.
+func TestMergeConsumesRaw(t *testing.T) {
 	cfg := quickConfig(4)
 	cfg.Limit = 20 * unit.Kilometer
-	c := NewCampaign(cfg)
-	raw := c.Run()
 	var sums [2][32]byte
 	for i := range sums {
+		c := NewCampaign(cfg)
+		raw := c.Run()
+		if heldPath(&raw) == "" {
+			t.Fatal("Raw holds no table to consume")
+		}
 		db, err := c.MergeMatched(raw)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(db.Passive) == 0 || len(db.Throughput) == 0 {
+			t.Fatalf("merge %d: %d passive and %d throughput samples", i, len(db.Passive), len(db.Throughput))
 		}
 		h := sha256.New()
 		if err := db.WriteJSON(h); err != nil {
 			t.Fatal(err)
 		}
 		copy(sums[i][:], h.Sum(nil))
-		if len(db.Passive) == 0 || len(db.Throughput) == 0 {
-			t.Fatalf("merge %d: %d passive and %d throughput samples", i, len(db.Passive), len(db.Throughput))
+		if i > 0 {
+			continue
+		}
+		// The Raw keeps no row of what the dataset now holds.
+		if path := heldPath(&raw); path != "" {
+			t.Errorf("Raw still holds a table at Raw%s after Merge", path)
 		}
 	}
 	if sums[0] != sums[1] {
-		t.Errorf("merging one Raw twice gave different datasets: %x, %x", sums[0], sums[1])
+		t.Errorf("merges of two equal campaigns' Raws gave different datasets: %x, %x", sums[0], sums[1])
 	}
+}
+
+// heldPath returns the path to the first non-empty table a merged Raw
+// should have dropped: a capture's handovers, throughput samples or rows
+// (unexported, so read by reflection), an app log's RTT entries, or a
+// chunk of the passive log. It is "" when there is none.
+func heldPath(raw *Raw) string {
+	for i := range raw.Captures {
+		c := reflect.ValueOf(&raw.Captures[i]).Elem()
+		for _, f := range []string{"handovers", "throughput", "rows"} {
+			if c.FieldByName(f).Len() > 0 {
+				return fmt.Sprintf(".Captures[%d].%s", i, f)
+			}
+		}
+	}
+	for i, a := range raw.Apps {
+		if len(a.RTTs) > 0 {
+			return fmt.Sprintf(".Apps[%d].RTTs", i)
+		}
+	}
+	for i, c := range raw.Passive.Seconds {
+		if c != nil {
+			return fmt.Sprintf(".Passive.Seconds[%d]", i)
+		}
+	}
+	for _, op := range radio.Operators() {
+		for i, c := range raw.Passive.Columns[op] {
+			if c != nil {
+				return fmt.Sprintf(".Passive.Columns[%v][%d]", op, i)
+			}
+		}
+	}
+	return ""
+}
+
+// TestLoggersLogSameSeconds pins what lets one lane keep the passive
+// log's seconds for all three: over a drive that crosses a static hold
+// and a day boundary, every lane's logger logs its rows at the same
+// instants, zones, GPS fixes and speeds. It steps the lanes' loggers
+// through the campaign's timeline side by side, then runs the lanes with
+// every lane keeping the seconds, and requires them equal.
+func TestLoggersLogSameSeconds(t *testing.T) {
+	cfg := Config{Seed: 2, Limit: 15 * unit.Kilometer, SkipApps: true}
+	cfg.Drive.Days = 500 // a day's quota of about 11 km
+
+	c := NewCampaign(cfg)
+	holds, lastDay := 0, 0
+	cur := c.timeline.Cursor()
+	for {
+		ts, ok := cur.Next()
+		if !ok {
+			break
+		}
+		if ts.HoldFirst {
+			holds++
+		}
+		lastDay = ts.Day
+		for _, l := range c.lanes {
+			l.logger.StepDrive(&ts.DriveState, Tick)
+		}
+	}
+	if holds == 0 || lastDay == 0 {
+		t.Fatalf("the drive crosses %d static holds and ends on day %d, want a hold and a later day", holds, lastDay)
+	}
+	first := c.lanes[0].logger.Rows()
+	if len(first) == 0 {
+		t.Fatal("no passive rows")
+	}
+	for _, l := range c.lanes[1:] {
+		rows := l.logger.Rows()
+		if len(rows) != len(first) {
+			t.Fatalf("lane %s logged %d rows, lane %s %d", l.op.Short(), len(rows), c.lanes[0].op.Short(), len(first))
+		}
+		for i, r := range rows {
+			f := first[i]
+			if !r.Time.Equal(f.Time) || r.Zone != f.Zone || r.Loc != f.Loc || r.SpeedMPH != f.SpeedMPH {
+				t.Fatalf("lane %s row %d = %+v, lane %s's = %+v", l.op.Short(), i, r, c.lanes[0].op.Short(), f)
+			}
+		}
+	}
+
+	c = NewCampaign(cfg)
+	for _, l := range c.lanes {
+		if l.seconds == nil {
+			l.seconds = &chunked[logsync.PassiveSecond]{}
+		}
+	}
+	runLanes(c.timeline, c.wire, c.lanes, 2, nil)
+	want := slices.Concat(c.lanes[0].seconds.chunks...)
+	if len(want) != len(first) {
+		t.Fatalf("the first lane kept %d seconds, its logger logged %d rows", len(want), len(first))
+	}
+	for _, l := range c.lanes {
+		if got := slices.Concat(l.seconds.chunks...); !slices.Equal(got, want) {
+			t.Errorf("lane %s kept %d seconds unlike lane %s's %d", l.op.Short(), len(got), c.lanes[0].op.Short(), len(want))
+		}
+		if n := len(slices.Concat(l.cells.chunks...)); n != len(want) {
+			t.Errorf("lane %s kept %d cells for %d seconds", l.op.Short(), n, len(want))
+		}
+	}
+}
+
+// TestRawPassiveBytesPerSecond bounds what a Raw holds per logged
+// second: the seconds' shared facts once and a (technology, cell) per
+// logger, under half of the three dataset rows the merge expands them
+// into.
+func TestRawPassiveBytesPerSecond(t *testing.T) {
+	const bound = 112
+	perSecond := unsafe.Sizeof(logsync.PassiveSecond{}) + uintptr(radio.NumOperators)*unsafe.Sizeof(logsync.PassiveCell{})
+	rows := uintptr(radio.NumOperators) * unsafe.Sizeof(dataset.CoverageSample{})
+	if perSecond > bound || 2*perSecond > rows {
+		t.Errorf("a logged second takes %d bytes to store, want at most %d and under half of its %d-byte rows", perSecond, bound, rows)
+	}
+
+	cfg := Config{Seed: 3, Limit: 10 * unit.Kilometer, SkipApps: true, SkipStatic: true}
+	raw := NewCampaign(cfg).Run()
+	seconds := len(slices.Concat(raw.Passive.Seconds...))
+	if seconds == 0 {
+		t.Fatal("no passive seconds")
+	}
+	if stored := tableBytes(reflect.ValueOf(raw.Passive)); stored > uintptr(seconds)*perSecond {
+		t.Errorf("Raw stores %d bytes of passive log for %d seconds, %.1f a second; want at most %d", stored, seconds, float64(stored)/float64(seconds), perSecond)
+	}
+}
+
+// tableBytes is the bytes of the rows in the tables reachable from v: a
+// slice of rows counts its length times the row's size.
+func tableBytes(v reflect.Value) uintptr {
+	var n uintptr
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			n += tableBytes(v.Field(i))
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			n += tableBytes(it.Value())
+		}
+	case reflect.Slice:
+		if v.Type().Elem().Kind() != reflect.Slice {
+			return uintptr(v.Len()) * v.Type().Elem().Size()
+		}
+		for i := 0; i < v.Len(); i++ {
+			n += tableBytes(v.Index(i))
+		}
+	}
+	return n
 }
 
 // appStartText is an app log's former start stamp round trip, kept here

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"github.com/nuwins/cellwheels/internal/dataset"
 	"github.com/nuwins/cellwheels/internal/deploy"
 	"github.com/nuwins/cellwheels/internal/geo"
 	"github.com/nuwins/cellwheels/internal/logsync"
@@ -26,9 +25,12 @@ type lane struct {
 	logger *xcal.HandoverLogger
 	m      *deploy.Map
 
-	// passive holds the logger's log as coverage samples, converted at
-	// the end of every block.
-	passive passiveStore
+	// cells is the logger's column of the passive log: its (technology,
+	// cell) at each logged second, stored at the end of every block.
+	// seconds holds those seconds' shared facts; only the campaign's
+	// first lane keeps them, for every logger (logsync.PassiveSecond).
+	cells   chunked[logsync.PassiveCell]
+	seconds *chunked[logsync.PassiveSecond]
 
 	// reg is the lane's crowd; nil without one. crowdResults collects the
 	// measuring crowd UEs' speedtest results in deterministic event order.
@@ -101,17 +103,23 @@ func (l *lane) step(blk *tickBlock) {
 		l.obsTicks.Add(int64(n))
 		l.obsOdoKm.Set(l.last.Odometer.Km())
 	}
-	l.convertPassive()
+	if l.logger != nil {
+		l.convertPassive(l.logger.Rows())
+	}
 }
 
-// convertPassive turns the rows the passive logger logged since the last
-// call into coverage samples, so the raw rows never outlive their block
-// and the logger logs the next block into the same buffer.
+// convertPassive stores the rows the passive logger logged since the
+// last call, so the raw rows never outlive their block and the logger
+// logs the next block into the same buffer.
 //
 //lint:cold — runs once per 4,096-tick block, not per tick; the row conversion and chunk allocations are amortized over the block
-func (l *lane) convertPassive() {
-	if l.logger != nil {
-		l.passive.add(l.phone.norm, l.op, l.logger.Rows())
+func (l *lane) convertPassive(rows []xcal.LoggerRow) {
+	for i := range rows {
+		r := &rows[i]
+		l.cells.add(logsync.PassiveCell{Tech: r.Tech, CellID: r.CellID})
+		if l.seconds != nil {
+			l.seconds.add(l.phone.norm.Second(r))
+		}
 	}
 }
 
@@ -122,42 +130,36 @@ func (l *lane) finish() {
 	}
 	l.phone.rec.Release()
 	if l.logger != nil {
-		l.passive.add(l.phone.norm, l.op, l.logger.Close())
+		l.convertPassive(l.logger.Close())
 	}
 }
 
-// The chunks of a passive store double in size from the first, about
-// 20 KB, to the largest, about 1.3 MB: a short run, such as a fleet's,
-// reserves little it does not fill, and a full route's ~250 k samples
-// per lane take about twenty chunks.
+// The chunks of a passive log double in size from the first, 256 rows,
+// to the largest, 16 Ki rows: a short run, such as a fleet's, reserves
+// little it does not fill, and a full route's ~250 k logged seconds take
+// about twenty chunks per column.
 const (
 	firstPassiveChunk = 1 << 8
 	maxPassiveChunk   = 1 << 14
 )
 
-// passiveStore holds a lane's coverage samples in chunks, in log order,
-// which the merge reads where they are. A slice grown by append would
-// copy the whole log at every regrowth, holding the old and the new
-// array at once.
-type passiveStore struct {
-	chunks [][]dataset.CoverageSample // the last one is being filled
+// chunked holds a log in chunks, in log order, which the merge reads
+// where they are. A slice grown by append would copy the whole log at
+// every regrowth, holding the old and the new array at once.
+type chunked[T any] struct {
+	chunks [][]T // the last one is being filled
 }
 
-// add converts rows and appends the samples.
-func (s *passiveStore) add(norm *logsync.Normalizer, op radio.Operator, rows []xcal.LoggerRow) {
-	for len(rows) > 0 {
-		n := len(s.chunks)
-		if n == 0 || len(s.chunks[n-1]) == cap(s.chunks[n-1]) {
-			size := firstPassiveChunk
-			if n > 0 {
-				size = min(2*cap(s.chunks[n-1]), maxPassiveChunk)
-			}
-			s.chunks = append(s.chunks, make([]dataset.CoverageSample, 0, size))
-			n++
+// add appends v.
+func (s *chunked[T]) add(v T) {
+	n := len(s.chunks)
+	if n == 0 || len(s.chunks[n-1]) == cap(s.chunks[n-1]) {
+		size := firstPassiveChunk
+		if n > 0 {
+			size = min(2*cap(s.chunks[n-1]), maxPassiveChunk)
 		}
-		last := &s.chunks[n-1]
-		k := min(len(rows), cap(*last)-len(*last))
-		*last = norm.Passive(*last, op, rows[:k])
-		rows = rows[k:]
+		s.chunks = append(s.chunks, make([]T, 0, size))
+		n++
 	}
+	s.chunks[n-1] = append(s.chunks[n-1], v)
 }

@@ -10,10 +10,10 @@
 // encodes a .drm container.
 //
 // The work comes in two steps. A Normalizer turns each XCAL capture,
-// and each batch of passive-logger rows, into records the moment they
+// and each second the passive loggers log, into records the moment they
 // are logged: a capture's rows carry their instants, so nothing in that
 // step depends on the match. Merge then matches captures to application
-// logs and assembles the database.
+// logs and assembles the database, consuming its input as it goes.
 //
 // The matcher never sees test identifiers: like the real pipeline, it has
 // only operator, test kind, and timestamps to go on. Matching a capture
@@ -113,11 +113,9 @@ type Input struct {
 	// (Normalizer.Capture), in any order.
 	Captures []Capture
 	Apps     []AppLog
-	// Passive holds each operator's passive-logger samples
-	// (Normalizer.Passive) in log order, as consecutive chunks: a lane
-	// stores its log in fixed-size chunks, and the merge reads them
-	// where they are instead of joining them first.
-	Passive map[radio.Operator][][]dataset.CoverageSample
+	// Passive is the passive loggers' log: the logged seconds once, and a
+	// column of cells per operator.
+	Passive PassiveLog
 	Meta    dataset.Meta
 	// Obs receives merge statistics (match counts, name-stamp skew, final
 	// per-table row counts). Write-only and nil-safe: the merge's output
@@ -133,22 +131,32 @@ type Report struct {
 }
 
 // Merge matches the normalised captures to their app logs and builds
-// the consolidated database. It only reads its Input, so one Input can
-// be merged any number of times.
+// the consolidated database. It consumes its Input: it drops each
+// capture's handover, throughput and row tables, and each matched app
+// log's RTT entries, once the capture is reconciled, and each chunk of
+// the passive log once it is expanded, so that what the database copies
+// can be freed while the merge still runs. An Input is merged once. The
+// error reports a passive log whose columns do not line up with its
+// seconds (PassiveLog.check); Merge then returns before it consumes
+// anything.
 //
 // What is left after normalisation is global work: the name matcher,
 // test IDs and the matched app's fields, and the sort. The work splits
 // by operator: every file name starts with "<op>_", so the name order of
 // all files is the A, T, V concatenation of each operator's name order,
 // and a file only ever matches an app log of its own operator. Each
-// operator's captures and each operator's passive samples are therefore
-// separate parts, built concurrently, with test IDs numbered 1..n within
-// a part. A final pass offsets the IDs by the matched counts of the
-// parts before and merges the parts' sorted tables (see mergeParts). The
-// result is the database a single pass over the files in name order,
-// followed by sortDB, would build.
-func Merge(in Input) (*dataset.DB, Report) {
+// operator's captures are therefore a separate part, built concurrently
+// with the others and with the passive table, with test IDs numbered
+// 1..n within a part. A final pass offsets the IDs by the matched counts
+// of the parts before and merges the parts' sorted tables (see
+// mergeParts). The result is the database a single pass over the files
+// in name order, followed by sortDB, would build.
+func Merge(in Input) (*dataset.DB, Report, error) {
 	defer in.Obs.StartPhase("merge")()
+	passiveOps, seconds, err := in.Passive.check()
+	if err != nil {
+		return nil, Report{}, err
+	}
 	m := &merger{in: &in, appsByKey: map[appKey][]int{}}
 	m.appStarts = make([]time.Time, len(in.Apps))
 	m.usedApps = make([]bool, len(in.Apps))
@@ -181,22 +189,10 @@ func Merge(in Input) (*dataset.DB, Report) {
 		p.caps = append(p.caps, c)
 	}
 
-	// Passive samples, one part per operator, in operator order: map
-	// iteration order would otherwise leak into the merge's tie order.
-	ops := make([]radio.Operator, 0, len(in.Passive))
-	for op := range in.Passive {
-		ops = append(ops, op)
-	}
-	slices.Sort(ops)
-	passiveParts := make([][][]dataset.CoverageSample, len(ops))
-
-	var tasks []func()
+	var passive []dataset.CoverageSample
+	tasks := []func(){func() { passive = in.Passive.expand(passiveOps, seconds) }}
 	for _, p := range fileParts {
 		tasks = append(tasks, func() { m.reconcileFiles(p) })
-	}
-	for i, op := range ops {
-		chunks := in.Passive[op]
-		tasks = append(tasks, func() { passiveParts[i] = sortedPassive(chunks) })
 	}
 	runAll(tasks)
 
@@ -220,10 +216,10 @@ func Merge(in Input) (*dataset.DB, Report) {
 		}
 	}
 	db := mergeParts(parts)
-	db.Passive = mergeChunked(passiveParts, passiveLess)
+	db.Passive = passive
 	db.Meta = in.Meta
 	recordMergeStats(in.Obs, db, rep)
-	return db, rep
+	return db, rep, nil
 }
 
 // appKey buckets app logs by what a file name can match: operator and
@@ -293,32 +289,6 @@ type filePart struct {
 	skewsMS   []float64
 }
 
-// sortedPassive returns one operator's chunks of samples in sortDB
-// order: the chunks themselves when they already are, across chunk
-// edges as well, as a lane logs its samples, and otherwise one sorted
-// copy, so Merge leaves its input as it was.
-func sortedPassive(chunks [][]dataset.CoverageSample) [][]dataset.CoverageSample {
-	cmp := func(a, b dataset.CoverageSample) int { return cmpBy(passiveLess, &a, &b) }
-	sorted := true
-	var last *dataset.CoverageSample
-	for _, c := range chunks {
-		if len(c) == 0 {
-			continue
-		}
-		if last != nil && passiveLess(&c[0], last) || !slices.IsSortedFunc(c, cmp) {
-			sorted = false
-			break
-		}
-		last = &c[len(c)-1]
-	}
-	if sorted {
-		return chunks
-	}
-	s := slices.Concat(chunks...)
-	slices.SortStableFunc(s, cmp)
-	return [][]dataset.CoverageSample{s}
-}
-
 // runAll runs every task and waits for them, at most GOMAXPROCS at a
 // time.
 func runAll(tasks []func()) {
@@ -339,73 +309,80 @@ func runAll(tasks []func()) {
 // reconcileFiles matches one operator's captures to app logs in name
 // order and turns each matched capture into a test and its samples.
 func (m *merger) reconcileFiles(p *filePart) {
-	in := m.in
-	db := &p.db
-	presize(db, p.caps)
-	nextID := 1
+	presize(&p.db, p.caps)
 	for _, c := range p.caps {
-		bestApp, bestSkew := -1, time.Duration(0)
-		if c.labeled {
-			bucket := m.appsByKey[appKey{c.op, c.kind}]
-			bestApp, bestSkew = matchApp(bucket, m.appStarts, m.usedApps, resolveFileStart(c.stamp))
-		}
-		if bestApp < 0 {
-			p.unmatched = append(p.unmatched, c.Name)
-			continue
-		}
-		bestStart := m.appStarts[bestApp]
-		m.usedApps[bestApp] = true
-		p.matched++
-		p.skewsMS = append(p.skewsMS, float64(bestSkew)/float64(time.Millisecond))
-		app := &in.Apps[bestApp]
-
-		id := nextID
-		nextID++
-		end := bestStart.Add(time.Duration(app.DurationSec * float64(time.Second)))
-		test := dataset.Test{
-			ID:       id,
-			Kind:     c.kind,
-			Op:       c.op,
-			Start:    bestStart,
-			End:      end,
-			StartOdo: c.startOdo,
-			EndOdo:   c.endOdo,
-			Server:   app.Server,
-			Edge:     app.Edge,
-			Static:   app.Static,
-			Timezone: c.timezone,
-		}
-		db.Tests = append(db.Tests, test)
-
-		for _, h := range c.handovers {
-			h.TestID = id
-			db.Handovers = append(db.Handovers, h)
-		}
-		switch test.Kind {
-		case dataset.ThroughputDL, dataset.ThroughputUL:
-			for _, s := range c.throughput {
-				s.TestID, s.Edge, s.Static = id, test.Edge, test.Static
-				db.Throughput = append(db.Throughput, s)
-			}
-		case dataset.RTTTest:
-			for _, e := range app.RTTs {
-				at := bestStart.Add(unit.DurationFromMS(e.OffsetMS))
-				s := dataset.RTTSample{
-					TestID: id, Time: at, Op: c.op,
-					RTTMS: e.RTTMS, Lost: e.Lost,
-					Edge: app.Edge, Static: app.Static,
-				}
-				if i := rowNear(len(c.rows), at, func(i int) time.Time { return c.rows[i].at }); i >= 0 {
-					r := &c.rows[i]
-					s.Tech, s.SpeedMPH, s.Odometer, s.Timezone = r.tech, r.speedMPH, r.odo, r.zone
-				}
-				db.RTT = append(db.RTT, s)
-			}
-		default:
-			db.AppRuns = append(db.AppRuns, appRun(id, test, app, c))
-		}
+		m.reconcile(p, c)
+		// The part holds what it needs of the capture now.
+		c.handovers, c.throughput, c.rows = nil, nil, nil
 	}
-	sortDB(db)
+	sortDB(&p.db)
+}
+
+// reconcile matches one capture to an app log, and adds the test and
+// samples of a matched one to its part, with the next of the part's
+// test IDs.
+func (m *merger) reconcile(p *filePart, c *Capture) {
+	db := &p.db
+	bestApp, bestSkew := -1, time.Duration(0)
+	if c.labeled {
+		bucket := m.appsByKey[appKey{c.op, c.kind}]
+		bestApp, bestSkew = matchApp(bucket, m.appStarts, m.usedApps, resolveFileStart(c.stamp))
+	}
+	if bestApp < 0 {
+		p.unmatched = append(p.unmatched, c.Name)
+		return
+	}
+	bestStart := m.appStarts[bestApp]
+	m.usedApps[bestApp] = true
+	p.matched++
+	p.skewsMS = append(p.skewsMS, float64(bestSkew)/float64(time.Millisecond))
+	app := &m.in.Apps[bestApp]
+
+	id := p.matched
+	end := bestStart.Add(time.Duration(app.DurationSec * float64(time.Second)))
+	test := dataset.Test{
+		ID:       id,
+		Kind:     c.kind,
+		Op:       c.op,
+		Start:    bestStart,
+		End:      end,
+		StartOdo: c.startOdo,
+		EndOdo:   c.endOdo,
+		Server:   app.Server,
+		Edge:     app.Edge,
+		Static:   app.Static,
+		Timezone: c.timezone,
+	}
+	db.Tests = append(db.Tests, test)
+
+	for _, h := range c.handovers {
+		h.TestID = id
+		db.Handovers = append(db.Handovers, h)
+	}
+	switch test.Kind {
+	case dataset.ThroughputDL, dataset.ThroughputUL:
+		for _, s := range c.throughput {
+			s.TestID, s.Edge, s.Static = id, test.Edge, test.Static
+			db.Throughput = append(db.Throughput, s)
+		}
+	case dataset.RTTTest:
+		for _, e := range app.RTTs {
+			at := bestStart.Add(unit.DurationFromMS(e.OffsetMS))
+			s := dataset.RTTSample{
+				TestID: id, Time: at, Op: c.op,
+				RTTMS: e.RTTMS, Lost: e.Lost,
+				Edge: app.Edge, Static: app.Static,
+			}
+			if i := rowNear(len(c.rows), at, func(i int) time.Time { return c.rows[i].at }); i >= 0 {
+				r := &c.rows[i]
+				s.Tech, s.SpeedMPH, s.Odometer, s.Timezone = r.tech, r.speedMPH, r.odo, r.zone
+			}
+			db.RTT = append(db.RTT, s)
+		}
+		app.RTTs = nil
+	default:
+		db.AppRuns = append(db.AppRuns, appRun(id, test, app, c))
+	}
 }
 
 // presize sizes a file part's tables for its captures: a test and an app
@@ -455,17 +432,17 @@ func appRun(id int, test dataset.Test, app *AppLog, c *Capture) dataset.AppRun {
 	return r
 }
 
-// sortDB orders every table for reproducible output. Sorts are stable and
-// carry explicit tie-breakers: samples from different tests (or, for
-// passive rows, different operators) can share a timestamp, and a sort
-// keyed on time alone would leave their relative order input-dependent.
+// sortDB orders a file part's tables for reproducible output. Sorts are
+// stable and carry explicit tie-breakers: samples from different tests
+// can share a timestamp, and a sort keyed on time alone would leave
+// their relative order input-dependent. The passive table needs no
+// sort: PassiveLog.expand builds it in order.
 func sortDB(db *dataset.DB) {
 	slices.SortStableFunc(db.Tests, func(a, b dataset.Test) int { return cmpBy(testLess, &a, &b) })
 	slices.SortStableFunc(db.Throughput, func(a, b dataset.ThroughputSample) int { return cmpBy(throughputLess, &a, &b) })
 	slices.SortStableFunc(db.RTT, func(a, b dataset.RTTSample) int { return cmpBy(rttLess, &a, &b) })
 	slices.SortStableFunc(db.Handovers, func(a, b dataset.Handover) int { return cmpBy(handoverLess, &a, &b) })
 	slices.SortStableFunc(db.AppRuns, func(a, b dataset.AppRun) int { return cmpBy(appRunLess, &a, &b) })
-	slices.SortStableFunc(db.Passive, func(a, b dataset.CoverageSample) int { return cmpBy(passiveLess, &a, &b) })
 }
 
 // cmpBy turns a strict order into the three-way comparison
@@ -512,13 +489,6 @@ func appRunLess(a, b *dataset.AppRun) bool {
 	return a.TestID < b.TestID
 }
 
-func passiveLess(a, b *dataset.CoverageSample) bool {
-	if !a.Time.Equal(b.Time) {
-		return a.Time.Before(b.Time)
-	}
-	return a.Op < b.Op
-}
-
 // offsetTestIDs renumbers a part's tests from 1..n to off+1..off+n.
 func offsetTestIDs(db *dataset.DB, off int) {
 	for i := range db.Tests {
@@ -541,10 +511,9 @@ func offsetTestIDs(db *dataset.DB, off int) {
 // mergeParts joins parts whose tables are each sorted by sortDB, with
 // test IDs already offset, into one database with every table in sortDB
 // order. It equals sortDB over the concatenation of the parts: no two
-// rows of different parts tie under sortDB's orders (their test IDs
-// differ, and passive rows of different parts differ in Op), so each
-// table's order is total across parts, and a part's own ties keep their
-// order.
+// rows of different parts tie under sortDB's orders, as their test IDs
+// differ, so each table's order is total across parts, and a part's own
+// ties keep their order.
 func mergeParts(parts []*dataset.DB) *dataset.DB {
 	db := &dataset.DB{}
 	db.Tests = mergeSorted(parts, func(p *dataset.DB) *[]dataset.Test { return &p.Tests }, testLess)
@@ -560,45 +529,24 @@ func mergeParts(parts []*dataset.DB) *dataset.DB {
 // of the table, so they can be freed, and returns nil when every part is
 // empty, as appending to a nil table would.
 func mergeSorted[T any](parts []*dataset.DB, table func(*dataset.DB) *[]T, less func(a, b *T) bool) []T {
-	seqs := make([][][]T, len(parts))
+	seqs := make([][]T, len(parts))
 	for i, p := range parts {
 		t := table(p)
-		seqs[i] = [][]T{*t}
-		*t = nil
+		seqs[i], *t = *t, nil
 	}
-	return mergeChunked(seqs, less)
+	return mergeRuns(seqs, less)
 }
 
-// mergeChunked is a k-way merge of sequences, each sorted by less and
-// given as consecutive chunks. On a tie the earlier sequence goes first.
-// It returns nil when every sequence is empty, as appending to a nil
-// table would.
-func mergeChunked[T any](seqs [][][]T, less func(a, b *T) bool) []T {
-	// A run is a sequence being merged: its current chunk's unmerged
-	// rest, and the chunks after it.
-	type run struct {
-		head []T
-		rest [][]T
-	}
-	// next moves r to its next non-empty chunk, reporting whether there
-	// is one.
-	next := func(r *run) bool {
-		for len(r.rest) > 0 {
-			r.head, r.rest = r.rest[0], r.rest[1:]
-			if len(r.head) > 0 {
-				return true
-			}
-		}
-		return false
-	}
-	runs := make([]run, 0, len(seqs))
+// mergeRuns is a k-way merge of sequences, each sorted by less. On a tie
+// the earlier sequence goes first. It returns nil when every sequence is
+// empty.
+func mergeRuns[T any](seqs [][]T, less func(a, b *T) bool) []T {
+	runs := make([][]T, 0, len(seqs))
 	n := 0
 	for _, s := range seqs {
-		for _, c := range s {
-			n += len(c)
-		}
-		if r := (run{rest: s}); next(&r) {
-			runs = append(runs, r)
+		if len(s) > 0 {
+			runs = append(runs, s)
+			n += len(s)
 		}
 	}
 	if n == 0 {
@@ -608,20 +556,14 @@ func mergeChunked[T any](seqs [][][]T, less func(a, b *T) bool) []T {
 	for len(runs) > 1 {
 		best := 0
 		for i := 1; i < len(runs); i++ {
-			if less(&runs[i].head[0], &runs[best].head[0]) {
+			if less(&runs[i][0], &runs[best][0]) {
 				best = i
 			}
 		}
-		r := &runs[best]
-		out = append(out, r.head[0])
-		if r.head = r.head[1:]; len(r.head) == 0 && !next(r) {
+		out = append(out, runs[best][0])
+		if runs[best] = runs[best][1:]; len(runs[best]) == 0 {
 			runs = append(runs[:best], runs[best+1:]...)
 		}
 	}
-	r := runs[0]
-	out = append(out, r.head...)
-	for _, c := range r.rest {
-		out = append(out, c...)
-	}
-	return out
+	return append(out, runs[0]...)
 }

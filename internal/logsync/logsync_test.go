@@ -49,20 +49,59 @@ func captures(files ...xcal.File) []Capture {
 	return out
 }
 
-// passiveLogs converts passive-logger rows keyed by operator as the
-// lanes do, into chunks of one, two and three samples in turn (and an
-// empty one first), so every merge test crosses chunk edges.
-func passiveLogs(logger map[radio.Operator][]xcal.LoggerRow) map[radio.Operator][][]dataset.CoverageSample {
+// merge is Merge of an input that must merge.
+func merge(t *testing.T, in Input) (*dataset.DB, Report) {
+	t.Helper()
+	db, rep, err := Merge(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, rep
+}
+
+// passiveLog stores passive-logger rows keyed by operator as the lanes
+// do: the seconds once, from the first operator's rows, and a column of
+// cells per operator. The rows of every operator must log the same
+// seconds. The seconds come in chunks of three, one and two rows in
+// turn, and the columns in chunks of one, two and three, each after an
+// empty one, so every merge test crosses chunk edges, and not at the
+// same rows.
+func passiveLog(t *testing.T, logger map[radio.Operator][]xcal.LoggerRow) PassiveLog {
+	t.Helper()
 	n := NewNormalizer(geo.DefaultRoute())
-	out := map[radio.Operator][][]dataset.CoverageSample{}
-	for op, rows := range logger {
-		chunks := [][]dataset.CoverageSample{nil}
-		for size := 1; len(rows) > 0; size = size%3 + 1 {
-			k := min(size, len(rows))
-			chunks = append(chunks, n.Passive(nil, op, rows[:k]))
-			rows = rows[k:]
+	p := PassiveLog{Columns: map[radio.Operator][][]PassiveCell{}}
+	var first []xcal.LoggerRow
+	for _, op := range radio.Operators() {
+		rows, ok := logger[op]
+		if !ok {
+			continue
 		}
-		out[op] = chunks
+		if first == nil {
+			first = rows
+			p.Seconds = chunks(rows, 3, n.Second)
+		}
+		for i := range rows {
+			if n.Second(&rows[i]) != n.Second(&first[i]) {
+				t.Fatalf("%v row %d logs another second than the first operator's", op, i)
+			}
+		}
+		p.Columns[op] = chunks(rows, 1, func(r *xcal.LoggerRow) PassiveCell { return PassiveCell{Tech: r.Tech, CellID: r.CellID} })
+	}
+	return p
+}
+
+// chunks converts rows into chunks of size, size%3+1, … rows, after an
+// empty chunk.
+func chunks[T any](rows []xcal.LoggerRow, size int, conv func(*xcal.LoggerRow) T) [][]T {
+	out := [][]T{nil}
+	for ; len(rows) > 0; size = size%3 + 1 {
+		k := min(size, len(rows))
+		c := make([]T, k)
+		for i := range c {
+			c[i] = conv(&rows[i])
+		}
+		out = append(out, c)
+		rows = rows[k:]
 	}
 	return out
 }
@@ -102,7 +141,7 @@ func TestMergeMatchesAcrossTimezones(t *testing.T) {
 			Start: starts[i], DurationSec: 10,
 		})
 	}
-	db, rep := Merge(Input{Captures: captures(files...), Apps: apps})
+	db, rep := merge(t, Input{Captures: captures(files...), Apps: apps})
 	if rep.Matched != 3 || len(rep.UnmatchedFiles) != 0 || rep.UnmatchedApps != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -135,7 +174,7 @@ func TestMergeThroughputSamplesCarryKPIs(t *testing.T) {
 	f := makeFile(t, radio.TMobile, "DL", start, 300*unit.Kilometer, radio.NRMid, 80)
 	app := AppLog{Op: radio.TMobile, Kind: dataset.ThroughputDL, Server: "ec2-ca-general",
 		Start: start, DurationSec: 10}
-	db, _ := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
+	db, _ := merge(t, Input{Captures: captures(f), Apps: []AppLog{app}})
 	if len(db.Throughput) != 20 { // 10 s / 500 ms
 		t.Fatalf("samples = %d, want 20", len(db.Throughput))
 	}
@@ -161,7 +200,7 @@ func TestMergeUplinkUsesULCC(t *testing.T) {
 	start := time.Date(2022, 8, 9, 16, 30, 0, 0, time.UTC)
 	f := makeFile(t, radio.TMobile, "UL", start, 300*unit.Kilometer, radio.NRMid, 20)
 	app := AppLog{Op: radio.TMobile, Kind: dataset.ThroughputUL, Start: start, DurationSec: 10}
-	db, _ := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
+	db, _ := merge(t, Input{Captures: captures(f), Apps: []AppLog{app}})
 	if db.Throughput[0].CC != 1 { // makeFile sets CCUL=1, CCDL=2
 		t.Errorf("UL CC = %d, want 1", db.Throughput[0].CC)
 	}
@@ -181,7 +220,7 @@ func TestMergeRTTSamples(t *testing.T) {
 			{OffsetMS: 600, Lost: true},
 		},
 	}
-	db, rep := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
+	db, rep := merge(t, Input{Captures: captures(f), Apps: []AppLog{app}})
 	if rep.Matched != 1 {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -214,7 +253,7 @@ func TestMergeAppRun(t *testing.T) {
 		// Only the metric fields are the app's; Merge sets the rest.
 		Result: dataset.AppRun{E2EMS: 214, OffloadFPS: 4.35, MAP: 30.1, TestID: 99, Kind: dataset.AppGaming, Handovers: 7},
 	}
-	db, _ := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
+	db, _ := merge(t, Input{Captures: captures(f), Apps: []AppLog{app}})
 	if len(db.AppRuns) != 1 {
 		t.Fatalf("app runs = %d", len(db.AppRuns))
 	}
@@ -241,7 +280,7 @@ func TestMergeHandoverSignals(t *testing.T) {
 		DurationMS: 53,
 	})
 	app := AppLog{Op: radio.Verizon, Kind: dataset.ThroughputDL, Start: start, DurationSec: 10}
-	db, _ := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
+	db, _ := merge(t, Input{Captures: captures(f), Apps: []AppLog{app}})
 	if len(db.Handovers) != 1 {
 		t.Fatalf("handovers = %d", len(db.Handovers))
 	}
@@ -267,7 +306,7 @@ func TestMergeUnmatchedFileReported(t *testing.T) {
 	f := makeFile(t, radio.Verizon, "DL", start, 300*unit.Kilometer, radio.NRMid, 50)
 	// App log two hours away: no match.
 	app := AppLog{Op: radio.Verizon, Kind: dataset.ThroughputDL, Start: start.Add(2 * time.Hour), DurationSec: 10}
-	db, rep := Merge(Input{Captures: captures(f), Apps: []AppLog{app}})
+	db, rep := merge(t, Input{Captures: captures(f), Apps: []AppLog{app}})
 	if rep.Matched != 0 || len(rep.UnmatchedFiles) != 1 || rep.UnmatchedApps != 1 {
 		t.Errorf("report = %+v", rep)
 	}
@@ -288,7 +327,7 @@ func TestMergePassiveRows(t *testing.T) {
 		Loc:      wp.Loc,
 		SpeedMPH: 68,
 	}}
-	db, _ := Merge(Input{Passive: passiveLogs(map[radio.Operator][]xcal.LoggerRow{radio.ATT: rows})})
+	db, _ := merge(t, Input{Passive: passiveLog(t, map[radio.Operator][]xcal.LoggerRow{radio.ATT: rows})})
 	if len(db.Passive) != 1 {
 		t.Fatalf("passive = %d", len(db.Passive))
 	}
@@ -321,7 +360,7 @@ func TestMergeManyTestsAllMatchedProperty(t *testing.T) {
 			Start: start, DurationSec: 10,
 		})
 	}
-	db, rep := Merge(Input{Captures: captures(files...), Apps: apps})
+	db, rep := merge(t, Input{Captures: captures(files...), Apps: apps})
 	if rep.Matched != 20 || rep.UnmatchedApps != 0 || len(rep.UnmatchedFiles) != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -346,7 +385,7 @@ func TestMergeZoneResolutionProperty(t *testing.T) {
 		odo := unit.Meters(float64(posPermille%1000) / 1000 * float64(route.Total()))
 		file := makeFile(t, radio.TMobile, "UL", start, odo, radio.NRLow, 12)
 		app := AppLog{Op: radio.TMobile, Kind: dataset.ThroughputUL, Start: start, DurationSec: 10}
-		db, rep := Merge(Input{Captures: captures(file), Apps: []AppLog{app}})
+		db, rep := merge(t, Input{Captures: captures(file), Apps: []AppLog{app}})
 		if rep.Matched != 1 || len(db.Tests) != 1 {
 			return false
 		}
@@ -398,8 +437,9 @@ func zoneNamed(name string) (geo.Timezone, bool) {
 
 // TestPassiveMatchesTextPath steps a passive logger over a 25 km
 // timeline, then for a second at fractional instants in each of the
-// route's zones, and requires the typed conversion to give exactly the
-// samples the text round trip gives.
+// route's zones, and requires the typed path, its rows stored as the
+// lanes store them and expanded by Merge, to give exactly the samples
+// the text round trip gives.
 func TestPassiveMatchesTextPath(t *testing.T) {
 	route := geo.DefaultRoute()
 	rng := simrand.New(7)
@@ -441,14 +481,14 @@ func TestPassiveMatchesTextPath(t *testing.T) {
 	if len(rows) < 1000 {
 		t.Fatalf("%d rows", len(rows))
 	}
-	got := NewNormalizer(route).Passive(nil, radio.Verizon, rows)
-	if want := textPassive(t, route, radio.Verizon, rows); !reflect.DeepEqual(got, want) {
-		for i := range got {
-			if i < len(want) && got[i] != want[i] {
-				t.Fatalf("sample %d = %+v, want %+v", i, got[i], want[i])
+	got, _ := merge(t, Input{Passive: passiveLog(t, map[radio.Operator][]xcal.LoggerRow{radio.Verizon: rows})})
+	if want := textPassive(t, route, radio.Verizon, rows); !reflect.DeepEqual(got.Passive, want) {
+		for i, g := range got.Passive {
+			if i < len(want) && g != want[i] {
+				t.Fatalf("sample %d = %+v, want %+v", i, g, want[i])
 			}
 		}
-		t.Fatalf("%d samples, want %d", len(got), len(want))
+		t.Fatalf("%d samples, want %d", len(got.Passive), len(want))
 	}
 }
 
@@ -661,20 +701,19 @@ func TestMergeCrossOperatorTies(t *testing.T) {
 	}
 	apps := []AppLog{app(radio.TMobile, "DL"), app(radio.Verizon, "DL"), app(radio.ATT, "DL"), app(radio.ATT, "UL")}
 
-	// Passive rows of all three operators at two shared instants; A has
-	// two rows at the first, which must keep their input order.
+	// Passive rows of all three operators at the same two seconds.
 	wp := route.At(odo)
 	row := func(at time.Time, cell string) xcal.LoggerRow {
 		return xcal.LoggerRow{Time: at, Zone: wp.Timezone, Tech: radio.LTE, CellID: cell, Loc: wp.Loc}
 	}
 	t0, t1 := start, start.Add(time.Second)
 	logger := map[radio.Operator][]xcal.LoggerRow{
-		radio.ATT:     {row(t1, "A-2"), row(t0, "A-0"), row(t0, "A-1")},
+		radio.ATT:     {row(t0, "A-0"), row(t1, "A-1")},
 		radio.TMobile: {row(t0, "T-0"), row(t1, "T-1")},
-		radio.Verizon: {row(t1, "V-1"), row(t0, "V-0")},
+		radio.Verizon: {row(t0, "V-0"), row(t1, "V-1")},
 	}
 
-	db, rep := Merge(Input{Captures: captures(files...), Apps: apps, Passive: passiveLogs(logger)})
+	db, rep := merge(t, Input{Captures: captures(files...), Apps: apps, Passive: passiveLog(t, logger)})
 	if rep.Matched != 4 || rep.UnmatchedApps != 0 || len(rep.UnmatchedFiles) != 0 {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -697,14 +736,14 @@ func TestMergeCrossOperatorTies(t *testing.T) {
 	for _, p := range db.Passive {
 		passive = append(passive, p.CellID)
 	}
-	if got, want := fmt.Sprint(passive), "[V-0 T-0 A-0 A-1 V-1 T-1 A-2]"; got != want {
+	if got, want := fmt.Sprint(passive), "[V-0 T-0 A-0 V-1 T-1 A-1]"; got != want {
 		t.Errorf("passive order = %s, want %s", got, want)
 	}
 
 	// Unmatched files are reported in name order across operators, a
 	// capture whose label is outside the label table among them.
 	files = append(files, makeFile(t, radio.TMobile, "bench", start, odo, radio.LTE, 5))
-	_, rep = Merge(Input{Captures: captures(files...), Apps: apps[:1]})
+	_, rep = merge(t, Input{Captures: captures(files...), Apps: apps[:1]})
 	stamp := start.In(wp.Timezone.Location()).Format(xcal.FileNameFormat)
 	want := []string{"A_DL_" + stamp + ".drm", "A_UL_" + stamp + ".drm", "T_bench_" + stamp + ".drm", "V_DL_" + stamp + ".drm"}
 	if rep.Matched != 1 || fmt.Sprint(rep.UnmatchedFiles) != fmt.Sprint(want) {
@@ -712,45 +751,130 @@ func TestMergeCrossOperatorTies(t *testing.T) {
 	}
 }
 
-// TestMergeLeavesInputIntact pins that Merge only reads its Input, on
-// the path that must sort a copy of out-of-order passive samples too:
-// two merges of one Input are equal, and the Input's samples keep their
-// order.
-func TestMergeLeavesInputIntact(t *testing.T) {
+// consumingInput is an input with a capture of every table kind, an app
+// log with RTT entries, and a passive log of two seconds for each
+// operator: everything Merge consumes.
+func consumingInput(t *testing.T) Input {
+	t.Helper()
 	start := time.Date(2022, 8, 9, 17, 0, 0, 0, time.UTC)
 	odo := 300 * unit.Kilometer
 	wp := geo.DefaultRoute().At(odo)
-	row := func(at time.Time, cell string) xcal.LoggerRow {
-		return xcal.LoggerRow{Time: at, Zone: wp.Timezone, Tech: radio.LTE, CellID: cell, Loc: wp.Loc}
+	logger := map[radio.Operator][]xcal.LoggerRow{}
+	for _, op := range radio.Operators() {
+		for i := range 2 {
+			logger[op] = append(logger[op], xcal.LoggerRow{
+				Time: start.Add(time.Duration(i) * time.Second), Zone: wp.Timezone,
+				Tech: radio.LTE, CellID: fmt.Sprintf("%s-%d", op.Short(), i), Loc: wp.Loc,
+			})
+		}
 	}
-	in := Input{
-		Captures: captures(makeFile(t, radio.ATT, "DL", start, odo, radio.LTEA, 30)),
-		Apps:     []AppLog{{Op: radio.ATT, Kind: dataset.ThroughputDL, Start: start, DurationSec: 10}},
-		Passive:  passiveLogs(map[radio.Operator][]xcal.LoggerRow{radio.ATT: {row(start.Add(time.Second), "A-1"), row(start, "A-0")}}),
-	}
-	first, _ := Merge(in)
-	second, _ := Merge(in)
-	if !reflect.DeepEqual(first, second) {
-		t.Error("two merges of one Input differ")
-	}
-	if got := in.Passive[radio.ATT]; got[1][0].CellID != "A-1" || got[2][0].CellID != "A-0" {
-		t.Errorf("Merge reordered its input's passive samples: %s, %s", got[1][0].CellID, got[2][0].CellID)
-	}
-	if first.Passive[0].CellID != "A-0" || len(first.Throughput) != 20 {
-		t.Errorf("merged passive starts with %s and has %d throughput samples", first.Passive[0].CellID, len(first.Throughput))
+	rtt := start.Add(time.Minute)
+	return Input{
+		Captures: captures(
+			makeFile(t, radio.ATT, "DL", start, odo, radio.LTEA, 30),
+			makeFile(t, radio.ATT, "RTT", rtt, odo, radio.LTEA, 0),
+		),
+		Apps: []AppLog{
+			{Op: radio.ATT, Kind: dataset.ThroughputDL, Start: start, DurationSec: 10},
+			{Op: radio.ATT, Kind: dataset.RTTTest, Start: rtt, DurationSec: 10, RTTs: []RTTEntry{{OffsetMS: 100, RTTMS: 40}, {OffsetMS: 300, RTTMS: 45}}},
+		},
+		Passive: passiveLog(t, logger),
 	}
 }
 
-// TestMergeChunkedMatchesStableSort pins the chunked k-way merge to its
-// reference: for sorted sequences cut into chunks of any length, empty
-// ones included, the merge equals a stable sort of the sequences'
-// concatenation in order, so on a tie the earlier sequence goes first.
-func TestMergeChunkedMatchesStableSort(t *testing.T) {
+// TestMergeConsumesInput pins Merge's ownership of its Input: a merge
+// drops every capture's tables, every matched app log's RTT entries and
+// every chunk of the passive log, and what it builds is what a merge of
+// an equal Input builds, with every row in place.
+func TestMergeConsumesInput(t *testing.T) {
+	in := consumingInput(t)
+	for _, c := range in.Captures {
+		if c.throughput == nil && c.rows == nil {
+			t.Fatalf("capture %s has neither throughput samples nor rows to consume", c.Name)
+		}
+	}
+	db, rep := merge(t, in)
+	for _, c := range in.Captures {
+		if c.handovers != nil || c.throughput != nil || c.rows != nil {
+			t.Errorf("capture %s still holds %d handovers, %d throughput samples and %d rows after Merge", c.Name, len(c.handovers), len(c.throughput), len(c.rows))
+		}
+	}
+	for _, a := range in.Apps {
+		if a.RTTs != nil {
+			t.Errorf("%v app log still holds %d RTT entries after Merge", a.Kind, len(a.RTTs))
+		}
+	}
+	for i, c := range in.Passive.Seconds {
+		if c != nil {
+			t.Errorf("passive seconds chunk %d still held after Merge", i)
+		}
+	}
+	for op, col := range in.Passive.Columns {
+		for i, c := range col {
+			if c != nil {
+				t.Errorf("%v passive chunk %d still held after Merge", op, i)
+			}
+		}
+	}
+
+	want, wantRep := merge(t, consumingInput(t))
+	if !reflect.DeepEqual(db, want) || !reflect.DeepEqual(rep, wantRep) {
+		t.Error("merges of two equal Inputs differ")
+	}
+	var passive []string
+	for _, p := range db.Passive {
+		passive = append(passive, p.CellID)
+	}
+	if rep.Matched != 2 || len(db.Throughput) != 20 || len(db.RTT) != 2 || db.RTT[0].Tech != radio.LTEA ||
+		fmt.Sprint(passive) != "[V-0 T-0 A-0 V-1 T-1 A-1]" {
+		t.Errorf("merge matched %d, with %d throughput samples, RTT samples %+v and passive rows %v", rep.Matched, len(db.Throughput), db.RTT, passive)
+	}
+}
+
+// TestMergeRejectsMisalignedPassive pins that a passive log whose
+// columns do not line up with its seconds fails the merge, before it
+// consumes anything: a column one row short or long of the seconds, or
+// seconds that do not strictly increase, would otherwise cut a column
+// short or break the table's order.
+func TestMergeRejectsMisalignedPassive(t *testing.T) {
+	cases := map[string]func(p *PassiveLog){
+		"short column": func(p *PassiveLog) {
+			col := p.Columns[radio.TMobile]
+			last := &col[len(col)-1]
+			*last = (*last)[:len(*last)-1]
+		},
+		"long column": func(p *PassiveLog) {
+			p.Columns[radio.ATT] = append(p.Columns[radio.ATT], []PassiveCell{{Tech: radio.LTE, CellID: "A-2"}})
+		},
+		"missing column": func(p *PassiveLog) { p.Columns[radio.Verizon] = nil },
+		"repeated second": func(p *PassiveLog) {
+			p.Seconds = [][]PassiveSecond{{p.Seconds[1][0]}, {p.Seconds[1][0]}}
+		},
+	}
+	for name, spoil := range cases {
+		in := consumingInput(t)
+		spoil(&in.Passive)
+		db, _, err := Merge(in)
+		if err == nil || db != nil {
+			t.Errorf("%s: Merge returned %v, %v; want an error and no database", name, db, err)
+			continue
+		}
+		if c := in.Captures[0]; c.throughput == nil {
+			t.Errorf("%s: a failed Merge consumed its captures", name)
+		}
+	}
+}
+
+// TestMergeRunsMatchesStableSort pins the k-way merge to its reference:
+// for sorted sequences of any length, empty ones included, the merge
+// equals a stable sort of the sequences' concatenation in order, so on a
+// tie the earlier sequence goes first.
+func TestMergeRunsMatchesStableSort(t *testing.T) {
 	type item struct{ key, seq, idx int }
 	less := func(a, b *item) bool { return a.key < b.key }
-	rng := simrand.New(11).Fork("merge-chunked")
+	rng := simrand.New(11).Fork("merge-runs")
 	for trial := 0; trial < 300; trial++ {
-		seqs := make([][][]item, rng.Intn(5))
+		seqs := make([][]item, rng.Intn(5))
 		var all []item
 		for s := range seqs {
 			n := rng.Intn(40)
@@ -761,14 +885,10 @@ func TestMergeChunkedMatchesStableSort(t *testing.T) {
 				flat[i] = item{key: key, seq: s, idx: i}
 			}
 			all = append(all, flat...)
-			for len(flat) > 0 || rng.Bool(0.3) {
-				k := min(rng.Intn(6), len(flat))
-				seqs[s] = append(seqs[s], flat[:k])
-				flat = flat[k:]
-			}
+			seqs[s] = flat
 		}
 		slices.SortStableFunc(all, func(a, b item) int { return a.key - b.key })
-		got := mergeChunked(seqs, less)
+		got := mergeRuns(seqs, less)
 		if len(all) == 0 {
 			if got != nil {
 				t.Fatalf("trial %d: %d empty sequences merge to %v, want nil", trial, len(seqs), got)
@@ -776,7 +896,7 @@ func TestMergeChunkedMatchesStableSort(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(got, all) {
-			t.Fatalf("trial %d: merge of %d chunked sequences\n got %v\nwant %v", trial, len(seqs), got, all)
+			t.Fatalf("trial %d: merge of %d sequences\n got %v\nwant %v", trial, len(seqs), got, all)
 		}
 	}
 }

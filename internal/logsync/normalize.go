@@ -56,8 +56,8 @@ type rowPoint struct {
 	zone     geo.Timezone
 }
 
-// Normalizer converts one lane's captures and passive rows as they are
-// logged, joining their GPS fixes to the route.
+// Normalizer converts one lane's captures and passive seconds as they
+// are logged, joining their GPS fixes to the route.
 type Normalizer struct {
 	route *geo.Route
 }
@@ -120,19 +120,6 @@ func (n *Normalizer) Capture(f *xcal.File) Capture {
 		}
 	}
 	return c
-}
-
-// Passive converts rows that op's passive phone logged to coverage
-// samples and appends them to dst: a copy, apart from the GPS fix's
-// join to the route.
-func (n *Normalizer) Passive(dst []dataset.CoverageSample, op radio.Operator, rows []xcal.LoggerRow) []dataset.CoverageSample {
-	for _, r := range rows {
-		dst = append(dst, dataset.CoverageSample{
-			Time: r.Time.UTC(), Op: op, Tech: r.Tech, CellID: r.CellID,
-			Odometer: n.route.OdometerOf(r.Loc), Timezone: r.Zone, SpeedMPH: r.SpeedMPH,
-		})
-	}
-	return dst
 }
 
 // throughputSample joins one row of a throughput file to the route. The
