@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -464,6 +465,37 @@ func TestMergeConsumesRaw(t *testing.T) {
 	if sums[0] != sums[1] {
 		t.Errorf("merges of two equal campaigns' Raws gave different datasets: %x, %x", sums[0], sums[1])
 	}
+}
+
+// TestMergeAllocatesItsTables pins what a merge allocates to what it
+// returns: at most 1.2 times the bytes of the database's tables, counted
+// at their capacity. A merge that copies a table twice, or grows one by
+// append, allocates more. The test must not run in parallel: TotalAlloc
+// counts every goroutine's allocations.
+func TestMergeAllocatesItsTables(t *testing.T) {
+	cfg := quickConfig(1)
+	cfg.Limit = 40 * unit.Kilometer
+	c := NewCampaign(cfg)
+	raw := c.Run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	db, err := c.MergeMatched(raw)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := capBytes(db.Tests) + capBytes(db.Throughput) + capBytes(db.RTT) +
+		capBytes(db.Handovers) + capBytes(db.AppRuns) + capBytes(db.Passive)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if float64(alloc) > 1.2*float64(tables) {
+		t.Errorf("Merge allocated %d bytes for %d bytes of tables (%.2f×), want at most 1.2×", alloc, tables, float64(alloc)/float64(tables))
+	}
+}
+
+// capBytes is the bytes a table's backing array holds.
+func capBytes[T any](rows []T) uint64 {
+	var row T
+	return uint64(cap(rows)) * uint64(unsafe.Sizeof(row))
 }
 
 // heldPath returns the path to the first non-empty table a merged Raw

@@ -12,8 +12,10 @@
 // The work comes in two steps. A Normalizer turns each XCAL capture,
 // and each second the passive loggers log, into records the moment they
 // are logged: a capture's rows carry their instants, so nothing in that
-// step depends on the match. Merge then matches captures to application
-// logs and assembles the database, consuming its input as it goes.
+// step depends on the match. Merge then makes one pass over the matches:
+// it matches the captures to application logs in name order, copies each
+// matched capture's records into tables allocated at their exact size,
+// and sorts each table once, consuming its input as it goes.
 //
 // The matcher never sees test identifiers: like the real pipeline, it has
 // only operator, test kind, and timestamps to go on. Matching a capture
@@ -23,10 +25,9 @@
 package logsync
 
 import (
-	"runtime"
+	"cmp"
 	"slices"
-	"sort"
-	"sync"
+	"strings"
 	"time"
 
 	"github.com/nuwins/cellwheels/internal/dataset"
@@ -131,95 +132,102 @@ type Report struct {
 }
 
 // Merge matches the normalised captures to their app logs and builds
-// the consolidated database. It consumes its Input: it drops each
-// capture's handover, throughput and row tables, and each matched app
-// log's RTT entries, once the capture is reconciled, and each chunk of
-// the passive log once it is expanded, so that what the database copies
-// can be freed while the merge still runs. An Input is merged once. The
-// error reports a passive log whose columns do not line up with its
-// seconds (PassiveLog.check); Merge then returns before it consumes
-// anything.
+// the consolidated database in one pass over the matches: match
+// numbers the tests in name order, emit copies each matched capture's
+// records into tables allocated once at their exact size, and sortDB
+// puts every table in its final order. PassiveLog.expand builds the
+// passive table meanwhile, the one task that runs concurrently.
 //
-// What is left after normalisation is global work: the name matcher,
-// test IDs and the matched app's fields, and the sort. The work splits
-// by operator: every file name starts with "<op>_", so the name order of
-// all files is the A, T, V concatenation of each operator's name order,
-// and a file only ever matches an app log of its own operator. Each
-// operator's captures are therefore a separate part, built concurrently
-// with the others and with the passive table, with test IDs numbered
-// 1..n within a part. A final pass offsets the IDs by the matched counts
-// of the parts before and merges the parts' sorted tables (see
-// mergeParts). The result is the database a single pass over the files
-// in name order, followed by sortDB, would build.
+// Merge consumes its Input: it drops every capture's handover,
+// throughput and row tables, and each matched app log's RTT entries,
+// once the tables are built, and each chunk of the passive log once it
+// is expanded. An Input is merged once. The error reports a passive log
+// whose columns do not line up with its seconds (PassiveLog.check);
+// Merge then returns before it consumes anything.
 func Merge(in Input) (*dataset.DB, Report, error) {
 	defer in.Obs.StartPhase("merge")()
 	passiveOps, seconds, err := in.Passive.check()
 	if err != nil {
 		return nil, Report{}, err
 	}
-	m := &merger{in: &in, appsByKey: map[appKey][]int{}}
-	m.appStarts = make([]time.Time, len(in.Apps))
-	m.usedApps = make([]bool, len(in.Apps))
-	for i, a := range in.Apps {
-		m.appStarts[i] = a.Start
-		// A file only ever matches an app log of its own operator and
-		// kind, so the matcher searches that bucket of app indices.
+	passive := make(chan []dataset.CoverageSample, 1)
+	go func() { passive <- in.Passive.expand(passiveOps, seconds) }()
+
+	matches, rep := match(in.Captures, in.Apps)
+	// Skew between a file-name stamp (best zone interpretation) and the
+	// matched app log, in ms — the quantity matchTolerance bounds.
+	skew := in.Obs.Histogram("logsync/skew_ms", []float64{1, 10, 100, 1000, 3000})
+	for _, m := range matches {
+		skew.Observe(float64(m.skew) / float64(time.Millisecond))
+	}
+	db := emit(matches)
+	for i := range in.Captures {
+		c := &in.Captures[i]
+		c.handovers, c.throughput, c.rows = nil, nil, nil
+	}
+	sortDB(db)
+	db.Passive = <-passive
+	db.Meta = in.Meta
+	recordMergeStats(in.Obs, db, rep)
+	return db, rep, nil
+}
+
+// assignment is one capture matched to its app log, with its test ID
+// and the skew between the name's stamp and the app log's start.
+type assignment struct {
+	c    *Capture
+	app  *AppLog
+	id   int
+	skew time.Duration
+}
+
+// match is the name matcher. It takes the captures in name order, gives
+// each the app log matchApp picks, and numbers the matched ones 1..n in
+// that order. The report lists the unmatched files in name order.
+func match(captures []Capture, apps []AppLog) ([]assignment, Report) {
+	starts := make([]time.Time, len(apps))
+	used := make([]bool, len(apps))
+	// A file only ever matches an app log of its own operator and kind,
+	// so the matcher searches that bucket of app indices.
+	buckets := map[appKey][]int{}
+	for i, a := range apps {
+		starts[i] = a.Start
 		k := appKey{a.Op, a.Kind}
-		m.appsByKey[k] = append(m.appsByKey[k], i)
+		buckets[k] = append(buckets[k], i)
 	}
 	// Each bucket is ordered by start, ties by index (the buckets are
 	// built in ascending index order, and the sort is stable), so
 	// matchApp can search a window of it.
-	for _, bucket := range m.appsByKey {
-		slices.SortStableFunc(bucket, func(a, b int) int { return m.appStarts[a].Compare(m.appStarts[b]) })
+	for _, bucket := range buckets {
+		slices.SortStableFunc(bucket, func(a, b int) int { return starts[a].Compare(starts[b]) })
 	}
+	caps := make([]*Capture, len(captures))
+	for i := range captures {
+		caps[i] = &captures[i]
+	}
+	slices.SortStableFunc(caps, func(a, b *Capture) int { return strings.Compare(a.Name, b.Name) })
 
-	// Deterministic processing order: captures sorted by name.
-	caps := make([]*Capture, len(in.Captures))
-	for i := range in.Captures {
-		caps[i] = &in.Captures[i]
-	}
-	sort.SliceStable(caps, func(i, j int) bool { return caps[i].Name < caps[j].Name })
-	var fileParts []*filePart
+	var rep Report
+	matches := make([]assignment, 0, len(caps))
 	for _, c := range caps {
-		if n := len(fileParts); n == 0 || fileParts[n-1].op != c.op {
-			fileParts = append(fileParts, &filePart{op: c.op})
+		app, skew := -1, time.Duration(0)
+		if c.labeled {
+			app, skew = matchApp(buckets[appKey{c.op, c.kind}], starts, used, resolveFileStart(c.stamp))
 		}
-		p := fileParts[len(fileParts)-1]
-		p.caps = append(p.caps, c)
-	}
-
-	var passive []dataset.CoverageSample
-	tasks := []func(){func() { passive = in.Passive.expand(passiveOps, seconds) }}
-	for _, p := range fileParts {
-		tasks = append(tasks, func() { m.reconcileFiles(p) })
-	}
-	runAll(tasks)
-
-	// Skew between a file-name stamp (best zone interpretation) and the
-	// matched app log, in ms — the quantity matchTolerance bounds.
-	skew := in.Obs.Histogram("logsync/skew_ms", []float64{1, 10, 100, 1000, 3000})
-	rep := Report{}
-	parts := make([]*dataset.DB, 0, len(fileParts))
-	for _, p := range fileParts {
-		offsetTestIDs(&p.db, rep.Matched)
-		rep.Matched += p.matched
-		rep.UnmatchedFiles = append(rep.UnmatchedFiles, p.unmatched...)
-		for _, ms := range p.skewsMS {
-			skew.Observe(ms)
+		if app < 0 {
+			rep.UnmatchedFiles = append(rep.UnmatchedFiles, c.Name)
+			continue
 		}
-		parts = append(parts, &p.db)
+		used[app] = true
+		matches = append(matches, assignment{c: c, app: &apps[app], id: len(matches) + 1, skew: skew})
 	}
-	for _, used := range m.usedApps {
-		if !used {
+	rep.Matched = len(matches)
+	for _, u := range used {
+		if !u {
 			rep.UnmatchedApps++
 		}
 	}
-	db := mergeParts(parts)
-	db.Passive = passive
-	db.Meta = in.Meta
-	recordMergeStats(in.Obs, db, rep)
-	return db, rep, nil
+	return matches, rep
 }
 
 // appKey buckets app logs by what a file name can match: operator and
@@ -267,85 +275,80 @@ func matchApp(bucket []int, starts []time.Time, used []bool, readings [4]time.Ti
 	return bestApp, bestSkew
 }
 
-// merger is the state Merge's parts share. Parts only read it, except
-// usedApps, whose entries each belong to the one operator part that
-// matches files of that app's operator.
-type merger struct {
-	in        *Input
-	appStarts []time.Time
-	appsByKey map[appKey][]int
-	usedApps  []bool
+// emit builds the matched captures' tables: the tests in ID order, and
+// each capture's handovers, throughput samples, RTT samples or app run.
+// It takes the captures in test-start order, ties by ID: a phone runs
+// one test at a time, so that leaves sortDB little more to do than
+// interleave the three phones' rows. Each table is allocated once at
+// its exact size, and a table with no rows stays nil. It drops each
+// matched app log's RTT entries, and leaves matches in the order it
+// took them.
+func emit(matches []assignment) *dataset.DB {
+	db := &dataset.DB{Tests: table[dataset.Test](len(matches))}
+	var handovers, throughput, rtt, appRuns int
+	for _, m := range matches {
+		db.Tests = append(db.Tests, m.test())
+		handovers += len(m.c.handovers)
+		switch m.c.kind {
+		case dataset.ThroughputDL, dataset.ThroughputUL:
+			throughput += len(m.c.throughput)
+		case dataset.RTTTest:
+			rtt += len(m.app.RTTs)
+		default:
+			appRuns++
+		}
+	}
+	db.Handovers = table[dataset.Handover](handovers)
+	db.Throughput = table[dataset.ThroughputSample](throughput)
+	db.RTT = table[dataset.RTTSample](rtt)
+	db.AppRuns = table[dataset.AppRun](appRuns)
+
+	slices.SortFunc(matches, func(a, b assignment) int {
+		return cmp.Or(a.app.Start.Compare(b.app.Start), cmp.Compare(a.id, b.id))
+	})
+	for _, m := range matches {
+		c, app, test := m.c, m.app, &db.Tests[m.id-1]
+		for _, h := range c.handovers {
+			h.TestID = test.ID
+			db.Handovers = append(db.Handovers, h)
+		}
+		switch test.Kind {
+		case dataset.ThroughputDL, dataset.ThroughputUL:
+			for _, s := range c.throughput {
+				s.TestID, s.Edge, s.Static = test.ID, test.Edge, test.Static
+				db.Throughput = append(db.Throughput, s)
+			}
+		case dataset.RTTTest:
+			for _, e := range app.RTTs {
+				at := test.Start.Add(unit.DurationFromMS(e.OffsetMS))
+				s := dataset.RTTSample{
+					TestID: test.ID, Time: at, Op: c.op,
+					RTTMS: e.RTTMS, Lost: e.Lost,
+					Edge: app.Edge, Static: app.Static,
+				}
+				if i := rowNear(len(c.rows), at, func(i int) time.Time { return c.rows[i].at }); i >= 0 {
+					r := &c.rows[i]
+					s.Tech, s.SpeedMPH, s.Odometer, s.Timezone = r.tech, r.speedMPH, r.odo, r.zone
+				}
+				db.RTT = append(db.RTT, s)
+			}
+			app.RTTs = nil
+		default:
+			db.AppRuns = append(db.AppRuns, appRun(test, app, c))
+		}
+	}
+	return db
 }
 
-// filePart is one operator's captures and what reconciling them
-// produced: tables sorted by sortDB, with test IDs 1..matched.
-type filePart struct {
-	op      radio.Operator
-	caps    []*Capture // in name order
-	db      dataset.DB
-	matched int
-	// unmatched and skewsMS follow name order.
-	unmatched []string
-	skewsMS   []float64
-}
-
-// runAll runs every task and waits for them, at most GOMAXPROCS at a
-// time.
-func runAll(tasks []func()) {
-	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	wg.Add(len(tasks))
-	for _, task := range tasks {
-		slots <- struct{}{}
-		go func(task func()) {
-			defer wg.Done()
-			task()
-			<-slots
-		}(task)
-	}
-	wg.Wait()
-}
-
-// reconcileFiles matches one operator's captures to app logs in name
-// order and turns each matched capture into a test and its samples.
-func (m *merger) reconcileFiles(p *filePart) {
-	presize(&p.db, p.caps)
-	for _, c := range p.caps {
-		m.reconcile(p, c)
-		// The part holds what it needs of the capture now.
-		c.handovers, c.throughput, c.rows = nil, nil, nil
-	}
-	sortDB(&p.db)
-}
-
-// reconcile matches one capture to an app log, and adds the test and
-// samples of a matched one to its part, with the next of the part's
-// test IDs.
-func (m *merger) reconcile(p *filePart, c *Capture) {
-	db := &p.db
-	bestApp, bestSkew := -1, time.Duration(0)
-	if c.labeled {
-		bucket := m.appsByKey[appKey{c.op, c.kind}]
-		bestApp, bestSkew = matchApp(bucket, m.appStarts, m.usedApps, resolveFileStart(c.stamp))
-	}
-	if bestApp < 0 {
-		p.unmatched = append(p.unmatched, c.Name)
-		return
-	}
-	bestStart := m.appStarts[bestApp]
-	m.usedApps[bestApp] = true
-	p.matched++
-	p.skewsMS = append(p.skewsMS, float64(bestSkew)/float64(time.Millisecond))
-	app := &m.in.Apps[bestApp]
-
-	id := p.matched
-	end := bestStart.Add(time.Duration(app.DurationSec * float64(time.Second)))
-	test := dataset.Test{
-		ID:       id,
+// test is the matched capture's test row.
+func (m *assignment) test() dataset.Test {
+	c, app := m.c, m.app
+	return dataset.Test{
+		ID:       m.id,
 		Kind:     c.kind,
 		Op:       c.op,
-		Start:    bestStart,
-		End:      end,
+		Start:    app.Start,
+		End:      app.Start.Add(time.Duration(app.DurationSec * float64(time.Second))),
 		StartOdo: c.startOdo,
 		EndOdo:   c.endOdo,
 		Server:   app.Server,
@@ -353,57 +356,15 @@ func (m *merger) reconcile(p *filePart, c *Capture) {
 		Static:   app.Static,
 		Timezone: c.timezone,
 	}
-	db.Tests = append(db.Tests, test)
-
-	for _, h := range c.handovers {
-		h.TestID = id
-		db.Handovers = append(db.Handovers, h)
-	}
-	switch test.Kind {
-	case dataset.ThroughputDL, dataset.ThroughputUL:
-		for _, s := range c.throughput {
-			s.TestID, s.Edge, s.Static = id, test.Edge, test.Static
-			db.Throughput = append(db.Throughput, s)
-		}
-	case dataset.RTTTest:
-		for _, e := range app.RTTs {
-			at := bestStart.Add(unit.DurationFromMS(e.OffsetMS))
-			s := dataset.RTTSample{
-				TestID: id, Time: at, Op: c.op,
-				RTTMS: e.RTTMS, Lost: e.Lost,
-				Edge: app.Edge, Static: app.Static,
-			}
-			if i := rowNear(len(c.rows), at, func(i int) time.Time { return c.rows[i].at }); i >= 0 {
-				r := &c.rows[i]
-				s.Tech, s.SpeedMPH, s.Odometer, s.Timezone = r.tech, r.speedMPH, r.odo, r.zone
-			}
-			db.RTT = append(db.RTT, s)
-		}
-		app.RTTs = nil
-	default:
-		db.AppRuns = append(db.AppRuns, appRun(id, test, app, c))
-	}
 }
 
-// presize sizes a file part's tables for its captures: a test and an app
-// run per capture, a handover per signal, and a throughput sample per row
-// of a throughput file. Unmatched captures make these upper bounds; RTT
-// samples come from the app logs and grow as they are met.
-func presize(db *dataset.DB, caps []*Capture) {
-	var apps, handovers, rows int
-	for _, c := range caps {
-		handovers += len(c.handovers)
-		rows += len(c.throughput)
-		switch c.kind {
-		case dataset.ThroughputDL, dataset.ThroughputUL, dataset.RTTTest:
-		default:
-			apps++
-		}
+// table returns an empty table with room for n rows, or nil for none, as
+// appending to a nil table would.
+func table[T any](n int) []T {
+	if n == 0 {
+		return nil
 	}
-	db.Tests = make([]dataset.Test, 0, len(caps))
-	db.Handovers = make([]dataset.Handover, 0, handovers)
-	db.Throughput = make([]dataset.ThroughputSample, 0, rows)
-	db.AppRuns = make([]dataset.AppRun, 0, apps)
+	return make([]T, 0, n)
 }
 
 // recordMergeStats publishes the merge outcome: how the matcher fared and
@@ -423,147 +384,32 @@ func recordMergeStats(rec *obs.Recorder, db *dataset.DB, rep Report) {
 
 // appRun is the matched app's metric fields with the rest of the row
 // set from its test and capture.
-func appRun(id int, test dataset.Test, app *AppLog, c *Capture) dataset.AppRun {
+func appRun(test *dataset.Test, app *AppLog, c *Capture) dataset.AppRun {
 	r := app.Result
-	r.TestID, r.Kind, r.Op, r.Start = id, test.Kind, test.Op, test.Start
+	r.TestID, r.Kind, r.Op, r.Start = test.ID, test.Kind, test.Op, test.Start
 	r.Compressed = app.Compressed
 	r.HighSpeedFrac, r.Edge = c.highSpeedFrac, test.Edge
 	r.Handovers, r.Static = len(c.handovers), test.Static
 	return r
 }
 
-// sortDB orders a file part's tables for reproducible output. Sorts are
-// stable and carry explicit tie-breakers: samples from different tests
-// can share a timestamp, and a sort keyed on time alone would leave
-// their relative order input-dependent. The passive table needs no
-// sort: PassiveLog.expand builds it in order.
+// sortDB orders the tables for reproducible output: tests by ID, and
+// every other table by time, ties by test ID. Rows that tie on both
+// belong to one capture, which emit copies whole and in its own order,
+// and the sorts are stable, so the order does not depend on the order
+// emit takes the captures in. The passive table needs no sort:
+// PassiveLog.expand builds it in order.
 func sortDB(db *dataset.DB) {
-	slices.SortStableFunc(db.Tests, func(a, b dataset.Test) int { return cmpBy(testLess, &a, &b) })
-	slices.SortStableFunc(db.Throughput, func(a, b dataset.ThroughputSample) int { return cmpBy(throughputLess, &a, &b) })
-	slices.SortStableFunc(db.RTT, func(a, b dataset.RTTSample) int { return cmpBy(rttLess, &a, &b) })
-	slices.SortStableFunc(db.Handovers, func(a, b dataset.Handover) int { return cmpBy(handoverLess, &a, &b) })
-	slices.SortStableFunc(db.AppRuns, func(a, b dataset.AppRun) int { return cmpBy(appRunLess, &a, &b) })
-}
-
-// cmpBy turns a strict order into the three-way comparison
-// slices.SortStableFunc takes.
-func cmpBy[T any](less func(a, b *T) bool, a, b *T) int {
-	switch {
-	case less(a, b):
-		return -1
-	case less(b, a):
-		return 1
-	}
-	return 0
-}
-
-// sortDB's orders, one per table.
-
-func testLess(a, b *dataset.Test) bool { return a.ID < b.ID }
-
-func throughputLess(a, b *dataset.ThroughputSample) bool {
-	if !a.Time.Equal(b.Time) {
-		return a.Time.Before(b.Time)
-	}
-	return a.TestID < b.TestID
-}
-
-func rttLess(a, b *dataset.RTTSample) bool {
-	if !a.Time.Equal(b.Time) {
-		return a.Time.Before(b.Time)
-	}
-	return a.TestID < b.TestID
-}
-
-func handoverLess(a, b *dataset.Handover) bool {
-	if !a.Time.Equal(b.Time) {
-		return a.Time.Before(b.Time)
-	}
-	return a.TestID < b.TestID
-}
-
-func appRunLess(a, b *dataset.AppRun) bool {
-	if !a.Start.Equal(b.Start) {
-		return a.Start.Before(b.Start)
-	}
-	return a.TestID < b.TestID
-}
-
-// offsetTestIDs renumbers a part's tests from 1..n to off+1..off+n.
-func offsetTestIDs(db *dataset.DB, off int) {
-	for i := range db.Tests {
-		db.Tests[i].ID += off
-	}
-	for i := range db.Throughput {
-		db.Throughput[i].TestID += off
-	}
-	for i := range db.RTT {
-		db.RTT[i].TestID += off
-	}
-	for i := range db.Handovers {
-		db.Handovers[i].TestID += off
-	}
-	for i := range db.AppRuns {
-		db.AppRuns[i].TestID += off
-	}
-}
-
-// mergeParts joins parts whose tables are each sorted by sortDB, with
-// test IDs already offset, into one database with every table in sortDB
-// order. It equals sortDB over the concatenation of the parts: no two
-// rows of different parts tie under sortDB's orders, as their test IDs
-// differ, so each table's order is total across parts, and a part's own
-// ties keep their order.
-func mergeParts(parts []*dataset.DB) *dataset.DB {
-	db := &dataset.DB{}
-	db.Tests = mergeSorted(parts, func(p *dataset.DB) *[]dataset.Test { return &p.Tests }, testLess)
-	db.Throughput = mergeSorted(parts, func(p *dataset.DB) *[]dataset.ThroughputSample { return &p.Throughput }, throughputLess)
-	db.RTT = mergeSorted(parts, func(p *dataset.DB) *[]dataset.RTTSample { return &p.RTT }, rttLess)
-	db.Handovers = mergeSorted(parts, func(p *dataset.DB) *[]dataset.Handover { return &p.Handovers }, handoverLess)
-	db.AppRuns = mergeSorted(parts, func(p *dataset.DB) *[]dataset.AppRun { return &p.AppRuns }, appRunLess)
-	return db
-}
-
-// mergeSorted is a k-way merge of one table across parts, each sorted by
-// less. On a tie the earlier part goes first. It drops the parts' copies
-// of the table, so they can be freed, and returns nil when every part is
-// empty, as appending to a nil table would.
-func mergeSorted[T any](parts []*dataset.DB, table func(*dataset.DB) *[]T, less func(a, b *T) bool) []T {
-	seqs := make([][]T, len(parts))
-	for i, p := range parts {
-		t := table(p)
-		seqs[i], *t = *t, nil
-	}
-	return mergeRuns(seqs, less)
-}
-
-// mergeRuns is a k-way merge of sequences, each sorted by less. On a tie
-// the earlier sequence goes first. It returns nil when every sequence is
-// empty.
-func mergeRuns[T any](seqs [][]T, less func(a, b *T) bool) []T {
-	runs := make([][]T, 0, len(seqs))
-	n := 0
-	for _, s := range seqs {
-		if len(s) > 0 {
-			runs = append(runs, s)
-			n += len(s)
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]T, 0, n)
-	for len(runs) > 1 {
-		best := 0
-		for i := 1; i < len(runs); i++ {
-			if less(&runs[i][0], &runs[best][0]) {
-				best = i
-			}
-		}
-		out = append(out, runs[best][0])
-		if runs[best] = runs[best][1:]; len(runs[best]) == 0 {
-			runs = append(runs[:best], runs[best+1:]...)
-		}
-	}
-	return append(out, runs[0]...)
+	slices.SortStableFunc(db.Throughput, func(a, b dataset.ThroughputSample) int {
+		return cmp.Or(a.Time.Compare(b.Time), cmp.Compare(a.TestID, b.TestID))
+	})
+	slices.SortStableFunc(db.RTT, func(a, b dataset.RTTSample) int {
+		return cmp.Or(a.Time.Compare(b.Time), cmp.Compare(a.TestID, b.TestID))
+	})
+	slices.SortStableFunc(db.Handovers, func(a, b dataset.Handover) int {
+		return cmp.Or(a.Time.Compare(b.Time), cmp.Compare(a.TestID, b.TestID))
+	})
+	slices.SortStableFunc(db.AppRuns, func(a, b dataset.AppRun) int {
+		return cmp.Or(a.Start.Compare(b.Start), cmp.Compare(a.TestID, b.TestID))
+	})
 }

@@ -865,38 +865,160 @@ func TestMergeRejectsMisalignedPassive(t *testing.T) {
 	}
 }
 
-// TestMergeRunsMatchesStableSort pins the k-way merge to its reference:
-// for sorted sequences of any length, empty ones included, the merge
-// equals a stable sort of the sequences' concatenation in order, so on a
-// tie the earlier sequence goes first.
-func TestMergeRunsMatchesStableSort(t *testing.T) {
-	type item struct{ key, seq, idx int }
-	less := func(a, b *item) bool { return a.key < b.key }
-	rng := simrand.New(11).Fork("merge-runs")
-	for trial := 0; trial < 300; trial++ {
-		seqs := make([][]item, rng.Intn(5))
-		var all []item
-		for s := range seqs {
-			n := rng.Intn(40)
-			flat := make([]item, n)
-			key := 0
-			for i := range flat {
-				key += rng.Intn(3) // small steps, so keys tie within and across sequences
-				flat[i] = item{key: key, seq: s, idx: i}
-			}
-			all = append(all, flat...)
-			seqs[s] = flat
+// randomInput is a merge input of random captures for all three
+// operators, from rng: tests that overlap and share instants across
+// operators, rows of one capture that share an instant, captures that
+// match no app log and app logs that match no capture. Each row carries
+// a unique marker, so a misplaced row shows. Each kind is left out with
+// probability 1/3, so some tables are empty.
+func randomInput(rng *simrand.Source) Input {
+	base := time.Date(2022, 8, 9, 17, 0, 0, 0, time.UTC)
+	var kinds []dataset.TestKind
+	for _, k := range dataset.Kinds() {
+		if rng.Intn(3) > 0 {
+			kinds = append(kinds, k)
 		}
-		slices.SortStableFunc(all, func(a, b item) int { return a.key - b.key })
-		got := mergeRuns(seqs, less)
-		if len(all) == 0 {
-			if got != nil {
-				t.Fatalf("trial %d: %d empty sequences merge to %v, want nil", trial, len(seqs), got)
-			}
-			continue
+	}
+	if len(kinds) == 0 {
+		return Input{}
+	}
+	var in Input
+	marker := 0.0
+	next := func() float64 { marker++; return marker }
+	// An instant within the test: a 10 s test's rows fall on 20 windows.
+	within := func(start time.Time) time.Time { return start.Add(time.Duration(rng.Intn(20)) * 500 * time.Millisecond) }
+	for range rng.Intn(40) {
+		op := radio.Operators()[rng.Intn(3)]
+		kind := kinds[rng.Intn(len(kinds))]
+		start := base.Add(time.Duration(rng.Intn(30)) * time.Second)
+		zone := geo.Timezone(rng.Intn(geo.NumTimezones))
+		c := Capture{
+			Name:  fmt.Sprintf("%s_%s_%s.drm", op.Short(), LabelOf(kind), start.In(zone.Location()).Format(xcal.FileNameFormat)),
+			op:    op,
+			kind:  kind,
+			stamp: start.In(zone.Location()),
+			// One capture in ten has a label outside the table.
+			labeled:  rng.Intn(10) > 0,
+			startOdo: unit.Meters(next()), endOdo: unit.Meters(next()),
+			timezone: zone, highSpeedFrac: next(),
 		}
-		if !reflect.DeepEqual(got, all) {
-			t.Fatalf("trial %d: merge of %d sequences\n got %v\nwant %v", trial, len(seqs), got, all)
+		for range rng.Intn(4) {
+			c.handovers = append(c.handovers, dataset.Handover{Time: within(start), Op: op, DurationMS: next()})
+		}
+		app := AppLog{Op: op, Kind: kind, Start: start, DurationSec: 10, Server: fmt.Sprint(next()), Edge: rng.Intn(2) == 0, Static: rng.Intn(2) == 0}
+		switch kind {
+		case dataset.ThroughputDL, dataset.ThroughputUL:
+			for range rng.Intn(30) {
+				c.throughput = append(c.throughput, dataset.ThroughputSample{Time: within(start), Op: op, Mbps: next()})
+			}
+		case dataset.RTTTest:
+			for range rng.Intn(30) {
+				app.RTTs = append(app.RTTs, RTTEntry{OffsetMS: float64(rng.Intn(20) * 500), RTTMS: next()})
+			}
+			for i := range rng.Intn(5) {
+				c.rows = append(c.rows, rowPoint{at: start.Add(time.Duration(i) * 2 * time.Second), speedMPH: next()})
+			}
+		default:
+			app.Result = dataset.AppRun{QoE: next()}
+		}
+		in.Captures = append(in.Captures, c)
+		// One capture in eight has no app log, and one app log in eight
+		// no capture.
+		if rng.Intn(8) > 0 {
+			in.Apps = append(in.Apps, app)
+		}
+		if rng.Intn(8) == 0 {
+			app.Start = app.Start.Add(time.Hour)
+			in.Apps = append(in.Apps, app)
+		}
+	}
+	return in
+}
+
+// referenceMerge is what Merge must build from in, without the passive
+// table: the captures reconciled one by one in name order, the order
+// match numbers them in, and every table sorted stably by time, ties by
+// test ID.
+func referenceMerge(in Input) *dataset.DB {
+	matches, _ := match(in.Captures, in.Apps)
+	db := &dataset.DB{}
+	for _, m := range matches {
+		c, app, test := m.c, m.app, m.test()
+		db.Tests = append(db.Tests, test)
+		for _, h := range c.handovers {
+			h.TestID = test.ID
+			db.Handovers = append(db.Handovers, h)
+		}
+		switch test.Kind {
+		case dataset.ThroughputDL, dataset.ThroughputUL:
+			for _, s := range c.throughput {
+				s.TestID, s.Edge, s.Static = test.ID, test.Edge, test.Static
+				db.Throughput = append(db.Throughput, s)
+			}
+		case dataset.RTTTest:
+			for _, e := range app.RTTs {
+				s := dataset.RTTSample{TestID: test.ID, Time: test.Start.Add(unit.DurationFromMS(e.OffsetMS)), Op: c.op, RTTMS: e.RTTMS, Lost: e.Lost, Edge: app.Edge, Static: app.Static}
+				if i := rowNear(len(c.rows), s.Time, func(i int) time.Time { return c.rows[i].at }); i >= 0 {
+					r := &c.rows[i]
+					s.Tech, s.SpeedMPH, s.Odometer, s.Timezone = r.tech, r.speedMPH, r.odo, r.zone
+				}
+				db.RTT = append(db.RTT, s)
+			}
+		default:
+			db.AppRuns = append(db.AppRuns, appRun(&test, app, c))
+		}
+	}
+	slices.SortStableFunc(db.Throughput, func(a, b dataset.ThroughputSample) int { return byTimeID(a.Time, a.TestID, b.Time, b.TestID) })
+	slices.SortStableFunc(db.RTT, func(a, b dataset.RTTSample) int { return byTimeID(a.Time, a.TestID, b.Time, b.TestID) })
+	slices.SortStableFunc(db.Handovers, func(a, b dataset.Handover) int { return byTimeID(a.Time, a.TestID, b.Time, b.TestID) })
+	slices.SortStableFunc(db.AppRuns, func(a, b dataset.AppRun) int { return byTimeID(a.Start, a.TestID, b.Start, b.TestID) })
+	return db
+}
+
+// byTimeID orders rows by time, ties by test ID.
+func byTimeID(ta time.Time, ia int, tb time.Time, ib int) int {
+	switch {
+	case ta.Before(tb):
+		return -1
+	case tb.Before(ta):
+		return 1
+	}
+	return ia - ib
+}
+
+// TestMergeMatchesStableSort pins Merge's one pass to its reference,
+// captures reconciled in name order and each table then sorted stably,
+// over random inputs. A table with no rows must stay nil, as the
+// reference's, and the others must be allocated at their exact size.
+func TestMergeMatchesStableSort(t *testing.T) {
+	rng := simrand.New(11).Fork("merge-reference")
+	empty := map[string]int{}
+	for trial := range 300 {
+		seed := rng.Int63()
+		want := referenceMerge(randomInput(simrand.New(seed)))
+		in := randomInput(simrand.New(seed))
+		got, rep := merge(t, in)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (seed %d): Merge of %d captures and %d app logs differs from the reference (%d matched)", trial, seed, len(in.Captures), len(in.Apps), rep.Matched)
+		}
+		for name, n := range map[string][2]int{
+			"tests":      {len(got.Tests), cap(got.Tests)},
+			"handovers":  {len(got.Handovers), cap(got.Handovers)},
+			"throughput": {len(got.Throughput), cap(got.Throughput)},
+			"rtt":        {len(got.RTT), cap(got.RTT)},
+			"appruns":    {len(got.AppRuns), cap(got.AppRuns)},
+		} {
+			if n[0] != n[1] {
+				t.Fatalf("trial %d: %s table has %d rows in room for %d", trial, name, n[0], n[1])
+			}
+			if n[0] == 0 {
+				empty[name]++
+			}
+		}
+	}
+	for _, name := range []string{"tests", "handovers", "throughput", "rtt", "appruns"} {
+		if empty[name] == 0 {
+			t.Errorf("no trial left the %s table empty", name)
 		}
 	}
 }

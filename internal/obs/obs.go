@@ -135,8 +135,9 @@ func (r *Recorder) Histogram(name string, bounds []float64) *Histogram {
 // StartPhase opens a named wall-clock span and returns the closure that
 // ends it. Re-entered phases accumulate. Safe from concurrent goroutines
 // (each lane times itself). Ending a phase also sets the gauge
-// mem/<name>/heap_mb to the heap in use at that moment, so a manifest
-// says where a run's memory went, phase by phase, without a GC trace.
+// mem/<name>/heap_mb to the live heap the last GC cycle marked, so a
+// manifest says where a run's memory went, phase by phase, without a GC
+// trace. It forces no GC: lanes end their phases concurrently.
 func (r *Recorder) StartPhase(name string) func() {
 	if r == nil {
 		return func() {}
@@ -147,18 +148,18 @@ func (r *Recorder) StartPhase(name string) func() {
 		r.mu.Lock()
 		r.phases[name] += d
 		r.mu.Unlock()
-		r.Gauge("mem/" + name + "/heap_mb").Set(heapInUseMB())
+		r.Gauge("mem/" + name + "/heap_mb").Set(liveHeapMB())
 	}
 }
 
-// heapObjects is the runtime/metrics name of the bytes held by heap
-// objects, live or not yet swept: MemStats.HeapAlloc, read without
-// ReadMemStats's stop-the-world.
-const heapObjects = "/memory/classes/heap/objects:bytes"
+// heapLive is the runtime/metrics name of the heap the last GC cycle
+// marked live. Unlike the heap in use (MemStats.HeapAlloc), it holds no
+// garbage that is not yet swept, and reading it does not stop the world.
+const heapLive = "/gc/heap/live:bytes"
 
-// heapInUseMB reads the heap in use, in MiB.
-func heapInUseMB() float64 {
-	s := [1]metrics.Sample{{Name: heapObjects}}
+// liveHeapMB reads the live heap, in MiB.
+func liveHeapMB() float64 {
+	s := [1]metrics.Sample{{Name: heapLive}}
 	metrics.Read(s[:])
 	if s[0].Value.Kind() != metrics.KindUint64 {
 		return 0

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -88,10 +89,13 @@ func TestPhasesAccumulate(t *testing.T) {
 }
 
 // TestPhaseRecordsHeap pins the heap gauge a phase sets when it ends:
-// present, positive, and no larger than the runtime's whole heap.
+// the live heap the last GC marked, so at least what is held after a
+// GC, no more than the runtime's whole heap, and blind to garbage
+// allocated since.
 func TestPhaseRecordsHeap(t *testing.T) {
 	r := New()
 	keep := make([]byte, 8<<20)
+	runtime.GC()
 	r.StartPhase("alloc")()
 	got := r.Snapshot().Gauges["mem/alloc/heap_mb"]
 	var ms runtime.MemStats
@@ -99,8 +103,22 @@ func TestPhaseRecordsHeap(t *testing.T) {
 	if got < 8 || got > float64(ms.HeapSys)/(1<<20) {
 		t.Errorf("mem/alloc/heap_mb = %v, want at least the 8 MiB held and at most HeapSys %v MiB", got, float64(ms.HeapSys)/(1<<20))
 	}
+
+	// 32 MiB of garbage, with the collector off so that none of it is
+	// swept before the phase ends.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for range 32 {
+		sink = make([]byte, 1<<20)
+	}
+	r.StartPhase("garbage")()
+	if got := r.Snapshot().Gauges["mem/garbage/heap_mb"]; got >= 12 {
+		t.Errorf("mem/garbage/heap_mb = %v after 32 MiB of garbage, want the live heap, below 12 MiB", got)
+	}
 	runtime.KeepAlive(keep)
 }
+
+// sink keeps the compiler from eliding a test's garbage.
+var sink []byte
 
 func TestManifestRoundTrip(t *testing.T) {
 	r := New()
