@@ -221,8 +221,15 @@ func TestMetricsPhases(t *testing.T) {
 			if _, ok := man.PhaseMS[p]; !ok {
 				t.Errorf("%s: no %s phase in %v", filepath.Base(tc.path), p, man.PhaseMS)
 			}
-			if _, ok := man.Gauges["mem/"+p+"/heap_mb"]; !ok {
-				t.Errorf("%s: no mem/%s/heap_mb gauge", filepath.Base(tc.path), p)
+			for _, g := range []string{"heap_mb", "alloc_mb"} {
+				if _, ok := man.Gauges["mem/"+p+"/"+g]; !ok {
+					t.Errorf("%s: no mem/%s/%s gauge", filepath.Base(tc.path), p, g)
+				}
+			}
+			// The runtime counts a small object once its span leaves the
+			// cache, so only a phase that allocates a lot reads above 0.
+			if got := man.Gauges["mem/"+p+"/alloc_mb"]; p == "report" && filepath.Base(tc.path) == "report-0.json" && got <= 0 {
+				t.Errorf("%s: mem/report/alloc_mb = %v, want what the full report allocated", filepath.Base(tc.path), got)
 			}
 		}
 	}

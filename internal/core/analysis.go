@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 
@@ -30,9 +31,18 @@ func renderTable(title string, header []string, rows [][]string) string {
 	return b.String()
 }
 
-func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
-func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
-func pct(v float64) string { return fmt.Sprintf("%.0f%%", 100*v) }
+// f1, f2 and pct format a table cell as fmt's %.1f, %.2f and %.0f%%
+// (of 100·v) would, -0, NaN and ±Inf included.
+func f1(v float64) string  { return formatFloat(v, 1, "") }
+func f2(v float64) string  { return formatFloat(v, 2, "") }
+func pct(v float64) string { return formatFloat(100*v, 0, "%") }
+
+// formatFloat is strconv.FormatFloat(v, 'f', prec, 64) followed by
+// suffix, built on the stack so that the string is the one allocation.
+func formatFloat(v float64, prec int, suffix string) string {
+	var buf [32]byte
+	return string(append(strconv.AppendFloat(buf[:0], v, 'f', prec, 64), suffix...))
+}
 
 // summarizeOrZero wraps stats.Summarize, returning a zero Summary for
 // empty inputs so render code stays simple.

@@ -91,6 +91,7 @@ func FigureOperatorDiversity(db *dataset.DB) OperatorDiversity {
 func operatorDiversity(v *view) OperatorDiversity {
 	out := OperatorDiversity{ByPair: map[OperatorPair]map[radio.Direction]PairDiff{}}
 	rows := v.db.Throughput
+	scratch := newRadixScratch(0) // every pair's differences sort in it
 	for _, pair := range Pairs() {
 		out.ByPair[pair] = map[radio.Direction]PairDiff{}
 		for _, dir := range radio.Directions() {
@@ -124,17 +125,17 @@ func operatorDiversity(v *view) OperatorDiversity {
 				diffs = append(diffs, a.Mbps-b.Mbps)
 				bins = append(bins, binOfPair(a.Tech, b.Tech))
 			}
-			all := newCut(diffs)
+			all := newCut(diffs, scratch)
 			pd.N = len(diffs)
 			pd.Diff = all.summary()
 			pd.FracAPositive = fracPositive(diffs)
-			for bin, c := range all.split(int(LTLT)+1, func(i int32) int { return int(bins[i]) }) {
-				if len(c.vals) == 0 {
+			for bin, c := range all.summarizeBy(int(LTLT)+1, func(i int32) int { return int(bins[i]) }) {
+				if c.N == 0 {
 					continue
 				}
-				pd.BinShare[HTLTBin(bin)] = float64(len(c.vals)) / float64(len(diffs))
-				pd.BinDiff[HTLTBin(bin)] = c.summary()
-				pd.BinFracAPositive[HTLTBin(bin)] = fracPositive(c.vals)
+				pd.BinShare[HTLTBin(bin)] = float64(c.N) / float64(len(diffs))
+				pd.BinDiff[HTLTBin(bin)] = c.Summary
+				pd.BinFracAPositive[HTLTBin(bin)] = float64(c.positive) / float64(c.N)
 			}
 			out.ByPair[pair][dir] = pd
 		}

@@ -30,17 +30,17 @@ func speedScatter(v *view) SpeedScatter {
 	// part bin·NumTechnologies + tech.
 	const nt = radio.NumTechnologies
 	key := func(speed float64, tech radio.Technology) int { return bins.Index(speed)*nt + int(tech) }
-	byBin := func(parts []cut) map[string]map[radio.Technology]stats.Summary {
+	byBin := func(parts []part) map[string]map[radio.Technology]stats.Summary {
 		m := map[string]map[radio.Technology]stats.Summary{}
 		for k := range parts {
-			if len(parts[k].vals) == 0 {
+			if parts[k].N == 0 {
 				continue
 			}
 			lbl := bins.Labels[k/nt]
 			if m[lbl] == nil {
 				m[lbl] = map[radio.Technology]stats.Summary{}
 			}
-			m[lbl][radio.Technology(k%nt)] = parts[k].summary()
+			m[lbl][radio.Technology(k%nt)] = parts[k].Summary
 		}
 		return m
 	}
@@ -48,12 +48,12 @@ func speedScatter(v *view) SpeedScatter {
 	for _, op := range radio.Operators() {
 		for _, dir := range radio.Directions() {
 			if c := v.driving(op, dir); len(c.pos) > 0 {
-				out.Tput[opDir{op, dir}] = byBin(c.split(bins.Bins()*nt,
+				out.Tput[opDir{op, dir}] = byBin(c.summarizeBy(bins.Bins()*nt,
 					func(p int32) int { return key(tput[p].SpeedMPH, tput[p].Tech) }))
 			}
 		}
 		if c := v.rttOf(op, false); len(c.pos) > 0 {
-			out.RTT[op] = byBin(c.split(bins.Bins()*nt,
+			out.RTT[op] = byBin(c.summarizeBy(bins.Bins()*nt,
 				func(p int32) int { return key(rtt[p].SpeedMPH, rtt[p].Tech) }))
 		}
 	}

@@ -135,13 +135,17 @@ func perTechnology(v *view) PerTechnology {
 	for _, op := range radio.Operators() {
 		out.Throughput[op] = map[radio.Technology]map[radio.Direction]stats.Summary{}
 		out.RTT[op] = map[radio.Technology]stats.Summary{}
-		rttByTech := v.rttOf(op, false).split(radio.NumTechnologies, func(p int32) int { return int(rtt[p].Tech) })
+		var tputByTech [radio.NumDirections][]part
+		for _, dir := range radio.Directions() {
+			tputByTech[dir] = v.driving(op, dir).summarizeBy(radio.NumTechnologies, func(p int32) int { return int(tput[p].Tech) })
+		}
+		rttByTech := v.rttOf(op, false).summarizeBy(radio.NumTechnologies, func(p int32) int { return int(rtt[p].Tech) })
 		for _, tech := range radio.Technologies() {
 			out.Throughput[op][tech] = map[radio.Direction]stats.Summary{}
 			for _, dir := range radio.Directions() {
-				out.Throughput[op][tech][dir] = v.drivingByTech(op, dir)[tech].summary()
+				out.Throughput[op][tech][dir] = tputByTech[dir][tech].Summary
 			}
-			out.RTT[op][tech] = rttByTech[tech].summary()
+			out.RTT[op][tech] = rttByTech[tech].Summary
 		}
 	}
 	// Verizon's driving rows by technology, edge first: part 2·tech+0
@@ -152,20 +156,20 @@ func perTechnology(v *view) PerTechnology {
 		}
 		return 2*int(tech) + 1
 	}
-	var vzTput [radio.NumDirections][]cut
+	var vzTput [radio.NumDirections][]part
 	for _, dir := range radio.Directions() {
-		vzTput[dir] = v.driving(radio.Verizon, dir).split(2*radio.NumTechnologies,
+		vzTput[dir] = v.driving(radio.Verizon, dir).summarizeBy(2*radio.NumTechnologies,
 			func(p int32) int { return edgeKey(tput[p].Tech, tput[p].Edge) })
 	}
-	vzRTT := v.rttOf(radio.Verizon, false).split(2*radio.NumTechnologies,
+	vzRTT := v.rttOf(radio.Verizon, false).summarizeBy(2*radio.NumTechnologies,
 		func(p int32) int { return edgeKey(rtt[p].Tech, rtt[p].Edge) })
 	for _, tech := range radio.Technologies() {
 		out.VerizonEdge[tech] = map[radio.Direction][2]stats.Summary{}
 		for _, dir := range radio.Directions() {
 			parts := vzTput[dir]
-			out.VerizonEdge[tech][dir] = [2]stats.Summary{parts[2*tech].summary(), parts[2*tech+1].summary()}
+			out.VerizonEdge[tech][dir] = [2]stats.Summary{parts[2*tech].Summary, parts[2*tech+1].Summary}
 		}
-		out.VerizonEdgeRTT[tech] = [2]stats.Summary{vzRTT[2*tech].summary(), vzRTT[2*tech+1].summary()}
+		out.VerizonEdgeRTT[tech] = [2]stats.Summary{vzRTT[2*tech].Summary, vzRTT[2*tech+1].Summary}
 	}
 	return out
 }
@@ -228,9 +232,9 @@ func timezonePerf(v *view) TimezonePerf {
 		for _, dir := range radio.Directions() {
 			k := opDir{op, dir}
 			out.Summary[k] = map[geo.Timezone]stats.Summary{}
-			byZone := v.driving(op, dir).split(geo.NumTimezones, func(p int32) int { return int(rows[p].Timezone) })
+			byZone := v.driving(op, dir).summarizeBy(geo.NumTimezones, func(p int32) int { return int(rows[p].Timezone) })
 			for tz := geo.Pacific; tz <= geo.Eastern; tz++ {
-				out.Summary[k][tz] = byZone[tz].summary()
+				out.Summary[k][tz] = byZone[tz].Summary
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -468,4 +469,22 @@ func TestAnalysisOnEmptyDB(t *testing.T) {
 	_ = FigureVideo(db).Render()
 	_ = FigureGaming(db).Render()
 	_ = FigureCoverageMaps(db, geo.DefaultRoute(), 10).Render()
+}
+
+// TestCellFormatsMatchSprintf pins f1, f2 and pct to the fmt verbs they
+// replace, on values that round both ways, -0, NaN and both infinities.
+func TestCellFormatsMatchSprintf(t *testing.T) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 0.05, -0.05, 0.25, 0.125, 0.004999, 1.005, -2.675,
+		0.355, 99.95, 123456.789, -1e-9, 1e21, 1e300, math.SmallestNonzeroFloat64, math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got, want := f1(v), fmt.Sprintf("%.1f", v); got != want {
+			t.Errorf("f1(%v) = %q, want %q", v, got, want)
+		}
+		if got, want := f2(v), fmt.Sprintf("%.2f", v); got != want {
+			t.Errorf("f2(%v) = %q, want %q", v, got, want)
+		}
+		if got, want := pct(v), fmt.Sprintf("%.0f%%", 100*v); got != want {
+			t.Errorf("pct(%v) = %q, want %q", v, got, want)
+		}
+	}
 }

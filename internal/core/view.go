@@ -18,7 +18,7 @@ import (
 // sync.Once, so that sections rendering concurrently read them without
 // locks and a single figure builds only the components it reads:
 //   - the throughput rows of each operator, direction and static/driving
-//     cut, and each driving cut's rows per technology;
+//     cut;
 //   - the non-lost RTT rows of each operator and static/driving cut;
 //   - each test's throughput and RTT rows, in test-ID order, and the
 //     per-test aggregates Figures 9 and 10 read;
@@ -27,18 +27,16 @@ import (
 //
 // A cut keeps its values twice: in table order, so that means and
 // standard deviations add up as a table scan would, and sorted once, so
-// that every quantile of the cut reads the same sort. The view indexes
-// rows by their operator, direction, technology and timezone, each one
-// of the study's: a campaign writes no other, and ReadJSON rejects a
-// row with another.
+// that every quantile of the cut reads the same sort. A finer cut, such
+// as one technology's rows of a driving cut, is only summarized, never
+// kept (cut.summarizeBy). The view indexes rows by their operator,
+// direction, technology and timezone, each one of the study's: a
+// campaign writes no other, and ReadJSON rejects a row with another.
 type view struct {
 	db *dataset.DB
 
 	tputOnce sync.Once
 	tput     [radio.NumOperators][radio.NumDirections][2]cut // [op][dir][static]
-
-	tputTechOnce sync.Once
-	tputTech     [radio.NumOperators][radio.NumDirections][]cut // driving, [op][dir][tech]
 
 	rttOnce sync.Once
 	rtt     [radio.NumOperators][2]cut // non-lost, [op][static]
@@ -50,7 +48,6 @@ type view struct {
 	means     []testMeans // per test, in ids order
 
 	kpisOnce sync.Once
-	kpiTput  [radio.NumOperators][radio.NumDirections][]float64
 	kpis     [radio.NumOperators][radio.NumDirections]map[string][]float64 // by KPIName
 
 	longOnce sync.Once
@@ -72,9 +69,9 @@ func staticIndex(static bool) int {
 // rows' positions and values in table order, and the values sorted.
 // When the values hold no NaN and no -0, values that compare equal are
 // equal bit for bit, so every sort of them gives the same sequence; a
-// cut built from a table then also ranks its rows in that order, and a
-// split reads each part's sorted values off the ranking instead of
-// sorting again.
+// cut built from a table then also ranks its rows in that order, and
+// summarizeBy reads each part's order statistics off the ranking
+// instead of sorting again.
 type cut struct {
 	pos    []int32   // row positions, in table order
 	vals   []float64 // vals[i] is row pos[i]'s value
@@ -83,13 +80,13 @@ type cut struct {
 }
 
 // newCut is the cut of every row of a column: vals[i] is row i's value.
-// It keeps vals.
-func newCut(vals []float64) cut {
+// It keeps vals, and sorts them in scratch.
+func newCut(vals []float64, scratch *radixScratch) cut {
 	pos := make([]int32, len(vals))
 	for i := range pos {
 		pos[i] = int32(i)
 	}
-	return sortedCut(pos, vals)
+	return sortedCut(pos, vals, scratch)
 }
 
 // cutsOf groups a table's rows into parts, each a cut of its own:
@@ -100,20 +97,26 @@ func cutsOf(keys []int32, parts int, val func(i int32) float64) []cut {
 	for j, i := range g.idx {
 		vals[j] = val(i)
 	}
+	// The parts sort one after another in arrays sized for the largest.
+	var largest int32
+	for k := 0; k < parts; k++ {
+		largest = max(largest, g.start[k+1]-g.start[k])
+	}
+	scratch := newRadixScratch(int(largest))
 	out := make([]cut, parts)
 	for k := range out {
 		lo, hi := g.start[k], g.start[k+1]
-		out[k] = sortedCut(g.idx[lo:hi:hi], vals[lo:hi:hi])
+		out[k] = sortedCut(g.idx[lo:hi:hi], vals[lo:hi:hi], scratch)
 	}
 	return out
 }
 
 // sortedCut is the cut of rows pos with values vals: their one sort,
-// ranked when the values are plain.
-func sortedCut(pos []int32, vals []float64) cut {
+// ranked when the values are plain, in scratch.
+func sortedCut(pos []int32, vals []float64, scratch *radixScratch) cut {
 	c := cut{pos: pos, vals: vals}
 	if plain(vals) {
-		c.ranked = radixOrder(vals)
+		c.ranked = radixOrder(vals, scratch)
 		c.sorted = make([]float64, len(vals))
 		for r, i := range c.ranked {
 			c.sorted[r] = vals[i]
@@ -139,37 +142,80 @@ func (c *cut) summary() stats.Summary {
 // included.
 func (c *cut) below(x float64) int { return sort.SearchFloat64s(c.sorted, x) }
 
-// split cuts c into parts by key of each row position, in [0, parts).
-// Each part is in table order, and its sorted values are read off c's
-// ranking or, without one, sorted. The parts are not ranked themselves.
-func (c *cut) split(parts int, key func(p int32) int) []cut {
+// part is one part of a cut split by a key of its rows, summarized
+// without being built: the Summary summarizeOrZero gives for the part's
+// values in table order, and how many of those values are above 0.
+type part struct {
+	stats.Summary
+	positive int
+}
+
+// summarizeBy splits c into parts by key of each row position, in
+// [0, parts), and summarizes each part. The mean and standard deviation
+// of a part are summed over its values in table order, as stats.MeanStd
+// sums them. Its order statistics are read off c's ranking, which
+// yields every part's values in ascending order; without a ranking, the
+// parts are gathered into one scratch array and each sorted there.
+func (c *cut) summarizeBy(parts int, key func(p int32) int) []part {
+	out := make([]part, parts)
 	keys := make([]int32, len(c.pos))
+	means := make([]float64, parts) // each part's sum, until it is counted
 	for i, p := range c.pos {
-		keys[i] = int32(key(p))
+		k := key(p)
+		keys[i] = int32(k)
+		out[k].N++
+		means[k] += c.vals[i]
+		if c.vals[i] > 0 {
+			out[k].positive++
+		}
 	}
-	g := groupRows(keys, parts) // g.of(k) are the indexes in c of part k's rows
-	pos, vals := g.idx, make([]float64, len(g.idx))
-	for j, i := range g.idx {
-		pos[j], vals[j] = c.pos[i], c.vals[i]
+	ords := make([]stats.OrderStats, parts)
+	for k := range means {
+		if out[k].N > 0 {
+			means[k] /= float64(out[k].N)
+		}
+		ords[k] = stats.NewOrderStats(out[k].N)
 	}
-	sorted := make([]float64, len(vals))
+	ss := make([]float64, parts)
+	for i, x := range c.vals {
+		d := x - means[keys[i]]
+		ss[keys[i]] += d * d
+	}
 	if c.ranked != nil {
-		next := slices.Clone(g.start[:parts])
 		for r, i := range c.ranked {
-			k := keys[i]
-			sorted[next[k]] = c.sorted[r]
-			next[k]++
+			ords[keys[i]].Add(c.sorted[r])
 		}
 	} else {
-		copy(sorted, vals)
-	}
-	out := make([]cut, parts)
-	for k := range out {
-		lo, hi := g.start[k], g.start[k+1]
-		out[k] = cut{pos: pos[lo:hi:hi], vals: vals[lo:hi:hi], sorted: sorted[lo:hi:hi]}
-		if c.ranked == nil {
-			sort.Float64s(out[k].sorted)
+		// Part k's values are sorted[start[k]:start[k+1]].
+		start := make([]int, parts+1)
+		for k := range out {
+			start[k+1] = start[k] + out[k].N
 		}
+		next := slices.Clone(start[:parts])
+		sorted := make([]float64, len(c.vals))
+		for i, x := range c.vals {
+			k := keys[i]
+			sorted[next[k]] = x
+			next[k]++
+		}
+		for k := range out {
+			vals := sorted[start[k]:start[k+1]]
+			sort.Float64s(vals)
+			for _, x := range vals {
+				ords[k].Add(x)
+			}
+		}
+	}
+	for k := range out {
+		n := out[k].N
+		if n == 0 {
+			continue
+		}
+		std := 0.0
+		if n > 1 {
+			std = math.Sqrt(ss[k] / float64(n-1))
+		}
+		out[k].Summary, _ = ords[k].Summarize(means[k], std)
 	}
 	return out
 }
@@ -184,14 +230,32 @@ func plain(vals []float64) bool {
 	return true
 }
 
+// radixScratch is radixOrder's working memory: two key arrays and an
+// index array, kept so that sorts one after another share them.
+type radixScratch struct {
+	keys, keys2 []uint64
+	idx         []int32
+}
+
+// newRadixScratch is the scratch of sorts of up to n values.
+func newRadixScratch(n int) *radixScratch {
+	return &radixScratch{make([]uint64, n), make([]uint64, n), make([]int32, n)}
+}
+
 // radixOrder returns the indexes of plain vals in ascending value order,
 // ties in index order: a least-significant-digit radix sort, a byte at
-// a time, of the values' order-preserving bit patterns.
-func radixOrder(vals []float64) []int32 {
+// a time, of the values' order-preserving bit patterns. It works in
+// scratch, which it grows to len(vals) if it is shorter; only the order
+// it returns is allocated per call.
+func radixOrder(vals []float64, scratch *radixScratch) []int32 {
 	const bits, digits = 8, 8
 	n := len(vals)
-	keys, keys2 := make([]uint64, n), make([]uint64, n)
-	idx, idx2 := make([]int32, n), make([]int32, n)
+	if len(scratch.idx) < n {
+		*scratch = *newRadixScratch(n)
+	}
+	out := make([]int32, n)
+	keys, keys2 := scratch.keys[:n], scratch.keys2[:n]
+	idx, idx2 := out, scratch.idx[:n]
 	// counts[d][v] is how many keys have value v in digit d.
 	var counts [digits][1 << bits]int32
 	for i, x := range vals {
@@ -223,7 +287,10 @@ func radixOrder(vals []float64) []int32 {
 		keys, keys2 = keys2, keys
 		idx, idx2 = idx2, idx
 	}
-	return idx
+	if n > 0 && &idx[0] != &out[0] {
+		copy(out, idx) // the last pass left the order in scratch
+	}
+	return out
 }
 
 // rowsOf holds the rows of each of a set of keys in one table, in table
@@ -283,21 +350,6 @@ func (v *view) throughput(op radio.Operator, dir radio.Direction, static bool) *
 // driving is the driving throughput cut of one operator and direction.
 func (v *view) driving(op radio.Operator, dir radio.Direction) *cut {
 	return v.throughput(op, dir, false)
-}
-
-// drivingByTech returns one operator and direction's driving throughput
-// rows per technology.
-func (v *view) drivingByTech(op radio.Operator, dir radio.Direction) []cut {
-	v.tputTechOnce.Do(func() {
-		rows := v.db.Throughput
-		for _, o := range radio.Operators() {
-			for _, d := range radio.Directions() {
-				v.tputTech[o][d] = v.driving(o, d).split(radio.NumTechnologies,
-					func(p int32) int { return int(rows[p].Tech) })
-			}
-		}
-	})
-	return v.tputTech[op][dir]
 }
 
 // rttOf returns the non-lost RTT cut of one operator and static/driving.
@@ -465,37 +517,32 @@ func (v *view) testMeansOf() []testMeans {
 
 // drivingKPIs returns the throughput of op's driving samples in dir
 // and, aligned with it, each Table 2 KPI's values keyed by name. Table
-// 2 and the multivariate fit read the same columns, gathered in one
-// pass over the table.
+// 2 and the multivariate fit read the same columns. The throughput is
+// the driving cut's values, and each KPI column is filled at its exact
+// size through the cut's rows.
 func (v *view) drivingKPIs(op radio.Operator, dir radio.Direction) (tput []float64, kpis map[string][]float64) {
 	v.kpisOnce.Do(func() {
 		rows := v.db.Throughput
-		// cols[op][dir] is throughput, then each KPI in KPINames order.
-		var cols [radio.NumOperators][radio.NumDirections][7][]float64
-		for i := range rows {
-			s := &rows[i]
-			if s.Static {
-				continue
-			}
-			c := &cols[s.Op][s.Dir]
-			c[0] = append(c[0], s.Mbps)
-			c[1] = append(c[1], s.RSRP)
-			c[2] = append(c[2], float64(s.MCS))
-			c[3] = append(c[3], float64(s.CC))
-			c[4] = append(c[4], s.BLER)
-			c[5] = append(c[5], s.SpeedMPH)
-			c[6] = append(c[6], float64(s.Handovers))
-		}
-		for o := range cols {
-			for d := range cols[o] {
-				c := &cols[o][d]
-				v.kpiTput[o][d] = c[0]
-				v.kpis[o][d] = map[string][]float64{}
-				for k, name := range KPINames() {
-					v.kpis[o][d][string(name)] = c[k+1]
+		names := KPINames()
+		for o := range v.kpis {
+			for d := range v.kpis[o] {
+				c := v.driving(radio.Operator(o), radio.Direction(d))
+				n := len(c.pos)
+				// One array holds the columns, in KPINames order.
+				all := make([]float64, len(names)*n)
+				col := func(k int) []float64 { return all[k*n : (k+1)*n : (k+1)*n] }
+				rsrp, mcs, ca, bler, speed, ho := col(0), col(1), col(2), col(3), col(4), col(5)
+				for i, p := range c.pos {
+					s := &rows[p]
+					rsrp[i], mcs[i], ca[i] = s.RSRP, float64(s.MCS), float64(s.CC)
+					bler[i], speed[i], ho[i] = s.BLER, s.SpeedMPH, float64(s.Handovers)
+				}
+				v.kpis[o][d] = make(map[string][]float64, len(names))
+				for k, name := range names {
+					v.kpis[o][d][string(name)] = col(k)
 				}
 			}
 		}
 	})
-	return v.kpiTput[op][dir], v.kpis[op][dir]
+	return v.driving(op, dir).vals, v.kpis[op][dir]
 }

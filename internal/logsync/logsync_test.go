@@ -886,7 +886,9 @@ func randomInput(rng *simrand.Source) Input {
 	marker := 0.0
 	next := func() float64 { marker++; return marker }
 	// An instant within the test: a 10 s test's rows fall on 20 windows.
-	within := func(start time.Time) time.Time { return start.Add(time.Duration(rng.Intn(20)) * 500 * time.Millisecond) }
+	within := func(start time.Time) time.Time {
+		return start.Add(time.Duration(rng.Intn(20)) * 500 * time.Millisecond)
+	}
 	for range rng.Intn(40) {
 		op := radio.Operators()[rng.Intn(3)]
 		kind := kinds[rng.Intn(len(kinds))]

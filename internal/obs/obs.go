@@ -45,6 +45,7 @@ type Recorder struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	phases   map[string]time.Duration
+	allocs   map[string]uint64 // heap bytes allocated during each phase
 	labels   map[string]string
 
 	progress *progressLoop
@@ -61,6 +62,7 @@ func New() *Recorder {
 		gauges:    map[string]*Gauge{},
 		hists:     map[string]*Histogram{},
 		phases:    map[string]time.Duration{},
+		allocs:    map[string]uint64{},
 		labels:    map[string]string{},
 	}
 }
@@ -134,37 +136,51 @@ func (r *Recorder) Histogram(name string, bounds []float64) *Histogram {
 
 // StartPhase opens a named wall-clock span and returns the closure that
 // ends it. Re-entered phases accumulate. Safe from concurrent goroutines
-// (each lane times itself). Ending a phase also sets the gauge
-// mem/<name>/heap_mb to the live heap the last GC cycle marked, so a
+// (each lane times itself). Ending a phase also sets two gauges, so a
 // manifest says where a run's memory went, phase by phase, without a GC
-// trace. It forces no GC: lanes end their phases concurrently.
+// trace: mem/<name>/heap_mb, the live heap the last GC cycle marked, and
+// mem/<name>/alloc_mb, what the process allocated on the heap over the
+// phase's spans, other goroutines' allocations included. The runtime
+// counts a small object once the span it came from leaves its P's
+// cache, so a phase that allocates less than a few hundred KiB may read
+// 0. It forces no GC: lanes end their phases concurrently.
 func (r *Recorder) StartPhase(name string) func() {
 	if r == nil {
 		return func() {}
 	}
-	begin := time.Now()
+	begin, allocs := time.Now(), readBytes(heapAllocs)
 	return func() {
 		d := time.Since(begin)
+		alloc := readBytes(heapAllocs) - allocs
 		r.mu.Lock()
 		r.phases[name] += d
+		r.allocs[name] += alloc
+		alloc = r.allocs[name]
 		r.mu.Unlock()
-		r.Gauge("mem/" + name + "/heap_mb").Set(liveHeapMB())
+		r.Gauge("mem/" + name + "/heap_mb").Set(float64(readBytes(heapLive)) / (1 << 20))
+		r.Gauge("mem/" + name + "/alloc_mb").Set(float64(alloc) / (1 << 20))
 	}
 }
 
-// heapLive is the runtime/metrics name of the heap the last GC cycle
-// marked live. Unlike the heap in use (MemStats.HeapAlloc), it holds no
-// garbage that is not yet swept, and reading it does not stop the world.
-const heapLive = "/gc/heap/live:bytes"
+// The runtime/metrics names the phase gauges read. heapLive is the heap
+// the last GC cycle marked live: unlike the heap in use
+// (MemStats.HeapAlloc), it holds no garbage that is not yet swept.
+// heapAllocs is the bytes allocated on the heap since the process
+// started. Reading either does not stop the world.
+const (
+	heapLive   = "/gc/heap/live:bytes"
+	heapAllocs = "/gc/heap/allocs:bytes"
+)
 
-// liveHeapMB reads the live heap, in MiB.
-func liveHeapMB() float64 {
-	s := [1]metrics.Sample{{Name: heapLive}}
+// readBytes reads one of the runtime's byte counts, or 0 if the runtime
+// does not keep it.
+func readBytes(name string) uint64 {
+	s := [1]metrics.Sample{{Name: name}}
 	metrics.Read(s[:])
 	if s[0].Value.Kind() != metrics.KindUint64 {
 		return 0
 	}
-	return float64(s[0].Value.Uint64()) / (1 << 20)
+	return s[0].Value.Uint64()
 }
 
 // Counter is a monotonically increasing int64, safe for concurrent use.

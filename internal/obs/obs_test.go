@@ -117,6 +117,35 @@ func TestPhaseRecordsHeap(t *testing.T) {
 	runtime.KeepAlive(keep)
 }
 
+// TestPhaseRecordsAlloc pins the allocation gauge a phase sets when it
+// ends: the heap bytes allocated over its spans, summed when it is
+// re-entered, with no GC forced.
+func TestPhaseRecordsAlloc(t *testing.T) {
+	r := New()
+	stop := r.StartPhase("alloc")
+	for range 32 {
+		sink = make([]byte, 1<<20)
+	}
+	stop()
+	// The gauge also counts what the runtime and the phase's own closure
+	// allocate, so a little over the 32 MiB is fine.
+	if got := r.Snapshot().Gauges["mem/alloc/alloc_mb"]; got < 32 || got > 33 {
+		t.Errorf("mem/alloc/alloc_mb = %v after 32 MiB allocated, want 32–33", got)
+	}
+	stop = r.StartPhase("alloc")
+	for range 16 {
+		sink = make([]byte, 1<<20)
+	}
+	stop()
+	if got := r.Snapshot().Gauges["mem/alloc/alloc_mb"]; got < 48 || got > 49 {
+		t.Errorf("mem/alloc/alloc_mb = %v after 48 MiB allocated in two spans, want 48–49", got)
+	}
+	r.StartPhase("idle")()
+	if got := r.Snapshot().Gauges["mem/idle/alloc_mb"]; got > 1 {
+		t.Errorf("mem/idle/alloc_mb = %v for a phase that allocates nothing, want under 1", got)
+	}
+}
+
 // sink keeps the compiler from eliding a test's garbage.
 var sink []byte
 

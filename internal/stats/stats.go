@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -65,20 +66,26 @@ func (c *CDF) Quantile(q float64) float64 {
 		return math.NaN()
 	}
 	c.ensureSorted()
+	return quantile(len(c.samples), q, func(i int) float64 { return c.samples[i] })
+}
+
+// quantile is the q-th quantile of n values, at(i) the i-th smallest:
+// linear interpolation between the order statistics around q·(n-1).
+func quantile(n int, q float64, at func(i int) float64) float64 {
 	if q <= 0 {
-		return c.samples[0]
+		return at(0)
 	}
 	if q >= 1 {
-		return c.samples[len(c.samples)-1]
+		return at(n - 1)
 	}
-	pos := q * float64(len(c.samples)-1)
+	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return c.samples[lo]
+		return at(lo)
 	}
 	frac := pos - float64(lo)
-	return c.samples[lo]*(1-frac) + c.samples[hi]*frac
+	return at(lo)*(1-frac) + at(hi)*frac
 }
 
 // Median is Quantile(0.5).
@@ -158,19 +165,80 @@ func SummarizeSorted(xs, sorted []float64) (Summary, error) {
 	if len(sorted) != len(xs) {
 		return Summary{}, fmt.Errorf("stats: %d sorted values for %d samples", len(sorted), len(xs))
 	}
-	c := &CDF{samples: sorted, sorted: true}
 	mean, std := MeanStd(xs)
+	return summaryOf(len(xs), mean, std, func(i int) float64 { return sorted[i] }), nil
+}
+
+// summaryOf is the Summary of n > 0 values with the given mean and
+// standard deviation, at(i) the i-th smallest.
+func summaryOf(n int, mean, std float64, at func(i int) float64) Summary {
 	return Summary{
-		N:      len(xs),
+		N:      n,
 		Mean:   mean,
 		Std:    std,
-		Min:    c.Min(),
-		P25:    c.Quantile(0.25),
-		Median: c.Median(),
-		P75:    c.Quantile(0.75),
-		P90:    c.Quantile(0.90),
-		Max:    c.Max(),
-	}, nil
+		Min:    at(0),
+		P25:    quantile(n, 0.25, at),
+		Median: quantile(n, 0.5, at),
+		P75:    quantile(n, 0.75, at),
+		P90:    quantile(n, 0.90, at),
+		Max:    at(n - 1),
+	}
+}
+
+// OrderStats keeps, of n values fed to it in ascending order, only the
+// order statistics a Summary reads, so that a sample set whose values
+// arrive sorted, and whose mean and standard deviation are summed
+// apart, is summarized without being held.
+type OrderStats struct {
+	n, seen int
+	// ranks[:kept] are the ranks summaryOf reads of n values, ascending
+	// with repeats, and vals[j] is the value of rank ranks[j] once seen;
+	// next is the first j not yet seen.
+	ranks      [10]int
+	vals       [10]float64
+	kept, next int
+}
+
+// NewOrderStats is the OrderStats of n values.
+func NewOrderStats(n int) OrderStats {
+	o := OrderStats{n: n}
+	if n > 0 {
+		// The ranks are the ones summaryOf reads, whatever they are.
+		summaryOf(n, 0, 0, func(i int) float64 {
+			o.ranks[o.kept] = i
+			o.kept++
+			return 0
+		})
+		slices.Sort(o.ranks[:o.kept])
+	}
+	return o
+}
+
+// Add feeds the next value; it must not be below the values before it,
+// as sort.Float64s orders them.
+func (o *OrderStats) Add(x float64) {
+	for o.next < o.kept && o.ranks[o.next] == o.seen {
+		o.vals[o.next] = x
+		o.next++
+	}
+	o.seen++
+}
+
+// Summarize returns the Summary of the n values, with the given mean
+// and standard deviation. Given the mean and standard deviation MeanStd
+// sums for the values in some order, it is Summarize's of them in that
+// order, bit for bit.
+func (o *OrderStats) Summarize(mean, std float64) (Summary, error) {
+	if o.n == 0 {
+		return Summary{}, ErrEmpty
+	}
+	if o.seen != o.n {
+		return Summary{}, fmt.Errorf("stats: %d of %d values added", o.seen, o.n)
+	}
+	return summaryOf(o.n, mean, std, func(i int) float64 {
+		j, _ := slices.BinarySearch(o.ranks[:o.kept], i)
+		return o.vals[j]
+	}), nil
 }
 
 // MeanStd returns Summarize(xs)'s Mean and Std, summed over xs in

@@ -341,7 +341,8 @@ func referenceSummarize(xs []float64) Summary {
 }
 
 // TestSummarizeSortedMatchesSummarize pins SummarizeSorted, given the
-// values in their original order and as sort.Float64s sorts them, and
+// values in their original order and as sort.Float64s sorts them,
+// OrderStats, fed the sorted values and given MeanStd's moments, and
 // Summarize to the reference bit for bit: on random samples with many
 // duplicates, one sample, all-equal samples, and samples holding NaN
 // and -0.
@@ -378,9 +379,17 @@ func TestSummarizeSortedMatchesSummarize(t *testing.T) {
 		if !sameBits(got, want) {
 			t.Errorf("%s: SummarizeSorted = %+v, want %+v", name, got, want)
 		}
-		if mean, std := MeanStd(xs); math.Float64bits(mean) != math.Float64bits(want.Mean) ||
+		mean, std := MeanStd(xs)
+		if math.Float64bits(mean) != math.Float64bits(want.Mean) ||
 			math.Float64bits(std) != math.Float64bits(want.Std) {
 			t.Errorf("%s: MeanStd = %v, %v; want %v, %v", name, mean, std, want.Mean, want.Std)
+		}
+		o := NewOrderStats(len(xs))
+		for _, x := range sorted {
+			o.Add(x)
+		}
+		if got, err := o.Summarize(mean, std); err != nil || !sameBits(got, want) {
+			t.Errorf("%s: OrderStats.Summarize = %+v, %v; want %+v", name, got, err, want)
 		}
 		for i := range kept {
 			if math.Float64bits(kept[i]) != math.Float64bits(sorted[i]) {
@@ -390,6 +399,15 @@ func TestSummarizeSortedMatchesSummarize(t *testing.T) {
 	}
 	if _, err := SummarizeSorted(nil, nil); err != ErrEmpty {
 		t.Errorf("empty: err = %v, want ErrEmpty", err)
+	}
+	empty := NewOrderStats(0)
+	if _, err := empty.Summarize(0, 0); err != ErrEmpty {
+		t.Errorf("empty OrderStats: err = %v, want ErrEmpty", err)
+	}
+	short := NewOrderStats(3)
+	short.Add(1)
+	if _, err := short.Summarize(1, 0); err == nil {
+		t.Error("OrderStats summarized 1 of 3 values")
 	}
 	if _, err := SummarizeSorted([]float64{1, 2}, []float64{1}); err == nil {
 		t.Error("length mismatch accepted")
