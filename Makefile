@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: fmt build test test-386 race vet bench bench-test fuzz-smoke lint lint-baseline lint-sarif lint-fixtures lint-inject-smoke smoke fleet-smoke crowd-smoke serve-smoke ci
+.PHONY: fmt build test test-386 race vet bench bench-test fuzz-smoke lint lint-sarif lint-fixtures lint-inject-smoke smoke fleet-smoke crowd-smoke serve-smoke ci
 
 # fmt fails when any Go file is not gofmt-formatted, and lists it.
 fmt:
@@ -77,18 +77,9 @@ fuzz-smoke:
 lint:
 	$(GO) run ./cmd/lintwheels ./...
 
-# lint-baseline checks findings against the checked-in ratchet file:
-# baselined findings are suppressed, stale entries fail the build, so
-# the file can only shrink. It is expected to stay empty at merge;
-# regenerate during a rule rollout with
-#   $(GO) run ./cmd/lintwheels -baseline lint-baseline.json -write-baseline ./...
-lint-baseline:
-	$(GO) run ./cmd/lintwheels -baseline lint-baseline.json ./...
-
 # lint-sarif renders the machine-readable SARIF 2.1.0 report CI uploads
 # as an artifact. Generation never fails the target — the artifact must
-# exist precisely when there are findings — lint/lint-baseline do the
-# gating.
+# exist precisely when there are findings — lint does the gating.
 lint-sarif:
 	$(GO) run ./cmd/lintwheels -format sarif -o lint.sarif ./... || true
 
@@ -163,4 +154,4 @@ serve-smoke:
 
 # lint-sarif runs before the lint gates so the artifact exists for CI
 # upload even when lint fails the build.
-ci: fmt vet build test-386 lint-sarif lint lint-baseline lint-inject-smoke race bench bench-test fuzz-smoke smoke fleet-smoke crowd-smoke serve-smoke
+ci: fmt vet build test-386 lint-sarif lint lint-inject-smoke race bench bench-test fuzz-smoke smoke fleet-smoke crowd-smoke serve-smoke

@@ -1,10 +1,12 @@
 package cellwheels
 
-// The benchmark harness regenerates every table and figure of the paper's
+// The benchmark harness regenerates the tables and figures of the paper's
 // evaluation. Each BenchmarkTableN / BenchmarkFigN builds (once) a
 // mid-size campaign dataset and then times the analysis that produces the
 // corresponding result, printing the rows/series once so `go test
-// -bench=. -v` doubles as a report generator. The Ablation benches run
+// -bench=. -v` doubles as a report generator. Figures 4-10 and 12 and the
+// multivariate fit, which core computes only for its report sections,
+// have the same benches in internal/core. The Ablation benches run
 // paired campaigns with one design choice toggled and report the effect
 // as custom metrics.
 //
@@ -107,56 +109,6 @@ func BenchmarkFig3StaticVsDriving(b *testing.B) {
 	printOnce("fig3", out.Render())
 }
 
-func BenchmarkFig4PerTechnology(b *testing.B) {
-	db := benchDB(b)
-	b.ResetTimer()
-	var out core.PerTechnology
-	for i := 0; i < b.N; i++ {
-		out = core.FigurePerTechnology(db)
-	}
-	printOnce("fig4", out.Render())
-}
-
-func BenchmarkFig5Timezone(b *testing.B) {
-	db := benchDB(b)
-	b.ResetTimer()
-	var out core.TimezonePerf
-	for i := 0; i < b.N; i++ {
-		out = core.FigureTimezone(db)
-	}
-	printOnce("fig5", out.Render())
-}
-
-func BenchmarkFig6OperatorDiversity(b *testing.B) {
-	db := benchDB(b)
-	b.ResetTimer()
-	var out core.OperatorDiversity
-	for i := 0; i < b.N; i++ {
-		out = core.FigureOperatorDiversity(db)
-	}
-	printOnce("fig6", out.Render())
-}
-
-func BenchmarkFig7SpeedScatter(b *testing.B) {
-	db := benchDB(b)
-	b.ResetTimer()
-	var out core.SpeedScatter
-	for i := 0; i < b.N; i++ {
-		out = core.FigureSpeedScatter(db)
-	}
-	printOnce("fig7+8", out.Render())
-}
-
-func BenchmarkFig8RTTSpeed(b *testing.B) {
-	// Fig 8 shares its computation with Fig 7; this bench isolates the
-	// RTT panel's cost by rendering only it.
-	db := benchDB(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.FigureSpeedScatter(db).RTT
-	}
-}
-
 func BenchmarkTable2KPICorrelation(b *testing.B) {
 	db := benchDB(b)
 	b.ResetTimer()
@@ -165,26 +117,6 @@ func BenchmarkTable2KPICorrelation(b *testing.B) {
 		out = core.TableKPICorrelation(db)
 	}
 	printOnce("table2", out.Render())
-}
-
-func BenchmarkFig9LongTimescale(b *testing.B) {
-	db := benchDB(b)
-	b.ResetTimer()
-	var out core.LongTimescale
-	for i := 0; i < b.N; i++ {
-		out = core.FigureLongTimescale(db)
-	}
-	printOnce("fig9", out.Render())
-}
-
-func BenchmarkFig10HighSpeed5GShare(b *testing.B) {
-	db := benchDB(b)
-	b.ResetTimer()
-	var out core.HighSpeedShare
-	for i := 0; i < b.N; i++ {
-		out = core.FigureHighSpeed5GShare(db)
-	}
-	printOnce("fig10", out.Render())
 }
 
 func BenchmarkTable3Ookla(b *testing.B) {
@@ -205,16 +137,6 @@ func BenchmarkFig11HandoverStats(b *testing.B) {
 		out = core.FigureHandoverStats(db)
 	}
 	printOnce("fig11", out.Render())
-}
-
-func BenchmarkFig12HandoverImpact(b *testing.B) {
-	db := benchDB(b)
-	b.ResetTimer()
-	var out core.HandoverImpact
-	for i := 0; i < b.N; i++ {
-		out = core.FigureHandoverImpact(db)
-	}
-	printOnce("fig12", out.Render())
 }
 
 func BenchmarkFig13ARApp(b *testing.B) {
@@ -286,17 +208,6 @@ func BenchmarkTable3OoklaMeasured(b *testing.B) {
 		out = core.TableOoklaMeasured(db, crowd)
 	}
 	printOnce("table3-measured", out.Render())
-}
-
-func BenchmarkMultivariate(b *testing.B) {
-	// The paper's §5.5 future work: joint OLS of throughput on all KPIs.
-	db := benchDB(b)
-	b.ResetTimer()
-	var out core.Multivariate
-	for i := 0; i < b.N; i++ {
-		out = core.AnalyzeMultivariate(db)
-	}
-	printOnce("multivariate", out.Render())
 }
 
 // --- Ablation benches: design choices DESIGN.md calls out ---

@@ -88,29 +88,21 @@ type Config struct {
 	Obs *obs.Recorder `json:"-"`
 }
 
-// fingerprint hashes the inputs that decide the output — everything
-// except the observability side channel and the worker count, which
-// change no byte of it — for the run manifest.
-func (c Config) fingerprint() string {
+// Fingerprint is the config's sha256 with Obs and Workers zeroed — the
+// value stamped into run manifests as config_sha256. It hashes the
+// inputs that decide the output; the observability side channel and the
+// worker count change no byte of it, so equal fingerprints mean
+// byte-identical runs.
+func (c Config) Fingerprint() string {
 	c.Obs = nil
 	c.Workers = 0
 	return obs.Fingerprint(c)
 }
 
-// Fingerprint is the config's sha256 with Obs and Workers zeroed — the
-// value stamped into run manifests as config_sha256. Equal fingerprints
-// mean byte-identical runs.
-func (c Config) Fingerprint() string { return c.fingerprint() }
-
-// Validate rejects configs outside the supported envelope without
-// running anything — the check Run performs first. Services use it to
-// refuse a bad job at submission time rather than at execution time.
-func (c Config) Validate() error { return c.validate() }
-
 // stamp records the config facts the manifest reports.
 func (c Config) stamp() {
 	c.Obs.SetLabel("seed", strconv.FormatInt(c.Seed, 10))
-	c.Obs.SetLabel("config_sha256", c.fingerprint())
+	c.Obs.SetLabel("config_sha256", c.Fingerprint())
 }
 
 // Load model backends for Config.LoadModel.
@@ -125,10 +117,12 @@ const (
 // would overflow time.Duration.
 const MaxAppSeconds = 3600
 
-// validate rejects configs outside the supported envelope before any
-// simulation state is built, so fleet sweeps fail fast with a clear error
-// instead of deep inside a lane.
-func (c Config) validate() error {
+// Validate rejects configs outside the supported envelope without
+// running anything — the check Run performs first, before any simulation
+// state is built, so fleet sweeps fail fast with a clear error instead of
+// deep inside a lane. Services use it to refuse a bad job at submission
+// time rather than at execution time.
+func (c Config) Validate() error {
 	switch c.LoadModel {
 	case "", LoadModelStandin, LoadModelDemand:
 	default:
@@ -188,7 +182,7 @@ type Study struct {
 
 // Run executes a campaign and consolidates its logs.
 func Run(cfg Config) (*Study, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg.stamp()

@@ -11,15 +11,13 @@
 //	lintwheels -rules list                  # list the rule suite, sorted, and exit
 //	lintwheels -rules hotalloc,hotdefer,hotbox ./...   # run a subset of rules
 //	lintwheels -format sarif -o lint.sarif ./...
-//	lintwheels -baseline lint-baseline.json ./...            # check mode
-//	lintwheels -baseline lint-baseline.json -write-baseline ./...
 //
 // Diagnostics print as "file:line:col: [rule] message", sorted by file
 // and position; -format sarif emits a machine-readable SARIF 2.1.0
-// report with the same ordering. Output is byte-identical for every
-// -workers value. The exit status is non-zero when anything is found,
-// including stale baseline entries. Intentional violations are silenced
-// at the call site with "//lint:allow <rule>[,<rule>] — reason".
+// report with the same ordering. Packages are checked on GOMAXPROCS
+// goroutines, and the output is byte-identical for any count. The exit
+// status is non-zero when anything is found. Intentional violations are
+// silenced at the call site with "//lint:allow <rule>[,<rule>] — reason".
 package main
 
 import (
@@ -38,13 +36,9 @@ import (
 
 func main() {
 	var (
-		chdir     = flag.String("C", "", "change to this directory before linting")
-		ruleSpec  = flag.String("rules", "", "comma-separated rule names to run (default all); \"list\" prints the suite and exits")
-		format    = flag.String("format", "text", "output format: text or sarif")
-		outPath   = flag.String("o", "", "write the report to this file instead of stdout")
-		baseline  = flag.String("baseline", "", "baseline file: suppress known findings, fail on stale entries")
-		writeBase = flag.Bool("write-baseline", false, "rewrite the -baseline file from current findings and exit")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "packages checked concurrently (output is identical for any value)")
+		ruleSpec = flag.String("rules", "", "comma-separated rule names to run (default all); \"list\" prints the suite and exits")
+		format   = flag.String("format", "text", "output format: text or sarif")
+		outPath  = flag.String("o", "", "write the report to this file instead of stdout")
 	)
 	flag.Parse()
 
@@ -61,11 +55,7 @@ func main() {
 		fail(err)
 	}
 
-	dir := *chdir
-	if dir == "" {
-		dir = "."
-	}
-	root, err := findModuleRoot(dir)
+	root, err := findModuleRoot(".")
 	if err != nil {
 		fail(err)
 	}
@@ -73,29 +63,12 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	diags := lint.RunWorkers(pkgs, rules, *workers)
+	diags := lint.RunWorkers(pkgs, rules, runtime.GOMAXPROCS(0))
 	// Module-relative paths keep every output stable across checkouts.
 	for i := range diags {
 		if rel, err := filepath.Rel(root, diags[i].Pos.Filename); err == nil {
 			diags[i].Pos.Filename = filepath.ToSlash(rel)
 		}
-	}
-
-	var stale []lint.BaselineEntry
-	if *baseline != "" {
-		if *writeBase {
-			if err := lint.WriteBaseline(*baseline, lint.NewBaseline(diags)); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "lintwheels: wrote %d baseline entr%s to %s\n",
-				len(diags), plural(len(diags), "y", "ies"), *baseline)
-			return
-		}
-		b, err := lint.LoadBaseline(*baseline)
-		if err != nil {
-			fail(err)
-		}
-		diags, stale = lint.ApplyBaseline(b, diags)
 	}
 
 	emit := func(out io.Writer) error {
@@ -128,19 +101,8 @@ func main() {
 		fail(err)
 	}
 
-	bad := false
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "lintwheels: %d finding(s)\n", len(diags))
-		bad = true
-	}
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "lintwheels: stale baseline entry: %s [%s] %s (count %d no longer fires)\n", e.File, e.Rule, e.Msg, e.Count)
-		bad = true
-	}
-	if len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "lintwheels: baseline %s is stale; regenerate with -write-baseline\n", *baseline)
-	}
-	if bad {
 		os.Exit(1)
 	}
 }
@@ -181,13 +143,6 @@ func selectRules(spec string) ([]lint.Rule, error) {
 		return nil, fmt.Errorf("-rules %q selects no rules; run -rules list for the suite", spec)
 	}
 	return rules, nil
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }
 
 func fail(err error) {

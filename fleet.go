@@ -369,25 +369,44 @@ func applyFleetOverrides(base Config, overrides []fleet.Override) (Config, error
 	return out, nil
 }
 
+// fleetWideMetrics and carrierMetrics are the fleet's metrics in report
+// order: the fleet-wide figures, then per carrier, as "<operator>/<name>",
+// the paper's driving medians, handover rate, and app QoE figures.
+var (
+	fleetWideMetrics = []struct {
+		name  string
+		value func(Summary) float64
+	}{
+		{"route_km", func(s Summary) float64 { return s.RouteKm }},
+		{"tests", func(s Summary) float64 { return float64(s.Tests) }},
+		{"frac_below_5mbps", func(s Summary) float64 { return s.FracBelow5Mbps }},
+	}
+	carrierMetrics = []struct {
+		name  string
+		value func(CarrierSummary) float64
+	}{
+		{"share_5g", func(c CarrierSummary) float64 { return c.Share5G }},
+		{"drive_dl_mbps", func(c CarrierSummary) float64 { return c.DrivingDLMedianMbps }},
+		{"drive_ul_mbps", func(c CarrierSummary) float64 { return c.DrivingULMedianMbps }},
+		{"drive_rtt_ms", func(c CarrierSummary) float64 { return c.DrivingRTTMedianMS }},
+		{"static_dl_mbps", func(c CarrierSummary) float64 { return c.StaticDLMedianMbps }},
+		{"ho_per_mile", func(c CarrierSummary) float64 { return c.HandoversPerMileMedian }},
+		{"video_qoe", func(c CarrierSummary) float64 { return c.VideoQoEMedian }},
+		{"gaming_mbps", func(c CarrierSummary) float64 { return c.GamingBitrateMedian }},
+	}
+)
+
 // fleetMetrics flattens a study's headline numbers into the fleet's flat
-// metric map: the fleet-wide figures plus, per carrier, the paper's
-// driving medians, handover rate, and app QoE figures.
+// metric map.
 func fleetMetrics(s Summary) fleet.Metrics {
-	m := fleet.Metrics{
-		"route_km":         s.RouteKm,
-		"tests":            float64(s.Tests),
-		"frac_below_5mbps": s.FracBelow5Mbps,
+	m := fleet.Metrics{}
+	for _, f := range fleetWideMetrics {
+		m[f.name] = f.value(s)
 	}
 	for _, c := range s.Carriers {
-		p := c.Operator + "/"
-		m[p+"share_5g"] = c.Share5G
-		m[p+"drive_dl_mbps"] = c.DrivingDLMedianMbps
-		m[p+"drive_ul_mbps"] = c.DrivingULMedianMbps
-		m[p+"drive_rtt_ms"] = c.DrivingRTTMedianMS
-		m[p+"static_dl_mbps"] = c.StaticDLMedianMbps
-		m[p+"ho_per_mile"] = c.HandoversPerMileMedian
-		m[p+"video_qoe"] = c.VideoQoEMedian
-		m[p+"gaming_mbps"] = c.GamingBitrateMedian
+		for _, f := range carrierMetrics {
+			m[c.Operator+"/"+f.name] = f.value(c)
+		}
 	}
 	return m
 }
@@ -395,19 +414,14 @@ func fleetMetrics(s Summary) fleet.Metrics {
 // fleetMetricOrder is the canonical report order of fleetMetrics' keys:
 // fleet-wide figures first, then each carrier's block in operator order.
 func fleetMetricOrder() []string {
-	order := []string{"route_km", "tests", "frac_below_5mbps"}
+	var order []string
+	for _, f := range fleetWideMetrics {
+		order = append(order, f.name)
+	}
 	for _, op := range radio.Operators() {
-		p := op.String() + "/"
-		order = append(order,
-			p+"share_5g",
-			p+"drive_dl_mbps",
-			p+"drive_ul_mbps",
-			p+"drive_rtt_ms",
-			p+"static_dl_mbps",
-			p+"ho_per_mile",
-			p+"video_qoe",
-			p+"gaming_mbps",
-		)
+		for _, f := range carrierMetrics {
+			order = append(order, op.String()+"/"+f.name)
+		}
 	}
 	return order
 }

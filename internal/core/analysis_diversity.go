@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/nuwins/cellwheels/internal/dataset"
 	"github.com/nuwins/cellwheels/internal/radio"
 	"github.com/nuwins/cellwheels/internal/stats"
 )
@@ -83,11 +82,7 @@ type OperatorDiversity struct {
 // so matched samples are nominally simultaneous.
 const concurrencyWindow = 250 * time.Millisecond
 
-// FigureOperatorDiversity computes Fig 6 from concurrent sample pairs.
-func FigureOperatorDiversity(db *dataset.DB) OperatorDiversity {
-	return operatorDiversity(newView(db))
-}
-
+// operatorDiversity computes Fig 6 from concurrent sample pairs.
 func operatorDiversity(v *view) OperatorDiversity {
 	out := OperatorDiversity{ByPair: map[OperatorPair]map[radio.Direction]PairDiff{}}
 	rows := v.db.Throughput

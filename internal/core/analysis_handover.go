@@ -98,11 +98,9 @@ type HandoverImpact struct {
 	FracT2PositiveByKind map[ran.HandoverKind]float64
 }
 
-// FigureHandoverImpact computes Fig 12 using the paper's exact window
+// handoverImpact computes Fig 12 using the paper's exact window
 // construction (§6, Fig 11c): with 500 ms samples T₁..T₅ and a handover
 // inside T₃'s window, ΔT₁ = T₃ − (T₂+T₄)/2 and ΔT₂ = (T₄+T₅)/2 − (T₁+T₂)/2.
-func FigureHandoverImpact(db *dataset.DB) HandoverImpact { return handoverImpact(newView(db)) }
-
 func handoverImpact(v *view) HandoverImpact {
 	out := HandoverImpact{
 		DeltaT1:              map[opDir]stats.Summary{},

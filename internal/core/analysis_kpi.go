@@ -17,9 +17,7 @@ type SpeedScatter struct {
 	RTT map[radio.Operator]map[string]map[radio.Technology]stats.Summary
 }
 
-// FigureSpeedScatter computes Figs 7 and 8.
-func FigureSpeedScatter(db *dataset.DB) SpeedScatter { return speedScatter(newView(db)) }
-
+// speedScatter computes Figs 7 and 8.
 func speedScatter(v *view) SpeedScatter {
 	bins := stats.SpeedBins()
 	out := SpeedScatter{
@@ -172,23 +170,4 @@ func (r KPICorrelation) Render() string {
 		}
 	}
 	return renderTable("Table 2: Pearson correlation of throughput with KPIs", header, rows)
-}
-
-// MaxAbsR reports the largest |r| across all cells — used to verify the
-// paper's "no KPI has a strong correlation with throughput".
-func (r KPICorrelation) MaxAbsR() float64 {
-	max := 0.0
-	for _, byDir := range r.R {
-		for _, m := range byDir {
-			for _, v := range m {
-				if v < 0 {
-					v = -v
-				}
-				if v > max {
-					max = v
-				}
-			}
-		}
-	}
-	return max
 }

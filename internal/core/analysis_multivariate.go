@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/nuwins/cellwheels/internal/dataset"
 	"github.com/nuwins/cellwheels/internal/radio"
 	"github.com/nuwins/cellwheels/internal/stats"
 )
@@ -20,10 +19,8 @@ type Multivariate struct {
 	Errors map[opDir]string
 }
 
-// AnalyzeMultivariate fits throughput ~ RSRP + MCS + CA + BLER + Speed +
-// HO per operator and direction over driving samples.
-func AnalyzeMultivariate(db *dataset.DB) Multivariate { return multivariate(newView(db)) }
-
+// multivariate fits throughput ~ RSRP + MCS + CA + BLER + Speed + HO
+// per operator and direction over driving samples.
 func multivariate(v *view) Multivariate {
 	out := Multivariate{
 		Fit:    map[opDir]stats.Regression{},

@@ -11,7 +11,7 @@ import (
 
 func TestAnalyzeMultivariate(t *testing.T) {
 	db := quickDB(t)
-	m := AnalyzeMultivariate(db)
+	m := multivariate(newView(db))
 	fitted := 0
 	for _, op := range radio.Operators() {
 		for _, dir := range radio.Directions() {
@@ -50,7 +50,7 @@ func TestMultivariateJointBeatsMarginals(t *testing.T) {
 	// The joint fit must explain at least as much variance as the single
 	// strongest Pearson correlation squared (in-sample OLS property).
 	db := quickDB(t)
-	m := AnalyzeMultivariate(db)
+	m := multivariate(newView(db))
 	corr := TableKPICorrelation(db)
 	for _, op := range radio.Operators() {
 		for _, dir := range radio.Directions() {
@@ -73,7 +73,7 @@ func TestMultivariateJointBeatsMarginals(t *testing.T) {
 }
 
 func TestMultivariateEmptyDB(t *testing.T) {
-	m := AnalyzeMultivariate(&dataset.DB{})
+	m := multivariate(newView(&dataset.DB{}))
 	if len(m.Fit) != 0 {
 		t.Error("fit on empty dataset")
 	}

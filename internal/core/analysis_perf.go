@@ -121,9 +121,7 @@ type PerTechnology struct {
 	VerizonEdgeRTT map[radio.Technology][2]stats.Summary
 }
 
-// FigurePerTechnology computes Fig 4.
-func FigurePerTechnology(db *dataset.DB) PerTechnology { return perTechnology(newView(db)) }
-
+// perTechnology computes Fig 4.
 func perTechnology(v *view) PerTechnology {
 	out := PerTechnology{
 		Throughput:     map[radio.Operator]map[radio.Technology]map[radio.Direction]stats.Summary{},
@@ -222,9 +220,7 @@ type TimezonePerf struct {
 	Summary map[opDir]map[geo.Timezone]stats.Summary
 }
 
-// FigureTimezone computes Fig 5.
-func FigureTimezone(db *dataset.DB) TimezonePerf { return timezonePerf(newView(db)) }
-
+// timezonePerf computes Fig 5.
 func timezonePerf(v *view) TimezonePerf {
 	out := TimezonePerf{Summary: map[opDir]map[geo.Timezone]stats.Summary{}}
 	rows := v.db.Throughput
@@ -269,9 +265,6 @@ type LongTimescale struct {
 	// RTTStdPct[op] likewise for RTT tests.
 	RTTStdPct map[radio.Operator]stats.Summary
 }
-
-// FigureLongTimescale computes Fig 9 from per-test aggregates.
-func FigureLongTimescale(db *dataset.DB) LongTimescale { return newView(db).longTimescale() }
 
 // longTimescale computes Fig 9 once per view: Table 3 reads its
 // per-test means too.
@@ -352,9 +345,7 @@ type HighSpeedShare struct {
 	RTTByBin map[radio.Operator][3]stats.Summary
 }
 
-// FigureHighSpeed5GShare computes Fig 10.
-func FigureHighSpeed5GShare(db *dataset.DB) HighSpeedShare { return highSpeed5GShare(newView(db)) }
-
+// highSpeed5GShare computes Fig 10.
 func highSpeed5GShare(v *view) HighSpeedShare {
 	out := HighSpeedShare{
 		TputByBin: map[opDir][3]stats.Summary{},

@@ -148,7 +148,7 @@ func TestFigureStaticVsDriving(t *testing.T) {
 
 func TestFigurePerTechnology(t *testing.T) {
 	db := quickDB(t)
-	r := FigurePerTechnology(db)
+	r := perTechnology(newView(db))
 	// LTE is always present.
 	anyLTE := false
 	for _, op := range radio.Operators() {
@@ -166,7 +166,7 @@ func TestFigurePerTechnology(t *testing.T) {
 
 func TestFigureTimezone(t *testing.T) {
 	db := quickDB(t)
-	r := FigureTimezone(db)
+	r := timezonePerf(newView(db))
 	// Quick campaign: everything Pacific.
 	k := opDir{radio.Verizon, radio.Downlink}
 	if r.Summary[k][geo.Pacific].N == 0 {
@@ -180,7 +180,7 @@ func TestFigureTimezone(t *testing.T) {
 
 func TestFigureOperatorDiversity(t *testing.T) {
 	db := quickDB(t)
-	r := FigureOperatorDiversity(db)
+	r := operatorDiversity(newView(db))
 	for _, pair := range Pairs() {
 		for _, dir := range radio.Directions() {
 			pd := r.ByPair[pair][dir]
@@ -207,7 +207,7 @@ func TestFigureOperatorDiversity(t *testing.T) {
 
 func TestFigureSpeedScatter(t *testing.T) {
 	db := quickDB(t)
-	r := FigureSpeedScatter(db)
+	r := speedScatter(newView(db))
 	found := false
 	for _, m := range r.Tput {
 		for _, byTech := range m {
@@ -241,8 +241,16 @@ func TestTableKPICorrelation(t *testing.T) {
 		}
 	}
 	// The paper's core finding: no KPI strongly correlates.
-	if r.MaxAbsR() > 0.85 {
-		t.Errorf("max |r| = %v; expected weak-to-medium correlations", r.MaxAbsR())
+	maxAbs := 0.0
+	for _, byDir := range r.R {
+		for _, m := range byDir {
+			for _, v := range m {
+				maxAbs = math.Max(maxAbs, math.Abs(v))
+			}
+		}
+	}
+	if maxAbs > 0.85 {
+		t.Errorf("max |r| = %v; expected weak-to-medium correlations", maxAbs)
 	}
 	if !strings.Contains(r.Render(), "Table 2") {
 		t.Error("render missing title")
@@ -263,7 +271,7 @@ func TestKPIHandoverCorrelationNearZero(t *testing.T) {
 
 func TestFigureLongTimescale(t *testing.T) {
 	db := quickDB(t)
-	r := FigureLongTimescale(db)
+	r := newView(db).longTimescale()
 	for _, op := range radio.Operators() {
 		if r.MeanTput[opDir{op, radio.Downlink}].N == 0 {
 			t.Errorf("%v: no per-test DL means", op)
@@ -281,7 +289,7 @@ func TestFigureLongTimescale(t *testing.T) {
 
 func TestFigureHighSpeed5GShare(t *testing.T) {
 	db := quickDB(t)
-	r := FigureHighSpeed5GShare(db)
+	r := highSpeed5GShare(newView(db))
 	n := 0
 	for _, arr := range r.TputByBin {
 		for _, s := range arr {
@@ -332,7 +340,7 @@ func TestFigureHandoverStats(t *testing.T) {
 
 func TestFigureHandoverImpact(t *testing.T) {
 	db := quickDB(t)
-	r := FigureHandoverImpact(db)
+	r := handoverImpact(newView(db))
 	total := 0
 	for k, sum := range r.DeltaT1 {
 		total += sum.N
@@ -454,16 +462,16 @@ func TestAnalysisOnEmptyDB(t *testing.T) {
 	_ = TableDatasetStats(db).Render()
 	_ = FigureCoverage(db).Render()
 	_ = FigureStaticVsDriving(db).Render()
-	_ = FigurePerTechnology(db).Render()
-	_ = FigureTimezone(db).Render()
-	_ = FigureOperatorDiversity(db).Render()
-	_ = FigureSpeedScatter(db).Render()
+	_ = perTechnology(newView(db)).Render()
+	_ = timezonePerf(newView(db)).Render()
+	_ = operatorDiversity(newView(db)).Render()
+	_ = speedScatter(newView(db)).Render()
 	_ = TableKPICorrelation(db).Render()
-	_ = FigureLongTimescale(db).Render()
-	_ = FigureHighSpeed5GShare(db).Render()
+	_ = newView(db).longTimescale().Render()
+	_ = highSpeed5GShare(newView(db)).Render()
 	_ = TableOoklaComparison(db).Render()
 	_ = FigureHandoverStats(db).Render()
-	_ = FigureHandoverImpact(db).Render()
+	_ = handoverImpact(newView(db)).Render()
 	_ = FigureARApp(db).Render()
 	_ = FigureCAVApp(db).Render()
 	_ = FigureVideo(db).Render()

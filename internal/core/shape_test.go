@@ -135,7 +135,7 @@ func TestShapeHandoverFrequency(t *testing.T) {
 
 func TestShapeHandoverImpactSmallAndRecovering(t *testing.T) {
 	db := shapeDB(t)
-	r := FigureHandoverImpact(db)
+	r := handoverImpact(newView(db))
 	var t1n, t1tot, t2pos, t2tot float64
 	for k, sum := range r.DeltaT1 {
 		t1n += r.FracT1Negative[k] * float64(sum.N)
@@ -160,7 +160,7 @@ func TestShapeHandoverImpactSmallAndRecovering(t *testing.T) {
 
 func TestShapeEdgeBeatsCloudForVerizon(t *testing.T) {
 	db := shapeDB(t)
-	r := FigurePerTechnology(db)
+	r := perTechnology(newView(db))
 	// §5.2: edge RTT below cloud RTT wherever both have samples.
 	better, worse := 0, 0
 	for _, tech := range radio.Technologies() {

@@ -36,7 +36,7 @@ func TestReportMatchesSections(t *testing.T) {
 	}
 }
 
-// TestFiguresRepeatable requires every exported figure and table to
+// TestFiguresRepeatable requires every figure and table to
 // hold the same values, bit for bit, on every call over one database.
 // A figure that adds floats up in map iteration order fails here.
 func TestFiguresRepeatable(t *testing.T) {
@@ -45,12 +45,12 @@ func TestFiguresRepeatable(t *testing.T) {
 		var b strings.Builder
 		for _, v := range []any{
 			TableDatasetStats(db), FigureCoverageMaps(db, geo.DefaultRoute(), 100),
-			FigureCoverage(db), FigureStaticVsDriving(db), FigurePerTechnology(db),
-			FigureTimezone(db), FigureOperatorDiversity(db), FigureSpeedScatter(db),
-			TableKPICorrelation(db), FigureLongTimescale(db), FigureHighSpeed5GShare(db),
-			TableOoklaComparison(db), FigureHandoverStats(db), FigureHandoverImpact(db),
+			FigureCoverage(db), FigureStaticVsDriving(db), perTechnology(newView(db)),
+			timezonePerf(newView(db)), operatorDiversity(newView(db)), speedScatter(newView(db)),
+			TableKPICorrelation(db), newView(db).longTimescale(), highSpeed5GShare(newView(db)),
+			TableOoklaComparison(db), FigureHandoverStats(db), handoverImpact(newView(db)),
 			FigureARApp(db), FigureCAVApp(db), FigureVideo(db), FigureGaming(db),
-			AnalyzeMultivariate(db),
+			multivariate(newView(db)),
 		} {
 			fmt.Fprintf(&b, "%#v\n", v)
 		}

@@ -32,11 +32,6 @@ const (
 	AppGaming
 )
 
-// Kinds returns all test kinds in round-robin order.
-func Kinds() []TestKind {
-	return []TestKind{ThroughputDL, ThroughputUL, RTTTest, AppAR, AppCAV, AppVideo, AppGaming}
-}
-
 // String implements fmt.Stringer.
 func (k TestKind) String() string {
 	switch k {
@@ -76,9 +71,6 @@ type Test struct {
 
 // Miles reports the distance driven during the test.
 func (t Test) Miles() float64 { return (t.EndOdo - t.StartOdo).Miles() }
-
-// Duration reports the test length.
-func (t Test) Duration() time.Duration { return t.End.Sub(t.Start) }
 
 // ThroughputSample is one 500 ms application-layer throughput interval
 // joined with the KPIs XCAL logged in the same window.
@@ -130,9 +122,6 @@ type Handover struct {
 	ToTech     radio.Technology
 	Odometer   unit.Meters
 }
-
-// Vertical reports whether the handover crossed the 4G/5G boundary.
-func (h Handover) Vertical() bool { return h.FromTech.Is5G() != h.ToTech.Is5G() }
 
 // AppRun is one application test run's QoE summary. Fields not relevant
 // to the app kind are zero.
@@ -201,16 +190,6 @@ type DB struct {
 	Passive    []CoverageSample
 }
 
-// TestByID finds a test by ID, or nil.
-func (db *DB) TestByID(id int) *Test {
-	for i := range db.Tests {
-		if db.Tests[i].ID == id {
-			return &db.Tests[i]
-		}
-	}
-	return nil
-}
-
 // ThroughputWhere returns samples matching the predicate.
 func (db *DB) ThroughputWhere(keep func(ThroughputSample) bool) []ThroughputSample {
 	var out []ThroughputSample
@@ -228,17 +207,6 @@ func (db *DB) TestsWhere(keep func(Test) bool) []Test {
 	for _, t := range db.Tests {
 		if keep(t) {
 			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// RTTValues extracts the RTT values (ms) of non-lost samples.
-func RTTValues(samples []RTTSample) []float64 {
-	var out []float64
-	for _, s := range samples {
-		if !s.Lost {
-			out = append(out, s.RTTMS)
 		}
 	}
 	return out

@@ -53,11 +53,8 @@ func sampleDB() *DB {
 }
 
 func TestTestKindStrings(t *testing.T) {
-	if len(Kinds()) != 7 {
-		t.Errorf("Kinds() = %d, want 7", len(Kinds()))
-	}
 	seen := map[string]bool{}
-	for _, k := range Kinds() {
+	for k := ThroughputDL; k <= AppGaming; k++ {
 		s := k.String()
 		if s == "" || strings.HasPrefix(s, "TestKind(") {
 			t.Errorf("kind %d has bad label %q", int(k), s)
@@ -72,28 +69,8 @@ func TestTestKindStrings(t *testing.T) {
 func TestTestHelpers(t *testing.T) {
 	db := sampleDB()
 	tt := db.Tests[0]
-	if got := tt.Duration(); got != 30*time.Second {
-		t.Errorf("Duration = %v", got)
-	}
 	if got := tt.Miles(); got <= 0 || got > 1 {
 		t.Errorf("Miles = %v", got)
-	}
-	if db.TestByID(1) == nil || db.TestByID(1).Kind != ThroughputDL {
-		t.Error("TestByID(1) wrong")
-	}
-	if db.TestByID(99) != nil {
-		t.Error("TestByID(99) should be nil")
-	}
-}
-
-func TestHandoverVertical(t *testing.T) {
-	h := Handover{FromTech: radio.NRMid, ToTech: radio.LTEA}
-	if !h.Vertical() {
-		t.Error("5G->4G not vertical")
-	}
-	h2 := Handover{FromTech: radio.LTE, ToTech: radio.LTEA}
-	if h2.Vertical() {
-		t.Error("4G->4G marked vertical")
 	}
 }
 
@@ -109,7 +86,7 @@ func TestFilters(t *testing.T) {
 	}
 	vertical := 0
 	for _, h := range db.Handovers {
-		if h.Vertical() {
+		if h.FromTech.Is5G() != h.ToTech.Is5G() {
 			vertical++
 		}
 	}
@@ -124,14 +101,6 @@ func TestFilters(t *testing.T) {
 	}
 	if ar != 1 {
 		t.Errorf("%d AR runs, want 1", ar)
-	}
-}
-
-func TestValueExtraction(t *testing.T) {
-	db := sampleDB()
-	rs := RTTValues(db.RTT)
-	if len(rs) != 1 || rs[0] != 63.5 {
-		t.Errorf("RTTValues = %v (lost samples must be excluded)", rs)
 	}
 }
 

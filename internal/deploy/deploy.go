@@ -55,9 +55,6 @@ type Fragment struct {
 	End   unit.Meters
 }
 
-// Len reports the fragment length.
-func (f Fragment) Len() unit.Meters { return f.End - f.Start }
-
 // Cell is one deployed cell site.
 type Cell struct {
 	ID       string
@@ -371,20 +368,6 @@ func (m *Map) AvailableWithin(odo, window unit.Meters) TechSet {
 // Fragments returns the coverage fragments of a technology.
 func (m *Map) Fragments(t radio.Technology) []Fragment {
 	return append([]Fragment(nil), m.fragments[t]...)
-}
-
-// Cells returns the cell sites of a technology, ordered by odometer.
-func (m *Map) Cells(t radio.Technology) []Cell {
-	return append([]Cell(nil), m.cells[t]...)
-}
-
-// TotalCells reports the operator's total site count across technologies.
-func (m *Map) TotalCells() int {
-	n := 0
-	for _, t := range radio.Technologies() {
-		n += len(m.cells[t])
-	}
-	return n
 }
 
 // CellRange reports the half-open index range [lo, hi) of sites of

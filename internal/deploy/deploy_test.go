@@ -21,6 +21,15 @@ func testMaps(t *testing.T) map[radio.Operator]*Map {
 	return out
 }
 
+// totalCells reports m's site count across technologies.
+func totalCells(m *Map) int {
+	n := 0
+	for _, t := range radio.Technologies() {
+		n += len(m.cells[t])
+	}
+	return n
+}
+
 func TestTechSet(t *testing.T) {
 	var s TechSet
 	if s.Has(radio.NRMid) {
@@ -35,13 +44,6 @@ func TestTechSet(t *testing.T) {
 	}
 	if got := TechSet(0).Best(); got != radio.LTE {
 		t.Errorf("empty Best = %v, want LTE", got)
-	}
-}
-
-func TestFragmentLen(t *testing.T) {
-	f := Fragment{Start: 100, End: 350}
-	if f.Len() != 250 {
-		t.Errorf("Len = %v", f.Len())
 	}
 }
 
@@ -141,7 +143,7 @@ func TestCoverageIsFragmented(t *testing.T) {
 			t.Errorf("%v: only %d midband fragments; coverage should be fragmented", op, len(frags))
 		}
 		for _, f := range frags {
-			if f.Len() <= 0 {
+			if f.End <= f.Start {
 				t.Errorf("%v: degenerate fragment %+v", op, f)
 			}
 		}
@@ -212,12 +214,12 @@ func TestCellCountsMatchTable1Scale(t *testing.T) {
 	// Table 1: 3020 (V), 4038 (T), 3150 (A) unique cells connected. Site
 	// counts should be of that order of magnitude.
 	for op, m := range maps {
-		n := m.TotalCells()
+		n := totalCells(m)
 		if n < 800 || n > 9000 {
 			t.Errorf("%v: %d cells; implausible scale", op, n)
 		}
 	}
-	if maps[radio.TMobile].TotalCells() <= maps[radio.Verizon].TotalCells() {
+	if totalCells(maps[radio.TMobile]) <= totalCells(maps[radio.Verizon]) {
 		t.Log("note: T-Mobile usually has most cells (wider 5G); not fatal")
 	}
 }
@@ -227,7 +229,7 @@ func TestCellsSortedWithSaneFields(t *testing.T) {
 	seen := map[string]bool{}
 	for op, m := range maps {
 		for _, tech := range radio.Technologies() {
-			cells := m.Cells(tech)
+			cells := m.cells[tech]
 			for i, c := range cells {
 				if i > 0 && c.Odometer < cells[i-1].Odometer {
 					t.Fatalf("%v/%v: cells unsorted at %d", op, tech, i)
@@ -252,7 +254,7 @@ func TestCellsSortedWithSaneFields(t *testing.T) {
 
 func TestCellsNearWindow(t *testing.T) {
 	m := testMaps(t)[radio.Verizon]
-	cells := m.Cells(radio.LTE)
+	cells := m.cells[radio.LTE]
 	if len(cells) == 0 {
 		t.Fatal("no LTE cells")
 	}
@@ -282,8 +284,8 @@ func TestMapDeterministic(t *testing.T) {
 	route := geo.DefaultRoute()
 	a := NewMap(radio.TMobile, route, simrand.New(5))
 	b := NewMap(radio.TMobile, route, simrand.New(5))
-	if a.TotalCells() != b.TotalCells() {
-		t.Fatalf("cell counts differ: %d vs %d", a.TotalCells(), b.TotalCells())
+	if totalCells(a) != totalCells(b) {
+		t.Fatalf("cell counts differ: %d vs %d", totalCells(a), totalCells(b))
 	}
 	fa, fb := a.Fragments(radio.NRMid), b.Fragments(radio.NRMid)
 	if len(fa) != len(fb) {

@@ -58,7 +58,7 @@ func mapDigest(m *Map) string {
 			putFloat(float64(f.Start))
 			putFloat(float64(f.End))
 		}
-		cells := m.Cells(t)
+		cells := m.cells[t]
 		putInt(int64(len(cells)))
 		for _, c := range cells {
 			putInt(int64(len(c.ID)))

@@ -37,9 +37,6 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{root: dir}, nil
 }
 
-// Root reports the store's directory.
-func (s *Store) Root() string { return s.root }
-
 func (s *Store) blobPath(digest string) string {
 	return filepath.Join(s.root, "blobs", digest)
 }
@@ -51,23 +48,6 @@ func (s *Store) Has(digest string) bool {
 	}
 	_, err := os.Stat(s.blobPath(digest))
 	return err == nil
-}
-
-// Get returns a stored blob's bytes, re-verifying them against the
-// digest — disk corruption surfaces as ErrDigestMismatch, not as silent
-// bad data folded into a report.
-func (s *Store) Get(digest string) ([]byte, error) {
-	if !validDigest(digest) {
-		return nil, fmt.Errorf("fleetsync: bad digest %q", digest)
-	}
-	data, err := os.ReadFile(s.blobPath(digest))
-	if err != nil {
-		return nil, err
-	}
-	if Digest(data) != digest {
-		return nil, fmt.Errorf("%w (stored blob %s)", ErrDigestMismatch, digest)
-	}
-	return data, nil
 }
 
 // Put stores a blob, verifying it first. Storing the same blob twice is

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -199,9 +200,12 @@ func TestWorkerSkipsRunsCollectorHas(t *testing.T) {
 	}
 	// Every synced run is stored under its digest and verifies.
 	for _, h := range man.Have {
-		data, err := col.store.Get(h.Digest)
+		data, err := os.ReadFile(col.store.blobPath(h.Digest))
 		if err != nil {
 			t.Fatalf("stored run %s: %v", h.Digest, err)
+		}
+		if Digest(data) != h.Digest {
+			t.Fatalf("stored run %s: %v", h.Digest, ErrDigestMismatch)
 		}
 		art, err := DecodeArtifact(data)
 		if err != nil {

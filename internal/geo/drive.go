@@ -68,12 +68,6 @@ type DriveState struct {
 	Done     bool
 }
 
-// LocalTime renders the state's instant in the local timezone of the
-// vehicle's position.
-func (s DriveState) LocalTime() time.Time {
-	return s.Time.In(s.Waypoint.Timezone.Location())
-}
-
 // Drive advances a vehicle along a route with a region-dependent speed
 // process: smooth wander around the region's target speed, full stops at
 // urban lights, and overnight jumps between trip days.
@@ -109,14 +103,8 @@ func NewDrive(r *Route, cfg DriveConfig, rng *simrand.Source) *Drive {
 // State reports the current state without advancing.
 func (d *Drive) State() DriveState { return d.state }
 
-// Hold advances simulated time by dt with the vehicle stationary, for
+// hold advances simulated time by dt with the vehicle stationary, for
 // static baseline tests in cities.
-func (d *Drive) Hold(dt time.Duration) DriveState {
-	d.hold(dt)
-	return d.state
-}
-
-// hold is Hold in place: it updates d.state without returning a copy.
 func (d *Drive) hold(dt time.Duration) {
 	d.state.Time = d.state.Time.Add(dt)
 	d.state.Speed = 0

@@ -112,15 +112,16 @@ func TestDriveHold(t *testing.T) {
 	d := testDrive(t, 7)
 	d.Step(time.Second)
 	before := d.State()
-	after := d.Hold(30 * time.Second)
+	d.hold(30 * time.Second)
+	after := d.State()
 	if got := after.Time.Sub(before.Time); got != 30*time.Second {
-		t.Errorf("Hold advanced %v, want 30s", got)
+		t.Errorf("hold advanced %v, want 30s", got)
 	}
 	if after.Odometer != before.Odometer {
-		t.Error("Hold moved the vehicle")
+		t.Error("hold moved the vehicle")
 	}
 	if after.Speed != 0 {
-		t.Error("Hold left nonzero speed")
+		t.Error("hold left nonzero speed")
 	}
 }
 
@@ -163,7 +164,7 @@ func TestDriveDoneIsSticky(t *testing.T) {
 func TestDriveLocalTime(t *testing.T) {
 	d := testDrive(t, 9)
 	s := d.Step(time.Second)
-	local := s.LocalTime()
+	local := s.Time.In(s.Waypoint.Timezone.Location())
 	if local.Hour() != 9 {
 		t.Errorf("local start hour = %d, want 9", local.Hour())
 	}
@@ -178,7 +179,7 @@ func TestDriveDailyRestartHour(t *testing.T) {
 	for !d.State().Done {
 		s := d.Step(2 * time.Second)
 		if s.Day != prevDay {
-			local := s.LocalTime()
+			local := s.Time.In(s.Waypoint.Timezone.Location())
 			if local.Hour() != 9 {
 				t.Errorf("day %d restart at local hour %d, want 9", s.Day, local.Hour())
 			}

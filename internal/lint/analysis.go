@@ -109,15 +109,6 @@ type goSpawn struct {
 	captured []*types.Var
 }
 
-// Summary exposes a function's computed facts to rules and tests.
-func (a *Analysis) Summary(fn *types.Func) (returnsTaint bool, why string, writesGlobals []*types.Var) {
-	fi := a.byObj[origin(fn)]
-	if fi == nil {
-		return false, "", nil
-	}
-	return fi.returnsTaint, fi.why, sortedVars(fi.writesGlobals)
-}
-
 // Callees returns fn's resolved module-internal callees in source order
 // of first call.
 func (a *Analysis) Callees(fn *types.Func) []*types.Func {

@@ -32,6 +32,17 @@ func findFunc(t *testing.T, pkgs []*Package, rel, recv, name string) *types.Func
 	return nil
 }
 
+// factsOf returns the engine's summary of fn, failing the test when the
+// engine has none.
+func factsOf(t *testing.T, a *Analysis, fn *types.Func) *funcInfo {
+	t.Helper()
+	fi := a.byObj[origin(fn)]
+	if fi == nil {
+		t.Fatalf("no summary for %s", fn.FullName())
+	}
+	return fi
+}
+
 // TestAnalysisTaintSummaries pins the taint half of the interprocedural
 // engine against the timetaint mini-module: taint enters at time.Since,
 // flows through an unexported helper, and surfaces in Elapsed's summary
@@ -41,20 +52,20 @@ func TestAnalysisTaintSummaries(t *testing.T) {
 	pkgs := loadModuleFixtureT(t, "timetaint")
 	a := Analyze(pkgs)
 
-	tainted, why, _ := a.Summary(findFunc(t, pkgs, "internal/obs", "Recorder", "Elapsed"))
-	if !tainted {
+	elapsed := factsOf(t, a, findFunc(t, pkgs, "internal/obs", "Recorder", "Elapsed"))
+	if !elapsed.returnsTaint {
 		t.Fatal("Elapsed not summarized as returning taint")
 	}
-	if want := "Elapsed ← sinceStart ← time.Since"; why != want {
-		t.Errorf("Elapsed provenance = %q, want %q", why, want)
+	if want := "Elapsed ← sinceStart ← time.Since"; elapsed.why != want {
+		t.Errorf("Elapsed provenance = %q, want %q", elapsed.why, want)
 	}
 
 	for _, name := range []string{"Add", "Ticks", "Stamp"} {
-		if tainted, why, _ := a.Summary(findFunc(t, pkgs, "internal/obs", "Recorder", name)); tainted {
-			t.Errorf("%s summarized as returning taint (%s); counter surface must stay clean", name, why)
+		if fi := factsOf(t, a, findFunc(t, pkgs, "internal/obs", "Recorder", name)); fi.returnsTaint {
+			t.Errorf("%s summarized as returning taint (%s); counter surface must stay clean", name, fi.why)
 		}
 	}
-	if tainted, _, _ := a.Summary(findFunc(t, pkgs, "internal/obs", "", "New")); tainted {
+	if factsOf(t, a, findFunc(t, pkgs, "internal/obs", "", "New")).returnsTaint {
 		t.Error("New summarized as returning taint; a recorder value is not a clock reading")
 	}
 }
@@ -65,6 +76,9 @@ func TestAnalysisGlobalWrites(t *testing.T) {
 	pkgs := loadModuleFixtureT(t, "globalmut")
 	a := Analyze(pkgs)
 
+	writes := func(rel, name string) []*types.Var {
+		return sortedVars(factsOf(t, a, findFunc(t, pkgs, rel, "", name)).writesGlobals)
+	}
 	names := func(vars []*types.Var) map[string]bool {
 		m := map[string]bool{}
 		for _, v := range vars {
@@ -73,12 +87,12 @@ func TestAnalysisGlobalWrites(t *testing.T) {
 		return m
 	}
 
-	_, _, bump := a.Summary(findFunc(t, pkgs, "internal/obs", "", "Bump"))
+	bump := writes("internal/obs", "Bump")
 	if !names(bump)["hits"] {
 		t.Errorf("Bump writesGlobals = %v, want hits", bump)
 	}
 
-	_, _, record := a.Summary(findFunc(t, pkgs, "internal/sim", "", "Record"))
+	record := writes("internal/sim", "Record")
 	got := names(record)
 	for _, want := range []string{"runCount", "lookup", "hits"} {
 		if !got[want] {
@@ -86,10 +100,10 @@ func TestAnalysisGlobalWrites(t *testing.T) {
 		}
 	}
 
-	if _, _, snap := a.Summary(findFunc(t, pkgs, "internal/obs", "", "Snapshot")); len(snap) != 0 {
+	if snap := writes("internal/obs", "Snapshot"); len(snap) != 0 {
 		t.Errorf("Snapshot writesGlobals = %v, want none (read-only)", snap)
 	}
-	if _, _, gen := a.Summary(findFunc(t, pkgs, "internal/sim", "", "Gen")); len(gen) != 0 {
+	if gen := writes("internal/sim", "Gen"); len(gen) != 0 {
 		t.Errorf("Gen writesGlobals = %v, want none (read-only)", gen)
 	}
 }

@@ -132,21 +132,6 @@ func (a *Analysis) siteBlocks(s blockSite) (desc string, ok bool) {
 	return "call to " + shortFuncName(s.fn) + " (" + cf.blocksWhy + ")", true
 }
 
-// Blocking exposes the blocks summary bit and its provenance (tests).
-func (a *Analysis) Blocking(fn *types.Func) (bool, string) {
-	fi := a.byObj[origin(fn)]
-	if fi == nil {
-		return false, ""
-	}
-	return fi.blocks, fi.blocksWhy
-}
-
-// ReceivesCancel exposes the cancel-observation summary bit (tests).
-func (a *Analysis) ReceivesCancel(fn *types.Func) bool {
-	fi := a.byObj[origin(fn)]
-	return fi != nil && fi.receivesCancel
-}
-
 // litConc computes a spawned closure's facts on demand: its own subtree
 // (nested closures included — they usually run via defer — but nested
 // spawns excluded) plus its resolved callees' summaries.

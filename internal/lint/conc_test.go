@@ -12,22 +12,22 @@ func TestConcSummaries(t *testing.T) {
 		a := Analyze(pkgs)
 		rel := "internal/fixture/goleak"
 
-		blocks, why := a.Blocking(findFunc(t, pkgs, rel, "", "pump"))
-		if !blocks {
+		pump := factsOf(t, a, findFunc(t, pkgs, rel, "", "pump"))
+		if !pump.blocks {
 			t.Fatal("pump not summarized as blocking")
 		}
-		if want := "time.Sleep"; why != want {
-			t.Errorf("pump provenance = %q, want %q", why, want)
+		if want := "time.Sleep"; pump.blocksWhy != want {
+			t.Errorf("pump provenance = %q, want %q", pump.blocksWhy, want)
 		}
-		if a.ReceivesCancel(findFunc(t, pkgs, rel, "", "pump")) {
+		if pump.receivesCancel {
 			t.Error("pump observes no signal but is summarized as cancelable")
 		}
 
-		joined := findFunc(t, pkgs, rel, "", "joined")
-		if blocks, _ := a.Blocking(joined); !blocks {
+		joined := factsOf(t, a, findFunc(t, pkgs, rel, "", "joined"))
+		if !joined.blocks {
 			t.Error("joined (Sleep) not summarized as blocking")
 		}
-		if !a.ReceivesCancel(joined) {
+		if !joined.receivesCancel {
 			t.Error("joined signals wg.Done but is not summarized as cancelable")
 		}
 	})
@@ -37,12 +37,12 @@ func TestConcSummaries(t *testing.T) {
 		a := Analyze(pkgs)
 		rel := "internal/fixture/lockhold"
 
-		blocks, why := a.Blocking(findFunc(t, pkgs, rel, "S", "Push"))
-		if !blocks {
+		push := factsOf(t, a, findFunc(t, pkgs, rel, "S", "Push"))
+		if !push.blocks {
 			t.Fatal("Push not summarized as blocking through its callee")
 		}
-		if want := "S.flush ← channel send"; why != want {
-			t.Errorf("Push provenance = %q, want %q", why, want)
+		if want := "S.flush ← channel send"; push.blocksWhy != want {
+			t.Errorf("Push provenance = %q, want %q", push.blocksWhy, want)
 		}
 	})
 }

@@ -102,7 +102,7 @@ func TestParseAllow(t *testing.T) {
 // unknown rule, missing reason, and a directive two lines away do not.
 func TestDirectiveSuppression(t *testing.T) {
 	p := loadFixtureT(t, "directive")
-	diags := Run([]*Package{p}, AllRules())
+	diags := RunWorkers([]*Package{p}, AllRules(), 1)
 
 	byRule := map[string]int{}
 	var lines []int
@@ -126,7 +126,7 @@ func TestDirectiveSuppression(t *testing.T) {
 // directive that fails to parse leaves the underlying finding visible.
 func TestMalformedDirectiveNeverSuppresses(t *testing.T) {
 	p := loadFixtureT(t, "directive")
-	diags := Run([]*Package{p}, AllRules())
+	diags := RunWorkers([]*Package{p}, AllRules(), 1)
 
 	// Collect the lines carrying malformed directives; each must also
 	// carry (or precede) a surviving nondet finding.

@@ -118,22 +118,6 @@ func (a *Analysis) propagateHot() {
 	}
 }
 
-// HotPath exposes the hotness facts to rules and tests: whether fn is on
-// a hot path and the call chain back to its root (innermost first).
-func (a *Analysis) HotPath(fn *types.Func) (hot bool, why string) {
-	fi := a.byObj[origin(fn)]
-	if fi == nil {
-		return false, ""
-	}
-	return fi.hot, fi.hotWhy
-}
-
-// ColdMarked reports whether fn carries a //lint:cold barrier (tests).
-func (a *Analysis) ColdMarked(fn *types.Func) bool {
-	fi := a.byObj[origin(fn)]
-	return fi != nil && fi.cold
-}
-
 // shortFuncName renders a function for provenance chains: "Advance" for
 // package-level functions, "Registry.Advance" for methods — short enough
 // to chain, unambiguous enough to find.

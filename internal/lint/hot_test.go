@@ -44,27 +44,27 @@ func TestHotPropagation(t *testing.T) {
 	pkgs := loadModuleFixtureT(t, "hotalloc")
 	a := Analyze(pkgs)
 
-	run := findFunc(t, pkgs, "internal/engine", "", "Run")
-	if hot, why := a.HotPath(run); !hot || why != "Run" {
-		t.Errorf("Run hot=%v why=%q, want hot root with chain \"Run\"", hot, why)
+	run := factsOf(t, a, findFunc(t, pkgs, "internal/engine", "", "Run"))
+	if !run.hot || run.hotWhy != "Run" {
+		t.Errorf("Run hot=%v why=%q, want hot root with chain \"Run\"", run.hot, run.hotWhy)
 	}
 
-	step := findFunc(t, pkgs, "internal/engine", "", "step")
-	if hot, why := a.HotPath(step); !hot || why != "step ← Run" {
-		t.Errorf("step hot=%v why=%q, want \"step ← Run\"", hot, why)
+	step := factsOf(t, a, findFunc(t, pkgs, "internal/engine", "", "step"))
+	if !step.hot || step.hotWhy != "step ← Run" {
+		t.Errorf("step hot=%v why=%q, want \"step ← Run\"", step.hot, step.hotWhy)
 	}
 
-	grow := findFunc(t, pkgs, "internal/helper", "", "Grow")
-	if hot, why := a.HotPath(grow); !hot || why != "Grow ← step ← Run" {
-		t.Errorf("Grow hot=%v why=%q, want cross-package chain \"Grow ← step ← Run\"", hot, why)
+	grow := factsOf(t, a, findFunc(t, pkgs, "internal/helper", "", "Grow"))
+	if !grow.hot || grow.hotWhy != "Grow ← step ← Run" {
+		t.Errorf("Grow hot=%v why=%q, want cross-package chain \"Grow ← step ← Run\"", grow.hot, grow.hotWhy)
 	}
 
-	cold := findFunc(t, pkgs, "internal/helper", "", "Cold")
-	if hot, _ := a.HotPath(cold); hot {
+	cold := factsOf(t, a, findFunc(t, pkgs, "internal/helper", "", "Cold"))
+	if cold.hot {
 		t.Error("Cold marked hot despite //lint:cold barrier")
 	}
-	if !a.ColdMarked(cold) {
-		t.Error("ColdMarked(Cold) = false, want true")
+	if !cold.cold {
+		t.Error("Cold carries no //lint:cold barrier in its summary")
 	}
 }
 
@@ -87,7 +87,7 @@ func TestHotColdBarrierTransitive(t *testing.T) {
 // findings only in hot functions, never in Cold's body.
 func TestHotRulesRespectColdFixture(t *testing.T) {
 	pkgs := loadModuleFixtureT(t, "hotalloc")
-	diags := Run(pkgs, []Rule{HotAllocRule{}, HotDeferRule{}, HotBoxRule{}})
+	diags := RunWorkers(pkgs, []Rule{HotAllocRule{}, HotDeferRule{}, HotBoxRule{}}, 1)
 	for _, d := range diags {
 		if d.Rule == DirectiveRule {
 			t.Errorf("malformed directive in fixture: %v", d)

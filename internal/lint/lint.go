@@ -138,15 +138,10 @@ func RuleNames() []string {
 	return names
 }
 
-// Run applies rules to every package, resolves //lint:allow directives,
-// and returns the surviving diagnostics sorted by file, position, rule,
-// and message — so linter output is itself deterministic.
-func Run(pkgs []*Package, rules []Rule) []Diagnostic {
-	return RunWorkers(pkgs, rules, 1)
-}
-
-// RunWorkers is Run with per-package checks fanned out over workers
-// goroutines. Results are slot-addressed by package index and the
+// RunWorkers applies rules to every package, resolves //lint:allow
+// directives, and returns the surviving diagnostics sorted by file,
+// position, rule, and message. Per-package checks fan out over workers
+// goroutines; their results are slot-addressed by package index and the
 // interprocedural pass is single-threaded, so the output is byte-
 // identical for every worker count — the same property the linter
 // enforces on the simulation.

@@ -12,11 +12,18 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/*/expected.txt goldens")
 
+// loadFixture typechecks one standalone fixture directory (stdlib imports
+// only), presenting it to rules as if it lived at module-relative dir
+// rel — so path-scoped rules can be exercised from testdata.
+func loadFixture(dir, rel string) (*Package, error) {
+	return loadPackage(stdImporter{}, dir, "fixture/"+filepath.Base(dir), rel)
+}
+
 // loadFixtureT loads one fixture dir, presenting it at a module-relative
 // path under internal/ so path-scoped rules apply.
 func loadFixtureT(t *testing.T, name string) *Package {
 	t.Helper()
-	p, err := LoadFixture(filepath.Join("testdata", name), "internal/fixture/"+filepath.ToSlash(name))
+	p, err := loadFixture(filepath.Join("testdata", name), "internal/fixture/"+filepath.ToSlash(name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +102,7 @@ func TestRuleFixtures(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join("testdata", tc.name)
-			diags := Run(loadFixturePkgsT(t, tc.name), tc.rules)
+			diags := RunWorkers(loadFixturePkgsT(t, tc.name), tc.rules, 1)
 			if tc.own && !slices.ContainsFunc(diags, func(d Diagnostic) bool { return d.Rule == tc.name }) {
 				t.Errorf("fixture %s produces no %s findings", dir, tc.name)
 			}
@@ -135,7 +142,7 @@ func TestConcurrentLoads(t *testing.T) {
 				pkgs, err = LoadModule(dir)
 			} else {
 				var p *Package
-				p, err = LoadFixture(dir, "internal/fixture/"+r.Name())
+				p, err = loadFixture(dir, "internal/fixture/"+r.Name())
 				pkgs = []*Package{p}
 			}
 			if err != nil {
@@ -147,7 +154,7 @@ func TestConcurrentLoads(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if got := render(dir, Run(pkgs, []Rule{r})); got != string(want) {
+			if got := render(dir, RunWorkers(pkgs, []Rule{r}, 1)); got != string(want) {
 				t.Errorf("%s: concurrent load differs from its golden:\n%s", r.Name(), got)
 			}
 		}(r)
@@ -181,19 +188,19 @@ func TestFixturesExerciseEveryRule(t *testing.T) {
 func TestNondetObsExemption(t *testing.T) {
 	dir := filepath.Join("testdata", "nondetobs")
 
-	asObs, err := LoadFixture(dir, "internal/obs")
+	asObs, err := loadFixture(dir, "internal/obs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diags := Run([]*Package{asObs}, []Rule{NondetRule{}}); len(diags) != 0 {
+	if diags := RunWorkers([]*Package{asObs}, []Rule{NondetRule{}}, 1); len(diags) != 0 {
 		t.Errorf("internal/obs not exempt from nondet: %v", diags)
 	}
 
-	asOther, err := LoadFixture(dir, "internal/notobs")
+	asOther, err := loadFixture(dir, "internal/notobs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run([]*Package{asOther}, []Rule{NondetRule{}})
+	diags := RunWorkers([]*Package{asOther}, []Rule{NondetRule{}}, 1)
 	if len(diags) != 2 {
 		t.Fatalf("control package produced %d nondet findings, want 2 (time.Now, time.Since): %v", len(diags), diags)
 	}
@@ -212,11 +219,11 @@ func TestNondetObsExemption(t *testing.T) {
 // presented at the internal/fleet path and must produce findings.
 func TestNondetFleetNotExempt(t *testing.T) {
 	dir := filepath.Join("testdata", "nondetobs")
-	asFleet, err := LoadFixture(dir, "internal/fleet")
+	asFleet, err := loadFixture(dir, "internal/fleet")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run([]*Package{asFleet}, []Rule{NondetRule{}})
+	diags := RunWorkers([]*Package{asFleet}, []Rule{NondetRule{}}, 1)
 	if len(diags) != 2 {
 		t.Fatalf("internal/fleet produced %d nondet findings, want 2 (time.Now, time.Since): %v", len(diags), diags)
 	}
@@ -235,11 +242,11 @@ func TestNondetFleetNotExempt(t *testing.T) {
 // must produce findings.
 func TestNondetUENotExempt(t *testing.T) {
 	dir := filepath.Join("testdata", "nondetobs")
-	asUE, err := LoadFixture(dir, "internal/ue")
+	asUE, err := loadFixture(dir, "internal/ue")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run([]*Package{asUE}, []Rule{NondetRule{}})
+	diags := RunWorkers([]*Package{asUE}, []Rule{NondetRule{}}, 1)
 	if len(diags) != 2 {
 		t.Fatalf("internal/ue produced %d nondet findings, want 2 (time.Now, time.Since): %v", len(diags), diags)
 	}
@@ -257,7 +264,7 @@ func TestDiagnosticOrdering(t *testing.T) {
 	p1 := loadFixtureT(t, filepath.Join("ordering", "p1"))
 	p2 := loadFixtureT(t, filepath.Join("ordering", "p2"))
 
-	diags := Run([]*Package{p2, p1}, AllRules()) // deliberately reversed
+	diags := RunWorkers([]*Package{p2, p1}, AllRules(), 1) // deliberately reversed
 	if len(diags) == 0 {
 		t.Fatal("ordering fixtures produced no diagnostics")
 	}
@@ -303,37 +310,44 @@ func TestLoadModuleSelf(t *testing.T) {
 	if len(pkgs) != 1 || pkgs[0].Rel != "internal/lint" {
 		t.Fatalf("LoadModule(./internal/lint) = %d pkgs, want exactly internal/lint", len(pkgs))
 	}
-	if diags := Run(pkgs, AllRules()); len(diags) != 0 {
+	if diags := RunWorkers(pkgs, AllRules(), 1); len(diags) != 0 {
 		t.Errorf("internal/lint is not lint-clean: %v", diags)
 	}
 }
 
-// TestModuleConcurrencyClean pins the PR-series contract for the
-// concurrency/resource layer: the whole module runs clean under the
-// four rules, with the checked-in baseline EMPTY — every real finding
-// was fixed or reason-annotated at the site, not swept into the
-// ratchet file.
-func TestModuleConcurrencyClean(t *testing.T) {
+var (
+	selfOnce sync.Once
+	selfPkgs []*Package
+	selfRoot string
+	selfErr  error
+)
+
+// loadSelf loads and type-checks the whole module once, for every test
+// that reads it.
+func loadSelf(t *testing.T) ([]*Package, string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
+	selfOnce.Do(func() {
+		selfRoot, selfErr = filepath.Abs(filepath.Join("..", ".."))
+		if selfErr == nil {
+			selfPkgs, selfErr = LoadModule(selfRoot)
+		}
+	})
+	if selfErr != nil {
+		t.Fatal(selfErr)
 	}
-	bl, err := LoadBaseline(filepath.Join(root, "lint-baseline.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(bl.Entries); n != 0 {
-		t.Errorf("lint-baseline.json carries %d entries; the concurrency rules must hold with an empty baseline", n)
-	}
-	pkgs, err := LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return selfPkgs, selfRoot
+}
+
+// TestModuleConcurrencyClean pins the contract for the concurrency and
+// resource layer: the whole module runs clean under the four rules —
+// every real finding was fixed or reason-annotated at the site.
+func TestModuleConcurrencyClean(t *testing.T) {
+	pkgs, root := loadSelf(t)
 	rules := []Rule{GoLeakRule{}, CtxFlowRule{}, LockHoldRule{}, ResLeakRule{}}
-	if diags := Run(pkgs, rules); len(diags) != 0 {
+	if diags := RunWorkers(pkgs, rules, 1); len(diags) != 0 {
 		t.Errorf("module is not clean under the concurrency/resource rules:\n%s", render(root, diags))
 	}
 }
@@ -371,7 +385,7 @@ func TestRunWorkersByteIdentical(t *testing.T) {
 // rules it names.
 func TestDirectiveCrossPackageSuppression(t *testing.T) {
 	pkgs := loadModuleFixtureT(t, "directiveipa")
-	diags := Run(pkgs, AllRules())
+	diags := RunWorkers(pkgs, AllRules(), 1)
 
 	byRule := map[string]int{}
 	for _, d := range diags {

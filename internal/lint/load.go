@@ -24,12 +24,11 @@ import (
 
 // The process shares one standard-library importer and one file set.
 // The source importer type-checks each GOROOT package once and caches
-// it, so every LoadModule and LoadFixture after the first reuses that
-// work instead of checking the standard library again. Every load
-// positions its files in stdFset; a position renders the same
-// file:line:col in any file set, and token.FileSet is safe for
-// concurrent use. The source importer is not, so every call into it
-// holds stdMu.
+// it, so every load after the first reuses that work instead of
+// checking the standard library again. Every load positions its files
+// in stdFset; a position renders the same file:line:col in any file
+// set, and token.FileSet is safe for concurrent use. The source
+// importer is not, so every call into it holds stdMu.
 var (
 	stdFset = token.NewFileSet()
 	stdMu   sync.Mutex
@@ -232,13 +231,6 @@ func LoadModule(root string, patterns ...string) ([]*Package, error) {
 		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
-}
-
-// LoadFixture typechecks one standalone fixture directory (stdlib imports
-// only), presenting it to rules as if it lived at module-relative dir
-// rel — so path-scoped rules can be exercised from testdata.
-func LoadFixture(dir, rel string) (*Package, error) {
-	return loadPackage(stdImporter{}, dir, "fixture/"+filepath.Base(dir), rel)
 }
 
 // packageDirs walks the module tree and returns the module-relative dirs

@@ -12,7 +12,7 @@ import (
 // location. The document is round-tripped through a schemaless decode so
 // the assertions check the serialized JSON, not our own structs.
 func TestSARIFShape(t *testing.T) {
-	diags := Run(loadFixturePkgsT(t, "units"), []Rule{UnitsRule{}})
+	diags := RunWorkers(loadFixturePkgsT(t, "units"), []Rule{UnitsRule{}}, 1)
 	if len(diags) == 0 {
 		t.Fatal("units fixture produced no diagnostics")
 	}
@@ -80,7 +80,7 @@ func TestSARIFShape(t *testing.T) {
 // TestSARIFStable pins that the SARIF report is a pure function of the
 // diagnostics — rendering twice gives identical bytes.
 func TestSARIFStable(t *testing.T) {
-	diags := Run(loadFixturePkgsT(t, "units"), []Rule{UnitsRule{}})
+	diags := RunWorkers(loadFixturePkgsT(t, "units"), []Rule{UnitsRule{}}, 1)
 	s1, err := SARIFReport(diags, AllRules())
 	if err != nil {
 		t.Fatal(err)

@@ -13,15 +13,17 @@
 // and each second the passive loggers log, into records the moment they
 // are logged: a capture's rows carry their instants, so nothing in that
 // step depends on the match. Merge then makes one pass over the matches:
-// it matches the captures to application logs in name order, copies each
-// matched capture's records into tables allocated at their exact size,
-// and sorts each table once, consuming its input as it goes.
+// it matches the captures to application logs, copies each matched
+// capture's records into tables allocated at their exact size, and sorts
+// each table once, consuming its input as it goes.
 //
 // The matcher never sees test identifiers: like the real pipeline, it has
-// only operator, test kind, and timestamps to go on. Matching a capture
-// means trying each of the four candidate timezones for its stamp and
-// accepting the interpretation that lines up with an application log of
-// the same operator and kind.
+// only operator, test kind, and timestamps to go on. A capture's rows
+// carry UTC instants, so its first row says when its test started; only
+// a capture with no rows falls back to its name stamp, read in each of
+// the four candidate timezones. Either way the capture matches the
+// application log of the same operator and kind that starts closest to
+// that instant, and the assignment is the same in any capture order.
 package logsync
 
 import (
@@ -92,8 +94,9 @@ func kindOf(label string) (dataset.TestKind, bool) {
 	return 0, false
 }
 
-// matchTolerance is the maximum skew accepted between a file-name stamp
-// (under some zone interpretation) and an app log's start.
+// matchTolerance is the maximum skew accepted between a capture's start
+// (its first row, or its name stamp under some zone interpretation) and
+// an app log's start.
 const matchTolerance = 3 * time.Second
 
 // resolveFileStart tries all four timezones and reports the UTC
@@ -132,16 +135,17 @@ type Report struct {
 }
 
 // Merge matches the normalised captures to their app logs and builds
-// the consolidated database in one pass over the matches: match
-// numbers the tests in name order, emit copies each matched capture's
-// records into tables allocated once at their exact size, and sortDB
-// puts every table in its final order. PassiveLog.expand builds the
-// passive table meanwhile, the one task that runs concurrently.
+// the consolidated database in one pass over the matches: match pairs
+// captures with app logs and numbers the tests in name order, emit
+// copies each matched capture's records into tables allocated once at
+// their exact size, and sortDB puts every table in its final order.
+// PassiveLog.expand builds the passive table meanwhile, the one task
+// that runs concurrently.
 //
 // Merge consumes its Input: it drops every capture's handover,
-// throughput and row tables, and each matched app log's RTT entries,
-// once the tables are built, and each chunk of the passive log once it
-// is expanded. An Input is merged once. The error reports a passive log
+// throughput and row tables, and each matched app log's RTT entries, as
+// soon as it has copied them or found them unmatched, and each chunk of
+// the passive log once it is expanded. An Input is merged once. The error reports a passive log
 // whose columns do not line up with its seconds (PassiveLog.check);
 // Merge then returns before it consumes anything.
 func Merge(in Input) (*dataset.DB, Report, error) {
@@ -154,17 +158,15 @@ func Merge(in Input) (*dataset.DB, Report, error) {
 	go func() { passive <- in.Passive.expand(passiveOps, seconds) }()
 
 	matches, rep := match(in.Captures, in.Apps)
-	// Skew between a file-name stamp (best zone interpretation) and the
-	// matched app log, in ms — the quantity matchTolerance bounds.
+	// Skew between a capture's start and its matched app log's start, in
+	// ms — the quantity matchTolerance bounds. The start is the first
+	// row's instant, or for a capture with no rows the name stamp's
+	// closest zone reading.
 	skew := in.Obs.Histogram("logsync/skew_ms", []float64{1, 10, 100, 1000, 3000})
 	for _, m := range matches {
 		skew.Observe(float64(m.skew) / float64(time.Millisecond))
 	}
 	db := emit(matches)
-	for i := range in.Captures {
-		c := &in.Captures[i]
-		c.handovers, c.throughput, c.rows = nil, nil, nil
-	}
 	sortDB(db)
 	db.Passive = <-passive
 	db.Meta = in.Meta
@@ -181,12 +183,18 @@ type assignment struct {
 	skew time.Duration
 }
 
-// match is the name matcher. It takes the captures in name order, gives
-// each the app log matchApp picks, and numbers the matched ones 1..n in
-// that order. The report lists the unmatched files in name order.
+// match pairs captures with app logs. A capture's start is its first
+// row's instant; a capture with no rows, a test cut off in its first
+// 500 ms, is read at its name stamp in each of the four zones. Every
+// (capture, app log) pair of one operator and kind whose starts lie
+// within matchTolerance is a candidate, and the candidates are taken in
+// ascending skew, ties by capture name and then app index, each capture
+// and each app log at most once. The assignment is therefore the same in
+// any capture order. match numbers the matched captures 1..n in name
+// order, and the report lists the unmatched files in name order. It
+// drops the tables of every capture it leaves unmatched.
 func match(captures []Capture, apps []AppLog) ([]assignment, Report) {
 	starts := make([]time.Time, len(apps))
-	used := make([]bool, len(apps))
 	// A file only ever matches an app log of its own operator and kind,
 	// so the matcher searches that bucket of app indices.
 	buckets := map[appKey][]int{}
@@ -195,11 +203,10 @@ func match(captures []Capture, apps []AppLog) ([]assignment, Report) {
 		k := appKey{a.Op, a.Kind}
 		buckets[k] = append(buckets[k], i)
 	}
-	// Each bucket is ordered by start, ties by index (the buckets are
-	// built in ascending index order, and the sort is stable), so
-	// matchApp can search a window of it.
+	// Each bucket is ordered by start, so the candidates of one reading
+	// are a window of it.
 	for _, bucket := range buckets {
-		slices.SortStableFunc(bucket, func(a, b int) int { return starts[a].Compare(starts[b]) })
+		slices.SortFunc(bucket, func(a, b int) int { return starts[a].Compare(starts[b]) })
 	}
 	caps := make([]*Capture, len(captures))
 	for i := range captures {
@@ -207,19 +214,49 @@ func match(captures []Capture, apps []AppLog) ([]assignment, Report) {
 	}
 	slices.SortStableFunc(caps, func(a, b *Capture) int { return strings.Compare(a.Name, b.Name) })
 
-	var rep Report
-	matches := make([]assignment, 0, len(caps))
-	for _, c := range caps {
-		app, skew := -1, time.Duration(0)
-		if c.labeled {
-			app, skew = matchApp(buckets[appKey{c.op, c.kind}], starts, used, resolveFileStart(c.stamp))
-		}
-		if app < 0 {
-			rep.UnmatchedFiles = append(rep.UnmatchedFiles, c.Name)
+	var cands []candidate
+	for ci, c := range caps {
+		if !c.labeled {
 			continue
 		}
-		used[app] = true
-		matches = append(matches, assignment{c: c, app: &apps[app], id: len(matches) + 1, skew: skew})
+		readings := []time.Time{c.first}
+		if c.first.IsZero() {
+			zones := resolveFileStart(c.stamp)
+			readings = zones[:]
+		}
+		bucket := buckets[appKey{c.op, c.kind}]
+		for _, r := range readings {
+			for _, a := range window(bucket, starts, r) {
+				skew := starts[a].Sub(r)
+				if skew < 0 {
+					skew = -skew
+				}
+				cands = append(cands, candidate{capture: ci, app: a, skew: skew})
+			}
+		}
+	}
+	slices.SortFunc(cands, func(a, b candidate) int {
+		return cmp.Or(cmp.Compare(a.skew, b.skew), cmp.Compare(a.capture, b.capture), cmp.Compare(a.app, b.app))
+	})
+	taken := make([]*candidate, len(caps))
+	used := make([]bool, len(apps))
+	for i := range cands {
+		k := &cands[i]
+		if taken[k.capture] == nil && !used[k.app] {
+			taken[k.capture], used[k.app] = k, true
+		}
+	}
+
+	var rep Report
+	matches := make([]assignment, 0, len(caps))
+	for ci, c := range caps {
+		k := taken[ci]
+		if k == nil {
+			rep.UnmatchedFiles = append(rep.UnmatchedFiles, c.Name)
+			c.handovers, c.throughput, c.rows = nil, nil, nil
+			continue
+		}
+		matches = append(matches, assignment{c: c, app: &apps[k.app], id: len(matches) + 1, skew: k.skew})
 	}
 	rep.Matched = len(matches)
 	for _, u := range used {
@@ -230,6 +267,13 @@ func match(captures []Capture, apps []AppLog) ([]assignment, Report) {
 	return matches, rep
 }
 
+// candidate is a capture, by its position in name order, that could
+// match an app log, and the skew between their starts.
+type candidate struct {
+	capture, app int
+	skew         time.Duration
+}
+
 // appKey buckets app logs by what a file name can match: operator and
 // kind.
 type appKey struct {
@@ -237,42 +281,16 @@ type appKey struct {
 	kind dataset.TestKind
 }
 
-// matchApp picks the app log a file name matches: among the unused apps
-// of bucket within matchTolerance of one of the name's zone readings,
-// the one with the least skew, ties to the lowest index. It reports -1
-// when there is none. That is the app a scan of the whole bucket in
-// ascending index order picks, keeping the first strictly smaller skew;
-// the bucket, ordered by (start, index), lets each reading c visit only
-// the window [c − matchTolerance, c + matchTolerance] of it.
-func matchApp(bucket []int, starts []time.Time, used []bool, readings [4]time.Time) (int, time.Duration) {
-	bestApp, bestSkew := -1, matchTolerance+1
-	for _, c := range readings {
-		lo, hi := c.Add(-matchTolerance), c.Add(matchTolerance)
-		// The first bucket position starting at or after lo.
-		i, j := 0, len(bucket)
-		for i < j {
-			h := int(uint(i+j) >> 1)
-			if starts[bucket[h]].Before(lo) {
-				i = h + 1
-			} else {
-				j = h
-			}
-		}
-		for ; i < len(bucket) && !starts[bucket[i]].After(hi); i++ {
-			a := bucket[i]
-			if used[a] {
-				continue
-			}
-			skew := starts[a].Sub(c)
-			if skew < 0 {
-				skew = -skew
-			}
-			if skew < bestSkew || skew == bestSkew && a < bestApp {
-				bestSkew, bestApp = skew, a
-			}
-		}
+// window returns the part of bucket, which is ordered by start, whose
+// apps start within matchTolerance of at.
+func window(bucket []int, starts []time.Time, at time.Time) []int {
+	lo, hi := at.Add(-matchTolerance), at.Add(matchTolerance)
+	i, _ := slices.BinarySearchFunc(bucket, lo, func(a int, t time.Time) int { return starts[a].Compare(t) })
+	j := i
+	for j < len(bucket) && !starts[bucket[j]].After(hi) {
+		j++
 	}
-	return bestApp, bestSkew
+	return bucket[i:j]
 }
 
 // emit builds the matched captures' tables: the tests in ID order, and
@@ -281,8 +299,8 @@ func matchApp(bucket []int, starts []time.Time, used []bool, readings [4]time.Ti
 // one test at a time, so that leaves sortDB little more to do than
 // interleave the three phones' rows. Each table is allocated once at
 // its exact size, and a table with no rows stays nil. It drops each
-// matched app log's RTT entries, and leaves matches in the order it
-// took them.
+// capture's tables and each matched app log's RTT entries once it has
+// copied them, and leaves matches in the order it took them.
 func emit(matches []assignment) *dataset.DB {
 	db := &dataset.DB{Tests: table[dataset.Test](len(matches))}
 	var handovers, throughput, rtt, appRuns int
@@ -336,6 +354,7 @@ func emit(matches []assignment) *dataset.DB {
 		default:
 			db.AppRuns = append(db.AppRuns, appRun(test, app, c))
 		}
+		c.handovers, c.throughput, c.rows = nil, nil, nil
 	}
 	return db
 }

@@ -107,7 +107,7 @@ func chunks[T any](rows []xcal.LoggerRow, size int, conv func(*xcal.LoggerRow) T
 }
 
 func TestLabelRoundTrip(t *testing.T) {
-	for _, k := range dataset.Kinds() {
+	for k := dataset.ThroughputDL; k <= dataset.AppGaming; k++ {
 		l := LabelOf(k)
 		if l == "" {
 			t.Errorf("no label for %v", k)
@@ -288,7 +288,7 @@ func TestMergeHandoverSignals(t *testing.T) {
 	if h.FromTech != radio.NRMid || h.ToTech != radio.LTEA || h.DurationMS != 53 {
 		t.Errorf("handover = %+v", h)
 	}
-	if !h.Vertical() {
+	if h.FromTech.Is5G() == h.ToTech.Is5G() {
 		t.Error("5G->4G not vertical")
 	}
 	// The 500 ms window containing the HO must count it.
@@ -636,10 +636,11 @@ func nameIdentity(t *testing.T, name string) (radio.Operator, dataset.TestKind, 
 	if len(parts) != 4 {
 		t.Fatalf("malformed file name %q", name)
 	}
-	op, ok := radio.ParseOperatorShort(parts[0])
-	if !ok {
+	i := slices.IndexFunc(radio.Operators(), func(o radio.Operator) bool { return o.Short() == parts[0] })
+	if i < 0 {
 		t.Fatalf("unknown operator in %q", name)
 	}
+	op := radio.Operators()[i]
 	kind, ok := kindOf(parts[1])
 	if !ok {
 		t.Fatalf("unknown label in %q", name)
@@ -660,7 +661,7 @@ func TestCaptureIdentityMatchesName(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	base := time.Date(2022, 8, 8, 16, 0, 0, 0, time.UTC)
 	for _, op := range radio.Operators() {
-		for _, kind := range dataset.Kinds() {
+		for kind := dataset.ThroughputDL; kind <= dataset.AppGaming; kind++ {
 			for z := geo.Pacific; z <= geo.Eastern; z++ {
 				for range 20 {
 					at := base.Add(time.Duration(rng.Int63n(int64(8 * 24 * time.Hour))))
@@ -751,9 +752,9 @@ func TestMergeCrossOperatorTies(t *testing.T) {
 	}
 }
 
-// consumingInput is an input with a capture of every table kind, an app
-// log with RTT entries, and a passive log of two seconds for each
-// operator: everything Merge consumes.
+// consumingInput is an input with a capture of every table kind, a
+// capture no app log matches, an app log with RTT entries, and a passive
+// log of two seconds for each operator: everything Merge consumes.
 func consumingInput(t *testing.T) Input {
 	t.Helper()
 	start := time.Date(2022, 8, 9, 17, 0, 0, 0, time.UTC)
@@ -773,6 +774,7 @@ func consumingInput(t *testing.T) Input {
 		Captures: captures(
 			makeFile(t, radio.ATT, "DL", start, odo, radio.LTEA, 30),
 			makeFile(t, radio.ATT, "RTT", rtt, odo, radio.LTEA, 0),
+			makeFile(t, radio.TMobile, "DL", start, odo, radio.LTE, 30),
 		),
 		Apps: []AppLog{
 			{Op: radio.ATT, Kind: dataset.ThroughputDL, Start: start, DurationSec: 10},
@@ -783,9 +785,9 @@ func consumingInput(t *testing.T) Input {
 }
 
 // TestMergeConsumesInput pins Merge's ownership of its Input: a merge
-// drops every capture's tables, every matched app log's RTT entries and
-// every chunk of the passive log, and what it builds is what a merge of
-// an equal Input builds, with every row in place.
+// drops every capture's tables, matched or not, every matched app log's
+// RTT entries and every chunk of the passive log, and what it builds is
+// what a merge of an equal Input builds, with every row in place.
 func TestMergeConsumesInput(t *testing.T) {
 	in := consumingInput(t)
 	for _, c := range in.Captures {
@@ -825,7 +827,7 @@ func TestMergeConsumesInput(t *testing.T) {
 	for _, p := range db.Passive {
 		passive = append(passive, p.CellID)
 	}
-	if rep.Matched != 2 || len(db.Throughput) != 20 || len(db.RTT) != 2 || db.RTT[0].Tech != radio.LTEA ||
+	if rep.Matched != 2 || len(rep.UnmatchedFiles) != 1 || len(db.Throughput) != 20 || len(db.RTT) != 2 || db.RTT[0].Tech != radio.LTEA ||
 		fmt.Sprint(passive) != "[V-0 T-0 A-0 V-1 T-1 A-1]" {
 		t.Errorf("merge matched %d, with %d throughput samples, RTT samples %+v and passive rows %v", rep.Matched, len(db.Throughput), db.RTT, passive)
 	}
@@ -871,10 +873,10 @@ func TestMergeRejectsMisalignedPassive(t *testing.T) {
 // match no app log and app logs that match no capture. Each row carries
 // a unique marker, so a misplaced row shows. Each kind is left out with
 // probability 1/3, so some tables are empty.
-func randomInput(rng *simrand.Source) Input {
+func randomInput(rng *rand.Rand) Input {
 	base := time.Date(2022, 8, 9, 17, 0, 0, 0, time.UTC)
 	var kinds []dataset.TestKind
-	for _, k := range dataset.Kinds() {
+	for k := dataset.ThroughputDL; k <= dataset.AppGaming; k++ {
 		if rng.Intn(3) > 0 {
 			kinds = append(kinds, k)
 		}
@@ -997,8 +999,8 @@ func TestMergeMatchesStableSort(t *testing.T) {
 	empty := map[string]int{}
 	for trial := range 300 {
 		seed := rng.Int63()
-		want := referenceMerge(randomInput(simrand.New(seed)))
-		in := randomInput(simrand.New(seed))
+		want := referenceMerge(randomInput(rand.New(rand.NewSource(seed))))
+		in := randomInput(rand.New(rand.NewSource(seed)))
 		got, rep := merge(t, in)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (seed %d): Merge of %d captures and %d app logs differs from the reference (%d matched)", trial, seed, len(in.Captures), len(in.Apps), rep.Matched)

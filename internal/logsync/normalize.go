@@ -30,8 +30,11 @@ type Capture struct {
 	stamp   time.Time
 	labeled bool
 
-	// startOdo, endOdo and timezone stay zero, as the test's fields do,
-	// for a capture without rows.
+	// first is the first row's instant: the recorder stamps it with the
+	// test's start, to the millisecond. startOdo, endOdo and timezone
+	// stay zero, as the test's fields do, for a capture without rows;
+	// first stays zero too.
+	first            time.Time
 	startOdo, endOdo unit.Meters
 	timezone         geo.Timezone
 
@@ -75,6 +78,7 @@ func (n *Normalizer) Capture(f *xcal.File) Capture {
 	route := n.route
 	if len(rows) > 0 {
 		first, last := &rows[0], &rows[len(rows)-1]
+		c.first = first.Time
 		c.startOdo = route.OdometerOf(geo.LatLon{Lat: first.Lat, Lon: first.Lon})
 		c.endOdo = route.OdometerOf(geo.LatLon{Lat: last.Lat, Lon: last.Lon})
 		c.timezone = route.At(c.startOdo).Timezone

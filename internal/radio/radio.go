@@ -114,17 +114,6 @@ func ParseTechnology(s string) (Technology, bool) {
 	return LTE, false
 }
 
-// ParseOperatorShort inverts Operator.Short. It reports false for
-// unknown abbreviations.
-func ParseOperatorShort(s string) (Operator, bool) {
-	for _, o := range Operators() {
-		if o.Short() == s {
-			return o, true
-		}
-	}
-	return Verizon, false
-}
-
 // Is5G reports whether the technology is any NR flavor.
 func (t Technology) Is5G() bool { return t >= NRLow }
 
@@ -282,11 +271,6 @@ type LinkProfile struct {
 	PeakPerCC unit.BitRate
 	// MaxCC is the maximum number of aggregated component carriers.
 	MaxCC int
-}
-
-// Peak reports the profile's maximum aggregate rate.
-func (p LinkProfile) Peak() unit.BitRate {
-	return p.PeakPerCC * unit.BitRate(CAFactor(p.MaxCC))
 }
 
 // CAFactor is the capacity multiplier of carrier aggregation: the primary

@@ -139,17 +139,21 @@ func TestA3BoundMatchesExhaustiveScan(t *testing.T) {
 // TestMoveMatchesStep drives, per operator, one UE with Step and one with
 // Move through a3Drive. At every tick the two must agree on the serving
 // technology, cell and handover window, and their handover logs must be
-// equal: the link half draws nothing the mobility half reads.
+// equal: the link half draws nothing the mobility half reads. Move steps
+// only mobility, so the mover's state carries no load, SINR or capacity.
 func TestMoveMatchesStep(t *testing.T) {
 	for _, op := range radio.Operators() {
 		var hoSeen int
 		_, _, held := a3Drive(t, op, func(i int, mover, stepper *UE, wp geo.Waypoint, now time.Time, speed float64) {
 			tech, cell := mover.Move(now, wp)
 			want := stepper.Step(now, wp, speed, tick)
-			got := mover.State()
+			got := mover.state
 			if tech != want.Tech || cell != want.CellID || got.Tech != tech || got.CellID != cell || got.InHandover != want.InHandover {
 				t.Fatalf("%v tick %d (odometer %v): Move %v/%q/%v (reported %v/%q), Step %v/%q/%v",
 					op, i, wp.Odometer, got.Tech, got.CellID, got.InHandover, tech, cell, want.Tech, want.CellID, want.InHandover)
+			}
+			if got.Load != 0 || got.SINR != 0 || got.CapacityDL != 0 || got.CapacityUL != 0 {
+				t.Fatalf("%v tick %d: Move left link KPIs %+v", op, i, got)
 			}
 			sameHandovers(t, op, i, mover, stepper, &hoSeen)
 		})

@@ -42,7 +42,7 @@ func BenchmarkUEStep(b *testing.B) {
 	b.Run("mmwave", func(b *testing.B) {
 		var frag deploy.Fragment
 		for _, f := range m.Fragments(radio.NRMmWave) {
-			if f.Len() > frag.Len() {
+			if f.End-f.Start > frag.End-frag.Start {
 				frag = f
 			}
 		}

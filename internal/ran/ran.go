@@ -73,9 +73,6 @@ type HandoverEvent struct {
 	Odometer unit.Meters
 }
 
-// Kind reports the event's technology-transition class.
-func (e HandoverEvent) Kind() HandoverKind { return KindOf(e.FromTech, e.ToTech) }
-
 // LinkState is the per-tick observable state of the UE's serving link —
 // exactly the KPI surface XCAL Solo taps (§3).
 type LinkState struct {
@@ -273,9 +270,6 @@ func (u *UE) SetTraffic(tr deploy.Traffic, now time.Time, wp geo.Waypoint) {
 	}
 	u.reselectTech(now, &wp)
 }
-
-// Traffic reports the current offered-traffic profile.
-func (u *UE) Traffic() deploy.Traffic { return u.traffic }
 
 // reselectTech runs the elevation policy and performs a vertical
 // handover if the serving technology changes.
@@ -807,11 +801,6 @@ func (u *UE) bucketQuiet(serving *deploy.Cell, bucket int64) bool {
 	return true
 }
 
-// Handovers returns all handover events so far, in order.
-func (u *UE) Handovers() []HandoverEvent {
-	return append([]HandoverEvent(nil), u.handovers...)
-}
-
 // HandoverCount reports the number of handovers so far without copying.
 func (u *UE) HandoverCount() int { return len(u.handovers) }
 
@@ -828,9 +817,6 @@ func (u *UE) HandoversFrom(i int) []HandoverEvent {
 // UniqueCells reports how many distinct cells the UE has connected to —
 // Table 1's "# of unique cells connected".
 func (u *UE) UniqueCells() int { return len(u.cellsSeen) }
-
-// State reports the last computed link state.
-func (u *UE) State() LinkState { return u.state }
 
 // Tech reports the current serving technology.
 func (u *UE) Tech() radio.Technology { return u.tech }

@@ -109,7 +109,7 @@ func TestHandoversHappenAndInterrupt(t *testing.T) {
 	ue, drive := testUE(t, radio.Verizon, 3)
 	ue.SetTraffic(deploy.HeavyDL, drive.State().Time, drive.State().Waypoint)
 	states := runFor(ue, drive, 20*time.Minute)
-	hos := ue.Handovers()
+	hos := ue.handovers
 	if len(hos) == 0 {
 		t.Fatal("no handovers in 20 minutes of driving")
 	}
@@ -133,7 +133,7 @@ func TestHandoverDurationsMatchPaperScale(t *testing.T) {
 		ue, drive := testUE(t, op, 4)
 		ue.SetTraffic(deploy.HeavyDL, drive.State().Time, drive.State().Waypoint)
 		runFor(ue, drive, 30*time.Minute)
-		hos := ue.Handovers()
+		hos := ue.handovers
 		if len(hos) < 5 {
 			t.Fatalf("%v: only %d handovers", op, len(hos))
 		}
@@ -164,7 +164,7 @@ func TestHandoverEventsWellFormed(t *testing.T) {
 	ue.SetTraffic(deploy.HeavyDL, drive.State().Time, drive.State().Waypoint)
 	runFor(ue, drive, 20*time.Minute)
 	prev := time.Time{}
-	for _, h := range ue.Handovers() {
+	for _, h := range ue.handovers {
 		if h.Start.Before(prev) {
 			t.Fatal("handover events out of order")
 		}
@@ -185,8 +185,8 @@ func TestVerticalHandoversOccur(t *testing.T) {
 	ue.SetTraffic(deploy.HeavyDL, drive.State().Time, drive.State().Waypoint)
 	runFor(ue, drive, 3*time.Hour)
 	kinds := map[HandoverKind]int{}
-	for _, h := range ue.Handovers() {
-		kinds[h.Kind()]++
+	for _, h := range ue.handovers {
+		kinds[KindOf(h.FromTech, h.ToTech)]++
 	}
 	if kinds[Up] == 0 && kinds[Down] == 0 {
 		t.Errorf("no vertical handovers: %v", kinds)

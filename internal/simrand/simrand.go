@@ -62,14 +62,8 @@ func (s *Source) seedStream() {
 	s.rng = rand.New(rand.NewSource(s.streamSeed))
 }
 
-// Name reports the stream's path from the root, for diagnostics.
-func (s *Source) Name() string { return s.name }
-
 // Float64 draws from [0, 1).
 func (s *Source) Float64() float64 { return s.r().Float64() }
-
-// Intn draws a uniform integer from [0, n). n must be positive.
-func (s *Source) Intn(n int) int { return s.r().Intn(n) }
 
 // Int63 draws a non-negative 63-bit integer.
 func (s *Source) Int63() int64 { return s.r().Int63() }
@@ -90,11 +84,6 @@ func (s *Source) LogNormal(mu, sigma float64) float64 {
 // paper's "median handover duration 53 ms with a long tail".
 func (s *Source) LogNormalMedian(median, sigma float64) float64 {
 	return s.LogNormal(math.Log(median), sigma)
-}
-
-// Exp draws from an exponential distribution with the given mean.
-func (s *Source) Exp(mean float64) float64 {
-	return s.r().ExpFloat64() * mean
 }
 
 // Bool reports true with probability p.
@@ -156,9 +145,6 @@ func (p *OU) Step(s *Source) float64 {
 	p.value = clamp(p.value, p.Min, p.Max)
 	return p.value
 }
-
-// Value reports the current value without advancing.
-func (p *OU) Value() float64 { return p.value }
 
 // Seed initializes the process at the given value (clamped) instead of a
 // random draw around the mean.

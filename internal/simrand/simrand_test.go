@@ -59,13 +59,6 @@ func TestForkSeedSensitivity(t *testing.T) {
 	}
 }
 
-func TestName(t *testing.T) {
-	s := New(0).Fork("ran").Fork("cell3")
-	if got := s.Name(); got != "/ran/cell3" {
-		t.Errorf("Name = %q", got)
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	s := New(99).Fork("normal")
 	const n = 20000
@@ -101,22 +94,6 @@ func TestLogNormalMedian(t *testing.T) {
 		if x <= 0 {
 			t.Fatalf("lognormal produced non-positive value %v", x)
 		}
-	}
-}
-
-func TestExpMean(t *testing.T) {
-	s := New(8).Fork("exp")
-	const n = 20000
-	var sum float64
-	for i := 0; i < n; i++ {
-		x := s.Exp(10)
-		if x < 0 {
-			t.Fatalf("Exp produced negative %v", x)
-		}
-		sum += x
-	}
-	if mean := sum / n; math.Abs(mean-10) > 0.5 {
-		t.Errorf("mean = %v, want ≈10", mean)
 	}
 }
 
@@ -200,15 +177,6 @@ func TestOURevertsToMean(t *testing.T) {
 	}
 }
 
-func TestOUValueMatchesLastStep(t *testing.T) {
-	s := New(23).Fork("ou3")
-	p := &OU{Mean: 0.3, Revert: 0.1, Sigma: 0.05, Min: 0, Max: 1}
-	last := p.Step(s)
-	if p.Value() != last {
-		t.Errorf("Value = %v, want %v", p.Value(), last)
-	}
-}
-
 // quickMedian returns the median without disturbing the caller's slice.
 func quickMedian(xs []float64) float64 {
 	cp := append([]float64(nil), xs...)
@@ -240,8 +208,8 @@ func TestLazyForkMatchesEager(t *testing.T) {
 			{root.Fork(""), "/"},
 		} {
 			eager := eagerFork(seed, c.full)
-			if c.s.Name() != c.full {
-				t.Fatalf("Name() = %q, want %q", c.s.Name(), c.full)
+			if c.s.name != c.full {
+				t.Fatalf("name = %q, want %q", c.s.name, c.full)
 			}
 			for i := 0; i < 200; i++ {
 				switch i % 5 {
@@ -250,7 +218,7 @@ func TestLazyForkMatchesEager(t *testing.T) {
 						t.Fatalf("seed %d %s draw %d: %v, eager %v", seed, c.full, i, got, want)
 					}
 				case 1:
-					if got, want := c.s.Intn(1000), eager.Intn(1000); got != want {
+					if got, want := c.s.r().Intn(1000), eager.Intn(1000); got != want {
 						t.Fatalf("seed %d %s draw %d: %v, eager %v", seed, c.full, i, got, want)
 					}
 				case 2:
@@ -258,7 +226,7 @@ func TestLazyForkMatchesEager(t *testing.T) {
 						t.Fatalf("seed %d %s draw %d: %v, eager %v", seed, c.full, i, got, want)
 					}
 				case 3:
-					if got, want := c.s.Exp(1), eager.ExpFloat64(); got != want {
+					if got, want := c.s.r().ExpFloat64(), eager.ExpFloat64(); got != want {
 						t.Fatalf("seed %d %s draw %d: %v, eager %v", seed, c.full, i, got, want)
 					}
 				default:

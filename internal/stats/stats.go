@@ -15,9 +15,8 @@ import (
 // ErrEmpty is returned by summaries of empty sample sets.
 var ErrEmpty = errors.New("stats: empty sample set")
 
-// CDF is an empirical cumulative distribution over a sample set.
-// The zero value is an empty distribution; add samples with Add or
-// construct directly from a slice with NewCDF.
+// CDF is an empirical cumulative distribution over a sample set, built
+// from a slice with NewCDF. The zero value is an empty distribution.
 type CDF struct {
 	samples []float64
 	sorted  bool
@@ -29,34 +28,11 @@ func NewCDF(xs []float64) *CDF {
 	return c
 }
 
-// Add appends one sample.
-func (c *CDF) Add(x float64) {
-	c.samples = append(c.samples, x)
-	c.sorted = false
-}
-
-// Len reports the number of samples.
-func (c *CDF) Len() int { return len(c.samples) }
-
 func (c *CDF) ensureSorted() {
 	if !c.sorted {
 		sort.Float64s(c.samples)
 		c.sorted = true
 	}
-}
-
-// At reports the empirical CDF value P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	c.ensureSorted()
-	i := sort.SearchFloat64s(c.samples, x)
-	// advance past equal values so At is P(X <= x), not P(X < x)
-	for i < len(c.samples) && c.samples[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(c.samples))
 }
 
 // Quantile reports the q-th quantile (q in [0, 1]) using linear
@@ -107,18 +83,6 @@ func (c *CDF) Max() float64 {
 	}
 	c.ensureSorted()
 	return c.samples[len(c.samples)-1]
-}
-
-// Mean reports the arithmetic mean, or NaN if empty.
-func (c *CDF) Mean() float64 {
-	if len(c.samples) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, x := range c.samples {
-		sum += x
-	}
-	return sum / float64(len(c.samples))
 }
 
 // FracBelow reports the fraction of samples strictly below x — the form
@@ -333,9 +297,6 @@ func smallestStep(x float64) float64 {
 	return math.Nextafter(math.Abs(x), math.Inf(1)) - math.Abs(x)
 }
 
-// Label reports the label of x's bin.
-func (b *Binner) Label(x float64) string { return b.Labels[b.Index(x)] }
-
 // Bins reports the number of bins.
 func (b *Binner) Bins() int { return len(b.Labels) }
 
@@ -346,16 +307,4 @@ func SpeedBins() *Binner {
 		panic(err) // static construction cannot fail
 	}
 	return b
-}
-
-// Histogram counts occurrences of each label over values, using the binner.
-func (b *Binner) Histogram(xs []float64) map[string]int {
-	h := make(map[string]int, b.Bins())
-	for _, l := range b.Labels {
-		h[l] = 0
-	}
-	for _, x := range xs {
-		h[b.Label(x)]++
-	}
-	return h
 }

@@ -31,9 +31,6 @@ func pathName(i int) string {
 	return "mptcp/path" + string(rune('0'+i%10))
 }
 
-// Paths reports the number of subflows.
-func (b *Bond) Paths() int { return len(b.flows) }
-
 // BondResult reports one tick of the bond.
 type BondResult struct {
 	// Delivered is the in-order goodput this tick, after the

@@ -91,8 +91,8 @@ func TestBondShortSlices(t *testing.T) {
 }
 
 func TestBondPaths(t *testing.T) {
-	if got := NewBond(4, simrand.New(6), Options{}).Paths(); got != 4 {
-		t.Errorf("Paths = %d", got)
+	if got := len(NewBond(4, simrand.New(6), Options{}).flows); got != 4 {
+		t.Errorf("subflows = %d", got)
 	}
 }
 

@@ -211,13 +211,6 @@ func (f *Flow) cubicWindow() float64 {
 	return grown
 }
 
-// Window reports the current congestion window in bytes, for tests and
-// diagnostics.
-func (f *Flow) Window() float64 { return f.cwnd }
-
-// Queue reports the bytes currently sitting in the bottleneck buffer.
-func (f *Flow) Queue() float64 { return f.queue }
-
 // Pinger is the ICMP RTT test process: one 38-byte echo every 200 ms
 // (§3's handover-logger traffic and §5's RTT tests).
 type Pinger struct {

@@ -54,15 +54,15 @@ func TestFlowSlowStartRampsQuickly(t *testing.T) {
 	// After 2 seconds on a clean link, the window should be far above the
 	// initial 10 MSS.
 	runFlow(f, 200*unit.Mbps, 30*time.Millisecond, 2*time.Second)
-	if f.Window() < 40*MSS {
-		t.Errorf("window after slow start = %.0f bytes", f.Window())
+	if f.cwnd < 40*MSS {
+		t.Errorf("window after slow start = %.0f bytes", f.cwnd)
 	}
 }
 
 func TestFlowBacksOffOnLoss(t *testing.T) {
 	f := NewFlow(simrand.New(4))
 	runFlow(f, 100*unit.Mbps, 40*time.Millisecond, 5*time.Second)
-	before := f.Window()
+	before := f.cwnd
 	// Force overflow by collapsing capacity: the queue fills and drops.
 	sawLoss := false
 	for i := 0; i < 400; i++ {
@@ -75,8 +75,8 @@ func TestFlowBacksOffOnLoss(t *testing.T) {
 	if !sawLoss {
 		t.Fatal("no loss after capacity collapse")
 	}
-	if f.Window() >= before {
-		t.Errorf("window did not shrink: %.0f -> %.0f", before, f.Window())
+	if f.cwnd >= before {
+		t.Errorf("window did not shrink: %.0f -> %.0f", before, f.cwnd)
 	}
 }
 
@@ -99,7 +99,7 @@ func TestFlowOutageRTTCapped(t *testing.T) {
 	// bound (50 ms → minutes within a simulated five seconds).
 	f := NewFlow(simrand.New(8))
 	runFlow(f, 50*unit.Mbps, 40*time.Millisecond, 3*time.Second)
-	if f.Queue() == 0 {
+	if f.queue == 0 {
 		t.Fatal("no queue built before the outage; the test needs one")
 	}
 	prev := time.Duration(0)

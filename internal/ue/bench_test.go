@@ -73,7 +73,7 @@ func BenchmarkCrowdLive(b *testing.B) {
 			r.Advance(now)
 			now = now.Add(50 * time.Millisecond)
 		}
-		events = r.EventsProcessed()
+		events = r.processed
 	}
 	b.ReportMetric(float64(events), "events/op")
 }

@@ -382,19 +382,6 @@ func (r *Registry) CellLoad(c *deploy.Cell, _ time.Time) float64 {
 	return unit.Clamp(baseLoad+float64(sh.demand)/capacityUnits(c.Tech), minLoad, maxLoad)
 }
 
-// Attached reports how many slots are currently attached.
-func (r *Registry) Attached() int { return r.attached }
-
-// EventsProcessed reports the total events applied so far — the figure
-// the sub-linearity test and bench compare against Size × ticks.
-func (r *Registry) EventsProcessed() int64 { return r.processed }
-
-// MeasurementsStarted reports how many measurement start events fired.
-func (r *Registry) MeasurementsStarted() int64 { return r.started }
-
-// Size reports the slot count.
-func (r *Registry) Size() int { return r.cfg.Size }
-
 // schedule enqueues an event for this slot at the given delay (minimum
 // one tick), stamped with the slot's current generation so a later
 // detach invalidates it.

@@ -124,8 +124,8 @@ func TestRegistryMatchesReferenceModel(t *testing.T) {
 	}
 
 	checkInvariants(t, r)
-	if len(ref) != r.Attached() {
-		t.Fatalf("reference model has %d attached, registry %d", len(ref), r.Attached())
+	if len(ref) != r.attached {
+		t.Fatalf("reference model has %d attached, registry %d", len(ref), r.attached)
 	}
 	// Aggregate the reference model per cell and compare every shard.
 	type cellKey struct {
@@ -182,10 +182,10 @@ func TestRegistryInvariantsUnderAdvance(t *testing.T) {
 		}
 	}
 	checkInvariants(t, r)
-	if r.Attached() == 0 {
+	if r.attached == 0 {
 		t.Fatal("no UEs attached after 20k ticks")
 	}
-	if r.MeasurementsStarted() == 0 {
+	if r.started == 0 {
 		t.Fatal("no measurements started")
 	}
 }
@@ -209,9 +209,9 @@ func TestRegistryDeterministic(t *testing.T) {
 		b.Advance(now)
 		now = now.Add(50 * time.Millisecond)
 	}
-	if a.Attached() != b.Attached() || a.EventsProcessed() != b.EventsProcessed() {
+	if a.attached != b.attached || a.processed != b.processed {
 		t.Fatalf("diverged: attached %d vs %d, events %d vs %d",
-			a.Attached(), b.Attached(), a.EventsProcessed(), b.EventsProcessed())
+			a.attached, b.attached, a.processed, b.processed)
 	}
 	for slot := range a.state {
 		if a.state[slot] != b.state[slot] || a.cell[slot] != b.cell[slot] ||
@@ -249,12 +249,12 @@ func TestEventDrivenCostIsSubLinear(t *testing.T) {
 		now = now.Add(50 * time.Millisecond)
 	}
 	naive := int64(size) * int64(ticks)
-	if r.EventsProcessed()*100 > naive {
+	if r.processed*100 > naive {
 		t.Fatalf("processed %d events for a quiet crowd; want < 1%% of the %d naive polls",
-			r.EventsProcessed(), naive)
+			r.processed, naive)
 	}
-	if r.Attached() < size/2 {
-		t.Fatalf("only %d/%d attached — the quiet crowd should be nearly fully attached", r.Attached(), size)
+	if r.attached < size/2 {
+		t.Fatalf("only %d/%d attached — the quiet crowd should be nearly fully attached", r.attached, size)
 	}
 }
 
@@ -285,8 +285,8 @@ func TestMeasurementCallbacks(t *testing.T) {
 	if len(slots) != samples {
 		t.Fatalf("OnMeasure fired %d times, want %d (slots %v)", len(slots), samples, slots)
 	}
-	if r.MeasurementsStarted() != samples {
-		t.Fatalf("MeasurementsStarted() = %d, want %d", r.MeasurementsStarted(), samples)
+	if r.started != samples {
+		t.Fatalf("measurements started = %d, want %d", r.started, samples)
 	}
 	seen := map[int]bool{}
 	for _, s := range slots {

@@ -100,12 +100,6 @@ type DB float64
 // Linear converts the ratio to the linear domain.
 func (g DB) Linear() float64 { return math.Pow(10, float64(g)/10) }
 
-// MHz is a frequency or bandwidth in megahertz.
-type MHz float64
-
-// Hz reports the frequency in hertz.
-func (f MHz) Hz() float64 { return float64(f) * 1e6 }
-
 // Meters is a distance in meters.
 type Meters float64
 

@@ -101,12 +101,6 @@ func TestDBKnownValues(t *testing.T) {
 	}
 }
 
-func TestFrequency(t *testing.T) {
-	if got := MHz(100).Hz(); got != 1e8 {
-		t.Errorf("Hz = %v, want 1e8", got)
-	}
-}
-
 func TestDistances(t *testing.T) {
 	if got := (5 * Kilometer).Km(); got != 5 {
 		t.Errorf("Km = %v, want 5", got)

@@ -91,7 +91,7 @@ func TestObsManifestCountsMatchDataset(t *testing.T) {
 		t.Errorf("seed label = %q", man.Labels["seed"])
 	}
 	plain := Config{Seed: 11, LimitKm: 30, VideoSeconds: 15, GamingSeconds: 10}
-	if got, want := man.Labels["config_sha256"], plain.fingerprint(); got != want {
+	if got, want := man.Labels["config_sha256"], plain.Fingerprint(); got != want {
 		t.Errorf("config_sha256 = %q, fingerprint of Obs-free config = %q", got, want)
 	}
 
